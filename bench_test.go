@@ -213,7 +213,7 @@ func BenchmarkLineageTableAppendAndCompact(b *testing.B) {
 				_ = tab.SetTarget(d, r, device.On)
 				_ = tab.SetStatus(d, r, lineage.Released)
 			}
-			tab.Compact(r)
+			tab.Compact(r, devs)
 		}
 	}
 }

@@ -137,14 +137,14 @@ func (h *SimulatedHome) SubmitAfter(d time.Duration, r *Routine) error {
 	if err := r.Validate(nil); err != nil {
 		return err
 	}
-	h.sim.After(d, func() { h.ctrl.Submit(r) })
+	h.sim.Post(d, func() { h.ctrl.Submit(r) })
 	return nil
 }
 
 // FailDeviceAfter injects a fail-stop failure of the device after the given
 // virtual delay; RestoreDeviceAfter injects the matching restart.
 func (h *SimulatedHome) FailDeviceAfter(d time.Duration, id DeviceID) {
-	h.sim.After(d, func() {
+	h.sim.Post(d, func() {
 		if err := h.fleet.Fail(id); err == nil {
 			h.ctrl.NotifyFailure(id)
 		}
@@ -153,7 +153,7 @@ func (h *SimulatedHome) FailDeviceAfter(d time.Duration, id DeviceID) {
 
 // RestoreDeviceAfter injects a device restart after the given virtual delay.
 func (h *SimulatedHome) RestoreDeviceAfter(d time.Duration, id DeviceID) {
-	h.sim.After(d, func() {
+	h.sim.Post(d, func() {
 		if err := h.fleet.Restore(id); err == nil {
 			h.ctrl.NotifyRestart(id)
 		}

@@ -11,40 +11,60 @@
 // every not-yet-explained device it writes ends in that routine's final write
 // — placing it "covers" those devices, and the argument repeats on the rest.
 // The greedy choice is safe (an exchange argument shows any eligible routine
-// can be placed last whenever some valid order exists), so the check runs in
-// O(routines² × writes) instead of exploring orders.
+// can be placed last whenever some valid order exists).
+//
+// Check runs that greedy as a worklist, in time linear in the number of
+// writes (plus a log factor for the heap of placeable routines): every
+// routine carries a count of its writes that contradict a still-unexplained
+// device, every device a list of the routines it holds back, and covering a
+// device releases them. The check runs once per simulated trial over every
+// committed routine, which is what made the earlier rescan-everything
+// formulation (O(routines² × writes), kept as the oracle in the package
+// tests) the single largest cost of a trial.
 package congruence
 
 import (
-	"sort"
-
 	"safehome/internal/device"
+	"safehome/internal/minheap"
 	"safehome/internal/routine"
 )
 
+// Write is one device's final state under a routine.
+type Write struct {
+	Device device.ID
+	State  device.State
+}
+
 // Writes captures the effect one committed routine has on the home: for each
 // device it touches, the final state that routine drives the device to.
+// Final holds at most one entry per device.
 type Writes struct {
 	ID    routine.ID
-	Final map[device.ID]device.State
+	Final []Write
 }
 
 // FromRoutine extracts a Writes record from a routine definition.
 func FromRoutine(r *routine.Routine) Writes {
-	w := Writes{ID: r.ID, Final: make(map[device.ID]device.State)}
-	for _, d := range r.Devices() {
-		if st, ok := r.LastWriteTo(d); ok {
-			w.Final[d] = st
-		}
-	}
-	return w
+	return FromRoutines([]*routine.Routine{r})[0]
 }
 
-// FromRoutines maps FromRoutine over a slice.
+// FromRoutines maps FromRoutine over a slice. The records share one backing
+// array, so a trial's worth of routines costs two allocations, not one per
+// routine.
 func FromRoutines(rs []*routine.Routine) []Writes {
-	out := make([]Writes, 0, len(rs))
+	n := 0
 	for _, r := range rs {
-		out = append(out, FromRoutine(r))
+		n += len(r.Commands) // upper bound on the devices r writes
+	}
+	all := make([]Write, 0, n)
+	out := make([]Writes, len(rs))
+	for i, r := range rs {
+		from := len(all)
+		for _, d := range r.Devices() {
+			st, _ := r.LastWriteTo(d)
+			all = append(all, Write{Device: d, State: st})
+		}
+		out[i] = Writes{ID: r.ID, Final: all[from:len(all):len(all)]}
 	}
 	return out
 }
@@ -71,89 +91,131 @@ type Result struct {
 func Check(initial map[device.ID]device.State, committed []Writes, final map[device.ID]device.State) Result {
 	res := Result{}
 
-	// writers[d] = routines that write d.
-	writers := make(map[device.ID][]int)
+	// Devices become dense slots (in ID order), so everything below indexes
+	// slices; each write's device is hashed exactly once, here.
+	devs := device.SortedIDs(final)
+	slotOf := make(map[device.ID]int32, len(devs))
+	want := make([]device.State, len(devs))
+	for k, d := range devs {
+		slotOf[d] = int32(k)
+		want[k] = final[d]
+	}
+	// Routine i's writes are wslot[woff[i]:woff[i+1]]: the written device's
+	// slot (-1 when final does not list the device) and whether the write
+	// disagrees with the device's final state.
+	woff := make([]int32, len(committed)+1)
 	for i, w := range committed {
-		for d := range w.Final {
-			writers[d] = append(writers[d], i)
+		woff[i+1] = woff[i] + int32(len(w.Final))
+	}
+	wslot := make([]int32, woff[len(committed)])
+	wrong := make([]bool, len(wslot))
+	written := make([]bool, len(devs))
+	explained := make([]bool, len(devs))
+	// blocks[i] counts routine i's writes that contradict a device still
+	// waiting for its last writer: i can be placed last among the remaining
+	// routines exactly when it is zero. heldBy[k] counts the routines device
+	// k holds back that way.
+	blocks := make([]int32, len(committed))
+	heldBy := make([]int32, len(devs)+1)
+	for i, w := range committed {
+		for j, wr := range w.Final {
+			p := woff[i] + int32(j)
+			k, ok := slotOf[wr.Device]
+			if !ok {
+				wslot[p] = -1
+				continue
+			}
+			wslot[p] = k
+			written[k] = true
+			if wr.State == want[k] {
+				explained[k] = true
+			} else {
+				wrong[p] = true
+				blocks[i]++
+				heldBy[k+1]++
+			}
 		}
 	}
-
-	// Devices that still need a "last writer" matching the final state.
-	uncovered := make(map[device.ID]bool)
-	for _, d := range device.SortedIDs(final) {
-		want := final[d]
-		ws := writers[d]
-		if len(ws) == 0 {
-			if init, ok := initial[d]; ok && init != want {
+	for k, d := range devs {
+		switch {
+		case !written[k]:
+			if init, ok := initial[d]; ok && init != want[k] {
 				res.BadDevices = append(res.BadDevices, d)
 			}
-			continue
-		}
-		explainable := false
-		for _, i := range ws {
-			if committed[i].Final[d] == want {
-				explainable = true
-				break
-			}
-		}
-		if !explainable {
+		case !explained[k]:
 			res.BadDevices = append(res.BadDevices, d)
-			continue
 		}
-		uncovered[d] = true
 	}
 	if len(res.BadDevices) > 0 {
 		return res
 	}
 
-	// Build the serial order backwards: repeatedly place (latest first) any
-	// remaining routine whose writes to still-uncovered devices all match the
-	// final state. Prefer the largest routine ID so the witness stays close
-	// to submission order.
-	remaining := make([]int, len(committed))
-	for i := range committed {
-		remaining[i] = i
+	// held[heldBy[k]:heldBy[k+1]] lists the routines device k holds back.
+	for k := range devs {
+		heldBy[k+1] += heldBy[k]
 	}
-	reversed := make([]routine.ID, 0, len(committed))
-	for len(remaining) > 0 {
-		pick := -1
-		for idx, i := range remaining {
-			ok := true
-			for d, st := range committed[i].Final {
-				if uncovered[d] && final[d] != st {
-					ok = false
-					break
-				}
+	held := make([]int32, heldBy[len(devs)])
+	fill := append([]int32(nil), heldBy[:len(devs)]...)
+	for i := range committed {
+		for p := woff[i]; p < woff[i+1]; p++ {
+			if wrong[p] {
+				held[fill[wslot[p]]] = int32(i)
+				fill[wslot[p]]++
 			}
-			if !ok {
-				continue
-			}
-			if pick == -1 || committed[i].ID > committed[remaining[pick]].ID {
-				pick = idx
-			}
-		}
-		if pick == -1 {
-			// No routine can be the latest among the rest: the required last
-			// writers contradict each other.
-			for d := range uncovered {
-				res.BadDevices = append(res.BadDevices, d)
-			}
-			sort.Slice(res.BadDevices, func(i, j int) bool { return res.BadDevices[i] < res.BadDevices[j] })
-			return res
-		}
-		chosen := remaining[pick]
-		remaining = append(remaining[:pick], remaining[pick+1:]...)
-		reversed = append(reversed, committed[chosen].ID)
-		for d := range committed[chosen].Final {
-			delete(uncovered, d)
 		}
 	}
 
+	// Build the serial order backwards: repeatedly place (latest first) the
+	// placeable routine with the largest ID, so the witness stays close to
+	// submission order; placing it covers its devices, which may make the
+	// routines they held back placeable. Every written device starts
+	// uncovered.
+	uncovered := written
+	latestFirst := func(a, b int32) bool {
+		if committed[a].ID != committed[b].ID {
+			return committed[a].ID > committed[b].ID
+		}
+		return a < b
+	}
+	var placeable []int32
+	for i := range committed {
+		if blocks[i] == 0 {
+			placeable = minheap.Push(placeable, int32(i), latestFirst)
+		}
+	}
+	reversed := make([]routine.ID, 0, len(committed))
+	for len(placeable) > 0 {
+		var i int32
+		placeable, i = minheap.Pop(placeable, latestFirst)
+		reversed = append(reversed, committed[i].ID)
+		for p := woff[i]; p < woff[i+1]; p++ {
+			k := wslot[p]
+			if k < 0 || !uncovered[k] {
+				continue
+			}
+			uncovered[k] = false
+			for _, j := range held[heldBy[k]:heldBy[k+1]] {
+				if blocks[j]--; blocks[j] == 0 {
+					placeable = minheap.Push(placeable, j, latestFirst)
+				}
+			}
+		}
+	}
+	if len(reversed) < len(committed) {
+		// No routine can be the latest among the rest: the required last
+		// writers contradict each other.
+		for k, d := range devs {
+			if uncovered[k] {
+				res.BadDevices = append(res.BadDevices, d)
+			}
+		}
+		return res
+	}
+
 	res.Congruent = true
-	res.Witness = make([]routine.ID, 0, len(reversed))
-	for i := len(reversed) - 1; i >= 0; i-- {
-		res.Witness = append(res.Witness, reversed[i])
+	res.Witness = reversed
+	for i, j := 0, len(reversed)-1; i < j; i, j = i+1, j-1 {
+		reversed[i], reversed[j] = reversed[j], reversed[i]
 	}
 	return res
 }

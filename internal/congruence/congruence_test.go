@@ -10,9 +10,9 @@ import (
 )
 
 func rw(id routine.ID, pairs ...any) Writes {
-	w := Writes{ID: id, Final: make(map[device.ID]device.State)}
+	w := Writes{ID: id}
 	for i := 0; i < len(pairs); i += 2 {
-		w.Final[pairs[i].(device.ID)] = pairs[i+1].(device.State)
+		w.Final = append(w.Final, Write{Device: pairs[i].(device.ID), State: pairs[i+1].(device.State)})
 	}
 	return w
 }
@@ -57,11 +57,11 @@ func TestAllOnAllOffSerialEquivalence(t *testing.T) {
 		devs = append(devs, d)
 		initial[d] = device.Off
 	}
-	r1 := Writes{ID: 1, Final: map[device.ID]device.State{}}
-	r2 := Writes{ID: 2, Final: map[device.ID]device.State{}}
+	r1 := Writes{ID: 1}
+	r2 := Writes{ID: 2}
 	for _, d := range devs {
-		r1.Final[d] = device.On
-		r2.Final[d] = device.Off
+		r1.Final = append(r1.Final, Write{Device: d, State: device.On})
+		r2.Final = append(r2.Final, Write{Device: d, State: device.Off})
 	}
 	allOn := map[device.ID]device.State{}
 	allOff := map[device.ID]device.State{}
@@ -165,8 +165,8 @@ func TestFromRoutineTakesLastWrite(t *testing.T) {
 		routine.Command{Device: "coffee", Target: device.Off})
 	r.ID = 7
 	w := FromRoutine(r)
-	if w.Final["coffee"] != device.Off {
-		t.Fatalf("final write should be OFF, got %v", w.Final["coffee"])
+	if len(w.Final) != 1 || w.Final[0] != (Write{Device: "coffee", State: device.Off}) {
+		t.Fatalf("final writes = %v, want exactly coffee=OFF", w.Final)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"safehome/internal/device"
 	"safehome/internal/metrics"
 	"safehome/internal/order"
+	"safehome/internal/routine"
 	"safehome/internal/sim"
 	"safehome/internal/stats"
 	"safehome/internal/visibility"
@@ -74,11 +75,11 @@ func RunWith(spec workload.Spec, opts visibility.Options, seed int64, factory Co
 
 	for _, sub := range spec.Submissions {
 		r := sub.Routine
-		s.After(sub.At, func() { ctrl.Submit(r) })
+		s.Post(sub.At, func() { ctrl.Submit(r) })
 	}
 	for _, f := range spec.Failures {
 		f := f
-		s.After(f.At, func() {
+		s.Post(f.At, func() {
 			if f.Restart {
 				_ = fleet.Restore(f.Device)
 				ctrl.NotifyRestart(f.Device)
@@ -96,14 +97,14 @@ func RunWith(spec workload.Spec, opts visibility.Options, seed int64, factory Co
 	serial := ctrl.Serialization()
 	rep := rec.Finalize(opts.Model, opts.Scheduler, results, serial)
 
-	var committed []congruence.Writes
+	committed := make([]*routine.Routine, 0, rep.Committed)
 	for _, res := range results {
 		if res.Status == visibility.StatusCommitted {
-			committed = append(committed, congruence.FromRoutine(res.Routine))
+			committed = append(committed, res.Routine)
 		}
 	}
 	end := fleet.Snapshot()
-	rep.FinalCongruent = congruence.Check(initial, committed, end).Congruent
+	rep.FinalCongruent = congruence.Check(initial, congruence.FromRoutines(committed), end).Congruent
 
 	return TrialResult{
 		Report:        rep,

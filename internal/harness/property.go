@@ -51,7 +51,6 @@ func Verify(spec workload.Spec, tr TrialResult) []Violation {
 	}
 	committed := make(map[routine.ID]*routine.Routine)
 	var committedRoutines []*routine.Routine
-	var committedWrites []congruence.Writes
 	for _, res := range tr.Results {
 		if !res.Status.Finished() {
 			out = append(out, Violation{"unfinished",
@@ -61,7 +60,6 @@ func Verify(spec workload.Spec, tr TrialResult) []Violation {
 		if res.Status == visibility.StatusCommitted {
 			committed[res.ID] = res.Routine
 			committedRoutines = append(committedRoutines, res.Routine)
-			committedWrites = append(committedWrites, congruence.FromRoutine(res.Routine))
 		}
 	}
 
@@ -69,10 +67,10 @@ func Verify(spec workload.Spec, tr TrialResult) []Violation {
 	initial := initialState(spec)
 
 	if pure {
-		if res := congruence.Check(initial, committedWrites, tr.EndState); !res.Congruent {
+		if res := congruence.Check(initial, congruence.FromRoutines(committedRoutines), tr.EndState); !res.Congruent {
 			out = append(out, Violation{"incongruent",
 				fmt.Sprintf("end state of devices %v unexplained by any serial order of %d committed routines",
-					res.BadDevices, len(committedWrites))})
+					res.BadDevices, len(committedRoutines))})
 		}
 	}
 

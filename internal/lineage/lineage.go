@@ -68,10 +68,22 @@ func (a Access) String() string {
 
 // Lineage is the ordered plan of lock transitions for one device: its last
 // committed state followed by lock-access entries in serialization order.
+//
+// A Table hands out one stable *Lineage per device (Table.Lineage), and every
+// per-device operation of the table is a method here. The controllers resolve
+// a routine's lineages once at submission and work through the pointers, so
+// the per-command path never hashes a device ID; the Table methods of the
+// same names are the by-ID conveniences.
 type Lineage struct {
 	Device    device.ID
 	Committed device.State
 	Accesses  []Access
+	// folded is the most recent routine whose lock-access was folded away by
+	// commit compaction (Compact / CompactBefore). The folded routine's write
+	// is the device's committed baseline, so every later placement on the
+	// device must serialize after it — but its access is gone from the
+	// lineage, so the controllers recover the constraint from LastFolded.
+	folded routine.ID
 }
 
 // Errors returned by table operations.
@@ -88,69 +100,70 @@ var (
 // the controllers that own it are single-threaded.
 type Table struct {
 	byDev map[device.ID]*Lineage
-	order []device.ID
-	// folded records, per device, the most recent routine whose lock-access
-	// was folded away by commit compaction (Compact / CompactBefore). The
-	// folded routine's write is the device's committed baseline, so every
-	// later placement on the device must serialize after it — but its access
-	// is gone from the lineage, so the controllers recover the constraint
-	// from here (LastFolded) instead.
-	folded map[device.ID]routine.ID
+	lins  []*Lineage // every lineage, in insertion order
 }
 
 // NewTable builds a table whose committed states are the given initial device
 // states. Devices not present are added lazily with an unknown committed
 // state when first touched.
 func NewTable(initial map[device.ID]device.State) *Table {
-	t := &Table{byDev: make(map[device.ID]*Lineage), folded: make(map[device.ID]routine.ID)}
+	t := &Table{byDev: make(map[device.ID]*Lineage)}
 	ids := make([]device.ID, 0, len(initial))
 	for d := range initial {
 		ids = append(ids, d)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, d := range ids {
-		t.ensure(d).Committed = initial[d]
+		t.Lineage(d).Committed = initial[d]
 	}
 	return t
 }
 
-func (t *Table) ensure(d device.ID) *Lineage {
+// Lineage returns the lineage for a device (creating an empty one if absent).
+// The pointer stays valid for the life of the table.
+func (t *Table) Lineage(d device.ID) *Lineage {
 	l, ok := t.byDev[d]
 	if !ok {
 		l = &Lineage{Device: d}
 		t.byDev[d] = l
-		t.order = append(t.order, d)
+		t.lins = append(t.lins, l)
 	}
 	return l
 }
 
-// Lineage returns the lineage for a device (creating an empty one if absent).
-func (t *Table) Lineage(d device.ID) *Lineage { return t.ensure(d) }
-
 // Devices returns all device IDs known to the table, in insertion order.
-func (t *Table) Devices() []device.ID { return append([]device.ID(nil), t.order...) }
+func (t *Table) Devices() []device.ID {
+	out := make([]device.ID, len(t.lins))
+	for i, l := range t.lins {
+		out[i] = l.Device
+	}
+	return out
+}
 
 // Committed returns the last committed state of the device.
-func (t *Table) Committed(d device.ID) device.State { return t.ensure(d).Committed }
+func (t *Table) Committed(d device.ID) device.State { return t.Lineage(d).Committed }
 
 // SetCommitted overwrites the committed state of the device.
-func (t *Table) SetCommitted(d device.ID, s device.State) { t.ensure(d).Committed = s }
+func (t *Table) SetCommitted(d device.ID, s device.State) { t.Lineage(d).Committed = s }
 
-// Find returns the index of rid's access in d's lineage, or -1.
-func (t *Table) Find(d device.ID, rid routine.ID) int {
-	l := t.ensure(d)
-	for i, a := range l.Accesses {
-		if a.Routine == rid {
+// Find returns the index of rid's access in the lineage, or -1.
+func (l *Lineage) Find(rid routine.ID) int {
+	for i := range l.Accesses {
+		if l.Accesses[i].Routine == rid {
 			return i
 		}
 	}
 	return -1
 }
 
+// Find returns the index of rid's access in d's lineage, or -1.
+func (t *Table) Find(d device.ID, rid routine.ID) int { return t.Lineage(d).Find(rid) }
+
 // Access returns rid's access entry on d.
 func (t *Table) Access(d device.ID, rid routine.ID) (Access, bool) {
-	if i := t.Find(d, rid); i >= 0 {
-		return t.ensure(d).Accesses[i], true
+	l := t.Lineage(d)
+	if i := l.Find(rid); i >= 0 {
+		return l.Accesses[i], true
 	}
 	return Access{}, false
 }
@@ -158,12 +171,11 @@ func (t *Table) Access(d device.ID, rid routine.ID) (Access, bool) {
 // Append adds a Scheduled access at the tail of d's lineage. It returns the
 // routines that precede the new access (its per-device preSet).
 func (t *Table) Append(d device.ID, a Access) ([]routine.ID, error) {
-	l := t.ensure(d)
-	if t.Find(d, a.Routine) >= 0 {
-		return nil, fmt.Errorf("%w: R%d on %s", ErrHasAccess, a.Routine, d)
-	}
+	l := t.Lineage(d)
 	pre := routinesOf(l.Accesses)
-	l.Accesses = append(l.Accesses, a)
+	if err := l.PlaceAt(len(l.Accesses), a); err != nil {
+		return nil, err
+	}
 	return pre, nil
 }
 
@@ -171,26 +183,25 @@ func (t *Table) Append(d device.ID, a Access) ([]routine.ID, error) {
 // everything). It returns the per-device preSet and postSet implied by the
 // position.
 func (t *Table) InsertAt(d device.ID, idx int, a Access) (pre, post []routine.ID, err error) {
-	l := t.ensure(d)
-	if idx >= 0 && idx <= len(l.Accesses) && t.Find(d, a.Routine) < 0 {
+	l := t.Lineage(d)
+	if idx >= 0 && idx <= len(l.Accesses) && l.Find(a.Routine) < 0 {
 		pre = routinesOf(l.Accesses[:idx])
 		post = routinesOf(l.Accesses[idx:])
 	}
-	if err := t.PlaceAt(d, idx, a); err != nil {
+	if err := l.PlaceAt(idx, a); err != nil {
 		return nil, nil, err
 	}
 	return pre, post, nil
 }
 
 // PlaceAt is the allocation-free core of InsertAt: it inserts the access at
-// position idx of d's lineage without materializing the pre/post routine
+// position idx of the lineage without materializing the pre/post routine
 // sets. The schedulers use it on the hot path (they track pre/post in
 // reusable scratch sets of their own); InsertAt stays as the convenience
 // wrapper.
-func (t *Table) PlaceAt(d device.ID, idx int, a Access) error {
-	l := t.ensure(d)
-	if t.Find(d, a.Routine) >= 0 {
-		return fmt.Errorf("%w: R%d on %s", ErrHasAccess, a.Routine, d)
+func (l *Lineage) PlaceAt(idx int, a Access) error {
+	if l.Find(a.Routine) >= 0 {
+		return fmt.Errorf("%w: R%d on %s", ErrHasAccess, a.Routine, l.Device)
 	}
 	if idx < 0 || idx > len(l.Accesses) {
 		return fmt.Errorf("%w: index %d out of range [0,%d]", ErrNoSuchSlot, idx, len(l.Accesses))
@@ -200,6 +211,9 @@ func (t *Table) PlaceAt(d device.ID, idx int, a Access) error {
 	l.Accesses[idx] = a
 	return nil
 }
+
+// PlaceAt inserts the access at position idx of d's lineage (Lineage.PlaceAt).
+func (t *Table) PlaceAt(d device.ID, idx int, a Access) error { return t.Lineage(d).PlaceAt(idx, a) }
 
 // InsertBefore inserts an access immediately before the access of routine
 // `anchor` in d's lineage (the pre-lease placement of Fig 6b).
@@ -221,82 +235,101 @@ func (t *Table) InsertAfter(d device.ID, a Access, anchor routine.ID) (pre, post
 	return t.InsertAt(d, idx+1, a)
 }
 
-// SetStatus transitions rid's access on d to the given status. The only legal
+// SetStatus transitions rid's access to the given status. The only legal
 // transitions are Scheduled→Acquired, Acquired→Released and (for early
 // placement bookkeeping) Scheduled→Released.
-func (t *Table) SetStatus(d device.ID, rid routine.ID, s Status) error {
-	idx := t.Find(d, rid)
+func (l *Lineage) SetStatus(rid routine.ID, s Status) error {
+	idx := l.Find(rid)
 	if idx < 0 {
-		return fmt.Errorf("%w: R%d on %s", ErrNoAccess, rid, d)
+		return fmt.Errorf("%w: R%d on %s", ErrNoAccess, rid, l.Device)
 	}
-	a := &t.ensure(d).Accesses[idx]
+	a := &l.Accesses[idx]
 	if s < a.Status {
-		return fmt.Errorf("%w: R%d on %s: %v -> %v", ErrBadStatus, rid, d, a.Status, s)
+		return fmt.Errorf("%w: R%d on %s: %v -> %v", ErrBadStatus, rid, l.Device, a.Status, s)
 	}
 	a.Status = s
 	return nil
 }
 
-// SetTarget records the state rid's most recent command drove d to. It keeps
-// the lineage usable for current-state inference (Fig 8) and for rollbacks.
-func (t *Table) SetTarget(d device.ID, rid routine.ID, st device.State) error {
-	idx := t.Find(d, rid)
+// SetStatus transitions rid's access on d (Lineage.SetStatus).
+func (t *Table) SetStatus(d device.ID, rid routine.ID, s Status) error {
+	return t.Lineage(d).SetStatus(rid, s)
+}
+
+// SetTarget records the state rid's most recent command drove the device to.
+// It keeps the lineage usable for current-state inference (Fig 8) and for
+// rollbacks.
+func (l *Lineage) SetTarget(rid routine.ID, st device.State) error {
+	idx := l.Find(rid)
 	if idx < 0 {
-		return fmt.Errorf("%w: R%d on %s", ErrNoAccess, rid, d)
+		return fmt.Errorf("%w: R%d on %s", ErrNoAccess, rid, l.Device)
 	}
-	t.ensure(d).Accesses[idx].Target = st
+	l.Accesses[idx].Target = st
 	return nil
 }
 
+// SetTarget records rid's latest target on d (Lineage.SetTarget).
+func (t *Table) SetTarget(d device.ID, rid routine.ID, st device.State) error {
+	return t.Lineage(d).SetTarget(rid, st)
+}
+
+// Status returns the current status of rid's access.
+func (l *Lineage) Status(rid routine.ID) (Status, bool) {
+	if i := l.Find(rid); i >= 0 {
+		return l.Accesses[i].Status, true
+	}
+	return Scheduled, false
+}
+
 // Status returns the current status of rid's access on d.
-func (t *Table) Status(d device.ID, rid routine.ID) (Status, bool) {
-	a, ok := t.Access(d, rid)
-	return a.Status, ok
+func (t *Table) Status(d device.ID, rid routine.ID) (Status, bool) { return t.Lineage(d).Status(rid) }
+
+// Remove deletes rid's access from the lineage, reporting whether it had one.
+func (l *Lineage) Remove(rid routine.ID) bool {
+	idx := l.Find(rid)
+	if idx < 0 {
+		return false
+	}
+	l.Accesses = append(l.Accesses[:idx], l.Accesses[idx+1:]...)
+	return true
 }
 
 // RemoveAccess deletes rid's access from d's lineage (no-op if absent).
-func (t *Table) RemoveAccess(d device.ID, rid routine.ID) {
-	l := t.ensure(d)
-	idx := t.Find(d, rid)
-	if idx < 0 {
-		return
-	}
-	l.Accesses = append(l.Accesses[:idx], l.Accesses[idx+1:]...)
-}
+func (t *Table) RemoveAccess(d device.ID, rid routine.ID) { t.Lineage(d).Remove(rid) }
 
 // RemoveRoutine deletes rid's accesses from every lineage and returns the
 // devices it was removed from.
 func (t *Table) RemoveRoutine(rid routine.ID) []device.ID {
 	var out []device.ID
-	for _, d := range t.order {
-		if t.Find(d, rid) >= 0 {
-			t.RemoveAccess(d, rid)
-			out = append(out, d)
+	for _, l := range t.lins {
+		if l.Remove(rid) {
+			out = append(out, l.Device)
 		}
 	}
 	return out
 }
 
-// CanAcquire reports whether rid may acquire d's lock right now: rid has an
-// access on d and every access before it is Released.
-func (t *Table) CanAcquire(d device.ID, rid routine.ID) bool {
-	l := t.ensure(d)
-	idx := t.Find(d, rid)
-	if idx < 0 {
-		return false
-	}
-	for i := 0; i < idx; i++ {
+// CanAcquire reports whether rid may acquire the device's lock right now: rid
+// has an access on it and every access before it is Released.
+func (l *Lineage) CanAcquire(rid routine.ID) bool {
+	for i := range l.Accesses {
+		if l.Accesses[i].Routine == rid {
+			return true
+		}
 		if l.Accesses[i].Status != Released {
 			return false
 		}
 	}
-	return true
+	return false
 }
+
+// CanAcquire reports whether rid may acquire d's lock (Lineage.CanAcquire).
+func (t *Table) CanAcquire(d device.ID, rid routine.ID) bool { return t.Lineage(d).CanAcquire(rid) }
 
 // Holder returns the routine whose access on d is currently Acquired (at most
 // one, by Invariant 2), or routine.None.
 func (t *Table) Holder(d device.ID) routine.ID {
-	for _, a := range t.ensure(d).Accesses {
+	for _, a := range t.Lineage(d).Accesses {
 		if a.Status == Acquired {
 			return a.Routine
 		}
@@ -307,7 +340,7 @@ func (t *Table) Holder(d device.ID) routine.ID {
 // NextWaiter returns the first non-Released access's routine on d (the
 // effective current or next lock owner), or routine.None.
 func (t *Table) NextWaiter(d device.ID) routine.ID {
-	for _, a := range t.ensure(d).Accesses {
+	for _, a := range t.Lineage(d).Accesses {
 		if a.Status != Released {
 			return a.Routine
 		}
@@ -317,20 +350,32 @@ func (t *Table) NextWaiter(d device.ID) routine.ID {
 
 // PreSet returns the routines whose access on d is strictly before rid's.
 func (t *Table) PreSet(d device.ID, rid routine.ID) []routine.ID {
-	idx := t.Find(d, rid)
+	l := t.Lineage(d)
+	idx := l.Find(rid)
 	if idx < 0 {
 		return nil
 	}
-	return routinesOf(t.ensure(d).Accesses[:idx])
+	return routinesOf(l.Accesses[:idx])
 }
 
 // PostSet returns the routines whose access on d is strictly after rid's.
 func (t *Table) PostSet(d device.ID, rid routine.ID) []routine.ID {
-	idx := t.Find(d, rid)
+	l := t.Lineage(d)
+	idx := l.Find(rid)
 	if idx < 0 {
 		return nil
 	}
-	return routinesOf(t.ensure(d).Accesses[idx+1:])
+	return routinesOf(l.Accesses[idx+1:])
+}
+
+// Next returns the routine whose access immediately follows rid's — the head
+// of rid's PostSet, without materializing it — or routine.None if rid has no
+// access or is last.
+func (l *Lineage) Next(rid routine.ID) routine.ID {
+	if idx := l.Find(rid); idx >= 0 && idx+1 < len(l.Accesses) {
+		return l.Accesses[idx+1].Routine
+	}
+	return routine.None
 }
 
 // CurrentState infers the device's current state from the lineage alone
@@ -339,8 +384,7 @@ func (t *Table) PostSet(d device.ID, rid routine.ID) []routine.ID {
 //  1. an Acquired access exists → its Target;
 //  2. otherwise the right-most Released access with a known target → its Target;
 //  3. otherwise the committed state.
-func (t *Table) CurrentState(d device.ID) device.State {
-	l := t.ensure(d)
+func (l *Lineage) CurrentState() device.State {
 	for _, a := range l.Accesses {
 		if a.Status == Acquired && a.Target != device.StateUnknown {
 			return a.Target
@@ -354,17 +398,15 @@ func (t *Table) CurrentState(d device.ID) device.State {
 	return l.Committed
 }
 
-// RollbackTarget returns the state device d should be restored to if routine
-// rid aborts: the Target of the access immediately to the left of rid's entry
-// (if it has a known target), else the committed state (§4.3 "Aborts and
-// Rollbacks").
-func (t *Table) RollbackTarget(d device.ID, rid routine.ID) device.State {
-	l := t.ensure(d)
-	idx := t.Find(d, rid)
-	if idx < 0 {
-		return l.Committed
-	}
-	for i := idx - 1; i >= 0; i-- {
+// CurrentState infers d's current state from its lineage (Lineage.CurrentState).
+func (t *Table) CurrentState(d device.ID) device.State { return t.Lineage(d).CurrentState() }
+
+// RollbackTarget returns the state the device should be restored to if
+// routine rid aborts: the Target of the access immediately to the left of
+// rid's entry (if it has a known target), else the committed state (§4.3
+// "Aborts and Rollbacks").
+func (l *Lineage) RollbackTarget(rid routine.ID) device.State {
+	for i := l.Find(rid) - 1; i >= 0; i-- {
 		if l.Accesses[i].Target != device.StateUnknown {
 			return l.Accesses[i].Target
 		}
@@ -372,12 +414,17 @@ func (t *Table) RollbackTarget(d device.ID, rid routine.ID) device.State {
 	return l.Committed
 }
 
+// RollbackTarget returns d's restore state for an abort of rid
+// (Lineage.RollbackTarget).
+func (t *Table) RollbackTarget(d device.ID, rid routine.ID) device.State {
+	return t.Lineage(d).RollbackTarget(rid)
+}
+
 // LastAcquirerWas reports whether routine rid is the most recent routine to
-// have actually held (Acquired or later Released after acquiring) device d —
-// i.e. whether an abort of rid needs to physically restore d (§4.3).
+// have actually held (Acquired or later Released after acquiring) the device
+// — i.e. whether an abort of rid needs to physically restore it (§4.3).
 // Accesses that are still Scheduled never held the device.
-func (t *Table) LastAcquirerWas(d device.ID, rid routine.ID) bool {
-	l := t.ensure(d)
+func (l *Lineage) LastAcquirerWas(rid routine.ID) bool {
 	last := routine.None
 	for _, a := range l.Accesses {
 		if a.Status == Acquired || (a.Status == Released && a.Target != device.StateUnknown) {
@@ -387,38 +434,45 @@ func (t *Table) LastAcquirerWas(d device.ID, rid routine.ID) bool {
 	return last == rid && last != routine.None
 }
 
-// Compact performs commit compaction for routine rid (Fig 7): for every
-// device rid has an access on, the committed state becomes rid's recorded
-// target (when known), and rid's access plus every access before it are
-// removed — later routines in the serialization order will overwrite earlier
-// routines' effects ("last writer wins"). It returns, per device, the
-// routines whose accesses were folded away (excluding rid itself).
-func (t *Table) Compact(rid routine.ID) map[device.ID][]routine.ID {
-	folded := make(map[device.ID][]routine.ID)
-	for _, d := range t.order {
-		l := t.byDev[d]
-		idx := t.Find(d, rid)
-		if idx < 0 {
-			continue
-		}
-		if tgt := l.Accesses[idx].Target; tgt != device.StateUnknown {
-			l.Committed = tgt
-		}
-		if idx > 0 {
-			folded[d] = routinesOf(l.Accesses[:idx])
-		}
-		l.Accesses = append([]Access(nil), l.Accesses[idx+1:]...)
-		t.folded[d] = rid
-	}
-	return folded
+// LastAcquirerWas reports whether rid last held d (Lineage.LastAcquirerWas).
+func (t *Table) LastAcquirerWas(d device.ID, rid routine.ID) bool {
+	return t.Lineage(d).LastAcquirerWas(rid)
 }
 
-// LastFolded returns the most recent routine whose access on d was folded
-// away by compaction (routine.None if compaction never touched d). Later
-// placements on d must serialize after it.
-func (t *Table) LastFolded(d device.ID) routine.ID {
-	return t.folded[d]
+// Compact performs commit compaction for routine rid on one device (Fig 7):
+// the committed state becomes rid's recorded target (when known), and rid's
+// access plus every access before it are removed in place — later routines
+// in the serialization order will overwrite earlier routines' effects ("last
+// writer wins"). A lineage without an access of rid is left alone.
+func (l *Lineage) Compact(rid routine.ID) {
+	idx := l.Find(rid)
+	if idx < 0 {
+		return
+	}
+	if tgt := l.Accesses[idx].Target; tgt != device.StateUnknown {
+		l.Committed = tgt
+	}
+	l.Accesses = l.Accesses[:copy(l.Accesses, l.Accesses[idx+1:])]
+	l.folded = rid
 }
+
+// Compact performs commit compaction for routine rid (Lineage.Compact) on
+// each of the given devices — the committing routine's own; no other lineage
+// can hold an access of it.
+func (t *Table) Compact(rid routine.ID, devs []device.ID) {
+	for _, d := range devs {
+		t.Lineage(d).Compact(rid)
+	}
+}
+
+// LastFolded returns the most recent routine whose access was folded away by
+// compaction (routine.None if compaction never touched the device). Later
+// placements on the device must serialize after it.
+func (l *Lineage) LastFolded() routine.ID { return l.folded }
+
+// LastFolded returns the routine last folded out of d's lineage
+// (Lineage.LastFolded).
+func (t *Table) LastFolded(d device.ID) routine.ID { return t.Lineage(d).folded }
 
 // CompactBefore folds away fully released lock-access history older than the
 // horizon: for every device, the leading run of Released accesses whose
@@ -435,8 +489,7 @@ func (t *Table) LastFolded(d device.ID) routine.ID {
 // callers must pick a horizon comfortably above any live routine's span.
 func (t *Table) CompactBefore(horizon time.Time) int {
 	removed := 0
-	for _, d := range t.order {
-		l := t.byDev[d]
+	for _, l := range t.lins {
 		cut := 0
 		for cut < len(l.Accesses) {
 			a := l.Accesses[cut]
@@ -446,7 +499,7 @@ func (t *Table) CompactBefore(horizon time.Time) int {
 			if a.Target != device.StateUnknown {
 				l.Committed = a.Target
 			}
-			t.folded[d] = a.Routine
+			l.folded = a.Routine
 			cut++
 		}
 		if cut > 0 {
@@ -490,15 +543,14 @@ func (g Gap) Fits(earliest time.Time, dur time.Duration) (time.Time, bool) {
 // The final gap (after the last access) is unbounded. Used by the Timeline
 // scheduler's placement search (Fig 9, Algorithm 1).
 func (t *Table) Gaps(d device.ID, from time.Time) []Gap {
-	return t.GapsInto(nil, d, from)
+	return t.Lineage(d).GapsInto(nil, from)
 }
 
 // GapsInto is Gaps writing into a caller-provided buffer: the gaps are
 // appended to buf and the extended slice returned, so a caller that reuses
 // its buffer (the Timeline scheduler keeps one per search depth) enumerates
 // gaps without allocating.
-func (t *Table) GapsInto(buf []Gap, d device.ID, from time.Time) []Gap {
-	l := t.ensure(d)
+func (l *Lineage) GapsInto(buf []Gap, from time.Time) []Gap {
 	cursor := from
 	for i, a := range l.Accesses {
 		if a.Start.After(cursor) {
@@ -511,19 +563,30 @@ func (t *Table) GapsInto(buf []Gap, d device.ID, from time.Time) []Gap {
 	return append(buf, Gap{Index: len(l.Accesses), Start: cursor})
 }
 
+// GapsInto enumerates d's gaps into buf (Lineage.GapsInto).
+func (t *Table) GapsInto(buf []Gap, d device.ID, from time.Time) []Gap {
+	return t.Lineage(d).GapsInto(buf, from)
+}
+
 // TailStart returns the start of the unbounded gap after the last access of
-// d's lineage, i.e. the earliest time a new tail access could begin: the
+// the lineage, i.e. the earliest time a new tail access could begin: the
 // later of `from` and the latest estimated access end. It is the
 // allocation-free equivalent of Gaps(d, from)[last].Start, used by the
 // append-at-end placement path.
-func (t *Table) TailStart(d device.ID, from time.Time) time.Time {
+func (l *Lineage) TailStart(from time.Time) time.Time {
 	cursor := from
-	for _, a := range t.ensure(d).Accesses {
+	for _, a := range l.Accesses {
 		if e := a.End(); e.After(cursor) {
 			cursor = e
 		}
 	}
 	return cursor
+}
+
+// TailStart returns where a new tail access on d could begin
+// (Lineage.TailStart).
+func (t *Table) TailStart(d device.ID, from time.Time) time.Time {
+	return t.Lineage(d).TailStart(from)
 }
 
 // --- invariants (§4.3) -----------------------------------------------------
@@ -534,8 +597,8 @@ func (t *Table) TailStart(d device.ID, from time.Time) time.Time {
 func (t *Table) CheckInvariants() error {
 	// Invariant 1: lock-accesses in a lineage do not overlap in (estimated)
 	// time, when estimates are present.
-	for _, d := range t.order {
-		l := t.byDev[d]
+	for _, l := range t.lins {
+		d := l.Device
 		for i := 1; i < len(l.Accesses); i++ {
 			prev, cur := l.Accesses[i-1], l.Accesses[i]
 			if prev.Start.IsZero() || cur.Start.IsZero() || prev.Duration == 0 || cur.Duration == 0 {
@@ -547,9 +610,10 @@ func (t *Table) CheckInvariants() error {
 		}
 	}
 	// Invariant 2: at most one Acquired access per lineage.
-	for _, d := range t.order {
+	for _, l := range t.lins {
+		d := l.Device
 		acquired := 0
-		for _, a := range t.byDev[d].Accesses {
+		for _, a := range l.Accesses {
 			if a.Status == Acquired {
 				acquired++
 			}
@@ -559,9 +623,10 @@ func (t *Table) CheckInvariants() error {
 		}
 	}
 	// Invariant 3: [R]* [A]? [S]* per lineage.
-	for _, d := range t.order {
+	for _, l := range t.lins {
+		d := l.Device
 		phase := Released // expect Released first
-		for _, a := range t.byDev[d].Accesses {
+		for _, a := range l.Accesses {
 			switch a.Status {
 			case Released:
 				if phase != Released {
@@ -580,8 +645,8 @@ func (t *Table) CheckInvariants() error {
 	// Invariant 4: consistent serialize-before ordering across lineages.
 	type pair struct{ a, b routine.ID }
 	seen := make(map[pair]device.ID)
-	for _, d := range t.order {
-		accs := t.byDev[d].Accesses
+	for _, l := range t.lins {
+		d, accs := l.Device, l.Accesses
 		for i := 0; i < len(accs); i++ {
 			for j := i + 1; j < len(accs); j++ {
 				ri, rj := accs[i].Routine, accs[j].Routine
@@ -604,9 +669,8 @@ func (t *Table) CheckInvariants() error {
 // String renders the whole table, one line per device, in the style of Fig 5.
 func (t *Table) String() string {
 	var b strings.Builder
-	for _, d := range t.order {
-		l := t.byDev[d]
-		fmt.Fprintf(&b, "%-12s commit=%-8s", d, l.Committed)
+	for _, l := range t.lins {
+		fmt.Fprintf(&b, "%-12s commit=%-8s", l.Device, l.Committed)
 		for _, a := range l.Accesses {
 			fmt.Fprintf(&b, " | %s", a)
 		}

@@ -252,7 +252,7 @@ func TestCompactLastWriterWins(t *testing.T) {
 	mustAppend(t, tab, devB, Access{Routine: 3, Status: Released, Target: device.Closed})
 	mustAppend(t, tab, devB, Access{Routine: 4, Status: Scheduled})
 
-	folded := tab.Compact(3)
+	tab.Compact(3, []device.ID{devA, devB})
 
 	if got := tab.Committed(devA); got != device.Off {
 		t.Fatalf("committed(%s) = %q, want OFF (R3's write)", devA, got)
@@ -266,15 +266,57 @@ func TestCompactLastWriterWins(t *testing.T) {
 	if got := len(tab.Lineage(devB).Accesses); got != 1 {
 		t.Fatalf("devB lineage should keep only R4, got %d entries", got)
 	}
-	if rs := folded[devA]; len(rs) != 1 || rs[0] != 1 {
-		t.Fatalf("folded[%s] = %v, want [1]", devA, rs)
+	if got := tab.Lineage(devB).Accesses[0].Routine; got != 4 {
+		t.Fatalf("devB lineage should keep R4, got R%d", got)
+	}
+	// R1's access was folded beneath R3's: R3 is the committed baseline writer.
+	for _, d := range []device.ID{devA, devB} {
+		if got := tab.LastFolded(d); got != 3 {
+			t.Fatalf("LastFolded(%s) = R%d, want R3", d, got)
+		}
+	}
+}
+
+func TestCompactVisitsOnlyGivenDevices(t *testing.T) {
+	// The caller names the committing routine's devices; a lineage it leaves
+	// out (or one the routine has no access on) is untouched.
+	tab := newTestTable()
+	mustAppend(t, tab, devA, Access{Routine: 1, Status: Released, Target: device.On})
+	mustAppend(t, tab, devB, Access{Routine: 2, Status: Released, Target: device.Closed})
+	tab.Compact(1, []device.ID{devA, devB})
+	if got := tab.Committed(devA); got != device.On {
+		t.Fatalf("committed(%s) = %q, want ON", devA, got)
+	}
+	if got := len(tab.Lineage(devB).Accesses); got != 1 {
+		t.Fatalf("devB holds no access of R1 and must keep R2, got %d entries", got)
+	}
+	if got := tab.LastFolded(devB); got != routine.None {
+		t.Fatalf("LastFolded(%s) = R%d, want none", devB, got)
+	}
+}
+
+func TestCompactKeepsBackingArray(t *testing.T) {
+	// Compaction shifts the survivors down in place, so the next placement on
+	// the device appends without allocating.
+	tab := newTestTable()
+	for id := routine.ID(1); id <= 4; id++ {
+		mustAppend(t, tab, devA, Access{Routine: id, Status: Released, Target: device.On})
+	}
+	l := tab.Lineage(devA)
+	before := cap(l.Accesses)
+	tab.Compact(2, []device.ID{devA})
+	if len(l.Accesses) != 2 || l.Accesses[0].Routine != 3 || l.Accesses[1].Routine != 4 {
+		t.Fatalf("after compacting R2: %v, want [R3 R4]", l.Accesses)
+	}
+	if cap(l.Accesses) != before {
+		t.Fatalf("capacity %d -> %d: compaction reallocated", before, cap(l.Accesses))
 	}
 }
 
 func TestCompactWithoutTargetKeepsCommitted(t *testing.T) {
 	tab := newTestTable()
 	mustAppend(t, tab, devA, Access{Routine: 1, Status: Released})
-	tab.Compact(1)
+	tab.Compact(1, []device.ID{devA})
 	if got := tab.Committed(devA); got != device.Off {
 		t.Fatalf("committed = %q, want original OFF (no target recorded)", got)
 	}

@@ -8,6 +8,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -21,18 +22,30 @@ import (
 // Recorder observes controller events during one run. It is not safe for
 // concurrent use; in simulation runs everything is single-threaded, and the
 // live hub serializes observers with the controller.
+//
+// Its state is bounded by what is running, not by what has run: a routine's
+// entries are dropped when it commits or aborts, so a recorder can ride a
+// soak of any length.
 type Recorder struct {
 	// DefaultShort is the assumed duration of zero-duration commands, used to
 	// compute ideal routine run times (must match the controller's option).
 	DefaultShort time.Duration
 
-	active   map[routine.ID]bool
-	modified map[routine.ID]map[device.ID]bool
-	tempInc  map[routine.ID]bool
+	// running holds every started, unfinished routine with the devices it
+	// has modified so far; modifiers is the same relation by device — the
+	// running routines that modified it — which is all a command needs to
+	// look at to find whom it disturbs.
+	running   map[routine.ID]*modified
+	modifiers map[device.ID][]routine.ID
+	tempInc   map[routine.ID]bool
+	spare     []*modified // finished routines' records, for reuse
 
 	parallelismSamples []float64
 	events             int
 }
+
+// modified lists the devices one running routine has modified.
+type modified struct{ devs []device.ID }
 
 // NewRecorder returns a recorder using the given default short-command
 // duration for ideal-time computations.
@@ -42,43 +55,59 @@ func NewRecorder(defaultShort time.Duration) *Recorder {
 	}
 	return &Recorder{
 		DefaultShort: defaultShort,
-		active:       make(map[routine.ID]bool),
-		modified:     make(map[routine.ID]map[device.ID]bool),
+		running:      make(map[routine.ID]*modified),
+		modifiers:    make(map[device.ID][]routine.ID),
 		tempInc:      make(map[routine.ID]bool),
 	}
 }
 
-// Observe implements visibility.Observer.
+// Observe implements visibility.Observer. A routine's commands arrive
+// between its EvStarted and its EvCommitted/EvAborted.
 func (r *Recorder) Observe(e visibility.Event) {
 	r.events++
 	switch e.Kind {
 	case visibility.EvStarted:
-		r.active[e.Routine] = true
+		m := &modified{}
+		if n := len(r.spare); n > 0 {
+			m, r.spare = r.spare[n-1], r.spare[:n-1]
+		}
+		r.running[e.Routine] = m
 		r.sampleParallelism()
 	case visibility.EvCommitted, visibility.EvAborted:
-		delete(r.active, e.Routine)
+		if m, ok := r.running[e.Routine]; ok { // else it aborted before starting
+			for _, d := range m.devs {
+				ids := r.modifiers[d]
+				i := slices.Index(ids, e.Routine)
+				ids[i] = ids[len(ids)-1]
+				r.modifiers[d] = ids[:len(ids)-1]
+			}
+			m.devs = m.devs[:0]
+			r.spare = append(r.spare, m)
+			delete(r.running, e.Routine)
+		}
 		r.sampleParallelism()
 	case visibility.EvCommandExecuted:
 		// Temporary incongruence (§7.1): another active routine already
 		// modified this device and has not finished yet — it now observes a
 		// state it did not set.
-		for other := range r.active {
+		ids := r.modifiers[e.Device]
+		listed := false
+		for _, other := range ids {
 			if other == e.Routine {
-				continue
-			}
-			if r.modified[other][e.Device] {
+				listed = true
+			} else {
 				r.tempInc[other] = true
 			}
 		}
-		if r.modified[e.Routine] == nil {
-			r.modified[e.Routine] = make(map[device.ID]bool)
+		if m := r.running[e.Routine]; m != nil && !listed {
+			m.devs = append(m.devs, e.Device)
+			r.modifiers[e.Device] = append(ids, e.Routine)
 		}
-		r.modified[e.Routine][e.Device] = true
 	}
 }
 
 func (r *Recorder) sampleParallelism() {
-	r.parallelismSamples = append(r.parallelismSamples, float64(len(r.active)))
+	r.parallelismSamples = append(r.parallelismSamples, float64(len(r.running)))
 }
 
 // Events returns the number of events observed (useful in tests).
@@ -137,12 +166,18 @@ func (r *Recorder) Finalize(model visibility.Model, sched visibility.SchedulerKi
 		Model:              model,
 		Scheduler:          sched,
 		Routines:           len(results),
-		ParallelismSamples: append([]float64(nil), r.parallelismSamples...),
+		ParallelismSamples: slices.Clone(r.parallelismSamples),
 		FinalCongruent:     true,
+		// Sized for the common case, every routine committing, so a trial's
+		// report is built without regrowing anything.
+		Latencies:           make([]time.Duration, 0, len(results)),
+		NormalizedLatencies: make([]float64, 0, len(results)),
+		StretchFactors:      make([]float64, 0, len(results)),
 	}
 
 	var rollbackFractions []float64
-	var submissionOrder, serialOrder []routine.ID
+	submissionOrder := make([]routine.ID, 0, len(results))
+	serialOrder := make([]routine.ID, 0, len(serialization))
 
 	for _, res := range results {
 		switch res.Status {

@@ -9,11 +9,13 @@
 //
 // The graph sits on the scheduling hot path (every Timeline gap trial and
 // every JiT eligibility test ends in AddEdge/HasPath calls), so nodes are
-// interned to dense int32 slots and adjacency is kept in index-keyed slices.
-// Cycle checks reuse an epoch-stamped visited array instead of allocating a
-// map per query; in steady state AddEdge, CanOrder and HasPath perform no
-// allocation at all. The Node-based API is a thin veneer over the interned
-// representation.
+// interned to dense int32 slots and adjacency is kept per slot, in slices of
+// slot numbers. Routine nodes — all but a handful of any graph — resolve to their slot
+// through a slice indexed by routine ID, so an edge between routines hashes
+// nothing; only failure/restart events go through a map. Cycle checks reuse
+// an epoch-stamped visited mark instead of allocating a map per query; in
+// steady state AddEdge, CanOrder and HasPath perform no allocation at all.
+// The Node-based API is a thin veneer over the interned representation.
 package order
 
 import (
@@ -22,6 +24,7 @@ import (
 	"sort"
 
 	"safehome/internal/device"
+	"safehome/internal/minheap"
 	"safehome/internal/routine"
 )
 
@@ -87,7 +90,10 @@ func (n Node) String() string {
 }
 
 // ErrCycle is returned when adding a precedence edge would create a cycle,
-// i.e. contradict the already-established serialization order.
+// i.e. contradict the already-established serialization order. AddEdge
+// returns it bare: a rejected edge is the schedulers' ordinary "this gap does
+// not work" answer, tested and dropped thousands of times per second, so it
+// carries no formatted detail.
 var ErrCycle = errors.New("order: edge would create a cycle")
 
 // freeSeq marks a slot whose node has been removed; the slot is recycled by
@@ -100,67 +106,130 @@ const freeSeq = -1
 //
 // Internally every node is interned to a dense int32 slot. Removed nodes
 // leave free slots that are recycled, so long-lived graphs under
-// submit/commit churn stay compact.
+// submit/commit churn stay compact. Slots live in fixed-size chunks that are
+// never moved: the graph of a long-lived home keeps every committed routine,
+// and regrowing flat per-slot arrays (tens of kilobytes by a few hundred
+// routines) made the unlucky submission that crossed a capacity boundary
+// several times slower than its neighbours.
 type Graph struct {
-	index map[Node]int32 // node -> slot
-	nodes []Node         // slot -> node
-	seq   []int          // slot -> insertion sequence (freeSeq when vacant)
-	succ  [][]int32      // slot -> successor slots
-	pred  [][]int32      // slot -> predecessor slots
-	free  []int32        // recycled slots
-	live  int
-	next  int // next insertion sequence
+	byRoutine []int32        // routine ID -> slot+1 (0 = unregistered), IDs below denseRoutines
+	index     map[Node]int32 // every other node -> slot
+	chunks    []*slotChunk   // slot i is chunks[i>>chunkShift][i&(chunkSize-1)]
+	n         int32          // slots handed out so far, vacant ones included
+	free      []int32        // recycled slots
+	slab      []int32        // unused tail of the current adjacency slab (see appendEdge)
+	live      int
+	next      int // next insertion sequence
 
-	// Reusable scratch for traversals; visited[i] == epoch means slot i was
+	// Reusable scratch for traversals; a slot whose visited == epoch was
 	// seen by the current query.
-	visited []uint32
-	epoch   uint32
-	stack   []int32
-	indeg   []int32
-	ready   []int32
-	keys    []int
-	rslots  []int32
-	rseqs   []int
+	epoch  uint32
+	stack  []int32
+	indeg  []int32
+	ready  []int32 // Order's min-heap of in-degree-0 slots, by tie key
+	keys   []int
+	rslots []int32
+	rseqs  []int
 }
 
-// graphSlab is the node capacity pre-allocated by NewGraph, sized for a
-// typical busy home (tens of in-flight routines plus failure events) so
-// steady-state interning never grows the slot arrays.
+// slot is the graph's record of one interned node.
+type slot struct {
+	node    Node
+	seq     int     // insertion sequence (freeSeq when vacant)
+	succ    []int32 // successor slots
+	pred    []int32 // predecessor slots
+	visited uint32
+}
+
+// A chunk holds 16 slots (~1.7 KB): small enough that allocating one is an
+// ordinary small-object allocation on the submit path.
+const (
+	chunkShift = 4
+	chunkSize  = 1 << chunkShift
+)
+
+type slotChunk [chunkSize]slot
+
+// at returns slot i.
+func (g *Graph) at(i int32) *slot { return &g.chunks[i>>chunkShift][i&(chunkSize-1)] }
+
+// graphSlab is the number of routine IDs NewGraph sizes its ID index for,
+// and the number of adjacency lists that share one slab (see appendEdge).
 const graphSlab = 64
+
+// denseRoutines bounds the routine IDs resolved through the ID-indexed slice.
+// Controllers assign IDs densely from 1, so in practice every routine node
+// takes that path; an ID beyond the bound (or a negative one) falls back to
+// the map rather than sizing a slice by an arbitrary number.
+const denseRoutines = 1 << 22
 
 // NewGraph returns an empty precedence graph.
 func NewGraph() *Graph {
 	return &Graph{
-		index:   make(map[Node]int32, graphSlab),
-		nodes:   make([]Node, 0, graphSlab),
-		seq:     make([]int, 0, graphSlab),
-		succ:    make([][]int32, 0, graphSlab),
-		pred:    make([][]int32, 0, graphSlab),
-		visited: make([]uint32, 0, graphSlab),
+		byRoutine: make([]int32, graphSlab),
+		index:     make(map[Node]int32),
+	}
+}
+
+// dense reports whether n is a plain routine node resolved by routine ID.
+func dense(n Node) bool {
+	return n.Kind == KindRoutine && uint64(n.Routine) < denseRoutines && n.Device == "" && n.Seq == 0
+}
+
+// lookup returns n's slot, if registered.
+func (g *Graph) lookup(n Node) (int32, bool) {
+	if dense(n) {
+		if int(n.Routine) >= len(g.byRoutine) {
+			return 0, false
+		}
+		s := g.byRoutine[n.Routine]
+		return s - 1, s != 0
+	}
+	i, ok := g.index[n]
+	return i, ok
+}
+
+// bind records n's slot.
+func (g *Graph) bind(n Node, slot int32) {
+	if !dense(n) {
+		g.index[n] = slot
+		return
+	}
+	if int(n.Routine) >= len(g.byRoutine) {
+		g.byRoutine = append(g.byRoutine, make([]int32, int(n.Routine)+1-len(g.byRoutine))...)
+	}
+	g.byRoutine[n.Routine] = slot + 1
+}
+
+// unbind forgets the slot of a registered node.
+func (g *Graph) unbind(n Node) {
+	if dense(n) {
+		g.byRoutine[n.Routine] = 0
+	} else {
+		delete(g.index, n)
 	}
 }
 
 // intern returns the slot for n, allocating (or recycling) one if needed.
 func (g *Graph) intern(n Node) int32 {
-	if i, ok := g.index[n]; ok {
+	if i, ok := g.lookup(n); ok {
 		return i
 	}
 	var i int32
 	if len(g.free) > 0 {
 		i = g.free[len(g.free)-1]
 		g.free = g.free[:len(g.free)-1]
-		g.nodes[i] = n
 	} else {
-		i = int32(len(g.nodes))
-		g.nodes = append(g.nodes, n)
-		g.seq = append(g.seq, 0)
-		g.succ = append(g.succ, nil)
-		g.pred = append(g.pred, nil)
-		g.visited = append(g.visited, 0)
+		i = g.n
+		if int(i>>chunkShift) == len(g.chunks) {
+			g.chunks = append(g.chunks, new(slotChunk))
+		}
+		g.n++
 	}
-	g.seq[i] = g.next
+	sl := g.at(i)
+	sl.node, sl.seq = n, g.next
 	g.next++
-	g.index[n] = i
+	g.bind(n, i)
 	g.live++
 	return i
 }
@@ -170,7 +239,7 @@ func (g *Graph) AddNode(n Node) { g.intern(n) }
 
 // Has reports whether the node is registered.
 func (g *Graph) Has(n Node) bool {
-	_, ok := g.index[n]
+	_, ok := g.lookup(n)
 	return ok
 }
 
@@ -183,29 +252,39 @@ func (g *Graph) Len() int { return g.live }
 // rejected.
 func (g *Graph) AddEdge(before, after Node) error {
 	if before == after {
-		return fmt.Errorf("%w: self edge %v", ErrCycle, before)
+		return ErrCycle
 	}
 	bi := g.intern(before)
 	ai := g.intern(after)
-	for _, s := range g.succ[bi] {
+	b, a := g.at(bi), g.at(ai)
+	for _, s := range b.succ {
 		if s == ai {
 			return nil
 		}
 	}
 	if g.hasPath(ai, bi) {
-		return fmt.Errorf("%w: %v -> %v contradicts existing order", ErrCycle, before, after)
+		return ErrCycle
 	}
-	g.succ[bi] = appendEdge(g.succ[bi], ai)
-	g.pred[ai] = appendEdge(g.pred[ai], bi)
+	b.succ = g.appendEdge(b.succ, ai)
+	a.pred = g.appendEdge(a.pred, bi)
 	return nil
 }
 
-// appendEdge appends to an adjacency list, seeding a small capacity on first
-// use so typical fan-outs (a handful of serialize-before constraints per
-// node) settle after one allocation; recycled slots keep their capacity.
-func appendEdge(list []int32, v int32) []int32 {
-	if list == nil {
-		list = make([]int32, 0, 8)
+// edgeSeed is the capacity an adjacency list starts with: typical fan-outs (a
+// handful of serialize-before constraints per node) never outgrow it.
+const edgeSeed = 8
+
+// appendEdge appends to an adjacency list. A list's first edgeSeed entries
+// live in a slab shared by graphSlab lists, so a graph that keeps growing
+// (committed routines stay in the order) allocates once per graphSlab lists
+// rather than once per list; a list that outgrows its seed moves to its own
+// array as any slice does, and recycled slots keep whatever they had.
+func (g *Graph) appendEdge(list []int32, v int32) []int32 {
+	if cap(list) == 0 {
+		if len(g.slab) < edgeSeed {
+			g.slab = make([]int32, edgeSeed*graphSlab)
+		}
+		list, g.slab = g.slab[:0:edgeSeed], g.slab[edgeSeed:]
 	}
 	return append(list, v)
 }
@@ -216,8 +295,8 @@ func (g *Graph) CanOrder(before, after Node) bool {
 	if before == after {
 		return false
 	}
-	bi, okB := g.index[before]
-	ai, okA := g.index[after]
+	bi, okB := g.lookup(before)
+	ai, okA := g.lookup(after)
 	if !okB || !okA {
 		return true
 	}
@@ -227,8 +306,8 @@ func (g *Graph) CanOrder(before, after Node) bool {
 // HasPath reports whether `from` reaches `to` through precedence edges
 // (i.e. from is serialized before to, transitively).
 func (g *Graph) HasPath(from, to Node) bool {
-	fi, okF := g.index[from]
-	ti, okT := g.index[to]
+	fi, okF := g.lookup(from)
+	ti, okT := g.lookup(to)
 	if !okF || !okT {
 		return false
 	}
@@ -240,8 +319,8 @@ func (g *Graph) HasPath(from, to Node) bool {
 func (g *Graph) nextEpoch() uint32 {
 	g.epoch++
 	if g.epoch == 0 {
-		for i := range g.visited {
-			g.visited[i] = 0
+		for i := int32(0); i < g.n; i++ {
+			g.at(i).visited = 0
 		}
 		g.epoch = 1
 	}
@@ -256,16 +335,16 @@ func (g *Graph) hasPath(from, to int32) bool {
 	}
 	epoch := g.nextEpoch()
 	g.stack = append(g.stack[:0], from)
-	g.visited[from] = epoch
+	g.at(from).visited = epoch
 	for len(g.stack) > 0 {
 		n := g.stack[len(g.stack)-1]
 		g.stack = g.stack[:len(g.stack)-1]
-		for _, next := range g.succ[n] {
+		for _, next := range g.at(n).succ {
 			if next == to {
 				return true
 			}
-			if g.visited[next] != epoch {
-				g.visited[next] = epoch
+			if sl := g.at(next); sl.visited != epoch {
+				sl.visited = epoch
 				g.stack = append(g.stack, next)
 			}
 		}
@@ -288,75 +367,77 @@ func dropIdx(slice []int32, v int32) []int32 {
 // Remove deletes a node and all its edges, e.g. when a routine aborts and
 // therefore does not appear in the final serialization order.
 func (g *Graph) Remove(n Node) {
-	i, ok := g.index[n]
+	i, ok := g.lookup(n)
 	if !ok {
 		return
 	}
-	for _, p := range g.pred[i] {
-		g.succ[p] = dropIdx(g.succ[p], i)
+	sl := g.at(i)
+	for _, p := range sl.pred {
+		g.at(p).succ = dropIdx(g.at(p).succ, i)
 	}
-	for _, s := range g.succ[i] {
-		g.pred[s] = dropIdx(g.pred[s], i)
+	for _, s := range sl.succ {
+		g.at(s).pred = dropIdx(g.at(s).pred, i)
 	}
-	g.succ[i] = g.succ[i][:0]
-	g.pred[i] = g.pred[i][:0]
-	g.seq[i] = freeSeq
-	delete(g.index, n)
+	sl.succ = sl.succ[:0]
+	sl.pred = sl.pred[:0]
+	sl.seq = freeSeq
+	g.unbind(n)
 	g.free = append(g.free, i)
 	g.live--
 }
 
 // Predecessors returns the direct predecessors of n.
 func (g *Graph) Predecessors(n Node) []Node {
-	return g.neighbors(n, g.pred)
+	return g.neighbors(n, func(sl *slot) []int32 { return sl.pred })
 }
 
 // Successors returns the direct successors of n.
 func (g *Graph) Successors(n Node) []Node {
-	return g.neighbors(n, g.succ)
+	return g.neighbors(n, func(sl *slot) []int32 { return sl.succ })
 }
 
-func (g *Graph) neighbors(n Node, adj [][]int32) []Node {
-	i, ok := g.index[n]
+func (g *Graph) neighbors(n Node, adj func(*slot) []int32) []Node {
+	i, ok := g.lookup(n)
 	if !ok {
 		return nil
 	}
-	out := make([]Node, 0, len(adj[i]))
-	for _, x := range adj[i] {
-		out = append(out, g.nodes[x])
+	slots := append([]int32(nil), adj(g.at(i))...)
+	sort.Slice(slots, func(a, b int) bool { return g.at(slots[a]).seq < g.at(slots[b]).seq })
+	out := make([]Node, len(slots))
+	for k, x := range slots {
+		out[k] = g.at(x).node
 	}
-	sort.Slice(out, func(a, b int) bool { return g.seq[g.index[out[a]]] < g.seq[g.index[out[b]]] })
 	return out
 }
 
 // Ancestors returns every node serialized before n (transitively). Used as
 // the preSet in lease/gap legality checks.
 func (g *Graph) Ancestors(n Node) map[Node]bool {
-	return g.reach(n, g.pred)
+	return g.reach(n, func(sl *slot) []int32 { return sl.pred })
 }
 
 // Descendants returns every node serialized after n (transitively). Used as
 // the postSet in lease/gap legality checks.
 func (g *Graph) Descendants(n Node) map[Node]bool {
-	return g.reach(n, g.succ)
+	return g.reach(n, func(sl *slot) []int32 { return sl.succ })
 }
 
-func (g *Graph) reach(start Node, adj [][]int32) map[Node]bool {
+func (g *Graph) reach(start Node, adj func(*slot) []int32) map[Node]bool {
 	out := make(map[Node]bool)
-	si, ok := g.index[start]
+	si, ok := g.lookup(start)
 	if !ok {
 		return out
 	}
 	epoch := g.nextEpoch()
 	g.stack = append(g.stack[:0], si)
-	g.visited[si] = epoch
+	g.at(si).visited = epoch
 	for len(g.stack) > 0 {
 		n := g.stack[len(g.stack)-1]
 		g.stack = g.stack[:len(g.stack)-1]
-		for _, next := range adj[n] {
-			if g.visited[next] != epoch {
-				g.visited[next] = epoch
-				out[g.nodes[next]] = true
+		for _, next := range adj(g.at(n)) {
+			if sl := g.at(next); sl.visited != epoch {
+				sl.visited = epoch
+				out[sl.node] = true
 				g.stack = append(g.stack, next)
 			}
 		}
@@ -377,25 +458,26 @@ func (g *Graph) reach(start Node, adj [][]int32) map[Node]bool {
 // order, so this key is identical to the old behaviour wherever the old
 // behaviour was well-defined.)
 func (g *Graph) tieKeys() []int {
-	if cap(g.keys) < len(g.nodes) {
-		g.keys = make([]int, len(g.nodes))
+	if cap(g.keys) < int(g.n) {
+		g.keys = make([]int, g.n)
 	}
-	g.keys = g.keys[:len(g.nodes)]
+	g.keys = g.keys[:g.n]
 	g.rslots = g.rslots[:0]
 	g.rseqs = g.rseqs[:0]
-	for i := range g.nodes {
-		if g.seq[i] == freeSeq {
+	for i := int32(0); i < g.n; i++ {
+		sl := g.at(i)
+		if sl.seq == freeSeq {
 			continue
 		}
-		g.keys[i] = g.seq[i]
-		if g.nodes[i].Kind == KindRoutine {
-			g.rslots = append(g.rslots, int32(i))
-			g.rseqs = append(g.rseqs, g.seq[i])
+		g.keys[i] = sl.seq
+		if sl.node.Kind == KindRoutine {
+			g.rslots = append(g.rslots, i)
+			g.rseqs = append(g.rseqs, sl.seq)
 		}
 	}
 	sort.Ints(g.rseqs)
 	sort.Slice(g.rslots, func(a, b int) bool {
-		return g.nodes[g.rslots[a]].Routine < g.nodes[g.rslots[b]].Routine
+		return g.at(g.rslots[a]).node.Routine < g.at(g.rslots[b]).node.Routine
 	})
 	for k, slot := range g.rslots {
 		g.keys[slot] = g.rseqs[k]
@@ -409,36 +491,38 @@ func (g *Graph) tieKeys() []int {
 // (see tieKeys), which yields the minimum-order-mismatch serialization among
 // valid ones for the common case.
 func (g *Graph) Order() []Node {
-	if cap(g.indeg) < len(g.nodes) {
-		g.indeg = make([]int32, len(g.nodes))
+	if cap(g.indeg) < int(g.n) {
+		g.indeg = make([]int32, g.n)
 	}
-	g.indeg = g.indeg[:len(g.nodes)]
-	g.ready = g.ready[:0]
-	for i := range g.nodes {
-		if g.seq[i] == freeSeq {
+	g.indeg = g.indeg[:g.n]
+	keys := g.tieKeys()
+	// ready is a min-heap of in-degree-0 slots under their (distinct) tie
+	// keys: each step emits the smallest-keyed ready node.
+	less := func(a, b int32) bool { return keys[a] < keys[b] }
+	ready := g.ready[:0]
+	for i := int32(0); i < g.n; i++ {
+		sl := g.at(i)
+		if sl.seq == freeSeq {
 			continue
 		}
-		g.indeg[i] = int32(len(g.pred[i]))
+		g.indeg[i] = int32(len(sl.pred))
 		if g.indeg[i] == 0 {
-			g.ready = append(g.ready, int32(i))
+			ready = minheap.Push(ready, i, less)
 		}
 	}
-	keys := g.tieKeys()
-	less := func(a, b int32) bool { return keys[a] < keys[b] }
 	out := make([]Node, 0, g.live)
-	ready := g.ready
 	for len(ready) > 0 {
-		sort.Slice(ready, func(i, j int) bool { return less(ready[i], ready[j]) })
-		n := ready[0]
-		ready = ready[1:]
-		out = append(out, g.nodes[n])
-		for _, s := range g.succ[n] {
+		var n int32
+		ready, n = minheap.Pop(ready, less)
+		out = append(out, g.at(n).node)
+		for _, s := range g.at(n).succ {
 			g.indeg[s]--
 			if g.indeg[s] == 0 {
-				ready = append(ready, s)
+				ready = minheap.Push(ready, s, less)
 			}
 		}
 	}
+	g.ready = ready
 	if len(out) != g.live {
 		// Should be impossible: AddEdge prevents cycles.
 		panic("order: graph contains a cycle")

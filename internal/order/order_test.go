@@ -254,3 +254,31 @@ func mustEdge(t *testing.T, g *Graph, a, b Node) {
 		t.Fatalf("AddEdge(%v,%v): %v", a, b, err)
 	}
 }
+
+// TestSparseRoutineIDs covers the routine nodes the ID-indexed slice does not
+// serve: an ID beyond its bound, a negative one and a routine node carrying
+// event fields all go through the map, and behave like any other node.
+func TestSparseRoutineIDs(t *testing.T) {
+	g := NewGraph()
+	huge, negative := RoutineNode(1<<40), RoutineNode(-7)
+	odd := Node{Kind: KindRoutine, Routine: 3, Seq: 1} // not RoutineNode(3)
+	plain := RoutineNode(3)
+	for _, e := range [][2]Node{{plain, huge}, {huge, negative}, {negative, odd}} {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatalf("AddEdge(%v, %v): %v", e[0], e[1], err)
+		}
+	}
+	if err := g.AddEdge(odd, plain); !errors.Is(err, ErrCycle) {
+		t.Fatalf("closing the cycle through sparse nodes: err = %v, want ErrCycle", err)
+	}
+	if !g.HasPath(plain, odd) || g.Len() != 4 {
+		t.Fatalf("HasPath(plain, odd) = %v, Len = %d; want true, 4", g.HasPath(plain, odd), g.Len())
+	}
+	g.Remove(huge)
+	if g.Has(huge) || g.HasPath(plain, odd) || g.Len() != 3 {
+		t.Fatalf("after removing the middle node: Has=%v HasPath=%v Len=%d", g.Has(huge), g.HasPath(plain, odd), g.Len())
+	}
+	if got := len(g.byRoutine); got > graphSlab {
+		t.Fatalf("sparse IDs grew the ID index to %d entries", got)
+	}
+}

@@ -185,6 +185,12 @@ func TestGraphMatchesReferenceProperty(t *testing.T) {
 		ref := newRefGraph()
 		universe := rng.Intn(12) + 3
 		steps := rng.Intn(60) + 10
+		if seq%10 == 0 {
+			// Large enough to spill over several slot chunks and to grow the
+			// routine-ID index; collisions are rarer, so many more steps.
+			universe = rng.Intn(120) + 40
+			steps = rng.Intn(400) + 200
+		}
 		for i := 0; i < steps; i++ {
 			switch rng.Intn(10) {
 			case 0: // occasional removal (routine abort / commit compaction)

@@ -172,6 +172,17 @@ func (r *Routine) ReadDevices() []device.ID {
 	return out
 }
 
+// Reads reports whether the routine reads the given device through a
+// condition (ReadDevices membership, without building the set).
+func (r *Routine) Reads(id device.ID) bool {
+	for i := range r.Commands {
+		if c := r.Commands[i].Condition; c != nil && c.Device == id {
+			return true
+		}
+	}
+	return false
+}
+
 // Touches reports whether the routine writes the given device.
 func (r *Routine) Touches(id device.ID) bool {
 	for _, c := range r.Commands {

@@ -10,51 +10,35 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
+
+	"safehome/internal/minheap"
 )
 
 // Epoch is the conventional start-of-run instant used by simulations and
 // tests. Any time.Time works; using a fixed epoch keeps golden values stable.
 var Epoch = time.Date(2021, 4, 26, 8, 0, 0, 0, time.UTC)
 
-// event is a scheduled callback.
+// event is a scheduled callback. It is either a plain callback (fn) or a
+// typed completion (done invoked with err): a command completion carries its
+// target and outcome as fields, so scheduling one builds no closure.
 type event struct {
 	at       time.Time
 	seq      uint64 // tie-breaker: FIFO among events at the same instant
 	fn       func()
+	done     func(error)
+	err      error
 	canceled bool
-	index    int // heap index, -1 once popped
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+// before orders events by timestamp, then FIFO by scheduling sequence. seq
+// is unique, so the order is total and the heap's pop order is deterministic.
+func before(a, b *event) bool {
+	if c := a.at.Compare(b.at); c != 0 {
+		return c < 0
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+	return a.seq < b.seq
 }
 
 // Sim is a discrete-event simulator with a virtual clock.
@@ -62,8 +46,13 @@ func (h *eventHeap) Pop() any {
 // Sim is not safe for concurrent use: schedule and run from one goroutine
 // only (typically the test or harness goroutine).
 type Sim struct {
-	now       time.Time
-	queue     eventHeap
+	now   time.Time
+	queue []*event // minheap under before
+	// free holds fired and discarded events for reuse, so a steady stream of
+	// schedule/fire cycles allocates nothing. A cancel handle outliving its
+	// event stays harmless: it is bound to the event's seq, which changes
+	// when the slot is reused.
+	free      []*event
 	seq       uint64
 	processed int
 	running   bool
@@ -96,12 +85,10 @@ func (s *Sim) Processed() int { return s.processed }
 
 // After schedules fn to run d after the current virtual time and returns a
 // cancellation function. Negative delays are treated as zero (the event
-// fires "now", after already-queued events for this instant).
+// fires "now", after already-queued events for this instant). Callers that
+// never cancel should use Post, which builds no handle.
 func (s *Sim) After(d time.Duration, fn func()) (cancel func()) {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now.Add(d), fn)
+	return s.At(s.now.Add(max(d, 0)), fn)
 }
 
 // At schedules fn to run at virtual time t and returns a cancellation
@@ -110,13 +97,63 @@ func (s *Sim) At(t time.Time, fn func()) (cancel func()) {
 	if fn == nil {
 		panic("sim: At called with nil callback")
 	}
+	ev := s.schedule(t)
+	ev.fn = fn
+	seq := ev.seq
+	return func() {
+		if ev.seq == seq { // else the event fired and its slot was reused
+			ev.canceled = true
+		}
+	}
+}
+
+// Post is After without a cancellation handle: fire-and-forget.
+func (s *Sim) Post(d time.Duration, fn func()) {
+	if fn == nil {
+		panic("sim: Post called with nil callback")
+	}
+	s.schedule(s.now.Add(max(d, 0))).fn = fn
+}
+
+// Complete schedules done(err) to run d after the current virtual time. It
+// is the allocation-free completion path: target and outcome ride in the
+// event itself, so one long-lived done func serves any number of events.
+func (s *Sim) Complete(d time.Duration, done func(error), err error) {
+	if done == nil {
+		panic("sim: Complete called with nil callback")
+	}
+	ev := s.schedule(s.now.Add(max(d, 0)))
+	ev.done, ev.err = done, err
+}
+
+// schedule queues a blank event at t (clamped to now), reusing a fired one
+// when available. The caller fills in the callback.
+func (s *Sim) schedule(t time.Time) *event {
 	if t.Before(s.now) {
 		t = s.now
 	}
+	var ev *event
+	if n := len(s.free); n > 0 {
+		ev, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		ev = new(event)
+	}
 	s.seq++
-	ev := &event{at: t, seq: s.seq, fn: fn}
-	heap.Push(&s.queue, ev)
-	return func() { ev.canceled = true }
+	*ev = event{at: t, seq: s.seq}
+	s.queue = minheap.Push(s.queue, ev, before)
+	return ev
+}
+
+// pop removes and returns the earliest event.
+func (s *Sim) pop() (ev *event) {
+	s.queue, ev = minheap.Pop(s.queue, before)
+	return ev
+}
+
+// recycle returns a popped event to the free list, dropping its references.
+func (s *Sim) recycle(ev *event) {
+	ev.fn, ev.done, ev.err = nil, nil, nil
+	s.free = append(s.free, ev)
 }
 
 // NextEventAt reports the timestamp of the earliest pending event, or false
@@ -127,7 +164,7 @@ func (s *Sim) At(t time.Time, fn func()) (cancel func()) {
 func (s *Sim) NextEventAt() (time.Time, bool) {
 	for len(s.queue) > 0 {
 		if s.queue[0].canceled {
-			heap.Pop(&s.queue)
+			s.recycle(s.pop())
 			continue
 		}
 		return s.queue[0].at, true
@@ -139,15 +176,23 @@ func (s *Sim) NextEventAt() (time.Time, bool) {
 // timestamp. It returns false if no events remain.
 func (s *Sim) Step() bool {
 	for len(s.queue) > 0 {
-		ev := heap.Pop(&s.queue).(*event)
-		if ev.canceled {
+		ev := s.pop()
+		fired := *ev
+		// Recycle before the callback runs, so whatever it schedules can
+		// already reuse the slot.
+		s.recycle(ev)
+		if fired.canceled {
 			continue
 		}
-		if ev.at.After(s.now) {
-			s.now = ev.at
+		if fired.at.After(s.now) {
+			s.now = fired.at
 		}
 		s.processed++
-		ev.fn()
+		if fired.done != nil {
+			fired.done(fired.err)
+		} else {
+			fired.fn()
+		}
 		return true
 	}
 	return false
@@ -174,7 +219,7 @@ func (s *Sim) RunUntil(horizon time.Time) int {
 	for len(s.queue) > 0 {
 		next := s.queue[0]
 		if next.canceled {
-			heap.Pop(&s.queue)
+			s.recycle(s.pop())
 			continue
 		}
 		if !horizon.IsZero() && next.at.After(horizon) {

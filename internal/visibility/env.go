@@ -64,7 +64,10 @@ func (e *SimEnv) After(d time.Duration, fn func()) (cancel func()) { return e.Si
 // is issued (a plug switches on immediately); the command's completion — and
 // therefore the lock-hold — lasts for hold plus the actuation latency.
 // Failures are reported through done, never synchronously, so controller
-// callbacks are uniformly re-entered via the event queue.
+// callbacks are uniformly re-entered via the event queue. The completion
+// rides in the simulator event itself (sim.Complete): Exec allocates nothing,
+// and a controller that passes the same done for every command of a routine
+// pays for one func per routine.
 func (e *SimEnv) Exec(rid routine.ID, cmd routine.Command, hold time.Duration, done func(error)) {
 	err := e.Fleet.Apply(cmd.Device, cmd.Target)
 	delay := hold + e.ActuationLatency
@@ -75,7 +78,7 @@ func (e *SimEnv) Exec(rid routine.ID, cmd routine.Command, hold time.Duration, d
 	if e.Jitter != nil {
 		delay += e.Jitter()
 	}
-	e.Sim.After(delay, func() { done(err) })
+	e.Sim.Complete(delay, done, err)
 }
 
 // DeviceState implements Env.

@@ -2,6 +2,7 @@ package visibility
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"safehome/internal/device"
@@ -14,6 +15,12 @@ import (
 // in a lineage table, early (positional) lock acquisition, pre-/post-leasing,
 // commit compaction, failure/restart serialization, and a pluggable
 // scheduler (FCFS, JiT or Timeline).
+//
+// Everything between "placed" and "committed" is a per-command path, so it
+// is built not to allocate and not to hash: a routine resolves its devices
+// to evDevice records once at submission, keeps its per-device execution
+// state in a slice parallel to its cached Devices(), and hands the
+// environment one completion func for its whole life.
 type evController struct {
 	base
 
@@ -21,13 +28,32 @@ type evController struct {
 	graph *order.Graph
 	sched evScheduler
 
-	runs map[routine.ID]*evRun
+	// runs holds the routines submitted to this controller, in submission
+	// order. IDs are dense, so the run of routine id is runs[id-firstID]
+	// (preloaded history occupies the IDs below firstID and has no run). A
+	// finished routine's slot is nil: nothing refers to it any more — its
+	// lock-accesses are gone from every lineage — and its Result lives on
+	// in base.
+	runs    []*evRun
+	firstID routine.ID
 	// waitQ is the scheduler wait queue. Entries are dequeued by clearing
 	// their queued flag (no splicing); the schedulers compact cleared and
 	// finished entries out in a single pass during their scans, so queue
 	// maintenance is O(n) per scan instead of one O(n) splice per removal.
-	waitQ   []*evRun
-	waiters map[device.ID][]*evRun
+	waitQ []*evRun
+	devs  map[device.ID]*evDevice
+}
+
+// evDevice is the controller's state for one device.
+type evDevice struct {
+	lin *lineage.Lineage
+	// waiters are the runs blocked on the device's lock, in blocking order.
+	// onFree detaches the list while it wakes them and builds the next one
+	// in spare, the backing array of the list before — blocking on a hot
+	// device, where most woken runs block again at once, reuses two arrays
+	// forever.
+	waiters []*evRun
+	spare   []*evRun
 }
 
 // evRun is the controller-side execution state of one routine.
@@ -41,72 +67,80 @@ type evRun struct {
 	done    bool
 	queued  bool // live entry in the controller's wait queue
 
-	idx         int
-	inflight    bool
-	inflightDev device.ID
+	idx      int  // next command to execute (the one in flight, while inflight)
+	inflight bool // Commands[idx] is executing
 
-	executed []cmdRecord
-
-	// The per-device maps below are allocated lazily (reads of a nil map are
-	// fine; the mark/set helpers initialize on first write), so submitting a
-	// routine allocates no maps — many routines finish without ever
-	// pre-leasing or arming a timer.
-	firstTouched  map[device.ID]bool
-	lastTouchDone map[device.ID]bool
+	// devs is the per-device state, parallel to r.Devices().
+	devs []runDev
+	// onDone completes the in-flight command. One func serves every command
+	// of the routine: at most one is in flight, and it is Commands[idx].
+	onDone func(error)
 
 	doomed     bool
 	doomReason string
-
-	blockedOn device.ID
-
-	// preLeasedFrom records, per device, the routine this run was pre-leased
-	// the lock from (the lease source); used for revocation bookkeeping.
-	preLeasedFrom map[device.ID]routine.ID
-	leaseTimers   map[device.ID]func()
 
 	prioritized bool
 	ttlCancel   func()
 }
 
-func newEVRun(res *Result, r *routine.Routine) *evRun {
-	return &evRun{res: res, r: r, id: res.ID}
+// runDev is one routine's execution state on one device it touches.
+type runDev struct {
+	dev  *evDevice
+	last int // index of the routine's last command on the device
+
+	firstTouched  bool // a command of the routine took effect on the device
+	lastTouchDone bool // the routine's last command on the device is over
+	// executed counts the commands that took effect on the device and
+	// lastExec is the index of the latest — what an abort rolls back, and in
+	// which order.
+	executed int
+	lastExec int
+
+	// preLeasedFrom is the routine this run was pre-leased the lock from (the
+	// lease source, routine.None if not pre-leased); cancelLease stops the
+	// armed revocation timer.
+	preLeasedFrom routine.ID
+	cancelLease   func()
 }
 
-func (run *evRun) markFirstTouched(d device.ID) {
-	if run.firstTouched == nil {
-		run.firstTouched = make(map[device.ID]bool, 4)
+func (c *evController) newRun(res *Result, r *routine.Routine) *evRun {
+	devs := r.Devices()
+	run := &evRun{res: res, r: r, id: res.ID, devs: make([]runDev, len(devs))}
+	for i, d := range devs {
+		run.devs[i].dev = c.device(d)
 	}
-	run.firstTouched[d] = true
+	for i := range r.Commands {
+		run.on(r.Commands[i].Device).last = i
+	}
+	run.onDone = func(err error) { c.onCommandDone(run, err) }
+	return run
 }
 
-func (run *evRun) markLastTouchDone(d device.ID) {
-	if run.lastTouchDone == nil {
-		run.lastTouchDone = make(map[device.ID]bool, 4)
+// slot returns d's index in the routine's Devices(), or -1. Routines touch a
+// handful of devices, so a scan beats any map.
+func (run *evRun) slot(d device.ID) int {
+	for i, rd := range run.r.Devices() {
+		if rd == d {
+			return i
+		}
 	}
-	run.lastTouchDone[d] = true
+	return -1
 }
 
-func (run *evRun) setPreLeasedFrom(d device.ID, src routine.ID) {
-	if run.preLeasedFrom == nil {
-		run.preLeasedFrom = make(map[device.ID]routine.ID, 2)
-	}
-	run.preLeasedFrom[d] = src
-}
+// on returns the run's state on a device the routine touches.
+func (run *evRun) on(d device.ID) *runDev { return &run.devs[run.slot(d)] }
 
-func (run *evRun) setLeaseTimer(d device.ID, cancel func()) {
-	if run.leaseTimers == nil {
-		run.leaseTimers = make(map[device.ID]func(), 2)
-	}
-	run.leaseTimers[d] = cancel
+// uses reports whether the run has touched d or is touching it right now.
+func (run *evRun) uses(d device.ID) bool {
+	return run.on(d).firstTouched || (run.inflight && run.r.Commands[run.idx].Device == d)
 }
 
 func newEV(env Env, initial map[device.ID]device.State, opts Options) *evController {
 	c := &evController{
-		base:    newBase(env, initial, opts),
-		table:   lineage.NewTable(initial),
-		graph:   order.NewGraph(),
-		runs:    make(map[routine.ID]*evRun),
-		waiters: make(map[device.ID][]*evRun),
+		base:  newBase(env, initial, opts),
+		table: lineage.NewTable(initial),
+		graph: order.NewGraph(),
+		devs:  make(map[device.ID]*evDevice, len(initial)),
 	}
 	switch opts.Scheduler {
 	case SchedFCFS:
@@ -119,6 +153,24 @@ func newEV(env Env, initial map[device.ID]device.State, opts Options) *evControl
 	return c
 }
 
+// device returns the controller's record for d, creating it on first use.
+func (c *evController) device(d device.ID) *evDevice {
+	dv, ok := c.devs[d]
+	if !ok {
+		dv = &evDevice{lin: c.table.Lineage(d)}
+		c.devs[d] = dv
+	}
+	return dv
+}
+
+// run returns the run of an unfinished routine of this controller, or nil.
+func (c *evController) run(id routine.ID) *evRun {
+	if i := int(id - c.firstID); i >= 0 && i < len(c.runs) {
+		return c.runs[i]
+	}
+	return nil
+}
+
 func (c *evController) Model() Model { return EV }
 
 // SchedulerName reports the active scheduling policy.
@@ -129,8 +181,11 @@ func (c *evController) Table() *lineage.Table { return c.table }
 
 func (c *evController) Submit(r *routine.Routine) routine.ID {
 	res, cp := c.assign(r)
-	run := newEVRun(res, cp)
-	c.runs[cp.ID] = run
+	run := c.newRun(res, cp)
+	if len(c.runs) == 0 {
+		c.firstID = cp.ID
+	}
+	c.runs = append(c.runs, run)
 	c.sched.onSubmit(run)
 	c.checkInvariants("submit")
 	return cp.ID
@@ -166,8 +221,9 @@ type evScheduler interface {
 	kind() SchedulerKind
 	// onSubmit decides where (and when) the new routine is placed.
 	onSubmit(run *evRun)
-	// onFree is invoked whenever a lock-access on d is released or removed.
-	onFree(d device.ID)
+	// onFree is invoked whenever a lock-access on a device is released or
+	// removed.
+	onFree()
 	// onRoutineDone is invoked after a routine commits or aborts.
 	onRoutineDone()
 }
@@ -180,9 +236,9 @@ func (c *evController) placeAtEnd(run *evRun) {
 	now := c.env.Now()
 	node := order.RoutineNode(run.id)
 	c.graph.AddNode(node)
-	for _, d := range run.r.Devices() {
-		l := c.table.Lineage(d)
-		start := c.table.TailStart(d, now)
+	for i, d := range run.r.Devices() {
+		l := run.devs[i].dev.lin
+		start := l.TailStart(now)
 		for _, a := range l.Accesses {
 			// Ignore duplicate-edge errors; appending cannot create cycles.
 			_ = c.graph.AddEdge(order.RoutineNode(a.Routine), node)
@@ -190,10 +246,10 @@ func (c *evController) placeAtEnd(run *evRun) {
 		// Compaction may have emptied the lineage, but the folded baseline
 		// writer still precedes every later access (the node being placed has
 		// no outgoing edges yet, so this cannot cycle).
-		if lf := c.table.LastFolded(d); lf != routine.None && lf != run.id && c.graph.Has(order.RoutineNode(lf)) {
+		if lf := l.LastFolded(); lf != routine.None && lf != run.id && c.graph.Has(order.RoutineNode(lf)) {
 			_ = c.graph.AddEdge(order.RoutineNode(lf), node)
 		}
-		err := c.table.PlaceAt(d, len(l.Accesses), lineage.Access{
+		err := l.PlaceAt(len(l.Accesses), lineage.Access{
 			Routine:  run.id,
 			Status:   lineage.Scheduled,
 			Start:    start,
@@ -236,22 +292,22 @@ func (c *evController) advance(run *evRun) {
 	}
 	cmd := run.r.Commands[run.idx]
 	d := cmd.Device
+	rd := run.on(d)
+	l := rd.dev.lin
 
-	if !c.table.CanAcquire(d, run.id) {
-		run.blockedOn = d
-		c.waiters[d] = append(c.waiters[d], run)
+	if !l.CanAcquire(run.id) {
+		rd.dev.waiters = append(rd.dev.waiters, run)
 		return
 	}
-	run.blockedOn = ""
 
-	if st, _ := c.table.Status(d, run.id); st == lineage.Scheduled {
-		if err := c.table.SetStatus(d, run.id, lineage.Acquired); err != nil {
+	if st, _ := l.Status(run.id); st == lineage.Scheduled {
+		if err := l.SetStatus(run.id, lineage.Acquired); err != nil {
 			panic(fmt.Sprintf("visibility: acquire: %v", err))
 		}
-		if src, leased := run.preLeasedFrom[d]; leased {
+		if rd.preLeasedFrom != routine.None {
 			// The lease clock starts ticking when the destination actually
 			// begins using the device.
-			c.armPreLeaseRevocation(run, d, src)
+			c.armPreLeaseRevocation(run, rd)
 		}
 	}
 	if run.res.Started.IsZero() {
@@ -263,28 +319,27 @@ func (c *evController) advance(run *evRun) {
 	if cmd.Condition != nil && c.table.CurrentState(cmd.Condition.Device) != cmd.Condition.Equals {
 		run.res.Skipped++
 		c.emit(Event{Time: c.env.Now(), Kind: EvCommandSkipped, Routine: run.id, Device: d})
-		c.afterCommandOn(run, run.idx)
+		c.afterCommand(run, rd)
 		run.idx++
 		c.advance(run)
 		return
 	}
 
-	idx := run.idx
 	run.inflight = true
-	run.inflightDev = d
-	c.env.Exec(run.id, cmd, c.opts.hold(cmd), func(err error) {
-		c.onCommandDone(run, idx, err)
-	})
+	c.env.Exec(run.id, cmd, c.opts.hold(cmd), run.onDone)
 }
 
-func (c *evController) onCommandDone(run *evRun, idx int, err error) {
+// onCommandDone is the completion of the run's in-flight command,
+// Commands[idx]: idx only moves here and on the condition-skip path, and
+// neither runs while a command is in flight.
+func (c *evController) onCommandDone(run *evRun, err error) {
 	run.inflight = false
-	run.inflightDev = ""
 	if run.done {
 		return
 	}
-	cmd := run.r.Commands[idx]
+	cmd := run.r.Commands[run.idx]
 	d := cmd.Device
+	rd := run.on(d)
 	if err != nil {
 		c.emit(Event{Time: c.env.Now(), Kind: EvCommandFailed, Routine: run.id, Device: d, Detail: err.Error()})
 		if cmd.Must() {
@@ -295,92 +350,79 @@ func (c *evController) onCommandDone(run *evRun, idx int, err error) {
 		run.res.BestEffortFailures++
 	} else {
 		run.res.Executed++
-		run.executed = append(run.executed, cmdRecord{idx: idx, dev: d, target: cmd.Target})
-		run.markFirstTouched(d)
-		if err := c.table.SetTarget(d, run.id, cmd.Target); err == nil {
+		rd.firstTouched = true
+		rd.executed++
+		rd.lastExec = run.idx
+		if err := rd.dev.lin.SetTarget(run.id, cmd.Target); err == nil {
 			c.emit(Event{Time: c.env.Now(), Kind: EvCommandExecuted, Routine: run.id, Device: d, State: cmd.Target})
 		}
 	}
-	c.afterCommandOn(run, idx)
+	c.afterCommand(run, rd)
 	run.idx++
 	c.advance(run)
 	c.checkInvariants("command-done")
 }
 
-// afterCommandOn handles last-touch bookkeeping and post-leasing for the
-// command at index idx.
-func (c *evController) afterCommandOn(run *evRun, idx int) {
-	d := run.r.Commands[idx].Device
-	if idx != run.r.LastIndexOn(d) {
+// afterCommand handles last-touch bookkeeping and post-leasing once
+// Commands[idx], a command on rd's device, is over.
+func (c *evController) afterCommand(run *evRun, rd *runDev) {
+	if run.idx != rd.last {
 		return
 	}
-	run.markLastTouchDone(d)
-	if timer, ok := run.leaseTimers[d]; ok {
-		timer()
-		delete(run.leaseTimers, d)
+	rd.lastTouchDone = true
+	if rd.cancelLease != nil {
+		rd.cancelLease()
+		rd.cancelLease = nil
 	}
-	if c.opts.PostLease && c.canPostLease(run, d) {
-		c.releaseAccess(run, d)
+	if c.opts.PostLease && c.canPostLease(run, rd) {
+		c.releaseAccess(run, rd.dev)
 	}
 }
 
 // canPostLease checks the dirty-read restriction of §4.1: the lock may not be
 // released early if this routine wrote the device and the next routine in the
 // device's lineage reads it through a conditional command.
-func (c *evController) canPostLease(run *evRun, d device.ID) bool {
-	if !run.firstTouched[d] {
+func (c *evController) canPostLease(run *evRun, rd *runDev) bool {
+	if !rd.firstTouched {
 		return true // nothing was written; no dirty read possible
 	}
-	post := c.table.PostSet(d, run.id)
-	if len(post) == 0 {
-		return true
-	}
-	next, ok := c.runs[post[0]]
-	if !ok {
-		return true
-	}
-	for _, rd := range next.r.ReadDevices() {
-		if rd == d {
-			return false
-		}
-	}
-	return true
+	next := c.run(rd.dev.lin.Next(run.id))
+	return next == nil || !next.r.Reads(rd.dev.lin.Device)
 }
 
-// releaseAccess marks the routine's lock-access on d Released and wakes
-// successors (the post-lease hand-off of Fig 6c).
-func (c *evController) releaseAccess(run *evRun, d device.ID) {
-	st, ok := c.table.Status(d, run.id)
+// releaseAccess marks the routine's lock-access on the device Released and
+// wakes successors (the post-lease hand-off of Fig 6c).
+func (c *evController) releaseAccess(run *evRun, dv *evDevice) {
+	st, ok := dv.lin.Status(run.id)
 	if !ok || st == lineage.Released {
 		return
 	}
-	if err := c.table.SetStatus(d, run.id, lineage.Released); err != nil {
+	if err := dv.lin.SetStatus(run.id, lineage.Released); err != nil {
 		panic(fmt.Sprintf("visibility: release: %v", err))
 	}
-	c.onFree(d)
+	c.onFree(dv)
 }
 
-// onFree wakes routines blocked on d and gives the scheduler a chance to
-// start waiting routines.
-func (c *evController) onFree(d device.ID) {
-	blocked := c.waiters[d]
-	if len(blocked) > 0 {
-		// Detach the list before waking anyone: advance() may block runs on d
-		// again, which must land in a fresh list, not the one being iterated.
-		c.waiters[d] = nil
+// onFree wakes routines blocked on the device and gives the scheduler a
+// chance to start waiting routines.
+func (c *evController) onFree(dv *evDevice) {
+	if blocked := dv.waiters; len(blocked) > 0 {
+		// Detach the list before waking anyone: advance() may block runs on
+		// the device again, which must land in a fresh list, not the one
+		// being iterated.
+		dv.waiters, dv.spare = dv.spare[:0], nil
 		for _, run := range blocked {
 			c.advance(run)
 		}
-		if len(c.waiters[d]) == 0 {
-			// Nobody re-blocked: hand the emptied backing array back so the
-			// next block on d appends without allocating.
-			for i := range blocked {
-				blocked[i] = nil
-			}
-			c.waiters[d] = blocked[:0]
+		// Hand the emptied backing array over for the list after next —
+		// unless a nested onFree on this device (a woken run finishing with
+		// it on the spot) got there first.
+		if dv.spare == nil {
+			clear(blocked)
+			dv.spare = blocked[:0]
 		}
 	}
-	c.sched.onFree(d)
+	c.sched.onFree()
 }
 
 // commitRun finalizes a successfully completed routine: committed states are
@@ -391,21 +433,20 @@ func (c *evController) commitRun(run *evRun) {
 	c.cancelTimers(run)
 	c.markCommitted(run.res)
 
-	devs := run.r.Devices()
-	for _, d := range devs {
+	for i := range run.devs {
+		l := run.devs[i].dev.lin
 		// A Scheduled access means the routine never actually used the device
 		// (e.g. every command on it was condition-skipped): drop the entry
 		// without folding history beneath it.
-		if st, ok := c.table.Status(d, run.id); ok && st == lineage.Scheduled {
-			c.table.RemoveAccess(d, run.id)
+		if st, ok := l.Status(run.id); ok && st == lineage.Scheduled {
+			l.Remove(run.id)
 		}
+		l.Compact(run.id)
+		c.setCommitted(l.Device, l.Committed)
 	}
-	c.table.Compact(run.id)
-	for _, d := range devs {
-		c.setCommitted(d, c.table.Committed(d))
-	}
-	for _, d := range devs {
-		c.onFree(d)
+	c.runs[run.id-c.firstID] = nil
+	for i := range run.devs {
+		c.onFree(run.devs[i].dev)
 	}
 	c.sched.onRoutineDone()
 	c.checkInvariants("commit")
@@ -441,40 +482,43 @@ func (c *evController) abortRun(run *evRun) {
 	}
 	c.markAborted(run.res, reason)
 
-	// Devices this routine actually modified, in reverse touch order.
-	modified := make(map[device.ID]int) // device -> executed-command count
-	var revOrder []device.ID
-	for i := len(run.executed) - 1; i >= 0; i-- {
-		d := run.executed[i].dev
-		if modified[d] == 0 {
-			revOrder = append(revOrder, d)
+	// Devices this routine actually modified, in reverse touch order: latest
+	// executed command first.
+	var modified []*runDev
+	for i := range run.devs {
+		if rd := &run.devs[i]; rd.executed > 0 {
+			modified = append(modified, rd)
 		}
-		modified[d]++
 	}
+	slices.SortFunc(modified, func(a, b *runDev) int { return b.lastExec - a.lastExec })
 
-	for _, d := range revOrder {
-		if !c.table.LastAcquirerWas(d, run.id) {
+	for _, rd := range modified {
+		l := rd.dev.lin
+		if !l.LastAcquirerWas(run.id) {
 			// Another routine has since acquired the device (it obtained the
 			// lock via a lease); its effect supersedes ours — no restore.
 			continue
 		}
-		target := c.table.RollbackTarget(d, run.id)
-		run.res.RolledBack += modified[d]
-		if target == device.StateUnknown || c.failed[d] {
+		target := l.RollbackTarget(run.id)
+		run.res.RolledBack += rd.executed
+		if target == device.StateUnknown || c.failed[l.Device] {
 			continue
 		}
-		if c.table.CurrentState(d) == target {
+		if l.CurrentState() == target {
 			continue
 		}
-		c.emit(Event{Time: c.env.Now(), Kind: EvRolledBack, Routine: run.id, Device: d, State: target})
-		c.env.Exec(run.id, routine.Command{Device: d, Target: target}, c.opts.DefaultShort, func(error) {})
+		c.emit(Event{Time: c.env.Now(), Kind: EvRolledBack, Routine: run.id, Device: l.Device, State: target})
+		c.env.Exec(run.id, routine.Command{Device: l.Device, Target: target}, c.opts.DefaultShort, func(error) {})
 	}
 
+	// Table order, not the routine's: the order successors are woken in is
+	// part of the schedule.
 	removed := c.table.RemoveRoutine(run.id)
 	c.graph.Remove(order.RoutineNode(run.id))
 	c.removeFromWaitQ(run)
+	c.runs[run.id-c.firstID] = nil
 	for _, d := range removed {
-		c.onFree(d)
+		c.onFree(c.device(d))
 	}
 	c.sched.onRoutineDone()
 	c.checkInvariants("abort")
@@ -506,9 +550,11 @@ func (c *evController) cancelTimers(run *evRun) {
 		run.ttlCancel()
 		run.ttlCancel = nil
 	}
-	for d, cancel := range run.leaseTimers {
-		cancel()
-		delete(run.leaseTimers, d)
+	for i := range run.devs {
+		if rd := &run.devs[i]; rd.cancelLease != nil {
+			rd.cancelLease()
+			rd.cancelLease = nil
+		}
 	}
 }
 
@@ -519,7 +565,8 @@ func (c *evController) cancelTimers(run *evRun) {
 // the destination aborts (§4.1). When nobody is waiting the lease is simply
 // extended for another interval — revocation exists to prevent starvation,
 // not to punish slow routines that block no one.
-func (c *evController) armPreLeaseRevocation(run *evRun, d device.ID, src routine.ID) {
+func (c *evController) armPreLeaseRevocation(run *evRun, rd *runDev) {
+	d := rd.dev.lin.Device
 	timeout := time.Duration(float64(run.r.SpanEstimate(d, c.opts.DefaultShort)) * c.opts.LeaseLeniency)
 	if timeout <= 0 {
 		timeout = c.opts.DefaultShort
@@ -529,21 +576,21 @@ func (c *evController) armPreLeaseRevocation(run *evRun, d device.ID, src routin
 		if run.done {
 			return
 		}
-		st, ok := c.table.Status(d, run.id)
+		st, ok := rd.dev.lin.Status(run.id)
 		if !ok || st == lineage.Released {
 			return
 		}
-		if len(c.waiters[d]) == 0 {
+		if len(rd.dev.waiters) == 0 {
 			// No routine is blocked on the device: extend the lease.
-			run.setLeaseTimer(d, c.env.After(timeout, fire))
+			rd.cancelLease = c.env.After(timeout, fire)
 			return
 		}
-		c.doom(run, fmt.Sprintf("pre-lease of %s from R%d revoked after %v", d, src, timeout))
+		c.doom(run, fmt.Sprintf("pre-lease of %s from R%d revoked after %v", d, rd.preLeasedFrom, timeout))
 		if !run.inflight {
 			c.abortRun(run)
 		}
 	}
-	run.setLeaseTimer(d, c.env.After(timeout, fire))
+	rd.cancelLease = c.env.After(timeout, fire)
 }
 
 // --- failure / restart serialization (§3) -----------------------------------
@@ -552,17 +599,16 @@ func (c *evController) NotifyFailure(d device.ID) {
 	n := c.failureDetected(d)
 	c.graph.AddNode(n)
 
-	for _, id := range c.submitted {
-		run := c.runs[id]
-		if run.done || !run.placed || !run.r.Touches(d) {
+	for _, run := range c.runs {
+		if run == nil || !run.placed || !run.r.Touches(d) {
 			continue // case 1: unrelated routines are unaffected
 		}
 		switch {
-		case run.lastTouchDone[d]:
+		case run.on(d).lastTouchDone:
 			// Case 3: the failure happened after this routine's last touch of
 			// the device — serialize the failure event after the routine.
 			_ = c.graph.AddEdge(order.RoutineNode(run.id), n)
-		case run.firstTouched[d] || (run.inflight && run.inflightDev == d):
+		case run.uses(d):
 			// Case 4: the failure hit in the middle of this routine's
 			// accesses; it cannot be serialized around the routine. Abort now
 			// (EV aborts affected routines earlier rather than later, §7.4).
@@ -589,9 +635,8 @@ func (c *evController) NotifyRestart(d device.ID) {
 	}
 	// Case 2: routines that have not yet touched the device serialize after
 	// the failure/restart pair.
-	for _, id := range c.submitted {
-		run := c.runs[id]
-		if run.done || !run.placed || !run.r.Touches(d) || run.firstTouched[d] {
+	for _, run := range c.runs {
+		if run == nil || !run.placed || !run.r.Touches(d) || run.on(d).firstTouched {
 			continue
 		}
 		_ = c.graph.AddEdge(n, order.RoutineNode(run.id))

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"time"
 
-	"safehome/internal/device"
 	"safehome/internal/lineage"
 	"safehome/internal/order"
 	"safehome/internal/routine"
@@ -52,9 +51,9 @@ func (s *idSet) has(id routine.ID) bool {
 // add inserts id, reporting whether it was newly added.
 func (s *idSet) add(id routine.ID) bool {
 	if int(id) >= len(s.stamp) {
-		grown := make([]uint32, int(id)+16)
-		copy(grown, s.stamp)
-		s.stamp = grown
+		// append's geometric growth: IDs only ever rise, and growing by a
+		// constant would copy the whole array every few submissions.
+		s.stamp = append(s.stamp, make([]uint32, int(id)+1-len(s.stamp))...)
 	}
 	if s.stamp[id] == s.epoch {
 		return false
@@ -84,8 +83,8 @@ func (s *idSet) truncate(mark int) {
 // its write is the device's committed state, so any new placement must
 // serialize after it even though the lineage no longer shows it.
 func (c *evController) foldedPre(run *evRun, pre *idSet) {
-	for _, d := range run.r.Devices() {
-		if lf := c.table.LastFolded(d); lf != routine.None && lf != run.id && c.graph.Has(order.RoutineNode(lf)) {
+	for i := range run.devs {
+		if lf := run.devs[i].dev.lin.LastFolded(); lf != routine.None && lf != run.id && c.graph.Has(order.RoutineNode(lf)) {
 			pre.add(lf)
 		}
 	}
@@ -131,8 +130,8 @@ func (s *fcfsScheduler) onSubmit(run *evRun) {
 	s.tryStart()
 }
 
-func (s *fcfsScheduler) onFree(device.ID) { s.tryStart() }
-func (s *fcfsScheduler) onRoutineDone()   { s.tryStart() }
+func (s *fcfsScheduler) onFree()        { s.tryStart() }
+func (s *fcfsScheduler) onRoutineDone() { s.tryStart() }
 
 // tryStart begins every waiting routine whose devices are all acquirable.
 // Because accesses were appended in arrival order, starting a later routine
@@ -157,8 +156,8 @@ func (s *fcfsScheduler) tryStart() {
 				continue // compact finished/dequeued entries out
 			}
 			ready := true
-			for _, d := range run.r.Devices() {
-				if !s.c.table.CanAcquire(d, run.id) {
+			for i := range run.devs {
+				if !run.devs[i].dev.lin.CanAcquire(run.id) {
 					ready = false
 					break
 				}
@@ -233,8 +232,8 @@ func (s *jitScheduler) enqueue(run *evRun) {
 	})
 }
 
-func (s *jitScheduler) onFree(device.ID) { s.scan() }
-func (s *jitScheduler) onRoutineDone()   { s.scan() }
+func (s *jitScheduler) onFree()        { s.scan() }
+func (s *jitScheduler) onRoutineDone() { s.scan() }
 
 func (s *jitScheduler) hasPrioritizedWaiter() bool {
 	for _, run := range s.c.waitQ {
@@ -300,7 +299,7 @@ func (s *jitScheduler) scan() {
 // test. The implied pre/post routines are accumulated directly into the
 // scheduler's scratch sets rather than materialized per device.
 type jitPlacement struct {
-	dev    device.ID
+	slot   int // index into the run's devices
 	mode   int // 0 = append, 1 = post-lease (insert after anchor), 2 = pre-lease (insert before anchor)
 	anchor routine.ID
 }
@@ -316,8 +315,8 @@ func (s *jitScheduler) tryPlace(run *evRun) bool {
 	s.pre.reset()
 	s.post.reset()
 
-	for _, d := range run.r.Devices() {
-		l := s.c.table.Lineage(d)
+	for slot, d := range run.r.Devices() {
+		l := run.devs[slot].dev.lin
 		fi := -1
 		nonReleased := 0
 		for i, a := range l.Accesses {
@@ -331,26 +330,28 @@ func (s *jitScheduler) tryPlace(run *evRun) bool {
 		switch {
 		case fi == -1:
 			// Lock free (possibly via earlier post-leases): take it at the end.
-			s.plans = append(s.plans, jitPlacement{dev: d, mode: 0})
+			s.plans = append(s.plans, jitPlacement{slot: slot, mode: 0})
 			for _, a := range l.Accesses {
 				s.pre.add(a.Routine)
 			}
 
 		case nonReleased == 1:
 			owner := l.Accesses[fi]
-			ownerRun, ok := s.c.runs[owner.Routine]
-			if !ok {
+			ownerRun := s.c.run(owner.Routine)
+			if ownerRun == nil {
 				return false
 			}
+			ownerOn := ownerRun.on(d)
 			switch {
-			case s.c.opts.PostLease && ownerRun.lastTouchDone[d] && s.postLeaseOK(ownerRun, run, d):
-				s.plans = append(s.plans, jitPlacement{dev: d, mode: 1, anchor: owner.Routine})
+			case s.c.opts.PostLease && ownerOn.lastTouchDone && (!ownerOn.firstTouched || !run.r.Reads(d)):
+				// (The dirty-read restriction of §4.1: no post-lease of a
+				// device the source wrote to a routine that reads it.)
+				s.plans = append(s.plans, jitPlacement{slot: slot, mode: 1, anchor: owner.Routine})
 				for _, a := range l.Accesses[:fi+1] {
 					s.pre.add(a.Routine)
 				}
-			case s.c.opts.PreLease && owner.Status == lineage.Scheduled && !ownerRun.firstTouched[d] &&
-				!(ownerRun.inflight && ownerRun.inflightDev == d):
-				s.plans = append(s.plans, jitPlacement{dev: d, mode: 2, anchor: owner.Routine})
+			case s.c.opts.PreLease && owner.Status == lineage.Scheduled && !ownerRun.uses(d):
+				s.plans = append(s.plans, jitPlacement{slot: slot, mode: 2, anchor: owner.Routine})
 				for _, a := range l.Accesses[:fi] {
 					s.pre.add(a.Routine)
 				}
@@ -388,46 +389,30 @@ func (s *jitScheduler) tryPlace(run *evRun) bool {
 		// JiT placements carry no time estimates: the routine starts using its
 		// devices immediately, so positional order alone defines the schedule.
 		acc := lineage.Access{Routine: run.id, Status: lineage.Scheduled}
-		var err error
-		switch p.mode {
-		case 0:
-			err = s.c.table.PlaceAt(p.dev, len(s.c.table.Lineage(p.dev).Accesses), acc)
-		case 1:
-			idx := s.c.table.Find(p.dev, p.anchor)
-			if idx < 0 {
-				err = fmt.Errorf("%w: anchor R%d on %s", lineage.ErrNoSuchSlot, p.anchor, p.dev)
-			} else if err = s.c.table.PlaceAt(p.dev, idx+1, acc); err == nil {
-				// The post-lease hand-off: the source's lock-access is released.
-				err = s.c.table.SetStatus(p.dev, p.anchor, lineage.Released)
+		l := run.devs[p.slot].dev.lin
+		idx := len(l.Accesses) // mode 0: append
+		if p.mode != 0 {
+			if idx = l.Find(p.anchor); idx < 0 {
+				panic(fmt.Sprintf("visibility: jit placement: anchor R%d gone from %s", p.anchor, l.Device))
 			}
-		case 2:
-			idx := s.c.table.Find(p.dev, p.anchor)
-			if idx < 0 {
-				err = fmt.Errorf("%w: anchor R%d on %s", lineage.ErrNoSuchSlot, p.anchor, p.dev)
-			} else if err = s.c.table.PlaceAt(p.dev, idx, acc); err == nil {
-				run.setPreLeasedFrom(p.dev, p.anchor)
-			}
+		}
+		if p.mode == 1 {
+			idx++ // after the anchor
+		}
+		err := l.PlaceAt(idx, acc)
+		if err == nil && p.mode == 1 {
+			// The post-lease hand-off: the source's lock-access is released.
+			err = l.SetStatus(p.anchor, lineage.Released)
 		}
 		if err != nil {
 			panic(fmt.Sprintf("visibility: jit placement: %v", err))
 		}
+		if p.mode == 2 {
+			run.devs[p.slot].preLeasedFrom = p.anchor
+		}
 	}
 	run.placed = true
 	s.c.removeFromWaitQ(run)
-	return true
-}
-
-// postLeaseOK enforces the dirty-read restriction of §4.1 for an explicit
-// post-lease from src to dst on device d.
-func (s *jitScheduler) postLeaseOK(src, dst *evRun, d device.ID) bool {
-	if !src.firstTouched[d] {
-		return true
-	}
-	for _, rd := range dst.r.ReadDevices() {
-		if rd == d {
-			return false
-		}
-	}
 	return true
 }
 
@@ -443,31 +428,34 @@ type tlScheduler struct {
 	c *evController
 
 	// Scratch reused across searches: the accumulated preSet/postSet (with
-	// truncate-based backtracking), the chosen placements, and one gap buffer
-	// per search depth.
+	// truncate-based backtracking), the chosen placements, one gap buffer per
+	// search depth, and the search in progress (run, start time, step budget).
 	pre        idSet
 	post       idSet
 	placements []tlPlacement
 	gapBufs    [][]lineage.Gap
+	run        *evRun
+	now        time.Time
+	budget     int
 }
 
 func (s *tlScheduler) kind() SchedulerKind { return SchedTL }
 
 func (s *tlScheduler) onSubmit(run *evRun) {
-	if placements, ok := s.search(run); ok {
-		s.apply(run, placements)
+	if s.search(run) {
+		s.apply(run)
 	} else {
 		s.c.placeAtEnd(run)
 	}
 	s.c.startRun(run)
 }
 
-func (s *tlScheduler) onFree(device.ID) {}
-func (s *tlScheduler) onRoutineDone()   {}
+func (s *tlScheduler) onFree()        {}
+func (s *tlScheduler) onRoutineDone() {}
 
-// tlPlacement is the chosen gap for one device of the routine being placed.
+// tlPlacement is the chosen gap for one device of the routine being placed;
+// placement i belongs to the routine's device i.
 type tlPlacement struct {
-	dev   device.ID
 	index int
 	start time.Time
 	dur   time.Duration
@@ -490,88 +478,84 @@ const tlSearchBudget = 4096
 // (equivalent to the full union-intersection test, since a routine appears at
 // most once per lineage and the sets are disjoint by induction); rejecting or
 // backtracking truncates the sets back to their marks. No per-gap map or
-// slice is ever allocated. On success the sets hold exactly the routine's
-// accumulated preSet/postSet, which apply() turns into precedence edges.
-func (s *tlScheduler) search(run *evRun) ([]tlPlacement, bool) {
-	devs := run.r.Devices()
-	now := s.c.env.Now()
+// slice is ever allocated. On success s.placements holds one gap per device
+// and the sets hold exactly the routine's accumulated preSet/postSet, which
+// apply() turns into precedence edges.
+func (s *tlScheduler) search(run *evRun) bool {
+	s.run, s.now, s.budget = run, s.c.env.Now(), tlSearchBudget
 	s.placements = s.placements[:0]
 	s.pre.reset()
 	s.post.reset()
-	for len(s.gapBufs) < len(devs) {
+	for len(s.gapBufs) < len(run.devs) {
 		s.gapBufs = append(s.gapBufs, make([]lineage.Gap, 0, 16))
 	}
-	budget := tlSearchBudget
+	return s.searchFrom(0, s.now)
+}
 
-	var rec func(i int, earliest time.Time) bool
-	rec = func(i int, earliest time.Time) bool {
-		if budget <= 0 {
-			return false
+// searchFrom places the routine's devices i, i+1, … with device i's hold
+// starting no earlier than earliest.
+func (s *tlScheduler) searchFrom(i int, earliest time.Time) bool {
+	if s.budget <= 0 {
+		return false
+	}
+	s.budget--
+	run := s.run
+	if i == len(run.devs) {
+		return true
+	}
+	dur := run.r.HoldEstimate(run.r.Devices()[i], s.c.opts.DefaultShort)
+	l := run.devs[i].dev.lin
+	gaps := l.GapsInto(s.gapBufs[i][:0], s.now)
+	s.gapBufs[i] = gaps
+	for _, gap := range gaps {
+		if !s.c.opts.PreLease && gap.Index < len(l.Accesses) {
+			// Placing ahead of an already-scheduled access is a pre-lease;
+			// with pre-leasing disabled only the tail gap is allowed.
+			continue
 		}
-		budget--
-		if i == len(devs) {
-			return true
+		start, fits := gap.Fits(earliest, dur)
+		if !fits {
+			continue
 		}
-		d := devs[i]
-		dur := run.r.HoldEstimate(d, s.c.opts.DefaultShort)
-		l := s.c.table.Lineage(d)
-		gaps := s.c.table.GapsInto(s.gapBufs[i][:0], d, now)
-		s.gapBufs[i] = gaps
-		for _, gap := range gaps {
-			if !s.c.opts.PreLease && gap.Index < len(l.Accesses) {
-				// Placing ahead of an already-scheduled access is a pre-lease;
-				// with pre-leasing disabled only the tail gap is allowed.
-				continue
+		preMark, postMark := len(s.pre.ids), len(s.post.ids)
+		ok := true
+		for _, a := range l.Accesses[:gap.Index] {
+			if s.post.has(a.Routine) {
+				ok = false
+				break
 			}
-			start, fits := gap.Fits(earliest, dur)
-			if !fits {
-				continue
-			}
-			preMark, postMark := len(s.pre.ids), len(s.post.ids)
-			ok := true
-			for _, a := range l.Accesses[:gap.Index] {
-				if s.post.has(a.Routine) {
+			s.pre.add(a.Routine)
+		}
+		if ok {
+			for _, a := range l.Accesses[gap.Index:] {
+				if s.pre.has(a.Routine) {
 					ok = false
 					break
 				}
-				s.pre.add(a.Routine)
+				s.post.add(a.Routine)
 			}
-			if ok {
-				for _, a := range l.Accesses[gap.Index:] {
-					if s.pre.has(a.Routine) {
-						ok = false
-						break
-					}
-					s.post.add(a.Routine)
-				}
-			}
-			if ok {
-				s.placements = append(s.placements, tlPlacement{dev: d, index: gap.Index, start: start, dur: dur})
-				if rec(i+1, start.Add(dur)) {
-					return true
-				}
-				s.placements = s.placements[:len(s.placements)-1]
-			}
-			// Backtrack: undo this gap's tentative additions (the next-gap
-			// step of Algo 1).
-			s.pre.truncate(preMark)
-			s.post.truncate(postMark)
 		}
-		return false
+		if ok {
+			s.placements = append(s.placements, tlPlacement{index: gap.Index, start: start, dur: dur})
+			if s.searchFrom(i+1, start.Add(dur)) {
+				return true
+			}
+			s.placements = s.placements[:len(s.placements)-1]
+		}
+		// Backtrack: undo this gap's tentative additions (the next-gap
+		// step of Algo 1).
+		s.pre.truncate(preMark)
+		s.post.truncate(postMark)
 	}
-
-	if rec(0, now) {
-		return s.placements, true
-	}
-	return nil, false
+	return false
 }
 
-// apply inserts the chosen placements into the lineage table and the
-// precedence graph, consuming the preSet/postSet the successful search left
-// in the scratch sets. If the graph rejects an edge (the placement would
+// apply inserts the placements a successful search chose into the lineage
+// table and the precedence graph, consuming the preSet/postSet it left in
+// the scratch sets. If the graph rejects an edge (the placement would
 // contradict ordering constraints not visible in the lineages alone), the
 // routine falls back to appending at the end of every lineage.
-func (s *tlScheduler) apply(run *evRun, placements []tlPlacement) {
+func (s *tlScheduler) apply(run *evRun) {
 	node := order.RoutineNode(run.id)
 	s.c.graph.AddNode(node)
 	s.c.foldedPre(run, &s.pre)
@@ -580,21 +564,18 @@ func (s *tlScheduler) apply(run *evRun, placements []tlPlacement) {
 		s.c.placeAtEnd(run)
 		return
 	}
-	for _, p := range placements {
-		l := s.c.table.Lineage(p.dev)
-		leaseFrom := routine.None
-		if p.index < len(l.Accesses) {
+	for i, p := range s.placements {
+		rd := &run.devs[i]
+		l := rd.dev.lin
+		if p.index < len(l.Accesses) && s.c.opts.PreLease {
 			// Being placed ahead of an already-scheduled access is a pre-lease
 			// from that access's routine; the revocation clock is armed when
 			// this routine actually acquires the device.
-			leaseFrom = l.Accesses[p.index].Routine
+			rd.preLeasedFrom = l.Accesses[p.index].Routine
 		}
 		acc := lineage.Access{Routine: run.id, Status: lineage.Scheduled, Start: p.start, Duration: p.dur}
-		if err := s.c.table.PlaceAt(p.dev, p.index, acc); err != nil {
+		if err := l.PlaceAt(p.index, acc); err != nil {
 			panic(fmt.Sprintf("visibility: timeline placement: %v", err))
-		}
-		if leaseFrom != routine.None && s.c.opts.PreLease {
-			run.setPreLeasedFrom(p.dev, leaseFrom)
 		}
 	}
 	run.placed = true
