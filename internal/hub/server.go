@@ -1,12 +1,13 @@
 package hub
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"safehome/internal/device"
@@ -33,6 +34,11 @@ import (
 //	GET  /api/events              recent controller events
 //	GET  /api/events?since=N      only events with sequence >= N, plus the
 //	                              next cursor — pollers fetch only the tail
+//
+// The mux below is the routing table for every route. The four a poller or
+// a submitter hits — status, routines/{id}, events, POST routines — are
+// recognised by hubAPI.ServeHTTP before it, by plain string comparison, and
+// land in the same handler functions.
 func (h *Hub) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -47,16 +53,16 @@ func (h *Hub) Handler() http.Handler {
 		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("hub %s", health))
 	})
 	mux.Handle("GET /metrics", h.Telemetry().Handler())
-	mux.HandleFunc("GET /api/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, h.Status())
-	})
+	mux.HandleFunc("GET /api/status", h.handleStatus)
 	mux.HandleFunc("GET /api/devices", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, h.Devices())
 	})
 	mux.HandleFunc("GET /api/routines", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resultsJSON(h.Results()))
 	})
-	mux.HandleFunc("GET /api/routines/{id}", h.handleGetRoutine)
+	mux.HandleFunc("GET /api/routines/{id}", func(w http.ResponseWriter, r *http.Request) {
+		h.handleGetRoutine(w, r.PathValue("id"))
+	})
 	mux.HandleFunc("POST /api/routines", h.handleSubmit)
 	mux.HandleFunc("GET /api/bank", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, h.StoredRoutines())
@@ -68,27 +74,78 @@ func (h *Hub) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, h.Triggers())
 	})
 	mux.HandleFunc("DELETE /api/triggers/{handle}", h.handleCancelTrigger)
-	mux.HandleFunc("GET /api/events", func(w http.ResponseWriter, r *http.Request) {
-		since, ok, err := sinceCursor(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+	mux.HandleFunc("GET /api/events", h.handleEvents)
+	return &hubAPI{h: h, mux: mux}
+}
+
+// hubAPI is the single-home handler: hot routes by hand, the rest (and every
+// request the hand router does not recognise to the letter: other methods,
+// trailing slashes, percent-encoded or unclean paths) through the mux, which
+// owns 404, 405 + Allow and redirects.
+type hubAPI struct {
+	h   *Hub
+	mux *http.ServeMux
+}
+
+func (a *hubAPI) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if p := r.URL.Path; r.URL.RawPath == "" { // a percent-encoded path is the mux's to decode
+		switch r.Method {
+		case http.MethodGet:
+			switch p {
+			case "/api/status":
+				a.h.handleStatus(w, r)
+				return
+			case "/api/events":
+				a.h.handleEvents(w, r)
+				return
+			}
+			if id, ok := strings.CutPrefix(p, "/api/routines/"); ok && plainSegment(id) {
+				a.h.handleGetRoutine(w, id)
+				return
+			}
+		case http.MethodPost:
+			if p == "/api/routines" {
+				a.h.handleSubmit(w, r)
+				return
+			}
 		}
-		if !ok {
-			writeJSON(w, http.StatusOK, eventsJSON(h.Events()))
-			return
-		}
-		ev, next := h.EventsSince(since)
-		writeJSON(w, http.StatusOK, eventsPage(ev, next))
-	})
-	return mux
+	}
+	a.mux.ServeHTTP(w, r)
+}
+
+// plainSegment reports whether s is a path segment the mux would hand to a
+// {wildcard} unchanged: one non-empty segment that path cleaning leaves
+// alone. (Percent-encoded paths never get this far: see RawPath above.)
+func plainSegment(s string) bool {
+	return s != "" && s != "." && s != ".." && !strings.Contains(s, "/")
+}
+
+func (h *Hub) handleStatus(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, h.Status())
+}
+
+func (h *Hub) handleEvents(w http.ResponseWriter, r *http.Request) {
+	since, ok, err := sinceCursor(r.URL)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if !ok {
+		writeJSON(w, http.StatusOK, eventsJSON(h.Events()))
+		return
+	}
+	buf := newBody()
+	buf.openEvents()
+	next := h.cur.Load().RangeEventsSince(since, buf.pageEvent)
+	buf.closeEvents(next)
+	buf.send(w, http.StatusOK)
 }
 
 // sinceCursor parses the optional ?since= event cursor. An empty or missing
 // value reports absent (full fetch) rather than an error, so templated URLs
 // with an unset cursor variable behave the same on every events route.
-func sinceCursor(r *http.Request) (since uint64, ok bool, err error) {
-	q := r.URL.Query().Get("since")
+func sinceCursor(u *url.URL) (since uint64, ok bool, err error) {
+	q := queryValue(u, "since")
 	if q == "" {
 		return 0, false, nil
 	}
@@ -97,6 +154,24 @@ func sinceCursor(r *http.Request) (since uint64, ok bool, err error) {
 		return 0, false, fmt.Errorf("bad since cursor: %w", err)
 	}
 	return since, true, nil
+}
+
+// queryValue is u.Query().Get(key) without building the url.Values map: the
+// first value of key in the raw query. A query with anything net/url would
+// decode or reject (%, +, ;) is left to net/url.
+func queryValue(u *url.URL, key string) string {
+	raw := u.RawQuery
+	if strings.ContainsAny(raw, "%+;") {
+		return u.Query().Get(key)
+	}
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if k, v, _ := strings.Cut(pair, "="); k == key {
+			return v
+		}
+	}
+	return ""
 }
 
 // handleSchedule creates an automation trigger for a stored routine. The
@@ -155,21 +230,22 @@ func (h *Hub) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeHubError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": id})
+	writeID(w, http.StatusAccepted, id)
 }
 
-func (h *Hub) handleGetRoutine(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
+func (h *Hub) handleGetRoutine(w http.ResponseWriter, idText string) {
+	id, err := strconv.ParseInt(idText, 10, 64)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad routine id: %w", err))
 		return
 	}
-	res, ok := h.Result(routine.ID(id))
+	res, ok := h.cur.Load().ResultRef(routine.ID(id))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no routine %d", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, resultJSON(res))
+	v := resultJSON(res)
+	writeResult(w, http.StatusOK, &v)
 }
 
 func (h *Hub) handleStore(w http.ResponseWriter, r *http.Request) {
@@ -196,7 +272,7 @@ func (h *Hub) handleTrigger(w http.ResponseWriter, r *http.Request) {
 		writeHubError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": id})
+	writeID(w, http.StatusAccepted, id)
 }
 
 // writeHubError maps single-home hub errors onto HTTP statuses: a full
@@ -234,18 +310,27 @@ func writeHubError(w http.ResponseWriter, fallback int, err error) {
 //	GET  /homes/{id}/routines/{rid}       one routine result
 //	GET  /homes/{id}/events?since=N       the home's event tail + next cursor
 //	                                      (empty unless the manager was built
-//	                                      with a per-home event log)
+//	                                      with a per-home event log); a poll
+//	                                      at the cursor of a hibernated home
+//	                                      is answered without waking it
 //	POST /homes/{id}/devices/{dev}/fail   inject a fail-stop device failure
 //	POST /homes/{id}/devices/{dev}/restore inject the matching restart
 //
 // defaultPlugs is the fleet size given to homes created without an explicit
 // ?plugs= (values < 1 fall back to 5); the hub passes its -plugs flag so
 // API-created homes match the startup homes.
+//
+// The mux built here is the routing table for every route above. The ones a
+// poller or a submitter hits — status, routines, routines/{rid}, events —
+// are recognised by managerAPI.ServeHTTP before it, by splitting the path by
+// hand, and land in the same handler functions. The wire format is
+// encoding/json's throughout (see encode.go).
 func ManagerHandler(m *manager.Manager, defaultPlugs int) http.Handler {
 	if defaultPlugs < 1 {
 		defaultPlugs = 5
 	}
-	mux := http.NewServeMux()
+	a := &managerAPI{m: m, mux: http.NewServeMux()}
+	mux := a.mux
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -284,20 +369,10 @@ func ManagerHandler(m *manager.Manager, defaultPlugs int) http.Handler {
 			writeManagerError(w, err)
 			return
 		}
-		st, err := m.HomeStatus(id)
-		if err != nil {
-			writeManagerError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, st)
+		a.status(w, http.StatusCreated, id)
 	})
 	mux.HandleFunc("GET /homes/{id}/status", func(w http.ResponseWriter, r *http.Request) {
-		st, err := m.HomeStatus(manager.HomeID(r.PathValue("id")))
-		if err != nil {
-			writeManagerError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
+		a.status(w, http.StatusOK, manager.HomeID(r.PathValue("id")))
 	})
 	mux.HandleFunc("GET /homes/{id}/devices", func(w http.ResponseWriter, r *http.Request) {
 		states, err := m.DeviceStates(manager.HomeID(r.PathValue("id")))
@@ -308,55 +383,16 @@ func ManagerHandler(m *manager.Manager, defaultPlugs int) http.Handler {
 		writeJSON(w, http.StatusOK, states)
 	})
 	mux.HandleFunc("GET /homes/{id}/routines", func(w http.ResponseWriter, r *http.Request) {
-		results, err := m.Results(manager.HomeID(r.PathValue("id")))
-		if err != nil {
-			writeManagerError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resultsJSON(results))
+		a.results(w, manager.HomeID(r.PathValue("id")))
 	})
 	mux.HandleFunc("POST /homes/{id}/routines", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
-			return
-		}
-		rid, err := m.SubmitSpec(manager.HomeID(r.PathValue("id")), body)
-		if err != nil {
-			writeManagerError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, map[string]any{"id": rid})
+		a.submit(w, r, manager.HomeID(r.PathValue("id")))
 	})
 	mux.HandleFunc("GET /homes/{id}/routines/{rid}", func(w http.ResponseWriter, r *http.Request) {
-		rid, err := strconv.ParseInt(r.PathValue("rid"), 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad routine id: %w", err))
-			return
-		}
-		res, ok, err := m.Result(manager.HomeID(r.PathValue("id")), routine.ID(rid))
-		if err != nil {
-			writeManagerError(w, err)
-			return
-		}
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("no routine %d", rid))
-			return
-		}
-		writeJSON(w, http.StatusOK, resultJSON(res))
+		a.result(w, manager.HomeID(r.PathValue("id")), r.PathValue("rid"))
 	})
 	mux.HandleFunc("GET /homes/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		since, _, err := sinceCursor(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		ev, next, err := m.Events(manager.HomeID(r.PathValue("id")), since)
-		if err != nil {
-			writeManagerError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, eventsPage(ev, next))
+		a.events(w, r, manager.HomeID(r.PathValue("id")))
 	})
 	mux.HandleFunc("POST /homes/{id}/devices/{dev}/fail", func(w http.ResponseWriter, r *http.Request) {
 		if err := m.FailDevice(manager.HomeID(r.PathValue("id")), device.ID(r.PathValue("dev"))); err != nil {
@@ -372,7 +408,128 @@ func ManagerHandler(m *manager.Manager, defaultPlugs int) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"restored": r.PathValue("dev")})
 	})
-	return mux
+	return a
+}
+
+// managerAPI is the multi-tenant handler: hot routes by hand, the rest (and
+// every request the hand router does not recognise to the letter: other
+// methods, trailing slashes, percent-encoded or unclean paths) through the
+// mux, which owns 404, 405 + Allow and redirects.
+type managerAPI struct {
+	m   *manager.Manager
+	mux *http.ServeMux
+}
+
+func (a *managerAPI) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if id, tail, ok := cutHomePath(r.URL); ok {
+		switch r.Method {
+		case http.MethodGet:
+			switch tail {
+			case "status":
+				a.status(w, http.StatusOK, id)
+				return
+			case "events":
+				a.events(w, r, id)
+				return
+			case "routines":
+				a.results(w, id)
+				return
+			}
+			if rid, ok := strings.CutPrefix(tail, "routines/"); ok && plainSegment(rid) {
+				a.result(w, id, rid)
+				return
+			}
+		case http.MethodPost:
+			if tail == "routines" {
+				a.submit(w, r, id)
+				return
+			}
+		}
+	}
+	a.mux.ServeHTTP(w, r)
+}
+
+// cutHomePath splits /homes/{id}/{tail...}. It declines (ok false) any path
+// the mux would not pass through verbatim: a percent-encoded one (RawPath
+// set) or one whose id segment path cleaning would rewrite.
+func cutHomePath(u *url.URL) (id manager.HomeID, tail string, ok bool) {
+	rest, ok := strings.CutPrefix(u.Path, "/homes/")
+	if !ok || u.RawPath != "" {
+		return "", "", false
+	}
+	seg, tail, ok := strings.Cut(rest, "/")
+	return manager.HomeID(seg), tail, ok && plainSegment(seg)
+}
+
+func (a *managerAPI) status(w http.ResponseWriter, status int, id manager.HomeID) {
+	st, err := a.m.HomeStatus(id)
+	if err != nil {
+		writeManagerError(w, err)
+		return
+	}
+	writeHomeStatus(w, status, &st)
+}
+
+func (a *managerAPI) results(w http.ResponseWriter, id manager.HomeID) {
+	results, err := a.m.Results(id)
+	if err != nil {
+		writeManagerError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, resultsJSON(results))
+}
+
+func (a *managerAPI) submit(w http.ResponseWriter, r *http.Request, id manager.HomeID) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
+		return
+	}
+	rid, err := a.m.SubmitSpec(id, body)
+	if err != nil {
+		writeManagerError(w, err)
+		return
+	}
+	writeID(w, http.StatusAccepted, rid)
+}
+
+func (a *managerAPI) result(w http.ResponseWriter, id manager.HomeID, ridText string) {
+	rid, err := strconv.ParseInt(ridText, 10, 64)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad routine id: %w", err))
+		return
+	}
+	res, ok, err := a.m.ResultRef(id, routine.ID(rid))
+	if err != nil {
+		writeManagerError(w, err)
+		return
+	}
+	if !ok {
+		writeError(w, http.StatusNotFound, fmt.Errorf("no routine %d", rid))
+		return
+	}
+	v := resultJSON(res)
+	writeResult(w, http.StatusOK, &v)
+}
+
+// events encodes the page straight off the home's snapshot: no event is
+// copied out of its chunk.
+func (a *managerAPI) events(w http.ResponseWriter, r *http.Request, id manager.HomeID) {
+	since, _, err := sinceCursor(r.URL)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	buf := newBody()
+	buf.openEvents()
+	next, err := a.m.RangeEvents(id, since, buf.pageEvent)
+	if err != nil {
+		buf.release()
+		writeManagerError(w, err)
+		return
+	}
+	buf.closeEvents(next)
+	buf.send(w, http.StatusOK)
 }
 
 func plugDevices(n int) []device.Info { return device.Plugs(n).All() }
@@ -419,7 +576,7 @@ type resultView struct {
 	AbortReason string     `json:"abort_reason,omitempty"`
 }
 
-func resultJSON(res visibility.Result) resultView {
+func resultJSON(res *visibility.Result) resultView {
 	v := resultView{
 		ID:          res.ID,
 		Status:      res.Status.String(),
@@ -443,12 +600,15 @@ func resultJSON(res visibility.Result) resultView {
 
 func resultsJSON(results []visibility.Result) []resultView {
 	out := make([]resultView, 0, len(results))
-	for _, res := range results {
-		out = append(out, resultJSON(res))
+	for i := range results {
+		out = append(out, resultJSON(&results[i]))
 	}
 	return out
 }
 
+// eventView is one element of an events listing. A cursor-paged response —
+// {"events":[…],"next":N}; poll again with ?since=N to fetch only what
+// happened after it — stamps each with its sequence number.
 type eventView struct {
 	Seq     uint64    `json:"seq,omitempty"`
 	Time    time.Time `json:"time"`
@@ -459,51 +619,22 @@ type eventView struct {
 	Detail  string    `json:"detail,omitempty"`
 }
 
+func eventJSON(seq uint64, e *visibility.Event) eventView {
+	return eventView{
+		Seq:     seq,
+		Time:    e.Time,
+		Kind:    e.Kind.String(),
+		Routine: int64(e.Routine),
+		Device:  string(e.Device),
+		State:   string(e.State),
+		Detail:  e.Detail,
+	}
+}
+
 func eventsJSON(events []visibility.Event) []eventView {
 	out := make([]eventView, 0, len(events))
-	for _, e := range events {
-		out = append(out, eventView{
-			Time:    e.Time,
-			Kind:    e.Kind.String(),
-			Routine: int64(e.Routine),
-			Device:  string(e.Device),
-			State:   string(e.State),
-			Detail:  e.Detail,
-		})
+	for i := range events {
+		out = append(out, eventJSON(0, &events[i]))
 	}
 	return out
-}
-
-// eventsPageView is the cursor-paged events response: poll again with
-// ?since=<next> to fetch only what happened after this page.
-type eventsPageView struct {
-	Events []eventView `json:"events"`
-	Next   uint64      `json:"next"`
-}
-
-// eventsPage stamps each event with its sequence number (the page ends just
-// before the next cursor, so sequences count back from it).
-func eventsPage(events []visibility.Event, next uint64) eventsPageView {
-	views := eventsJSON(events)
-	first := next - uint64(len(views))
-	for i := range views {
-		views[i].Seq = first + uint64(i)
-	}
-	return eventsPageView{Events: views, Next: next}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	// Back-pressure and outage statuses carry a Retry-After hint: overload
-	// drains within milliseconds and a supervised restart completes within
-	// the supervisor's backoff cap, so one second is a safe client pause.
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -104,12 +104,12 @@ func (m *Manager) runFreezer() {
 	}
 }
 
-// reanimate is the retry half of the submit-racing-freeze contract: a
-// mutating method that loaded a runtime just as the freezer closed it gets
-// ErrClosed back; one pass through the wake path (which serializes behind
-// the in-flight freeze on the slot's wakeMu) yields the next generation.
-// If the wake hands back the same runtime the operation already failed on,
-// the home is genuinely closed — the error stands.
+// reanimate is the retry half of the submit-racing-freeze contract (see
+// mutate): a mutating method that loaded a runtime just as the freezer
+// closed it gets ErrClosed back; a pass through the wake path (which
+// serializes behind the in-flight freeze on the slot's wakeMu) yields the
+// next generation. If the wake hands back the same runtime the operation
+// already failed on, the home is genuinely closed — the error stands.
 func (m *Manager) reanimate(id HomeID, stale *rt.HomeRuntime) (*rt.HomeRuntime, error) {
 	if m.cfg.DataDir == "" {
 		return nil, ErrClosed
@@ -257,5 +257,6 @@ func (m *Manager) coldRecord(id HomeID, devices int) (*rt.FrozenHome, error) {
 		Devices:  devices,
 		Created:  now,
 		FrozenAt: now,
+		NextSeq:  1, // no event yet: the first will be sequence 1
 	}, nil
 }

@@ -1,6 +1,8 @@
 package manager
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -357,5 +359,130 @@ func TestHibernationRequiresDataDir(t *testing.T) {
 	}
 	if n := m.FreezeIdle(0); n != 0 {
 		t.Fatalf("FreezeIdle froze %d memory-only homes", n)
+	}
+}
+
+// TestSubmitOutlastsStaleFreezers: the freeze race, with the window held
+// open. Eight freezers keep re-freezing the home while one submit is in
+// flight, and the submitted routine is big enough that validating it takes
+// longer than a freezer needs to close the generation the submit just woke —
+// so the submit keeps finding its generation closed under it. Each pass
+// through the wake path must yield the next generation until one accepts
+// the routine; a single retry (the old behaviour) lets ErrClosed escape.
+func TestSubmitOutlastsStaleFreezers(t *testing.T) {
+	m := hibernatingManager(t.TempDir())
+	defer m.Close()
+	if err := m.AddHome("race", device.Plugs(3).All()...); err != nil {
+		t.Fatal(err)
+	}
+	slow := routine.New("slow-to-validate")
+	for i := 0; i < 40_000; i++ {
+		slow.Commands = append(slow.Commands, routine.Command{Device: device.ID(fmt.Sprintf("plug-%d", i%3)), Target: device.On})
+	}
+	const submits, freezers = 3, 8
+	for i := 0; i < submits; i++ {
+		if _, err := m.Submit("race", durableRoutine(i)); err != nil { // a live generation for the freezers to close
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for f := 0; f < freezers; f++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := 0; n < 6; n++ { // bounded: the submit must win once they run out
+					select {
+					case <-stop:
+						return
+					default:
+						_ = m.FreezeHome("race")
+					}
+				}
+			}()
+		}
+		_, err := m.Submit("race", slow)
+		close(stop)
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("submit %d lost to %d stale freezers: %v", i, freezers, err)
+		}
+	}
+	res, err := m.Results("race")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 2*submits {
+		t.Fatalf("acknowledged %d submits, woke with %d results", 2*submits, len(res))
+	}
+}
+
+// TestTipPollDoesNotWakeFrozenHome: a poller that has seen everything keeps
+// polling a hibernated home at its cursor. That must be answered from the
+// frozen record — an empty page, the same cursor — without a wake; a poller
+// that is behind still wakes the home and gets its events.
+func TestTipPollDoesNotWakeFrozenHome(t *testing.T) {
+	m := New(Config{Shards: 1, DataDir: t.TempDir(), HibernateAfter: time.Hour, EventLog: 64,
+		Home: HomeConfig{Model: visibility.EV}})
+	defer m.Close()
+	if err := m.AddHome("den", device.Plugs(3).All()...); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := m.Submit("den", durableRoutine(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live, tip, err := m.Events("den", 0)
+	if err != nil || len(live) == 0 || tip != uint64(len(live))+1 {
+		t.Fatalf("live poll: %d events, next %d, err %v", len(live), tip, err)
+	}
+	if err := m.FreezeHome("den"); err != nil {
+		t.Fatal(err)
+	}
+	wakes := m.tel.wakes.Value()
+
+	for _, since := range []uint64{tip, tip + 5, math.MaxUint64} {
+		ev, next, err := m.Events("den", since)
+		if err != nil || len(ev) != 0 || next != tip {
+			t.Fatalf("tip poll since=%d: %d events, next %d (want %d), err %v", since, len(ev), next, tip, err)
+		}
+		visited := 0
+		next, err = m.RangeEvents("den", since, func(uint64, *visibility.Event) { visited++ })
+		if err != nil || visited != 0 || next != tip {
+			t.Fatalf("tip range since=%d: %d events, next %d (want %d), err %v", since, visited, next, tip, err)
+		}
+	}
+	if st := m.Status(); st.Frozen != 1 {
+		t.Fatalf("tip polls woke the home: %d frozen", st.Frozen)
+	}
+	if got := m.tel.wakes.Value(); got != wakes {
+		t.Fatalf("tip polls ran %v wakes", got-wakes)
+	}
+
+	// One event behind the tip: the home wakes and serves it, cursor intact.
+	ev, next, err := m.Events("den", tip-1)
+	if err != nil || len(ev) != 1 || next != tip || ev[0] != live[len(live)-1] {
+		t.Fatalf("behind-the-tip poll: %d events, next %d, err %v", len(ev), next, err)
+	}
+	if st := m.Status(); st.Frozen != 0 {
+		t.Fatal("behind-the-tip poll did not wake the home")
+	}
+	if got := m.tel.wakes.Value(); got != wakes+1 {
+		t.Fatalf("behind-the-tip poll ran %v wakes, want 1", got-wakes)
+	}
+
+	// A marker from before the field existed carries no cursor: wake as ever.
+	if err := m.FreezeHome("den"); err != nil {
+		t.Fatal(err)
+	}
+	slot, _ := m.slotOf("den")
+	old := *slot.frozen.Load()
+	old.NextSeq = 0
+	slot.frozen.Store(&old)
+	if ev, next, err := m.Events("den", tip); err != nil || len(ev) != 0 || next != tip {
+		t.Fatalf("poll over an old marker: %d events, next %d, err %v", len(ev), next, err)
+	}
+	if st := m.Status(); st.Frozen != 0 {
+		t.Fatal("an old marker (no next_seq) answered a poll without waking")
 	}
 }

@@ -550,16 +550,21 @@ func (m *Manager) Runtime(id HomeID) (*rt.HomeRuntime, error) {
 	if err != nil {
 		return nil, err
 	}
+	return m.runtimeOf(slot)
+}
+
+// runtimeOf is Runtime for a slot already looked up.
+func (m *Manager) runtimeOf(slot *homeSlot) (*rt.HomeRuntime, error) {
 	switch {
 	case slot.sup.Quarantined():
-		return nil, fmt.Errorf("%w: %q", ErrQuarantined, id)
+		return nil, fmt.Errorf("%w: %q", ErrQuarantined, slot.id)
 	case !slot.sup.Serving():
-		return nil, fmt.Errorf("%w: %q", ErrRestarting, id)
+		return nil, fmt.Errorf("%w: %q", ErrRestarting, slot.id)
 	}
 	if home := slot.rt.Load(); home != nil {
 		return home, nil
 	}
-	return m.shards[m.ShardOf(id)].wake(slot)
+	return m.shards[m.ShardOf(slot.id)].wake(slot)
 }
 
 // slotOf returns the home's slot regardless of its health — status and
@@ -572,25 +577,43 @@ func (m *Manager) slotOf(id HomeID) (*homeSlot, error) {
 	return slot, nil
 }
 
+// mutate runs one mutating operation against the home's live generation. A
+// generation the freezer closed between the lookup and the operation answers
+// ErrClosed; reanimate then yields the next one — nothing acknowledged is
+// lost across the freeze/wake boundary. Another stale freeze queued on the
+// slot's wakeMu may close that generation too, so this loops until one
+// accepts the operation or no next generation is to be had (wake failed,
+// manager closed, home genuinely closed), when the ErrClosed stands. Every
+// pass consumes a freezer that was already queued, so the loop ends when
+// they run out.
+func (m *Manager) mutate(id HomeID, op func(*rt.HomeRuntime) error) error {
+	home, err := m.Runtime(id)
+	if err != nil {
+		return err
+	}
+	for {
+		err := op(home)
+		if !errors.Is(err, ErrClosed) {
+			return err
+		}
+		next, werr := m.reanimate(id, home)
+		if werr != nil {
+			return err
+		}
+		home = next
+	}
+}
+
 // Submit validates the routine against the home's device registry and
 // submits it, returning its assigned routine ID. Under ClockVirtual the
 // routine has finished by the time Submit returns; under ClockLive it
 // executes in real time. Returns ErrOverloaded when the home's mailbox is
 // full.
-func (m *Manager) Submit(id HomeID, r *routine.Routine) (routine.ID, error) {
-	home, err := m.Runtime(id)
-	if err != nil {
-		return routine.None, err
-	}
-	rid, err := home.Submit(r)
-	if errors.Is(err, ErrClosed) {
-		// The freezer closed the home between the lookup and the submit:
-		// one pass through the wake path yields the next generation —
-		// nothing acknowledged is lost across the freeze/wake boundary.
-		if home, werr := m.reanimate(id, home); werr == nil {
-			return home.Submit(r)
-		}
-	}
+func (m *Manager) Submit(id HomeID, r *routine.Routine) (rid routine.ID, err error) {
+	err = m.mutate(id, func(home *rt.HomeRuntime) (err error) {
+		rid, err = home.Submit(r)
+		return err
+	})
 	return rid, err
 }
 
@@ -606,47 +629,17 @@ func (m *Manager) SubmitSpec(id HomeID, spec []byte) (routine.ID, error) {
 // SubmitAfter schedules a routine submission after the given delay on the
 // home's clock. Under ClockLive the delay is real time.
 func (m *Manager) SubmitAfter(id HomeID, d time.Duration, r *routine.Routine) error {
-	home, err := m.Runtime(id)
-	if err != nil {
-		return err
-	}
-	err = home.SubmitAfter(d, r)
-	if errors.Is(err, ErrClosed) {
-		if home, werr := m.reanimate(id, home); werr == nil {
-			return home.SubmitAfter(d, r)
-		}
-	}
-	return err
+	return m.mutate(id, func(home *rt.HomeRuntime) error { return home.SubmitAfter(d, r) })
 }
 
 // FailDevice injects a fail-stop failure of the device in the home.
 func (m *Manager) FailDevice(id HomeID, dev device.ID) error {
-	home, err := m.Runtime(id)
-	if err != nil {
-		return err
-	}
-	err = home.FailDevice(dev)
-	if errors.Is(err, ErrClosed) {
-		if home, werr := m.reanimate(id, home); werr == nil {
-			return home.FailDevice(dev)
-		}
-	}
-	return err
+	return m.mutate(id, func(home *rt.HomeRuntime) error { return home.FailDevice(dev) })
 }
 
 // RestoreDevice injects a restart of a previously failed device.
 func (m *Manager) RestoreDevice(id HomeID, dev device.ID) error {
-	home, err := m.Runtime(id)
-	if err != nil {
-		return err
-	}
-	err = home.RestoreDevice(dev)
-	if errors.Is(err, ErrClosed) {
-		if home, werr := m.reanimate(id, home); werr == nil {
-			return home.RestoreDevice(dev)
-		}
-	}
-	return err
+	return m.mutate(id, func(home *rt.HomeRuntime) error { return home.RestoreDevice(dev) })
 }
 
 // Results returns the home's per-routine outcomes in submission order.
@@ -668,6 +661,18 @@ func (m *Manager) Result(id HomeID, rid routine.ID) (visibility.Result, bool, er
 	return res, ok, nil
 }
 
+// ResultRef is Result by pointer, for readers that only encode the record:
+// it points into the home's immutable snapshot, so the caller must not write
+// through it.
+func (m *Manager) ResultRef(id HomeID, rid routine.ID) (*visibility.Result, bool, error) {
+	home, err := m.Runtime(id)
+	if err != nil {
+		return nil, false, err
+	}
+	res, ok := home.ResultRef(rid)
+	return res, ok, nil
+}
+
 // DeviceStates returns the ground-truth state of every device in the home.
 func (m *Manager) DeviceStates(id HomeID) (map[device.ID]device.State, error) {
 	home, err := m.Runtime(id)
@@ -679,14 +684,48 @@ func (m *Manager) DeviceStates(id HomeID) (map[device.ID]device.State, error) {
 
 // Events returns the home's retained activity events with sequence number
 // >= since, plus the cursor to pass on the next poll. Homes log events only
-// when Config.EventLog is set; otherwise the result is always empty.
+// when Config.EventLog is set; otherwise the result is always empty. A poll
+// at (or past) the tip of a hibernated home is answered from its frozen
+// record without waking it.
 func (m *Manager) Events(id HomeID, since uint64) ([]visibility.Event, uint64, error) {
-	home, err := m.Runtime(id)
-	if err != nil {
-		return nil, 0, err
+	home, next, err := m.eventSource(id, since)
+	if home == nil {
+		return nil, next, err
 	}
 	ev, next := home.EventsSince(since)
 	return ev, next, nil
+}
+
+// RangeEvents is Events without materializing the page: fn is called in
+// sequence order with each retained event >= since, in place on the home's
+// immutable snapshot (fn must not write through the pointer or keep it), and
+// the next cursor is returned. An error is reported before fn is first
+// called.
+func (m *Manager) RangeEvents(id HomeID, since uint64, fn func(seq uint64, e *visibility.Event)) (uint64, error) {
+	home, next, err := m.eventSource(id, since)
+	if home == nil {
+		return next, err
+	}
+	return home.RangeEventsSince(since, fn), nil
+}
+
+// eventSource returns the runtime an events poll reads from — or, with a nil
+// runtime and no error, the cursor that answers the poll with an empty page:
+// nothing happens in a frozen home, so a poller already at its tip has
+// nothing to fetch, and recovering the journal to say so would cost a wake
+// per poll interval.
+func (m *Manager) eventSource(id HomeID, since uint64) (*rt.HomeRuntime, uint64, error) {
+	slot, err := m.slotOf(id)
+	if err != nil {
+		return nil, 0, err
+	}
+	if slot.rt.Load() == nil {
+		if fr := slot.frozen.Load(); fr != nil && fr.NextSeq != 0 && since >= fr.NextSeq {
+			return nil, fr.NextSeq, nil
+		}
+	}
+	home, err := m.runtimeOf(slot)
+	return home, 0, err
 }
 
 // HomeStatus summarizes one home. Health is ok, degraded (serving but the

@@ -134,15 +134,27 @@ func (v eventsView) nextSeq() uint64 { return v.firstSeq + uint64(v.n) }
 // the extended slice. Passing 0 (or anything below the retained window)
 // returns everything retained.
 func (v eventsView) since(dst []visibility.Event, since uint64) []visibility.Event {
-	skip := 0
-	if since > v.firstSeq {
-		skip = int(since - v.firstSeq)
-		if skip > v.n {
-			skip = v.n
-		}
-	}
-	for i := skip; i < v.n; i++ {
+	for i := v.skip(since); i < v.n; i++ {
 		dst = append(dst, v.chunks[i/v.chunkSize].ev[i%v.chunkSize])
 	}
 	return dst
+}
+
+// rangeSince is since without the copy: fn sees each event in place on the
+// shared chunks, with its sequence number.
+func (v eventsView) rangeSince(since uint64, fn func(seq uint64, e *visibility.Event)) {
+	for i := v.skip(since); i < v.n; i++ {
+		fn(v.firstSeq+uint64(i), &v.chunks[i/v.chunkSize].ev[i%v.chunkSize])
+	}
+}
+
+// skip returns how many retained events precede sequence number since.
+func (v eventsView) skip(since uint64) int {
+	if since <= v.firstSeq {
+		return 0
+	}
+	if since-v.firstSeq > uint64(v.n) {
+		return v.n
+	}
+	return int(since - v.firstSeq)
 }

@@ -39,6 +39,11 @@ type FrozenHome struct {
 	Rejected int64     `json:"rejected"`
 	Created  time.Time `json:"created"`
 	FrozenAt time.Time `json:"frozen_at"`
+	// NextSeq is the home's event cursor at the freeze instant: a poll with
+	// since >= NextSeq has nothing to fetch and is answered from this record.
+	// Zero (a marker written before the field existed) means unknown — such
+	// a home wakes to answer any events poll.
+	NextSeq uint64 `json:"next_seq,omitempty"`
 }
 
 // Freeze takes the home's final checkpoint and reduces it to a FrozenHome
@@ -75,7 +80,9 @@ func (rt *HomeRuntime) Freeze() (*FrozenHome, error) {
 
 	// The loop has exited (<-rt.done inside Close orders its writes before
 	// these reads); loop-owned state is inline-readable now.
-	counts := rt.Snapshot().Counts()
+	snap := rt.Snapshot()
+	counts := snap.Counts()
+	_, nextSeq := snap.EventSeqRange()
 	fr := &FrozenHome{
 		ID:       rt.cfg.ID,
 		DataDir:  rt.cfg.DataDir,
@@ -86,6 +93,7 @@ func (rt *HomeRuntime) Freeze() (*FrozenHome, error) {
 		Rejected: rt.rejected.Load(),
 		Created:  rt.started,
 		FrozenAt: time.Now(),
+		NextSeq:  nextSeq,
 	}
 	for _, spec := range rt.retiredTriggers {
 		if fr.NextFire.IsZero() || spec.NextFire.Before(fr.NextFire) {

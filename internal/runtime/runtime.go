@@ -1030,6 +1030,17 @@ func (rt *HomeRuntime) Result(id routine.ID) (visibility.Result, bool) {
 	return rt.Snapshot().Result(id)
 }
 
+// ResultRef is Result by pointer: under the default snapshot consistency it
+// points into the snapshot's immutable storage (the caller must not write
+// through it); a linearizable read points at its own copy.
+func (rt *HomeRuntime) ResultRef(id routine.ID) (*visibility.Result, bool) {
+	if rt.linearizable() {
+		res, ok := rt.Result(id)
+		return &res, ok
+	}
+	return rt.Snapshot().ResultRef(id)
+}
+
 // Counts returns the runtime's live summary.
 func (rt *HomeRuntime) Counts() Counts {
 	if rt.linearizable() {
@@ -1074,6 +1085,19 @@ func (rt *HomeRuntime) EventsSince(since uint64) ([]visibility.Event, uint64) {
 		return v.since(nil, since), v.nextSeq()
 	}
 	return rt.Snapshot().EventsSince(since)
+}
+
+// RangeEventsSince is EventsSince without materializing the page: fn is called
+// in sequence order with each retained event >= since, in place on the
+// immutable event chunks (fn must not write through the pointer or keep it),
+// and the next cursor is returned.
+func (rt *HomeRuntime) RangeEventsSince(since uint64, fn func(seq uint64, e *visibility.Event)) uint64 {
+	if rt.linearizable() {
+		v := rt.query(op{kind: opEvents}).any.(eventsView)
+		v.rangeSince(since, fn)
+		return v.nextSeq()
+	}
+	return rt.Snapshot().RangeEventsSince(since, fn)
 }
 
 // --- accessors ------------------------------------------------------------------

@@ -89,10 +89,20 @@ func (s *Snapshot) Results() []visibility.Result {
 // Result returns one routine's outcome. Routine IDs are dense, so the lookup
 // is O(1).
 func (s *Snapshot) Result(id routine.ID) (visibility.Result, bool) {
-	if id < 1 || int64(id) > int64(s.state.Results.Len()) {
+	res, ok := s.ResultRef(id)
+	if !ok {
 		return visibility.Result{}, false
 	}
-	return s.state.Results.At(int(id - 1)), true
+	return *res, true
+}
+
+// ResultRef is Result without the copy: a pointer to the record inside the
+// snapshot, which is immutable — the caller must not write through it.
+func (s *Snapshot) ResultRef(id routine.ID) (*visibility.Result, bool) {
+	if id < 1 || int64(id) > int64(s.state.Results.Len()) {
+		return nil, false
+	}
+	return s.state.Results.Ref(int(id - 1)), true
 }
 
 // Counts returns the snapshot's summary counters.
@@ -146,6 +156,15 @@ func (s *Snapshot) Events() []visibility.Event {
 // eviction; it then simply gets the oldest retained events.
 func (s *Snapshot) EventsSince(since uint64) ([]visibility.Event, uint64) {
 	return s.events.since(nil, since), s.events.nextSeq()
+}
+
+// RangeEventsSince calls fn, in sequence order, for every retained event with
+// sequence >= since — handing it the event in place on the snapshot's
+// immutable chunks, so fn must not write through the pointer or keep it past
+// the snapshot — and returns the cursor to pass next time.
+func (s *Snapshot) RangeEventsSince(since uint64, fn func(seq uint64, e *visibility.Event)) uint64 {
+	s.events.rangeSince(since, fn)
+	return s.events.nextSeq()
 }
 
 // EventSeqRange returns the sequence number of the first retained event and

@@ -3,6 +3,8 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -220,6 +222,49 @@ func TestEventsSinceCursorFetchesOnlyTail(t *testing.T) {
 	// A poller that fell behind eviction just gets the oldest retained tail.
 	if ev, _ := rt.EventsSince(1); len(ev) == 0 {
 		t.Fatal("EventsSince(1) returned nothing")
+	}
+}
+
+// TestVisitorReadsMatchSliceReads: RangeEventsSince and ResultRef are the
+// copy-free twins of EventsSince and Result — same events, same sequence
+// numbers, same cursor, same records — under both read consistencies, across
+// an eviction, and for cursors before, inside and past the retained window
+// (a cursor near 2^64 once indexed the chunk spine with a negative offset).
+func TestVisitorReadsMatchSliceReads(t *testing.T) {
+	for _, consistency := range []ReadConsistency{ReadSnapshot, ReadLinearizable} {
+		rt := newVirtual(t, Config{EventLog: 16, ReadConsistency: consistency}, 2)
+		for i := 0; i < 12; i++ { // ~4 events each: the 16-event log evicts
+			if _, err := rt.Submit(plugRoutine("r", device.On, i%2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first, tip := rt.Snapshot().EventSeqRange()
+		if first <= 1 {
+			t.Fatalf("%s: log never evicted (first retained seq %d)", consistency, first)
+		}
+		for _, since := range []uint64{0, 1, first - 1, first, first + 3, tip - 1, tip, tip + 1, math.MaxUint64} {
+			want, wantNext := rt.EventsSince(since)
+			var got []visibility.Event
+			seq := tip - uint64(len(want))
+			next := rt.RangeEventsSince(since, func(s uint64, e *visibility.Event) {
+				if s != seq {
+					t.Errorf("%s since=%d: visited seq %d, want %d", consistency, since, s, seq)
+				}
+				seq++
+				got = append(got, *e)
+			})
+			if next != wantNext || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s since=%d: visited %d events (next %d), slice read has %d (next %d)",
+					consistency, since, len(got), next, len(want), wantNext)
+			}
+		}
+		for _, id := range []routine.ID{-1, 0, 1, 7, 12, 13, math.MaxInt64} {
+			want, wantOK := rt.Result(id)
+			got, ok := rt.ResultRef(id)
+			if ok != wantOK || (ok && !reflect.DeepEqual(*got, want)) {
+				t.Errorf("%s: ResultRef(%d) = %+v, %v; Result says %+v, %v", consistency, id, got, ok, want, wantOK)
+			}
+		}
 	}
 }
 

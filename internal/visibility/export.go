@@ -68,15 +68,20 @@ type ResultsExport struct {
 func (e *ResultsExport) Len() int { return e.n }
 
 // At returns result i (0-based, submission order).
-func (e *ResultsExport) At(i int) Result {
+func (e *ResultsExport) At(i int) Result { return *e.Ref(i) }
+
+// Ref returns result i in place: a pointer into the export's own immutable
+// storage, for readers (the HTTP encoders) that would only copy the record
+// to read it. The caller must not write through it.
+func (e *ResultsExport) Ref(i int) *Result {
 	rid := routine.ID(i + 1)
 	if len(e.overlay) > 0 {
 		o := sort.Search(len(e.overlay), func(j int) bool { return e.overlay[j].ID >= rid })
 		if o < len(e.overlay) && e.overlay[o].ID == rid {
-			return e.overlay[o]
+			return &e.overlay[o]
 		}
 	}
-	return e.chunks[i>>resultChunkShift][i&(resultChunkSize-1)]
+	return &e.chunks[i>>resultChunkShift][i&(resultChunkSize-1)]
 }
 
 // AppendTo materializes the results into dst and returns the extended slice.
