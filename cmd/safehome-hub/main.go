@@ -16,11 +16,12 @@
 // full, mutating requests are answered with 429 Too Many Requests instead of
 // queuing without bound.
 //
-// With -data the hub journals every home; -durability picks the tier: sync
-// (fsync per commit — the single-home default), group (all of a shard's
-// homes coalesce into one shared fsync cycle — the -homes default, which is
-// what keeps fsync traffic and open fds O(shards) at high tenant counts),
-// or async (acknowledge ahead of the disk behind a bounded loss window).
+// With -data the hub journals every home into one shared log per shard
+// (open fds stay O(shards) in every tier); -durability picks when a commit
+// is acknowledged: sync (after its covering fsync, which starts at once —
+// the single-home default), group (the same, but commits gather behind a
+// short window so a shard's homes ride one fsync — the -homes default), or
+// async (ahead of the disk, behind a bounded loss window).
 //
 // Usage:
 //
@@ -63,7 +64,7 @@ func main() {
 		readMode       = flag.String("consistency", "snapshot", "read consistency: snapshot (reads never touch the mailbox) or linearizable")
 		eventLog       = flag.Int("eventlog", 0, "multi-tenant mode: per-home event-log cap (0 disables /homes/{id}/events)")
 		dataDir        = flag.String("data", "", "data directory for the write-ahead journal; empty runs memory-only. A hub restarted with the same -data recovers results, committed states and event cursors, and aborts routines that were in flight")
-		durabilityName = flag.String("durability", "", "journal durability tier with -data: sync (fsync per commit; single-home default), group (cross-home coalesced fsync; multi-tenant default), or async (ack ahead of the disk, bounded loss window)")
+		durabilityName = flag.String("durability", "", "journal durability tier with -data: sync (ack after the covering fsync, no commit window; single-home default), group (ack after the covering fsync, commits gather behind a short window; multi-tenant default), or async (ack ahead of the disk, bounded loss window)")
 		hibernate      = flag.Duration("hibernate-after", 0, "multi-tenant mode with -data: freeze homes idle this long to a final checkpoint and release their runtime; any API touch reanimates them and scheduled triggers still fire on time (0 disables)")
 	)
 	flag.Parse()

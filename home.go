@@ -58,9 +58,10 @@ type Config struct {
 	// homes ignore it.
 	DataDir string
 	// Durability selects the journal's durability tier when DataDir is set:
-	// "sync" (the default — every acknowledgement is preceded by its own
-	// fsync), "group" (commits ride a shared writer's coalesced fsync
-	// cycle; same acknowledged ⇒ durable contract, fewer syncs), or
+	// "sync" (the default — every acknowledgement waits for its covering
+	// fsync, which starts at once), "group" (the same acknowledged ⇒
+	// durable contract with a short commit window first; for a single home
+	// the two coincide), or
 	// "async" (acknowledge ahead of the disk; a crash may lose the last
 	// ~256 KiB of acknowledged work, but never reorders it). Unknown values
 	// fail NewLiveHome.

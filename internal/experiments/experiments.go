@@ -6,7 +6,7 @@
 // Absolute numbers differ from the paper (the substrate is a discrete-event
 // emulation, not the authors' testbed and traces), but the shapes — which
 // model wins, by roughly what factor, and where crossovers happen — are the
-// reproduction targets. EXPERIMENTS.md records paper-vs-measured values.
+// reproduction targets.
 package experiments
 
 import (

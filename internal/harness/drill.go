@@ -6,16 +6,17 @@
 // unacknowledged ⇒ absent. Each drill also measures recovery time against
 // the journal tail it had to scan.
 //
-// Drills run under any durability tier (DrillParams.Journal.Mode). Sync and
-// group mode assert the full contract above — group drills own the shared
-// writer the way a hub process would, abandon it at the crash and reopen a
-// fresh one (fresh epoch) for recovery. Async mode acknowledges ahead of the
+// Drills run under any durability tier (DrillParams.Journal.Mode), always
+// owning the writer the way a hub process would: abandon it at the crash and
+// reopen a fresh one (fresh epoch) for recovery. Sync and group mode assert
+// the full contract above. Async mode acknowledges ahead of the
 // disk, so its contract is weaker and the drill checks exactly that: after
 // the crash every segment is truncated to its last fsync'd offset (the bytes
 // an OS crash would really keep), and recovery must yield a dense prefix of
-// the acknowledged history — identical where present, never reordered, with
-// the lost suffix bounded by the async window. Async drills support the
-// post-ack crash point only.
+// the acknowledged history — identical where present (a routine whose outcome
+// sat in the lost suffix comes back aborted, as in flight at the crash),
+// never reordered, with the lost suffix bounded by the async window. Async
+// drills support the post-ack crash point only.
 package harness
 
 import (
@@ -24,7 +25,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -116,8 +116,8 @@ type DrillParams struct {
 	Scheduler visibility.SchedulerKind
 	// Journal tunes segment rotation, checkpoint cadence and the durability
 	// tier (Journal.Mode: sync, group or async); the zero value uses the
-	// journal package defaults with sync durability. In group mode the
-	// drill owns the shared writer; in async mode only CrashPostAck is
+	// journal package defaults with sync durability. The drill owns the
+	// writer the home appends through; in async mode only CrashPostAck is
 	// supported and the drill verifies the bounded-loss contract instead of
 	// exact recovery.
 	Journal journal.Options
@@ -197,37 +197,10 @@ func pumpDry(rt *runtime.HomeRuntime, deadline time.Time) error {
 	return nil
 }
 
-// segmentFiles lists every journal segment under dir: per-home wal-*.seg
-// files in dir itself plus shared log-*.seg files anywhere under dir/wal.
-// The returned paths sort ascending, which for both layouts is append order
-// (zero-padded sequence numbers; epochs sort after the ones they succeed).
-func segmentFiles(dir string) []string {
-	var segs []string
-	if entries, err := os.ReadDir(dir); err == nil {
-		for _, e := range entries {
-			if strings.HasPrefix(e.Name(), "wal-") && strings.HasSuffix(e.Name(), ".seg") {
-				segs = append(segs, filepath.Join(dir, e.Name()))
-			}
-		}
-	}
-	_ = filepath.WalkDir(filepath.Join(dir, "wal"), func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return nil
-		}
-		if strings.HasPrefix(d.Name(), "log-") && strings.HasSuffix(d.Name(), ".seg") {
-			segs = append(segs, path)
-		}
-		return nil
-	})
-	sort.Strings(segs)
-	return segs
-}
-
-// journalTailBytes sums the sizes of the journal's segment files (both the
-// per-home and the shared-log layout).
+// journalTailBytes sums the sizes of the journal's segment files.
 func journalTailBytes(dir string) int64 {
 	var total int64
-	for _, path := range segmentFiles(dir) {
+	for _, path := range journal.SegmentFiles(dir) {
 		if info, err := os.Stat(path); err == nil {
 			total += info.Size()
 		}
@@ -240,7 +213,7 @@ func journalTailBytes(dir string) int64 {
 // (segments never synced keep nothing). Returns how many bytes were cut.
 func truncateUnsynced(dir string, synced map[string]int64) (int64, error) {
 	var lost int64
-	for _, path := range segmentFiles(dir) {
+	for _, path := range journal.SegmentFiles(dir) {
 		info, err := os.Stat(path)
 		if err != nil {
 			return lost, err
@@ -285,25 +258,22 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 		}
 	}
 
-	// Group: the drill plays the hub process — it owns the shared writer the
+	// The drill plays the hub process in every tier: it owns the writer the
 	// runtime attaches to, abandons it at the crash (no final sync: only
 	// fsync-covered bytes survive a kill), and opens a fresh one (fresh
 	// epoch) for recovery.
 	openWriter := func() (*journal.GroupWriter, error) {
-		ws, err := journal.OpenWriters(filepath.Join(p.Dir, "wal"), 1,
-			journal.WriterOptions{SegmentBytes: p.Journal.SegmentBytes})
+		ws, err := journal.OpenWriters(filepath.Join(p.Dir, "wal"), 1, journal.WriterOptionsFor(jopts, mode))
 		if err != nil {
-			return nil, fmt.Errorf("harness: drill group writer: %w", err)
+			return nil, fmt.Errorf("harness: drill writer: %w", err)
 		}
 		return ws[0], nil
 	}
-	if mode == journal.ModeGroup {
-		w, err := openWriter()
-		if err != nil {
-			return DrillReport{}, err
-		}
-		jopts.Writer = w
+	w, err := openWriter()
+	if err != nil {
+		return DrillReport{}, err
 	}
+	jopts.Writer = w
 
 	cfg := runtime.Config{
 		ID:        "drill",
@@ -317,16 +287,12 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 	reg := device.Plugs(p.Devices)
 	rt, err := runtime.NewSim(cfg, reg)
 	if err != nil {
-		if jopts.Writer != nil {
-			jopts.Writer.Abandon()
-		}
+		w.Abandon()
 		return DrillReport{}, err
 	}
 	crash := func() {
 		rt.Crash()
-		if jopts.Writer != nil {
-			jopts.Writer.Abandon()
-		}
+		w.Abandon()
 	}
 
 	rep := DrillReport{Point: p.Point, Acked: p.Acked}
@@ -391,9 +357,7 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 		// Close joins the already-dead loop; the poison teardown released the
 		// journal, so recovery below reopens the same directory.
 		rt.Close()
-		if jopts.Writer != nil {
-			jopts.Writer.Abandon()
-		}
+		w.Abandon()
 
 	case CrashMidBatch:
 		rep.Unacked = p.Unacked
@@ -437,8 +401,8 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 		if err := os.WriteFile(filepath.Join(p.Dir, "checkpoint.tmp"), []byte("torn checkpoint garbage"), 0o644); err != nil {
 			return rep, err
 		}
-		if seg := newestSegment(p.Dir); seg != "" {
-			f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0o644)
+		if segs := journal.SegmentFiles(p.Dir); len(segs) > 0 {
+			f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0o644)
 			if err != nil {
 				return rep, err
 			}
@@ -464,9 +428,7 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 				return rep, fmt.Errorf("harness: drill frozen marker: %w", err)
 			}
 		}
-		if jopts.Writer != nil {
-			jopts.Writer.Abandon()
-		}
+		w.Abandon()
 
 	default: // CrashPostAck
 		crash()
@@ -523,19 +485,16 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 		}
 	}
 
-	// Phase 3: reopen and verify. A group-mode restart means a new process
-	// image: a fresh shared writer (fresh epoch) that recovery tails the old
-	// epochs through. Its Close is deferred before the runtime's so it runs
-	// after — homes detach before the writer goes away.
-	if mode == journal.ModeGroup {
-		w, err := openWriter()
-		if err != nil {
-			return rep, err
-		}
-		defer w.Close()
-		cfg.Journal.Writer = w
-	}
+	// Phase 3: reopen and verify. A restart means a new process image: a
+	// fresh writer (fresh epoch) that recovery tails the old epochs through.
+	// Its Close is deferred before the runtime's so it runs after — homes
+	// detach before the writer goes away.
 	rep.TailBytes = journalTailBytes(p.Dir)
+	if w, err = openWriter(); err != nil {
+		return rep, err
+	}
+	defer w.Close()
+	cfg.Journal.Writer = w
 	begin := time.Now()
 	rec, err := runtime.NewSim(cfg, device.Plugs(p.Devices))
 	rep.RecoveryTime = time.Since(begin)
@@ -552,10 +511,24 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 	}
 
 	// Acknowledged ⇒ recovered with the identical outcome. Async weakens this
-	// to: the recovered history is a dense prefix of the acknowledged one —
-	// the crash may cut the tail (within the window, checked above) but may
+	// to: the recovered home is the acknowledged history cut at some batch —
+	// the crash may drop the tail (within the window, checked above) but may
 	// never lose a routine that a later recovered one depends on, reorder, or
-	// rewrite an outcome.
+	// rewrite an outcome. A routine whose submission survived the cut while
+	// its outcome did not was, as far as the disk knows, in flight at the
+	// crash: recovery aborts it. Outcomes are journaled in finish order, so
+	// the routines that kept theirs must be the ones that finished first.
+	diverged := func(have, want visibility.Result) {
+		rep.Violations = append(rep.Violations, Violation{"acked-diverged",
+			fmt.Sprintf("routine %d recovered as {%v exec=%d fin=%v %q}, acknowledged {%v exec=%d fin=%v %q}",
+				want.ID, have.Status, have.Executed, have.Finished, have.AbortReason,
+				want.Status, want.Executed, want.Finished, want.AbortReason)})
+	}
+	same := func(have, want visibility.Result) bool {
+		return have.Status == want.Status && have.Executed == want.Executed &&
+			have.Finished.Equal(want.Finished) && have.AbortReason == want.AbortReason
+	}
+	outcomesCut := 0
 	if mode == journal.ModeAsync {
 		acked := append([]visibility.Result(nil), ackedResults...)
 		sort.Slice(acked, func(i, j int) bool { return acked[i].ID < acked[j].ID })
@@ -564,22 +537,33 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 		if len(recd) > len(acked) {
 			rep.Violations = append(rep.Violations, Violation{"async-not-prefix",
 				fmt.Sprintf("recovered %d results, only %d were acknowledged", len(recd), len(acked))})
-		} else {
-			for i, have := range recd {
-				want := acked[i]
-				if have.ID != want.ID {
-					rep.Violations = append(rep.Violations, Violation{"async-not-prefix",
-						fmt.Sprintf("recovered history has routine %d at position %d, acknowledged order has %d — a hole or reorder", have.ID, i, want.ID)})
-					break
-				}
-				if have.Status != want.Status || have.Executed != want.Executed ||
-					!have.Finished.Equal(want.Finished) || have.AbortReason != want.AbortReason {
-					rep.Violations = append(rep.Violations, Violation{"acked-diverged",
-						fmt.Sprintf("routine %d recovered as {%v exec=%d fin=%v %q}, acknowledged {%v exec=%d fin=%v %q}",
-							want.ID, have.Status, have.Executed, have.Finished, have.AbortReason,
-							want.Status, want.Executed, want.Finished, want.AbortReason)})
-				}
+			recd = nil
+		}
+		var lastKept, firstCut time.Time
+		for i, have := range recd {
+			want := acked[i]
+			if have.ID != want.ID {
+				rep.Violations = append(rep.Violations, Violation{"async-not-prefix",
+					fmt.Sprintf("recovered history has routine %d at position %d, acknowledged order has %d — a hole or reorder", have.ID, i, want.ID)})
+				break
 			}
+			switch {
+			case same(have, want):
+				if want.Finished.After(lastKept) {
+					lastKept = want.Finished
+				}
+			case have.Status == visibility.StatusAborted && want.Status != visibility.StatusAborted:
+				outcomesCut++
+				if firstCut.IsZero() || want.Finished.Before(firstCut) {
+					firstCut = want.Finished
+				}
+			default:
+				diverged(have, want)
+			}
+		}
+		if outcomesCut > 0 && lastKept.After(firstCut) {
+			rep.Violations = append(rep.Violations, Violation{"async-not-prefix",
+				fmt.Sprintf("an outcome acknowledged at %v survived the crash while one acknowledged at %v did not", lastKept, firstCut)})
 		}
 	} else {
 		for _, want := range ackedResults {
@@ -587,14 +571,8 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 			if !ok {
 				rep.Violations = append(rep.Violations, Violation{"lost-acked",
 					fmt.Sprintf("acknowledged routine %d missing after recovery", want.ID)})
-				continue
-			}
-			if have.Status != want.Status || have.Executed != want.Executed ||
-				!have.Finished.Equal(want.Finished) || have.AbortReason != want.AbortReason {
-				rep.Violations = append(rep.Violations, Violation{"acked-diverged",
-					fmt.Sprintf("routine %d recovered as {%v exec=%d fin=%v %q}, acknowledged {%v exec=%d fin=%v %q}",
-						want.ID, have.Status, have.Executed, have.Finished, have.AbortReason,
-						want.Status, want.Executed, want.Finished, want.AbortReason)})
+			} else if !same(have, want) {
+				diverged(have, want)
 			}
 		}
 	}
@@ -637,7 +615,7 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 	// recovered committed view matches the acknowledged one exactly. With an
 	// async tail cut the states reflect the recovered prefix, so the exact
 	// comparison only applies when nothing was lost.
-	if mode != journal.ModeAsync || len(results) == len(ackedResults) {
+	if mode != journal.ModeAsync || (len(results) == len(ackedResults) && outcomesCut == 0) {
 		recStates := rec.CommittedStates()
 		for d, s := range ackedStates {
 			if recStates[d] != s {
@@ -651,14 +629,4 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 			fmt.Sprintf("recovered home reports journal error: %v", rec.JournalError())})
 	}
 	return rep, nil
-}
-
-// newestSegment returns the path of the newest journal segment in either
-// layout — the last file in append order, where a torn tail would land.
-func newestSegment(dir string) string {
-	segs := segmentFiles(dir)
-	if len(segs) == 0 {
-		return ""
-	}
-	return segs[len(segs)-1]
 }

@@ -84,10 +84,11 @@ type Config struct {
 	// Aborted). Empty keeps the hub memory-only.
 	DataDir string
 	// Journal tunes the write-ahead journal; only meaningful with DataDir.
-	// Journal.Mode selects the durability tier: the hub defaults to sync
-	// (one home, one fsync per drain — coalescing buys nothing); group
-	// routes commits through a hub-owned shared writer that survives
-	// supervised restarts; async acknowledges ahead of the disk behind
+	// The runtime appends through a hub-owned writer under <DataDir>/wal that
+	// survives supervised restarts. Journal.Mode selects the durability tier:
+	// the hub defaults to sync (acknowledged ⇒ fsynced, no group-commit
+	// window — with one home, coalescing buys nothing); group opens the
+	// window; async acknowledges ahead of the disk behind
 	// Journal.AsyncWindowBytes.
 	Journal journal.Options
 	// Actuation tunes the device path: per-command timeout, retry policy and
@@ -134,14 +135,11 @@ type Hub struct {
 	restartCh chan struct{}
 	detecting atomic.Bool // Start was called: restarted generations re-arm the detector
 
-	// Durability tier wiring: in group mode the hub owns one shared writer
-	// that outlives supervised runtime generations (each rebuilt runtime
-	// re-attaches to it); durErr records a failed writer open, after which
-	// the hub degrades to sync. lastPoison mirrors the manager's per-home
-	// forensics for Status.
+	// Durability wiring: a durable hub owns one writer that outlives
+	// supervised runtime generations (each rebuilt runtime re-attaches to
+	// it). lastPoison mirrors the manager's per-home forensics for Status.
 	durability journal.Mode
 	writer     *journal.GroupWriter
-	durErr     error
 	lastPoison atomic.Pointer[rt.PoisonRecord]
 
 	// tel is the /metrics surface. It outlives runtime generations, so a
@@ -178,23 +176,13 @@ func New(cfg Config, reg *device.Registry, actuator device.Actuator) (*Hub, erro
 	if cfg.DataDir != "" {
 		h.durability = journal.ResolveMode(cfg.Journal, journal.ModeSync)
 		h.lastPoison.Store(rt.LoadPoisonRecord(cfg.DataDir))
-		if h.durability == journal.ModeGroup {
-			writers, err := journal.OpenWriters(filepath.Join(cfg.DataDir, "wal"), 1, journal.WriterOptions{
-				SegmentBytes: cfg.Journal.SegmentBytes,
-				OnSync:       cfg.Journal.OnSync,
-				Stats:        &h.tel.jstats,
-				OnCycle: func(bytes int64, commits int) {
-					h.tel.cycleBytes.Observe(float64(bytes))
-					h.tel.cycleCommits.Observe(float64(commits))
-				},
-			})
-			if err != nil {
-				h.durErr = err
-				h.durability = journal.ModeSync
-			} else {
-				h.writer = writers[0]
-			}
+		wopts := journal.WriterOptionsFor(cfg.Journal, h.durability)
+		wopts.Stats, wopts.OnCycle = h.tel.jstats, h.tel.onCycle
+		writers, err := journal.OpenWriters(filepath.Join(cfg.DataDir, "wal"), 1, wopts)
+		if err != nil {
+			return nil, fmt.Errorf("hub: %w", err)
 		}
+		h.writer = writers[0]
 	}
 	runtime, err := h.buildRuntime()
 	if err != nil {
@@ -230,7 +218,7 @@ func (h *Hub) buildRuntime() (*rt.HomeRuntime, error) {
 	}
 	cfg.Journal.Mode = h.durability
 	cfg.Journal.Writer = h.writer
-	cfg.Journal.Stats = &h.tel.jstats
+	cfg.Journal.Stats = h.tel.jstats
 	cfg.Metrics = h.tel.loop
 	if !h.cfg.Supervisor.Disable {
 		cfg.OnPoison = h.notifyPoison
@@ -450,12 +438,10 @@ type Status struct {
 	Mailbox   rt.MailboxStats     `json:"mailbox"`
 	Breakers  []live.BreakerStats `json:"breakers,omitempty"`
 	Durable   bool                `json:"durable,omitempty"`
-	// Durability is the journal tier actually in effect (sync/group/async);
-	// DurabilityError records why a requested group writer degraded to sync.
-	Durability      string           `json:"durability,omitempty"`
-	DurabilityError string           `json:"durability_error,omitempty"`
-	LastPoison      *rt.PoisonRecord `json:"last_poison,omitempty"`
-	Since           time.Time        `json:"since"`
+	// Durability is the journal tier in effect (sync/group/async).
+	Durability string           `json:"durability,omitempty"`
+	LastPoison *rt.PoisonRecord `json:"last_poison,omitempty"`
+	Since      time.Time        `json:"since"`
 }
 
 // Status returns the hub summary. It answers while the hub is restarting or
@@ -481,9 +467,6 @@ func (h *Hub) Status() Status {
 	}
 	if h.cfg.DataDir != "" {
 		st.Durability = h.durability.String()
-		if h.durErr != nil {
-			st.DurabilityError = h.durErr.Error()
-		}
 	}
 	st.LastPoison = h.lastPoison.Load()
 	if st.Health != rt.HealthOK {

@@ -1,25 +1,22 @@
 package hub
 
 import (
-	"time"
-
 	"safehome/internal/journal"
 	rt "safehome/internal/runtime"
 	"safehome/internal/telemetry"
 )
 
 // hubTelemetry owns the single-home hub's /metrics surface. The same family
-// names as the manager's (NewLoopMetrics and the journal counters are
-// shared), so dashboards work unchanged against either mode; the hub adds
-// the per-device breaker families the simulated manager homes don't have.
+// names as the manager's (NewLoopMetrics and NewJournalMetrics are shared),
+// so dashboards work unchanged against either mode; the hub adds the
+// per-device breaker families the simulated manager homes don't have.
 type hubTelemetry struct {
 	reg  *telemetry.Registry
 	loop *rt.LoopMetrics
-	// jstats outlives runtime generations: a supervised restart keeps
-	// appending to the same journal totals.
-	jstats       journal.Stats
-	cycleBytes   *telemetry.Histogram
-	cycleCommits *telemetry.Histogram
+	// jstats and onCycle outlive runtime generations: a supervised restart
+	// keeps appending to the same journal totals.
+	jstats  *journal.Stats
+	onCycle func(bytes int64, commits int)
 }
 
 // newHubTelemetry registers the hub's families. Called once from New, before
@@ -27,6 +24,7 @@ type hubTelemetry struct {
 func newHubTelemetry(h *Hub) *hubTelemetry {
 	t := &hubTelemetry{reg: telemetry.NewRegistry()}
 	t.loop = rt.NewLoopMetrics(t.reg)
+	t.jstats, t.onCycle = rt.NewJournalMetrics(t.reg)
 
 	t.reg.CounterFunc("safehome_supervision_poisons_total", "Home loops torn down by a panic.", h.sup.Poisons)
 	t.reg.CounterFunc("safehome_supervision_restarts_total", "Supervised restarts that came back clean.", h.sup.Restarts)
@@ -40,21 +38,6 @@ func newHubTelemetry(h *Hub) *hubTelemetry {
 	t.reg.GaugeFunc("safehome_mailbox_depth", "Operations currently queued in the home mailbox.", func() float64 {
 		return float64(h.cur.Load().Mailbox().Depth)
 	})
-
-	t.reg.CounterFunc("safehome_journal_appends_total", "Batch records appended to the write-ahead journal.", t.jstats.Appends.Load)
-	t.reg.CounterFunc("safehome_journal_appended_bytes_total", "Framed bytes appended to the write-ahead journal.", t.jstats.AppendedBytes.Load)
-	t.reg.CounterFunc("safehome_journal_fsyncs_total", "Journal data fsyncs: standalone syncs plus shared-writer cycles.", t.jstats.Fsyncs.Load)
-	t.reg.CounterFunc("safehome_journal_checkpoints_total", "Checkpoint images durably published.", t.jstats.Checkpoints.Load)
-	t.reg.GaugeFunc("safehome_journal_checkpoint_age_seconds", "Seconds since the most recent checkpoint (-1 until one lands).", func() float64 {
-		return checkpointAge(&t.jstats)
-	})
-
-	t.cycleBytes = t.reg.Histogram("safehome_journal_group_cycle_bytes",
-		"Bytes made durable per shared-writer fsync cycle.",
-		telemetry.ExponentialBuckets(256, 4, 10))
-	t.cycleCommits = t.reg.Histogram("safehome_journal_group_cycle_commits",
-		"Commit tickets released per shared-writer fsync cycle.",
-		telemetry.ExponentialBuckets(1, 2, 10))
 
 	// Per-device breaker families: dynamic label sets, so a collector walks
 	// the current runtime's breaker stats at scrape time (Env-lock read, no
@@ -83,16 +66,6 @@ func newHubTelemetry(h *Hub) *hubTelemetry {
 		}
 	})
 	return t
-}
-
-// checkpointAge derives the checkpoint-age gauge from a journal.Stats
-// timestamp; -1 means no checkpoint has landed yet.
-func checkpointAge(s *journal.Stats) float64 {
-	last := s.LastCheckpointUnixNano.Load()
-	if last == 0 {
-		return -1
-	}
-	return time.Since(time.Unix(0, last)).Seconds()
 }
 
 // Telemetry returns the hub's metrics registry — the handler behind

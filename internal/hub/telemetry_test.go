@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -196,5 +199,50 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 	tot := telemetry.CounterTotals(scrape(t, srv))
 	if tot["safehome_manager_submitted_total"] < 160 {
 		t.Errorf("submitted total = %v, want >= 160", tot["safehome_manager_submitted_total"])
+	}
+}
+
+// journalFamilies describes the safehome_journal_* families of a scrape as
+// sorted "name type [le ...]" lines: the part of the exposition dashboards
+// bind to (help text is free to change).
+func journalFamilies(fams map[string]*telemetry.Family) []string {
+	var out []string
+	for name, f := range fams {
+		if !strings.HasPrefix(name, "safehome_journal_") {
+			continue
+		}
+		line := name + " " + f.Type
+		for _, s := range f.Samples {
+			if le, ok := s.Labels["le"]; ok {
+				line += " " + le
+			}
+		}
+		out = append(out, line)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestJournalFamiliesAreOneSet: the hub and the manager register the journal
+// telemetry through the same helper, so both surfaces expose exactly the
+// family set — names, types, bucket ladders — frozen here from the commit
+// before the registration was shared.
+func TestJournalFamiliesAreOneSet(t *testing.T) {
+	frozen := []string{
+		"safehome_journal_appended_bytes_total counter",
+		"safehome_journal_appends_total counter",
+		"safehome_journal_checkpoint_age_seconds gauge",
+		"safehome_journal_checkpoints_total counter",
+		"safehome_journal_fsyncs_total counter",
+		"safehome_journal_group_cycle_bytes histogram 256 1024 4096 16384 65536 262144 1.048576e+06 4.194304e+06 1.6777216e+07 6.7108864e+07 +Inf",
+		"safehome_journal_group_cycle_commits histogram 1 2 4 8 16 32 64 128 256 512 +Inf",
+	}
+	h, _ := newTestHub(t)
+	m := manager.New(manager.Config{Shards: 2, Home: manager.HomeConfig{Model: visibility.EV}})
+	t.Cleanup(m.Close)
+	for surface, srv := range map[string]http.Handler{"hub": h.Handler(), "manager": ManagerHandler(m, 2)} {
+		if got := journalFamilies(scrape(t, srv)); !slices.Equal(got, frozen) {
+			t.Errorf("%s journal families:\n%s\nwant:\n%s", surface, strings.Join(got, "\n"), strings.Join(frozen, "\n"))
+		}
 	}
 }

@@ -227,10 +227,9 @@ type TriggerRecord struct {
 // arms/cancellations. One Batch is one frame, one write, one fsync.
 type Batch struct {
 	LSN uint64 `json:"lsn"`
-	// Home tags the record with its home ID when many homes share one
-	// physical log through a GroupWriter; recovery demultiplexes the shared
-	// segments by this field. Per-home segments leave it empty (the
-	// directory identifies the home).
+	// Home tags the record with its home ID: many homes share one physical
+	// log through a GroupWriter and recovery demultiplexes its segments by
+	// this field. Only legacy per-home segments carry records without it.
 	Home        string          `json:"home,omitempty"`
 	Submits     []RoutineRecord `json:"submits,omitempty"`
 	Finishes    []RoutineRecord `json:"finishes,omitempty"`

@@ -62,9 +62,9 @@ func FuzzScanFrames(f *testing.F) {
 	})
 }
 
-// FuzzRecoverDir feeds arbitrary bytes to a full directory recovery: a
-// segment and a checkpoint file of fuzzer-chosen contents must never panic
-// Open, only ever yield (state, nil) or an error.
+// FuzzRecoverDir feeds arbitrary bytes to a full directory recovery: a log
+// segment, a legacy per-home segment and a checkpoint file of fuzzer-chosen
+// contents must never panic Open, only ever yield (state, nil) or an error.
 func FuzzRecoverDir(f *testing.F) {
 	batch, _ := json.Marshal(&Batch{LSN: 1, Submits: []RoutineRecord{submitRec(1)}})
 	ckpt, _ := json.Marshal(&Checkpoint{LSN: 0})
@@ -74,7 +74,14 @@ func FuzzRecoverDir(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, seg, ck []byte) {
 		dir := t.TempDir()
-		if err := writeFile(dir, segmentName(1), seg); err != nil {
+		logDir := filepath.Join(dir, privateWalDir, epochPrefix+"0", writerDirPrefix+"0")
+		if err := os.MkdirAll(logDir, 0o755); err != nil {
+			t.Skip()
+		}
+		if err := writeFile(logDir, sharedSegPrefix+"00000000"+segmentSuffix, seg); err != nil {
+			t.Skip()
+		}
+		if err := writeFile(dir, legacySegPrefix+"0000000000000001"+segmentSuffix, seg); err != nil {
 			t.Skip()
 		}
 		if len(ck) > 0 {
@@ -82,7 +89,7 @@ func FuzzRecoverDir(f *testing.F) {
 				t.Skip()
 			}
 		}
-		j, _, err := Open(dir, Options{NoSync: true})
+		j, _, err := Open(dir, Options{Mode: ModeAsync, AsyncWindowBytes: -1})
 		if err == nil {
 			j.Close()
 		}

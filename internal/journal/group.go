@@ -1,7 +1,9 @@
 package journal
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,14 +14,15 @@ import (
 	"time"
 )
 
-// This file is the shared-log half of the journal: a GroupWriter owns one
-// physical segment stream that many homes' journals append into, coalescing
-// their commits into one fd/fsync cycle. Per-home fsync cost — the dominant
-// term in the journaled benchmarks — becomes per-writer, and so does the
-// descriptor count: a manager shard with a thousand journaled homes holds
+// This file is the log every journal appends through: a GroupWriter owns one
+// physical segment stream that any number of homes' journals append into,
+// coalescing their commits into one fd/fsync cycle. Per-home fsync cost — the
+// dominant term in the journaled benchmarks — becomes per-writer, and so does
+// the descriptor count: a manager shard with a thousand journaled homes holds
 // one active segment fd, not a thousand.
 //
-// Layout under the wal root (one tree per manager/hub data directory):
+// Layout under the wal root (one tree per manager/hub data directory, or per
+// home for a journal opened without a writer):
 //
 //	wal.lock            flock: one process owns the whole tree
 //	ep<N>/w<i>/log-<seq>.seg
@@ -46,9 +49,10 @@ type WriterOptions struct {
 	// the writer, its syncer waits this long after noticing new appends
 	// before it flushes and fsyncs, so commits arriving close together ride
 	// one disk sync instead of one each. Zero means DefaultSyncDelay;
-	// negative disables the window (every cycle syncs immediately). A lone
-	// attached home never waits — its mailbox batching already coalesces,
-	// and the window would be pure latency.
+	// negative disables the window (every cycle syncs immediately) — the
+	// sync tier, see WriterOptionsFor. A lone attached home never waits — its
+	// mailbox batching already coalesces, and the window would be pure
+	// latency.
 	SyncDelay time.Duration
 	// OnSync, when non-nil, is called after each data fsync with the synced
 	// segment's path and its size at that sync. Called with the writer's
@@ -56,8 +60,8 @@ type WriterOptions struct {
 	// any attached journal.
 	OnSync func(path string, syncedBytes int64)
 	// Stats, when non-nil, receives the writer's fsync count. Usually the
-	// same Stats the attached journals carry, so standalone and group syncs
-	// land in one fleet-wide total.
+	// same Stats the attached journals carry, so appends and syncs land in
+	// one fleet-wide total.
 	Stats *Stats
 	// OnCycle, when non-nil, is called after each sync cycle with the bytes
 	// that cycle made durable and the number of commit tickets it released —
@@ -132,11 +136,7 @@ func (st *walState) checkpointed(home string, lsn uint64) {
 			}
 		}
 		if covered {
-			_ = os.Remove(s.path)
-			// Best-effort directory cleanup: succeeds only once a writer or
-			// epoch directory is empty.
-			_ = os.Remove(filepath.Dir(s.path))
-			_ = os.Remove(filepath.Dir(filepath.Dir(s.path)))
+			removeSegment(s.path)
 		} else {
 			keep = append(keep, s)
 		}
@@ -207,14 +207,14 @@ const (
 	sharedSegPrefix = "log-"
 )
 
-// OpenWriters opens (creating if needed) the shared wal tree rooted at root
-// and returns n GroupWriters in a fresh epoch — one per manager shard, or
-// one for a single-home hub. It scans every previous epoch's segments into
-// per-home tails (stopping each writer's stream at the first torn frame,
-// exactly like per-home recovery) so journals that subsequently Open against
-// these writers recover everything acknowledged before the last shutdown or
-// crash. The returned writers share one flock on root/wal.lock; close every
-// one of them (after closing the journals they serve) to release it.
+// OpenWriters opens (creating if needed) the wal tree rooted at root and
+// returns n GroupWriters in a fresh epoch — one per manager shard, or one
+// for a single-home hub or a lone journal. It scans every previous epoch's
+// segments into per-home tails (stopping each writer's stream at the first
+// torn frame) so journals that subsequently Open against these writers
+// recover everything acknowledged before the last shutdown or crash. The
+// returned writers share one flock on root/wal.lock; close every one of
+// them (after closing the journals they serve) to release it.
 func OpenWriters(root string, n int, opts WriterOptions) ([]*GroupWriter, error) {
 	if n <= 0 {
 		n = 1
@@ -243,7 +243,10 @@ func OpenWriters(root string, n int, opts WriterOptions) ([]*GroupWriter, error)
 		ckpt:  make(map[string]uint64),
 	}
 
-	epoch, err := scanEpochs(root, st)
+	streams, epoch, err := walStreams(root)
+	for i := 0; err == nil && i < len(streams); i++ {
+		err = scanStream(streams[i], st)
+	}
 	if err != nil {
 		lock.Close()
 		return nil, err
@@ -288,69 +291,53 @@ func OpenWriters(root string, n int, opts WriterOptions) ([]*GroupWriter, error)
 	return writers, nil
 }
 
-// scanEpochs reads every existing epoch's segments into st and returns the
-// number of the fresh epoch to open.
-func scanEpochs(root string, st *walState) (int, error) {
-	entries, err := os.ReadDir(root)
+// walStreams lists the segment files of the wal tree rooted at root, one
+// slice per writer stream (ep<N>/w<i>) in append order — epochs, then
+// writers, then sequence numbers ascending — and the number of the first
+// unused epoch. A missing root holds no streams.
+func walStreams(root string) (streams [][]string, next int, err error) {
+	epochs, err := numberedDirs(root, epochPrefix)
 	if err != nil {
-		return 0, fmt.Errorf("journal: listing wal root: %w", err)
+		return nil, 0, err
 	}
-	var epochs []int
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		if n, ok := parsePrefixedInt(e.Name(), epochPrefix); ok {
-			epochs = append(epochs, n)
-		}
-	}
-	sort.Ints(epochs)
-	next := 0
 	for _, ep := range epochs {
-		if ep >= next {
-			next = ep + 1
-		}
+		next = ep + 1
 		epDir := filepath.Join(root, fmt.Sprintf("%s%d", epochPrefix, ep))
-		wents, err := os.ReadDir(epDir)
+		writers, err := numberedDirs(epDir, writerDirPrefix)
 		if err != nil {
-			return 0, fmt.Errorf("journal: listing epoch %s: %w", epDir, err)
+			return nil, 0, err
 		}
-		var wdirs []int
-		for _, we := range wents {
-			if !we.IsDir() {
-				continue
-			}
-			if n, ok := parsePrefixedInt(we.Name(), writerDirPrefix); ok {
-				wdirs = append(wdirs, n)
-			}
-		}
-		sort.Ints(wdirs)
-		for _, wi := range wdirs {
-			if err := scanWriterDir(filepath.Join(epDir, fmt.Sprintf("%s%d", writerDirPrefix, wi)), st); err != nil {
-				return 0, err
-			}
+		for _, wi := range writers {
+			dir := filepath.Join(epDir, fmt.Sprintf("%s%d", writerDirPrefix, wi))
+			streams = append(streams, segmentsIn(dir, sharedSegPrefix))
 		}
 	}
-	return next, nil
+	return streams, next, nil
 }
 
-// scanWriterDir replays one writer directory's segments in sequence order
-// into st's per-home tails, stopping at the first torn or corrupt frame —
-// everything past a tear in this writer's stream was never acknowledged.
-func scanWriterDir(dir string, st *walState) error {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("journal: listing writer dir %s: %w", dir, err)
+// numberedDirs returns the sorted numbers of dir's <prefix><n> subdirectories.
+func numberedDirs(dir, prefix string) ([]int, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("journal: listing %s: %w", dir, err)
 	}
-	var names []string
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasPrefix(e.Name(), sharedSegPrefix) && strings.HasSuffix(e.Name(), segmentSuffix) {
-			names = append(names, e.Name())
+	var ns []int
+	for _, e := range entries {
+		if n, ok := parsePrefixedInt(e.Name(), prefix); ok && e.IsDir() {
+			ns = append(ns, n)
 		}
 	}
-	sort.Strings(names) // zero-padded sequence numbers sort lexically
-	for _, name := range names {
-		path := filepath.Join(dir, name)
+	sort.Ints(ns)
+	return ns, nil
+}
+
+// scanStream replays one writer stream's segments in sequence order into
+// st's per-home tails, stopping at the first torn or corrupt frame —
+// everything past a tear in this writer's stream was never acknowledged.
+// Intact files that hold no record (an epoch that never appended) are
+// removed, so boots and wakes do not accumulate empty epochs.
+func scanStream(segs []string, st *walState) error {
+	for _, path := range segs {
 		buf, err := os.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("journal: reading shared segment %s: %w", path, err)
@@ -376,8 +363,19 @@ func scanWriterDir(dir string, st *walState) error {
 		if serr != nil || !clean {
 			break
 		}
+		if len(homes) == 0 {
+			removeSegment(path)
+		}
 	}
 	return nil
+}
+
+// removeSegment deletes a segment file and, best-effort, the writer and
+// epoch directories it leaves empty.
+func removeSegment(path string) {
+	_ = os.Remove(path)
+	_ = os.Remove(filepath.Dir(path))
+	_ = os.Remove(filepath.Dir(filepath.Dir(path)))
 }
 
 func parsePrefixedInt(name, prefix string) (int, bool) {
@@ -526,8 +524,8 @@ func (w *GroupWriter) flushLocked() error {
 }
 
 // failLocked makes err sticky and releases every parked commit with it; the
-// owning journals then degrade to memory-only through their journalFail
-// paths, exactly like a standalone sync error.
+// owning journals then degrade to memory-only through their owners'
+// journalFail paths.
 func (w *GroupWriter) failLocked(err error) {
 	if w.err == nil {
 		w.err = err
@@ -687,6 +685,21 @@ func (w *GroupWriter) TailFor(home string) ([]*Batch, error) {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].LSN < out[b].LSN })
 	return out, nil
+}
+
+// holds reports whether the log has any record of home above its checkpoint
+// high-water mark: in a previous epoch's tail, a sealed segment, or this
+// writer's active one.
+func (w *GroupWriter) holds(home string) bool {
+	w.st.mu.Lock()
+	found := len(w.st.tails[home]) > 0
+	for _, s := range w.st.segRecs {
+		found = found || s.homes[home] > w.st.ckpt[home]
+	}
+	w.st.mu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return found || w.segHomes[home] > 0
 }
 
 // appendHomeBatches scans one segment image and appends home's complete

@@ -11,33 +11,6 @@ import (
 	"safehome/internal/visibility"
 )
 
-// TestNoSyncAliasPinsAsyncUnbounded pins the deprecated NoSync flag's fold
-// into the Mode enum: NoSync is exactly async durability with an unbounded
-// window — acknowledgements never wait for the disk and no window forces a
-// sync. An explicit Mode wins over the alias.
-func TestNoSyncAliasPinsAsyncUnbounded(t *testing.T) {
-	o := Options{NoSync: true}.normalized()
-	if o.Mode != ModeAsync {
-		t.Errorf("NoSync normalized Mode = %v, want %v", o.Mode, ModeAsync)
-	}
-	if o.AsyncWindowBytes >= 0 {
-		t.Errorf("NoSync normalized AsyncWindowBytes = %d, want unbounded (negative)", o.AsyncWindowBytes)
-	}
-	if got := ResolveMode(Options{NoSync: true}, ModeGroup); got != ModeAsync {
-		t.Errorf("ResolveMode(NoSync, group default) = %v, want %v", got, ModeAsync)
-	}
-	// An explicit mode beats the alias.
-	o = Options{NoSync: true, Mode: ModeSync}.normalized()
-	if o.Mode != ModeSync {
-		t.Errorf("explicit sync with NoSync set = %v, want %v", o.Mode, ModeSync)
-	}
-	// And a window set alongside the alias is respected, not forced open.
-	o = Options{NoSync: true, AsyncWindowBytes: 1 << 20}.normalized()
-	if o.Mode != ModeAsync || o.AsyncWindowBytes != 1<<20 {
-		t.Errorf("NoSync with window normalized to mode=%v window=%d", o.Mode, o.AsyncWindowBytes)
-	}
-}
-
 func TestParseModeRoundTrip(t *testing.T) {
 	for _, m := range []Mode{ModeSync, ModeGroup, ModeAsync} {
 		got, err := ParseMode(m.String())
@@ -215,10 +188,13 @@ func TestGroupCheckpointPrunesTail(t *testing.T) {
 	}
 }
 
-// TestAsyncWindowBoundsUnflushed pins the async tier's window semantics on a
-// standalone journal: a tiny window forces a sync on (nearly) every commit,
-// an unbounded window defers every sync to Close.
+// TestAsyncWindowBoundsUnflushed pins the async tier's window semantics: a
+// tiny window makes (nearly) every commit wait for a sync of its own, an
+// unbounded window never needs one per commit — the syncer drains behind the
+// acknowledgements, sharing cycles — and a clean Close leaves nothing behind
+// the disk either way.
 func TestAsyncWindowBoundsUnflushed(t *testing.T) {
+	const commits = 8
 	count := func(window int64) (syncs int) {
 		var mu sync.Mutex
 		dir := t.TempDir()
@@ -234,7 +210,7 @@ func TestAsyncWindowBoundsUnflushed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := int64(1); i <= 8; i++ {
+		for i := int64(1); i <= commits; i++ {
 			if err := j.Append(&Batch{Submits: []RoutineRecord{submitRec(i)}}); err != nil {
 				t.Fatal(err)
 			}
@@ -248,13 +224,21 @@ func TestAsyncWindowBoundsUnflushed(t *testing.T) {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
+		j2, rec, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j2.Close()
+		if rec == nil || len(rec.Routines) != commits {
+			t.Fatalf("window=%d: clean close lost acknowledged records: %+v", window, rec)
+		}
 		return before
 	}
 
-	if syncs := count(1); syncs < 7 {
-		t.Errorf("window=1: %d syncs over 8 commits, want one per commit", syncs)
+	if syncs := count(1); syncs < commits-1 {
+		t.Errorf("window=1: %d syncs over %d commits, want one per commit", syncs, commits)
 	}
-	if syncs := count(-1); syncs != 0 {
-		t.Errorf("unbounded window: %d syncs before Close, want 0", syncs)
+	if syncs := count(-1); syncs > commits {
+		t.Errorf("unbounded window: %d syncs over %d commits, want at most one each", syncs, commits)
 	}
 }

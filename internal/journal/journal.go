@@ -1,15 +1,24 @@
-// Package journal is SafeHome's per-home durability layer: a segmented,
-// CRC-framed write-ahead journal plus checkpointing, giving a home runtime
-// crash recovery without giving up its single-writer design.
+// Package journal is SafeHome's per-home durability layer: a CRC-framed
+// write-ahead journal plus checkpointing, giving a home runtime crash
+// recovery without giving up its single-writer design.
+//
+// There is one on-disk layout. Every journal appends through a GroupWriter
+// (group.go): a segmented log that any number of homes share, each frame
+// tagged with its home. An owner that runs many homes — the manager, the hub
+// — opens a writer fleet with OpenWriters and hands each journal its writer
+// (Options.Writer); a journal opened without one opens a private one-writer
+// fleet under <dir>/wal and closes it with itself. Checkpoint images and
+// sealed routine chunks stay per home, in the home's own directory (or
+// Options.Store).
 //
 // The home runtime appends one Batch record per mailbox drain — accepted
 // submissions, finished routine outcomes, committed device-state changes and
-// sequenced activity events — and syncs once per batch (group commit), so
+// sequenced activity events — and commits once per batch (group commit), so
 // the fsync cost is amortized over everything the drain produced rather
 // than paid per operation. Periodically the runtime cuts a Checkpoint
-// (derived from its immutable Snapshot) after which all older segments are
-// truncated; recovery therefore reads one checkpoint plus a bounded journal
-// tail, never the full history.
+// (derived from its immutable Snapshot) after which the log drops the home's
+// older records; recovery therefore reads one checkpoint plus a bounded
+// journal tail, never the full history.
 //
 // Recovery semantics follow the paper's failure-handling story: everything
 // acknowledged before the crash — finished results, committed device
@@ -33,36 +42,34 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"safehome/internal/device"
 )
 
 // Mode selects a journal's durability tier: how far an acknowledged
-// operation may trail the disk.
+// operation may trail the disk. The tiers are commit policies over the one
+// shared-log mechanism, not layouts.
 type Mode int
 
 const (
-	// ModeDefault lets the owner pick: standalone journals resolve it to
-	// sync; owners that provision a shared GroupWriter resolve it to group.
+	// ModeDefault lets the owner pick: a journal on its own and the hub
+	// resolve it to sync, the manager to group.
 	ModeDefault Mode = iota
-	// ModeSync fsyncs the home's own segment once per batch drain — the
-	// original contract: acknowledged ⇒ on disk, one fsync per home per
-	// drain.
+	// ModeSync is acknowledged ⇒ on disk with no group-commit window: the
+	// writer starts an fsync as soon as a commit is waiting (see
+	// WriterOptionsFor). Commits that arrive while one is in flight still
+	// share the next cycle.
 	ModeSync
-	// ModeGroup routes batches through a shared GroupWriter that coalesces
-	// many homes' commits into one fd/fsync cycle. Acknowledged ⇒ durable
-	// still holds — a drain's replies are released only after the covering
-	// fsync lands — but sync traffic and open descriptors are O(writers),
-	// not O(homes).
+	// ModeGroup is the same contract — a drain's replies are released only
+	// after the covering fsync lands — with the writer's SyncDelay window
+	// open, so many homes' commits ride one fsync.
 	ModeGroup
 	// ModeAsync acknowledges before the fsync. Batches become durable when
-	// the next sync lands; an OS crash (not a mere process crash) may lose
-	// up to AsyncWindowBytes of acknowledged tail — always a clean suffix of
-	// the history, never a reorder.
+	// the writer's next sync cycle lands (frames wait in its buffer until
+	// then); a crash may lose up to AsyncWindowBytes of acknowledged tail —
+	// always a clean suffix of the history, never a reorder.
 	ModeAsync
 )
 
@@ -95,70 +102,74 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // ResolveMode reports the tier opts selects, substituting def for
-// ModeDefault. The deprecated NoSync flag aliases to async (see
-// Options.NoSync).
+// ModeDefault.
 func ResolveMode(opts Options, def Mode) Mode {
 	if opts.Mode == ModeDefault {
-		if opts.NoSync {
-			return ModeAsync
-		}
 		return def
 	}
 	return opts.Mode
 }
 
+// WriterOptionsFor derives the options of the writer fleet that serves
+// journals opened with opts at the given tier: the segment size, sync hook
+// and stats carry over, and sync closes the group-commit window. Owners add
+// OnCycle; Open uses it as is for a private writer.
+func WriterOptionsFor(opts Options, mode Mode) WriterOptions {
+	w := WriterOptions{SegmentBytes: opts.SegmentBytes, OnSync: opts.OnSync, Stats: opts.Stats}
+	if mode == ModeSync {
+		w.SyncDelay = -1
+	}
+	return w
+}
+
 // Options tunes a journal. The zero value uses the defaults.
 type Options struct {
-	// SegmentBytes rotates the active segment once it exceeds this size
-	// (default 4 MiB).
+	// SegmentBytes rotates the private writer's active segment once it
+	// exceeds this size (default 4 MiB). A shared Writer rotates at its own
+	// WriterOptions.SegmentBytes.
 	SegmentBytes int64
 	// CheckpointBytes is how many journal bytes may accumulate since the last
 	// checkpoint before ShouldCheckpoint reports true (default 1 MiB). The
 	// owner decides when to actually cut one (the runtime does it between
 	// batches, from its published snapshot).
 	CheckpointBytes int64
-	// Mode selects the durability tier (see the Mode constants). ModeDefault
-	// resolves to sync for a standalone journal; ModeGroup without a Writer
-	// falls back to sync (a group of one home coalesces nothing).
+	// Mode selects the durability tier (see the Mode constants): whether
+	// Commit waits for its covering fsync (sync, group) or acknowledges ahead
+	// of it (async). ModeDefault resolves to sync. Whether waiting commits
+	// gather behind a window is the writer's SyncDelay — an owner opening a
+	// fleet derives it from the tier with WriterOptionsFor.
 	Mode Mode
 	// AsyncWindowBytes bounds how many acknowledged-but-unsynced bytes
-	// ModeAsync may accumulate before a commit forces a sync (default 256
-	// KiB). Negative means unbounded: nothing syncs until rotation,
-	// checkpoint or Close.
+	// ModeAsync may accumulate before a commit waits for a sync (default 256
+	// KiB). Negative means unbounded: no commit ever waits; the writer's
+	// syncer still drains in the background.
 	AsyncWindowBytes int64
-	// HomeID tags this journal's batches when they share a physical log
-	// through Writer; required in group/async-through-writer mode. The home
-	// runtime defaults it to the home's configured ID.
+	// HomeID tags this journal's batches in the log; required with a shared
+	// Writer. The home runtime defaults it to the home's configured ID.
 	HomeID string
-	// Writer, when non-nil, routes appends through a shared GroupWriter
-	// instead of per-home segment files. The journal then holds no segment
-	// fd and no per-home flock of its own — the writer's wal.lock owns the
-	// whole tree — which is what bounds descriptors at high tenant counts.
-	// Ignored when the resolved mode is sync.
+	// Writer is the GroupWriter this journal appends through. The journal
+	// holds no descriptor and no lock of its own — the writer's wal.lock owns
+	// the whole tree — which is what bounds descriptors at high tenant
+	// counts. Nil opens a private one-writer fleet under <dir>/wal that the
+	// journal closes (or abandons) with itself.
 	Writer *GroupWriter
 	// Store, when non-nil, is where checkpoint images and sealed routine
 	// chunks live — the cold, write-once artifacts. Nil defaults to a
-	// DirStore rooted at the journal directory (everything local). The
-	// active segments never route through the store; only the journal tail
-	// must be local.
+	// DirStore rooted at the journal directory (everything local). The log
+	// never routes through the store; only the journal tail must be local.
 	Store SegmentStore
-	// OnSync, when non-nil, is called after each data fsync with the synced
-	// file's path and its size at that sync. Crash drills use it to compute
-	// exactly which acknowledged bytes an OS crash could lose in async mode.
-	// A standalone journal calls it inline from its loop; a GroupWriter
-	// calls it with its internal lock held — the hook must not call back
-	// into the journal or writer.
+	// OnSync, when non-nil, is called after each data fsync of the private
+	// writer with the synced segment's path and its size at that sync (a
+	// shared Writer calls its own WriterOptions.OnSync). Crash drills use it
+	// to compute exactly which acknowledged bytes an OS crash could lose in
+	// async mode. Called with the writer's internal lock held — the hook must
+	// not call back into the journal or writer.
 	OnSync func(path string, syncedBytes int64)
 	// Stats, when non-nil, receives plain atomic counts of appends, fsyncs
-	// and checkpoints. The same Stats is typically shared by every home (and
-	// the shard GroupWriters) so the /metrics surface gets fleet totals
+	// and checkpoints. The same Stats is typically shared by every home and
+	// the owner's GroupWriters so the /metrics surface gets fleet totals
 	// without the journal knowing about telemetry.
 	Stats *Stats
-	// NoSync skips the per-batch fsync.
-	//
-	// Deprecated: NoSync predates Mode and now aliases to ModeAsync with an
-	// unbounded window (AsyncWindowBytes < 0). Set Mode explicitly instead.
-	NoSync bool
 	// TestInjectErr, when non-nil, is consulted at the start of each write
 	// path — op is "append", "commit" or "checkpoint" — and a non-nil return
 	// is surfaced as that operation's error without touching the disk. It
@@ -180,19 +191,8 @@ const (
 )
 
 func (o Options) normalized() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = DefaultSegmentBytes
-	}
 	if o.CheckpointBytes <= 0 {
 		o.CheckpointBytes = DefaultCheckpointBytes
-	}
-	if o.NoSync && o.Mode == ModeDefault {
-		// The deprecated escape hatch maps onto the weakest tier it predates:
-		// async with no window bound (historical NoSync never synced inline).
-		o.Mode = ModeAsync
-		if o.AsyncWindowBytes == 0 {
-			o.AsyncWindowBytes = -1
-		}
 	}
 	if o.AsyncWindowBytes == 0 {
 		o.AsyncWindowBytes = DefaultAsyncWindowBytes
@@ -201,34 +201,24 @@ func (o Options) normalized() Options {
 }
 
 const (
-	segmentPrefix  = "wal-"
-	segmentSuffix  = ".seg"
 	checkpointName = "checkpoint.ckpt"
-	lockName       = "journal.lock"
 	chunkPrefix    = "ckchunk-"
 	chunkSuffix    = ".ckpt"
+	segmentSuffix  = ".seg"
+	// privateWalDir is where a journal opened without Options.Writer keeps
+	// its own log, and privateHome the tag its frames carry when the caller
+	// named no HomeID.
+	privateWalDir = "wal"
+	privateHome   = "home"
+	// legacySegPrefix names the per-home wal-<lsn>.seg files the sync tier
+	// wrote before every journal appended through a GroupWriter. Open still
+	// reads them; nothing writes them (see legacyBatches).
+	legacySegPrefix = "wal-"
 )
-
-func segmentName(firstLSN uint64) string {
-	return fmt.Sprintf("%s%016x%s", segmentPrefix, firstLSN, segmentSuffix)
-}
 
 // chunkName names the sealed-chunk object with the given index.
 func chunkName(index int) string {
 	return fmt.Sprintf("%s%08d%s", chunkPrefix, index, chunkSuffix)
-}
-
-// parseSegmentName extracts the first LSN a segment file may contain.
-func parseSegmentName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, segmentPrefix) || !strings.HasSuffix(name, segmentSuffix) {
-		return 0, false
-	}
-	hex := strings.TrimSuffix(strings.TrimPrefix(name, segmentPrefix), segmentSuffix)
-	lsn, err := strconv.ParseUint(hex, 16, 64)
-	if err != nil {
-		return 0, false
-	}
-	return lsn, true
 }
 
 // Journal is an open write-ahead journal rooted at one home's data
@@ -240,24 +230,20 @@ type Journal struct {
 	mode Mode
 	open bool
 
-	lock      *os.File // held flock: one process owns a home's journal (standalone)
-	seg       *os.File
-	segPath   string
-	segFirst  uint64 // first LSN the active segment may contain
-	segBytes  int64
 	lsn       uint64 // last assigned LSN
 	sinceCkpt int64  // journal bytes appended since the last checkpoint
-	unflushed int64  // standalone async: bytes appended since the last data fsync
 	buf       []byte // reused frame scratch
 
 	store    SegmentStore // checkpoint + sealed-chunk objects (DirStore default)
 	sealed   int          // routines covered by durable sealed chunks
 	sealSize int          // chunk size the sealed prefix was cut at (0 = none yet)
 
-	// Shared-log mode (Options.Writer): the journal owns no fd of its own;
-	// frames carry home and land in the writer's segments. wEnd and
-	// wUnflushed are guarded by writer.mu, not by the loop.
+	// The journal owns no fd of its own: frames carry home and land in the
+	// writer's segments. private marks a writer Open opened itself, which
+	// Close and Abandon take down with the journal. wEnd and wUnflushed are
+	// guarded by writer.mu, not by the loop.
 	writer     *GroupWriter
+	private    bool
 	home       string
 	wEnd       int64 // writer offset just past this journal's last appended byte
 	wUnflushed int64 // async: appended bytes not yet covered by a writer sync
@@ -302,93 +288,45 @@ func (r *Recovered) NextSeq() uint64 {
 // state, which is nil when the directory holds no durable state yet. A torn
 // or corrupt record ends replay at the last acknowledged batch — exactly
 // the write-ahead-log contract.
+//
+// Exactly one process may own a home's journal: a second opener (e.g. a
+// restart racing a hung predecessor) would recover to the same LSN and
+// reuse it. The writer's wal.lock enforces that for the whole tree it
+// serves — a private writer's tree is this one home — and flock is released
+// automatically when the holder dies, so a SIGKILL'd hub never bricks its
+// own restart.
 func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 	opts = opts.normalized()
-	mode := ResolveMode(opts, ModeSync)
-	if opts.Writer == nil && mode == ModeGroup {
-		mode = ModeSync // a group of one home coalesces nothing
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: creating %s: %w", dir, err)
 	}
-	j := &Journal{dir: dir, opts: opts, mode: mode}
+	j := &Journal{dir: dir, opts: opts, mode: ResolveMode(opts, ModeSync), writer: opts.Writer, home: opts.HomeID}
 	j.store = opts.Store
 	if j.store == nil {
 		j.store = DirStore{Dir: dir}
 	}
-	if opts.Writer != nil && mode != ModeSync {
-		if opts.HomeID == "" {
-			return nil, nil, fmt.Errorf("journal: %s mode through a shared writer requires Options.HomeID", mode)
-		}
-		j.writer = opts.Writer
-		j.home = opts.HomeID
-	}
-
-	// Exactly one process may own a home's journal: a second opener (e.g. a
-	// restart racing a hung predecessor) would recover to the same LSN and
-	// truncate segments the first already acknowledged. flock is released
-	// automatically when the holder dies, so a SIGKILL'd hub never bricks
-	// its own restart. In shared-writer mode the per-home flock is skipped
-	// on purpose — it would put the descriptor count back at O(homes); the
-	// GroupWriter's wal.lock owns the whole tree instead, so cross-process
-	// exclusion still holds as long as sync-mode and writer-mode openers are
-	// not mixed on a live directory (the manager never does; a mode switch
-	// requires a clean shutdown).
 	if j.writer == nil {
-		lock, err := os.OpenFile(filepath.Join(dir, lockName), os.O_CREATE|os.O_RDWR, 0o644)
+		if j.home == "" {
+			j.home = privateHome
+		}
+		ws, err := OpenWriters(filepath.Join(dir, privateWalDir), 1, WriterOptionsFor(opts, j.mode))
 		if err != nil {
-			return nil, nil, fmt.Errorf("journal: opening lock: %w", err)
+			return nil, nil, err
 		}
-		if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
-			lock.Close()
-			return nil, nil, fmt.Errorf("journal: data directory %s is in use by another process: %w", dir, err)
-		}
-		j.lock = lock
+		j.writer, j.private = ws[0], true
+	} else if j.home == "" {
+		return nil, nil, fmt.Errorf("journal: a shared writer requires Options.HomeID")
 	}
 
-	fail := func(err error) (*Journal, *Recovered, error) {
-		j.releaseLock()
+	rec, found, err := j.recover()
+	if err == nil {
+		err = j.writer.attach(j)
+	}
+	if err != nil {
+		j.Abandon()
 		return nil, nil, err
 	}
-	rec, found, err := j.recover()
-	if err != nil {
-		return fail(err)
-	}
-	if found {
-		j.lsn = rec.LSN
-	}
-
-	// Drop every local segment that may only contain records beyond the
-	// replayed LSN: a tear only ever happens at the tail of the
-	// (sequentially synced) write stream, so everything past it was never
-	// acknowledged — and left in place it could later collide with fresh
-	// records reusing those LSNs.
-	segs, err := j.listSegments()
-	if err != nil {
-		return fail(err)
-	}
-	for _, seg := range segs {
-		if seg.firstLSN > j.lsn {
-			if err := os.Remove(filepath.Join(j.dir, seg.name)); err != nil {
-				return fail(fmt.Errorf("journal: removing dead segment %s: %w", seg.name, err))
-			}
-		}
-	}
-
-	if j.writer != nil {
-		// Appends go to the shared log; surviving local (sync-era) segments
-		// stay on disk until the next checkpoint covers them.
-		if err := j.writer.attach(j); err != nil {
-			return fail(err)
-		}
-	} else {
-		// Always append into a fresh segment: the previous tail may end in a
-		// torn frame, and a fresh segment keeps every fully written segment
-		// immutable.
-		if err := j.rotate(); err != nil {
-			return fail(err)
-		}
-	}
+	j.lsn = rec.LSN
 	j.open = true
 	if !found {
 		rec = nil
@@ -398,14 +336,6 @@ func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 
 // Mode returns the resolved durability tier the journal runs at.
 func (j *Journal) Mode() Mode { return j.mode }
-
-// releaseLock closes the lock file, releasing the flock.
-func (j *Journal) releaseLock() {
-	if j.lock != nil {
-		_ = j.lock.Close()
-		j.lock = nil
-	}
-}
 
 // recover loads the checkpoint (if any) and replays the journal tail.
 func (j *Journal) recover() (*Recovered, bool, error) {
@@ -437,75 +367,29 @@ func (j *Journal) recover() (*Recovered, bool, error) {
 		return nil, false, fmt.Errorf("journal: reading checkpoint: %w", err)
 	}
 
-	segs, err := j.listSegments()
+	// The tail is the home's legacy segments (if it was last written before
+	// the single layout) followed by its records in the log. A home only ever
+	// moves from the former to the latter, so the two concatenate in LSN
+	// order; the contiguity check stops replay at the first gap — a tear in
+	// either means everything past it was never acknowledged.
+	tail, err := j.legacyBatches(rec.LSN)
 	if err != nil {
 		return nil, false, err
 	}
-	// Skip segments the checkpoint fully covers: a segment's records end
-	// where the next segment begins, so if the next one starts at or below
-	// LSN+1 nothing in this one is needed. This keeps recovery correct even
-	// when a covered (possibly torn) segment survived a failed truncation —
-	// its stale tear must not end the scan before the live segments.
-	first := 0
-	for first+1 < len(segs) && segs[first+1].firstLSN <= rec.LSN+1 {
-		first++
+	logged, err := j.writer.TailFor(j.home)
+	if err != nil {
+		return nil, false, err
 	}
-	var local []*Batch
-	for _, seg := range segs[first:] {
-		buf, err := os.ReadFile(filepath.Join(j.dir, seg.name))
-		if err != nil {
-			return nil, false, fmt.Errorf("journal: reading segment %s: %w", seg.name, err)
+	tail = append(tail, logged...)
+	found = found || len(tail) > 0
+	for _, b := range tail {
+		if b.LSN <= rec.LSN {
+			continue // covered by the checkpoint
 		}
-		if len(buf) > 0 {
-			found = true
-		}
-		clean, err := scanFrames(buf, func(payload []byte) error {
-			b, err := DecodeBatch(payload)
-			if err != nil {
-				return err
-			}
-			local = append(local, b)
-			return nil
-		})
-		if err != nil || !clean {
-			// A torn tail, a corrupt frame, or an undecodable payload behind
-			// a valid CRC: everything from here on was never acknowledged (or
-			// is rot we cannot trust) — stop at the last good record. Later
-			// segments, if any, are beyond the tear and are ignored.
+		if b.LSN != rec.LSN+1 {
 			break
 		}
-	}
-
-	if j.writer == nil {
-		for _, b := range local {
-			if b.LSN <= rec.LSN {
-				continue // already covered by the checkpoint
-			}
-			applyBatch(rec, b)
-		}
-	} else {
-		// Merge the home's sync-era local segments (if it ever ran in sync
-		// mode) with its tail from the shared log. LSN ranges partition
-		// cleanly across a mode switch, so a two-way merge by LSN restores
-		// one ordered stream; the contiguity check stops replay at the first
-		// gap — a tear in an earlier shared-log epoch means everything past
-		// it was never acknowledged.
-		tail, err := j.writer.TailFor(j.home)
-		if err != nil {
-			return nil, false, err
-		}
-		if len(tail) > 0 {
-			found = true
-		}
-		for _, b := range mergeByLSN(local, tail) {
-			if b.LSN <= rec.LSN {
-				continue // covered by the checkpoint (or a duplicate)
-			}
-			if b.LSN != rec.LSN+1 {
-				break
-			}
-			applyBatch(rec, b)
-		}
+		applyBatch(rec, b)
 	}
 
 	if err := validateDense(rec); err != nil {
@@ -514,51 +398,98 @@ func (j *Journal) recover() (*Recovered, bool, error) {
 	return rec, found, nil
 }
 
-// mergeByLSN merges two LSN-sorted batch slices into one sorted stream.
-func mergeByLSN(a, b []*Batch) []*Batch {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]*Batch, 0, len(a)+len(b))
-	i, k := 0, 0
-	for i < len(a) && k < len(b) {
-		if a[i].LSN <= b[k].LSN {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[k])
-			k++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[k:]...)
-}
-
-type segmentInfo struct {
-	name     string
-	firstLSN uint64
-}
-
-// listSegments returns the journal's segment files in LSN order.
-func (j *Journal) listSegments() ([]segmentInfo, error) {
-	entries, err := os.ReadDir(j.dir)
-	if err != nil {
-		return nil, fmt.Errorf("journal: listing %s: %w", j.dir, err)
-	}
-	var segs []segmentInfo
+// segmentsIn lists dir's segment files with the given name prefix, sorted by
+// name — which for both zero-padded naming schemes is append order. A
+// missing directory holds none.
+func segmentsIn(dir, prefix string) []string {
+	entries, _ := os.ReadDir(dir)
+	var segs []string
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if first, ok := parseSegmentName(e.Name()); ok {
-			segs = append(segs, segmentInfo{name: e.Name(), firstLSN: first})
+		if !e.IsDir() && strings.HasPrefix(e.Name(), prefix) && strings.HasSuffix(e.Name(), segmentSuffix) {
+			segs = append(segs, filepath.Join(dir, e.Name()))
 		}
 	}
-	sort.Slice(segs, func(a, b int) bool { return segs[a].firstLSN < segs[b].firstLSN })
-	return segs, nil
+	return segs
+}
+
+// legacySegments lists dir's sync-era wal-<lsn>.seg files in LSN order.
+func legacySegments(dir string) []string { return segmentsIn(dir, legacySegPrefix) }
+
+// SegmentFiles lists every journal segment file under a data directory in
+// append order: a home's legacy segments, then the log tree under dir/wal
+// (a journal's private log, or the fleet of a hub or manager rooted at dir).
+// Crash drills use it to measure and cut the journal tail without knowing
+// the layout.
+func SegmentFiles(dir string) []string {
+	segs := legacySegments(dir)
+	streams, _, _ := walStreams(filepath.Join(dir, privateWalDir))
+	for _, stream := range streams {
+		segs = append(segs, stream...)
+	}
+	return segs
+}
+
+// HasState reports whether a home holds durable runtime state: a checkpoint
+// in dir, records in the log of w (the writer the home's journal would be
+// opened with; nil for a private log), or legacy segments. A directory
+// without any can be treated as a home that never ran.
+func HasState(dir, home string, w *GroupWriter) bool {
+	if _, err := os.Stat(filepath.Join(dir, checkpointName)); err == nil {
+		return true
+	}
+	if w != nil && w.holds(home) {
+		return true
+	}
+	for _, seg := range SegmentFiles(dir) {
+		if info, err := os.Stat(seg); err == nil && info.Size() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// legacyFirstLSN is the first LSN a legacy segment may contain, per its name.
+func legacyFirstLSN(path string) uint64 {
+	hex := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), legacySegPrefix), segmentSuffix)
+	lsn, _ := strconv.ParseUint(hex, 16, 64)
+	return lsn
+}
+
+// legacyBatches reads the batches a sync-era data directory still holds in
+// per-home segment files — the upgrade path: they are replayed once, never
+// appended to, and removed by the next checkpoint.
+func (j *Journal) legacyBatches(ckptLSN uint64) ([]*Batch, error) {
+	segs := legacySegments(j.dir)
+	// Skip segments the checkpoint fully covers: a segment's records end
+	// where the next segment begins, so if the next one starts at or below
+	// LSN+1 nothing in this one is needed. A covered (possibly torn) segment
+	// that survived a failed truncation must not end the scan before the
+	// live ones.
+	for len(segs) > 1 && legacyFirstLSN(segs[1]) <= ckptLSN+1 {
+		segs = segs[1:]
+	}
+	var out []*Batch
+	for _, seg := range segs {
+		buf, err := os.ReadFile(seg)
+		if err != nil {
+			return nil, fmt.Errorf("journal: reading segment %s: %w", seg, err)
+		}
+		clean, err := scanFrames(buf, func(payload []byte) error {
+			b, err := DecodeBatch(payload)
+			if err != nil {
+				return err
+			}
+			out = append(out, b)
+			return nil
+		})
+		if err != nil || !clean {
+			// A torn tail, a corrupt frame, or an undecodable payload behind
+			// a valid CRC: everything from here on was never acknowledged (or
+			// is rot we cannot trust) — stop at the last good record.
+			break
+		}
+	}
+	return out, nil
 }
 
 // decodeCheckpointFile parses a checkpoint image (a single frame).
@@ -708,56 +639,9 @@ func validateDense(rec *Recovered) error {
 
 // --- appending -------------------------------------------------------------------
 
-// rotate closes the active segment (if any) and starts a new one whose name
-// records the first LSN it may contain.
-func (j *Journal) rotate() error {
-	if j.seg != nil {
-		// Bounded async confines its loss window to the newest segment: sync
-		// the old one before sealing it, so a drill (or an operator) can
-		// reason about at most one file's tail.
-		if j.mode == ModeAsync && j.opts.AsyncWindowBytes >= 0 && j.unflushed > 0 {
-			if err := j.syncSeg(); err != nil {
-				return err
-			}
-		}
-		if err := j.seg.Close(); err != nil {
-			return fmt.Errorf("journal: closing segment: %w", err)
-		}
-		j.seg = nil
-	}
-	j.segFirst = j.lsn + 1
-	path := filepath.Join(j.dir, segmentName(j.segFirst))
-	// O_TRUNC, not O_APPEND: a rotation always starts a fresh segment, and a
-	// leftover file with this name can only hold unacknowledged bytes (a
-	// torn tail from a crash) — appending behind them would hide every later
-	// record from recovery's sequential scan.
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: opening segment %s: %w", path, err)
-	}
-	j.seg = f
-	j.segPath = path
-	j.segBytes = 0
-	j.unflushed = 0
-	return nil
-}
-
-// syncSeg fsyncs the active segment and notifies OnSync.
-func (j *Journal) syncSeg() error {
-	if err := j.seg.Sync(); err != nil {
-		return fmt.Errorf("journal: sync: %w", err)
-	}
-	j.unflushed = 0
-	j.opts.Stats.noteFsync()
-	if j.opts.OnSync != nil {
-		j.opts.OnSync(j.segPath, j.segBytes)
-	}
-	return nil
-}
-
-// Append assigns the batch the next LSN and writes its frame to the active
-// segment. The record is durable only after the following Commit; the
-// runtime appends and commits once per mailbox drain (group commit).
+// Append assigns the batch the next LSN and hands its frame to the writer.
+// The record is durable only after the following Commit; the runtime appends
+// and commits once per mailbox drain (group commit).
 func (j *Journal) Append(b *Batch) error {
 	if !j.open {
 		return fmt.Errorf("journal: closed")
@@ -767,15 +651,8 @@ func (j *Journal) Append(b *Batch) error {
 			return fmt.Errorf("journal: writing batch: %w", err)
 		}
 	}
-	if j.writer == nil && j.segBytes >= j.opts.SegmentBytes {
-		if err := j.rotate(); err != nil {
-			return err
-		}
-	}
 	b.LSN = j.lsn + 1
-	if j.writer != nil {
-		b.Home = j.home
-	}
+	b.Home = j.home
 	payload, err := json.Marshal(b)
 	if err != nil {
 		return fmt.Errorf("journal: encoding batch: %w", err)
@@ -788,18 +665,8 @@ func (j *Journal) Append(b *Batch) error {
 		return fmt.Errorf("journal: batch is %d bytes, over the %d frame limit", len(payload), maxFramePayload)
 	}
 	j.buf = appendFrame(j.buf[:0], payload)
-	if j.writer != nil {
-		if err := j.writer.append(j, b.LSN, j.buf); err != nil {
-			return fmt.Errorf("journal: writing batch: %w", err)
-		}
-	} else {
-		if _, err := j.seg.Write(j.buf); err != nil {
-			return fmt.Errorf("journal: writing batch: %w", err)
-		}
-		j.segBytes += int64(len(j.buf))
-		if j.mode == ModeAsync {
-			j.unflushed += int64(len(j.buf))
-		}
+	if err := j.writer.append(j, b.LSN, j.buf); err != nil {
+		return fmt.Errorf("journal: writing batch: %w", err)
 	}
 	j.lsn = b.LSN
 	j.sinceCkpt += int64(len(j.buf))
@@ -808,10 +675,10 @@ func (j *Journal) Append(b *Batch) error {
 }
 
 // Commit makes every appended record durable per the journal's tier: sync
-// fsyncs the home's segment inline; group parks the caller on a commit
-// ticket until the shared writer's covering fsync lands; async returns
-// immediately unless the unflushed window is exceeded. The runtime calls it
-// once per mailbox drain, before releasing that drain's replies.
+// and group park the caller on a commit ticket until the writer's covering
+// fsync lands; async returns immediately unless the unflushed window is
+// exceeded. The runtime calls it once per mailbox drain, before releasing
+// that drain's replies.
 func (j *Journal) Commit() error {
 	if !j.open {
 		return fmt.Errorf("journal: closed")
@@ -821,18 +688,7 @@ func (j *Journal) Commit() error {
 			return fmt.Errorf("journal: sync: %w", err)
 		}
 	}
-	if j.writer != nil {
-		return j.writer.commit(j)
-	}
-	if j.mode == ModeAsync {
-		// Ack ahead of the disk, but never let more than the configured
-		// window of acknowledged bytes ride unsynced.
-		if j.opts.AsyncWindowBytes >= 0 && j.unflushed > j.opts.AsyncWindowBytes {
-			return j.syncSeg()
-		}
-		return nil
-	}
-	return j.syncSeg()
+	return j.writer.commit(j)
 }
 
 // LSN returns the last assigned record LSN.
@@ -847,10 +703,10 @@ func (j *Journal) SinceCheckpoint() int64 { return j.sinceCkpt }
 func (j *Journal) ShouldCheckpoint() bool { return j.sinceCkpt >= j.opts.CheckpointBytes }
 
 // Checkpoint durably writes a full state image (write to a temporary file,
-// fsync, atomic rename) stamped with the journal's current LSN, then
-// truncates every segment the checkpoint covers and starts a fresh one.
-// After a successful checkpoint, recovery reads the checkpoint plus only the
-// records appended after this call.
+// fsync, atomic rename) stamped with the journal's current LSN, then lets
+// the log drop the home's records the checkpoint covers. After a successful
+// checkpoint, recovery reads the checkpoint plus only the records appended
+// after this call.
 func (j *Journal) Checkpoint(ck *Checkpoint) error {
 	if !j.open {
 		return fmt.Errorf("journal: closed")
@@ -887,37 +743,15 @@ func (j *Journal) Checkpoint(ck *Checkpoint) error {
 	j.sealed = ck.Sealed
 	j.sealSize = ck.SealSize
 
-	if j.writer != nil {
-		// Every local (sync-era) segment is now covered, and the shared log
-		// can drop this home's records at or below the checkpoint.
-		segs, err := j.listSegments()
-		if err != nil {
-			return err
-		}
+	// Every legacy (sync-era) segment is now covered, and the log can drop
+	// this home's records at or below the checkpoint.
+	if segs := legacySegments(j.dir); len(segs) > 0 {
 		for _, seg := range segs {
-			_ = os.Remove(filepath.Join(j.dir, seg.name))
+			_ = os.Remove(seg)
 		}
 		j.syncDir()
-		j.writer.checkpointed(j.home, ck.LSN)
-		j.sinceCkpt = 0
-		return nil
 	}
-
-	// Start a fresh segment so every older one is fully covered by the
-	// checkpoint, then truncate them.
-	if err := j.rotate(); err != nil {
-		return err
-	}
-	segs, err := j.listSegments()
-	if err != nil {
-		return err
-	}
-	for _, seg := range segs {
-		if seg.firstLSN < j.segFirst {
-			_ = os.Remove(filepath.Join(j.dir, seg.name))
-		}
-	}
-	j.syncDir()
+	j.writer.checkpointed(j.home, ck.LSN)
 	j.sinceCkpt = 0
 	return nil
 }
@@ -975,57 +809,35 @@ func (j *Journal) syncDir() {
 	}
 }
 
-// SegmentCount returns the number of on-disk segment files (tests,
-// diagnostics).
-func (j *Journal) SegmentCount() (int, error) {
-	segs, err := j.listSegments()
-	return len(segs), err
-}
-
 // Close makes everything appended durable (regardless of tier — a clean
-// close leaves nothing behind the disk), closes the active segment or
-// detaches from the shared writer, and releases the directory lock. The
-// journal is unusable afterwards.
+// close leaves nothing behind the disk) and detaches from the writer,
+// closing it too if it is the journal's own. The journal is unusable
+// afterwards.
 func (j *Journal) Close() error {
 	if !j.open {
-		j.releaseLock()
 		return nil
 	}
-	if j.writer != nil {
-		j.open = false
-		return j.writer.detach(j, true)
-	}
-	var err error
-	if j.unflushed > 0 || j.mode != ModeAsync {
-		err = j.syncSeg()
-	}
-	if cerr := j.seg.Close(); err == nil {
-		err = cerr
-	}
-	j.seg = nil
 	j.open = false
-	j.releaseLock()
+	err := j.writer.detach(j, true)
+	if j.private {
+		if cerr := j.writer.Close(); err == nil {
+			err = cerr
+		}
+	}
 	return err
 }
 
-// Abandon closes the active segment without syncing — the SIGKILL-equivalent
-// teardown used by crash drills and the poison path: whatever the OS already
-// has (everything through the last covering sync) survives, nothing else is
-// flushed. The directory lock is released, exactly as a killed process's
-// flock would be; in shared-writer mode the journal just detaches, leaving
-// the writer running for its other homes.
+// Abandon detaches without syncing — the SIGKILL-equivalent teardown used
+// by crash drills and the poison path: whatever the writer already synced
+// survives, nothing else is flushed. A shared writer keeps running for its
+// other homes; a private one is abandoned with the journal, releasing the
+// directory lock exactly as a killed process's flock would be.
 func (j *Journal) Abandon() {
-	if j.writer != nil {
-		if j.open {
-			_ = j.writer.detach(j, false)
-		}
+	if j.open {
+		_ = j.writer.detach(j, false)
 		j.open = false
-		return
 	}
-	if j.seg != nil {
-		_ = j.seg.Close()
-		j.seg = nil
+	if j.private {
+		j.writer.Abandon()
 	}
-	j.open = false
-	j.releaseLock()
 }

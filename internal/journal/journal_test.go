@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,14 +31,18 @@ func finishRec(id int64, status visibility.RoutineStatus) RoutineRecord {
 }
 
 // TestDirectoryLockExcludesSecondOpener: one process (here: one open
-// journal) owns a home's data directory; a racing second opener must fail
-// fast instead of truncating acknowledged segments. Closing (or a crash
-// releasing the flock) frees the directory for the successor.
+// journal) owns a home's data directory through its private log's wal.lock;
+// a racing second opener must fail fast instead of reusing acknowledged
+// LSNs. Closing (or a crash releasing the flock) frees the directory for the
+// successor.
 func TestDirectoryLockExcludesSecondOpener(t *testing.T) {
 	dir := t.TempDir()
 	j, _, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, privateWalDir, walLockName)); err != nil {
+		t.Fatalf("open journal holds no wal.lock: %v", err)
 	}
 	if _, _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("second Open of a locked directory succeeded")
@@ -135,15 +140,21 @@ func TestAppendCommitRecover(t *testing.T) {
 	}
 }
 
-// newestSegment returns the path of the segment with the highest first-LSN.
+// newestSegment returns the path of the newest non-empty log segment — where
+// a crash would have torn.
 func newestSegment(t *testing.T, dir string) string {
 	t.Helper()
-	j := &Journal{dir: dir}
-	segs, err := j.listSegments()
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments in %s (err %v)", dir, err)
+	segs := SegmentFiles(dir)
+	for i := len(segs) - 1; i >= 0; i-- {
+		if info, err := os.Stat(segs[i]); err == nil && info.Size() > 0 {
+			if !strings.HasPrefix(filepath.Base(segs[i]), sharedSegPrefix) {
+				t.Fatalf("newest segment %s is not a log segment", segs[i])
+			}
+			return segs[i]
+		}
 	}
-	return filepath.Join(dir, segs[len(segs)-1].name)
+	t.Fatalf("no non-empty segments in %s", dir)
+	return ""
 }
 
 func TestTornTailIsDropped(t *testing.T) {
@@ -287,10 +298,12 @@ func TestCheckpointTruncatesSegments(t *testing.T) {
 	if err := j.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	before, err := j.SegmentCount()
-	if err != nil {
+	// The syncer rotates the oversized segment right after releasing the
+	// commit, in the same hold of the writer's lock; Err queues behind it.
+	if err := j.writer.Err(); err != nil {
 		t.Fatal(err)
 	}
+	before := len(SegmentFiles(dir))
 	if before < 2 {
 		t.Fatalf("expected multiple segments before checkpoint, got %d", before)
 	}
@@ -303,10 +316,7 @@ func TestCheckpointTruncatesSegments(t *testing.T) {
 	if err := j.Checkpoint(ck); err != nil {
 		t.Fatal(err)
 	}
-	after, err := j.SegmentCount()
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := len(SegmentFiles(dir))
 	if after != 1 {
 		t.Fatalf("segments after checkpoint = %d, want 1 (fresh tail)", after)
 	}
@@ -340,8 +350,9 @@ func TestCheckpointTruncatesSegments(t *testing.T) {
 
 // TestCoveredTornSegmentDoesNotMaskLiveRecords: if a checkpoint-covered
 // segment survives truncation (e.g. a failed remove) with a torn tail,
-// recovery must skip it rather than let its stale tear end the scan before
-// the live segments.
+// its stale tear must not end the scan before the live segments. In the log
+// a tear can only sit at the end of a dead epoch's stream, and every epoch
+// is scanned on its own.
 func TestCoveredTornSegmentDoesNotMaskLiveRecords(t *testing.T) {
 	dir := t.TempDir()
 	j, _, err := Open(dir, Options{})
@@ -353,9 +364,21 @@ func TestCoveredTornSegmentDoesNotMaskLiveRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ck := &Checkpoint{Routines: []RoutineRecord{submitRec(1), submitRec(2), submitRec(3)}}
-	if err := j.Checkpoint(ck); err != nil { // truncates, rotates to wal-4
+	if err := j.Commit(); err != nil {
 		t.Fatal(err)
+	}
+	j.Abandon()
+	dead := newestSegment(t, dir) // epoch 0's stream
+
+	j, rec, err := Open(dir, Options{})
+	if err != nil || rec == nil || len(rec.Routines) != 3 {
+		t.Fatalf("reopen: %v, recovered %+v", err, rec)
+	}
+	if err := j.Checkpoint(&Checkpoint{Routines: rec.Routines}); err != nil { // covers and removes epoch 0
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(dead); err == nil {
+		t.Fatalf("checkpoint left the covered segment %s", dead)
 	}
 	if err := j.Append(&Batch{Submits: []RoutineRecord{submitRec(4)}}); err != nil {
 		t.Fatal(err)
@@ -365,17 +388,20 @@ func TestCoveredTornSegmentDoesNotMaskLiveRecords(t *testing.T) {
 	}
 	j.Close()
 
-	// Re-plant a torn pre-checkpoint segment, as if its removal had failed.
-	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), []byte("torn garbage"), 0o644); err != nil {
+	// Re-plant the covered segment torn, as if its removal had failed.
+	if err := os.MkdirAll(filepath.Dir(dead), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dead, []byte("torn garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	_, rec, err := Open(dir, Options{})
+	_, rec, err = Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec == nil || len(rec.Routines) != 4 {
-		t.Fatalf("covered torn segment masked live records: recovered %d routines, want 4", len(rec.Routines))
+		t.Fatalf("covered torn segment masked live records: recovered %+v, want 4 routines", rec)
 	}
 }
 

@@ -15,13 +15,11 @@ import (
 //
 // All fields are safe for concurrent use; nil *Stats disables recording.
 type Stats struct {
-	// AppendedBytes counts framed batch bytes appended, across every tier
-	// (standalone segments and shared group logs alike).
+	// AppendedBytes counts framed batch bytes appended, across every tier.
 	AppendedBytes atomic.Int64
 	// Appends counts Batch records appended.
 	Appends atomic.Int64
-	// Fsyncs counts data fsyncs: standalone per-home syncs plus shared
-	// group-writer sync cycles.
+	// Fsyncs counts data fsyncs: the writers' sync cycles.
 	Fsyncs atomic.Int64
 	// Checkpoints counts checkpoint images durably published.
 	Checkpoints atomic.Int64

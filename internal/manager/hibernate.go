@@ -3,10 +3,9 @@ package manager
 import (
 	"container/heap"
 	"fmt"
-	"os"
-	"strings"
 	"time"
 
+	"safehome/internal/journal"
 	rt "safehome/internal/runtime"
 )
 
@@ -214,29 +213,12 @@ func (m *Manager) runWaker() {
 	}
 }
 
-// hasJournalState reports whether a home's data directory holds durable
-// runtime state (WAL segments, a checkpoint, or sealed chunks). A home
-// directory without it — just home.json — can be registered cold: waking
-// it builds an empty home, exactly what building it eagerly would produce.
-func hasJournalState(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasSuffix(name, ".seg") || strings.HasSuffix(name, ".ckpt") {
-			return true
-		}
-	}
-	return false
-}
-
 // coldRecord decides whether a home can be registered frozen and returns
 // the record to register it with: the durable frozen marker if one exists
 // (a cleanly hibernated home — stay cold, wake on demand), or a synthetic
-// record for a state-less directory. A directory with journal state but no
-// marker crashed live and must recover live — returns nil.
+// record for a home that never ran. A home with journal state (in its
+// directory or in the shard's log) but no marker crashed live and must
+// recover live — returns nil.
 func (m *Manager) coldRecord(id HomeID, devices int) (*rt.FrozenHome, error) {
 	dir := m.homeDir(id)
 	fr, err := rt.ReadFrozenRecord(dir)
@@ -246,7 +228,7 @@ func (m *Manager) coldRecord(id HomeID, devices int) (*rt.FrozenHome, error) {
 	if fr != nil {
 		return fr, nil
 	}
-	if hasJournalState(dir) {
+	if journal.HasState(dir, string(id), m.shardWriter(m.ShardOf(id))) {
 		return nil, nil
 	}
 	now := time.Now()

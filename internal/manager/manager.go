@@ -152,12 +152,13 @@ type Config struct {
 	// manager memory-only.
 	DataDir string
 	// Journal tunes every home's write-ahead journal; only meaningful with
-	// DataDir set. Journal.Mode selects the durability tier — the manager
-	// defaults it to group (many homes per shard is exactly what group
-	// commit is for): homes share one segment stream per shard under
-	// <DataDir>/wal, coalescing their commits into one fsync cycle. Mode
-	// sync restores per-home segments and per-home fsyncs; async
-	// acknowledges ahead of the disk behind Journal.AsyncWindowBytes.
+	// DataDir set. Homes share one segment stream per shard under
+	// <DataDir>/wal in every tier. Journal.Mode selects the tier — the
+	// manager defaults it to group (many homes per shard is exactly what
+	// group commit is for): commits gather behind a short window and ride
+	// one fsync cycle. Mode sync closes the window (a commit never waits for
+	// company, concurrent ones still share a cycle); async acknowledges
+	// ahead of the disk behind Journal.AsyncWindowBytes.
 	Journal journal.Options
 	// HibernateAfter enables hibernation: a healthy home idle this long —
 	// no admitted mutating operation, empty mailbox, nothing pending or
@@ -240,11 +241,13 @@ type Manager struct {
 	// journal stats, and the TTL-cached status gauges.
 	tel *managerTelemetry
 
-	// Durability tier wiring: in group/async mode every journaled home on
-	// shard i appends through writers[i % len(writers)] — one shared segment
-	// stream and one fsync cycle per writer instead of one per home, with at
-	// most min(shards, GOMAXPROCS) writers. writerErr records a failed writer
-	// fleet open; the manager then degrades to sync mode.
+	// Durability wiring: every journaled home on shard i appends through
+	// writers[i % len(writers)] — one shared segment stream and one fsync
+	// cycle per writer instead of one per home, with at most min(shards,
+	// GOMAXPROCS) writers. writerErr records a failed fleet open; every home
+	// then opens a private log under its own directory, which a later boot
+	// with a working fleet does not read — Status.DurabilityError is an
+	// operator page, not a steady state.
 	durability journal.Mode
 	writers    []*journal.GroupWriter
 	writerErr  error
@@ -274,29 +277,16 @@ func New(cfg Config) *Manager {
 	m.tel = newManagerTelemetry(m)
 	if cfg.DataDir != "" {
 		m.durability = journal.ResolveMode(cfg.Journal, journal.ModeGroup)
-		if m.durability != journal.ModeSync {
-			// One writer per shard, but never more than GOMAXPROCS: each
-			// in-flight fsync burns a core's worth of kernel journaling time,
-			// so extra streams past the core count only raise the fsync rate
-			// without adding parallelism — fewer, busier writers coalesce
-			// more commits per fsync. Shards then share writers round-robin.
-			nw := min(cfg.Shards, runtime.GOMAXPROCS(0))
-			writers, err := journal.OpenWriters(filepath.Join(cfg.DataDir, "wal"), nw, journal.WriterOptions{
-				SegmentBytes: cfg.Journal.SegmentBytes,
-				OnSync:       cfg.Journal.OnSync,
-				Stats:        &m.tel.jstats,
-				OnCycle:      m.tel.onCycle,
-			})
-			if err != nil {
-				// Keep New's no-error signature: fall back to per-home sync
-				// journals (strictly more durable) and surface the failure
-				// through Status.
-				m.writerErr = err
-				m.durability = journal.ModeSync
-			} else {
-				m.writers = writers
-			}
-		}
+		// One writer per shard, but never more than GOMAXPROCS: each
+		// in-flight fsync burns a core's worth of kernel journaling time, so
+		// extra streams past the core count only raise the fsync rate without
+		// adding parallelism — fewer, busier writers coalesce more commits per
+		// fsync. Shards then share writers round-robin.
+		wopts := journal.WriterOptionsFor(cfg.Journal, m.durability)
+		wopts.Stats, wopts.OnCycle = m.tel.jstats, m.tel.onCycle
+		// A failed open keeps New's no-error signature: homes fall back to
+		// private logs and Status surfaces the failure.
+		m.writers, m.writerErr = journal.OpenWriters(filepath.Join(cfg.DataDir, "wal"), min(cfg.Shards, runtime.GOMAXPROCS(0)), wopts)
 	}
 	m.shards = make([]*shard, cfg.Shards)
 	for i := range m.shards {
@@ -346,10 +336,8 @@ func (m *Manager) runtimeConfig(id HomeID, shard int) rt.Config {
 	jopts := m.cfg.Journal
 	jopts.Mode = m.durability
 	jopts.HomeID = string(id)
-	jopts.Stats = &m.tel.jstats
-	if m.writers != nil {
-		jopts.Writer = m.writers[shard%len(m.writers)]
-	}
+	jopts.Stats = m.tel.jstats
+	jopts.Writer = m.shardWriter(shard)
 	return rt.Config{
 		ID:               string(id),
 		Clock:            clock,
@@ -376,6 +364,15 @@ func (m *Manager) runtimeConfig(id HomeID, shard int) rt.Config {
 		OnSimEvents: func(n int) { m.simEvents.Add(shard, int64(n)) },
 		Metrics:     m.tel.loop,
 	}
+}
+
+// shardWriter returns the writer the shard's homes append through (nil when
+// the manager is memory-only or its fleet failed to open).
+func (m *Manager) shardWriter(shard int) *journal.GroupWriter {
+	if len(m.writers) == 0 {
+		return nil
+	}
+	return m.writers[shard%len(m.writers)]
 }
 
 // homeDir returns the home's durable directory ("" when the manager is
@@ -455,11 +452,11 @@ func (m *Manager) AddHome(id HomeID, devices ...device.Info) error {
 		return err
 	}
 	if m.hibernating() {
-		// Register cold when the directory is state-less (a fresh home: the
-		// first touch builds it) or carries the frozen marker (a cleanly
-		// hibernated home: stay cold, wake on demand). Journal state with no
-		// marker means the home crashed live — fall through and recover it
-		// live so aborts surface and its triggers re-arm now.
+		// Register cold when the home has no journal state (a fresh home: the
+		// first touch builds it) or its directory carries the frozen marker
+		// (a cleanly hibernated home: stay cold, wake on demand). Journal
+		// state with no marker means the home crashed live — fall through
+		// and recover it live so aborts surface and its triggers re-arm now.
 		fr, err := m.coldRecord(id, len(devices))
 		if err != nil {
 			return err
@@ -870,9 +867,8 @@ type Status struct {
 	Restarts    int64  `json:"restarts,omitempty"`
 	Quarantined int64  `json:"quarantined,omitempty"`
 	// Durability is the resolved journal tier ("sync", "group", "async");
-	// empty when the manager is memory-only. DurabilityError reports a
-	// degraded tier (the shared-writer fleet failed to open and homes fell
-	// back to per-home sync journals).
+	// empty when the manager is memory-only. DurabilityError reports that
+	// the writer fleet failed to open and homes fell back to private logs.
 	Durability      string    `json:"durability,omitempty"`
 	DurabilityError string    `json:"durability_error,omitempty"`
 	Since           time.Time `json:"since"`

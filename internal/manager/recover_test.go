@@ -2,10 +2,15 @@ package manager
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"safehome/internal/device"
+	"safehome/internal/journal"
 	"safehome/internal/routine"
+	rt "safehome/internal/runtime"
 	"safehome/internal/visibility"
 )
 
@@ -167,5 +172,96 @@ func TestHomeIDsArePathEscaped(t *testing.T) {
 	}
 	if len(recovered) != 1 || recovered[0] != id {
 		t.Fatalf("recovered %v, want [%q]", recovered, id)
+	}
+}
+
+// TestCrashedHomeRecoversLiveUnderEveryTier: a home that crashed before its
+// first checkpoint has nothing in its own directory — its state is its tail
+// in the shard's log — and a hibernating manager must still recover it live
+// rather than register it cold as a home that never ran: full history,
+// healthy, and a client polling at its cursor keeps that cursor.
+func TestCrashedHomeRecoversLiveUnderEveryTier(t *testing.T) {
+	for _, mode := range []journal.Mode{journal.ModeSync, journal.ModeGroup, journal.ModeAsync} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := Config{Shards: 2, DataDir: t.TempDir(), HibernateAfter: time.Hour, EventLog: 64,
+				Journal: journal.Options{Mode: mode}, Home: HomeConfig{Model: visibility.EV}}
+			m := New(cfg)
+			if err := m.AddHome("casa", device.Plugs(3).All()...); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if _, err := m.Submit("casa", durableRoutine(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, tip, err := m.Events("casa", 0)
+			if err != nil || tip < 2 {
+				t.Fatalf("live poll: next %d, err %v", tip, err)
+			}
+			home, err := m.Runtime("casa")
+			if err != nil {
+				t.Fatal(err)
+			}
+			home.Crash()
+			m.Close()
+
+			m2 := New(cfg)
+			defer m2.Close()
+			if _, err := m2.RecoverHomes(); err != nil {
+				t.Fatal(err)
+			}
+			st, err := m2.HomeStatus("casa")
+			if err != nil || st.Health != rt.HealthOK || st.Routines != 3 {
+				t.Fatalf("recovered status = %+v, err %v; want health ok with 3 routines", st, err)
+			}
+			ev, next, err := m2.Events("casa", tip)
+			if err != nil || len(ev) != 0 || next != tip {
+				t.Fatalf("tip poll after recovery: %d events, next %d (want %d), err %v", len(ev), next, tip, err)
+			}
+			if got := m2.tel.wakes.Value(); got != 0 {
+				t.Fatalf("crashed home was registered cold: %v wakes", got)
+			}
+		})
+	}
+}
+
+// TestManagerWithoutFleetUsesPrivateLogs: when the writer fleet cannot open
+// (here: a file squats on <DataDir>/wal) the manager still starts, reports
+// the failure, and every home journals into a private log under its own
+// directory — durable across a restart in the same condition.
+func TestManagerWithoutFleetUsesPrivateLogs(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal"), []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := durableManager(dir)
+	if st := m.Status(); st.DurabilityError == "" {
+		t.Fatal("fleet opened over a squatting file")
+	}
+	if err := m.AddHome("casa", device.Plugs(3).All()...); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := m.Submit("casa", durableRoutine(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	home, err := m.Runtime("casa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !home.Durable() {
+		t.Fatalf("home is not durable without the fleet: %v", home.JournalError())
+	}
+	home.Crash()
+	m.Close()
+
+	m2 := durableManager(dir)
+	defer m2.Close()
+	if _, err := m2.RecoverHomes(); err != nil {
+		t.Fatal(err)
+	}
+	if results, err := m2.Results("casa"); err != nil || len(results) != 4 {
+		t.Fatalf("recovered %d results from the private log, err %v; want 4", len(results), err)
 	}
 }

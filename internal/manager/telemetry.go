@@ -17,13 +17,10 @@ type managerTelemetry struct {
 	reg  *telemetry.Registry
 	loop *rt.LoopMetrics
 
-	// jstats is shared by every home journal and every shard GroupWriter:
-	// fleet-wide append/fsync/checkpoint totals with no per-home cardinality.
-	jstats journal.Stats
-
-	// Group-commit coalescing shape, observed from the writers' sync cycles.
-	cycleBytes   *telemetry.Histogram
-	cycleCommits *telemetry.Histogram
+	// jstats is shared by every home journal and every shard GroupWriter;
+	// onCycle observes the writers' sync cycles (rt.NewJournalMetrics).
+	jstats  *journal.Stats
+	onCycle func(bytes int64, commits int)
 
 	// Hibernation lifecycle.
 	freezes     *telemetry.Counter
@@ -46,6 +43,7 @@ const statusTTL = 500 * time.Millisecond
 func newManagerTelemetry(m *Manager) *managerTelemetry {
 	t := &managerTelemetry{reg: telemetry.NewRegistry()}
 	t.loop = rt.NewLoopMetrics(t.reg)
+	t.jstats, t.onCycle = rt.NewJournalMetrics(t.reg)
 
 	t.reg.CounterFunc("safehome_manager_submitted_total", "Routines accepted across all homes.", m.submitted.Total)
 	t.reg.CounterFunc("safehome_manager_committed_total", "Routines committed across all homes.", m.committed.Total)
@@ -56,25 +54,6 @@ func newManagerTelemetry(m *Manager) *managerTelemetry {
 	t.reg.CounterFunc("safehome_supervision_restarts_total", "Supervised restarts that came back clean.", m.restarts.Load)
 	t.reg.CounterFunc("safehome_supervision_quarantines_total", "Homes quarantined after exhausting their restart budget.", m.quarantined.Load)
 
-	t.reg.CounterFunc("safehome_journal_appends_total", "Batch records appended to the write-ahead journal, all homes.", t.jstats.Appends.Load)
-	t.reg.CounterFunc("safehome_journal_appended_bytes_total", "Framed bytes appended to the write-ahead journal, all homes.", t.jstats.AppendedBytes.Load)
-	t.reg.CounterFunc("safehome_journal_fsyncs_total", "Journal data fsyncs: per-home syncs plus shared group-writer cycles.", t.jstats.Fsyncs.Load)
-	t.reg.CounterFunc("safehome_journal_checkpoints_total", "Checkpoint images durably published, all homes.", t.jstats.Checkpoints.Load)
-	t.reg.GaugeFunc("safehome_journal_checkpoint_age_seconds", "Seconds since the most recent checkpoint anywhere in the fleet (-1 until one lands).", func() float64 {
-		last := t.jstats.LastCheckpointUnixNano.Load()
-		if last == 0 {
-			return -1
-		}
-		return time.Since(time.Unix(0, last)).Seconds()
-	})
-
-	t.cycleBytes = t.reg.Histogram("safehome_journal_group_cycle_bytes",
-		"Bytes made durable per shared-writer fsync cycle (the group-commit coalescing factor in bytes).",
-		telemetry.ExponentialBuckets(256, 4, 10))
-	t.cycleCommits = t.reg.Histogram("safehome_journal_group_cycle_commits",
-		"Commit tickets released per shared-writer fsync cycle (how many homes' commits rode one fsync).",
-		telemetry.ExponentialBuckets(1, 2, 10))
-
 	t.freezes = t.reg.Counter("safehome_hibernation_freezes_total", "Homes collapsed to a frozen checkpoint.")
 	t.wakes = t.reg.Counter("safehome_hibernation_wakes_total", "Frozen homes reanimated from checkpoint + journal tail.")
 	t.wakeSeconds = t.reg.Histogram("safehome_hibernation_wake_seconds",
@@ -83,14 +62,6 @@ func newManagerTelemetry(m *Manager) *managerTelemetry {
 
 	t.reg.Collect(m.collectStatusGauges)
 	return t
-}
-
-// onCycle feeds one shared-writer fsync cycle into the coalescing
-// histograms. Called from the writer's syncLoop with its lock held, so it
-// must stay a pair of plain observations.
-func (t *managerTelemetry) onCycle(bytes int64, commits int) {
-	t.cycleBytes.Observe(float64(bytes))
-	t.cycleCommits.Observe(float64(commits))
 }
 
 // cachedStatus returns a Status at most statusTTL old, walking the shards

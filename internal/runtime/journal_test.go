@@ -462,20 +462,11 @@ func TestTornRuntimeTailDropsOnlyUnacked(t *testing.T) {
 	rt.Crash()
 
 	// Tear bytes off the newest segment.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var newest string
-	for _, e := range entries {
-		if name := e.Name(); len(name) > 4 && name[len(name)-4:] == ".seg" && name > newest {
-			newest = name
-		}
-	}
-	if newest == "" {
+	segs := journal.SegmentFiles(dir)
+	if len(segs) == 0 {
 		t.Fatal("no segments written")
 	}
-	path := dir + "/" + newest
+	path := segs[len(segs)-1]
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

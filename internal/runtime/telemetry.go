@@ -1,6 +1,9 @@
 package runtime
 
 import (
+	"time"
+
+	"safehome/internal/journal"
 	"safehome/internal/telemetry"
 	"safehome/internal/visibility"
 )
@@ -47,6 +50,39 @@ func NewLoopMetrics(reg *telemetry.Registry) *LoopMetrics {
 		StageStart:        reg.Histogram(stageName, stageHelp, buckets, telemetry.L("stage", "start")),
 		StageDone:         reg.Histogram(stageName, stageHelp, buckets, telemetry.L("stage", "done")),
 		SnapshotPublishes: reg.Counter("safehome_snapshot_publishes_total", "Immutable snapshots published by home loops (the off-loop read path's advance rate)."),
+	}
+}
+
+// NewJournalMetrics registers the journal families on reg and returns the
+// two things an owner wires into its journals and writer fleet: the Stats
+// every journal.Options and the journal.WriterOptions share (fleet-wide
+// append/fsync/checkpoint totals, no per-home cardinality) and the OnCycle
+// hook that feeds the group-commit coalescing histograms. Like
+// NewLoopMetrics, both the hub and the manager call this, so the journal
+// families are identical on every /metrics surface. The hook runs with the
+// writer's lock held, so it stays a pair of plain observations.
+func NewJournalMetrics(reg *telemetry.Registry) (*journal.Stats, func(bytes int64, commits int)) {
+	s := new(journal.Stats)
+	reg.CounterFunc("safehome_journal_appends_total", "Batch records appended to the write-ahead journal, all homes.", s.Appends.Load)
+	reg.CounterFunc("safehome_journal_appended_bytes_total", "Framed bytes appended to the write-ahead journal, all homes.", s.AppendedBytes.Load)
+	reg.CounterFunc("safehome_journal_fsyncs_total", "Journal data fsyncs (writer sync cycles).", s.Fsyncs.Load)
+	reg.CounterFunc("safehome_journal_checkpoints_total", "Checkpoint images durably published, all homes.", s.Checkpoints.Load)
+	reg.GaugeFunc("safehome_journal_checkpoint_age_seconds", "Seconds since the most recent checkpoint of any home (-1 until one lands).", func() float64 {
+		last := s.LastCheckpointUnixNano.Load()
+		if last == 0 {
+			return -1
+		}
+		return time.Since(time.Unix(0, last)).Seconds()
+	})
+	cycleBytes := reg.Histogram("safehome_journal_group_cycle_bytes",
+		"Bytes made durable per writer fsync cycle (the group-commit coalescing factor in bytes).",
+		telemetry.ExponentialBuckets(256, 4, 10))
+	cycleCommits := reg.Histogram("safehome_journal_group_cycle_commits",
+		"Commit tickets released per writer fsync cycle (how many homes' commits rode one fsync).",
+		telemetry.ExponentialBuckets(1, 2, 10))
+	return s, func(bytes int64, commits int) {
+		cycleBytes.Observe(float64(bytes))
+		cycleCommits.Observe(float64(commits))
 	}
 }
 

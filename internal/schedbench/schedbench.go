@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	goruntime "runtime"
 	"sort"
 	"strconv"
@@ -90,10 +89,11 @@ func ManagerThroughput(shards, homes int) func(b *testing.B) {
 }
 
 // ManagerThroughputJournaled is ManagerThroughput with durability on under
-// the given tier: every home journals to a shared DataDir. sync pays one
-// fsync per home per batch drain; group coalesces all of a shard's homes
-// into one shared-writer fsync cycle; async acknowledges ahead of the disk.
-// The sync-vs-group gap is the fsync wall this tier exists to collapse.
+// the given tier: every home journals through its shard's writer under a
+// shared DataDir. sync starts an fsync cycle as soon as a commit waits;
+// group holds a short window first so a shard's homes ride one cycle; async
+// acknowledges ahead of the disk. The sync-vs-group gap is what the window
+// buys.
 func ManagerThroughputJournaled(shards, homes int, mode journal.Mode) func(b *testing.B) {
 	return func(b *testing.B) {
 		// The bench is closed-loop: each parallel client blocks in Submit
@@ -183,29 +183,19 @@ func RuntimeThroughputJournaled(batch int) func(b *testing.B) {
 }
 
 // RuntimeThroughputTiered is RuntimeThroughputJournaled under an explicit
-// durability tier. Group mode runs the single home over its own shared
-// writer — the coalescing pipeline without cross-home traffic, so the row
-// isolates the pipeline's cost; async shows the ceiling with acknowledgement
-// decoupled from the disk.
+// durability tier. The single home appends through its journal's private
+// writer — the commit pipeline without cross-home traffic, where sync and
+// group coincide (a lone home never waits for a window); async shows the
+// ceiling with acknowledgement decoupled from the disk.
 func RuntimeThroughputTiered(batch int, mode journal.Mode) func(b *testing.B) {
 	return func(b *testing.B) {
-		dir := b.TempDir()
-		cfg := rt.Config{
+		runtimeThroughput(b, rt.Config{
 			ID:      "bench",
 			Model:   visibility.EV,
 			Batch:   batch,
-			DataDir: dir,
+			DataDir: b.TempDir(),
 			Journal: journal.Options{Mode: mode},
-		}
-		if mode == journal.ModeGroup {
-			ws, err := journal.OpenWriters(filepath.Join(dir, "wal"), 1, journal.WriterOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer ws[0].Close()
-			cfg.Journal.Writer = ws[0]
-		}
-		runtimeThroughput(b, cfg)
+		})
 	}
 }
 
@@ -385,7 +375,7 @@ func homeDensity(b *testing.B, homes int, hotPct float64) {
 }
 
 // printWakeHistogram renders the first-touch wake-latency distribution as a
-// log-scale bucket histogram on stderr (SAFEHOME_DENSITY_HIST=1) — the
+// logarithmic bucket histogram on stderr (SAFEHOME_DENSITY_HIST=1) — the
 // nightly density sweep captures it as an artifact alongside the p50/p99
 // extras, since a tail regression hides inside two percentiles.
 func printWakeHistogram(sorted []time.Duration) {
