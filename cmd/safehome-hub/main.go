@@ -44,7 +44,6 @@ import (
 	"safehome/internal/journal"
 	"safehome/internal/kasa"
 	"safehome/internal/manager"
-	"safehome/internal/runtime"
 	"safehome/internal/visibility"
 )
 
@@ -61,7 +60,6 @@ func main() {
 		shards         = flag.Int("shards", 4, "multi-tenant mode: number of worker shards")
 		mailbox        = flag.Int("mailbox", 0, "per-home operation-mailbox depth (0 = default 128); a full mailbox answers 429")
 		batch          = flag.Int("batch", 0, "max operations a home drains per loop wakeup (0 = default 32)")
-		readMode       = flag.String("consistency", "snapshot", "read consistency: snapshot (reads never touch the mailbox) or linearizable")
 		eventLog       = flag.Int("eventlog", 0, "multi-tenant mode: per-home event-log cap (0 disables /homes/{id}/events)")
 		dataDir        = flag.String("data", "", "data directory for the write-ahead journal; empty runs memory-only. A hub restarted with the same -data recovers results, committed states and event cursors, and aborts routines that were in flight")
 		durabilityName = flag.String("durability", "", "journal durability tier with -data: sync (ack after the covering fsync, no commit window; single-home default), group (ack after the covering fsync, commits gather behind a short window; multi-tenant default), or async (ack ahead of the disk, bounded loss window)")
@@ -74,10 +72,6 @@ func main() {
 		log.Fatalf("safehome-hub: %v", err)
 	}
 	sched, err := visibility.ParseScheduler(*schedName)
-	if err != nil {
-		log.Fatalf("safehome-hub: %v", err)
-	}
-	consistency, err := runtime.ParseReadConsistency(*readMode)
 	if err != nil {
 		log.Fatalf("safehome-hub: %v", err)
 	}
@@ -98,7 +92,7 @@ func main() {
 		if *hibernate > 0 && *dataDir == "" {
 			log.Fatal("safehome-hub: -hibernate-after needs -data: a frozen home is its final checkpoint")
 		}
-		serveManager(*listen, *homes, *shards, *plugs, *mailbox, *batch, *eventLog, *dataDir, jopts, *hibernate, model, sched, consistency)
+		serveManager(*listen, *homes, *shards, *plugs, *mailbox, *batch, *eventLog, *dataDir, jopts, *hibernate, model, sched)
 		return
 	}
 	if *hibernate > 0 {
@@ -119,8 +113,7 @@ func main() {
 	}
 
 	h, err := hub.New(hub.Config{Model: model, Scheduler: sched, FailureInterval: *probe,
-		MailboxDepth: *mailbox, Batch: *batch, ReadConsistency: consistency,
-		DataDir: *dataDir, Journal: jopts}, reg, actuator)
+		MailboxDepth: *mailbox, Batch: *batch, DataDir: *dataDir, Journal: jopts}, reg, actuator)
 	if err != nil {
 		log.Fatalf("safehome-hub: %v", err)
 	}
@@ -140,17 +133,16 @@ func main() {
 // on live clocks, partitioned across worker shards, behind the /homes API.
 func serveManager(listen string, homes, shards, plugs, mailbox, batch, eventLog int,
 	dataDir string, jopts journal.Options, hibernate time.Duration,
-	model visibility.Model, sched visibility.SchedulerKind, consistency runtime.ReadConsistency) {
+	model visibility.Model, sched visibility.SchedulerKind) {
 	m := manager.New(manager.Config{
-		Shards:          shards,
-		QueueDepth:      mailbox,
-		Batch:           batch,
-		Clock:           manager.ClockLive,
-		ReadConsistency: consistency,
-		EventLog:        eventLog,
-		DataDir:         dataDir,
-		Journal:         jopts,
-		HibernateAfter:  hibernate,
+		Shards:         shards,
+		QueueDepth:     mailbox,
+		Batch:          batch,
+		Clock:          manager.ClockLive,
+		EventLog:       eventLog,
+		DataDir:        dataDir,
+		Journal:        jopts,
+		HibernateAfter: hibernate,
 		Home: manager.HomeConfig{
 			Model:      model,
 			ExplicitWV: model == visibility.WV,

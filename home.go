@@ -40,15 +40,6 @@ type Config struct {
 	// MailboxBatch is the maximum operations a live home drains per loop
 	// wakeup (default 32), amortizing channel signaling under load.
 	MailboxBatch int
-	// ReadConsistency selects how a live home answers read-only calls
-	// (Results, Status, Devices, Events). The default, ReadSnapshot, reads
-	// the home loop's latest published snapshot: reads are lock-free, cost
-	// the loop nothing, and a caller always observes its own completed
-	// mutations. ReadLinearizable serializes every read through the home's
-	// mailbox instead — pick it only when a read must reflect mutations
-	// completed concurrently by other callers. Simulated homes are
-	// single-threaded and unaffected.
-	ReadConsistency ReadConsistency
 	// DataDir makes a live home durable: accepted routines, outcomes,
 	// committed device states and event sequence numbers are group-committed
 	// to a write-ahead journal under this directory, and a home restarted
@@ -69,19 +60,6 @@ type Config struct {
 	// Observer, if set, receives every controller event.
 	Observer Observer
 }
-
-// ReadConsistency selects how a live home answers read-only calls; see
-// Config.ReadConsistency.
-type ReadConsistency = hub.ReadConsistency
-
-// Read-consistency modes.
-const (
-	// ReadSnapshot answers reads from the home loop's latest published
-	// snapshot (the default: reads never touch the home's mailbox).
-	ReadSnapshot = hub.ReadSnapshot
-	// ReadLinearizable serializes reads through the home's mailbox.
-	ReadLinearizable = hub.ReadLinearizable
-)
 
 func (c Config) options() visibility.Options {
 	opts := visibility.DefaultOptions(c.Model)
@@ -210,10 +188,13 @@ type HubStatus = hub.Status
 // LiveHome runs SafeHome in real time on an edge device: routines actuate
 // devices through the provided Actuator (e.g. the Kasa driver), the failure
 // detector probes devices periodically, and an HTTP API is available for
-// users and triggers. LiveHome is safe for concurrent use: every operation
+// users and triggers. LiveHome is safe for concurrent use: every mutation
 // is serialized through the home runtime's typed mailbox, and when the
 // mailbox is full mutating calls return ErrOverloaded (back off and retry)
-// instead of blocking indefinitely.
+// instead of blocking indefinitely. Reads (Results, Status, Devices, Events)
+// answer from the home loop's latest published snapshot without touching
+// the mailbox, and already reflect every mutation acknowledged to any
+// caller.
 type LiveHome struct {
 	hub *hub.Hub
 }
@@ -247,7 +228,6 @@ func NewLiveHome(cfg Config, actuator Actuator, devices ...DeviceInfo) (*LiveHom
 		FailureInterval: cfg.FailureDetectionInterval,
 		MailboxDepth:    cfg.MailboxDepth,
 		Batch:           cfg.MailboxBatch,
-		ReadConsistency: cfg.ReadConsistency,
 		DataDir:         cfg.DataDir,
 		Journal:         jopts,
 	}, NewRegistry(devices...), actuator)

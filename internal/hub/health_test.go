@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,6 +101,95 @@ func TestReadyz503WhileRestartingThenRecovers(t *testing.T) {
 	// The restarted hub serves mutations again.
 	if _, err := h.SubmitRoutine(coolingRoutine()); err != nil {
 		t.Errorf("SubmitRoutine after supervised restart: %v", err)
+	}
+}
+
+// TestUnsupervisedPoisonIsReported: with Supervisor.Disable a poisoned home
+// is not restarted, but it is still noticed. Both owners report it
+// quarantined with its poison forensics, mutations answer 503 with
+// Retry-After, and the hub's /readyz turns 503 too (the manager's /readyz is
+// process-level and stays 200).
+func TestUnsupervisedPoisonIsReported(t *testing.T) {
+	off := rt.SupervisorConfig{Disable: true}
+	for _, tc := range []struct {
+		name                         string
+		srv                          func(t *testing.T) (http.Handler, *rt.HomeRuntime)
+		statusPath, submitPath, spec string
+		ready                        bool // /readyz reports the home
+	}{
+		{
+			name: "hub",
+			srv: func(t *testing.T) (http.Handler, *rt.HomeRuntime) {
+				h := newSupervisedHub(t, off)
+				return h.Handler(), h.Runtime()
+			},
+			statusPath: "/api/status", submitPath: "/api/routines",
+			spec:  `{"routine_name":"r","commands":[{"device":"light","action":"ON"}]}`,
+			ready: true,
+		},
+		{
+			name: "manager",
+			srv: func(t *testing.T) (http.Handler, *rt.HomeRuntime) {
+				m := manager.New(manager.Config{Shards: 1, Supervisor: off})
+				t.Cleanup(m.Close)
+				if err := m.AddHome("h", device.Plugs(2).All()...); err != nil {
+					t.Fatal(err)
+				}
+				home, err := m.Runtime("h")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ManagerHandler(m, 2), home
+			},
+			statusPath: "/homes/h/status", submitPath: "/homes/h/routines",
+			spec: `{"routine_name":"r","commands":[{"device":"plug-0","action":"ON"}]}`,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, home := tc.srv(t)
+			home.PostTimer(func() { panic("test: unsupervised fault") })
+
+			type status struct {
+				Health     rt.HomeHealth    `json:"health"`
+				LastPoison *rt.PoisonRecord `json:"last_poison"`
+			}
+			var st status
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				st = status{}
+				rec := get(t, srv, tc.statusPath)
+				if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+					t.Fatalf("GET %s: %v", tc.statusPath, err)
+				}
+				if st.Health != rt.HealthOK {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("poisoned %s still reports health ok", tc.name)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if st.Health != rt.HealthQuarantined {
+				t.Errorf("health = %s, want quarantined", st.Health)
+			}
+			if st.LastPoison == nil || !strings.Contains(st.LastPoison.Message, "unsupervised fault") {
+				t.Errorf("last_poison = %+v, want the panic's forensics", st.LastPoison)
+			}
+
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("POST", tc.submitPath, strings.NewReader(tc.spec)))
+			if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+				t.Errorf("POST %s = %d (Retry-After %q), want 503 with Retry-After",
+					tc.submitPath, rec.Code, rec.Header().Get("Retry-After"))
+			}
+			if !tc.ready {
+				return
+			}
+			if rec := get(t, srv, "/readyz"); rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+				t.Errorf("GET /readyz = %d (Retry-After %q), want 503 with Retry-After",
+					rec.Code, rec.Header().Get("Retry-After"))
+			}
+		})
 	}
 }
 

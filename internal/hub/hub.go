@@ -5,11 +5,12 @@
 // all live inside the runtime, and the hub exposes them through a typed API
 // and HTTP surface.
 //
-// There is no hub lock: every operation is a typed op posted into the
+// There is no hub lock: every mutation is a typed op posted into the
 // runtime's mailbox, and the live environment delivers command completions
 // and timer callbacks through the same mailbox, so the controller keeps its
-// single-threaded execution model end to end. When the mailbox is full,
-// mutating operations return ErrOverloaded (HTTP 429) instead of blocking.
+// single-threaded execution model end to end; reads answer from the
+// runtime's published snapshot. When the mailbox is full, mutating
+// operations return ErrOverloaded (HTTP 429) instead of blocking.
 // The hub also hosts the multi-tenant HTTP surface (ManagerHandler) that
 // routes home-scoped requests through internal/manager.
 //
@@ -45,19 +46,6 @@ var (
 	ErrPoisoned = rt.ErrPoisoned
 )
 
-// ReadConsistency selects how the hub answers read-only queries; re-exported
-// from the home runtime for the hub's callers.
-type ReadConsistency = rt.ReadConsistency
-
-// Read-consistency modes.
-const (
-	// ReadSnapshot (default) answers queries from the loop's latest published
-	// snapshot, off the mailbox entirely.
-	ReadSnapshot = rt.ReadSnapshot
-	// ReadLinearizable posts every query through the mailbox.
-	ReadLinearizable = rt.ReadLinearizable
-)
-
 // Config configures a hub.
 type Config struct {
 	// Model is the visibility model to enforce (default EV).
@@ -74,9 +62,6 @@ type Config struct {
 	MailboxDepth int
 	// Batch is the maximum operations drained per loop wakeup (default 32).
 	Batch int
-	// ReadConsistency selects how queries are answered (default
-	// ReadSnapshot: status polls never touch the mailbox).
-	ReadConsistency ReadConsistency
 	// DataDir enables durability: the hub's runtime group-commits accepted
 	// operations, outcomes, committed states and event sequence numbers to a
 	// write-ahead journal under this directory and recovers them on the next
@@ -99,8 +84,8 @@ type Config struct {
 	// poisons it, tears it down and restarts it (from the journal when
 	// durable, empty otherwise) with capped exponential backoff, then
 	// quarantines after MaxRestarts consecutive failures. The zero value
-	// enables supervision with defaults; set Supervisor.Disable to let the
-	// poison stand without restarting.
+	// enables supervision with defaults; set Supervisor.Disable to quarantine
+	// the hub on its first poison instead of restarting it.
 	Supervisor rt.SupervisorConfig
 }
 
@@ -118,29 +103,25 @@ func (c Config) normalized() Config {
 }
 
 // Hub is a running SafeHome instance: a thin front-end over one home
-// runtime. The runtime pointer is swapped atomically by the hub's
-// supervisor when a panic poisons a generation, so API calls racing a
-// restart see either the old (poisoned, fast-failing) or the new runtime —
+// runtime, held through a supervised slot. The slot swaps the runtime
+// pointer atomically when a panic poisons a generation, so API calls racing
+// a restart see either the old (poisoned, fast-failing) or the new runtime —
 // never a torn hub.
 type Hub struct {
 	cfg      Config
 	reg      *device.Registry
 	actuator device.Actuator
-	cur      atomic.Pointer[rt.HomeRuntime]
-	sup      *rt.Supervisor
+	slot     *rt.Slot
 
 	stop      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
-	restartCh chan struct{}
 	detecting atomic.Bool // Start was called: restarted generations re-arm the detector
 
 	// Durability wiring: a durable hub owns one writer that outlives
-	// supervised runtime generations (each rebuilt runtime re-attaches to
-	// it). lastPoison mirrors the manager's per-home forensics for Status.
+	// supervised runtime generations (each rebuilt runtime re-attaches to it).
 	durability journal.Mode
 	writer     *journal.GroupWriter
-	lastPoison atomic.Pointer[rt.PoisonRecord]
 
 	// tel is the /metrics surface. It outlives runtime generations, so a
 	// supervised restart keeps appending to the same histograms.
@@ -165,17 +146,14 @@ func New(cfg Config, reg *device.Registry, actuator device.Actuator) (*Hub, erro
 		cfg:      cfg,
 		reg:      reg,
 		actuator: actuator,
-		sup:      rt.NewSupervisor(cfg.Supervisor),
 		stop:     make(chan struct{}),
-		// One runtime means at most one poison per generation; a buffer of one
-		// never drops a restart request.
-		restartCh: make(chan struct{}, 1),
-		started:   time.Now(),
+		started:  time.Now(),
 	}
 	h.tel = newHubTelemetry(h)
+	sv := rt.NewSupervision(cfg.Supervisor, h.tel.sup, h.stop)
+	h.slot = sv.NewSlot(cfg.DataDir, h.buildRuntime)
 	if cfg.DataDir != "" {
 		h.durability = journal.ResolveMode(cfg.Journal, journal.ModeSync)
-		h.lastPoison.Store(rt.LoadPoisonRecord(cfg.DataDir))
 		wopts := journal.WriterOptionsFor(cfg.Journal, h.durability)
 		wopts.Stats, wopts.OnCycle = h.tel.jstats, h.tel.onCycle
 		writers, err := journal.OpenWriters(filepath.Join(cfg.DataDir, "wal"), 1, wopts)
@@ -184,24 +162,29 @@ func New(cfg Config, reg *device.Registry, actuator device.Actuator) (*Hub, erro
 		}
 		h.writer = writers[0]
 	}
-	runtime, err := h.buildRuntime()
+	runtime, err := h.slot.Build()
 	if err != nil {
 		if h.writer != nil {
 			h.writer.Abandon()
 		}
 		return nil, fmt.Errorf("hub: %w", err)
 	}
-	h.cur.Store(runtime)
-	if !cfg.Supervisor.Disable {
-		h.wg.Add(1)
-		go h.runSupervisor()
-	}
+	h.slot.Store(runtime)
+	h.wg.Add(1)
+	go func() {
+		defer h.wg.Done()
+		sv.Run(func(ok bool) {
+			if ok && h.detecting.Load() {
+				h.slot.Load().Start() // a restarted generation re-arms the detector
+			}
+		})
+	}()
 	return h, nil
 }
 
 // buildRuntime constructs one runtime generation. With a DataDir each new
 // generation recovers the previous one's acknowledged work from the journal.
-func (h *Hub) buildRuntime() (*rt.HomeRuntime, error) {
+func (h *Hub) buildRuntime(onPoison func(error)) (*rt.HomeRuntime, error) {
 	cfg := rt.Config{
 		ID:              "hub",
 		Model:           h.cfg.Model,
@@ -211,75 +194,22 @@ func (h *Hub) buildRuntime() (*rt.HomeRuntime, error) {
 		EventLog:        h.cfg.EventLog,
 		MailboxDepth:    h.cfg.MailboxDepth,
 		Batch:           h.cfg.Batch,
-		ReadConsistency: h.cfg.ReadConsistency,
 		DataDir:         h.cfg.DataDir,
 		Journal:         h.cfg.Journal,
 		Actuation:       h.cfg.Actuation,
+		OnPoison:        onPoison,
+		Metrics:         h.tel.loop,
 	}
 	cfg.Journal.Mode = h.durability
 	cfg.Journal.Writer = h.writer
 	cfg.Journal.Stats = h.tel.jstats
-	cfg.Metrics = h.tel.loop
-	if !h.cfg.Supervisor.Disable {
-		cfg.OnPoison = h.notifyPoison
-	}
 	return rt.NewLive(cfg, h.reg, h.actuator)
-}
-
-// notifyPoison runs on the dying runtime's loop goroutine.
-func (h *Hub) notifyPoison(err error) {
-	h.sup.NotePoison(err)
-	if rec := h.cur.Load().PoisonRecord(); rec != nil {
-		h.lastPoison.Store(rec)
-	}
-	select {
-	case h.restartCh <- struct{}{}:
-	default:
-	}
-}
-
-// runSupervisor restarts poisoned runtime generations until Close (or the
-// restart budget quarantines the hub).
-func (h *Hub) runSupervisor() {
-	defer h.wg.Done()
-	for {
-		select {
-		case <-h.stop:
-			return
-		case <-h.restartCh:
-			h.superviseRestart()
-		}
-	}
-}
-
-func (h *Hub) superviseRestart() {
-	// Join the dead loop; the poison teardown already closed the mailbox and
-	// released the journal, so the data directory is free for the successor.
-	h.cur.Load().Close()
-	ok := h.sup.Restart(h.stop, func() error {
-		runtime, err := h.buildRuntime()
-		if err != nil {
-			return err
-		}
-		h.cur.Store(runtime)
-		return nil
-	})
-	if ok {
-		// Clean restart: retire the poison forensics, on disk and in Status.
-		if h.cfg.DataDir != "" {
-			rt.ClearPoisonRecord(h.cfg.DataDir)
-		}
-		h.lastPoison.Store(nil)
-	}
-	if ok && h.detecting.Load() {
-		h.cur.Load().Start()
-	}
 }
 
 // Start launches the failure detector's probe loop.
 func (h *Hub) Start() {
 	h.detecting.Store(true)
-	h.cur.Load().Start()
+	h.slot.Load().Start()
 }
 
 // Close stops background activity (supervision, failure detection and
@@ -289,7 +219,7 @@ func (h *Hub) Start() {
 func (h *Hub) Close() {
 	h.closeOnce.Do(func() { close(h.stop) })
 	h.wg.Wait()
-	h.cur.Load().Close()
+	h.slot.Load().Close()
 	if h.writer != nil {
 		_ = h.writer.Close() // after the runtime: its Close waits on the covering sync
 	}
@@ -303,7 +233,7 @@ func (h *Hub) Close() {
 func (h *Hub) Crash() {
 	h.closeOnce.Do(func() { close(h.stop) })
 	h.wg.Wait()
-	h.cur.Load().Crash()
+	h.slot.Load().Crash()
 	if h.writer != nil {
 		h.writer.Abandon() // no final sync: only covered bytes survive
 	}
@@ -311,13 +241,12 @@ func (h *Hub) Crash() {
 
 // Health reports the hub's supervision state: ok, degraded (serving but the
 // journal died — memory-only until restart), restarting (poisoned, being
-// rebuilt) or quarantined (restart budget exhausted).
-func (h *Hub) Health() rt.HomeHealth {
-	return h.sup.Health(h.cur.Load().JournalError() == nil)
-}
+// rebuilt) or quarantined (restart budget exhausted, or poisoned with
+// supervision disabled).
+func (h *Hub) Health() rt.HomeHealth { return h.slot.Health() }
 
 // Serving reports whether the hub can take requests right now.
-func (h *Hub) Serving() bool { return h.sup.Serving() }
+func (h *Hub) Serving() bool { return h.slot.Serving() }
 
 // Model returns the hub's visibility model.
 func (h *Hub) Model() visibility.Model { return h.cfg.Model }
@@ -326,16 +255,16 @@ func (h *Hub) Model() visibility.Model { return h.cfg.Model }
 func (h *Hub) Registry() *device.Registry { return h.reg }
 
 // Detector exposes the failure detector (CLI status, tests).
-func (h *Hub) Detector() *failure.Detector { return h.cur.Load().Detector() }
+func (h *Hub) Detector() *failure.Detector { return h.slot.Load().Detector() }
 
 // Runtime exposes the current home runtime generation (mailbox stats,
 // tests). Callers should not cache it across a restart.
-func (h *Hub) Runtime() *rt.HomeRuntime { return h.cur.Load() }
+func (h *Hub) Runtime() *rt.HomeRuntime { return h.slot.Load() }
 
 // SubmitRoutine validates and submits a routine for execution. It returns
 // ErrOverloaded when the hub's mailbox is full.
 func (h *Hub) SubmitRoutine(r *routine.Routine) (routine.ID, error) {
-	return h.cur.Load().Submit(r)
+	return h.slot.Load().Submit(r)
 }
 
 // SubmitSpec parses a Fig 10-style JSON routine document and submits it.
@@ -350,16 +279,16 @@ func (h *Hub) SubmitSpec(spec []byte) (routine.ID, error) {
 // StoreRoutine saves a routine definition in the routine bank. On a durable
 // hub the definition is journaled, so stored routines survive restarts.
 func (h *Hub) StoreRoutine(r *routine.Routine) error {
-	return h.cur.Load().StoreRoutine(r)
+	return h.slot.Load().StoreRoutine(r)
 }
 
 // StoredRoutines lists the names in the routine bank.
-func (h *Hub) StoredRoutines() []string { return h.cur.Load().Bank().Names() }
+func (h *Hub) StoredRoutines() []string { return h.slot.Load().Bank().Names() }
 
 // Trigger dispatches a stored routine by name (the "Routine Dispatcher" of
 // Fig 11 invoked by a user or an automation trigger).
 func (h *Hub) Trigger(name string) (routine.ID, error) {
-	r, ok := h.cur.Load().Bank().Get(name)
+	r, ok := h.slot.Load().Bank().Get(name)
 	if !ok {
 		return routine.None, fmt.Errorf("hub: no stored routine named %q", name)
 	}
@@ -367,21 +296,21 @@ func (h *Hub) Trigger(name string) (routine.ID, error) {
 }
 
 // Results returns per-routine outcomes in submission order.
-func (h *Hub) Results() []visibility.Result { return h.cur.Load().Results() }
+func (h *Hub) Results() []visibility.Result { return h.slot.Load().Results() }
 
 // Result returns one routine's outcome.
-func (h *Hub) Result(id routine.ID) (visibility.Result, bool) { return h.cur.Load().Result(id) }
+func (h *Hub) Result(id routine.ID) (visibility.Result, bool) { return h.slot.Load().Result(id) }
 
 // PendingCount returns the number of unfinished routines.
-func (h *Hub) PendingCount() int { return h.cur.Load().PendingCount() }
+func (h *Hub) PendingCount() int { return h.slot.Load().PendingCount() }
 
 // Events returns a copy of the recent activity log.
-func (h *Hub) Events() []visibility.Event { return h.cur.Load().Events() }
+func (h *Hub) Events() []visibility.Event { return h.slot.Load().Events() }
 
 // EventsSince returns the retained events with sequence number >= since and
 // the cursor to pass on the next poll, so pollers fetch only the tail.
 func (h *Hub) EventsSince(since uint64) ([]visibility.Event, uint64) {
-	return h.cur.Load().EventsSince(since)
+	return h.slot.Load().EventsSince(since)
 }
 
 // DeviceStatus describes one device for the API and CLI. Breaker is the
@@ -397,7 +326,7 @@ type DeviceStatus struct {
 // Devices reports every device's committed state (the controller's view),
 // liveness and actuation-path breaker state.
 func (h *Hub) Devices() []DeviceStatus {
-	runtime := h.cur.Load()
+	runtime := h.slot.Load()
 	committed := runtime.CommittedStates()
 	detector := runtime.Detector()
 	breakers := make(map[device.ID]string)
@@ -447,34 +376,30 @@ type Status struct {
 // Status returns the hub summary. It answers while the hub is restarting or
 // quarantined too, from the last generation's published snapshot.
 func (h *Hub) Status() Status {
-	runtime := h.cur.Load()
+	runtime := h.slot.Load()
 	c := runtime.Counts()
 	st := Status{
-		Model:     h.cfg.Model.String(),
-		Scheduler: h.cfg.Scheduler.String(),
-		Health:    h.Health(),
-		Poisons:   h.sup.Poisons(),
-		Restarts:  h.sup.Restarts(),
-		Devices:   h.reg.Len(),
-		Routines:  c.Routines,
-		Pending:   c.Pending,
-		Active:    c.Active,
-		Stored:    runtime.Bank().Len(),
-		Mailbox:   runtime.Mailbox(),
-		Breakers:  runtime.Breakers(),
-		Durable:   runtime.Durable(),
-		Since:     h.started,
+		Model:      h.cfg.Model.String(),
+		Scheduler:  h.cfg.Scheduler.String(),
+		Health:     h.Health(),
+		Poisons:    h.tel.sup.Poisons.Value(),
+		Restarts:   h.slot.Restarts(),
+		Devices:    h.reg.Len(),
+		Routines:   c.Routines,
+		Pending:    c.Pending,
+		Active:     c.Active,
+		Stored:     runtime.Bank().Len(),
+		Mailbox:    runtime.Mailbox(),
+		Breakers:   runtime.Breakers(),
+		Durable:    runtime.Durable(),
+		LastPoison: h.slot.LastPoison(),
+		Since:      h.started,
 	}
 	if h.cfg.DataDir != "" {
 		st.Durability = h.durability.String()
 	}
-	st.LastPoison = h.lastPoison.Load()
-	if st.Health != rt.HealthOK {
-		if err := h.sup.LastError(); err != nil {
-			st.LastError = err.Error()
-		} else if err := runtime.JournalError(); err != nil {
-			st.LastError = err.Error()
-		}
+	if err := h.slot.LastError(); err != nil {
+		st.LastError = err.Error()
 	}
 	return st
 }

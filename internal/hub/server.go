@@ -136,7 +136,7 @@ func (h *Hub) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	buf := newBody()
 	buf.openEvents()
-	next := h.cur.Load().RangeEventsSince(since, buf.pageEvent)
+	next := h.slot.Load().RangeEventsSince(since, buf.pageEvent)
 	buf.closeEvents(next)
 	buf.send(w, http.StatusOK)
 }
@@ -200,7 +200,7 @@ func (h *Hub) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		err = fmt.Errorf("either ?after=<duration> or ?every=<duration> is required")
 	}
 	if err != nil {
-		writeHubError(w, http.StatusBadRequest, err)
+		writeOpError(w, http.StatusBadRequest, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]any{"handle": handle})
@@ -213,7 +213,7 @@ func (h *Hub) handleCancelTrigger(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := h.CancelTrigger(TriggerHandle(id)); err != nil {
-		writeHubError(w, http.StatusBadRequest, err)
+		writeOpError(w, http.StatusBadRequest, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"cancelled": r.PathValue("handle")})
@@ -227,7 +227,7 @@ func (h *Hub) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	id, err := h.SubmitSpec(body)
 	if err != nil {
-		writeHubError(w, http.StatusBadRequest, err)
+		writeOpError(w, http.StatusBadRequest, err)
 		return
 	}
 	writeID(w, http.StatusAccepted, id)
@@ -239,7 +239,7 @@ func (h *Hub) handleGetRoutine(w http.ResponseWriter, idText string) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad routine id: %w", err))
 		return
 	}
-	res, ok := h.cur.Load().ResultRef(routine.ID(id))
+	res, ok := h.slot.Load().ResultRef(routine.ID(id))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no routine %d", id))
 		return
@@ -269,21 +269,31 @@ func (h *Hub) handleStore(w http.ResponseWriter, r *http.Request) {
 func (h *Hub) handleTrigger(w http.ResponseWriter, r *http.Request) {
 	id, err := h.Trigger(r.PathValue("name"))
 	if err != nil {
-		writeHubError(w, http.StatusNotFound, err)
+		writeOpError(w, http.StatusNotFound, err)
 		return
 	}
 	writeID(w, http.StatusAccepted, id)
 }
 
-// writeHubError maps single-home hub errors onto HTTP statuses: a full
-// mailbox is 429 Too Many Requests (back off and retry), a closed or
-// poisoned-and-restarting hub is 503, anything else keeps the handler's
-// fallback status.
-func writeHubError(w http.ResponseWriter, fallback int, err error) {
+// writeOpError maps hub and manager errors onto HTTP statuses. An unknown
+// home is 404 and a duplicate one 409. A full mailbox is 429 Too Many
+// Requests: the home is overloaded and the client should back off and retry.
+// A closed, poisoned, restarting or quarantined home is 503 Service
+// Unavailable with a Retry-After hint — the supervisor is (or gave up)
+// bringing it back, and other homes keep serving. Anything else keeps the
+// handler's fallback status.
+func writeOpError(w http.ResponseWriter, fallback int, err error) {
 	switch {
+	case errors.Is(err, manager.ErrUnknownHome):
+		writeError(w, http.StatusNotFound, err)
+	case errors.Is(err, manager.ErrDuplicateHome):
+		writeError(w, http.StatusConflict, err)
 	case errors.Is(err, ErrOverloaded):
 		writeError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, ErrClosed), errors.Is(err, ErrPoisoned):
+	case errors.Is(err, ErrClosed),
+		errors.Is(err, ErrPoisoned),
+		errors.Is(err, manager.ErrRestarting),
+		errors.Is(err, manager.ErrQuarantined):
 		writeError(w, http.StatusServiceUnavailable, err)
 	default:
 		writeError(w, fallback, err)
@@ -366,7 +376,7 @@ func ManagerHandler(m *manager.Manager, defaultPlugs int) http.Handler {
 		}
 		id := manager.HomeID(r.PathValue("id"))
 		if err := m.AddHome(id, plugDevices(plugs)...); err != nil {
-			writeManagerError(w, err)
+			writeOpError(w, http.StatusBadRequest, err)
 			return
 		}
 		a.status(w, http.StatusCreated, id)
@@ -377,7 +387,7 @@ func ManagerHandler(m *manager.Manager, defaultPlugs int) http.Handler {
 	mux.HandleFunc("GET /homes/{id}/devices", func(w http.ResponseWriter, r *http.Request) {
 		states, err := m.DeviceStates(manager.HomeID(r.PathValue("id")))
 		if err != nil {
-			writeManagerError(w, err)
+			writeOpError(w, http.StatusBadRequest, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, states)
@@ -396,14 +406,14 @@ func ManagerHandler(m *manager.Manager, defaultPlugs int) http.Handler {
 	})
 	mux.HandleFunc("POST /homes/{id}/devices/{dev}/fail", func(w http.ResponseWriter, r *http.Request) {
 		if err := m.FailDevice(manager.HomeID(r.PathValue("id")), device.ID(r.PathValue("dev"))); err != nil {
-			writeManagerError(w, err)
+			writeOpError(w, http.StatusBadRequest, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"failed": r.PathValue("dev")})
 	})
 	mux.HandleFunc("POST /homes/{id}/devices/{dev}/restore", func(w http.ResponseWriter, r *http.Request) {
 		if err := m.RestoreDevice(manager.HomeID(r.PathValue("id")), device.ID(r.PathValue("dev"))); err != nil {
-			writeManagerError(w, err)
+			writeOpError(w, http.StatusBadRequest, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"restored": r.PathValue("dev")})
@@ -464,7 +474,7 @@ func cutHomePath(u *url.URL) (id manager.HomeID, tail string, ok bool) {
 func (a *managerAPI) status(w http.ResponseWriter, status int, id manager.HomeID) {
 	st, err := a.m.HomeStatus(id)
 	if err != nil {
-		writeManagerError(w, err)
+		writeOpError(w, http.StatusBadRequest, err)
 		return
 	}
 	writeHomeStatus(w, status, &st)
@@ -473,7 +483,7 @@ func (a *managerAPI) status(w http.ResponseWriter, status int, id manager.HomeID
 func (a *managerAPI) results(w http.ResponseWriter, id manager.HomeID) {
 	results, err := a.m.Results(id)
 	if err != nil {
-		writeManagerError(w, err)
+		writeOpError(w, http.StatusBadRequest, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resultsJSON(results))
@@ -487,7 +497,7 @@ func (a *managerAPI) submit(w http.ResponseWriter, r *http.Request, id manager.H
 	}
 	rid, err := a.m.SubmitSpec(id, body)
 	if err != nil {
-		writeManagerError(w, err)
+		writeOpError(w, http.StatusBadRequest, err)
 		return
 	}
 	writeID(w, http.StatusAccepted, rid)
@@ -501,7 +511,7 @@ func (a *managerAPI) result(w http.ResponseWriter, id manager.HomeID, ridText st
 	}
 	res, ok, err := a.m.ResultRef(id, routine.ID(rid))
 	if err != nil {
-		writeManagerError(w, err)
+		writeOpError(w, http.StatusBadRequest, err)
 		return
 	}
 	if !ok {
@@ -525,7 +535,7 @@ func (a *managerAPI) events(w http.ResponseWriter, r *http.Request, id manager.H
 	next, err := a.m.RangeEvents(id, since, buf.pageEvent)
 	if err != nil {
 		buf.release()
-		writeManagerError(w, err)
+		writeOpError(w, http.StatusBadRequest, err)
 		return
 	}
 	buf.closeEvents(next)
@@ -533,31 +543,6 @@ func (a *managerAPI) events(w http.ResponseWriter, r *http.Request, id manager.H
 }
 
 func plugDevices(n int) []device.Info { return device.Plugs(n).All() }
-
-// writeManagerError maps manager errors onto HTTP statuses. A full home
-// mailbox surfaces as 429 Too Many Requests: the home is overloaded and the
-// client should back off and retry, instead of the old behavior of blocking
-// the request goroutine until the shard caught up. A poisoned, restarting or
-// quarantined home is 503 Service Unavailable with a Retry-After hint — the
-// supervisor is (or gave up) bringing it back, and other homes on the shard
-// keep serving.
-func writeManagerError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, manager.ErrUnknownHome):
-		writeError(w, http.StatusNotFound, err)
-	case errors.Is(err, manager.ErrDuplicateHome):
-		writeError(w, http.StatusConflict, err)
-	case errors.Is(err, manager.ErrOverloaded):
-		writeError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, manager.ErrClosed),
-		errors.Is(err, manager.ErrRestarting),
-		errors.Is(err, manager.ErrQuarantined),
-		errors.Is(err, manager.ErrPoisoned):
-		writeError(w, http.StatusServiceUnavailable, err)
-	default:
-		writeError(w, http.StatusBadRequest, err)
-	}
-}
 
 // --- JSON views ---------------------------------------------------------------
 

@@ -7,12 +7,14 @@ import (
 )
 
 // hubTelemetry owns the single-home hub's /metrics surface. The same family
-// names as the manager's (NewLoopMetrics and NewJournalMetrics are shared),
-// so dashboards work unchanged against either mode; the hub adds the
-// per-device breaker families the simulated manager homes don't have.
+// names as the manager's (NewLoopMetrics, NewJournalMetrics and
+// NewSupervisionMetrics are shared), so dashboards work unchanged against
+// either mode; the hub adds the per-device breaker families the simulated
+// manager homes don't have.
 type hubTelemetry struct {
 	reg  *telemetry.Registry
 	loop *rt.LoopMetrics
+	sup  *rt.SupervisionMetrics
 	// jstats and onCycle outlive runtime generations: a supervised restart
 	// keeps appending to the same journal totals.
 	jstats  *journal.Stats
@@ -25,25 +27,23 @@ func newHubTelemetry(h *Hub) *hubTelemetry {
 	t := &hubTelemetry{reg: telemetry.NewRegistry()}
 	t.loop = rt.NewLoopMetrics(t.reg)
 	t.jstats, t.onCycle = rt.NewJournalMetrics(t.reg)
-
-	t.reg.CounterFunc("safehome_supervision_poisons_total", "Home loops torn down by a panic.", h.sup.Poisons)
-	t.reg.CounterFunc("safehome_supervision_restarts_total", "Supervised restarts that came back clean.", h.sup.Restarts)
+	t.sup = rt.NewSupervisionMetrics(t.reg)
 
 	t.reg.CounterFunc("safehome_mailbox_accepted_total", "Operations accepted into the home mailbox.", func() int64 {
-		return h.cur.Load().Mailbox().Accepted
+		return h.slot.Load().Mailbox().Accepted
 	})
 	t.reg.CounterFunc("safehome_mailbox_rejected_total", "Operations shed (HTTP 429) by the full home mailbox.", func() int64 {
-		return h.cur.Load().Mailbox().Rejected
+		return h.slot.Load().Mailbox().Rejected
 	})
 	t.reg.GaugeFunc("safehome_mailbox_depth", "Operations currently queued in the home mailbox.", func() float64 {
-		return float64(h.cur.Load().Mailbox().Depth)
+		return float64(h.slot.Load().Mailbox().Depth)
 	})
 
 	// Per-device breaker families: dynamic label sets, so a collector walks
 	// the current runtime's breaker stats at scrape time (Env-lock read, no
 	// mailbox involved).
 	t.reg.Collect(func(e *telemetry.Emitter) {
-		stats := h.cur.Load().Breakers()
+		stats := h.slot.Load().Breakers()
 		e.Family("safehome_breaker_opens_total", telemetry.TypeCounter, "Times a device's circuit breaker tripped open.")
 		for _, b := range stats {
 			e.Value(float64(b.Opens), "device", string(b.Device))

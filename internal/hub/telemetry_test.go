@@ -9,10 +9,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"safehome/internal/device"
 	"safehome/internal/journal"
 	"safehome/internal/manager"
+	rt "safehome/internal/runtime"
 	"safehome/internal/telemetry"
 	"safehome/internal/visibility"
 )
@@ -202,13 +204,13 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 	}
 }
 
-// journalFamilies describes the safehome_journal_* families of a scrape as
-// sorted "name type [le ...]" lines: the part of the exposition dashboards
-// bind to (help text is free to change).
-func journalFamilies(fams map[string]*telemetry.Family) []string {
+// familiesWithPrefix describes the families of a scrape whose names start
+// with prefix as sorted "name type [le ...]" lines: the part of the
+// exposition dashboards bind to (help text is free to change).
+func familiesWithPrefix(fams map[string]*telemetry.Family, prefix string) []string {
 	var out []string
 	for name, f := range fams {
-		if !strings.HasPrefix(name, "safehome_journal_") {
+		if !strings.HasPrefix(name, prefix) {
 			continue
 		}
 		line := name + " " + f.Type
@@ -241,8 +243,59 @@ func TestJournalFamiliesAreOneSet(t *testing.T) {
 	m := manager.New(manager.Config{Shards: 2, Home: manager.HomeConfig{Model: visibility.EV}})
 	t.Cleanup(m.Close)
 	for surface, srv := range map[string]http.Handler{"hub": h.Handler(), "manager": ManagerHandler(m, 2)} {
-		if got := journalFamilies(scrape(t, srv)); !slices.Equal(got, frozen) {
+		if got := familiesWithPrefix(scrape(t, srv), "safehome_journal_"); !slices.Equal(got, frozen) {
 			t.Errorf("%s journal families:\n%s\nwant:\n%s", surface, strings.Join(got, "\n"), strings.Join(frozen, "\n"))
+		}
+	}
+}
+
+// TestSupervisionFamiliesAreOneSet: the hub and the manager register the
+// supervision counters through rt.NewSupervisionMetrics, so both surfaces
+// expose the same three families, and a poison, a restart and a quarantine
+// each move them.
+func TestSupervisionFamiliesAreOneSet(t *testing.T) {
+	frozen := []string{
+		"safehome_supervision_poisons_total counter",
+		"safehome_supervision_quarantines_total counter",
+		"safehome_supervision_restarts_total counter",
+	}
+	h := newSupervisedHub(t, rt.SupervisorConfig{Backoff: time.Millisecond, BackoffCap: time.Millisecond})
+	m := manager.New(manager.Config{Shards: 1, Supervisor: rt.SupervisorConfig{MaxRestarts: -1}})
+	t.Cleanup(m.Close)
+	if err := m.AddHome("apt-1", device.Plugs(2).All()...); err != nil {
+		t.Fatal(err)
+	}
+	home, err := m.Runtime("apt-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The hub restarts its poisoned home; the manager, with no restart
+	// budget, quarantines its one.
+	h.Runtime().PostTimer(func() { panic("test: hub fault") })
+	home.PostTimer(func() { panic("test: manager fault") })
+	want := map[string]map[string]float64{
+		"hub":     {"safehome_supervision_poisons_total": 1, "safehome_supervision_restarts_total": 1, "safehome_supervision_quarantines_total": 0},
+		"manager": {"safehome_supervision_poisons_total": 1, "safehome_supervision_restarts_total": 0, "safehome_supervision_quarantines_total": 1},
+	}
+	for surface, srv := range map[string]http.Handler{"hub": h.Handler(), "manager": ManagerHandler(m, 2)} {
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			fams := scrape(t, srv)
+			if got := familiesWithPrefix(fams, "safehome_supervision_"); !slices.Equal(got, frozen) {
+				t.Fatalf("%s supervision families:\n%s\nwant:\n%s", surface, strings.Join(got, "\n"), strings.Join(frozen, "\n"))
+			}
+			tot := telemetry.CounterTotals(fams)
+			settled := true
+			for name, v := range want[surface] {
+				settled = settled && tot[name] == v
+			}
+			if settled {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s supervision counters = %v, want %v", surface, tot, want[surface])
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

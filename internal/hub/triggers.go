@@ -23,21 +23,21 @@ type ScheduledTrigger = rt.ScheduledTrigger
 // On a durable hub the trigger is journaled and survives a restart: a
 // pending trigger re-arms with its remaining delay.
 func (h *Hub) ScheduleAfter(name string, delay time.Duration) (TriggerHandle, error) {
-	return h.cur.Load().ScheduleAfter(name, delay)
+	return h.slot.Load().ScheduleAfter(name, delay)
 }
 
 // ScheduleEvery dispatches the named stored routine repeatedly at the given
 // interval, starting one interval from now.
 func (h *Hub) ScheduleEvery(name string, interval time.Duration) (TriggerHandle, error) {
-	return h.cur.Load().ScheduleEvery(name, interval)
+	return h.slot.Load().ScheduleEvery(name, interval)
 }
 
 // CancelTrigger stops a scheduled trigger; it is not an error if the handle
 // is unknown or already fired. It returns ErrOverloaded/ErrClosed when the
 // cancellation could not be enqueued.
 func (h *Hub) CancelTrigger(handle TriggerHandle) error {
-	return h.cur.Load().CancelTrigger(handle)
+	return h.slot.Load().CancelTrigger(handle)
 }
 
 // Triggers lists active scheduled triggers.
-func (h *Hub) Triggers() []ScheduledTrigger { return h.cur.Load().Triggers() }
+func (h *Hub) Triggers() []ScheduledTrigger { return h.slot.Load().Triggers() }

@@ -54,7 +54,7 @@ func (m *Manager) FreezeIdle(olderThan time.Duration) int {
 	for _, sh := range m.shards {
 		for _, slot := range sh.liveSnapshot() {
 			home := slot.rt.Load()
-			if home == nil || !slot.sup.Serving() || home.JournalError() != nil {
+			if home == nil || slot.rt.Health() != rt.HealthOK {
 				continue
 			}
 			if home.IdleSince().After(cutoff) {

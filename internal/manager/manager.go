@@ -43,7 +43,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"safehome/internal/device"
@@ -136,10 +135,6 @@ type Config struct {
 	Clock Clock
 	// PumpInterval is the live-clock advance period (default 10 ms).
 	PumpInterval time.Duration
-	// ReadConsistency selects how per-home queries are answered (default
-	// rt.ReadSnapshot: a burst of status polls costs the home loops
-	// nothing). rt.ReadLinearizable restores mailbox-posted queries.
-	ReadConsistency rt.ReadConsistency
 	// EventLog caps each home's in-memory activity log; 0 (the default)
 	// disables per-home event logs — at millions of homes the memory is
 	// better spent elsewhere. Enable it to serve /homes/{id}/events.
@@ -176,8 +171,8 @@ type Config struct {
 	// torn down, and restarted by its shard's supervisor (from its journal
 	// when durable, empty otherwise) with capped exponential backoff, then
 	// quarantined after MaxRestarts consecutive failures. The zero value
-	// enables supervision with defaults; set Supervisor.Disable to let a
-	// panic unwind the process instead (useful in tests hunting bugs).
+	// enables supervision with defaults; set Supervisor.Disable to quarantine
+	// a home on its first poison instead of restarting it.
 	Supervisor rt.SupervisorConfig
 	// Home configures every home the manager creates.
 	Home HomeConfig
@@ -230,15 +225,9 @@ type Manager struct {
 	aborted   *stats.ShardedCounter
 	simEvents *stats.ShardedCounter
 
-	// Supervision totals across all shards. restartingNow is the number of
-	// supervised rebuilds in flight right now (a gauge, not a total).
-	poisons       atomic.Int64
-	restarts      atomic.Int64
-	quarantined   atomic.Int64
-	restartingNow atomic.Int64
-
 	// tel is the /metrics surface: registry, fleet-shared loop instruments,
-	// journal stats, and the TTL-cached status gauges.
+	// supervision totals across all shards, journal stats, and the
+	// TTL-cached status gauges.
 	tel *managerTelemetry
 
 	// Durability wiring: every journaled home on shard i appends through
@@ -290,15 +279,17 @@ func New(cfg Config) *Manager {
 	}
 	m.shards = make([]*shard, cfg.Shards)
 	for i := range m.shards {
-		m.shards[i] = newShard(m, i)
+		sh := newShard(m, i)
+		m.shards[i] = sh
 		if cfg.Clock == ClockLive {
 			m.wg.Add(1)
-			go m.shards[i].runPump()
+			go sh.runPump()
 		}
-		if !cfg.Supervisor.Disable {
-			m.wg.Add(1)
-			go m.shards[i].runSupervisor()
-		}
+		m.wg.Add(1)
+		go func() {
+			defer m.wg.Done()
+			sh.sv.Run(nil) // restarts this shard's poisoned homes one at a time
+		}()
 	}
 	if cfg.DataDir != "" {
 		// The waker serves explicit freezes too, so it runs whenever homes
@@ -347,7 +338,6 @@ func (m *Manager) runtimeConfig(id HomeID, shard int) rt.Config {
 		ActuationLatency: m.cfg.Home.ActuationLatency,
 		MailboxDepth:     m.cfg.QueueDepth,
 		Batch:            m.cfg.Batch,
-		ReadConsistency:  m.cfg.ReadConsistency,
 		EventLog:         m.cfg.EventLog,
 		DataDir:          m.homeDir(id),
 		Journal:          jopts,
@@ -462,7 +452,7 @@ func (m *Manager) AddHome(id HomeID, devices ...device.Info) error {
 			return err
 		}
 		if fr != nil {
-			if err := sh.addCold(id, devices, fr); err != nil {
+			if err := sh.add(id, devices, fr); err != nil {
 				return err
 			}
 			m.scheduleWake(id, fr.NextFire)
@@ -475,7 +465,7 @@ func (m *Manager) AddHome(id HomeID, devices ...device.Info) error {
 			return err
 		}
 	}
-	return sh.addHome(id, devices)
+	return sh.add(id, devices, nil)
 }
 
 // RecoverHomes rediscovers every home persisted under the manager's DataDir
@@ -553,9 +543,9 @@ func (m *Manager) Runtime(id HomeID) (*rt.HomeRuntime, error) {
 // runtimeOf is Runtime for a slot already looked up.
 func (m *Manager) runtimeOf(slot *homeSlot) (*rt.HomeRuntime, error) {
 	switch {
-	case slot.sup.Quarantined():
+	case slot.rt.Quarantined():
 		return nil, fmt.Errorf("%w: %q", ErrQuarantined, slot.id)
-	case !slot.sup.Serving():
+	case !slot.rt.Serving():
 		return nil, fmt.Errorf("%w: %q", ErrRestarting, slot.id)
 	}
 	if home := slot.rt.Load(); home != nil {
@@ -773,36 +763,27 @@ func (m *Manager) statusOf(slot *homeSlot, shard int) HomeStatus {
 				st.FrozenAt = fr.FrozenAt
 				st.NextFire = fr.NextFire
 			}
-			st.LastPoison = slot.lastPoison.Load()
+			st.LastPoison = slot.rt.LastPoison()
 			return st
 		}
 	}
 	c := home.Counts()
 	st := HomeStatus{
-		ID:       slot.id,
-		Shard:    shard,
-		Model:    c.Model,
-		Health:   slot.health(),
-		Restarts: slot.sup.Restarts(),
-		Devices:  home.Registry().Len(),
-		Routines: c.Routines,
-		Pending:  c.Pending,
-		Active:   c.Active,
-		Now:      c.Now,
-		Created:  home.Since(),
+		ID:         slot.id,
+		Shard:      shard,
+		Model:      c.Model,
+		Health:     slot.rt.Health(),
+		Restarts:   slot.rt.Restarts(),
+		LastPoison: slot.rt.LastPoison(),
+		Devices:    home.Registry().Len(),
+		Routines:   c.Routines,
+		Pending:    c.Pending,
+		Active:     c.Active,
+		Now:        c.Now,
+		Created:    home.Since(),
 	}
-	if st.Health != rt.HealthOK {
-		if err := slot.sup.LastError(); err != nil {
-			st.LastError = err.Error()
-		} else if err := home.JournalError(); err != nil {
-			st.LastError = err.Error()
-		}
-	}
-	st.LastPoison = slot.lastPoison.Load()
-	if st.LastPoison == nil {
-		// Supervision may be disabled (no OnPoison hook to fill the cache);
-		// the current generation's own record still surfaces.
-		st.LastPoison = home.PoisonRecord()
+	if err := slot.rt.LastError(); err != nil {
+		st.LastError = err.Error()
 	}
 	return st
 }
@@ -886,9 +867,9 @@ func (m *Manager) Status() Status {
 		Committed:   m.committed.Total(),
 		Aborted:     m.aborted.Total(),
 		SimEvents:   m.simEvents.Total(),
-		Poisons:     m.poisons.Load(),
-		Restarts:    m.restarts.Load(),
-		Quarantined: m.quarantined.Load(),
+		Poisons:     m.tel.sup.Poisons.Value(),
+		Restarts:    m.tel.sup.Restarts.Value(),
+		Quarantined: m.tel.sup.Quarantines.Value(),
 		Since:       m.since,
 	}
 	if m.cfg.DataDir != "" {

@@ -12,25 +12,22 @@ import (
 )
 
 // homeSlot is one home's stable identity on a shard: the routing map points
-// at slots, and the slot points at the home's current runtime generation.
-// When a panic poisons a runtime, the shard's supervisor swaps a freshly
-// recovered runtime into the slot — callers holding the slot never see a
-// dangling home, only ErrRestarting/ErrQuarantined while it is down.
+// at slots, and the slot holds the home's current runtime generation through
+// its supervised rt.Slot. When a panic poisons a runtime, the shard's
+// supervision swaps a freshly recovered runtime in — callers holding the
+// slot never see a dangling home, only ErrRestarting/ErrQuarantined while it
+// is down.
 type homeSlot struct {
 	id      HomeID
 	devices []device.Info
-	rt      atomic.Pointer[rt.HomeRuntime]
-	sup     *rt.Supervisor
-	// lastPoison caches the home's persisted poison forensics (loaded from
-	// poison.json on add, stored by the dying generation on poison, cleared
-	// by a clean supervised restart) for Status reads.
-	lastPoison atomic.Pointer[rt.PoisonRecord]
+	rt      *rt.Slot
 
 	// frozen holds the hibernation record while the home has no runtime
-	// (rt == nil): the few hundred bytes the manager keeps resident per
-	// hibernated home. Transition ordering keeps readers consistent —
-	// freeze stores frozen before clearing rt; wake stores rt before
-	// clearing frozen — so "rt first, frozen as fallback" always finds one.
+	// (rt.Load() == nil): the few hundred bytes the manager keeps resident
+	// per hibernated home. Transition ordering keeps readers consistent —
+	// freeze stores frozen before clearing the runtime; wake stores the
+	// runtime before clearing frozen — so "runtime first, frozen as
+	// fallback" always finds one.
 	frozen atomic.Pointer[rt.FrozenHome]
 	// wakeMu is the singleflight guard for freeze/wake transitions: exactly
 	// one goroutine reanimates a frozen home; concurrent wakers (a submit, a
@@ -38,27 +35,16 @@ type homeSlot struct {
 	wakeMu sync.Mutex
 }
 
-// health folds supervision state with the runtime's durability: degraded
-// means a configured journal died and the home is serving memory-only. A
-// slot with no runtime is hibernating.
-func (slot *homeSlot) health() rt.HomeHealth {
-	home := slot.rt.Load()
-	if home == nil {
-		return rt.HealthFrozen
-	}
-	return slot.sup.Health(home.JournalError() == nil)
-}
-
 // shard is a thin owner of a disjoint subset of the manager's homes: it
 // holds the routing map from home ID to home slot, mirrors the home count
 // for lock-free Status reads, and runs up to two goroutines — under
 // ClockLive the pumper that advances its homes' simulators to the wall
-// clock, and (unless supervision is disabled) the supervisor that restarts
-// poisoned homes. All per-home state lives inside the runtimes; the shard's
-// lock only guards the map itself.
+// clock, and its supervision's restart loop. All per-home state lives
+// inside the runtimes; the shard's lock only guards the map itself.
 type shard struct {
 	m     *Manager
 	index int
+	sv    *rt.Supervision
 
 	mu     sync.RWMutex
 	homes  map[HomeID]*homeSlot
@@ -69,25 +55,26 @@ type shard struct {
 	// per-tick work — the whole point of hibernation at a million homes.
 	live map[HomeID]*homeSlot
 
-	// restartCh feeds poisoned slots to the shard's supervisor goroutine.
-	restartCh chan *homeSlot
-
 	// homeCount mirrors len(homes) for lock-free Status reads.
 	homeCount stats.Counter
 }
 
 func newShard(m *Manager, index int) *shard {
 	return &shard{
-		m:         m,
-		index:     index,
-		homes:     make(map[HomeID]*homeSlot),
-		live:      make(map[HomeID]*homeSlot),
-		restartCh: make(chan *homeSlot, 64),
+		m:     m,
+		index: index,
+		sv:    rt.NewSupervision(m.cfg.Supervisor, m.tel.sup, m.stop),
+		homes: make(map[HomeID]*homeSlot),
+		live:  make(map[HomeID]*homeSlot),
 	}
 }
 
-// addHome builds a home runtime and registers it on this shard.
-func (s *shard) addHome(id HomeID, devices []device.Info) error {
+// add registers a home on this shard. Without a frozen record it builds the
+// home's first runtime generation now. With one it registers the home cold:
+// just the slot and the record, no runtime — first touch (or a due trigger
+// deadline) wakes it. Cold registration is how a manager holds a million
+// homes without holding a million loops.
+func (s *shard) add(id HomeID, devices []device.Info, fr *rt.FrozenHome) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -96,129 +83,27 @@ func (s *shard) addHome(id HomeID, devices []device.Info) error {
 	if _, exists := s.homes[id]; exists {
 		return fmt.Errorf("%w: %q", ErrDuplicateHome, id)
 	}
-	slot := &homeSlot{
-		id:      id,
-		devices: append([]device.Info(nil), devices...),
-		sup:     rt.NewSupervisor(s.m.cfg.Supervisor),
-	}
-	if dir := s.m.homeDir(id); dir != "" {
-		// A poison record left behind by a previous process is forensics the
-		// operator has not acted on yet; surface it until a clean restart.
-		slot.lastPoison.Store(rt.LoadPoisonRecord(dir))
-	}
-	home, err := s.buildRuntime(slot)
-	if err != nil {
-		return err
-	}
-	slot.rt.Store(home)
-	s.homes[id] = slot
-	s.live[id] = slot
-	s.homeCount.Inc()
-	return nil
-}
-
-// addCold registers a hibernated home: just the slot and its frozen record,
-// no runtime. First touch (or a due trigger deadline) wakes it. This is how
-// a manager registers a million homes without holding a million loops.
-func (s *shard) addCold(id HomeID, devices []device.Info, fr *rt.FrozenHome) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if _, exists := s.homes[id]; exists {
-		return fmt.Errorf("%w: %q", ErrDuplicateHome, id)
-	}
-	slot := &homeSlot{
-		id:      id,
-		devices: append([]device.Info(nil), devices...),
-		sup:     rt.NewSupervisor(s.m.cfg.Supervisor),
-	}
-	if dir := s.m.homeDir(id); dir != "" {
-		slot.lastPoison.Store(rt.LoadPoisonRecord(dir))
-	}
-	slot.frozen.Store(fr)
-	s.homes[id] = slot
-	s.homeCount.Inc()
-	return nil
-}
-
-// buildRuntime constructs one runtime generation for the slot. With a
-// DataDir the new generation recovers from the home's journal; memory-only
-// homes restart empty but alive.
-func (s *shard) buildRuntime(slot *homeSlot) (*rt.HomeRuntime, error) {
-	cfg := s.m.runtimeConfig(slot.id, s.index)
-	if !s.m.cfg.Supervisor.Disable {
-		cfg.OnPoison = func(err error) { s.notifyPoison(slot, err) }
-	}
-	return rt.NewSim(cfg, device.NewRegistry(slot.devices...))
-}
-
-// notifyPoison runs on the dying home's loop goroutine: record the poison
-// and hand the slot to the supervisor without ever blocking the teardown.
-func (s *shard) notifyPoison(slot *homeSlot, err error) {
-	slot.sup.NotePoison(err)
-	if home := slot.rt.Load(); home != nil {
-		if rec := home.PoisonRecord(); rec != nil {
-			slot.lastPoison.Store(rec)
-		}
-	}
-	s.m.poisons.Add(1)
-	select {
-	case s.restartCh <- slot:
-	default:
-		go func() {
-			select {
-			case s.restartCh <- slot:
-			case <-s.m.stop:
-			}
-		}()
-	}
-}
-
-// runSupervisor restarts poisoned homes one at a time (per shard), applying
-// the restart budget and backoff policy in rt.Supervisor.
-func (s *shard) runSupervisor() {
-	defer s.m.wg.Done()
-	for {
-		select {
-		case <-s.m.stop:
-			return
-		case slot := <-s.restartCh:
-			s.superviseRestart(slot)
-		}
-	}
-}
-
-// superviseRestart swaps a fresh runtime generation into a poisoned slot.
-func (s *shard) superviseRestart(slot *homeSlot) {
-	s.m.restartingNow.Add(1)
-	defer s.m.restartingNow.Add(-1)
-	// Join the dead loop first. The poison teardown already closed the
-	// mailbox and released the journal's file lock, so the data directory is
-	// free for the next generation.
-	if home := slot.rt.Load(); home != nil {
-		home.Close()
-	}
-	ok := slot.sup.Restart(s.m.stop, func() error {
-		home, err := s.buildRuntime(slot)
+	slot := &homeSlot{id: id, devices: append([]device.Info(nil), devices...)}
+	// Each generation the slot builds recovers from the home's journal when
+	// the manager is durable; memory-only homes restart empty but alive.
+	slot.rt = s.sv.NewSlot(s.m.homeDir(id), func(onPoison func(error)) (*rt.HomeRuntime, error) {
+		cfg := s.m.runtimeConfig(slot.id, s.index)
+		cfg.OnPoison = onPoison
+		return rt.NewSim(cfg, device.NewRegistry(slot.devices...))
+	})
+	if fr != nil {
+		slot.frozen.Store(fr)
+	} else {
+		home, err := slot.rt.Build()
 		if err != nil {
 			return err
 		}
 		slot.rt.Store(home)
-		return nil
-	})
-	if ok {
-		s.m.restarts.Add(1)
-		// The restart came back clean: retire the forensics so Status (and
-		// the persisted poison.json) reflect a healthy home again.
-		if dir := s.m.homeDir(slot.id); dir != "" {
-			rt.ClearPoisonRecord(dir)
-		}
-		slot.lastPoison.Store(nil)
-	} else if slot.sup.Quarantined() {
-		s.m.quarantined.Add(1)
+		s.live[id] = slot
 	}
+	s.homes[id] = slot
+	s.homeCount.Inc()
+	return nil
 }
 
 // setLive moves the slot in or out of the pumper/freezer scan set. It
@@ -257,7 +142,7 @@ func (s *shard) wake(slot *homeSlot) (*rt.HomeRuntime, error) {
 			return nil, err
 		}
 	}
-	home, err := s.buildRuntime(slot)
+	home, err := slot.rt.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +170,7 @@ func (s *shard) freeze(slot *homeSlot) error {
 	if home == nil {
 		return nil // already frozen
 	}
-	if h := slot.sup.Health(home.JournalError() == nil); h != rt.HealthOK {
+	if h := slot.rt.Health(); h != rt.HealthOK {
 		return fmt.Errorf("manager: home %q is %s, not freezing", slot.id, h)
 	}
 	fr, err := home.Freeze()
@@ -293,12 +178,12 @@ func (s *shard) freeze(slot *homeSlot) error {
 		err = rt.WriteFrozenRecord(fr)
 	}
 	if err != nil {
-		if !slot.sup.Serving() {
-			// Poisoned mid-freeze: the dying loop already queued the slot on
-			// restartCh; the supervisor owns the rebuild.
+		if !slot.rt.Serving() {
+			// Poisoned mid-freeze: the dying loop already queued the slot for
+			// restart; the shard's supervision owns the rebuild.
 			return err
 		}
-		rebuilt, rerr := s.buildRuntime(slot)
+		rebuilt, rerr := slot.rt.Build()
 		if rerr != nil {
 			return fmt.Errorf("manager: home %q failed to freeze (%v) and to rebuild: %w", slot.id, err, rerr)
 		}

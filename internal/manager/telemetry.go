@@ -16,6 +16,7 @@ import (
 type managerTelemetry struct {
 	reg  *telemetry.Registry
 	loop *rt.LoopMetrics
+	sup  *rt.SupervisionMetrics // shared by every shard's slots
 
 	// jstats is shared by every home journal and every shard GroupWriter;
 	// onCycle observes the writers' sync cycles (rt.NewJournalMetrics).
@@ -39,7 +40,8 @@ type managerTelemetry struct {
 const statusTTL = 500 * time.Millisecond
 
 // newManagerTelemetry registers every manager-level family. Called once from
-// New, before the shard writers open (they take jstats and the cycle hooks).
+// New, before the shard writers open (they take jstats and the cycle hooks)
+// and before the shards (their supervision takes sup).
 func newManagerTelemetry(m *Manager) *managerTelemetry {
 	t := &managerTelemetry{reg: telemetry.NewRegistry()}
 	t.loop = rt.NewLoopMetrics(t.reg)
@@ -50,9 +52,7 @@ func newManagerTelemetry(m *Manager) *managerTelemetry {
 	t.reg.CounterFunc("safehome_manager_aborted_total", "Routines aborted across all homes.", m.aborted.Total)
 	t.reg.CounterFunc("safehome_manager_sim_events_total", "Simulator events processed across all homes.", m.simEvents.Total)
 
-	t.reg.CounterFunc("safehome_supervision_poisons_total", "Home loops torn down by a panic.", m.poisons.Load)
-	t.reg.CounterFunc("safehome_supervision_restarts_total", "Supervised restarts that came back clean.", m.restarts.Load)
-	t.reg.CounterFunc("safehome_supervision_quarantines_total", "Homes quarantined after exhausting their restart budget.", m.quarantined.Load)
+	t.sup = rt.NewSupervisionMetrics(t.reg)
 
 	t.freezes = t.reg.Counter("safehome_hibernation_freezes_total", "Homes collapsed to a frozen checkpoint.")
 	t.wakes = t.reg.Counter("safehome_hibernation_wakes_total", "Frozen homes reanimated from checkpoint + journal tail.")
@@ -89,7 +89,7 @@ func (m *Manager) collectStatusGauges(e *telemetry.Emitter) {
 	e.Family("safehome_homes", telemetry.TypeGauge, "Registered homes by lifecycle state: live (runtime resident), frozen (hibernated to checkpoint), restarting (supervisor rebuilding now).")
 	e.Value(float64(live), "state", "live")
 	e.Value(float64(st.Frozen), "state", "frozen")
-	e.Value(float64(m.restartingNow.Load()), "state", "restarting")
+	e.Value(float64(m.tel.sup.Restarting.Load()), "state", "restarting")
 
 	e.Family("safehome_mailbox_accepted_total", telemetry.TypeCounter, "Operations accepted into home mailboxes, all homes (sampled at most every 500ms).")
 	e.Value(float64(st.Accepted))

@@ -44,16 +44,9 @@ const (
 	opCancelTrig    // handle, reply   → err
 	opStoreRoutine  // r, reply        → err (bank store, journaled)
 
-	// External queries: posted blocking (they cannot be load-shed without
-	// breaking read APIs; the loop drains continuously so the wait is bounded
-	// by queue depth). After Close they evaluate inline on the quiesced state.
-	opResults         // reply → []visibility.Result
-	opResult          // rid, reply → (visibility.Result, ok)
-	opCounts          // reply → Counts
-	opDeviceStates    // reply → map[device.ID]device.State
-	opCommittedStates // reply → map[device.ID]device.State
-	opEvents          // reply → []visibility.Event
-	opTriggers        // reply → []ScheduledTrigger
+	// The one loop-answered query (the trigger table is loop-owned), posted
+	// blocking: the loop drains continuously, so the wait is bounded.
+	opTriggers // reply → []ScheduledTrigger
 
 	// Internal deliveries: posted blocking from dedicated goroutines (live
 	// command completions, wall-clock timers — including trigger firings,
@@ -79,7 +72,6 @@ type op struct {
 	delay   time.Duration
 	every   time.Duration
 	dev     device.ID
-	rid     routine.ID
 	name    string
 	handle  TriggerHandle
 	err     error
@@ -95,9 +87,8 @@ type op struct {
 type result struct {
 	rid    routine.ID
 	err    error
-	ok     bool
 	handle TriggerHandle
-	any    any
+	trigs  []ScheduledTrigger
 }
 
 // reply is a pooled single-use answer channel, so the submit hot path does
@@ -156,10 +147,10 @@ func (rt *HomeRuntime) tryPost(o op) error {
 	}
 }
 
-// post delivers an operation that must not be load-shed (queries and internal
-// callbacks), blocking while the ring is full. The loop goroutine drains
-// continuously, so the wait is bounded by queue depth; after Close it returns
-// ErrClosed without delivering.
+// post delivers an operation that must not be load-shed (the trigger listing
+// and internal callbacks), blocking while the ring is full. The loop
+// goroutine drains continuously, so the wait is bounded by queue depth;
+// after Close it returns ErrClosed without delivering.
 func (rt *HomeRuntime) post(o op) error {
 	rt.closeMu.RLock()
 	defer rt.closeMu.RUnlock()

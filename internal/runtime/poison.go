@@ -137,33 +137,3 @@ func (rt *HomeRuntime) PanicError() error {
 	}
 	return nil
 }
-
-// answerInline answers a query after the loop goroutine has exited: on the
-// quiesced state after a clean Close, or from the last published snapshot
-// when the loop died poisoned — the controller may have been mid-mutation
-// when it panicked and must never be touched again.
-func (rt *HomeRuntime) answerInline(o *op) result {
-	if !rt.poisoned.Load() {
-		return rt.evalQuery(o)
-	}
-	s := rt.snap.Load()
-	switch o.kind {
-	case opResults:
-		return result{any: s.Results()}
-	case opResult:
-		res, ok := s.Result(o.rid)
-		return result{any: res, ok: ok}
-	case opCounts:
-		return result{any: s.Counts()}
-	case opDeviceStates:
-		return result{any: s.DeviceStates()}
-	case opCommittedStates:
-		return result{any: s.CommittedStates()}
-	case opEvents:
-		return result{any: s.events}
-	case opTriggers:
-		return result{any: []ScheduledTrigger(nil)}
-	default:
-		return result{err: ErrPoisoned}
-	}
-}

@@ -76,10 +76,6 @@ type Config struct {
 	MailboxDepth int
 	// Batch is the maximum operations drained per loop wakeup (default 32).
 	Batch int
-	// ReadConsistency selects how queries are answered: ReadSnapshot (the
-	// default) reads the latest published snapshot without touching the
-	// mailbox; ReadLinearizable posts every query through the mailbox.
-	ReadConsistency ReadConsistency
 	// HistoryHorizon bounds how long an EV home retains released lock-access
 	// history: once per horizon the loop folds fully released accesses older
 	// than it into the committed states (lineage.Table.CompactBefore), so
@@ -200,9 +196,9 @@ type HomeRuntime struct {
 	// is still idle.
 	lastActive atomic.Int64
 
-	// snap is the off-loop read path: the loop publishes an immutable
-	// Snapshot here once per batch drain (see snapshot.go), and queries under
-	// ReadSnapshot consistency answer from it without entering the mailbox.
+	// snap is the read path: the loop publishes an immutable Snapshot here
+	// once per batch drain (see snapshot.go), and queries answer from it
+	// without entering the mailbox.
 	snap atomic.Pointer[Snapshot]
 
 	// crashed turns Close's graceful drain into a SIGKILL-equivalent stop
@@ -496,7 +492,7 @@ func (rt *HomeRuntime) Crash() {
 // pendingReply is one deferred answer: the loop applies a whole batch,
 // publishes the resulting snapshot, and only then delivers replies, so a
 // caller whose mutation returned is guaranteed to find its effect in the
-// published snapshot (read-your-writes under ReadSnapshot consistency).
+// published snapshot — and so is every reader that starts after it.
 type pendingReply struct {
 	rp  *reply
 	res result
@@ -645,8 +641,7 @@ func (rt *HomeRuntime) shutdown() {
 	// Group-commit whatever the final drain produced, then cut a final
 	// checkpoint: a restart after a clean Close replays nothing.
 	rt.journalFlush()
-	// The final snapshot: post-Close snapshot reads observe the quiesced
-	// state, exactly like the inline fallback of linearizable reads.
+	// The final snapshot: post-Close reads observe the quiesced state.
 	rt.publish(true)
 	if rt.j != nil {
 		rt.checkpointNow()
@@ -699,8 +694,8 @@ func (rt *HomeRuntime) apply(o *op) (result, *reply) {
 			rt.noteBankPut(o.r)
 		}
 		return result{err: err}, o.reply
-	case opResults, opResult, opCounts, opDeviceStates, opCommittedStates, opEvents, opTriggers:
-		return rt.evalQuery(o), o.reply
+	case opTriggers:
+		return result{trigs: rt.listTriggers()}, o.reply
 	case opCompletion:
 		rt.snapDirty = true
 		o.done(o.err)
@@ -939,6 +934,10 @@ func (rt *HomeRuntime) StoreRoutine(r *routine.Routine) error {
 }
 
 // --- queries --------------------------------------------------------------------
+//
+// Every query below answers from the latest published snapshot (see
+// snapshot.go): lock-free, never touching the mailbox, and already covering
+// every operation acknowledged to any caller.
 
 // Counts is the runtime's live summary.
 type Counts struct {
@@ -950,104 +949,22 @@ type Counts struct {
 	Now       time.Time
 }
 
-// query posts a read; after Close it evaluates inline on the quiesced state
-// (safe: the loop goroutine has exited, and <-rt.done orders its writes
-// before the inline read). A query the loop refused to answer — it was
-// queued when Crash() drained the ring — takes the same inline path, so
-// linearizable readers never see a zero-value answer.
-func (rt *HomeRuntime) query(o op) result {
-	rp := newReply()
-	o.reply = rp
-	if err := rt.post(o); err != nil {
-		rp.discard()
-		<-rt.done
-		return rt.answerInline(&o)
-	}
-	if res := rp.await(); res.err == nil {
-		return res
-	}
-	<-rt.done
-	return rt.answerInline(&o)
-}
-
-// evalQuery answers one read-only op. It runs on the loop goroutine while
-// the runtime is open, or inline once it has quiesced.
-func (rt *HomeRuntime) evalQuery(o *op) result {
-	switch o.kind {
-	case opResults:
-		return result{any: rt.ctrl.Results()}
-	case opResult:
-		res, ok := rt.ctrl.Result(o.rid)
-		return result{any: res, ok: ok}
-	case opCounts:
-		return result{any: Counts{
-			Model:     rt.ctrl.Model().String(),
-			Scheduler: rt.cfg.Scheduler.String(),
-			Routines:  rt.ctrl.RoutineCount(),
-			Pending:   rt.ctrl.PendingCount(),
-			Active:    rt.ctrl.ActiveCount(),
-			Now:       rt.env.Now(),
-		}}
-	case opDeviceStates:
-		if rt.fleet == nil {
-			return result{any: map[device.ID]device.State(nil)}
-		}
-		return result{any: rt.fleet.Snapshot()}
-	case opCommittedStates:
-		return result{any: rt.ctrl.CommittedStates()}
-	case opEvents:
-		return result{any: rt.elog.view()}
-	case opTriggers:
-		out := make([]ScheduledTrigger, 0, len(rt.triggers))
-		for _, tr := range rt.triggers {
-			out = append(out, tr.spec)
-		}
-		return result{any: out}
-	default:
-		panic(fmt.Sprintf("runtime: evalQuery on non-query op %d", o.kind))
-	}
-}
-
-// linearizable reports whether queries must round-trip through the mailbox.
-func (rt *HomeRuntime) linearizable() bool {
-	return rt.cfg.ReadConsistency == ReadLinearizable
-}
-
 // Results returns per-routine outcomes in submission order.
-func (rt *HomeRuntime) Results() []visibility.Result {
-	if rt.linearizable() {
-		return rt.query(op{kind: opResults}).any.([]visibility.Result)
-	}
-	return rt.Snapshot().Results()
-}
+func (rt *HomeRuntime) Results() []visibility.Result { return rt.Snapshot().Results() }
 
 // Result returns one routine's outcome.
 func (rt *HomeRuntime) Result(id routine.ID) (visibility.Result, bool) {
-	if rt.linearizable() {
-		res := rt.query(op{kind: opResult, rid: id})
-		return res.any.(visibility.Result), res.ok
-	}
 	return rt.Snapshot().Result(id)
 }
 
-// ResultRef is Result by pointer: under the default snapshot consistency it
-// points into the snapshot's immutable storage (the caller must not write
-// through it); a linearizable read points at its own copy.
+// ResultRef is Result by pointer into the snapshot's immutable storage: the
+// caller must not write through it.
 func (rt *HomeRuntime) ResultRef(id routine.ID) (*visibility.Result, bool) {
-	if rt.linearizable() {
-		res, ok := rt.Result(id)
-		return &res, ok
-	}
 	return rt.Snapshot().ResultRef(id)
 }
 
 // Counts returns the runtime's live summary.
-func (rt *HomeRuntime) Counts() Counts {
-	if rt.linearizable() {
-		return rt.query(op{kind: opCounts}).any.(Counts)
-	}
-	return rt.Snapshot().Counts()
-}
+func (rt *HomeRuntime) Counts() Counts { return rt.Snapshot().Counts() }
 
 // PendingCount returns the number of unfinished routines.
 func (rt *HomeRuntime) PendingCount() int { return rt.Counts().Pending }
@@ -1055,17 +972,11 @@ func (rt *HomeRuntime) PendingCount() int { return rt.Counts().Pending }
 // DeviceStates returns the ground-truth state of every simulated device
 // (nil for wall-clock runtimes, whose ground truth lives in the devices).
 func (rt *HomeRuntime) DeviceStates() map[device.ID]device.State {
-	if rt.linearizable() {
-		return rt.query(op{kind: opDeviceStates}).any.(map[device.ID]device.State)
-	}
 	return rt.Snapshot().DeviceStates()
 }
 
 // CommittedStates returns the controller's committed-state view.
 func (rt *HomeRuntime) CommittedStates() map[device.ID]device.State {
-	if rt.linearizable() {
-		return rt.query(op{kind: opCommittedStates}).any.(map[device.ID]device.State)
-	}
 	return rt.Snapshot().CommittedStates()
 }
 
@@ -1080,10 +991,6 @@ func (rt *HomeRuntime) Events() []visibility.Event {
 // call. The first event ever gets sequence 1; passing 0 returns everything
 // retained.
 func (rt *HomeRuntime) EventsSince(since uint64) ([]visibility.Event, uint64) {
-	if rt.linearizable() {
-		v := rt.query(op{kind: opEvents}).any.(eventsView)
-		return v.since(nil, since), v.nextSeq()
-	}
 	return rt.Snapshot().EventsSince(since)
 }
 
@@ -1092,11 +999,6 @@ func (rt *HomeRuntime) EventsSince(since uint64) ([]visibility.Event, uint64) {
 // immutable event chunks (fn must not write through the pointer or keep it),
 // and the next cursor is returned.
 func (rt *HomeRuntime) RangeEventsSince(since uint64, fn func(seq uint64, e *visibility.Event)) uint64 {
-	if rt.linearizable() {
-		v := rt.query(op{kind: opEvents}).any.(eventsView)
-		v.rangeSince(since, fn)
-		return v.nextSeq()
-	}
 	return rt.Snapshot().RangeEventsSince(since, fn)
 }
 

@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"safehome/internal/device"
@@ -10,58 +8,21 @@ import (
 	"safehome/internal/visibility"
 )
 
-// This file is the off-loop read path: once per batch drain (not per
-// operation) the loop goroutine folds what changed into an immutable
-// Snapshot and publishes it through an atomic pointer; queries under the
-// default ReadSnapshot consistency answer from the latest Snapshot without
-// posting anything into the mailbox. A burst of status polls therefore costs
-// the loop nothing — it cannot delay placement or shed mutating operations.
+// This file is the read path: once per batch drain (not per operation) the
+// loop goroutine folds what changed into an immutable Snapshot and publishes
+// it through an atomic pointer, and every query answers from the latest
+// Snapshot without posting anything into the mailbox. A burst of status
+// polls therefore costs the loop nothing — it cannot delay placement or shed
+// mutating operations.
 //
-// The loop publishes *before* delivering the batch's replies, so a caller
-// whose mutation has returned is guaranteed to observe it in subsequent
-// snapshot reads (read-your-writes for sequential callers). Concurrent
-// readers get the usual snapshot guarantees: reads are monotonic (snapshots
-// are published in order through one atomic pointer) and each snapshot is
+// Snapshot reads are linearizable with respect to acknowledged work. The
+// loop publishes *before* it delivers any reply in the batch, so every
+// operation acknowledged to anyone is already visible to every later reader
+// — not just to the caller that issued it. Snapshots are published in order
+// through one atomic pointer, so reads are monotonic, and each snapshot is
 // internally consistent (counts, results and states were captured at the
-// same loop instant).
-
-// ReadConsistency selects how a runtime answers read-only queries.
-type ReadConsistency int
-
-const (
-	// ReadSnapshot (the default) answers queries from the latest published
-	// snapshot: lock-free, never touching the mailbox, at most one batch
-	// stale. A caller always observes its own completed mutations.
-	ReadSnapshot ReadConsistency = iota
-	// ReadLinearizable posts every query through the mailbox and answers it
-	// on the loop goroutine, serialized against all mutations — the pre-PR-4
-	// behavior. Queries queue behind (and steal loop time from) placement.
-	ReadLinearizable
-)
-
-func (c ReadConsistency) String() string {
-	switch c {
-	case ReadSnapshot:
-		return "snapshot"
-	case ReadLinearizable:
-		return "linearizable"
-	default:
-		return fmt.Sprintf("consistency(%d)", int(c))
-	}
-}
-
-// ParseReadConsistency parses a consistency name ("snapshot",
-// "linearizable").
-func ParseReadConsistency(s string) (ReadConsistency, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "snapshot":
-		return ReadSnapshot, nil
-	case "linearizable", "linear":
-		return ReadLinearizable, nil
-	default:
-		return ReadSnapshot, fmt.Errorf("runtime: unknown read consistency %q", s)
-	}
-}
+// same loop instant). A reader that wanted to see more would have to see an
+// operation no caller has been told about yet.
 
 // Snapshot is one epoch's immutable view of a home: everything a query can
 // ask for, captured at the same loop instant. Snapshots are cheap to hold
@@ -180,7 +141,8 @@ func (s *Snapshot) Mailbox() MailboxStats { return s.mailbox }
 // Snapshot returns the latest published snapshot. It is never nil: the
 // runtime publishes an initial snapshot before the loop starts, a new one
 // after every batch that changed anything, and a final one at quiesce — so
-// post-Close reads observe the drained state.
+// post-Close reads observe the drained state, and reads after a poison the
+// last state published before the panic.
 func (rt *HomeRuntime) Snapshot() *Snapshot { return rt.snap.Load() }
 
 // publish cuts a new snapshot on the loop goroutine. Unless forced (initial

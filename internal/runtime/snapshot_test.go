@@ -168,28 +168,158 @@ func TestSnapshotReadersAreMonotonicAndConsistent(t *testing.T) {
 	}
 }
 
-// TestLinearizableQueriesStillWork pins the ReadLinearizable path: queries
-// round-trip the mailbox, match the snapshot path's answers, and fall back
-// inline after Close.
-func TestLinearizableQueriesStillWork(t *testing.T) {
-	rt := newVirtual(t, Config{ReadConsistency: ReadLinearizable, EventLog: 64}, 2)
-	rid, err := rt.Submit(plugRoutine("lin", device.On, 0, 1))
-	if err != nil {
-		t.Fatal(err)
+// ack is one acknowledged operation handed from the writer that issued it to
+// a reader goroutine: what any reader starting now must already observe.
+type ack struct {
+	rid     routine.ID           // the acknowledged submit; 0 for a fail/restore
+	dev     device.ID            // the device the operation touched
+	kind    visibility.EventKind // the event the operation emitted
+	nth     int                  // events of that kind dev has emitted by now (fail/restore)
+	state   device.State         // dev's committed state once the operation was acknowledged
+	verdict chan error
+}
+
+// checkAck reads the snapshot once — result, counts, event cursor, committed
+// state — and reports what the acknowledged operation left unobserved.
+func checkAck(rt *HomeRuntime, clock Clock, a ack) error {
+	want := max(a.nth, 1)
+	if a.rid != 0 {
+		res, ok := rt.Result(a.rid)
+		if !ok {
+			return fmt.Errorf("routine %d acknowledged but absent from the snapshot", a.rid)
+		}
+		if clock == ClockVirtual && res.Status != visibility.StatusCommitted {
+			return fmt.Errorf("routine %d acknowledged committed, snapshot says %s", a.rid, res.Status)
+		}
+		if c := rt.Counts(); c.Routines < int(a.rid) {
+			return fmt.Errorf("routine %d acknowledged, snapshot counts %d routines", a.rid, c.Routines)
+		}
 	}
-	res, ok := rt.Result(rid)
-	if !ok || res.Status != visibility.StatusCommitted {
-		t.Fatalf("linearizable Result = %+v, %v", res, ok)
+	seen, last := 0, uint64(0)
+	next := rt.RangeEventsSince(0, func(seq uint64, e *visibility.Event) {
+		if e.Kind == a.kind && e.Routine == a.rid && (a.rid != 0 || e.Device == a.dev) {
+			seen, last = seen+1, seq
+		}
+	})
+	if seen < want || next <= last {
+		return fmt.Errorf("%s of %s/%d: snapshot has %d such events (want %d), cursor %d past seq %d", a.kind, a.dev, a.rid, seen, want, next, last)
 	}
-	if c := rt.Counts(); c.Routines != 1 || c.Pending != 0 {
-		t.Fatalf("linearizable Counts = %+v", c)
+	if got := rt.CommittedStates()[a.dev]; got != a.state {
+		return fmt.Errorf("%s committed state = %q, want %q", a.dev, got, a.state)
 	}
-	if ev, next := rt.EventsSince(0); len(ev) == 0 || next == 0 {
-		t.Fatalf("linearizable EventsSince = %d events, next %d", len(ev), next)
-	}
-	rt.Close()
-	if got := rt.Counts().Routines; got != 1 {
-		t.Fatalf("post-Close inline Counts.Routines = %d, want 1", got)
+	return nil
+}
+
+// TestSnapshotReadsSeeOtherCallersAcks pins the property that makes the
+// snapshot the only read path a home needs: the loop publishes before it
+// delivers any reply, so an operation acknowledged to one caller is already
+// visible to every reader that starts after the acknowledgement — not only
+// to the caller. Writers hand each acknowledged submit or fail/restore to a
+// reader goroutine from a shared pool (never to themselves), and that reader
+// must see the result, the counts, an event cursor past the operation's
+// event and the committed state on its first read. The second case reads
+// while the loop is suspended: every answer still comes back, because no
+// read waits on the loop. Run it with -race.
+func TestSnapshotReadsSeeOtherCallersAcks(t *testing.T) {
+	for name, clock := range map[string]Clock{"virtual": ClockVirtual, "paced": ClockPaced} {
+		t.Run(name, func(t *testing.T) {
+			const writers, readers, perWriter = 4, 3, 60
+			// Writer w owns plug-w, so its committed state is the writer's to
+			// predict; the paced home is never pumped, so nothing executes and
+			// every committed state stays at its initial Off.
+			rt := newVirtual(t, Config{Clock: clock, EventLog: 4096}, writers+1)
+
+			acks := make(chan ack)
+			var rwg sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				rwg.Add(1)
+				go func() {
+					defer rwg.Done()
+					for a := range acks {
+						a.verdict <- checkAck(rt, clock, a)
+					}
+				}()
+			}
+			errs := make(chan error, writers)
+			var wwg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wwg.Add(1)
+				go func(w int) {
+					defer wwg.Done()
+					dev := device.ID(fmt.Sprintf("plug-%d", w))
+					state, fails, restores := device.Off, 0, 0
+					verdict := make(chan error, 1)
+					for i := 0; i < perWriter; i++ {
+						a := ack{dev: dev, verdict: verdict}
+						var err error
+						switch i % 3 {
+						case 0:
+							target := device.On
+							if i%6 == 3 {
+								target = device.Off
+							}
+							a.kind = visibility.EvSubmitted
+							a.rid, err = rt.Submit(plugRoutine(fmt.Sprintf("w%d-%d", w, i), target, w))
+							if clock == ClockVirtual {
+								state = target
+							}
+						case 1:
+							fails++
+							a.kind, a.nth = visibility.EvFailureDetected, fails
+							err = rt.FailDevice(dev)
+						case 2:
+							restores++
+							a.kind, a.nth = visibility.EvRestartDetected, restores
+							err = rt.RestoreDevice(dev)
+						}
+						if err != nil {
+							errs <- fmt.Errorf("writer %d op %d: %w", w, i, err)
+							return
+						}
+						a.state = state
+						acks <- a
+						if err := <-verdict; err != nil {
+							errs <- fmt.Errorf("writer %d op %d: %w", w, i, err)
+							return
+						}
+					}
+				}(w)
+			}
+			wwg.Wait()
+			close(acks)
+			rwg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+
+			// Suspended: an acknowledged submit is readable while the loop
+			// is parked and can answer nothing.
+			dev := device.ID(fmt.Sprintf("plug-%d", writers))
+			rid, err := rt.Submit(plugRoutine("parked", device.On, writers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resume, err := rt.Suspend()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resume()
+			a := ack{rid: rid, dev: dev, kind: visibility.EvSubmitted, state: device.Off}
+			if clock == ClockVirtual {
+				a.state = device.On
+			}
+			answered := make(chan error, 1)
+			go func() { answered <- checkAck(rt, clock, a) }()
+			select {
+			case err := <-answered:
+				if err != nil {
+					t.Errorf("read during suspension: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("a read waited on the suspended loop")
+			}
+		})
 	}
 }
 
@@ -227,43 +357,41 @@ func TestEventsSinceCursorFetchesOnlyTail(t *testing.T) {
 
 // TestVisitorReadsMatchSliceReads: RangeEventsSince and ResultRef are the
 // copy-free twins of EventsSince and Result — same events, same sequence
-// numbers, same cursor, same records — under both read consistencies, across
-// an eviction, and for cursors before, inside and past the retained window
-// (a cursor near 2^64 once indexed the chunk spine with a negative offset).
+// numbers, same cursor, same records — across an eviction, and for cursors
+// before, inside and past the retained window (a cursor near 2^64 once
+// indexed the chunk spine with a negative offset).
 func TestVisitorReadsMatchSliceReads(t *testing.T) {
-	for _, consistency := range []ReadConsistency{ReadSnapshot, ReadLinearizable} {
-		rt := newVirtual(t, Config{EventLog: 16, ReadConsistency: consistency}, 2)
-		for i := 0; i < 12; i++ { // ~4 events each: the 16-event log evicts
-			if _, err := rt.Submit(plugRoutine("r", device.On, i%2)); err != nil {
-				t.Fatal(err)
-			}
+	rt := newVirtual(t, Config{EventLog: 16}, 2)
+	for i := 0; i < 12; i++ { // ~4 events each: the 16-event log evicts
+		if _, err := rt.Submit(plugRoutine("r", device.On, i%2)); err != nil {
+			t.Fatal(err)
 		}
-		first, tip := rt.Snapshot().EventSeqRange()
-		if first <= 1 {
-			t.Fatalf("%s: log never evicted (first retained seq %d)", consistency, first)
-		}
-		for _, since := range []uint64{0, 1, first - 1, first, first + 3, tip - 1, tip, tip + 1, math.MaxUint64} {
-			want, wantNext := rt.EventsSince(since)
-			var got []visibility.Event
-			seq := tip - uint64(len(want))
-			next := rt.RangeEventsSince(since, func(s uint64, e *visibility.Event) {
-				if s != seq {
-					t.Errorf("%s since=%d: visited seq %d, want %d", consistency, since, s, seq)
-				}
-				seq++
-				got = append(got, *e)
-			})
-			if next != wantNext || !reflect.DeepEqual(got, want) {
-				t.Errorf("%s since=%d: visited %d events (next %d), slice read has %d (next %d)",
-					consistency, since, len(got), next, len(want), wantNext)
+	}
+	first, tip := rt.Snapshot().EventSeqRange()
+	if first <= 1 {
+		t.Fatalf("log never evicted (first retained seq %d)", first)
+	}
+	for _, since := range []uint64{0, 1, first - 1, first, first + 3, tip - 1, tip, tip + 1, math.MaxUint64} {
+		want, wantNext := rt.EventsSince(since)
+		var got []visibility.Event
+		seq := tip - uint64(len(want))
+		next := rt.RangeEventsSince(since, func(s uint64, e *visibility.Event) {
+			if s != seq {
+				t.Errorf("since=%d: visited seq %d, want %d", since, s, seq)
 			}
+			seq++
+			got = append(got, *e)
+		})
+		if next != wantNext || !reflect.DeepEqual(got, want) {
+			t.Errorf("since=%d: visited %d events (next %d), slice read has %d (next %d)",
+				since, len(got), next, len(want), wantNext)
 		}
-		for _, id := range []routine.ID{-1, 0, 1, 7, 12, 13, math.MaxInt64} {
-			want, wantOK := rt.Result(id)
-			got, ok := rt.ResultRef(id)
-			if ok != wantOK || (ok && !reflect.DeepEqual(*got, want)) {
-				t.Errorf("%s: ResultRef(%d) = %+v, %v; Result says %+v, %v", consistency, id, got, ok, want, wantOK)
-			}
+	}
+	for _, id := range []routine.ID{-1, 0, 1, 7, 12, 13, math.MaxInt64} {
+		want, wantOK := rt.Result(id)
+		got, ok := rt.ResultRef(id)
+		if ok != wantOK || (ok && !reflect.DeepEqual(*got, want)) {
+			t.Errorf("ResultRef(%d) = %+v, %v; Result says %+v, %v", id, got, ok, want, wantOK)
 		}
 	}
 }

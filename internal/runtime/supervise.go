@@ -6,10 +6,13 @@ import (
 	"time"
 )
 
-// This file is the shared half of self-healing supervision: the owner of a
-// home (a manager shard, the single-home hub) wires Config.OnPoison to a
-// Supervisor, which drives the poison → restart → quarantine state machine.
-// The runtime itself only knows how to die cleanly (poison.go); policy —
+// This file is self-healing supervision, written once for every owner of a
+// home (the single-home hub, each manager shard). An owner holds each home
+// through a Slot: the current runtime generation, the Supervisor that drives
+// the poison → restart → quarantine state machine, and the poison forensics.
+// The slot wires Config.OnPoison into every generation it builds, and the
+// owner's Supervision queues poisoned slots for one restart goroutine. The
+// runtime itself only knows how to die cleanly (poison.go); policy —
 // backoff, restart budget, quarantine — lives here so every owner applies
 // the same rules and exposes the same health vocabulary.
 
@@ -25,8 +28,9 @@ const (
 	// HealthRestarting: a panic poisoned the home; the supervisor is
 	// rebuilding it from its journal. Mutations fail with 503 + Retry-After.
 	HealthRestarting HomeHealth = "restarting"
-	// HealthQuarantined: the restart budget is exhausted; the home stays down
-	// until an operator intervenes (e.g. re-adds it).
+	// HealthQuarantined: the restart budget is exhausted, or the home was
+	// poisoned with supervision disabled; it stays down until an operator
+	// intervenes (e.g. restarts the process).
 	HealthQuarantined HomeHealth = "quarantined"
 	// HealthFrozen: hibernated — the home took its final checkpoint and
 	// released its runtime; the manager holds only a FrozenHome record. Any
@@ -63,8 +67,8 @@ type SupervisorConfig struct {
 	// HealthyWindow resets the consecutive-failure count once a restarted
 	// home stays up this long (0 = DefaultHealthyWindow).
 	HealthyWindow time.Duration
-	// Disable turns supervision off: a poisoned home stays down (callers get
-	// ErrClosed/ErrPoisoned) until its owner rebuilds it by hand.
+	// Disable turns automatic restarts off: a poisoned home is quarantined at
+	// once and stays down. The poison is still noticed and reported.
 	Disable bool
 }
 
@@ -86,12 +90,11 @@ func (c SupervisorConfig) Normalized() SupervisorConfig {
 }
 
 // Supervisor tracks one home's poison/restart lifecycle on behalf of its
-// owner. Health, counters and NotePoison are safe from any goroutine;
+// Slot. Health, counters and NotePoison are safe from any goroutine;
 // Restart must be called from the owner's single supervision goroutine.
 type Supervisor struct {
-	cfg      SupervisorConfig
-	state    atomic.Int32 // supOK | supRestarting | supQuarantined
-	poisons  atomic.Int64
+	cfg      *SupervisorConfig // the owner's normalized policy, shared by its slots
+	state    atomic.Int32      // supOK | supRestarting | supQuarantined
 	restarts atomic.Int64
 	lastErr  atomic.Value
 
@@ -106,17 +109,17 @@ const (
 	supQuarantined
 )
 
-// NewSupervisor builds a Supervisor with the given (zero-filled) policy.
-func NewSupervisor(cfg SupervisorConfig) *Supervisor {
-	return &Supervisor{cfg: cfg.Normalized()}
-}
-
-// NotePoison records a poison event and flips health to restarting. Safe to
-// call from the dying loop goroutine (Config.OnPoison).
-func (s *Supervisor) NotePoison(err error) {
+// NotePoison records a poison event: health flips to restarting or, with
+// supervision disabled, straight to quarantined. It reports whether a
+// restart should be queued. Safe to call from the dying loop goroutine.
+func (s *Supervisor) NotePoison(err error) (restart bool) {
 	s.lastErr.Store(err)
-	s.poisons.Add(1)
+	if s.cfg.Disable {
+		s.state.Store(supQuarantined)
+		return false
+	}
 	s.state.Store(supRestarting)
+	return true
 }
 
 // Health folds the supervision state with the home's durability: a home
@@ -139,9 +142,6 @@ func (s *Supervisor) Serving() bool { return s.state.Load() == supOK }
 
 // Quarantined reports whether the restart budget is exhausted.
 func (s *Supervisor) Quarantined() bool { return s.state.Load() == supQuarantined }
-
-// Poisons counts panic events observed over the home's lifetime.
-func (s *Supervisor) Poisons() int64 { return s.poisons.Load() }
 
 // Restarts counts successful supervised restarts.
 func (s *Supervisor) Restarts() int64 { return s.restarts.Load() }
@@ -199,4 +199,188 @@ func (s *Supervisor) backoff(n int) time.Duration {
 	}
 	// Up to +25% jitter so a shard's homes don't restart in lockstep.
 	return d + time.Duration(rand.Int63n(int64(d)/4+1))
+}
+
+// Supervision is one owner's supervision wiring — the hub has one, each
+// manager shard its own: the restart policy its slots share, the counters
+// they bump, and the queue of poisoned slots that Run restarts one at a time.
+type Supervision struct {
+	cfg     SupervisorConfig
+	metrics *SupervisionMetrics
+	queue   chan *Slot
+	stop    <-chan struct{}
+}
+
+// NewSupervision builds an owner's supervision wiring. stop is the owner's
+// shutdown signal: it ends Run and abandons a restart's backoff wait.
+func NewSupervision(cfg SupervisorConfig, m *SupervisionMetrics, stop <-chan struct{}) *Supervision {
+	// The buffer absorbs a burst of poisons across a shard's homes while Run
+	// sits in one restart's backoff; past it, enqueue spills to goroutines.
+	return &Supervision{cfg: cfg.Normalized(), metrics: m, queue: make(chan *Slot, 64), stop: stop}
+}
+
+// Run restarts poisoned slots one at a time on the owner's goroutine until
+// stop closes, handing each outcome to after (if set). With supervision
+// disabled nothing is ever queued and Run returns at once.
+func (v *Supervision) Run(after func(ok bool)) {
+	if v.cfg.Disable {
+		return
+	}
+	for {
+		select {
+		case <-v.stop:
+			return
+		case s := <-v.queue:
+			ok := s.Restart(v.stop)
+			if after != nil {
+				after(ok)
+			}
+		}
+	}
+}
+
+// enqueue hands a poisoned slot to Run without ever blocking the dying loop:
+// a full queue spills to a goroutine that waits for room or shutdown.
+func (v *Supervision) enqueue(s *Slot) {
+	select {
+	case v.queue <- s:
+	default:
+		go func() {
+			select {
+			case v.queue <- s:
+			case <-v.stop:
+			}
+		}()
+	}
+}
+
+// Slot is one supervised home as its owner holds it: the current runtime
+// generation behind one atomic pointer (nil while a manager home is
+// hibernated), the Supervisor driving its lifecycle, and the forensics of
+// its last poisoning. Every generation the slot builds reports its poison to
+// the slot, so no owner can leave a dead home looking healthy.
+type Slot struct {
+	cur        atomic.Pointer[HomeRuntime]
+	lastPoison atomic.Pointer[PoisonRecord]
+	sup        *Supervisor
+	owner      *Supervision
+	build      func(onPoison func(error)) (*HomeRuntime, error)
+}
+
+// NewSlot makes a slot with no generation yet; build constructs one with
+// Config.OnPoison set to the hook it is handed. dir is the home's data
+// directory ("" when memory-only): a poison record a previous process left
+// there surfaces until a clean restart.
+func (v *Supervision) NewSlot(dir string, build func(onPoison func(error)) (*HomeRuntime, error)) *Slot {
+	s := &Slot{sup: &Supervisor{cfg: &v.cfg}, owner: v, build: build}
+	if dir != "" {
+		s.lastPoison.Store(LoadPoisonRecord(dir))
+	}
+	return s
+}
+
+// Build constructs a generation wired to the slot's poison hook; Store
+// publishes it.
+func (s *Slot) Build() (*HomeRuntime, error) { return s.build(s.onPoison) }
+
+// Store publishes a generation (nil: the home hibernated).
+func (s *Slot) Store(home *HomeRuntime) { s.cur.Store(home) }
+
+// Load returns the current generation, nil while the home is hibernated.
+// Callers should not cache it across a restart.
+func (s *Slot) Load() *HomeRuntime { return s.cur.Load() }
+
+// Health folds supervision state with the generation's durability: degraded
+// means a configured journal died and the home serves memory-only; a slot
+// with no generation is hibernated.
+func (s *Slot) Health() HomeHealth {
+	home := s.cur.Load()
+	if home == nil {
+		return HealthFrozen
+	}
+	return s.sup.Health(home.JournalError() == nil)
+}
+
+// Serving reports whether the home accepts operations (ok or degraded).
+func (s *Slot) Serving() bool { return s.sup.Serving() }
+
+// Quarantined reports whether the home is down for good.
+func (s *Slot) Quarantined() bool { return s.sup.Quarantined() }
+
+// Restarts counts the home's successful supervised restarts.
+func (s *Slot) Restarts() int64 { return s.sup.Restarts() }
+
+// LastError explains an unhealthy home: the last poison or rebuild error,
+// else the journal error that degraded it. Nil while the home is healthy.
+func (s *Slot) LastError() error {
+	if s.Health() == HealthOK {
+		return nil
+	}
+	if err := s.sup.LastError(); err != nil {
+		return err
+	}
+	if home := s.cur.Load(); home != nil {
+		return home.JournalError()
+	}
+	return nil
+}
+
+// LastPoison returns the forensics of the home's last poisoning (cleared by a
+// clean restart), else the current generation's own record.
+func (s *Slot) LastPoison() *PoisonRecord {
+	if rec := s.lastPoison.Load(); rec != nil {
+		return rec
+	}
+	if home := s.cur.Load(); home != nil {
+		return home.PoisonRecord()
+	}
+	return nil
+}
+
+// onPoison is the Config.OnPoison of every generation the slot builds. It
+// runs on the dying loop goroutine and never blocks.
+func (s *Slot) onPoison(err error) {
+	if home := s.cur.Load(); home != nil {
+		if rec := home.PoisonRecord(); rec != nil {
+			s.lastPoison.Store(rec)
+		}
+	}
+	m := s.owner.metrics
+	m.Poisons.Inc()
+	if s.sup.NotePoison(err) {
+		s.owner.enqueue(s)
+	} else {
+		m.Quarantines.Inc()
+	}
+}
+
+// Restart joins the dead loop (its teardown already released the journal),
+// then runs the Supervisor's restart policy, publishing each generation it
+// rebuilds. A clean restart retires the poison forensics, on disk and in the
+// cache. Reports whether the home serves again.
+func (s *Slot) Restart(stop <-chan struct{}) bool {
+	m := s.owner.metrics
+	m.Restarting.Add(1)
+	defer m.Restarting.Add(-1)
+	if home := s.cur.Load(); home != nil {
+		home.Close()
+	}
+	var home *HomeRuntime
+	ok := s.sup.Restart(stop, func() (err error) {
+		if home, err = s.Build(); err == nil {
+			s.cur.Store(home)
+		}
+		return err
+	})
+	switch {
+	case ok:
+		m.Restarts.Inc()
+		if dir := home.cfg.DataDir; dir != "" {
+			ClearPoisonRecord(dir)
+		}
+		s.lastPoison.Store(nil)
+	case s.sup.Quarantined():
+		m.Quarantines.Inc()
+	}
+	return ok
 }

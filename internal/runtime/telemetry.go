@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"sync/atomic"
 	"time"
 
 	"safehome/internal/journal"
@@ -83,6 +84,30 @@ func NewJournalMetrics(reg *telemetry.Registry) (*journal.Stats, func(bytes int6
 	return s, func(bytes int64, commits int) {
 		cycleBytes.Observe(float64(bytes))
 		cycleCommits.Observe(float64(commits))
+	}
+}
+
+// SupervisionMetrics counts supervision events across every slot of an
+// owner — fleet-wide, no per-home labels. Slots bump them (see Slot); like
+// the loop and journal families, both the hub and the manager register them
+// through NewSupervisionMetrics, so every /metrics surface carries the same
+// set.
+type SupervisionMetrics struct {
+	Poisons     *telemetry.Counter
+	Restarts    *telemetry.Counter
+	Quarantines *telemetry.Counter
+	// Restarting is the number of supervised rebuilds in flight right now.
+	// It has no family of its own: the manager folds it into
+	// safehome_homes{state="restarting"}.
+	Restarting atomic.Int64
+}
+
+// NewSupervisionMetrics registers the supervision families on reg.
+func NewSupervisionMetrics(reg *telemetry.Registry) *SupervisionMetrics {
+	return &SupervisionMetrics{
+		Poisons:     reg.Counter("safehome_supervision_poisons_total", "Home loops torn down by a panic."),
+		Restarts:    reg.Counter("safehome_supervision_restarts_total", "Supervised restarts that came back clean."),
+		Quarantines: reg.Counter("safehome_supervision_quarantines_total", "Homes quarantined: restart budget exhausted, or poisoned with supervision disabled."),
 	}
 }
 

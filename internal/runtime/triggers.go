@@ -77,9 +77,31 @@ func (rt *HomeRuntime) CancelTrigger(handle TriggerHandle) error {
 	return nil
 }
 
-// Triggers lists active scheduled triggers.
+// Triggers lists active scheduled triggers. The trigger table is loop-owned,
+// so this is the one read that posts through the mailbox. Once the loop has
+// exited it answers inline: the quiesced table after Close or Crash, none
+// after a poison (a loop that died mid-mutation is never touched again).
 func (rt *HomeRuntime) Triggers() []ScheduledTrigger {
-	return rt.query(op{kind: opTriggers}).any.([]ScheduledTrigger)
+	rp := newReply()
+	if err := rt.post(op{kind: opTriggers, reply: rp}); err != nil {
+		rp.discard()
+	} else if res := rp.await(); res.err == nil {
+		return res.trigs
+	}
+	<-rt.done
+	if rt.poisoned.Load() {
+		return nil
+	}
+	return rt.listTriggers()
+}
+
+// listTriggers runs on the loop goroutine, or inline once the loop has exited.
+func (rt *HomeRuntime) listTriggers() []ScheduledTrigger {
+	out := make([]ScheduledTrigger, 0, len(rt.triggers))
+	for _, tr := range rt.triggers {
+		out = append(out, tr.spec)
+	}
+	return out
 }
 
 // scheduleTrigger runs on the loop goroutine.

@@ -228,20 +228,16 @@ func runtimeThroughput(b *testing.B, cfg rt.Config) {
 // QueryThroughput measures the read path under a mixed read/write workload:
 // readPct% of parallel operations are status polls (Counts) against one home
 // runtime, the rest are routine submissions (readPct=100 is pure parallel
-// readers — the cost of a query itself). Under rt.ReadSnapshot (the default)
-// reads load the loop's latest published snapshot and never touch the
-// mailbox; under rt.ReadLinearizable every read posts an op and is answered
-// on the loop goroutine — the baseline this PR's off-loop read path is
-// measured against. Reports reads/s and writes/s extra metrics. Mixed runs
-// are closed-loop: a virtual-clock write costs ~1000x a snapshot read, so on
-// few-core machines their ns/op is write-bound and the read-path gap shows
-// up undiluted in the reads=100 case.
-func QueryThroughput(consistency rt.ReadConsistency, readPct int) func(b *testing.B) {
+// readers — the cost of a query itself). Reads load the loop's latest
+// published snapshot and never touch the mailbox. Reports reads/s and
+// writes/s extra metrics. Mixed runs are closed-loop: a virtual-clock write
+// costs ~1000x a snapshot read, so on few-core machines their ns/op is
+// write-bound and the read path shows up undiluted in the reads=100 case.
+func QueryThroughput(readPct int) func(b *testing.B) {
 	return func(b *testing.B) {
 		home, err := rt.NewSim(rt.Config{
-			ID:              "bench",
-			Model:           visibility.EV,
-			ReadConsistency: consistency,
+			ID:    "bench",
+			Model: visibility.EV,
 		}, device.Plugs(8))
 		if err != nil {
 			b.Fatal(err)
@@ -478,12 +474,7 @@ func Cases() []Case {
 	// benchmarks keeps their GC environment comparable across trajectory
 	// entries.
 	for _, mix := range []int{100, 90, 50} {
-		for _, mode := range []rt.ReadConsistency{rt.ReadSnapshot, rt.ReadLinearizable} {
-			out = append(out, Case{
-				Name: fmt.Sprintf("QueryThroughput/reads=%d/mode=%s", mix, mode),
-				Fn:   QueryThroughput(mode, mix),
-			})
-		}
+		out = append(out, Case{Name: fmt.Sprintf("QueryThroughput/reads=%d", mix), Fn: QueryThroughput(mix)})
 	}
 	return out
 }
