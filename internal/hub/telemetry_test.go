@@ -235,9 +235,11 @@ func TestJournalFamiliesAreOneSet(t *testing.T) {
 		"safehome_journal_appends_total counter",
 		"safehome_journal_checkpoint_age_seconds gauge",
 		"safehome_journal_checkpoints_total counter",
+		"safehome_journal_decoded_records_total counter",
 		"safehome_journal_fsyncs_total counter",
 		"safehome_journal_group_cycle_bytes histogram 256 1024 4096 16384 65536 262144 1.048576e+06 4.194304e+06 1.6777216e+07 6.7108864e+07 +Inf",
 		"safehome_journal_group_cycle_commits histogram 1 2 4 8 16 32 64 128 256 512 +Inf",
+		"safehome_journal_scanned_records_total counter",
 	}
 	h, _ := newTestHub(t)
 	m := manager.New(manager.Config{Shards: 2, Home: manager.HomeConfig{Model: visibility.EV}})

@@ -1,10 +1,12 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"time"
 
 	"safehome/internal/device"
@@ -224,7 +226,9 @@ type TriggerRecord struct {
 // Batch is one group-committed journal record: everything durable that one
 // loop drain produced — accepted submissions, finished outcomes, committed
 // device-state changes, appended activity events, bank stores and trigger
-// arms/cancellations. One Batch is one frame, one write, one fsync.
+// arms/cancellations. One Batch is one frame, one write, one fsync. LSN and
+// Home stay the first two fields: recovery indexes records by the prefix
+// they encode to (recordIndex).
 type Batch struct {
 	LSN uint64 `json:"lsn"`
 	// Home tags the record with its home ID: many homes share one physical
@@ -300,6 +304,68 @@ func DecodeBatch(payload []byte) (*Batch, error) {
 		return nil, fmt.Errorf("journal: decoding batch: %w", err)
 	}
 	return &b, nil
+}
+
+// The canonical encoding/json prefix of every homed batch: Batch declares LSN
+// and Home first, so json.Marshal writes {"lsn":N,"home":"…" before anything
+// else (TestBatchPrefixIsCanonical pins it).
+var (
+	lsnKey  = []byte(`{"lsn":`)
+	homeKey = []byte(`,"home":"`)
+)
+
+// recordIndex reads a batch payload's LSN and home from its canonical prefix
+// without decoding the body — the recovery index's key. ok is false unless
+// the payload starts with that prefix byte for byte and the home is plain
+// printable ASCII with no escape; everything else (legacy frames without a
+// home, HTML-escaped or non-ASCII IDs, anything odd) is for DecodeBatch to
+// read, so a miss costs a decode, never correctness. A hit does not vouch for
+// the body: a payload may repeat a key, which decodeIndexed catches.
+func recordIndex(payload []byte) (lsn uint64, home string, ok bool) {
+	rest, found := bytes.CutPrefix(payload, lsnKey)
+	if !found {
+		return 0, "", false
+	}
+	n := 0
+	for ; n < len(rest) && '0' <= rest[n] && rest[n] <= '9'; n++ {
+		d := uint64(rest[n] - '0')
+		if lsn > (math.MaxUint64-d)/10 {
+			return 0, "", false
+		}
+		lsn = lsn*10 + d
+	}
+	if n == 0 {
+		return 0, "", false
+	}
+	rest, found = bytes.CutPrefix(rest[n:], homeKey)
+	if !found {
+		return 0, "", false
+	}
+	end := bytes.IndexByte(rest, '"')
+	if end <= 0 {
+		return 0, "", false
+	}
+	for _, c := range rest[:end] {
+		if c < 0x20 || c > 0x7e || c == '\\' {
+			return 0, "", false
+		}
+	}
+	return lsn, string(rest[:end]), true
+}
+
+// decodeIndexed decodes a record the index filed under (lsn, home). A body
+// that does not decode, or decodes to another LSN or home than its prefix
+// said, is corrupt.
+func decodeIndexed(payload []byte, lsn uint64, home string, stats *Stats) (*Batch, error) {
+	stats.noteDecoded()
+	b, err := DecodeBatch(payload)
+	if err != nil {
+		return nil, err
+	}
+	if b.LSN != lsn || b.Home != home {
+		return nil, fmt.Errorf("journal: record indexed as %q/%d decodes as %q/%d", home, lsn, b.Home, b.LSN)
+	}
+	return b, nil
 }
 
 // DecodeCheckpoint parses one checkpoint payload.

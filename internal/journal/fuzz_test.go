@@ -62,6 +62,50 @@ func FuzzScanFrames(f *testing.F) {
 	})
 }
 
+// FuzzRecordIndex drives the recovery index's prefix reader with arbitrary
+// payloads: it must never panic, and whenever it answers and DecodeBatch
+// reads the payload too, either the two agree on LSN and home or the record
+// lands in the corrupt-record rule (a payload that repeats a key). The
+// canonical encoding of any batch must be read back exactly whenever the
+// reader answers, and must be answered for plain printable-ASCII homes.
+func FuzzRecordIndex(f *testing.F) {
+	full, _ := json.Marshal(&Batch{LSN: 42, Home: "home-1", Submits: []RoutineRecord{submitRec(1)}, FirstSeq: 7})
+	f.Add(full, uint64(42), "home-1")
+	f.Add([]byte(`{"lsn":1,"home":"a","lsn":7}`), uint64(1), "a")
+	f.Add([]byte(`{"lsn":1,"home":"a","home":"b"}`), uint64(0), "")
+	f.Add([]byte(`{"lsn":3}`), uint64(3), "a<b")
+	f.Add([]byte(`{"lsn":18446744073709551616,"home":"a"}`), uint64(18446744073709551615), "café")
+	f.Add([]byte(`{"lsn":2,"home":"a","submits":[{"id":`), uint64(2), `a"b\c`)
+
+	f.Fuzz(func(t *testing.T, payload []byte, lsn uint64, home string) {
+		if l, h, ok := recordIndex(payload); ok {
+			if b, err := DecodeBatch(payload); err == nil {
+				d, derr := decodeIndexed(payload, l, h, nil)
+				agree := b.LSN == l && b.Home == h
+				if agree != (derr == nil) || (agree && (d.LSN != l || d.Home != h)) {
+					t.Fatalf("index %d/%q, decode %d/%q: decodeIndexed = %v, %v", l, h, b.LSN, b.Home, d, derr)
+				}
+			}
+		}
+
+		canonical, err := json.Marshal(&Batch{LSN: lsn, Home: home})
+		if err != nil {
+			t.Skip()
+		}
+		l, h, ok := recordIndex(canonical)
+		if ok && (l != lsn || h != home) {
+			t.Fatalf("recordIndex(%s) = %d, %q; want %d, %q", canonical, l, h, lsn, home)
+		}
+		plain := home != ""
+		for _, c := range []byte(home) {
+			plain = plain && c >= 0x20 && c <= 0x7e && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+		}
+		if plain && !ok {
+			t.Fatalf("recordIndex missed the canonical %s", canonical)
+		}
+	})
+}
+
 // FuzzRecoverDir feeds arbitrary bytes to a full directory recovery: a log
 // segment, a legacy per-home segment and a checkpoint file of fuzzer-chosen
 // contents must never panic Open, only ever yield (state, nil) or an error.

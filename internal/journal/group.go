@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -84,18 +85,28 @@ type sealedSeg struct {
 	path  string
 	homes map[string]uint64
 	// scanned marks boot-scan files whose contents already live in
-	// walState.tails; TailFor must not read them twice.
+	// walState.tails; tailFor must not read them twice.
 	scanned bool
 }
 
+// rawRec is one boot-scanned log record, indexed but not decoded: its LSN
+// and its CRC-checked payload. The payload is the scan's own copy, not a
+// slice of the segment image, so a home's records leave memory as soon as
+// it checkpoints past them instead of pinning whole images until the last
+// home in each has.
+type rawRec struct {
+	lsn     uint64
+	payload []byte
+}
+
 // walState is the bookkeeping shared by every GroupWriter of one wal tree:
-// the boot-scanned per-home tails from previous epochs, the set of on-disk
-// segments, and each home's checkpoint high-water mark.
+// the boot-scanned per-home tails from previous epochs (raw, in LSN order),
+// the set of on-disk segments, and each home's checkpoint high-water mark.
 type walState struct {
 	mu      sync.Mutex
 	lock    *os.File // flock on wal.lock: one process owns the tree
 	refs    int      // live writers; the last release drops the flock
-	tails   map[string][]*Batch
+	tails   map[string][]rawRec
 	segRecs []sealedSeg
 	ckpt    map[string]uint64
 }
@@ -117,7 +128,7 @@ func (st *walState) checkpointed(home string, lsn uint64) {
 	}
 	tail := st.tails[home]
 	i := 0
-	for i < len(tail) && tail[i].LSN <= st.ckpt[home] {
+	for i < len(tail) && tail[i].lsn <= st.ckpt[home] {
 		i++
 	}
 	switch {
@@ -209,10 +220,11 @@ const (
 
 // OpenWriters opens (creating if needed) the wal tree rooted at root and
 // returns n GroupWriters in a fresh epoch — one per manager shard, or one
-// for a single-home hub or a lone journal. It scans every previous epoch's
-// segments into per-home tails (stopping each writer's stream at the first
+// for a single-home hub or a lone journal. It indexes every previous epoch's
+// records into per-home tails (stopping each writer's stream at the first
 // torn frame) so journals that subsequently Open against these writers
-// recover everything acknowledged before the last shutdown or crash. The
+// recover everything acknowledged before the last shutdown or crash; each
+// Open decodes only its own records above its checkpoint. The
 // returned writers share one flock on root/wal.lock; close every one of
 // them (after closing the journals they serve) to release it.
 func OpenWriters(root string, n int, opts WriterOptions) ([]*GroupWriter, error) {
@@ -239,21 +251,17 @@ func OpenWriters(root string, n int, opts WriterOptions) ([]*GroupWriter, error)
 	st := &walState{
 		lock:  lock,
 		refs:  n,
-		tails: make(map[string][]*Batch),
+		tails: make(map[string][]rawRec),
 		ckpt:  make(map[string]uint64),
 	}
 
 	streams, epoch, err := walStreams(root)
 	for i := 0; err == nil && i < len(streams); i++ {
-		err = scanStream(streams[i], st)
+		err = scanStream(streams[i], st, opts.Stats)
 	}
 	if err != nil {
 		lock.Close()
 		return nil, err
-	}
-	for home := range st.tails {
-		tail := st.tails[home]
-		sort.Slice(tail, func(a, b int) bool { return tail[a].LSN < tail[b].LSN })
 	}
 
 	epochDir := filepath.Join(root, fmt.Sprintf("%s%d", epochPrefix, epoch))
@@ -331,12 +339,18 @@ func numberedDirs(dir, prefix string) ([]int, error) {
 	return ns, nil
 }
 
-// scanStream replays one writer stream's segments in sequence order into
+// scanStream indexes one writer stream's segments in sequence order into
 // st's per-home tails, stopping at the first torn or corrupt frame —
 // everything past a tear in this writer's stream was never acknowledged.
-// Intact files that hold no record (an epoch that never appended) are
-// removed, so boots and wakes do not accumulate empty epochs.
-func scanStream(segs []string, st *walState) error {
+// Records are filed by the home and LSN their prefix names (recordIndex);
+// only a record without that prefix is decoded here, and one whose home
+// cannot be read even so ends the stream like a tear. A record filed under
+// its home whose body turns out rotten ends only that home's replay, when
+// tailFor decodes it. Streams are scanned in append order and no LSN the scan
+// can see is ever written again (see Journal.recover), so each home's tail is
+// in LSN order. Intact files that hold no record (an epoch that never
+// appended) are removed, so boots and wakes do not accumulate empty epochs.
+func scanStream(segs []string, st *walState, stats *Stats) error {
 	for _, path := range segs {
 		buf, err := os.ReadFile(path)
 		if err != nil {
@@ -344,16 +358,22 @@ func scanStream(segs []string, st *walState) error {
 		}
 		homes := make(map[string]uint64)
 		clean, serr := scanFrames(buf, func(payload []byte) error {
-			b, derr := DecodeBatch(payload)
-			if derr != nil {
-				return derr
+			stats.noteScanned()
+			lsn, home, ok := recordIndex(payload)
+			if !ok {
+				stats.noteDecoded()
+				b, derr := DecodeBatch(payload)
+				if derr != nil {
+					return derr
+				}
+				if b.Home == "" {
+					return nil
+				}
+				lsn, home = b.LSN, b.Home
 			}
-			if b.Home == "" {
-				return nil
-			}
-			st.tails[b.Home] = append(st.tails[b.Home], b)
-			if b.LSN > homes[b.Home] {
-				homes[b.Home] = b.LSN
+			st.tails[home] = append(st.tails[home], rawRec{lsn: lsn, payload: bytes.Clone(payload)})
+			if lsn > homes[home] {
+				homes[home] = lsn
 			}
 			return nil
 		})
@@ -506,7 +526,7 @@ func (w *GroupWriter) waitCovered(pos int64) error {
 }
 
 // flushLocked writes every buffered frame into the active segment with one
-// write(2). Called by the syncer before each fsync and by TailFor before it
+// write(2). Called by the syncer before each fsync and by tailFor before it
 // reads the active segment image back.
 func (w *GroupWriter) flushLocked() error {
 	if w.err != nil {
@@ -623,68 +643,91 @@ func (w *GroupWriter) syncLoop() {
 	}
 }
 
-// TailFor returns every complete batch the shared log holds for home with
-// LSN above its checkpoint high-water mark, in LSN order: the boot-scanned
-// records from previous epochs plus anything this process has sealed or is
-// still writing. Complete-but-unsynced frames in the active segment are
-// included deliberately — reading our own writes through the page cache is
-// coherent, and a record that missed its covering fsync was never
-// acknowledged, so replaying it is harmless. A poisoned home's supervised
-// rebuild depends on seeing exactly this stream.
-func (w *GroupWriter) TailFor(home string) ([]*Batch, error) {
+// tailFor returns every complete batch the shared log holds for home with
+// LSN above both after (the checkpoint the caller just loaded) and the
+// home's checkpoint high-water mark, in LSN order: the boot-scanned records
+// from previous epochs plus anything this process has sealed or is still
+// writing. Complete-but-unsynced frames in the active segment are included
+// deliberately — reading our own writes through the page cache is coherent,
+// and a record that missed its covering fsync was never acknowledged, so
+// replaying it is harmless. A poisoned home's supervised rebuild depends on
+// seeing exactly this stream.
+//
+// Only those records are decoded: segments that hold nothing of home above
+// the mark are not read, and other homes' frames in the ones that are get
+// skipped by their prefix. A boot-scanned record of home that turns out
+// rotten ends the returned tail below it (the caller's contiguity rule would
+// stop there anyway).
+//
+// top is the highest LSN the log holds for home, decoded or not. A caller
+// whose replay stops below it has met a branch it must not replay and must
+// not write over (Journal.recover cuts it with a checkpoint at top).
+func (w *GroupWriter) tailFor(home string, after uint64) (tail []*Batch, top uint64, err error) {
+	// Writer lock, then shared state: the syncer seals the active segment
+	// under the same two locks, so the snapshot below sees every segment of
+	// this home exactly once — sealed, or still active.
+	w.mu.Lock()
+	var active string
+	var activeBytes int64
+	top = w.segHomes[home]
 	w.st.mu.Lock()
-	tail := append([]*Batch(nil), w.st.tails[home]...)
-	ckpt := w.st.ckpt[home]
+	after = max(after, w.st.ckpt[home])
+	// Boot-scanned records are never written once OpenWriters returns (the
+	// tail is only ever resliced), so they are decoded after the unlock.
+	boot := w.st.tails[home]
+	boot = boot[sort.Search(len(boot), func(i int) bool { return boot[i].lsn > after }):]
 	var paths []string
 	for _, s := range w.st.segRecs {
-		if s.scanned {
-			continue
-		}
-		if _, ok := s.homes[home]; ok {
+		top = max(top, s.homes[home])
+		if !s.scanned && s.homes[home] > after {
 			paths = append(paths, s.path)
 		}
 	}
 	w.st.mu.Unlock()
+	if w.seg != nil && w.segHomes[home] > after {
+		// Buffered frames are flushed first so the image includes them (a
+		// supervised rebuild must see its own unsynced appends); the read
+		// itself runs unlocked and is cut at this length, so no frame is
+		// mid-write and other homes' appends do not wait for it.
+		if err := w.flushLocked(); err != nil {
+			w.mu.Unlock()
+			return nil, 0, err
+		}
+		active, activeBytes = w.segPath, w.segBytes
+	}
+	w.mu.Unlock()
 
+	// The three sources concatenate in LSN order: a home's records are
+	// appended only above top (its recovery cuts any branch it did not
+	// replay), and to one writer in segment order.
+	tail = make([]*Batch, 0, len(boot))
+	for _, r := range boot {
+		b, err := decodeIndexed(r.payload, r.lsn, home, w.sopts.Stats)
+		if err != nil {
+			break
+		}
+		tail = append(tail, b)
+	}
 	for _, p := range paths {
 		buf, err := os.ReadFile(p)
 		if err != nil {
 			continue // pruned by a checkpoint between the snapshot and the read
 		}
-		if err := appendHomeBatches(&tail, buf, home); err != nil {
-			return nil, err
+		if tail, err = appendHomeBatches(tail, buf, home, after, w.sopts.Stats); err != nil {
+			return nil, 0, err
 		}
 	}
-	// The active segment is read under the writer's lock so no frame is
-	// mid-write; buffered frames are flushed first so the image includes
-	// them (a supervised rebuild must see its own unsynced appends).
-	w.mu.Lock()
-	var active []byte
-	if w.seg != nil && w.segBytes > 0 {
-		if err := w.flushLocked(); err != nil {
-			w.mu.Unlock()
-			return nil, err
-		}
-		buf, err := os.ReadFile(w.segPath)
+	if active != "" {
+		buf, err := os.ReadFile(active)
 		if err != nil {
-			w.mu.Unlock()
-			return nil, fmt.Errorf("journal: reading active shared segment: %w", err)
+			return nil, 0, fmt.Errorf("journal: reading active shared segment: %w", err)
 		}
-		active = buf
-	}
-	w.mu.Unlock()
-	if err := appendHomeBatches(&tail, active, home); err != nil {
-		return nil, err
-	}
-
-	out := tail[:0]
-	for _, b := range tail {
-		if b.LSN > ckpt {
-			out = append(out, b)
+		buf = buf[:min(int64(len(buf)), activeBytes)]
+		if tail, err = appendHomeBatches(tail, buf, home, after, w.sopts.Stats); err != nil {
+			return nil, 0, err
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].LSN < out[b].LSN })
-	return out, nil
+	return tail, top, nil
 }
 
 // holds reports whether the log has any record of home above its checkpoint
@@ -702,23 +745,38 @@ func (w *GroupWriter) holds(home string) bool {
 	return found || w.segHomes[home] > 0
 }
 
-// appendHomeBatches scans one segment image and appends home's complete
-// batches to dst. A torn tail ends the scan cleanly, like any recovery scan.
-func appendHomeBatches(dst *[]*Batch, buf []byte, home string) error {
+// appendHomeBatches scans one segment image this process wrote and appends
+// home's complete batches with LSN above after to dst, decoding only those
+// (and frames whose prefix names no home). A torn tail ends the scan
+// cleanly, like any recovery scan; a frame that does not decode is an I/O
+// failure of this process's own log and fails the read.
+func appendHomeBatches(dst []*Batch, buf []byte, home string, after uint64, stats *Stats) ([]*Batch, error) {
 	_, err := scanFrames(buf, func(payload []byte) error {
-		b, derr := DecodeBatch(payload)
-		if derr != nil {
-			return derr
+		stats.noteScanned()
+		lsn, h, ok := recordIndex(payload)
+		if ok && (h != home || lsn <= after) {
+			return nil
 		}
-		if b.Home == home {
-			*dst = append(*dst, b)
+		var b *Batch
+		var err error
+		if ok {
+			b, err = decodeIndexed(payload, lsn, h, stats)
+		} else {
+			stats.noteDecoded()
+			b, err = DecodeBatch(payload)
+		}
+		if err != nil {
+			return err
+		}
+		if b.Home == home && b.LSN > after {
+			dst = append(dst, b)
 		}
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("journal: scanning shared segment: %w", err)
+		return nil, fmt.Errorf("journal: scanning shared segment: %w", err)
 	}
-	return nil
+	return dst, nil
 }
 
 // checkpointed forwards a home's checkpoint high-water mark to the shared

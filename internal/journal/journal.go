@@ -287,7 +287,10 @@ func (r *Recovered) NextSeq() uint64 {
 // it. It returns the journal positioned for appending and the recovered
 // state, which is nil when the directory holds no durable state yet. A torn
 // or corrupt record ends replay at the last acknowledged batch — exactly
-// the write-ahead-log contract.
+// the write-ahead-log contract. When replay stops below records the log
+// still holds (a rotten record of this home), Open checkpoints the replayed
+// state at the highest of them before returning, so that branch is never
+// replayed or written over.
 //
 // Exactly one process may own a home's journal: a second opener (e.g. a
 // restart racing a hung predecessor) would recover to the same LSN and
@@ -376,7 +379,7 @@ func (j *Journal) recover() (*Recovered, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	logged, err := j.writer.TailFor(j.home)
+	logged, top, err := j.writer.tailFor(j.home, rec.LSN)
 	if err != nil {
 		return nil, false, err
 	}
@@ -395,7 +398,41 @@ func (j *Journal) recover() (*Recovered, bool, error) {
 	if err := validateDense(rec); err != nil {
 		return nil, false, err
 	}
+	if top > rec.LSN {
+		// Replay stopped below records the log still holds: behind a rotten
+		// record. Cut that branch before the home appends again: a checkpoint
+		// of the replayed state stamped at the branch's highest LSN covers it,
+		// so no later recovery replays it (even once the records that follow
+		// are pruned), its segments become prunable, and the home's next
+		// record gets an LSN no other record in the log has.
+		rec.LSN = top
+		if err := j.publishCheckpoint(checkpointOf(rec)); err != nil {
+			return nil, false, err
+		}
+		found = true
+	}
 	return rec, found, nil
+}
+
+// checkpointOf is the checkpoint image of a recovered state.
+func checkpointOf(rec *Recovered) *Checkpoint {
+	ck := &Checkpoint{
+		LSN:         rec.LSN,
+		Sealed:      rec.Sealed,
+		SealSize:    rec.SealSize,
+		Routines:    rec.Routines[rec.Sealed:],
+		FirstSeq:    rec.FirstSeq,
+		Events:      rec.Events,
+		Bank:        rec.Bank,
+		NextTrigger: rec.NextTrigger,
+	}
+	for d, s := range rec.States {
+		ck.States = append(ck.States, StateEntry{Device: d, State: s})
+	}
+	for _, t := range rec.Triggers {
+		ck.Triggers = append(ck.Triggers, t)
+	}
+	return ck
 }
 
 // segmentsIn lists dir's segment files with the given name prefix, sorted by
@@ -717,6 +754,11 @@ func (j *Journal) Checkpoint(ck *Checkpoint) error {
 		}
 	}
 	ck.LSN = j.lsn
+	return j.publishCheckpoint(ck)
+}
+
+// publishCheckpoint is Checkpoint for an image already stamped with its LSN.
+func (j *Journal) publishCheckpoint(ck *Checkpoint) error {
 	payload, err := json.Marshal(ck)
 	if err != nil {
 		return fmt.Errorf("journal: encoding checkpoint: %w", err)

@@ -6,7 +6,8 @@ import (
 )
 
 // Stats is a bundle of plain atomic counters the journal layer bumps as it
-// works: appended bytes, fsyncs, checkpoints. It exists so the /metrics
+// works: appended bytes, fsyncs, checkpoints, and the log records recovery
+// scanned and decoded. It exists so the /metrics
 // surface can read journal activity without the journal importing the
 // telemetry package (the journal stays owner-agnostic) and without any
 // callback on the append path — one shared Stats is typically passed to
@@ -27,6 +28,29 @@ type Stats struct {
 	// checkpoint (0 until one lands) — the scrape side derives checkpoint
 	// age from it.
 	LastCheckpointUnixNano atomic.Int64
+	// ScannedRecords counts log records read by recovery — the boot scan
+	// and per-home tail reads — whose frame passed its length and CRC check.
+	ScannedRecords atomic.Int64
+	// DecodedRecords counts the records among them whose JSON body was
+	// decoded: recovery decodes only what it replays (plus records whose
+	// home and LSN cannot be read from their prefix).
+	DecodedRecords atomic.Int64
+}
+
+// noteScanned records one log record read by recovery.
+func (s *Stats) noteScanned() {
+	if s == nil {
+		return
+	}
+	s.ScannedRecords.Add(1)
+}
+
+// noteDecoded records one log record body decoded by recovery.
+func (s *Stats) noteDecoded() {
+	if s == nil {
+		return
+	}
+	s.DecodedRecords.Add(1)
 }
 
 // noteAppend records one appended batch frame of n bytes.

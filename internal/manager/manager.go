@@ -472,6 +472,10 @@ func (m *Manager) AddHome(id HomeID, devices ...device.Info) error {
 // and recovers it (results, committed states and event cursors exactly;
 // in-flight routines aborted). Homes already present are skipped, so it is
 // safe to call on a warm manager. It returns the recovered IDs, sorted.
+//
+// Homes recover in parallel, on min(GOMAXPROCS, homes) workers. After the
+// first error no further home is started; the ones in flight finish, and
+// the IDs recovered so far come back with that error.
 func (m *Manager) RecoverHomes() ([]HomeID, error) {
 	if m.cfg.DataDir == "" {
 		return nil, nil
@@ -484,32 +488,73 @@ func (m *Manager) RecoverHomes() ([]HomeID, error) {
 	if err != nil {
 		return nil, fmt.Errorf("manager: listing %s: %w", root, err)
 	}
-	var recovered []HomeID
+	var dirs []string
 	for _, e := range entries {
-		if !e.IsDir() {
-			continue
+		if e.IsDir() {
+			dirs = append(dirs, e.Name())
 		}
-		buf, err := os.ReadFile(filepath.Join(root, e.Name(), "home.json"))
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue // not a home directory
-			}
-			return recovered, fmt.Errorf("manager: reading metadata of %s: %w", e.Name(), err)
-		}
-		var meta homeMeta
-		if err := json.Unmarshal(buf, &meta); err != nil {
-			return recovered, fmt.Errorf("manager: decoding metadata of %s: %w", e.Name(), err)
-		}
-		if err := m.AddHome(meta.ID, meta.Devices...); err != nil {
-			if errors.Is(err, ErrDuplicateHome) {
-				continue
-			}
-			return recovered, fmt.Errorf("manager: recovering home %q: %w", meta.ID, err)
-		}
-		recovered = append(recovered, meta.ID)
 	}
+	var (
+		mu        sync.Mutex
+		next      int
+		recovered []HomeID
+		firstErr  error
+		wg        sync.WaitGroup
+	)
+	// take hands out the next home directory, or none once they ran out or
+	// any home failed.
+	take := func() (string, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if firstErr != nil || next == len(dirs) {
+			return "", false
+		}
+		next++
+		return dirs[next-1], true
+	}
+	for range min(runtime.GOMAXPROCS(0), len(dirs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for name, ok := take(); ok; name, ok = take() {
+				id, err := m.recoverHome(filepath.Join(root, name))
+				mu.Lock()
+				switch {
+				case err != nil && firstErr == nil:
+					firstErr = err
+				case err == nil && id != "":
+					recovered = append(recovered, id)
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
 	sort.Slice(recovered, func(i, j int) bool { return recovered[i] < recovered[j] })
-	return recovered, nil
+	return recovered, firstErr
+}
+
+// recoverHome re-adds the home persisted in dir and returns its ID — or ""
+// when dir holds no home.json or the home is already present.
+func (m *Manager) recoverHome(dir string) (HomeID, error) {
+	buf, err := os.ReadFile(filepath.Join(dir, "home.json"))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return "", nil // not a home directory
+		}
+		return "", fmt.Errorf("manager: reading metadata of %s: %w", filepath.Base(dir), err)
+	}
+	var meta homeMeta
+	if err := json.Unmarshal(buf, &meta); err != nil {
+		return "", fmt.Errorf("manager: decoding metadata of %s: %w", filepath.Base(dir), err)
+	}
+	if err := m.AddHome(meta.ID, meta.Devices...); err != nil {
+		if errors.Is(err, ErrDuplicateHome) {
+			return "", nil
+		}
+		return "", fmt.Errorf("manager: recovering home %q: %w", meta.ID, err)
+	}
+	return meta.ID, nil
 }
 
 // AddHomes creates n homes named <prefix>-0 .. <prefix>-(n-1), each with the

@@ -1,9 +1,12 @@
 package manager
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -222,6 +225,143 @@ func TestCrashedHomeRecoversLiveUnderEveryTier(t *testing.T) {
 				t.Fatalf("crashed home was registered cold: %v wakes", got)
 			}
 		})
+	}
+}
+
+// crashAll kills every home of m without a graceful drain, then closes m.
+func crashAll(t *testing.T, m *Manager) {
+	t.Helper()
+	for _, st := range m.Homes() {
+		home, err := m.Runtime(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		home.Crash()
+	}
+	m.Close()
+}
+
+// TestConcurrentAddHomeReservesTheID: shard.add builds a home with the shard
+// unlocked, so the ID is reserved while it builds. Eight AddHome calls for a
+// durable home with history, racing RecoverHomes, must build it exactly once
+// — everyone else gets ErrDuplicateHome — and after another crash the home
+// recovers its whole acknowledged history: no second journal ever recovered
+// it and closed over the winner's checkpoint with an older one.
+func TestConcurrentAddHomeReservesTheID(t *testing.T) {
+	dir := t.TempDir()
+	m := durableManager(dir)
+	if _, err := m.AddHomes("home", 6, 3); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := m.Submit("home-0", durableRoutine(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crashAll(t, m)
+
+	m2 := durableManager(dir)
+	const racers = 8
+	var (
+		start     = make(chan struct{})
+		wg        sync.WaitGroup
+		errs      = make(chan error, racers)
+		recovered []HomeID
+		recErr    error
+	)
+	wg.Add(racers + 1)
+	go func() {
+		defer wg.Done()
+		<-start
+		recovered, recErr = m2.RecoverHomes()
+	}()
+	for i := 0; i < racers; i++ {
+		go func() {
+			defer wg.Done()
+			<-start
+			errs <- m2.AddHome("home-0", device.Plugs(3).All()...)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	if recErr != nil {
+		t.Fatal(recErr)
+	}
+	builds := 0
+	for _, id := range recovered {
+		if id == "home-0" {
+			builds++
+		}
+	}
+	for err := range errs {
+		switch {
+		case err == nil:
+			builds++
+		case !errors.Is(err, ErrDuplicateHome):
+			t.Fatalf("racing AddHome: %v", err)
+		}
+	}
+	if builds != 1 {
+		t.Fatalf("home-0 was built %d times, want exactly once", builds)
+	}
+	if results, err := m2.Results("home-0"); err != nil || len(results) != 5 {
+		t.Fatalf("home-0 recovered %d routines (err %v), want 5", len(results), err)
+	}
+	for i := 5; i < 8; i++ {
+		if _, err := m2.Submit("home-0", durableRoutine(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crashAll(t, m2)
+
+	m3 := durableManager(dir)
+	defer m3.Close()
+	if _, err := m3.RecoverHomes(); err != nil {
+		t.Fatal(err)
+	}
+	results, err := m3.Results("home-0")
+	if err != nil || len(results) != 8 {
+		t.Fatalf("home-0 recovered %d routines after the second crash (err %v), want all 8", len(results), err)
+	}
+	for _, res := range results {
+		if res.Status != visibility.StatusCommitted {
+			t.Fatalf("routine %d recovered as %s", res.ID, res.Status)
+		}
+	}
+}
+
+// TestRecoverHomesStopsAtFirstError: a home directory whose metadata does not
+// decode fails RecoverHomes; the homes recovered before the failure come back
+// with the error, sorted and serving.
+func TestRecoverHomesStopsAtFirstError(t *testing.T) {
+	dir := t.TempDir()
+	m := durableManager(dir)
+	if _, err := m.AddHomes("home", 4, 2); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	bad := filepath.Join(dir, "homes", "broken")
+	if err := os.MkdirAll(bad, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(bad, "home.json"), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := durableManager(dir)
+	defer m2.Close()
+	recovered, err := m2.RecoverHomes()
+	if err == nil {
+		t.Fatal("RecoverHomes accepted undecodable metadata")
+	}
+	if !sort.SliceIsSorted(recovered, func(i, j int) bool { return recovered[i] < recovered[j] }) {
+		t.Fatalf("recovered IDs %v are not sorted", recovered)
+	}
+	for _, id := range recovered {
+		if _, err := m2.Results(id); err != nil {
+			t.Fatalf("reported home %s does not serve: %v", id, err)
+		}
 	}
 }
 

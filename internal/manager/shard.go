@@ -40,7 +40,8 @@ type homeSlot struct {
 // for lock-free Status reads, and runs up to two goroutines — under
 // ClockLive the pumper that advances its homes' simulators to the wall
 // clock, and its supervision's restart loop. All per-home state lives
-// inside the runtimes; the shard's lock only guards the map itself.
+// inside the runtimes; the shard's lock only guards the maps themselves and
+// is never held across disk I/O.
 type shard struct {
 	m     *Manager
 	index int
@@ -49,6 +50,15 @@ type shard struct {
 	mu     sync.RWMutex
 	homes  map[HomeID]*homeSlot
 	closed bool
+
+	// adding reserves the IDs whose first generation add is building with
+	// mu released: a concurrent add of the same ID fails fast with
+	// ErrDuplicateHome, so two journals never recover one home (the loser's
+	// close could otherwise publish an older checkpoint over the winner's
+	// after the log was pruned past it). building counts those adds, so
+	// closeAll can wait for them.
+	adding   map[HomeID]struct{}
+	building sync.WaitGroup
 
 	// live is the subset of homes with a runtime resident. The pumper and
 	// the idle freezer scan only this map, so a frozen home costs zero
@@ -61,11 +71,12 @@ type shard struct {
 
 func newShard(m *Manager, index int) *shard {
 	return &shard{
-		m:     m,
-		index: index,
-		sv:    rt.NewSupervision(m.cfg.Supervisor, m.tel.sup, m.stop),
-		homes: make(map[HomeID]*homeSlot),
-		live:  make(map[HomeID]*homeSlot),
+		m:      m,
+		index:  index,
+		sv:     rt.NewSupervision(m.cfg.Supervisor, m.tel.sup, m.stop),
+		homes:  make(map[HomeID]*homeSlot),
+		adding: make(map[HomeID]struct{}),
+		live:   make(map[HomeID]*homeSlot),
 	}
 }
 
@@ -74,15 +85,51 @@ func newShard(m *Manager, index int) *shard {
 // just the slot and the record, no runtime — first touch (or a due trigger
 // deadline) wakes it. Cold registration is how a manager holds a million
 // homes without holding a million loops.
+//
+// The build (journal recovery: disk reads, a checkpoint) runs with the
+// shard unlocked under a reservation of the ID, and the slot is published
+// only once it is built, so lookups on the shard neither wait for it nor
+// see a half-built slot.
 func (s *shard) add(id HomeID, devices []device.Info, fr *rt.FrozenHome) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return ErrClosed
 	}
-	if _, exists := s.homes[id]; exists {
+	if s.reservedLocked(id) {
+		s.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrDuplicateHome, id)
 	}
+	s.adding[id] = struct{}{}
+	s.building.Add(1)
+	s.mu.Unlock()
+	defer s.building.Done()
+
+	slot, home, err := s.build(id, devices, fr)
+	s.mu.Lock()
+	delete(s.adding, id)
+	if err == nil && s.closed {
+		err = ErrClosed
+	}
+	if err != nil {
+		s.mu.Unlock()
+		if home != nil {
+			home.Close()
+		}
+		return err
+	}
+	s.homes[id] = slot
+	if home != nil {
+		s.live[id] = slot
+	}
+	s.homeCount.Inc()
+	s.mu.Unlock()
+	return nil
+}
+
+// build makes the slot add publishes: cold with the frozen record, or with
+// its first runtime generation built and stored.
+func (s *shard) build(id HomeID, devices []device.Info, fr *rt.FrozenHome) (*homeSlot, *rt.HomeRuntime, error) {
 	slot := &homeSlot{id: id, devices: append([]device.Info(nil), devices...)}
 	// Each generation the slot builds recovers from the home's journal when
 	// the manager is durable; memory-only homes restart empty but alive.
@@ -93,17 +140,14 @@ func (s *shard) add(id HomeID, devices []device.Info, fr *rt.FrozenHome) error {
 	})
 	if fr != nil {
 		slot.frozen.Store(fr)
-	} else {
-		home, err := slot.rt.Build()
-		if err != nil {
-			return err
-		}
-		slot.rt.Store(home)
-		s.live[id] = slot
+		return slot, nil, nil
 	}
-	s.homes[id] = slot
-	s.homeCount.Inc()
-	return nil
+	home, err := slot.rt.Build()
+	if err != nil {
+		return nil, nil, err
+	}
+	slot.rt.Store(home)
+	return slot, home, nil
 }
 
 // setLive moves the slot in or out of the pumper/freezer scan set. It
@@ -208,10 +252,18 @@ func (s *shard) slot(id HomeID) (*homeSlot, bool) {
 	return slot, ok
 }
 
-// has reports whether the shard currently owns the home.
+// has reports whether the shard owns the home or is adding it.
 func (s *shard) has(id HomeID) bool {
-	_, ok := s.slot(id)
-	return ok
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.reservedLocked(id)
+}
+
+// reservedLocked reports whether id is registered or being added.
+func (s *shard) reservedLocked(id HomeID) bool {
+	_, ok := s.homes[id]
+	_, adding := s.adding[id]
+	return ok || adding
 }
 
 // snapshot returns a point-in-time copy of the routing map.
@@ -264,7 +316,8 @@ func (s *shard) liveSnapshot() []*homeSlot {
 }
 
 // closeAll closes every home runtime on this shard (graceful drain) and
-// stops accepting new homes.
+// stops accepting new homes. An add still building closes what it built
+// itself; closeAll waits for it, so nothing outlives the shard.
 func (s *shard) closeAll() {
 	s.mu.Lock()
 	s.closed = true
@@ -273,6 +326,7 @@ func (s *shard) closeAll() {
 		slots = append(slots, slot)
 	}
 	s.mu.Unlock()
+	s.building.Wait()
 	for _, slot := range slots {
 		// Frozen homes have no runtime — their final checkpoint already
 		// landed; closing the manager costs them nothing.

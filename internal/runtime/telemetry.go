@@ -57,7 +57,8 @@ func NewLoopMetrics(reg *telemetry.Registry) *LoopMetrics {
 // NewJournalMetrics registers the journal families on reg and returns the
 // two things an owner wires into its journals and writer fleet: the Stats
 // every journal.Options and the journal.WriterOptions share (fleet-wide
-// append/fsync/checkpoint totals, no per-home cardinality) and the OnCycle
+// append/fsync/checkpoint totals and the log records recovery scanned and
+// decoded, no per-home cardinality) and the OnCycle
 // hook that feeds the group-commit coalescing histograms. Like
 // NewLoopMetrics, both the hub and the manager call this, so the journal
 // families are identical on every /metrics surface. The hook runs with the
@@ -68,6 +69,8 @@ func NewJournalMetrics(reg *telemetry.Registry) (*journal.Stats, func(bytes int6
 	reg.CounterFunc("safehome_journal_appended_bytes_total", "Framed bytes appended to the write-ahead journal, all homes.", s.AppendedBytes.Load)
 	reg.CounterFunc("safehome_journal_fsyncs_total", "Journal data fsyncs (writer sync cycles).", s.Fsyncs.Load)
 	reg.CounterFunc("safehome_journal_checkpoints_total", "Checkpoint images durably published, all homes.", s.Checkpoints.Load)
+	reg.CounterFunc("safehome_journal_scanned_records_total", "Log records recovery read past their frame check (boot scan and per-home tail reads).", s.ScannedRecords.Load)
+	reg.CounterFunc("safehome_journal_decoded_records_total", "Log records whose body recovery decoded: those it replays, plus any whose home its prefix does not name.", s.DecodedRecords.Load)
 	reg.GaugeFunc("safehome_journal_checkpoint_age_seconds", "Seconds since the most recent checkpoint of any home (-1 until one lands).", func() float64 {
 		last := s.LastCheckpointUnixNano.Load()
 		if last == 0 {
