@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -219,13 +220,41 @@ func (h *Hub) handleCancelTrigger(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"cancelled": r.PathValue("handle")})
 }
 
-func (h *Hub) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+// maxBody caps a POST body; a longer one is answered 400.
+const maxBody = 1 << 20
+
+// readBody reads a POST body into a buffer from respPool; the caller
+// releases it once the bytes are parsed (ParseSpec keeps none of them). A
+// body of declared length up to maxBody is read in one piece — net/http
+// already stops it at that length. A chunked or oversized body goes
+// through http.MaxBytesReader, which answers an overlong one with an error.
+// A failed read is answered 400 here and returns nil.
+func readBody(w http.ResponseWriter, r *http.Request) *respBuf {
+	buf := newBody()
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= maxBody {
+		buf.b = slices.Grow(buf.b, int(n))[:n]
+		_, err = io.ReadFull(r.Body, buf.b)
+	} else {
+		var b []byte
+		b, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+		buf.b = append(buf.b, b...)
+	}
 	if err != nil {
+		buf.release()
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
+		return nil
+	}
+	return buf
+}
+
+func (h *Hub) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body := readBody(w, r)
+	if body == nil {
 		return
 	}
-	id, err := h.SubmitSpec(body)
+	id, err := h.SubmitSpec(body.b)
+	body.release()
 	if err != nil {
 		writeOpError(w, http.StatusBadRequest, err)
 		return
@@ -249,12 +278,12 @@ func (h *Hub) handleGetRoutine(w http.ResponseWriter, idText string) {
 }
 
 func (h *Hub) handleStore(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
+	body := readBody(w, r)
+	if body == nil {
 		return
 	}
-	def, err := routine.ParseSpec(body)
+	def, err := routine.ParseSpec(body.b)
+	body.release()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -490,12 +519,12 @@ func (a *managerAPI) results(w http.ResponseWriter, id manager.HomeID) {
 }
 
 func (a *managerAPI) submit(w http.ResponseWriter, r *http.Request, id manager.HomeID) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
+	body := readBody(w, r)
+	if body == nil {
 		return
 	}
-	rid, err := a.m.SubmitSpec(id, body)
+	rid, err := a.m.SubmitSpec(id, body.b)
+	body.release()
 	if err != nil {
 		writeOpError(w, http.StatusBadRequest, err)
 		return

@@ -6,7 +6,6 @@
 package routine
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -354,85 +353,6 @@ func ConflictDevices(a, b *Routine) []device.ID {
 	ds := conflictsOn(a, b)
 	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 	return ds
-}
-
-// --- JSON wire format (Fig 10-style) -------------------------------------
-
-// specJSON is the on-the-wire representation of a routine definition, in the
-// spirit of the paper's Fig 10(a): a name plus a command list where each
-// command names a device, an action, an optional duration in milliseconds,
-// and a priority of "must" (default) or "best-effort".
-type specJSON struct {
-	RoutineName string        `json:"routine_name"`
-	User        string        `json:"user,omitempty"`
-	Commands    []commandJSON `json:"commands"`
-}
-
-type commandJSON struct {
-	Device     string     `json:"device"`
-	Action     string     `json:"action"`
-	DurationMS int64      `json:"duration_ms,omitempty"`
-	Priority   string     `json:"priority,omitempty"`
-	Condition  *Condition `json:"condition,omitempty"`
-}
-
-// MarshalSpec encodes the routine into the Fig 10-style JSON document.
-func MarshalSpec(r *Routine) ([]byte, error) {
-	if r == nil {
-		return nil, errors.New("routine: nil routine")
-	}
-	spec := specJSON{RoutineName: r.Name, User: r.User}
-	for _, c := range r.Commands {
-		cj := commandJSON{
-			Device:     string(c.Device),
-			Action:     string(c.Target),
-			DurationMS: c.Duration.Milliseconds(),
-			Condition:  c.Condition,
-		}
-		if c.BestEffort {
-			cj.Priority = "best-effort"
-		} else {
-			cj.Priority = "must"
-		}
-		spec.Commands = append(spec.Commands, cj)
-	}
-	return json.MarshalIndent(spec, "", "  ")
-}
-
-// ParseSpec decodes a Fig 10-style JSON document into a Routine.
-func ParseSpec(data []byte) (*Routine, error) {
-	var spec specJSON
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return nil, fmt.Errorf("routine: parsing spec: %w", err)
-	}
-	if strings.TrimSpace(spec.RoutineName) == "" {
-		return nil, errors.New("routine: spec missing routine_name")
-	}
-	r := &Routine{Name: spec.RoutineName, User: spec.User}
-	for i, cj := range spec.Commands {
-		if cj.Device == "" || cj.Action == "" {
-			return nil, fmt.Errorf("routine: spec command %d missing device or action", i)
-		}
-		cmd := Command{
-			Device:    device.ID(cj.Device),
-			Target:    device.State(cj.Action),
-			Duration:  time.Duration(cj.DurationMS) * time.Millisecond,
-			Condition: cj.Condition,
-		}
-		switch strings.ToLower(strings.TrimSpace(cj.Priority)) {
-		case "", "must", "required":
-			cmd.BestEffort = false
-		case "best-effort", "besteffort", "optional":
-			cmd.BestEffort = true
-		default:
-			return nil, fmt.Errorf("routine: spec command %d has unknown priority %q", i, cj.Priority)
-		}
-		r.Commands = append(r.Commands, cmd)
-	}
-	if len(r.Commands) == 0 {
-		return nil, fmt.Errorf("routine: spec %q has no commands", spec.RoutineName)
-	}
-	return r, nil
 }
 
 // --- Routine bank ---------------------------------------------------------

@@ -206,18 +206,26 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// parseSpecErrorCases are documents ParseSpec must refuse.
+var parseSpecErrorCases = map[string]string{
+	"bad json":         `{`,
+	"missing name":     `{"commands":[{"device":"a","action":"ON"}]}`,
+	"no commands":      `{"routine_name":"x","commands":[]}`,
+	"missing device":   `{"routine_name":"x","commands":[{"action":"ON"}]}`,
+	"missing action":   `{"routine_name":"x","commands":[{"device":"a"}]}`,
+	"unknown priority": `{"routine_name":"x","commands":[{"device":"a","action":"ON","priority":"urgent"}]}`,
+	// 584 years: time.Duration(ms) * time.Millisecond wraps to 448.384µs.
+	"duration overflows": `{"routine_name":"x","commands":[{"device":"a","action":"ON","duration_ms":18446744073710}]}`,
+	"negative duration":  `{"routine_name":"x","commands":[{"device":"a","action":"ON","duration_ms":-1}]}`,
+}
+
 func TestParseSpecErrors(t *testing.T) {
-	cases := map[string]string{
-		"bad json":         `{`,
-		"missing name":     `{"commands":[{"device":"a","action":"ON"}]}`,
-		"no commands":      `{"routine_name":"x","commands":[]}`,
-		"missing device":   `{"routine_name":"x","commands":[{"action":"ON"}]}`,
-		"missing action":   `{"routine_name":"x","commands":[{"device":"a"}]}`,
-		"unknown priority": `{"routine_name":"x","commands":[{"device":"a","action":"ON","priority":"urgent"}]}`,
-	}
-	for name, doc := range cases {
-		if _, err := ParseSpec([]byte(doc)); err == nil {
+	for name, doc := range parseSpecErrorCases {
+		_, err := ParseSpec([]byte(doc))
+		if err == nil {
 			t.Errorf("%s: expected parse error", name)
+		} else if !strings.HasPrefix(err.Error(), "routine: ") {
+			t.Errorf("%s: error %q lacks the routine: prefix", name, err)
 		}
 	}
 }
