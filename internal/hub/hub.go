@@ -1,9 +1,11 @@
-// Package hub implements the SafeHome edge hub of Fig 11 as a front-end
-// over a single wall-clock home runtime (internal/runtime): the routine
-// bank, the routine dispatcher, the concurrency controller for the
-// configured visibility model, the device driver and the failure detector
-// all live inside the runtime, and the hub exposes them through a typed API
-// and HTTP surface.
+// Package hub implements the SafeHome edge hub of Fig 11 as a facade over a
+// one-shard manager (internal/manager) holding a single device-bound,
+// wall-clock home runtime (internal/runtime): the routine bank, the routine
+// dispatcher, the concurrency controller for the configured visibility
+// model, the device driver and the failure detector all live inside the
+// runtime, the manager owns its supervision, journal writer and /metrics
+// registry, and the hub exposes the home through a typed API and HTTP
+// surface.
 //
 // There is no hub lock: every mutation is a typed op posted into the
 // runtime's mailbox, and the live environment delivers command completions
@@ -20,17 +22,16 @@ package hub
 
 import (
 	"fmt"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"safehome/internal/device"
 	"safehome/internal/failure"
 	"safehome/internal/journal"
 	"safehome/internal/live"
+	"safehome/internal/manager"
 	"safehome/internal/routine"
 	rt "safehome/internal/runtime"
+	"safehome/internal/telemetry"
 	"safehome/internal/visibility"
 )
 
@@ -48,7 +49,8 @@ var (
 
 // Config configures a hub.
 type Config struct {
-	// Model is the visibility model to enforce (default EV).
+	// Model is the visibility model to enforce. The zero value is WV (the
+	// status-quo model), as for the root safehome.Config.
 	Model visibility.Model
 	// Scheduler is the EV scheduling policy (default Timeline).
 	Scheduler visibility.SchedulerKind
@@ -56,78 +58,39 @@ type Config struct {
 	DefaultShort time.Duration
 	// FailureInterval is the failure detector's probe period (default 1s).
 	FailureInterval time.Duration
-	// EventLog caps the in-memory activity log (default 1024 events).
-	EventLog int
 	// MailboxDepth bounds the runtime's operation mailbox (default 128).
 	MailboxDepth int
 	// Batch is the maximum operations drained per loop wakeup (default 32).
 	Batch int
-	// DataDir enables durability: the hub's runtime group-commits accepted
-	// operations, outcomes, committed states and event sequence numbers to a
-	// write-ahead journal under this directory and recovers them on the next
-	// start with the same directory (routines in flight at a crash come back
-	// Aborted). Empty keeps the hub memory-only.
+	// DataDir enables durability: the hub's runtime journals accepted
+	// operations, outcomes, committed states and event sequence numbers here
+	// and recovers them on the next start (routines in flight at a crash come
+	// back Aborted), in the manager's layout for the one home "hub" — an
+	// older hub's layout is upgraded on open. Empty keeps the hub memory-only.
 	DataDir string
 	// Journal tunes the write-ahead journal; only meaningful with DataDir.
-	// The runtime appends through a hub-owned writer under <DataDir>/wal that
-	// survives supervised restarts. Journal.Mode selects the durability tier:
-	// the hub defaults to sync (acknowledged ⇒ fsynced, no group-commit
-	// window — with one home, coalescing buys nothing); group opens the
-	// window; async acknowledges ahead of the disk behind
-	// Journal.AsyncWindowBytes.
+	// Journal.Mode selects the durability tier: the hub defaults to sync
+	// (acknowledged ⇒ fsynced, no group-commit window — with one home,
+	// coalescing buys nothing); group opens the window; async acknowledges
+	// ahead of the disk behind Journal.AsyncWindowBytes.
 	Journal journal.Options
-	// Actuation tunes the device path: per-command timeout, retry policy and
-	// the per-device circuit breaker that sheds commands to devices that keep
-	// timing out instead of tying the loop's in-flight slots to them.
-	Actuation live.Options
-	// Supervisor tunes panic recovery: when the runtime's loop panics the hub
-	// poisons it, tears it down and restarts it (from the journal when
-	// durable, empty otherwise) with capped exponential backoff, then
-	// quarantines after MaxRestarts consecutive failures. The zero value
-	// enables supervision with defaults; set Supervisor.Disable to quarantine
-	// the hub on its first poison instead of restarting it.
+	// Supervisor tunes panic recovery as for manager.Config.Supervisor; set
+	// Supervisor.Disable to quarantine the hub on its first poison instead of
+	// restarting it.
 	Supervisor rt.SupervisorConfig
 }
 
-func (c Config) normalized() Config {
-	if c.DefaultShort <= 0 {
-		c.DefaultShort = visibility.DefaultShortCommand
-	}
-	if c.FailureInterval <= 0 {
-		c.FailureInterval = failure.DefaultInterval
-	}
-	if c.EventLog <= 0 {
-		c.EventLog = 1024
-	}
-	return c
-}
+// homeID names the hub's one home: its runtime, its journal frames and its
+// directory under <DataDir>/homes.
+const homeID manager.HomeID = "hub"
 
-// Hub is a running SafeHome instance: a thin front-end over one home
-// runtime, held through a supervised slot. The slot swaps the runtime
-// pointer atomically when a panic poisons a generation, so API calls racing
-// a restart see either the old (poisoned, fast-failing) or the new runtime —
-// never a torn hub.
+// Hub is a running SafeHome instance: a facade over a one-shard manager
+// holding one device-bound home. Reads and mutations go through the home's
+// supervised slot, so API calls racing a restart see either the old
+// (poisoned, fast-failing) or the new generation — never a torn hub.
 type Hub struct {
-	cfg      Config
-	reg      *device.Registry
-	actuator device.Actuator
-	slot     *rt.Slot
-
-	stop      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
-	detecting atomic.Bool // Start was called: restarted generations re-arm the detector
-
-	// Durability wiring: a durable hub owns one writer that outlives
-	// supervised runtime generations (each rebuilt runtime re-attaches to it).
-	durability journal.Mode
-	writer     *journal.GroupWriter
-
-	// tel is the /metrics surface. It outlives runtime generations, so a
-	// supervised restart keeps appending to the same histograms.
-	tel *hubTelemetry
-
-	started time.Time
+	m    *manager.Manager
+	slot *rt.Slot
 }
 
 // New builds a hub controlling the registered devices through the actuator
@@ -137,107 +100,67 @@ func New(cfg Config, reg *device.Registry, actuator device.Actuator) (*Hub, erro
 	if reg == nil || reg.Len() == 0 {
 		return nil, fmt.Errorf("hub: no devices registered")
 	}
-	if actuator == nil {
-		return nil, fmt.Errorf("hub: nil actuator")
-	}
-	cfg = cfg.normalized()
-
-	h := &Hub{
-		cfg:      cfg,
-		reg:      reg,
-		actuator: actuator,
-		stop:     make(chan struct{}),
-		started:  time.Now(),
-	}
-	h.tel = newHubTelemetry(h)
-	sv := rt.NewSupervision(cfg.Supervisor, h.tel.sup, h.stop)
-	h.slot = sv.NewSlot(cfg.DataDir, h.buildRuntime)
 	if cfg.DataDir != "" {
-		h.durability = journal.ResolveMode(cfg.Journal, journal.ModeSync)
-		wopts := journal.WriterOptionsFor(cfg.Journal, h.durability)
-		wopts.Stats, wopts.OnCycle = h.tel.jstats, h.tel.onCycle
-		writers, err := journal.OpenWriters(filepath.Join(cfg.DataDir, "wal"), 1, wopts)
-		if err != nil {
-			return nil, fmt.Errorf("hub: %w", err)
+		if err := upgradeDataDir(cfg.DataDir); err != nil {
+			return nil, fmt.Errorf("hub: upgrading %s: %w", cfg.DataDir, err)
 		}
-		h.writer = writers[0]
 	}
-	runtime, err := h.slot.Build()
-	if err != nil {
-		if h.writer != nil {
-			h.writer.Abandon()
-		}
+	cfg.Journal.Mode = journal.ResolveMode(cfg.Journal, journal.ModeSync)
+	m := manager.New(manager.Config{
+		Shards:     1,
+		QueueDepth: cfg.MailboxDepth,
+		Batch:      cfg.Batch,
+		EventLog:   1024,
+		DataDir:    cfg.DataDir,
+		Journal:    cfg.Journal,
+		Supervisor: cfg.Supervisor,
+		Home: manager.HomeConfig{
+			Model:           cfg.Model,
+			ExplicitWV:      true, // the zero Model is WV here, not the manager's EV
+			Scheduler:       cfg.Scheduler,
+			DefaultShort:    cfg.DefaultShort,
+			FailureInterval: cfg.FailureInterval,
+			Actuator:        func(manager.HomeID, *device.Registry) device.Actuator { return actuator },
+		},
+	})
+	if e := m.Status().DurabilityError; e != "" {
+		m.Crash() // the writer fleet failed to open: refuse, don't run on a fallback log
+		return nil, fmt.Errorf("hub: %s", e)
+	}
+	if err := m.AddHome(homeID, reg.All()...); err != nil {
+		m.Crash()
 		return nil, fmt.Errorf("hub: %w", err)
 	}
-	h.slot.Store(runtime)
-	h.wg.Add(1)
-	go func() {
-		defer h.wg.Done()
-		sv.Run(func(ok bool) {
-			if ok && h.detecting.Load() {
-				h.slot.Load().Start() // a restarted generation re-arms the detector
-			}
-		})
-	}()
-	return h, nil
+	slot, _ := m.Slot(homeID) // just added: the lookup cannot miss
+	return &Hub{m: m, slot: slot}, nil
 }
 
-// buildRuntime constructs one runtime generation. With a DataDir each new
-// generation recovers the previous one's acknowledged work from the journal.
-func (h *Hub) buildRuntime(onPoison func(error)) (*rt.HomeRuntime, error) {
-	cfg := rt.Config{
-		ID:              "hub",
-		Model:           h.cfg.Model,
-		Scheduler:       h.cfg.Scheduler,
-		DefaultShort:    h.cfg.DefaultShort,
-		FailureInterval: h.cfg.FailureInterval,
-		EventLog:        h.cfg.EventLog,
-		MailboxDepth:    h.cfg.MailboxDepth,
-		Batch:           h.cfg.Batch,
-		DataDir:         h.cfg.DataDir,
-		Journal:         h.cfg.Journal,
-		Actuation:       h.cfg.Actuation,
-		OnPoison:        onPoison,
-		Metrics:         h.tel.loop,
+// upgradeDataDir moves the per-home artifacts an older hub kept at the
+// data-dir root into the home's directory, checkpoint last, by durable
+// renames that a rerun finishes after a crash. The log under <dir>/wal
+// already tags the home's frames "hub" and is read as it is.
+func upgradeDataDir(dir string) error {
+	home := manager.HomeDir(dir, homeID)
+	if err := rt.MovePoisonRecord(dir, home); err != nil {
+		return err
 	}
-	cfg.Journal.Mode = h.durability
-	cfg.Journal.Writer = h.writer
-	cfg.Journal.Stats = h.tel.jstats
-	return rt.NewLive(cfg, h.reg, h.actuator)
+	return journal.MoveHome(dir, home)
 }
 
-// Start launches the failure detector's probe loop.
-func (h *Hub) Start() {
-	h.detecting.Store(true)
-	h.slot.Load().Start()
-}
+// Start launches the failure detector's probe loop. A supervised restart
+// re-arms it on its own.
+func (h *Hub) Start() { h.m.Start() }
 
 // Close stops background activity (supervision, failure detection and
 // scheduled triggers), waits for in-flight commands and drains the runtime.
 // After Close, mutating calls return ErrClosed; reads answer from the
 // quiesced state.
-func (h *Hub) Close() {
-	h.closeOnce.Do(func() { close(h.stop) })
-	h.wg.Wait()
-	h.slot.Load().Close()
-	if h.writer != nil {
-		_ = h.writer.Close() // after the runtime: its Close waits on the covering sync
-	}
-}
+func (h *Hub) Close() { h.m.Close() }
 
-// Crash kills the hub without draining: no shutdown checkpoint, no waiting
-// for in-flight routines — the SIGKILL-equivalent for crash-recovery drills.
-// Operations parked in the mailbox are answered ErrClosed. A hub running
-// with a data directory recovers acknowledged work exactly when a new hub
-// reopens the same directory; everything in flight comes back aborted.
-func (h *Hub) Crash() {
-	h.closeOnce.Do(func() { close(h.stop) })
-	h.wg.Wait()
-	h.slot.Load().Crash()
-	if h.writer != nil {
-		h.writer.Abandon() // no final sync: only covered bytes survive
-	}
-}
+// Crash kills the hub without draining — the SIGKILL-equivalent for
+// crash-recovery drills. A hub reopened on the same data directory recovers
+// the acknowledged work exactly; everything in flight comes back aborted.
+func (h *Hub) Crash() { h.m.Crash() }
 
 // Health reports the hub's supervision state: ok, degraded (serving but the
 // journal died — memory-only until restart), restarting (poisoned, being
@@ -248,11 +171,8 @@ func (h *Hub) Health() rt.HomeHealth { return h.slot.Health() }
 // Serving reports whether the hub can take requests right now.
 func (h *Hub) Serving() bool { return h.slot.Serving() }
 
-// Model returns the hub's visibility model.
-func (h *Hub) Model() visibility.Model { return h.cfg.Model }
-
-// Registry returns the device registry.
-func (h *Hub) Registry() *device.Registry { return h.reg }
+// Telemetry returns the manager's metrics registry, served at /metrics.
+func (h *Hub) Telemetry() *telemetry.Registry { return h.m.Telemetry() }
 
 // Detector exposes the failure detector (CLI status, tests).
 func (h *Hub) Detector() *failure.Detector { return h.slot.Load().Detector() }
@@ -313,6 +233,38 @@ func (h *Hub) EventsSince(since uint64) ([]visibility.Event, uint64) {
 	return h.slot.Load().EventsSince(since)
 }
 
+// Triggers are the automation half of the routine dispatcher (Fig 11): the
+// runtime owns them on its loop goroutine, and the hub delegates.
+
+// TriggerHandle identifies a scheduled trigger.
+type TriggerHandle = rt.TriggerHandle
+
+// ScheduledTrigger describes one active trigger.
+type ScheduledTrigger = rt.ScheduledTrigger
+
+// ScheduleAfter dispatches the named stored routine once, after the delay.
+// On a durable hub the trigger is journaled and survives a restart: a
+// pending trigger re-arms with its remaining delay.
+func (h *Hub) ScheduleAfter(name string, delay time.Duration) (TriggerHandle, error) {
+	return h.slot.Load().ScheduleAfter(name, delay)
+}
+
+// ScheduleEvery dispatches the named stored routine repeatedly at the given
+// interval, starting one interval from now.
+func (h *Hub) ScheduleEvery(name string, interval time.Duration) (TriggerHandle, error) {
+	return h.slot.Load().ScheduleEvery(name, interval)
+}
+
+// CancelTrigger stops a scheduled trigger; it is not an error if the handle
+// is unknown or already fired. It returns ErrOverloaded/ErrClosed when the
+// cancellation could not be enqueued.
+func (h *Hub) CancelTrigger(handle TriggerHandle) error {
+	return h.slot.Load().CancelTrigger(handle)
+}
+
+// Triggers lists active scheduled triggers.
+func (h *Hub) Triggers() []ScheduledTrigger { return h.slot.Load().Triggers() }
+
 // DeviceStatus describes one device for the API and CLI. Breaker is the
 // device's circuit-breaker state ("closed" when healthy; "open" while the
 // actuation path sheds commands to it; "half-open" while probing recovery).
@@ -334,7 +286,7 @@ func (h *Hub) Devices() []DeviceStatus {
 		breakers[b.Device] = b.State
 	}
 
-	infos := h.reg.All()
+	infos := runtime.Registry().All()
 	out := make([]DeviceStatus, 0, len(infos))
 	for _, info := range infos {
 		st, ok := committed[info.ID]
@@ -377,29 +329,25 @@ type Status struct {
 // quarantined too, from the last generation's published snapshot.
 func (h *Hub) Status() Status {
 	runtime := h.slot.Load()
-	c := runtime.Counts()
-	st := Status{
-		Model:      h.cfg.Model.String(),
-		Scheduler:  h.cfg.Scheduler.String(),
-		Health:     h.Health(),
-		Poisons:    h.tel.sup.Poisons.Value(),
-		Restarts:   h.slot.Restarts(),
-		Devices:    h.reg.Len(),
-		Routines:   c.Routines,
-		Pending:    c.Pending,
-		Active:     c.Active,
+	hs, _ := h.m.HomeStatus(homeID) // the hub's home is never removed
+	ms := h.m.Status()
+	return Status{
+		Model:      hs.Model,
+		Scheduler:  runtime.Counts().Scheduler,
+		Health:     hs.Health,
+		Poisons:    ms.Poisons,
+		Restarts:   hs.Restarts,
+		LastError:  hs.LastError,
+		Devices:    hs.Devices,
+		Routines:   hs.Routines,
+		Pending:    hs.Pending,
+		Active:     hs.Active,
 		Stored:     runtime.Bank().Len(),
 		Mailbox:    runtime.Mailbox(),
 		Breakers:   runtime.Breakers(),
 		Durable:    runtime.Durable(),
-		LastPoison: h.slot.LastPoison(),
-		Since:      h.started,
+		Durability: ms.Durability,
+		LastPoison: hs.LastPoison,
+		Since:      ms.Since,
 	}
-	if h.cfg.DataDir != "" {
-		st.Durability = h.durability.String()
-	}
-	if err := h.slot.LastError(); err != nil {
-		st.LastError = err.Error()
-	}
-	return st
 }

@@ -11,6 +11,7 @@ import (
 
 	"safehome/internal/device"
 	"safehome/internal/routine"
+	rt "safehome/internal/runtime"
 	"safehome/internal/visibility"
 )
 
@@ -147,6 +148,51 @@ func TestFailureDetectorIntegration(t *testing.T) {
 	waitIdle(t, h)
 	res, _ := h.Result(id)
 	if res.Status != visibility.StatusAborted {
+		t.Fatalf("routine status = %v, want aborted (reason %q)", res.Status, res.AbortReason)
+	}
+}
+
+// TestRestartedHubKeepsDetecting: a supervised restart re-arms the failure
+// detector with no owner callback — the new generation notices a device
+// failing after the restart and aborts a routine that needs it.
+func TestRestartedHubKeepsDetecting(t *testing.T) {
+	const probe = 20 * time.Millisecond
+	reg := testRegistry()
+	fleet := device.NewFleet(reg)
+	h, err := New(Config{Model: visibility.EV, DefaultShort: 5 * time.Millisecond, FailureInterval: probe,
+		Supervisor: rt.SupervisorConfig{Backoff: time.Millisecond, BackoffCap: time.Millisecond}}, reg, fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.Close)
+	h.Start()
+
+	first := h.Runtime()
+	first.PostTimer(func() { panic("test: loop fault") })
+	deadline := time.Now().Add(5 * time.Second)
+	for h.Runtime() == first || !h.Serving() {
+		if time.Now().After(deadline) {
+			t.Fatal("hub was not restarted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if err := fleet.Fail("ac"); err != nil {
+		t.Fatal(err)
+	}
+	deadline = time.Now().Add(50 * probe)
+	for h.Detector().Up("ac") {
+		if time.Now().After(deadline) {
+			t.Fatal("the restarted hub's detector never noticed the AC failure")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	id, err := h.SubmitRoutine(coolingRoutine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitIdle(t, h)
+	if res, _ := h.Result(id); res.Status != visibility.StatusAborted {
 		t.Fatalf("routine status = %v, want aborted (reason %q)", res.Status, res.AbortReason)
 	}
 }

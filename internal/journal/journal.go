@@ -4,8 +4,8 @@
 //
 // There is one on-disk layout. Every journal appends through a GroupWriter
 // (group.go): a segmented log that any number of homes share, each frame
-// tagged with its home. An owner that runs many homes — the manager, the hub
-// — opens a writer fleet with OpenWriters and hands each journal its writer
+// tagged with its home. The manager (the hub is a one-home manager) opens a
+// writer fleet with OpenWriters and hands each journal its writer
 // (Options.Writer); a journal opened without one opens a private one-writer
 // fleet under <dir>/wal and closes it with itself. Checkpoint images and
 // sealed routine chunks stay per home, in the home's own directory (or
@@ -55,7 +55,7 @@ type Mode int
 
 const (
 	// ModeDefault lets the owner pick: a journal on its own and the hub
-	// resolve it to sync, the manager to group.
+	// resolve it to sync, a multi-home manager to group.
 	ModeDefault Mode = iota
 	// ModeSync is acknowledged ⇒ on disk with no group-commit window: the
 	// writer starts an fsync as soon as a commit is waiting (see
@@ -483,6 +483,27 @@ func HasState(dir, home string, w *GroupWriter) bool {
 		}
 	}
 	return false
+}
+
+// MoveHome moves a home's journal artifacts — sealed chunks and legacy
+// segments, then the checkpoint — from one directory into another, each by
+// a durable rename (DirStore.MoveTo). The checkpoint moves last and missing
+// names are skipped, so a move a crash cut short is finished by calling
+// MoveHome again. The log under from/wal is not per-home and stays put.
+func MoveHome(from, to string) error {
+	src, dst := DirStore{Dir: from}, DirStore{Dir: to}
+	names, err := src.List()
+	for _, name := range names {
+		chunk := strings.HasPrefix(name, chunkPrefix) && strings.HasSuffix(name, chunkSuffix)
+		legacy := strings.HasPrefix(name, legacySegPrefix) && strings.HasSuffix(name, segmentSuffix)
+		if err == nil && (chunk || legacy) {
+			err = src.MoveTo(dst, name)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	return src.MoveTo(dst, checkpointName)
 }
 
 // legacyFirstLSN is the first LSN a legacy segment may contain, per its name.

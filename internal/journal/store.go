@@ -64,13 +64,17 @@ func (s DirStore) Put(name string, data []byte) error {
 	if err := os.Rename(tmp, filepath.Join(s.Dir, name)); err != nil {
 		return fmt.Errorf("store: publishing %s: %w", name, err)
 	}
-	// Make the rename itself durable. Best-effort: some filesystems reject
-	// directory fsync.
-	if d, err := os.Open(s.Dir); err == nil {
+	syncDir(s.Dir)
+	return nil
+}
+
+// syncDir makes the renames and unlinks in dir durable. Best-effort: some
+// filesystems reject directory fsync.
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
 		_ = d.Sync()
 		_ = d.Close()
 	}
-	return nil
 }
 
 // Get returns the object's full contents, or an error satisfying
@@ -86,13 +90,33 @@ func (s DirStore) Get(name string) ([]byte, error) {
 	return buf, nil
 }
 
-// Delete removes the object. Deleting a name that was never Put is not an
-// error.
+// Delete removes the object, durably: the directory is synced after the
+// unlink. Deleting a name that was never Put is not an error.
 func (s DirStore) Delete(name string) error {
 	err := os.Remove(filepath.Join(s.Dir, name))
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("store: deleting %s: %w", name, err)
 	}
+	if err == nil {
+		syncDir(s.Dir)
+	}
+	return nil
+}
+
+// MoveTo durably moves the object into dst: rename, then sync both
+// directories. Moving a name that is not here is not an error.
+func (s DirStore) MoveTo(dst DirStore, name string) error {
+	if err := os.MkdirAll(dst.Dir, 0o755); err != nil {
+		return fmt.Errorf("store: creating %s: %w", dst.Dir, err)
+	}
+	if err := os.Rename(filepath.Join(s.Dir, name), filepath.Join(dst.Dir, name)); err != nil {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		return fmt.Errorf("store: moving %s: %w", name, err)
+	}
+	syncDir(dst.Dir)
+	syncDir(s.Dir)
 	return nil
 }
 

@@ -24,12 +24,15 @@ const wakeChurnGuard = time.Second
 // FreezeHome hibernates one home now, regardless of idleness: the graceful
 // Close drains its mailbox and finishes in-flight work, the final
 // checkpoint lands, and the slot collapses to a FrozenHome record. Returns
-// an error if the home is unknown, unhealthy, or the manager is memory-only
-// (nothing durable to wake from). Freezing an already frozen home is a
-// no-op.
+// an error if the home is unknown, unhealthy, bound to devices (its
+// detector must keep watching them), or the manager is memory-only (nothing
+// durable to wake from). Freezing an already frozen home is a no-op.
 func (m *Manager) FreezeHome(id HomeID) error {
 	if m.cfg.DataDir == "" {
 		return fmt.Errorf("manager: cannot freeze home %q without a data directory", id)
+	}
+	if m.bound() {
+		return fmt.Errorf("manager: home %q is bound to devices and never hibernates", id)
 	}
 	slot, err := m.slotOf(id)
 	if err != nil {
@@ -46,7 +49,7 @@ func (m *Manager) FreezeHome(id HomeID) error {
 // call it directly with any threshold (olderThan 0 freezes everything
 // quiescent).
 func (m *Manager) FreezeIdle(olderThan time.Duration) int {
-	if m.cfg.DataDir == "" {
+	if m.cfg.DataDir == "" || m.bound() {
 		return 0
 	}
 	frozen := 0

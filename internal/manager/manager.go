@@ -28,6 +28,10 @@
 //     wall clock on a fixed interval, so a routine scheduled 5 s out fires
 //     5 s later in real time. This is the mode the multi-tenant hub serves.
 //
+// A manager whose HomeConfig binds homes to devices (HomeConfig.Actuator)
+// runs them on the wall clock over their actuators instead, each with a
+// failure detector; the single-home hub is such a manager with one home.
+//
 // See ARCHITECTURE.md at the repository root for how the manager layers
 // between the public API and the per-home runtime/visibility machinery.
 package manager
@@ -43,6 +47,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"safehome/internal/device"
@@ -119,6 +124,14 @@ type HomeConfig struct {
 	// ActuationLatency adds a fixed per-command latency, modelling
 	// device/network round trips.
 	ActuationLatency time.Duration
+	// Actuator binds every home to devices: a bound home runs on the wall
+	// clock over the actuator this returns for it (called once per home), its
+	// failure detector probing from Start on, and never hibernates. Nil (the
+	// default) gives every home a simulated fleet.
+	Actuator func(id HomeID, reg *device.Registry) device.Actuator
+	// FailureInterval is a bound home's failure-detector probe period
+	// (default 1s).
+	FailureInterval time.Duration
 }
 
 // Config configures a Manager.
@@ -194,11 +207,17 @@ func (c Config) normalized() Config {
 	if c.Home.Model == visibility.WV && !c.Home.ExplicitWV {
 		c.Home.Model = visibility.EV
 	}
-	if c.DataDir == "" {
-		c.HibernateAfter = 0 // nothing durable to wake from
+	if c.Home.Actuator != nil {
+		c.Clock = ClockLive // wall-clock homes, with no simulator to pump
+	}
+	if c.DataDir == "" || c.Home.Actuator != nil {
+		c.HibernateAfter = 0 // nothing durable to wake from, or devices to watch
 	}
 	return c
 }
+
+// bound reports whether the manager's homes are bound to devices.
+func (m *Manager) bound() bool { return m.cfg.Home.Actuator != nil }
 
 // hibernating reports whether the manager registers and parks homes cold.
 func (m *Manager) hibernating() bool { return m.cfg.HibernateAfter > 0 }
@@ -214,8 +233,12 @@ type Manager struct {
 	stop chan struct{} // closed to stop the live-clock pumpers
 	wg   sync.WaitGroup
 
-	mu     sync.Mutex // serializes Close
+	mu     sync.Mutex // serializes Close and Crash
 	closed bool
+
+	// detecting is set by Start: every bound generation built after it arms
+	// its own failure detector, so a supervised restart needs no callback.
+	detecting atomic.Bool
 
 	since time.Time
 
@@ -281,17 +304,17 @@ func New(cfg Config) *Manager {
 	for i := range m.shards {
 		sh := newShard(m, i)
 		m.shards[i] = sh
-		if cfg.Clock == ClockLive {
+		if cfg.Clock == ClockLive && !m.bound() {
 			m.wg.Add(1)
 			go sh.runPump()
 		}
 		m.wg.Add(1)
 		go func() {
 			defer m.wg.Done()
-			sh.sv.Run(nil) // restarts this shard's poisoned homes one at a time
+			sh.sv.Run() // restarts this shard's poisoned homes one at a time
 		}()
 	}
-	if cfg.DataDir != "" {
+	if cfg.DataDir != "" && !m.bound() {
 		// The waker serves explicit freezes too, so it runs whenever homes
 		// can be frozen at all — not only with automatic hibernation on.
 		m.wg.Add(1)
@@ -318,8 +341,9 @@ func (m *Manager) ShardOf(id HomeID) int {
 }
 
 // runtimeConfig builds one home's runtime configuration, wiring the shard's
-// counter lane into the observer and sim-event plumbing.
-func (m *Manager) runtimeConfig(id HomeID, shard int) rt.Config {
+// counter lane into the observer and sim-event plumbing and the slot's
+// poison hook into OnPoison.
+func (m *Manager) runtimeConfig(id HomeID, shard int, onPoison func(error)) rt.Config {
 	clock := rt.ClockVirtual
 	if m.cfg.Clock == ClockLive {
 		clock = rt.ClockPaced
@@ -336,6 +360,7 @@ func (m *Manager) runtimeConfig(id HomeID, shard int) rt.Config {
 		Scheduler:        m.cfg.Home.Scheduler,
 		DefaultShort:     m.cfg.Home.DefaultShort,
 		ActuationLatency: m.cfg.Home.ActuationLatency,
+		FailureInterval:  m.cfg.Home.FailureInterval,
 		MailboxDepth:     m.cfg.QueueDepth,
 		Batch:            m.cfg.Batch,
 		EventLog:         m.cfg.EventLog,
@@ -352,6 +377,7 @@ func (m *Manager) runtimeConfig(id HomeID, shard int) rt.Config {
 			}
 		},
 		OnSimEvents: func(n int) { m.simEvents.Add(shard, int64(n)) },
+		OnPoison:    onPoison,
 		Metrics:     m.tel.loop,
 	}
 }
@@ -366,13 +392,18 @@ func (m *Manager) shardWriter(shard int) *journal.GroupWriter {
 }
 
 // homeDir returns the home's durable directory ("" when the manager is
-// memory-only). Home IDs are path-escaped, so arbitrary tenant-chosen IDs
-// cannot traverse outside the data directory.
+// memory-only).
 func (m *Manager) homeDir(id HomeID) string {
 	if m.cfg.DataDir == "" {
 		return ""
 	}
-	return filepath.Join(m.cfg.DataDir, "homes", url.PathEscape(string(id)))
+	return HomeDir(m.cfg.DataDir, id)
+}
+
+// HomeDir returns <dataDir>/homes/<id>, where a manager keeps the home's
+// durable state. IDs are path-escaped, so none can traverse outside dataDir.
+func HomeDir(dataDir string, id HomeID) string {
+	return filepath.Join(dataDir, "homes", url.PathEscape(string(id)))
 }
 
 // homeMeta is the per-home metadata file (home.json) that lets RecoverHomes
@@ -382,8 +413,8 @@ type homeMeta struct {
 	Devices []device.Info `json:"devices"`
 }
 
-// persistHomeMeta writes the home's metadata next to its journal (write to
-// a temp file, rename), skipping the write when the content is already
+// persistHomeMeta durably writes the home's metadata next to its journal
+// (journal.DirStore.Put), skipping the write when the content is already
 // current — the recovery path re-adds every home with the devices it just
 // read from this file. Writing before the runtime opens the journal is
 // safe: recovering a home whose runtime was never built just yields an
@@ -393,23 +424,15 @@ func (m *Manager) persistHomeMeta(id HomeID, devices []device.Info) error {
 	if dir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("manager: creating home dir: %w", err)
-	}
 	buf, err := json.MarshalIndent(homeMeta{ID: id, Devices: devices}, "", "  ")
 	if err != nil {
 		return fmt.Errorf("manager: encoding home metadata: %w", err)
 	}
-	path := filepath.Join(dir, "home.json")
-	if prev, err := os.ReadFile(path); err == nil && string(prev) == string(buf) {
+	if prev, err := os.ReadFile(filepath.Join(dir, "home.json")); err == nil && string(prev) == string(buf) {
 		return nil // already current (recovery, or an identical re-add)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	if err := (journal.DirStore{Dir: dir}).Put("home.json", buf); err != nil {
 		return fmt.Errorf("manager: writing home metadata: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("manager: publishing home metadata: %w", err)
 	}
 	return nil
 }
@@ -583,6 +606,17 @@ func (m *Manager) Runtime(id HomeID) (*rt.HomeRuntime, error) {
 		return nil, err
 	}
 	return m.runtimeOf(slot)
+}
+
+// Slot returns the supervised slot holding the home's runtime generations,
+// whatever its health: the hub answers through it from the last generation
+// while its home restarts or sits in quarantine.
+func (m *Manager) Slot(id HomeID) (*rt.Slot, error) {
+	slot, err := m.slotOf(id)
+	if err != nil {
+		return nil, err
+	}
+	return slot.rt, nil
 }
 
 // runtimeOf is Runtime for a slot already looked up.
@@ -943,11 +977,38 @@ func (m *Manager) Status() Status {
 	return st
 }
 
+// Start arms the failure detectors of the device-bound homes; every
+// generation built after it (a supervised restart) arms its own.
+func (m *Manager) Start() {
+	m.detecting.Store(true)
+	for _, sh := range m.shards {
+		for _, slot := range sh.snapshot() {
+			if home := slot.rt.Load(); home != nil {
+				home.Start()
+			}
+		}
+	}
+}
+
 // Close stops the live-clock pumpers and closes every home runtime — queued
 // operations run and every home's in-flight routines finish — before
 // returning. Close is idempotent; read-only methods keep working on the
 // quiesced state afterwards.
 func (m *Manager) Close() {
+	// Homes first, writers second: each home's Close waits for its covering
+	// sync, so by the time the writers close nothing is parked on them.
+	m.shutdown((*rt.HomeRuntime).Close, func(w *journal.GroupWriter) { _ = w.Close() })
+}
+
+// Crash kills every home without draining and abandons the writers without
+// a final sync: the SIGKILL-equivalent for crash-recovery drills.
+func (m *Manager) Crash() {
+	m.shutdown((*rt.HomeRuntime).Crash, (*journal.GroupWriter).Abandon)
+}
+
+// shutdown is Close and Crash: stop the background goroutines, then every
+// home, then every writer. Only the first call does anything.
+func (m *Manager) shutdown(stopHome func(*rt.HomeRuntime), stopWriter func(*journal.GroupWriter)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -957,11 +1018,9 @@ func (m *Manager) Close() {
 	close(m.stop)
 	m.wg.Wait()
 	for _, sh := range m.shards {
-		sh.closeAll()
+		sh.closeAll(stopHome)
 	}
-	// Homes first, writers second: each home's Close waits for its covering
-	// sync, so by the time the writers close nothing is parked on them.
 	for _, w := range m.writers {
-		_ = w.Close()
+		stopWriter(w)
 	}
 }

@@ -132,12 +132,24 @@ func (s *shard) add(id HomeID, devices []device.Info, fr *rt.FrozenHome) error {
 func (s *shard) build(id HomeID, devices []device.Info, fr *rt.FrozenHome) (*homeSlot, *rt.HomeRuntime, error) {
 	slot := &homeSlot{id: id, devices: append([]device.Info(nil), devices...)}
 	// Each generation the slot builds recovers from the home's journal when
-	// the manager is durable; memory-only homes restart empty but alive.
-	slot.rt = s.sv.NewSlot(s.m.homeDir(id), func(onPoison func(error)) (*rt.HomeRuntime, error) {
-		cfg := s.m.runtimeConfig(slot.id, s.index)
-		cfg.OnPoison = onPoison
-		return rt.NewSim(cfg, device.NewRegistry(slot.devices...))
-	})
+	// the manager is durable; memory-only homes restart empty but alive. A
+	// device-bound home's generations share its registry and actuator, and
+	// each arms its failure detector once the manager has started.
+	build := func(onPoison func(error)) (*rt.HomeRuntime, error) {
+		return rt.NewSim(s.m.runtimeConfig(slot.id, s.index, onPoison), device.NewRegistry(slot.devices...))
+	}
+	if bind := s.m.cfg.Home.Actuator; bind != nil {
+		reg := device.NewRegistry(devices...)
+		actuator := bind(id, reg)
+		build = func(onPoison func(error)) (*rt.HomeRuntime, error) {
+			home, err := rt.NewLive(s.m.runtimeConfig(slot.id, s.index, onPoison), reg, actuator)
+			if err == nil && s.m.detecting.Load() {
+				home.Start()
+			}
+			return home, err
+		}
+	}
+	slot.rt = s.sv.NewSlot(s.m.homeDir(id), build)
 	if fr != nil {
 		slot.frozen.Store(fr)
 		return slot, nil, nil
@@ -315,10 +327,11 @@ func (s *shard) liveSnapshot() []*homeSlot {
 	return out
 }
 
-// closeAll closes every home runtime on this shard (graceful drain) and
-// stops accepting new homes. An add still building closes what it built
-// itself; closeAll waits for it, so nothing outlives the shard.
-func (s *shard) closeAll() {
+// closeAll stops every home runtime on this shard with stopHome (Close for a
+// graceful drain, Crash for a kill) and stops accepting new homes. An add
+// still building closes what it built itself; closeAll waits for it, so
+// nothing outlives the shard.
+func (s *shard) closeAll(stopHome func(*rt.HomeRuntime)) {
 	s.mu.Lock()
 	s.closed = true
 	slots := make([]*homeSlot, 0, len(s.homes))
@@ -331,7 +344,7 @@ func (s *shard) closeAll() {
 		// Frozen homes have no runtime — their final checkpoint already
 		// landed; closing the manager costs them nothing.
 		if home := slot.rt.Load(); home != nil {
-			home.Close()
+			stopHome(home)
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package manager
 
 import (
+	"slices"
 	"sync"
 	"time"
 
 	"safehome/internal/journal"
+	"safehome/internal/live"
 	rt "safehome/internal/runtime"
 	"safehome/internal/telemetry"
 )
@@ -18,10 +20,11 @@ type managerTelemetry struct {
 	loop *rt.LoopMetrics
 	sup  *rt.SupervisionMetrics // shared by every shard's slots
 
-	// jstats is shared by every home journal and every shard GroupWriter;
-	// onCycle observes the writers' sync cycles (rt.NewJournalMetrics).
-	jstats  *journal.Stats
-	onCycle func(bytes int64, commits int)
+	// jstats is shared by every home journal and every shard GroupWriter:
+	// fleet-wide totals, no per-home cardinality. onCycle feeds the writers'
+	// sync cycles into the two cycle histograms.
+	jstats                   *journal.Stats
+	cycleBytes, cycleCommits *telemetry.Histogram
 
 	// Hibernation lifecycle.
 	freezes     *telemetry.Counter
@@ -45,7 +48,7 @@ const statusTTL = 500 * time.Millisecond
 func newManagerTelemetry(m *Manager) *managerTelemetry {
 	t := &managerTelemetry{reg: telemetry.NewRegistry()}
 	t.loop = rt.NewLoopMetrics(t.reg)
-	t.jstats, t.onCycle = rt.NewJournalMetrics(t.reg)
+	t.registerJournal()
 
 	t.reg.CounterFunc("safehome_manager_submitted_total", "Routines accepted across all homes.", m.submitted.Total)
 	t.reg.CounterFunc("safehome_manager_committed_total", "Routines committed across all homes.", m.committed.Total)
@@ -61,7 +64,42 @@ func newManagerTelemetry(m *Manager) *managerTelemetry {
 		telemetry.DefBuckets())
 
 	t.reg.Collect(m.collectStatusGauges)
+	if m.bound() {
+		t.reg.Collect(m.collectBreakers)
+	}
 	return t
+}
+
+// registerJournal registers the journal families over a fresh jstats.
+func (t *managerTelemetry) registerJournal() {
+	s, reg := new(journal.Stats), t.reg
+	t.jstats = s
+	reg.CounterFunc("safehome_journal_appends_total", "Batch records appended to the write-ahead journal, all homes.", s.Appends.Load)
+	reg.CounterFunc("safehome_journal_appended_bytes_total", "Framed bytes appended to the write-ahead journal, all homes.", s.AppendedBytes.Load)
+	reg.CounterFunc("safehome_journal_fsyncs_total", "Journal data fsyncs (writer sync cycles).", s.Fsyncs.Load)
+	reg.CounterFunc("safehome_journal_checkpoints_total", "Checkpoint images durably published, all homes.", s.Checkpoints.Load)
+	reg.CounterFunc("safehome_journal_scanned_records_total", "Log records recovery read past their frame check (boot scan and per-home tail reads).", s.ScannedRecords.Load)
+	reg.CounterFunc("safehome_journal_decoded_records_total", "Log records whose body recovery decoded: those it replays, plus any whose home its prefix does not name.", s.DecodedRecords.Load)
+	reg.GaugeFunc("safehome_journal_checkpoint_age_seconds", "Seconds since the most recent checkpoint of any home (-1 until one lands).", func() float64 {
+		last := s.LastCheckpointUnixNano.Load()
+		if last == 0 {
+			return -1
+		}
+		return time.Since(time.Unix(0, last)).Seconds()
+	})
+	t.cycleBytes = reg.Histogram("safehome_journal_group_cycle_bytes",
+		"Bytes made durable per writer fsync cycle (the group-commit coalescing factor in bytes).",
+		telemetry.ExponentialBuckets(256, 4, 10))
+	t.cycleCommits = reg.Histogram("safehome_journal_group_cycle_commits",
+		"Commit tickets released per writer fsync cycle (how many homes' commits rode one fsync).",
+		telemetry.ExponentialBuckets(1, 2, 10))
+}
+
+// onCycle is every writer's OnCycle hook. It runs with the writer's lock
+// held, so it stays a pair of plain observations.
+func (t *managerTelemetry) onCycle(bytes int64, commits int) {
+	t.cycleBytes.Observe(float64(bytes))
+	t.cycleCommits.Observe(float64(commits))
 }
 
 // cachedStatus returns a Status at most statusTTL old, walking the shards
@@ -99,6 +137,49 @@ func (m *Manager) collectStatusGauges(e *telemetry.Emitter) {
 	e.Value(float64(st.Depth))
 }
 
+// collectBreakers emits the per-device circuit-breaker families of a bound
+// manager's homes from their breaker stats (Env-lock reads, no mailbox).
+func (m *Manager) collectBreakers(e *telemetry.Emitter) {
+	var ids []HomeID
+	stats := map[HomeID][]live.BreakerStats{}
+	for _, sh := range m.shards {
+		for id, slot := range sh.snapshot() {
+			if home := slot.rt.Load(); home != nil {
+				ids, stats[id] = append(ids, id), home.Breakers()
+			}
+		}
+	}
+	slices.Sort(ids)
+	for _, f := range breakerFamilies {
+		e.Family(f.name, f.typ, f.help)
+		for _, id := range ids {
+			for _, b := range stats[id] {
+				e.Value(f.value(b), "home", string(id), "device", string(b.Device))
+			}
+		}
+	}
+}
+
+var breakerFamilies = []struct {
+	name, typ, help string
+	value           func(live.BreakerStats) float64
+}{
+	{"safehome_breaker_opens_total", telemetry.TypeCounter, "Times a device's circuit breaker tripped open.",
+		func(b live.BreakerStats) float64 { return float64(b.Opens) }},
+	{"safehome_breaker_half_opens_total", telemetry.TypeCounter, "Times an open breaker admitted a half-open probe.",
+		func(b live.BreakerStats) float64 { return float64(b.HalfOpens) }},
+	{"safehome_breaker_short_circuits_total", telemetry.TypeCounter, "Commands failed fast on an open breaker, per device.",
+		func(b live.BreakerStats) float64 { return float64(b.ShortCircuits) }},
+	{"safehome_breaker_open", telemetry.TypeGauge, "1 when the device's breaker is open or half-open, 0 when closed.",
+		func(b live.BreakerStats) float64 {
+			if b.State != "closed" {
+				return 1
+			}
+			return 0
+		}},
+}
+
 // Telemetry returns the manager's metrics registry — the handler behind
-// `GET /metrics` in manager mode.
+// `GET /metrics` in both modes (the single-home hub serves its one-home
+// manager's).
 func (m *Manager) Telemetry() *telemetry.Registry { return m.tel.reg }

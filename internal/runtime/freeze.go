@@ -144,14 +144,12 @@ func ReadFrozenRecord(dir string) (*FrozenHome, error) {
 	return &fr, nil
 }
 
-// RemoveFrozenRecord deletes the frozen marker. The waker calls it before
+// RemoveFrozenRecord durably deletes the frozen marker (the directory is
+// synced after the unlink, so a power cut cannot bring it back over work the
+// woken home has since acknowledged). The waker calls it before
 // building the runtime, so a crash mid-wake leaves journal state with no
 // marker — an ordinary live recovery on the next start, never a stale
 // "frozen" claim over a home that already reanimated.
 func RemoveFrozenRecord(dir string) error {
-	err := os.Remove(filepath.Join(dir, frozenName))
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("runtime: removing frozen record: %w", err)
-	}
-	return nil
+	return journal.DirStore{Dir: dir}.Delete(frozenName)
 }

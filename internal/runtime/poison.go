@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"safehome/internal/journal"
 )
 
 // Panic isolation: a panic inside the loop (a controller bug, a bad timer
@@ -18,7 +20,7 @@ import (
 // can rebuild the home from its journal.
 //
 // Forensics ride along: the panic message and the full goroutine stack are
-// persisted to DataDir/poison.json (tmp+rename, best-effort) before OnPoison
+// persisted to DataDir/poison.json (durably, best-effort) before OnPoison
 // fires, surface in the owners' Status JSON as the home's last poison, and
 // are cleared once a supervised restart brings the home back clean — so an
 // operator can still see *why* a home died after the supervisor has already
@@ -51,21 +53,22 @@ func LoadPoisonRecord(dir string) *PoisonRecord {
 // ClearPoisonRecord removes the poison record persisted under dir — the
 // supervisor calls it after a clean restart.
 func ClearPoisonRecord(dir string) {
-	_ = os.Remove(filepath.Join(dir, poisonFileName))
+	_ = journal.DirStore{Dir: dir}.Delete(poisonFileName)
 }
 
-// writePoisonRecord persists rec under dir via tmp+rename. Best-effort: a
-// home dying on a full disk must still finish poisoning.
+// MovePoisonRecord moves the poison record persisted under from into to (a
+// durable rename; nothing to move is not an error).
+func MovePoisonRecord(from, to string) error {
+	return journal.DirStore{Dir: from}.MoveTo(journal.DirStore{Dir: to}, poisonFileName)
+}
+
+// writePoisonRecord persists rec under dir (journal.DirStore.Put: tmp,
+// fsync, rename, directory fsync). Best-effort: a home dying on a full disk
+// must still finish poisoning.
 func writePoisonRecord(dir string, rec *PoisonRecord) {
-	buf, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return
+	if buf, err := json.MarshalIndent(rec, "", "  "); err == nil {
+		_ = journal.DirStore{Dir: dir}.Put(poisonFileName, buf)
 	}
-	tmp := filepath.Join(dir, poisonFileName+".tmp")
-	if os.WriteFile(tmp, buf, 0o644) != nil {
-		return
-	}
-	_ = os.Rename(tmp, filepath.Join(dir, poisonFileName))
 }
 
 // failOp answers an operation that will never be applied.
@@ -86,9 +89,7 @@ func (rt *HomeRuntime) poison(err error) {
 	rt.panicErr.Store(err)
 	rt.poisoned.Store(true)
 	go rt.closeOnce.Do(func() {
-		if rt.cancelDetect != nil {
-			rt.cancelDetect()
-		}
+		rt.stopDetector()
 		rt.closeMu.Lock()
 		rt.closed = true
 		close(rt.ch)

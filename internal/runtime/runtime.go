@@ -178,6 +178,7 @@ type HomeRuntime struct {
 	closed    bool
 	closeOnce sync.Once
 
+	detectOnce   sync.Once // arms the detector (Start) or retires it unarmed (stopDetector)
 	cancelDetect context.CancelFunc
 	started      time.Time
 
@@ -237,15 +238,10 @@ type HomeRuntime struct {
 // (experiments, benchmarks, the manager's default) or ClockPaced (the
 // manager's serving mode). The loop goroutine starts immediately.
 func NewSim(cfg Config, reg *device.Registry) (*HomeRuntime, error) {
-	if reg == nil || reg.Len() == 0 {
-		return nil, fmt.Errorf("runtime: home %q needs at least one device", cfg.ID)
-	}
-	cfg = cfg.normalized()
 	if cfg.Clock == ClockWall {
 		return nil, fmt.Errorf("runtime: NewSim cannot run on the wall clock; use NewLive")
 	}
-	rt := newRuntime(cfg, reg)
-	rec, err := rt.openJournal()
+	rt, rec, err := newRuntime(cfg, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -264,24 +260,9 @@ func NewSim(cfg Config, reg *device.Registry) (*HomeRuntime, error) {
 		}
 	}
 	env := visibility.NewSimEnv(rt.simc, rt.fleet)
-	env.ActuationLatency = cfg.ActuationLatency
+	env.ActuationLatency = rt.cfg.ActuationLatency
 	rt.env = env
-	rt.ctrl = visibility.New(env, rt.fleet.Snapshot(), rt.controllerOptions())
-	rt.compacter, _ = rt.ctrl.(historyCompacter)
-	if rec != nil {
-		rt.recoverFrom(rec)
-	}
-	rt.publish(true) // initial snapshot: readers never see a nil pointer
-	if rec != nil {
-		rt.finishRecovery()
-	}
-	// Publish the first simulator deadline before the loop exists: a
-	// recovered home whose re-armed triggers are its only pending work would
-	// otherwise sit at nextDue 0 — invisible to the shard pumper — until
-	// some unrelated op ran a batch, and its triggers would never fire.
-	rt.publishNextDue()
-	go rt.loop()
-	return rt, nil
+	return rt.run(rt.fleet.Snapshot(), rec), nil
 }
 
 // NewLive builds a wall-clock runtime over a device actuator, with the live
@@ -289,20 +270,15 @@ func NewSim(cfg Config, reg *device.Registry) (*HomeRuntime, error) {
 // failure detector wired to the controller. The loop goroutine starts
 // immediately; Start launches the detector's probe loop.
 func NewLive(cfg Config, reg *device.Registry, actuator device.Actuator) (*HomeRuntime, error) {
-	if reg == nil || reg.Len() == 0 {
-		return nil, fmt.Errorf("runtime: home %q needs at least one device", cfg.ID)
-	}
 	if actuator == nil {
 		return nil, fmt.Errorf("runtime: nil actuator")
 	}
-	cfg = cfg.normalized()
 	cfg.Clock = ClockWall
-	rt := newRuntime(cfg, reg)
-	rec, err := rt.openJournal()
+	rt, rec, err := newRuntime(cfg, reg)
 	if err != nil {
 		return nil, err
 	}
-	rt.lenv = live.NewWithOptions(rt, actuator, cfg.Actuation)
+	rt.lenv = live.NewWithOptions(rt, actuator, rt.cfg.Actuation)
 	rt.env = rt.lenv
 
 	// Seed the controller's committed-state view from the devices' initial
@@ -321,14 +297,8 @@ func NewLive(cfg Config, reg *device.Registry, actuator device.Actuator) (*HomeR
 			}
 		}
 	}
-	rt.ctrl = visibility.New(rt.env, initial, rt.controllerOptions())
-	rt.compacter, _ = rt.ctrl.(historyCompacter)
-	if rec != nil {
-		rt.recoverFrom(rec)
-	}
-
 	rt.detector = failure.NewDetector(actuator, reg.IDs(), failure.Options{
-		Interval:  cfg.FailureInterval,
+		Interval:  rt.cfg.FailureInterval,
 		OnFailure: func(id device.ID) { _ = rt.post(op{kind: opNotifyFailure, dev: id}) },
 		OnRestart: func(id device.ID) { _ = rt.post(op{kind: opNotifyRestart, dev: id}) },
 	})
@@ -339,15 +309,38 @@ func NewLive(cfg Config, reg *device.Registry, actuator device.Actuator) (*HomeR
 			rt.detector.ReportSilence(id)
 		}
 	}
+	return rt.run(initial, rec), nil
+}
+
+// run finishes a constructor: the controller over rt.env from the initial
+// committed states, the recovered state replayed into it, the first
+// snapshot published, and the loop started.
+func (rt *HomeRuntime) run(initial map[device.ID]device.State, rec *journal.Recovered) *HomeRuntime {
+	rt.ctrl = visibility.New(rt.env, initial, rt.controllerOptions())
+	rt.compacter, _ = rt.ctrl.(historyCompacter)
+	if rec != nil {
+		rt.recoverFrom(rec)
+	}
 	rt.publish(true) // initial snapshot: readers never see a nil pointer
 	if rec != nil {
 		rt.finishRecovery()
 	}
+	// Publish the first simulator deadline before the loop exists: a
+	// recovered home whose re-armed triggers are its only pending work would
+	// otherwise sit at nextDue 0 — invisible to the shard pumper — until
+	// some unrelated op ran a batch, and its triggers would never fire.
+	rt.publishNextDue()
 	go rt.loop()
-	return rt, nil
+	return rt
 }
 
-func newRuntime(cfg Config, reg *device.Registry) *HomeRuntime {
+// newRuntime starts a constructor: the runtime's state and its recovered
+// journal (nil without a DataDir or durable state).
+func newRuntime(cfg Config, reg *device.Registry) (*HomeRuntime, *journal.Recovered, error) {
+	if reg == nil || reg.Len() == 0 {
+		return nil, nil, fmt.Errorf("runtime: home %q needs at least one device", cfg.ID)
+	}
+	cfg = cfg.normalized()
 	rt := &HomeRuntime{
 		cfg:      cfg,
 		reg:      reg,
@@ -359,7 +352,8 @@ func newRuntime(cfg Config, reg *device.Registry) *HomeRuntime {
 		elog:     newEventLog(cfg.EventLog),
 	}
 	rt.lastActive.Store(rt.started.UnixNano())
-	return rt
+	rec, err := rt.openJournal()
+	return rt, rec, err
 }
 
 // controllerOptions chains the journal tap and the runtime's activity log in
@@ -404,14 +398,24 @@ func (rt *HomeRuntime) recordEvent(e visibility.Event) { rt.elog.append(e) }
 // --- lifecycle ------------------------------------------------------------------
 
 // Start launches background activity (the wall-clock failure detector's
-// probe loop). Simulated-clock runtimes have no background activity.
+// probe loop) — at most once, and not after the runtime stopped.
+// Simulated-clock runtimes have no background activity.
 func (rt *HomeRuntime) Start() {
-	if rt.detector == nil {
-		return
+	rt.detectOnce.Do(func() {
+		if rt.detector != nil {
+			ctx, cancel := context.WithCancel(context.Background())
+			rt.cancelDetect = cancel
+			go rt.detector.Run(ctx)
+		}
+	})
+}
+
+// stopDetector stops the probe loop, if armed, and keeps it from arming.
+func (rt *HomeRuntime) stopDetector() {
+	rt.detectOnce.Do(func() {})
+	if rt.cancelDetect != nil {
+		rt.cancelDetect()
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	rt.cancelDetect = cancel
-	go rt.detector.Run(ctx)
 }
 
 // Close stops background activity, waits for in-flight routines' command
@@ -421,9 +425,7 @@ func (rt *HomeRuntime) Start() {
 // ErrClosed.
 func (rt *HomeRuntime) Close() {
 	rt.closeOnce.Do(func() {
-		if rt.cancelDetect != nil {
-			rt.cancelDetect()
-		}
+		rt.stopDetector()
 		// Stop the trigger scheduler before quiescing: a recurring trigger
 		// whose routine hold overlaps its interval would otherwise keep
 		// feeding new commands into the cascade and Wait would never settle.
@@ -471,9 +473,7 @@ func (rt *HomeRuntime) Close() {
 func (rt *HomeRuntime) Crash() {
 	rt.closeOnce.Do(func() {
 		rt.crashed.Store(true)
-		if rt.cancelDetect != nil {
-			rt.cancelDetect()
-		}
+		rt.stopDetector()
 		rt.closeMu.Lock()
 		rt.closed = true
 		close(rt.ch)

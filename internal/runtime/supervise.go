@@ -7,7 +7,7 @@ import (
 )
 
 // This file is self-healing supervision, written once for every owner of a
-// home (the single-home hub, each manager shard). An owner holds each home
+// home (each manager shard; the single-home hub is a one-shard manager). An owner holds each home
 // through a Slot: the current runtime generation, the Supervisor that drives
 // the poison → restart → quarantine state machine, and the poison forensics.
 // The slot wires Config.OnPoison into every generation it builds, and the
@@ -201,8 +201,8 @@ func (s *Supervisor) backoff(n int) time.Duration {
 	return d + time.Duration(rand.Int63n(int64(d)/4+1))
 }
 
-// Supervision is one owner's supervision wiring — the hub has one, each
-// manager shard its own: the restart policy its slots share, the counters
+// Supervision is one owner's supervision wiring — each manager shard has
+// its own: the restart policy its slots share, the counters
 // they bump, and the queue of poisoned slots that Run restarts one at a time.
 type Supervision struct {
 	cfg     SupervisorConfig
@@ -220,9 +220,9 @@ func NewSupervision(cfg SupervisorConfig, m *SupervisionMetrics, stop <-chan str
 }
 
 // Run restarts poisoned slots one at a time on the owner's goroutine until
-// stop closes, handing each outcome to after (if set). With supervision
-// disabled nothing is ever queued and Run returns at once.
-func (v *Supervision) Run(after func(ok bool)) {
+// stop closes. With supervision disabled nothing is ever queued and Run
+// returns at once.
+func (v *Supervision) Run() {
 	if v.cfg.Disable {
 		return
 	}
@@ -231,10 +231,7 @@ func (v *Supervision) Run(after func(ok bool)) {
 		case <-v.stop:
 			return
 		case s := <-v.queue:
-			ok := s.Restart(v.stop)
-			if after != nil {
-				after(ok)
-			}
+			s.Restart(v.stop)
 		}
 	}
 }
@@ -357,8 +354,8 @@ func (s *Slot) onPoison(err error) {
 // Restart joins the dead loop (its teardown already released the journal),
 // then runs the Supervisor's restart policy, publishing each generation it
 // rebuilds. A clean restart retires the poison forensics, on disk and in the
-// cache. Reports whether the home serves again.
-func (s *Slot) Restart(stop <-chan struct{}) bool {
+// cache.
+func (s *Slot) Restart(stop <-chan struct{}) {
 	m := s.owner.metrics
 	m.Restarting.Add(1)
 	defer m.Restarting.Add(-1)
@@ -382,5 +379,4 @@ func (s *Slot) Restart(stop <-chan struct{}) bool {
 	case s.sup.Quarantined():
 		m.Quarantines.Inc()
 	}
-	return ok
 }

@@ -2,9 +2,7 @@ package runtime
 
 import (
 	"sync/atomic"
-	"time"
 
-	"safehome/internal/journal"
 	"safehome/internal/telemetry"
 	"safehome/internal/visibility"
 )
@@ -39,9 +37,7 @@ type LoopMetrics struct {
 	SnapshotPublishes *telemetry.Counter
 }
 
-// NewLoopMetrics registers the loop instrument families on reg. Both the hub
-// and the manager call this, so the family names and bucket ladders agree
-// across every /metrics surface.
+// NewLoopMetrics registers the loop instrument families on reg.
 func NewLoopMetrics(reg *telemetry.Registry) *LoopMetrics {
 	const stageName = "safehome_routine_stage_seconds"
 	const stageHelp = "Routine stage latency on the home clock: place = scheduler placement cost at submit, start = submitted to first command executing, done = submitted to commit/abort."
@@ -54,47 +50,8 @@ func NewLoopMetrics(reg *telemetry.Registry) *LoopMetrics {
 	}
 }
 
-// NewJournalMetrics registers the journal families on reg and returns the
-// two things an owner wires into its journals and writer fleet: the Stats
-// every journal.Options and the journal.WriterOptions share (fleet-wide
-// append/fsync/checkpoint totals and the log records recovery scanned and
-// decoded, no per-home cardinality) and the OnCycle
-// hook that feeds the group-commit coalescing histograms. Like
-// NewLoopMetrics, both the hub and the manager call this, so the journal
-// families are identical on every /metrics surface. The hook runs with the
-// writer's lock held, so it stays a pair of plain observations.
-func NewJournalMetrics(reg *telemetry.Registry) (*journal.Stats, func(bytes int64, commits int)) {
-	s := new(journal.Stats)
-	reg.CounterFunc("safehome_journal_appends_total", "Batch records appended to the write-ahead journal, all homes.", s.Appends.Load)
-	reg.CounterFunc("safehome_journal_appended_bytes_total", "Framed bytes appended to the write-ahead journal, all homes.", s.AppendedBytes.Load)
-	reg.CounterFunc("safehome_journal_fsyncs_total", "Journal data fsyncs (writer sync cycles).", s.Fsyncs.Load)
-	reg.CounterFunc("safehome_journal_checkpoints_total", "Checkpoint images durably published, all homes.", s.Checkpoints.Load)
-	reg.CounterFunc("safehome_journal_scanned_records_total", "Log records recovery read past their frame check (boot scan and per-home tail reads).", s.ScannedRecords.Load)
-	reg.CounterFunc("safehome_journal_decoded_records_total", "Log records whose body recovery decoded: those it replays, plus any whose home its prefix does not name.", s.DecodedRecords.Load)
-	reg.GaugeFunc("safehome_journal_checkpoint_age_seconds", "Seconds since the most recent checkpoint of any home (-1 until one lands).", func() float64 {
-		last := s.LastCheckpointUnixNano.Load()
-		if last == 0 {
-			return -1
-		}
-		return time.Since(time.Unix(0, last)).Seconds()
-	})
-	cycleBytes := reg.Histogram("safehome_journal_group_cycle_bytes",
-		"Bytes made durable per writer fsync cycle (the group-commit coalescing factor in bytes).",
-		telemetry.ExponentialBuckets(256, 4, 10))
-	cycleCommits := reg.Histogram("safehome_journal_group_cycle_commits",
-		"Commit tickets released per writer fsync cycle (how many homes' commits rode one fsync).",
-		telemetry.ExponentialBuckets(1, 2, 10))
-	return s, func(bytes int64, commits int) {
-		cycleBytes.Observe(float64(bytes))
-		cycleCommits.Observe(float64(commits))
-	}
-}
-
 // SupervisionMetrics counts supervision events across every slot of an
-// owner — fleet-wide, no per-home labels. Slots bump them (see Slot); like
-// the loop and journal families, both the hub and the manager register them
-// through NewSupervisionMetrics, so every /metrics surface carries the same
-// set.
+// owner — fleet-wide, no per-home labels. Slots bump them (see Slot).
 type SupervisionMetrics struct {
 	Poisons     *telemetry.Counter
 	Restarts    *telemetry.Counter

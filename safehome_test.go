@@ -3,6 +3,9 @@ package safehome
 import (
 	"testing"
 	"time"
+
+	"safehome/internal/device"
+	"safehome/internal/hub"
 )
 
 func demoDevices() []DeviceInfo {
@@ -99,6 +102,30 @@ func TestSimulatedHomeObserver(t *testing.T) {
 	home.Run()
 	if events == 0 {
 		t.Error("observer received no events")
+	}
+}
+
+// TestZeroConfigRunsWV pins the model default of both single-home entry
+// points: a zero Config runs WV (visibility.WV is the zero Model), not the
+// manager's EV default — the hub's one-home manager must be told so.
+func TestZeroConfigRunsWV(t *testing.T) {
+	reg := device.Plugs(2)
+	h, err := hub.New(hub.Config{}, reg, device.NewFleet(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if got := h.Status().Model; got != "WV" {
+		t.Errorf("hub.New(Config{}) runs model %q, want WV", got)
+	}
+
+	home, err := NewLiveHome(Config{}, NewFleet(Plugs(2)...), Plugs(2)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer home.Close()
+	if got := home.Status().Model; got != "WV" {
+		t.Errorf("NewLiveHome(Config{}) runs model %q, want WV", got)
 	}
 }
 
