@@ -3,11 +3,9 @@ package hub
 import (
 	"encoding/json"
 	"net/http"
-	"strconv"
 	"sync"
-	"time"
-	"unicode/utf8"
 
+	"safehome/internal/jsonenc"
 	"safehome/internal/manager"
 	"safehome/internal/routine"
 	rt "safehome/internal/runtime"
@@ -31,16 +29,13 @@ import (
 // encoding/json refuses. encode_test.go holds them to it against the
 // reflective encoder, so no client can tell which one answered.
 
-// respBuf is one response body under construction.
-type respBuf struct {
-	b []byte
-	// bad records a value encoding/json refuses to encode (a time outside
-	// years 0..9999). Such a reply has always gone out as status and headers
-	// with an empty body — Encode fails before it writes — and still does.
-	bad bool
-}
+// respBuf is one response body under construction. A value encoding/json
+// refuses to encode (a time outside years 0..9999) marks it Bad; such a reply
+// has always gone out as status and headers with an empty body — Encode fails
+// before it writes — and still does.
+type respBuf struct{ jsonenc.Buf }
 
-var respPool = sync.Pool{New: func() any { return &respBuf{b: make([]byte, 0, 1024)} }}
+var respPool = sync.Pool{New: func() any { return &respBuf{jsonenc.Buf{B: make([]byte, 0, 1024)}} }}
 
 // maxPooledBody keeps a one-off giant reply (a long results listing) from
 // pinning its buffer in the pool forever.
@@ -53,14 +48,14 @@ var jsonContentType = []string{"application/json"}
 
 func newBody() *respBuf {
 	buf := respPool.Get().(*respBuf)
-	buf.b, buf.bad = buf.b[:0], false
+	buf.B, buf.Bad = buf.B[:0], false
 	return buf
 }
 
 // release returns the buffer to the pool (send does it; a handler that
 // abandons a body it started must).
 func (buf *respBuf) release() {
-	if cap(buf.b) <= maxPooledBody {
+	if cap(buf.B) <= maxPooledBody {
 		respPool.Put(buf)
 	}
 }
@@ -69,15 +64,15 @@ func (buf *respBuf) release() {
 func (buf *respBuf) send(w http.ResponseWriter, status int) {
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	if !buf.bad {
-		_, _ = w.Write(buf.b) // a client that hung up is not the handler's to report
+	if !buf.Bad {
+		_, _ = w.Write(buf.B) // a client that hung up is not the handler's to report
 	}
 	buf.release()
 }
 
 // Write lets encoding/json fill the buffer (the cold path).
 func (buf *respBuf) Write(p []byte) (int, error) {
-	buf.b = append(buf.b, p...)
+	buf.B = append(buf.B, p...)
 	return len(p), nil
 }
 
@@ -85,7 +80,7 @@ func (buf *respBuf) Write(p []byte) (int, error) {
 // encoding/json, reflection and all, into the pooled buffer.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := newBody()
-	buf.bad = json.NewEncoder(buf).Encode(v) != nil
+	buf.Bad = json.NewEncoder(buf).Encode(v) != nil
 	buf.send(w, status)
 }
 
@@ -97,16 +92,16 @@ func writeError(w http.ResponseWriter, status int, err error) {
 		w.Header().Set("Retry-After", "1")
 	}
 	buf := newBody()
-	buf.str(`{"error":`, err.Error())
-	buf.raw("}\n")
+	buf.Str(`{"error":`, err.Error())
+	buf.Raw("}\n")
 	buf.send(w, status)
 }
 
 // writeID is the reply to an admitted submission, {"id":N}.
 func writeID(w http.ResponseWriter, status int, id routine.ID) {
 	buf := newBody()
-	buf.int(`{"id":`, int64(id))
-	buf.raw("}\n")
+	buf.Int(`{"id":`, int64(id))
+	buf.Raw("}\n")
 	buf.send(w, status)
 }
 
@@ -124,185 +119,102 @@ func writeResult(w http.ResponseWriter, status int, v *resultView) {
 
 // --- encoders -------------------------------------------------------------------
 //
-// Each field helper appends the given literal (separator, quoted key, colon)
-// and then the value; omitempty fields are guarded by their caller.
-
-func (buf *respBuf) raw(lit string) { buf.b = append(buf.b, lit...) }
-
-func (buf *respBuf) int(key string, n int64) {
-	buf.b = strconv.AppendInt(append(buf.b, key...), n, 10)
-}
-
-func (buf *respBuf) uint(key string, n uint64) {
-	buf.b = strconv.AppendUint(append(buf.b, key...), n, 10)
-}
-
-// time appends the time as Time.MarshalJSON renders it, including its
-// refusals: RFC 3339 has no year beyond four digits and no zone offset of a
-// day or more.
-func (buf *respBuf) time(key string, t time.Time) {
-	b := append(buf.b, key...)
-	b = append(b, '"')
-	start := len(b)
-	b = t.AppendFormat(b, time.RFC3339Nano)
-	if b[start+len("9999")] != '-' {
-		buf.bad = true
-	} else if b[len(b)-1] != 'Z' {
-		zone := b[len(b)-len("Z07:00"):]
-		if c := zone[0]; ('0' <= c && c <= '9') || 10*(zone[1]-'0')+(zone[2]-'0') >= 24 {
-			buf.bad = true
-		}
-	}
-	buf.b = append(b, '"')
-}
-
-const hexDigits = "0123456789abcdef"
-
-// str appends s as encoding/json quotes a string with HTML escaping on (the
-// Encoder default): ", \ and control bytes escaped, <, > and & as \u00XX,
-// U+2028/2029 escaped, each invalid UTF-8 byte replaced by \ufffd.
-func (buf *respBuf) str(key, s string) {
-	b := append(buf.b, key...)
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c >= utf8.RuneSelf {
-			r, size := utf8.DecodeRuneInString(s[i:])
-			switch {
-			case r == utf8.RuneError && size == 1:
-				b = append(append(b, s[start:i]...), `\ufffd`...)
-			case r == '\u2028' || r == '\u2029':
-				b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			default:
-				i += size
-				continue
-			}
-			i += size
-			start = i
-			continue
-		}
-		if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-			i++
-			continue
-		}
-		b = append(b, s[start:i]...)
-		switch c {
-		case '\\', '"':
-			b = append(b, '\\', c)
-		case '\b':
-			b = append(b, '\\', 'b')
-		case '\f':
-			b = append(b, '\\', 'f')
-		case '\n':
-			b = append(b, '\\', 'n')
-		case '\r':
-			b = append(b, '\\', 'r')
-		case '\t':
-			b = append(b, '\\', 't')
-		default:
-			b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-		}
-		i++
-		start = i
-	}
-	b = append(b, s[start:]...)
-	buf.b = append(b, '"')
-}
+// The field helpers (Raw, Str, Int, Uint, Time) are jsonenc.Buf's; omitempty
+// fields are guarded here.
 
 // homeStatus appends a manager.HomeStatus document.
 func (buf *respBuf) homeStatus(st *manager.HomeStatus) {
-	buf.str(`{"id":`, string(st.ID))
-	buf.int(`,"shard":`, int64(st.Shard))
-	buf.str(`,"model":`, st.Model)
-	buf.str(`,"health":`, string(st.Health))
+	buf.Str(`{"id":`, string(st.ID))
+	buf.Int(`,"shard":`, int64(st.Shard))
+	buf.Str(`,"model":`, st.Model)
+	buf.Str(`,"health":`, string(st.Health))
 	if st.Restarts != 0 {
-		buf.int(`,"restarts":`, st.Restarts)
+		buf.Int(`,"restarts":`, st.Restarts)
 	}
 	if st.LastError != "" {
-		buf.str(`,"last_error":`, st.LastError)
+		buf.Str(`,"last_error":`, st.LastError)
 	}
 	if st.LastPoison != nil {
 		buf.poisonRecord(`,"last_poison":`, st.LastPoison)
 	}
-	buf.int(`,"devices":`, int64(st.Devices))
-	buf.int(`,"routines":`, int64(st.Routines))
-	buf.int(`,"pending":`, int64(st.Pending))
-	buf.int(`,"active":`, int64(st.Active))
-	buf.time(`,"now":`, st.Now)
-	buf.time(`,"created":`, st.Created)
-	buf.time(`,"frozen_at":`, st.FrozenAt)
-	buf.time(`,"next_fire":`, st.NextFire)
-	buf.raw("}\n")
+	buf.Int(`,"devices":`, int64(st.Devices))
+	buf.Int(`,"routines":`, int64(st.Routines))
+	buf.Int(`,"pending":`, int64(st.Pending))
+	buf.Int(`,"active":`, int64(st.Active))
+	buf.Time(`,"now":`, st.Now)
+	buf.Time(`,"created":`, st.Created)
+	buf.Time(`,"frozen_at":`, st.FrozenAt)
+	buf.Time(`,"next_fire":`, st.NextFire)
+	buf.Raw("}\n")
 }
 
 func (buf *respBuf) poisonRecord(key string, p *rt.PoisonRecord) {
-	buf.raw(key)
-	buf.time(`{"time":`, p.Time)
-	buf.str(`,"home":`, p.Home)
-	buf.str(`,"message":`, p.Message)
+	buf.Raw(key)
+	buf.Time(`{"time":`, p.Time)
+	buf.Str(`,"home":`, p.Home)
+	buf.Str(`,"message":`, p.Message)
 	if p.Stack != "" {
-		buf.str(`,"stack":`, p.Stack)
+		buf.Str(`,"stack":`, p.Stack)
 	}
-	buf.raw("}")
+	buf.Raw("}")
 }
 
 // result appends a resultView document.
 func (buf *respBuf) result(v *resultView) {
-	buf.int(`{"id":`, int64(v.ID))
-	buf.str(`,"name":`, v.Name)
-	buf.str(`,"status":`, v.Status)
-	buf.time(`,"submitted":`, v.Submitted)
-	buf.time(`,"started":`, v.Started)
-	buf.time(`,"finished":`, v.Finished)
+	buf.Int(`{"id":`, int64(v.ID))
+	buf.Str(`,"name":`, v.Name)
+	buf.Str(`,"status":`, v.Status)
+	buf.Time(`,"submitted":`, v.Submitted)
+	buf.Time(`,"started":`, v.Started)
+	buf.Time(`,"finished":`, v.Finished)
 	if v.LatencyMS != 0 {
-		buf.int(`,"latency_ms":`, v.LatencyMS)
+		buf.Int(`,"latency_ms":`, v.LatencyMS)
 	}
-	buf.int(`,"executed":`, int64(v.Executed))
+	buf.Int(`,"executed":`, int64(v.Executed))
 	if v.Skipped != 0 {
-		buf.int(`,"skipped":`, int64(v.Skipped))
+		buf.Int(`,"skipped":`, int64(v.Skipped))
 	}
 	if v.BestEffort != 0 {
-		buf.int(`,"best_effort_failures":`, int64(v.BestEffort))
+		buf.Int(`,"best_effort_failures":`, int64(v.BestEffort))
 	}
 	if v.RolledBack != 0 {
-		buf.int(`,"rolled_back":`, int64(v.RolledBack))
+		buf.Int(`,"rolled_back":`, int64(v.RolledBack))
 	}
 	if v.AbortReason != "" {
-		buf.str(`,"abort_reason":`, v.AbortReason)
+		buf.Str(`,"abort_reason":`, v.AbortReason)
 	}
-	buf.raw("}\n")
+	buf.Raw("}\n")
 }
 
 // An events page is {"events":[…],"next":N}: openEvents, one event call per
 // element straight off the snapshot's chunks, closeEvents.
 
-func (buf *respBuf) openEvents() { buf.raw(`{"events":[`) }
+func (buf *respBuf) openEvents() { buf.Raw(`{"events":[`) }
 
 func (buf *respBuf) event(v *eventView) {
-	if buf.b[len(buf.b)-1] != '[' {
-		buf.raw(",")
+	if buf.B[len(buf.B)-1] != '[' {
+		buf.Raw(",")
 	}
-	buf.raw("{")
+	buf.Raw("{")
 	if v.Seq != 0 {
-		buf.uint(`"seq":`, v.Seq)
-		buf.raw(",")
+		buf.Uint(`"seq":`, v.Seq)
+		buf.Raw(",")
 	}
-	buf.time(`"time":`, v.Time)
-	buf.str(`,"kind":`, v.Kind)
+	buf.Time(`"time":`, v.Time)
+	buf.Str(`,"kind":`, v.Kind)
 	if v.Routine != 0 {
-		buf.int(`,"routine":`, v.Routine)
+		buf.Int(`,"routine":`, v.Routine)
 	}
 	if v.Device != "" {
-		buf.str(`,"device":`, v.Device)
+		buf.Str(`,"device":`, v.Device)
 	}
 	if v.State != "" {
-		buf.str(`,"state":`, v.State)
+		buf.Str(`,"state":`, v.State)
 	}
 	if v.Detail != "" {
-		buf.str(`,"detail":`, v.Detail)
+		buf.Str(`,"detail":`, v.Detail)
 	}
-	buf.raw("}")
+	buf.Raw("}")
 }
 
 // pageEvent is the visitor handed to RangeEventsSince.
@@ -312,6 +224,6 @@ func (buf *respBuf) pageEvent(seq uint64, e *visibility.Event) {
 }
 
 func (buf *respBuf) closeEvents(next uint64) {
-	buf.uint(`],"next":`, next)
-	buf.raw("}\n")
+	buf.Uint(`],"next":`, next)
+	buf.Raw("}\n")
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"safehome/internal/device"
+	jt "safehome/internal/jsonenc/jsonenctest"
 	"safehome/internal/manager"
 	"safehome/internal/routine"
 	rt "safehome/internal/runtime"
@@ -91,102 +92,32 @@ func checkError(t testing.TB, status int, msg string) {
 
 // --- generators -----------------------------------------------------------------
 
-// stringPieces are the fragments generated strings are assembled from: every
-// class of byte encoding/json treats specially, and the plain ones around
-// them.
-var stringPieces = []string{
-	"", "plug-0", "Good Morning", "a", " ", "/", "'", "=", "~", "\x7f",
-	`"`, `\`, `\"`, `\\u0041`, "<", ">", "&", "<script>&amp;</script>",
-	"\x00", "\x01", "\x07", "\b", "\t", "\n", "\v", "\f", "\r", "\x1b", "\x1f",
-	"é", "ß", "日本語", "🙂", "\u2028", "\u2029", "\u2027", "\u202a", "\ufffd",
-	"\xff", "\xc0\xaf", "\xe2\x80", "\xf0\x9f\x99", "\xed\xa0\x80", "\x80",
-}
-
-func genString(rng *rand.Rand) string {
-	var s string
-	for n := rng.Intn(6); n > 0; n-- {
-		s += stringPieces[rng.Intn(len(stringPieces))]
-	}
-	return s
-}
-
-// testZones cover UTC, the local zone, whole- and half-hour offsets, an
-// offset with seconds, and two offsets Time.MarshalJSON refuses (a day or
-// more either way).
-var testZones = []*time.Location{
-	time.UTC, time.Local,
-	time.FixedZone("IST", 5*3600+1800), time.FixedZone("PST", -8*3600),
-	time.FixedZone("odd", 3600+30), time.FixedZone("", -1),
-	time.FixedZone("far", 24*3600), time.FixedZone("farther", -100*3600),
-}
-
-func genTime(rng *rand.Rand) time.Time {
-	var t time.Time
-	switch rng.Intn(8) {
-	case 0:
-		return time.Time{}
-	case 1:
-		t = time.Date(2021, 4, 26, 9, 30, 0, 0, time.UTC) // whole seconds
-	case 2:
-		t = time.Unix(rng.Int63n(4e9), int64(rng.Intn(1000))*1e6) // milliseconds
-	case 3:
-		t = time.Unix(rng.Int63n(4e9), 1) // one nanosecond
-	case 4:
-		t = time.Unix(rng.Int63n(4e9), 999999999)
-	case 5:
-		t = time.Now() // carries a monotonic reading
-	case 6:
-		// Around the edges of what RFC 3339 can say: years -1, 0, 9999, 10000.
-		t = time.Date([]int{-1, 0, 9999, 10000}[rng.Intn(4)], 12, 31, 23, 59, 59, rng.Intn(1e9), time.UTC)
-	default:
-		t = time.Unix(rng.Int63n(4e9), rng.Int63n(1e9))
-	}
-	return t.In(testZones[rng.Intn(len(testZones))])
-}
-
-var edgeInts = []int64{0, 1, -1, 9, 10, 255, 256, -1000, math.MaxInt32, math.MinInt32, math.MaxInt64, math.MinInt64}
-
-func genInt(rng *rand.Rand) int64 {
-	if rng.Intn(3) == 0 {
-		return rng.Int63n(1000)
-	}
-	return edgeInts[rng.Intn(len(edgeInts))]
-}
-
-// maybe zeroes a value about one time in three, so omitempty fields take
-// both branches.
-func maybe[T any](rng *rand.Rand, v T) T {
-	if rng.Intn(3) == 0 {
-		var zero T
-		return zero
-	}
-	return v
-}
+// Strings, times and integers are drawn from jsonenctest's edge tables.
 
 func genHomeStatus(rng *rand.Rand) manager.HomeStatus {
 	healths := []rt.HomeHealth{rt.HealthOK, rt.HealthDegraded, rt.HealthRestarting, rt.HealthQuarantined, rt.HealthFrozen, ""}
 	st := manager.HomeStatus{
-		ID:        manager.HomeID(genString(rng)),
-		Shard:     int(genInt(rng)),
-		Model:     genString(rng),
+		ID:        manager.HomeID(jt.String(rng)),
+		Shard:     int(jt.Int(rng)),
+		Model:     jt.String(rng),
 		Health:    healths[rng.Intn(len(healths))],
-		Restarts:  maybe(rng, genInt(rng)),
-		LastError: maybe(rng, genString(rng)),
-		Devices:   int(genInt(rng)),
-		Routines:  int(genInt(rng)),
-		Pending:   int(genInt(rng)),
-		Active:    int(genInt(rng)),
-		Now:       genTime(rng),
-		Created:   genTime(rng),
-		FrozenAt:  maybe(rng, genTime(rng)),
-		NextFire:  maybe(rng, genTime(rng)),
+		Restarts:  jt.Maybe(rng, jt.Int(rng)),
+		LastError: jt.Maybe(rng, jt.String(rng)),
+		Devices:   int(jt.Int(rng)),
+		Routines:  int(jt.Int(rng)),
+		Pending:   int(jt.Int(rng)),
+		Active:    int(jt.Int(rng)),
+		Now:       jt.Time(rng),
+		Created:   jt.Time(rng),
+		FrozenAt:  jt.Maybe(rng, jt.Time(rng)),
+		NextFire:  jt.Maybe(rng, jt.Time(rng)),
 	}
 	if rng.Intn(3) == 0 {
 		st.LastPoison = &rt.PoisonRecord{
-			Time:    genTime(rng),
-			Home:    genString(rng),
-			Message: genString(rng),
-			Stack:   maybe(rng, "goroutine 7 [running]:\n\tsafehome/internal/runtime.(*HomeRuntime).loop(0xc000<>&)\n"+genString(rng)),
+			Time:    jt.Time(rng),
+			Home:    jt.String(rng),
+			Message: jt.String(rng),
+			Stack:   jt.Maybe(rng, "goroutine 7 [running]:\n\tsafehome/internal/runtime.(*HomeRuntime).loop(0xc000<>&)\n"+jt.String(rng)),
 		}
 	}
 	return st
@@ -194,31 +125,31 @@ func genHomeStatus(rng *rand.Rand) manager.HomeStatus {
 
 func genResult(rng *rand.Rand) visibility.Result {
 	res := visibility.Result{
-		ID:                 routine.ID(genInt(rng)),
+		ID:                 routine.ID(jt.Int(rng)),
 		Status:             visibility.RoutineStatus(rng.Intn(5)), // one past the named statuses
-		Submitted:          genTime(rng),
-		Started:            maybe(rng, genTime(rng)),
-		Finished:           maybe(rng, genTime(rng)),
-		Executed:           int(genInt(rng)),
-		Skipped:            int(maybe(rng, genInt(rng))),
-		BestEffortFailures: int(maybe(rng, genInt(rng))),
-		RolledBack:         int(maybe(rng, genInt(rng))),
-		AbortReason:        maybe(rng, genString(rng)),
+		Submitted:          jt.Time(rng),
+		Started:            jt.Maybe(rng, jt.Time(rng)),
+		Finished:           jt.Maybe(rng, jt.Time(rng)),
+		Executed:           int(jt.Int(rng)),
+		Skipped:            int(jt.Maybe(rng, jt.Int(rng))),
+		BestEffortFailures: int(jt.Maybe(rng, jt.Int(rng))),
+		RolledBack:         int(jt.Maybe(rng, jt.Int(rng))),
+		AbortReason:        jt.Maybe(rng, jt.String(rng)),
 	}
 	if rng.Intn(4) != 0 {
-		res.Routine = &routine.Routine{Name: genString(rng)}
+		res.Routine = &routine.Routine{Name: jt.String(rng)}
 	}
 	return res
 }
 
 func genEvent(rng *rand.Rand) visibility.Event {
 	return visibility.Event{
-		Time:    genTime(rng),
+		Time:    jt.Time(rng),
 		Kind:    visibility.EventKind(rng.Intn(12)), // past the named kinds too
-		Routine: routine.ID(maybe(rng, genInt(rng))),
-		Device:  device.ID(maybe(rng, genString(rng))),
-		State:   device.State(maybe(rng, genString(rng))),
-		Detail:  maybe(rng, genString(rng)),
+		Routine: routine.ID(jt.Maybe(rng, jt.Int(rng))),
+		Device:  device.ID(jt.Maybe(rng, jt.String(rng))),
+		State:   device.State(jt.Maybe(rng, jt.String(rng))),
+		Detail:  jt.Maybe(rng, jt.String(rng)),
 	}
 }
 
@@ -234,23 +165,23 @@ func TestHandEncodersMatchEncodingJSON(t *testing.T) {
 			events[j] = genEvent(rng)
 		}
 		// next == len(events) puts sequence 0 — omitted by omitempty — first.
-		checkEventsPage(t, events, uint64(len(events))+uint64(rng.Intn(3))*uint64(genInt(rng)&math.MaxInt32))
-		checkID(t, routine.ID(genInt(rng)))
-		checkError(t, []int{400, 404, 429, 503}[rng.Intn(4)], genString(rng))
+		checkEventsPage(t, events, uint64(len(events))+uint64(rng.Intn(3))*uint64(jt.Int(rng)&math.MaxInt32))
+		checkID(t, routine.ID(jt.Int(rng)))
+		checkError(t, []int{400, 404, 429, 503}[rng.Intn(4)], jt.String(rng))
 	}
 }
 
 // TestHandEncodersEdgeValues pins the cases the generator only reaches by
 // chance.
 func TestHandEncodersEdgeValues(t *testing.T) {
-	for _, s := range stringPieces {
+	for _, s := range jt.StringPieces {
 		checkError(t, http.StatusBadRequest, s)
 		checkError(t, http.StatusBadRequest, "x"+s+"y"+s)
 	}
-	for _, n := range edgeInts {
+	for _, n := range jt.Ints {
 		checkID(t, routine.ID(n))
 	}
-	for _, loc := range testZones {
+	for _, loc := range jt.Zones {
 		for _, year := range []int{-1, 0, 1, 2021, 9999, 10000} {
 			st := manager.HomeStatus{Now: time.Date(year, 1, 2, 3, 4, 5, 60, loc)}
 			checkHomeStatus(t, st)

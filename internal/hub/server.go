@@ -233,12 +233,12 @@ func readBody(w http.ResponseWriter, r *http.Request) *respBuf {
 	buf := newBody()
 	var err error
 	if n := r.ContentLength; n >= 0 && n <= maxBody {
-		buf.b = slices.Grow(buf.b, int(n))[:n]
-		_, err = io.ReadFull(r.Body, buf.b)
+		buf.B = slices.Grow(buf.B, int(n))[:n]
+		_, err = io.ReadFull(r.Body, buf.B)
 	} else {
 		var b []byte
 		b, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-		buf.b = append(buf.b, b...)
+		buf.B = append(buf.B, b...)
 	}
 	if err != nil {
 		buf.release()
@@ -253,7 +253,7 @@ func (h *Hub) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if body == nil {
 		return
 	}
-	id, err := h.SubmitSpec(body.b)
+	id, err := h.SubmitSpec(body.B)
 	body.release()
 	if err != nil {
 		writeOpError(w, http.StatusBadRequest, err)
@@ -282,7 +282,7 @@ func (h *Hub) handleStore(w http.ResponseWriter, r *http.Request) {
 	if body == nil {
 		return
 	}
-	def, err := routine.ParseSpec(body.b)
+	def, err := routine.ParseSpec(body.B)
 	body.release()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -523,7 +523,7 @@ func (a *managerAPI) submit(w http.ResponseWriter, r *http.Request, id manager.H
 	if body == nil {
 		return
 	}
-	rid, err := a.m.SubmitSpec(id, body.b)
+	rid, err := a.m.SubmitSpec(id, body.B)
 	body.release()
 	if err != nil {
 		writeOpError(w, http.StatusBadRequest, err)

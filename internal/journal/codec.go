@@ -20,7 +20,9 @@ import (
 // a crash fails its length or checksum test and is cleanly dropped, never
 // partially applied — and the JSON payloads keep the on-disk format
 // self-describing and forward-extensible (unknown fields are ignored on
-// replay).
+// replay). The payloads are the bytes json.Marshal writes for the record
+// types below; the hand encoders in encode.go write them, encoding/json
+// reads them back.
 //
 // Frame layout, little-endian:
 //
@@ -42,16 +44,6 @@ const (
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// appendFrame appends one framed payload to dst and returns the extended
-// slice.
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
 
 // scanFrames walks a segment image frame by frame, calling fn for each
 // payload that passes the length and CRC checks. It stops at the first
@@ -306,9 +298,9 @@ func DecodeBatch(payload []byte) (*Batch, error) {
 	return &b, nil
 }
 
-// The canonical encoding/json prefix of every homed batch: Batch declares LSN
-// and Home first, so json.Marshal writes {"lsn":N,"home":"…" before anything
-// else (TestBatchPrefixIsCanonical pins it).
+// The canonical prefix of every homed batch: Batch declares LSN and Home
+// first, so encodeBatch (like json.Marshal) writes {"lsn":N,"home":"…" before
+// anything else (TestBatchPrefixIsCanonical pins it on what Append writes).
 var (
 	lsnKey  = []byte(`{"lsn":`)
 	homeKey = []byte(`,"home":"`)

@@ -168,10 +168,25 @@ func (st *walState) release() {
 // syncTicket parks one journal's Commit until the shared log's sync
 // position covers pos — the "reply released only after its covering fsync
 // lands" half of the group-commit contract.
+//
+// Each journal owns one ticket and reuses it for every wait: its commits are
+// serial (its owner's loop issues them), so the ticket is parked at most once
+// at a time. A parked ticket sits in the writer's tickets list until exactly
+// one release — a covering sync, or failLocked — removes it and sends on
+// done, whose one-slot buffer the waiter drains before it returns. done is
+// therefore empty whenever the ticket is not parked, and no release of one
+// wait can complete a later one.
 type syncTicket struct {
 	pos  int64
-	done chan struct{}
+	done chan struct{} // capacity 1: the pending release, if any
 	err  error
+}
+
+// release completes a parked ticket with err; the caller holds the writer's
+// lock and has removed the ticket from the list.
+func (t *syncTicket) release(err error) {
+	t.err = err
+	t.done <- struct{}{}
 }
 
 // GroupWriter owns one shared segment stream and the syncer goroutine that
@@ -441,7 +456,7 @@ func (w *GroupWriter) attach(j *Journal) error {
 func (w *GroupWriter) detach(j *Journal, flush bool) error {
 	var err error
 	if flush {
-		err = w.waitCovered(j.wEnd)
+		err = w.waitCovered(&j.ticket, j.wEnd)
 	}
 	w.mu.Lock()
 	delete(w.attached, j)
@@ -500,13 +515,13 @@ func (w *GroupWriter) commit(j *Journal) error {
 		}
 		w.mu.Unlock()
 	}
-	return w.waitCovered(j.wEnd)
+	return w.waitCovered(&j.ticket, j.wEnd)
 }
 
-// waitCovered blocks until the writer's sync position reaches pos, sharing
-// whatever fsync cycle gets there first with every other waiting home —
-// this is the coalescing point.
-func (w *GroupWriter) waitCovered(pos int64) error {
+// waitCovered blocks on t until the writer's sync position reaches pos,
+// sharing whatever fsync cycle gets there first with every other waiting
+// home — this is the coalescing point.
+func (w *GroupWriter) waitCovered(t *syncTicket, pos int64) error {
 	w.mu.Lock()
 	if w.err != nil {
 		err := w.err
@@ -517,7 +532,7 @@ func (w *GroupWriter) waitCovered(pos int64) error {
 		w.mu.Unlock()
 		return nil
 	}
-	t := &syncTicket{pos: pos, done: make(chan struct{})}
+	t.pos = pos
 	w.tickets = append(w.tickets, t)
 	w.cond.Broadcast()
 	w.mu.Unlock()
@@ -551,9 +566,9 @@ func (w *GroupWriter) failLocked(err error) {
 		w.err = err
 	}
 	for _, t := range w.tickets {
-		t.err = w.err
-		close(t.done)
+		t.release(w.err)
 	}
+	clear(w.tickets)
 	w.tickets = w.tickets[:0]
 	w.cond.Broadcast()
 }
@@ -609,12 +624,13 @@ func (w *GroupWriter) syncLoop() {
 		keep := w.tickets[:0]
 		for _, t := range w.tickets {
 			if t.pos <= w.totalSynced {
-				close(t.done)
+				t.release(nil)
 				commits++
 			} else {
 				keep = append(keep, t)
 			}
 		}
+		clear(w.tickets[len(keep):])
 		w.tickets = keep
 		if w.sopts.OnCycle != nil && cycleBytes > 0 {
 			w.sopts.OnCycle(cycleBytes, commits)

@@ -3,11 +3,15 @@ package journal
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"safehome/internal/device"
+	"safehome/internal/routine"
 	"safehome/internal/visibility"
 )
 
@@ -240,5 +244,127 @@ func TestAsyncWindowBoundsUnflushed(t *testing.T) {
 	}
 	if syncs := count(-1); syncs > commits {
 		t.Errorf("unbounded window: %d syncs over %d commits, want at most one each", syncs, commits)
+	}
+}
+
+// TestAppendCommitAllocs: after warm-up a drain's Append and Commit allocate
+// at most once between them. The batch is encoded into the journal's reused
+// frame, the writer copies it into its reused pending buffer, and the commit
+// parks on the journal's own ticket.
+func TestAppendCommitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	j, _, err := Open(t.TempDir(), Options{HomeID: "home-1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	rec := finishRec(1, visibility.StatusCommitted)
+	rec.Commands = []routine.Command{{Device: "plug-0", Target: device.On, Duration: time.Second}}
+	b := &Batch{
+		Submits:  []RoutineRecord{submitRec(2)},
+		Finishes: []RoutineRecord{rec},
+		States:   []StateEntry{{Device: "plug-0", State: device.On}},
+		FirstSeq: 7,
+		Events:   []EventRecord{{Time: time.Unix(9, 5).UTC(), Kind: 5, Routine: 1, Detail: "committed"}},
+	}
+	drain := func() {
+		if err := j.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		drain()
+	}
+	if n := testing.AllocsPerRun(100, drain); n > 1 {
+		t.Fatalf("Append + Commit allocate %.2f times per drain, want at most 1", n)
+	}
+}
+
+// TestReusedTicketReleasesOnlyItsOwnCommit: each journal reuses one commit
+// ticket, and a Commit that returns nil is covered by a sync — no release of
+// an earlier wait completes a later one. Every release the writer counts in
+// OnCycle is one parked Commit. A commit parked when the writer fails is
+// released with the error.
+func TestReusedTicketReleasesOnlyItsOwnCommit(t *testing.T) {
+	const rounds = 200
+	var released atomic.Int64
+	ws, err := OpenWriters(filepath.Join(t.TempDir(), "wal"), 1, WriterOptions{
+		SyncDelay: 100 * time.Microsecond,
+		OnCycle:   func(_ int64, commits int) { released.Add(int64(commits)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := ws[0]
+	var wg sync.WaitGroup
+	for _, home := range []string{"a", "b", "c"} {
+		j, _ := openGroupJournal(t, filepath.Join(t.TempDir(), home), home, w)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(1); i <= rounds; i++ {
+				if err := j.Append(&Batch{Submits: []RoutineRecord{submitRec(i)}}); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := j.Commit(); err != nil {
+					t.Error(err)
+					return
+				}
+				w.mu.Lock()
+				synced, end := w.totalSynced, j.wEnd
+				w.mu.Unlock()
+				if synced < end {
+					t.Errorf("home %s: commit %d returned at sync position %d, below its end %d", j.home, i, synced, end)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := released.Load(); n < 1 || n > 3*rounds {
+		t.Errorf("the writer released %d commits, want between 1 and %d", n, 3*rounds)
+	}
+
+	w.Abandon()
+
+	// A commit parked in the group window when its writer is abandoned is
+	// released with the error, and its ticket is left empty. The window is
+	// long (it applies while more than one home is attached), so the commit
+	// is still parked when the writer goes.
+	ws, err = OpenWriters(filepath.Join(t.TempDir(), "wal"), 1, WriterOptions{SyncDelay: 300 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w = ws[0]
+	openGroupJournal(t, filepath.Join(t.TempDir(), "idle"), "idle", w)
+	j, _ := openGroupJournal(t, filepath.Join(t.TempDir(), "d"), "d", w)
+	if err := j.Append(&Batch{Submits: []RoutineRecord{submitRec(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- j.Commit() }()
+	for parked := false; !parked; {
+		w.mu.Lock()
+		parked = slices.Contains(w.tickets, &j.ticket)
+		w.mu.Unlock()
+		if !parked {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	w.Abandon()
+	if err := <-done; err == nil {
+		t.Fatal("a commit parked when its writer was abandoned returned nil")
+	}
+	if len(j.ticket.done) != 0 {
+		t.Fatal("the released ticket still holds a release")
+	}
+	if err := j.Commit(); err == nil {
+		t.Fatal("a commit on an abandoned writer returned nil")
 	}
 }

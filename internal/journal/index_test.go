@@ -3,37 +3,73 @@ package journal
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 )
 
-// TestBatchPrefixIsCanonical pins the prefix the recovery index reads: a
-// reorder of Batch's fields must fail here, not silently turn every record
-// into a prefix miss (or worse) at recovery.
+// TestBatchPrefixIsCanonical pins the prefix the recovery index reads on the
+// bytes Append writes: a reorder of Batch's fields (or of encodeBatch) must
+// fail here, not silently turn every record into a prefix miss (or worse) at
+// recovery. Homes the index cannot vouch for — HTML-escaped or non-ASCII —
+// must miss on the written bytes too.
 func TestBatchPrefixIsCanonical(t *testing.T) {
-	for _, b := range []*Batch{
-		{LSN: 1, Home: "h"},
-		{LSN: 18446744073709551615, Home: "home-7", Submits: []RoutineRecord{submitRec(1)}, FirstSeq: 3},
+	for _, c := range []struct {
+		home  string
+		after uint64 // the LSN a checkpoint leaves the journal at
+		hit   bool
+	}{
+		{"h", 0, true},
+		{"home-7", math.MaxUint64 - 1, true},
+		{"a<b&c", 0, false},
+		{"café", 41, false},
 	} {
-		payload, err := json.Marshal(b)
+		dir := t.TempDir()
+		if c.after > 0 {
+			if err := (DirStore{Dir: dir}).Put(checkpointName, appendFrame(nil, []byte(`{"lsn":`+strconv.FormatUint(c.after, 10)+`,"first_seq":0}`))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j, _, err := Open(dir, Options{HomeID: c.home})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := []byte(`{"lsn":` + jsonNumber(b.LSN) + `,"home":"` + b.Home + `"`)
-		if !bytes.HasPrefix(payload, want) {
-			t.Fatalf("json.Marshal(%+v) = %s, want prefix %s", b, payload, want)
+		if err := j.Append(&Batch{Submits: []RoutineRecord{submitRec(1)}, FirstSeq: 3}); err != nil {
+			t.Fatal(err)
 		}
-		lsn, home, ok := recordIndex(payload)
-		if !ok || lsn != b.LSN || home != b.Home {
-			t.Fatalf("recordIndex(%s) = %d, %q, %v; want %d, %q", payload, lsn, home, ok, b.LSN, b.Home)
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		var payloads [][]byte
+		for _, seg := range SegmentFiles(dir) {
+			buf, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := scanFrames(buf, func(p []byte) error {
+				payloads = append(payloads, p)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(payloads) != 1 {
+			t.Fatalf("home %q: the log holds %d records, want the one appended", c.home, len(payloads))
+		}
+		payload, lsn := payloads[0], c.after+1
+		quoted, _ := json.Marshal(c.home)
+		want := []byte(`{"lsn":` + strconv.FormatUint(lsn, 10) + `,"home":` + string(quoted))
+		if !bytes.HasPrefix(payload, want) {
+			t.Fatalf("Append wrote %s, want prefix %s", payload, want)
+		}
+		gotLSN, gotHome, ok := recordIndex(payload)
+		if ok != c.hit || (ok && (gotLSN != lsn || gotHome != c.home)) {
+			t.Fatalf("recordIndex(%s) = %d, %q, %v; want %d, %q, %v", payload, gotLSN, gotHome, ok, lsn, c.home, c.hit)
 		}
 	}
-}
-
-func jsonNumber(n uint64) string {
-	buf, _ := json.Marshal(n)
-	return string(buf)
 }
 
 // TestRecordIndexMissesFallBack: whatever the prefix reader cannot vouch for

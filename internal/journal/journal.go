@@ -36,7 +36,6 @@
 package journal
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -46,6 +45,7 @@ import (
 	"strings"
 
 	"safehome/internal/device"
+	"safehome/internal/jsonenc"
 )
 
 // Mode selects a journal's durability tier: how far an acknowledged
@@ -230,9 +230,10 @@ type Journal struct {
 	mode Mode
 	open bool
 
-	lsn       uint64 // last assigned LSN
-	sinceCkpt int64  // journal bytes appended since the last checkpoint
-	buf       []byte // reused frame scratch
+	lsn       uint64      // last assigned LSN
+	sinceCkpt int64       // journal bytes appended since the last checkpoint
+	frame     jsonenc.Buf // reused batch frame: header, then the payload encoded behind it
+	ticket    syncTicket  // reused commit wait: the journal's commits are serial
 
 	store    SegmentStore // checkpoint + sealed-chunk objects (DirStore default)
 	sealed   int          // routines covered by durable sealed chunks
@@ -304,6 +305,7 @@ func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 		return nil, nil, fmt.Errorf("journal: creating %s: %w", dir, err)
 	}
 	j := &Journal{dir: dir, opts: opts, mode: ResolveMode(opts, ModeSync), writer: opts.Writer, home: opts.HomeID}
+	j.ticket.done = make(chan struct{}, 1)
 	j.store = opts.Store
 	if j.store == nil {
 		j.store = DirStore{Dir: dir}
@@ -711,24 +713,21 @@ func (j *Journal) Append(b *Batch) error {
 	}
 	b.LSN = j.lsn + 1
 	b.Home = j.home
-	payload, err := json.Marshal(b)
-	if err != nil {
-		return fmt.Errorf("journal: encoding batch: %w", err)
+	// The batch is encoded straight into the reused frame; a refusal
+	// degrades the home to memory-only rather than write what recovery
+	// could not read back.
+	beginFrame(&j.frame)
+	encodeBatch(&j.frame, b)
+	if err := endFrame(&j.frame, "batch"); err != nil {
+		return err
 	}
-	if len(payload) > maxFramePayload {
-		// Recovery rejects frames over maxFramePayload as garbage lengths;
-		// writing (and acknowledging) one anyway would silently lose it and
-		// everything after it on the next restart. Refusing degrades the
-		// home to memory-only instead.
-		return fmt.Errorf("journal: batch is %d bytes, over the %d frame limit", len(payload), maxFramePayload)
-	}
-	j.buf = appendFrame(j.buf[:0], payload)
-	if err := j.writer.append(j, b.LSN, j.buf); err != nil {
+	frame := j.frame.B
+	if err := j.writer.append(j, b.LSN, frame); err != nil {
 		return fmt.Errorf("journal: writing batch: %w", err)
 	}
 	j.lsn = b.LSN
-	j.sinceCkpt += int64(len(j.buf))
-	j.opts.Stats.noteAppend(int64(len(j.buf)))
+	j.sinceCkpt += int64(len(frame))
+	j.opts.Stats.noteAppend(int64(len(frame)))
 	return nil
 }
 
@@ -780,26 +779,26 @@ func (j *Journal) Checkpoint(ck *Checkpoint) error {
 
 // publishCheckpoint is Checkpoint for an image already stamped with its LSN.
 func (j *Journal) publishCheckpoint(ck *Checkpoint) error {
-	payload, err := json.Marshal(ck)
-	if err != nil {
-		return fmt.Errorf("journal: encoding checkpoint: %w", err)
+	// The image is encoded into a frame of its own, not the journal's reused
+	// one: a home between checkpoints must not carry one image's worth of
+	// buffer. An image over the frame limit would brick the next restart;
+	// refusing degrades the home to memory-only (the owner's journalFail
+	// path) with the state on disk still recoverable. With incremental
+	// checkpoints the image carries only the unsealed routine tail, so
+	// hitting that guard takes a pathological single-drain burst, not
+	// accumulated history.
+	var w jsonenc.Buf
+	beginFrame(&w)
+	encodeCheckpoint(&w, ck)
+	if err := endFrame(&w, "checkpoint image"); err != nil {
+		return err
 	}
-	if len(payload) > maxFramePayload {
-		// Recovery rejects frames over maxFramePayload; writing one anyway
-		// would brick the next restart. Refusing degrades the home to
-		// memory-only (the owner's journalFail path) with the state on disk
-		// still recoverable. With incremental checkpoints the image carries
-		// only the unsealed routine tail, so hitting this guard takes a
-		// pathological single-drain burst, not accumulated history.
-		return fmt.Errorf("journal: checkpoint image is %d bytes, over the %d frame limit", len(payload), maxFramePayload)
-	}
-	frame := appendFrame(nil, payload)
 
 	// The store's Put is atomic and durable in every tier, async included:
 	// journal records at or below the checkpoint's LSN are truncated right
 	// after it lands, so an undurable checkpoint would turn the bounded
 	// async window into unbounded loss.
-	if err := j.store.Put(checkpointName, frame); err != nil {
+	if err := j.store.Put(checkpointName, w.B); err != nil {
 		return fmt.Errorf("journal: publishing checkpoint: %w", err)
 	}
 	j.opts.Stats.noteCheckpoint()
@@ -812,7 +811,7 @@ func (j *Journal) publishCheckpoint(ck *Checkpoint) error {
 		for _, seg := range segs {
 			_ = os.Remove(seg)
 		}
-		j.syncDir()
+		syncDir(j.dir)
 	}
 	j.writer.checkpointed(j.home, ck.LSN)
 	j.sinceCkpt = 0
@@ -850,26 +849,16 @@ func (j *Journal) SealChunk(index int, recs []RoutineRecord) error {
 			return fmt.Errorf("journal: sealing open routine %d", r.ID)
 		}
 	}
-	payload, err := json.Marshal(&sealedChunk{Index: index, Routines: recs})
-	if err != nil {
-		return fmt.Errorf("journal: encoding sealed chunk: %w", err)
+	var w jsonenc.Buf
+	beginFrame(&w)
+	encodeChunk(&w, &sealedChunk{Index: index, Routines: recs})
+	if err := endFrame(&w, "sealed chunk"); err != nil {
+		return err
 	}
-	if len(payload) > maxFramePayload {
-		return fmt.Errorf("journal: sealed chunk is %d bytes, over the %d frame limit", len(payload), maxFramePayload)
-	}
-	if err := j.store.Put(chunkName(index), appendFrame(nil, payload)); err != nil {
+	if err := j.store.Put(chunkName(index), w.B); err != nil {
 		return fmt.Errorf("journal: writing sealed chunk: %w", err)
 	}
 	return nil
-}
-
-// syncDir fsyncs the journal directory so renames and removals are durable.
-// Best-effort: some filesystems reject directory fsync.
-func (j *Journal) syncDir() {
-	if d, err := os.Open(j.dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
 }
 
 // Close makes everything appended durable (regardless of tier — a clean

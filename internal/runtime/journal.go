@@ -42,6 +42,12 @@ type journalState struct {
 	trigArms    []journal.TriggerRecord
 	trigArmIdx  map[TriggerHandle]int // handle -> index in trigArms (last arm wins)
 	trigCancels []int64
+
+	// batch, submitRecs and finishRecs are journalFlush's record, reused
+	// across flushes: Append encodes it synchronously and retains nothing.
+	batch      journal.Batch
+	submitRecs []journal.RoutineRecord
+	finishRecs []journal.RoutineRecord
 }
 
 // openJournal opens the runtime's data directory and recovers its durable
@@ -151,12 +157,9 @@ func (rt *HomeRuntime) journalReset() {
 }
 
 // resolveRecords materializes the current outcome records of the given
-// routines from the controller.
-func (rt *HomeRuntime) resolveRecords(ids []routine.ID) []journal.RoutineRecord {
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]journal.RoutineRecord, 0, len(ids))
+// routines from the controller into out, reusing its backing array.
+func (rt *HomeRuntime) resolveRecords(out []journal.RoutineRecord, ids []routine.ID) []journal.RoutineRecord {
+	out = out[:0]
 	for _, id := range ids {
 		if res, ok := rt.ctrl.Result(id); ok {
 			out = append(out, journal.FromResult(res))
@@ -172,12 +175,15 @@ func (rt *HomeRuntime) journalFlush() {
 	if rt.j == nil || rt.journalEmpty() {
 		return
 	}
-	// The batch borrows the accumulation buffers: Append marshals it to JSON
+	// The batch borrows the accumulation buffers: Append encodes it
 	// synchronously and retains nothing, so the buffers are reset (not
 	// copied) afterwards — no per-commit slice copies on the durable path.
-	b := &journal.Batch{
-		Submits:     rt.resolveRecords(rt.j.submits),
-		Finishes:    rt.resolveRecords(rt.j.finishes),
+	rt.j.submitRecs = rt.resolveRecords(rt.j.submitRecs, rt.j.submits)
+	rt.j.finishRecs = rt.resolveRecords(rt.j.finishRecs, rt.j.finishes)
+	b := &rt.j.batch
+	*b = journal.Batch{
+		Submits:     rt.j.submitRecs,
+		Finishes:    rt.j.finishRecs,
 		States:      rt.j.states,
 		FirstSeq:    rt.j.firstSeq,
 		Events:      rt.j.events,
