@@ -87,11 +87,14 @@ func TestHotReadRoutesDoNotAllocate(t *testing.T) {
 // submitRouteAllocs is the allocation budget of one POST
 // /homes/{id}/routines through ManagerHandler on a virtual-clock home,
 // request object and writer reused, as measured: 3 for the spec decode
-// (routine, commands, one block of text; the body buffer is pooled) and 10
-// for the home's runtime and scheduler to admit and run the routine. An
-// io.ReadAll creeping back costs 2 more, a reflective decode about 23 (the
-// row read 38 with both).
-const submitRouteAllocs = 13
+// (routine, commands, one block of text; the body buffer is pooled) and 4
+// for the home to admit and run it — the routine's cached device set (the
+// parsed routine is handed over, not cloned), its EV run (Result, device
+// slots and completion in one object), the published Snapshot (its
+// StateExport inside) and the event log's spine copy. A clone creeping back
+// costs 2 more, an io.ReadAll 2, a reflective decode about 23 (the row read
+// 38 with the last two).
+const submitRouteAllocs = 7
 
 // rewindBody is a request body a test can replay without allocating.
 type rewindBody struct{ bytes.Reader }
@@ -124,6 +127,7 @@ func TestSubmitRouteAllocs(t *testing.T) {
 	if w.status != http.StatusAccepted {
 		t.Fatalf("status %d, want 202", w.status)
 	}
+	t.Logf("POST /homes/{id}/routines: %.1f allocs per request", allocs)
 	if raceEnabled {
 		return // the race detector makes sync.Pool drop buffers at random
 	}

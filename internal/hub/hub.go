@@ -188,12 +188,13 @@ func (h *Hub) SubmitRoutine(r *routine.Routine) (routine.ID, error) {
 }
 
 // SubmitSpec parses a Fig 10-style JSON routine document and submits it.
+// The parsed routine is handed over (HomeRuntime.SubmitOwned), not cloned.
 func (h *Hub) SubmitSpec(spec []byte) (routine.ID, error) {
 	r, err := routine.ParseSpec(spec)
 	if err != nil {
 		return routine.None, err
 	}
-	return h.SubmitRoutine(r)
+	return h.slot.Load().SubmitOwned(r)
 }
 
 // StoreRoutine saves a routine definition in the routine bank. On a durable
@@ -212,7 +213,7 @@ func (h *Hub) Trigger(name string) (routine.ID, error) {
 	if !ok {
 		return routine.None, fmt.Errorf("hub: no stored routine named %q", name)
 	}
-	return h.SubmitRoutine(r)
+	return h.slot.Load().SubmitOwned(r) // Get returned a copy nobody else holds
 }
 
 // Results returns per-routine outcomes in submission order.

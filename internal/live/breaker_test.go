@@ -9,6 +9,7 @@ import (
 
 	"safehome/internal/device"
 	"safehome/internal/routine"
+	"safehome/internal/visibility"
 )
 
 // scriptedActuator fails while broken and counts Apply attempts.
@@ -51,7 +52,7 @@ func (a *scriptedActuator) attempts() int {
 // execWait runs one command through the env and returns its completion error.
 func execWait(e *Env, id device.ID) error {
 	ch := make(chan error, 1)
-	e.Exec(1, routine.Command{Device: id, Target: device.On}, 0, func(err error) { ch <- err })
+	e.Exec(1, routine.Command{Device: id, Target: device.On}, 0, visibility.DoneFunc(func(err error) { ch <- err }))
 	select {
 	case err := <-ch:
 		return err

@@ -26,13 +26,19 @@ import (
 	"safehome/internal/routine"
 )
 
+// Completion receives the outcome of one command handed to Env.Exec. It is
+// the same type as visibility.Completion (an alias of one interface
+// literal), so a controller's completion passes through Exec and the Poster
+// unconverted.
+type Completion = interface{ CommandDone(error) }
+
 // Poster delivers environment callbacks into the controller's serialized
 // context. internal/runtime implements it by enqueueing typed operations in
 // the home's mailbox; tests may run callbacks on any single goroutine.
 type Poster interface {
-	// PostCompletion delivers a command completion (done(err)) to the
-	// controller's goroutine.
-	PostCompletion(done func(error), err error)
+	// PostCompletion delivers a command completion (done.CommandDone(err))
+	// to the controller's goroutine.
+	PostCompletion(done Completion, err error)
 	// PostTimer delivers an expired timer's callback to the controller's
 	// goroutine.
 	PostTimer(fn func())
@@ -187,7 +193,7 @@ func (e *Env) After(d time.Duration, fn func()) (cancel func()) {
 // exclusive hold lasts for the command's duration, and done is posted into
 // the controller's mailbox. The completion is posted before the in-flight
 // count drops, so Wait callers observe it queued.
-func (e *Env) Exec(rid routine.ID, cmd routine.Command, hold time.Duration, done func(error)) {
+func (e *Env) Exec(rid routine.ID, cmd routine.Command, hold time.Duration, done Completion) {
 	e.inflight.Add(1)
 	go func() {
 		defer e.inflight.Add(-1)

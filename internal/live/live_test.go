@@ -36,8 +36,10 @@ func newLoopPoster() *loopPoster {
 	return p
 }
 
-func (p *loopPoster) PostCompletion(done func(error), err error) { p.ops <- func() { done(err) } }
-func (p *loopPoster) PostTimer(fn func())                        { p.ops <- fn }
+func (p *loopPoster) PostCompletion(done Completion, err error) {
+	p.ops <- func() { done.CommandDone(err) }
+}
+func (p *loopPoster) PostTimer(fn func()) { p.ops <- fn }
 
 // run executes fn on the loop goroutine and waits for it.
 func (p *loopPoster) run(fn func()) {
@@ -70,9 +72,9 @@ func TestExecActuatesAndCompletes(t *testing.T) {
 
 	done := make(chan error, 1)
 	start := time.Now()
-	env.Exec(1, routine.Command{Device: "a", Target: device.On}, 30*time.Millisecond, func(err error) {
+	env.Exec(1, routine.Command{Device: "a", Target: device.On}, 30*time.Millisecond, visibility.DoneFunc(func(err error) {
 		done <- err
-	})
+	}))
 
 	select {
 	case err := <-done:
@@ -103,9 +105,9 @@ func TestExecReportsFailureFast(t *testing.T) {
 	}
 	env := New(p, fleet)
 	done := make(chan error, 1)
-	env.Exec(1, routine.Command{Device: "a", Target: device.On}, time.Hour, func(err error) {
+	env.Exec(1, routine.Command{Device: "a", Target: device.On}, time.Hour, visibility.DoneFunc(func(err error) {
 		done <- err
-	})
+	}))
 	select {
 	case err := <-done:
 		if err == nil {

@@ -684,12 +684,20 @@ func (m *Manager) Submit(id HomeID, r *routine.Routine) (rid routine.ID, err err
 }
 
 // SubmitSpec parses a Fig 10-style JSON routine document and submits it.
-func (m *Manager) SubmitSpec(id HomeID, spec []byte) (routine.ID, error) {
+// The parsed routine is handed to the controller as it is
+// (HomeRuntime.SubmitOwned), not cloned: nobody else holds it. A retry after
+// ErrClosed resubmits it safely, because a refused submission leaves it
+// untouched.
+func (m *Manager) SubmitSpec(id HomeID, spec []byte) (rid routine.ID, err error) {
 	r, err := routine.ParseSpec(spec)
 	if err != nil {
 		return routine.None, err
 	}
-	return m.Submit(id, r)
+	err = m.mutate(id, func(home *rt.HomeRuntime) (err error) {
+		rid, err = home.SubmitOwned(r)
+		return err
+	})
+	return rid, err
 }
 
 // SubmitAfter schedules a routine submission after the given delay on the

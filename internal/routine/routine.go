@@ -82,9 +82,10 @@ type Routine struct {
 	// User optionally records which member of the household initiated it.
 	User string `json:"user,omitempty"`
 
-	// devices caches Devices() for cloned instances. Routines are immutable
-	// once submitted, and the controllers call Devices() on every scheduling
-	// decision, so the submission-time Clone precomputes the set once.
+	// devices caches Devices() for submitted instances. Routines are
+	// immutable once submitted, and the controllers call Devices() on every
+	// scheduling decision, so submission (Clone or Stamp) precomputes the
+	// set once.
 	devices []device.ID
 }
 
@@ -131,7 +132,7 @@ func (r *Routine) Validate(reg *device.Registry) error {
 }
 
 // Devices returns the set of devices the routine touches (writes), in
-// first-touch order. For cloned (submitted) routines the set is precomputed;
+// first-touch order. For cloned or stamped routines the set is precomputed;
 // callers must treat the result as read-only.
 func (r *Routine) Devices() []device.ID {
 	if r.devices != nil {
@@ -317,6 +318,18 @@ func (r *Routine) Clone() *Routine {
 	}
 	cp.devices = cp.computeDevices()
 	return &cp
+}
+
+// Stamp marks the routine as submitted, in place: it records the ID and
+// submission time and caches the device set. Only the routine's owner may
+// stamp it — a controller taking over a routine nobody else holds — since
+// the routine is immutable from then on.
+func (r *Routine) Stamp(id ID, submitted time.Time) {
+	r.ID = id
+	r.Submitted = submitted
+	if r.devices == nil {
+		r.devices = r.computeDevices()
+	}
 }
 
 // String renders the routine like the paper's examples, e.g.

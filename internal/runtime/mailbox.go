@@ -7,6 +7,7 @@ import (
 
 	"safehome/internal/device"
 	"safehome/internal/routine"
+	"safehome/internal/visibility"
 )
 
 // Errors surfaced by the mailbox admission path.
@@ -36,7 +37,7 @@ const (
 	opInvalid opKind = iota
 
 	// External mutations: admission-controlled (TryPost, ErrOverloaded).
-	opSubmit        // r, reply        → rid, err
+	opSubmit        // r, owned, reply → rid, err
 	opSubmitAfter   // r, delay, reply → err
 	opFailDevice    // dev, reply      → err
 	opRestoreDevice // dev, reply      → err
@@ -53,7 +54,7 @@ const (
 	// which ride opTimer through env.After — the failure detector, the shard
 	// pumper, and shutdown). Never load-shed — dropping one would wedge the
 	// controller's state machine.
-	opCompletion    // done, err
+	opCompletion    // done, err (done passes through from the controller)
 	opTimer         // fn
 	opNotifyFailure // dev
 	opNotifyRestart // dev
@@ -69,13 +70,14 @@ const (
 type op struct {
 	kind    opKind
 	r       *routine.Routine
+	owned   bool // opSubmit: the controller takes r over (SubmitOwned)
 	delay   time.Duration
 	every   time.Duration
 	dev     device.ID
 	name    string
 	handle  TriggerHandle
 	err     error
-	done    func(error)
+	done    visibility.Completion
 	fn      func()
 	now     time.Time
 	gate    chan struct{}

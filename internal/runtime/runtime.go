@@ -650,6 +650,14 @@ func (rt *HomeRuntime) shutdown() {
 	}
 }
 
+// place hands a submission to the controller.
+func (rt *HomeRuntime) place(o *op) routine.ID {
+	if o.owned {
+		return rt.ctrl.SubmitOwned(o.r)
+	}
+	return rt.ctrl.Submit(o.r)
+}
+
 // apply executes one operation on the loop goroutine. It returns the
 // operation's answer and reply slot (nil for reply-less internal ops); the
 // loop delivers answers only after publishing the batch's snapshot. Ops that
@@ -663,10 +671,10 @@ func (rt *HomeRuntime) apply(o *op) (result, *reply) {
 			// The submit→placed stage: wall-clock cost of admission plus
 			// scheduler placement, measured around the Submit call itself.
 			t0 := time.Now()
-			rid = rt.ctrl.Submit(o.r)
+			rid = rt.place(o)
 			m.StagePlace.Observe(time.Since(t0).Seconds())
 		} else {
-			rid = rt.ctrl.Submit(o.r)
+			rid = rt.place(o)
 		}
 		rt.pumpVirtual()
 		return result{rid: rid}, o.reply
@@ -698,7 +706,7 @@ func (rt *HomeRuntime) apply(o *op) (result, *reply) {
 		return result{trigs: rt.listTriggers()}, o.reply
 	case opCompletion:
 		rt.snapDirty = true
-		o.done(o.err)
+		o.done.CommandDone(o.err)
 		return result{}, nil
 	case opTimer:
 		rt.snapDirty = true
@@ -849,7 +857,7 @@ func (rt *HomeRuntime) PumpIfDue(now time.Time) bool {
 // PostCompletion implements live.Poster: an actuator command's completion is
 // delivered to the controller through the mailbox. Completions arriving
 // after Close are dropped (the home is quiescing).
-func (rt *HomeRuntime) PostCompletion(done func(error), err error) {
+func (rt *HomeRuntime) PostCompletion(done live.Completion, err error) {
 	_ = rt.post(op{kind: opCompletion, done: done, err: err})
 }
 
@@ -866,13 +874,28 @@ func (rt *HomeRuntime) PostTimer(fn func()) {
 // Returns ErrOverloaded when the mailbox is full. Validation happens before
 // admission — the registry is immutable after construction — so an invalid
 // routine gets its validation error (HTTP 400) even under overload, and
-// never consumes a mailbox slot.
+// never consumes a mailbox slot. The routine is cloned; the caller's copy is
+// never mutated.
 func (rt *HomeRuntime) Submit(r *routine.Routine) (routine.ID, error) {
+	return rt.submit(r, false)
+}
+
+// SubmitOwned is Submit for a routine the caller hands over
+// (visibility.Controller.SubmitOwned): the controller keeps r itself and
+// stamps it in place. Ownership passes only when the loop applies the
+// submission: a submit refused at admission (ErrOverloaded, ErrClosed) or
+// answered ErrClosed by a crashed loop leaves r untouched, so the caller may
+// submit it again — which is what Manager.mutate's retry does.
+func (rt *HomeRuntime) SubmitOwned(r *routine.Routine) (routine.ID, error) {
+	return rt.submit(r, true)
+}
+
+func (rt *HomeRuntime) submit(r *routine.Routine, owned bool) (routine.ID, error) {
 	if err := r.Validate(rt.reg); err != nil {
 		return routine.None, err
 	}
 	rp := newReply()
-	if err := rt.tryPost(op{kind: opSubmit, r: r, reply: rp}); err != nil {
+	if err := rt.tryPost(op{kind: opSubmit, r: r, owned: owned, reply: rp}); err != nil {
 		rp.discard()
 		return routine.None, err
 	}

@@ -29,7 +29,9 @@ import (
 // and safe to read from any goroutine; a snapshot never changes after it is
 // published.
 type Snapshot struct {
-	state  *visibility.StateExport
+	// state is held by value so a publish is one object; the controller's
+	// next export builds on it (exportState.prev points here).
+	state  visibility.StateExport
 	events eventsView
 
 	// devStates is the simulated fleet's ground truth at publish time (nil
@@ -153,13 +155,13 @@ func (rt *HomeRuntime) publish(force bool) {
 		return
 	}
 	s := &Snapshot{
-		state:     rt.ctrl.Export(),
 		events:    rt.elog.view(),
 		mailbox:   rt.Mailbox(),
 		model:     rt.cfg.Model.String(),
 		scheduler: rt.cfg.Scheduler.String(),
 		wall:      rt.cfg.Clock == ClockWall,
 	}
+	rt.ctrl.ExportInto(&s.state)
 	if rt.fleet != nil {
 		if prev := rt.snap.Load(); prev != nil && rt.fleetVersion == rt.fleet.Version() {
 			s.devStates = prev.devStates // fleet untouched: share the map

@@ -154,7 +154,7 @@ func (rt *HomeRuntime) fireTrigger(handle TriggerHandle) {
 	if !ok {
 		err = fmt.Errorf("runtime: no stored routine named %q", tr.spec.Routine)
 	} else if err = r.Validate(rt.reg); err == nil {
-		rt.ctrl.Submit(r)
+		rt.ctrl.SubmitOwned(r) // Get returned a copy nobody else holds
 	}
 	tr.spec.Fired++
 	if err != nil {

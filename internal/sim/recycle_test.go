@@ -12,6 +12,11 @@ import (
 	"time"
 )
 
+// doneFunc adapts a func to Completion, as visibility.DoneFunc does.
+type doneFunc func(error)
+
+func (f doneFunc) CommandDone(err error) { f(err) }
+
 // TestStaleCancelCannotHitReusedSlot takes a cancel handle, lets its event
 // fire (which recycles the slot), schedules new events until one reuses that
 // slot, and then pulls the stale handle: nothing may be canceled.
@@ -32,7 +37,7 @@ func TestStaleCancelCannotHitReusedSlot(t *testing.T) {
 	}
 	stale()
 	s.Post(time.Second, func() { ran["post"] = true })
-	s.Complete(time.Second, func(error) { ran["completion"] = true }, nil)
+	s.Complete(time.Second, doneFunc(func(error) { ran["completion"] = true }), nil)
 	stale()
 	if got := s.Pending(); got != 3 {
 		t.Fatalf("Pending = %d after stale cancels, want 3", got)
@@ -64,7 +69,7 @@ func TestCancelBeforeFireStillCancels(t *testing.T) {
 	var order []string
 	s.Post(time.Second, func() { order = append(order, "a") })
 	cancel := s.After(2*time.Second, func() { order = append(order, "canceled") })
-	s.Complete(3*time.Second, func(error) { order = append(order, "c") }, nil)
+	s.Complete(3*time.Second, doneFunc(func(error) { order = append(order, "c") }), nil)
 	cancel()
 	cancel() // idempotent
 	if n := s.Run(); n != 2 || fmt.Sprint(order) != "[a c]" {
@@ -96,7 +101,7 @@ func TestSameInstantFIFOAcrossKindsAndReuse(t *testing.T) {
 		case 1:
 			s.Post(at.Sub(s.Now()), func() { got = append(got, i) })
 		default:
-			s.Complete(at.Sub(s.Now()), func(error) { got = append(got, i) }, nil)
+			s.Complete(at.Sub(s.Now()), doneFunc(func(error) { got = append(got, i) }), nil)
 		}
 	}
 	s.Run()
@@ -114,7 +119,7 @@ func TestCompleteDeliversItsError(t *testing.T) {
 	s := NewAtEpoch()
 	boom := errors.New("boom")
 	var got []error
-	done := func(err error) { got = append(got, err) } // one func, many events
+	done := doneFunc(func(err error) { got = append(got, err) }) // one func, many events
 	s.Complete(2*time.Second, done, boom)
 	s.Complete(time.Second, done, nil)
 	s.Complete(-time.Hour, done, boom) // clamped to now, like After
@@ -147,7 +152,7 @@ func TestNilCompletionAndPostPanic(t *testing.T) {
 // warmed simulator completes and posts events without touching the heap.
 func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	s := NewAtEpoch()
-	var done func(error)
+	var done doneFunc
 	remaining := 0
 	done = func(error) {
 		if remaining--; remaining > 0 {

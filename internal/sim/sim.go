@@ -20,6 +20,12 @@ import (
 // tests. Any time.Time works; using a fixed epoch keeps golden values stable.
 var Epoch = time.Date(2021, 4, 26, 8, 0, 0, 0, time.UTC)
 
+// Completion receives a command's outcome: Complete schedules
+// done.CommandDone(err). An alias, not a named type, so that the identical
+// interface of the environments above (visibility.Completion,
+// live.Completion) passes through unconverted.
+type Completion = interface{ CommandDone(error) }
+
 // event is a scheduled callback. It is either a plain callback (fn) or a
 // typed completion (done invoked with err): a command completion carries its
 // target and outcome as fields, so scheduling one builds no closure.
@@ -27,7 +33,7 @@ type event struct {
 	at       time.Time
 	seq      uint64 // tie-breaker: FIFO among events at the same instant
 	fn       func()
-	done     func(error)
+	done     Completion
 	err      error
 	canceled bool
 }
@@ -115,10 +121,11 @@ func (s *Sim) Post(d time.Duration, fn func()) {
 	s.schedule(s.now.Add(max(d, 0))).fn = fn
 }
 
-// Complete schedules done(err) to run d after the current virtual time. It
-// is the allocation-free completion path: target and outcome ride in the
-// event itself, so one long-lived done func serves any number of events.
-func (s *Sim) Complete(d time.Duration, done func(error), err error) {
+// Complete schedules done.CommandDone(err) to run d after the current
+// virtual time. It is the allocation-free completion path: target and
+// outcome ride in the event itself, so one long-lived done serves any number
+// of events.
+func (s *Sim) Complete(d time.Duration, done Completion, err error) {
 	if done == nil {
 		panic("sim: Complete called with nil callback")
 	}
@@ -189,7 +196,7 @@ func (s *Sim) Step() bool {
 		}
 		s.processed++
 		if fired.done != nil {
-			fired.done(fired.err)
+			fired.done.CommandDone(fired.err)
 		} else {
 			fired.fn()
 		}

@@ -60,13 +60,15 @@ func evCycleAllocs(t *testing.T, kind SchedulerKind, commands int) float64 {
 }
 
 // evRoutineAllocs is the stated constant: what a routine costs however many
-// commands it has. Seven heap objects are the routine itself — the
-// submission-time clone (routine, commands, cached device set), its Result,
-// its run record, the run's per-device slice and its one completion func.
-// What a controller keeps per routine beyond those (results, export chunks,
-// the precedence graph, which retains committed routines) grows in slabs
-// whose amortized cost AllocsPerRun rounds away.
-const evRoutineAllocs = 7
+// commands it has. Four heap objects are the routine itself — the
+// submission-time clone public Submit makes (routine, commands, cached
+// device set) — and its run: one record holding the routine's Result, its
+// device slots (inline up to four devices) and its completion. SubmitOwned
+// skips the clone's routine and commands. What a controller keeps per
+// routine beyond those (results, export chunks, the precedence graph, which
+// retains committed routines) grows in slabs whose amortized cost
+// AllocsPerRun rounds away.
+const evRoutineAllocs = 4
 
 // TestEVRoutineCycleAllocations is the execution half's companion of
 // TestMeteredSubmitDoesNotAllocate: dispatch → completion → commit must cost

@@ -23,14 +23,31 @@ type Env interface {
 	// After schedules fn to run after d and returns a cancellation func.
 	After(d time.Duration, fn func()) (cancel func())
 	// Exec asynchronously executes one command: it drives the device to
-	// cmd.Target and keeps it busy for hold, then invokes done. done receives
-	// a non-nil error if the device was unreachable or unknown (in which case
-	// the command had no effect).
-	Exec(rid routine.ID, cmd routine.Command, hold time.Duration, done func(error))
+	// cmd.Target and keeps it busy for hold, then calls done.CommandDone.
+	// done receives a non-nil error if the device was unreachable or unknown
+	// (in which case the command had no effect).
+	Exec(rid routine.ID, cmd routine.Command, hold time.Duration, done Completion)
 	// DeviceState reports a device's current ground-truth state (used for
 	// conditional commands outside EV, and by tests).
 	DeviceState(d device.ID) (device.State, error)
 }
+
+// Completion receives the outcome of one command handed to Env.Exec. It is
+// an interface rather than a func so that a long-lived record can be its own
+// completion: EV's run record implements it, and a routine's commands then
+// need no func value at all. The type is sim.Completion (and
+// live.Completion), so it passes through both environments unconverted.
+type Completion = sim.Completion
+
+// DoneFunc adapts a func to Completion. A func is pointer-shaped, so
+// storing one in the interface allocates nothing beyond the func itself.
+type DoneFunc func(error)
+
+// CommandDone implements Completion.
+func (f DoneFunc) CommandDone(err error) { f(err) }
+
+// ignoreDone is the completion of fire-and-forget rollback commands.
+var ignoreDone = DoneFunc(func(error) {})
 
 // SimEnv is the discrete-event simulation environment: commands actuate a
 // simulated device fleet and complete after their hold duration of virtual
@@ -66,9 +83,9 @@ func (e *SimEnv) After(d time.Duration, fn func()) (cancel func()) { return e.Si
 // Failures are reported through done, never synchronously, so controller
 // callbacks are uniformly re-entered via the event queue. The completion
 // rides in the simulator event itself (sim.Complete): Exec allocates nothing,
-// and a controller that passes the same done for every command of a routine
-// pays for one func per routine.
-func (e *SimEnv) Exec(rid routine.ID, cmd routine.Command, hold time.Duration, done func(error)) {
+// and a controller whose run record is its own Completion pays for no
+// completion object at all.
+func (e *SimEnv) Exec(rid routine.ID, cmd routine.Command, hold time.Duration, done Completion) {
 	err := e.Fleet.Apply(cmd.Device, cmd.Target)
 	delay := hold + e.ActuationLatency
 	if err != nil {

@@ -19,8 +19,9 @@ import (
 // Everything between "placed" and "committed" is a per-command path, so it
 // is built not to allocate and not to hash: a routine resolves its devices
 // to evDevice records once at submission, keeps its per-device execution
-// state in a slice parallel to its cached Devices(), and hands the
-// environment one completion func for its whole life.
+// state in a slice parallel to its cached Devices(), and is itself the
+// completion the environment calls back: a run is one heap object holding
+// its Result, its device slots and its completion.
 type evController struct {
 	base
 
@@ -58,7 +59,11 @@ type evDevice struct {
 
 // evRun is the controller-side execution state of one routine.
 type evRun struct {
-	res *Result
+	// res is the routine's Result, held here so that one object carries
+	// both: base.results points at it until the first export after the run
+	// finishes copies it into its write-once slot.
+	res Result
+	c   *evController
 	r   *routine.Routine
 	id  routine.ID
 
@@ -70,11 +75,10 @@ type evRun struct {
 	idx      int  // next command to execute (the one in flight, while inflight)
 	inflight bool // Commands[idx] is executing
 
-	// devs is the per-device state, parallel to r.Devices().
-	devs []runDev
-	// onDone completes the in-flight command. One func serves every command
-	// of the routine: at most one is in flight, and it is Commands[idx].
-	onDone func(error)
+	// devs is the per-device state, parallel to r.Devices(). inline backs
+	// it for routines that touch at most len(inline) devices.
+	devs   []runDev
+	inline [4]runDev
 
 	doomed     bool
 	doomReason string
@@ -103,18 +107,31 @@ type runDev struct {
 	cancelLease   func()
 }
 
-func (c *evController) newRun(res *Result, r *routine.Routine) *evRun {
-	devs := r.Devices()
-	run := &evRun{res: res, r: r, id: res.ID, devs: make([]runDev, len(devs))}
+// newRun registers a submitted routine (see base.assign for owned) and
+// builds its run.
+func (c *evController) newRun(r *routine.Routine, owned bool) *evRun {
+	run := &evRun{c: c}
+	run.r = c.assign(r, owned, &run.res)
+	run.id = run.res.ID
+	devs := run.r.Devices()
+	if len(devs) <= len(run.inline) {
+		run.devs = run.inline[:len(devs)]
+	} else {
+		run.devs = make([]runDev, len(devs))
+	}
 	for i, d := range devs {
 		run.devs[i].dev = c.device(d)
 	}
-	for i := range r.Commands {
-		run.on(r.Commands[i].Device).last = i
+	for i := range run.r.Commands {
+		run.on(run.r.Commands[i].Device).last = i
 	}
-	run.onDone = func(err error) { c.onCommandDone(run, err) }
 	return run
 }
+
+// CommandDone implements Completion for the run's in-flight command: at
+// most one is in flight, and it is Commands[idx], so the run itself serves
+// every command of the routine.
+func (run *evRun) CommandDone(err error) { run.c.onCommandDone(run, err) }
 
 // slot returns d's index in the routine's Devices(), or -1. Routines touch a
 // handful of devices, so a scan beats any map.
@@ -179,16 +196,19 @@ func (c *evController) SchedulerName() string { return c.sched.kind().String() }
 // Table exposes the lineage table for tests and the hub's inspection API.
 func (c *evController) Table() *lineage.Table { return c.table }
 
-func (c *evController) Submit(r *routine.Routine) routine.ID {
-	res, cp := c.assign(r)
-	run := c.newRun(res, cp)
+func (c *evController) Submit(r *routine.Routine) routine.ID { return c.submit(r, false) }
+
+func (c *evController) SubmitOwned(r *routine.Routine) routine.ID { return c.submit(r, true) }
+
+func (c *evController) submit(r *routine.Routine, owned bool) routine.ID {
+	run := c.newRun(r, owned)
 	if len(c.runs) == 0 {
-		c.firstID = cp.ID
+		c.firstID = run.id
 	}
 	c.runs = append(c.runs, run)
 	c.sched.onSubmit(run)
 	c.checkInvariants("submit")
-	return cp.ID
+	return run.id
 }
 
 // Serialization returns the current serialization order implied by the
@@ -311,7 +331,7 @@ func (c *evController) advance(run *evRun) {
 		}
 	}
 	if run.res.Started.IsZero() {
-		c.markStarted(run.res)
+		c.markStarted(&run.res)
 	}
 
 	// Conditional commands read the home through the lineage table's inferred
@@ -326,7 +346,7 @@ func (c *evController) advance(run *evRun) {
 	}
 
 	run.inflight = true
-	c.env.Exec(run.id, cmd, c.opts.hold(cmd), run.onDone)
+	c.env.Exec(run.id, cmd, c.opts.hold(cmd), run)
 }
 
 // onCommandDone is the completion of the run's in-flight command,
@@ -431,7 +451,7 @@ func (c *evController) commitRun(run *evRun) {
 	run.done = true
 	run.running = false
 	c.cancelTimers(run)
-	c.markCommitted(run.res)
+	c.markCommitted(&run.res)
 
 	for i := range run.devs {
 		l := run.devs[i].dev.lin
@@ -480,7 +500,7 @@ func (c *evController) abortRun(run *evRun) {
 	if reason == "" {
 		reason = "aborted"
 	}
-	c.markAborted(run.res, reason)
+	c.markAborted(&run.res, reason)
 
 	// Devices this routine actually modified, in reverse touch order: latest
 	// executed command first.
@@ -508,7 +528,7 @@ func (c *evController) abortRun(run *evRun) {
 			continue
 		}
 		c.emit(Event{Time: c.env.Now(), Kind: EvRolledBack, Routine: run.id, Device: l.Device, State: target})
-		c.env.Exec(run.id, routine.Command{Device: l.Device, Target: target}, c.opts.DefaultShort, func(error) {})
+		c.env.Exec(run.id, routine.Command{Device: l.Device, Target: target}, c.opts.DefaultShort, ignoreDone)
 	}
 
 	// Table order, not the routine's: the order successors are woken in is

@@ -10,16 +10,17 @@ import (
 
 // This file is the visibility half of SafeHome's off-loop read path: the
 // controller (single-threaded, loop-owned) maintains cheap dirty-tracking as
-// it mutates state, and Export folds only what changed since the previous
-// export into an immutable StateExport that the home runtime publishes
-// through an atomic pointer. Readers then answer Results/Counts/state
+// it mutates state, and ExportInto folds only what changed since the
+// previous export into an immutable StateExport — held by value in the home
+// runtime's snapshot, so a publish is one object — that the runtime
+// publishes through an atomic pointer. Readers then answer Results/Counts/state
 // queries from the latest export without ever entering the runtime's
 // mailbox.
 //
 // The contract for every structure here is the same:
 //
-//   - Everything reachable from a *StateExport is immutable once the export
-//     is returned. Readers on any goroutine may traverse it freely.
+//   - Everything reachable from a StateExport is immutable once the export
+//     is written. Readers on any goroutine may traverse it freely.
 //   - Building export N+1 from export N is O(changes since N), never
 //     O(total history).
 //
@@ -160,9 +161,12 @@ type StateExport struct {
 	Now time.Time
 }
 
-// exportState is the controller-side scratch behind Export: dirty tracking
-// plus the mutable twins of the shared spines.
+// exportState is the controller-side scratch behind ExportInto: dirty
+// tracking plus the mutable twins of the shared spines.
 type exportState struct {
+	// prev is the previous export: the storage the caller handed to the
+	// last ExportInto (inside the runtime's published snapshot), which
+	// nobody rewrites.
 	prev *StateExport
 
 	// open tracks unfinished routines (their records may change at any time,
@@ -223,16 +227,17 @@ func (x *exportState) noteCommittedState(d device.ID) int {
 	return slot
 }
 
-// Export returns an immutable snapshot of the controller's observable state.
-// It must be called from the goroutine that owns the controller (the home
-// runtime's loop); the returned export may be read from any goroutine.
-// Consecutive calls share everything that did not change in between, so the
-// cost is proportional to the routines touched since the previous call.
-func (b *base) Export() *StateExport {
+// ExportInto writes an immutable snapshot of the controller's observable
+// state into out. It must be called from the goroutine that owns the
+// controller (the home runtime's loop); once published, the export may be
+// read from any goroutine. Consecutive calls share everything that did not
+// change in between, so the cost is proportional to the routines touched
+// since the previous call.
+func (b *base) ExportInto(out *StateExport) {
 	x := b.export
 	n := len(b.submitted)
 
-	out := &StateExport{
+	*out = StateExport{
 		Routines: n,
 		Pending:  b.PendingCount(),
 		Active:   b.active,
@@ -246,7 +251,6 @@ func (b *base) Export() *StateExport {
 	x.dirtySlots = x.dirtySlots[:0]
 	x.slotsGrown = false
 	x.prev = out
-	return out
 }
 
 func (b *base) exportResults(out *StateExport, n int) {

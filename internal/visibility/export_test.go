@@ -10,6 +10,13 @@ import (
 	"safehome/internal/sim"
 )
 
+// export cuts one export into fresh storage, as the runtime's publish does.
+func export(c Controller) *StateExport {
+	out := new(StateExport)
+	c.ExportInto(out)
+	return out
+}
+
 func exportHarness(t *testing.T, model Model, plugs int) (*sim.Sim, *device.Fleet, Controller) {
 	t.Helper()
 	reg := device.Plugs(plugs)
@@ -69,7 +76,7 @@ func TestExportTracksControllerAcrossModels(t *testing.T) {
 	for _, model := range Models {
 		t.Run(model.String(), func(t *testing.T) {
 			s, _, ctrl := exportHarness(t, model, 4)
-			assertExportMatches(t, ctrl, ctrl.Export())
+			assertExportMatches(t, ctrl, export(ctrl))
 
 			// Spread enough routines to cross a results-chunk boundary, with
 			// exports cut at ragged points in between.
@@ -77,10 +84,10 @@ func TestExportTracksControllerAcrossModels(t *testing.T) {
 				ctrl.Submit(benchRoutine(fmt.Sprintf("r-%d", i), i%4))
 				s.Run()
 				if i%17 == 0 {
-					assertExportMatches(t, ctrl, ctrl.Export())
+					assertExportMatches(t, ctrl, export(ctrl))
 				}
 			}
-			assertExportMatches(t, ctrl, ctrl.Export())
+			assertExportMatches(t, ctrl, export(ctrl))
 		})
 	}
 }
@@ -89,14 +96,14 @@ func TestExportIsImmutableAfterLaterMutations(t *testing.T) {
 	s, _, ctrl := exportHarness(t, EV, 4)
 	ctrl.Submit(benchRoutine("first", 0))
 	s.Run()
-	old := ctrl.Export()
+	old := export(ctrl)
 	oldResults := old.Results.AppendTo(nil)
 	oldStates := old.Committed.AppendTo(nil)
 
 	for i := 0; i < 2*resultChunkSize; i++ {
 		ctrl.Submit(benchRoutine(fmt.Sprintf("later-%d", i), 1+i%3))
 		s.Run()
-		ctrl.Export()
+		export(ctrl)
 	}
 
 	if old.Results.Len() != 1 || old.Routines != 1 {
@@ -121,10 +128,10 @@ func TestExportSharesFinalChunksAndSkipsOverlay(t *testing.T) {
 		ctrl.Submit(benchRoutine(fmt.Sprintf("r-%d", i), i%4))
 		s.Run()
 	}
-	a := ctrl.Export()
+	a := export(ctrl)
 	ctrl.Submit(benchRoutine("one-more", 0))
 	s.Run()
-	b := ctrl.Export()
+	b := export(ctrl)
 
 	// Finished outcomes are write-once: consecutive exports share the same
 	// chunk pointers, nothing is re-copied.
@@ -151,7 +158,7 @@ func TestExportOverlayCarriesOpenRoutines(t *testing.T) {
 
 	ctrl.Submit(benchRoutine("open-1", 0))
 	ctrl.Submit(benchRoutine("open-2", 1))
-	ex := ctrl.Export()
+	ex := export(ctrl)
 	if len(ex.Results.overlay) != 2 {
 		t.Fatalf("overlay has %d entries, want 2 open routines", len(ex.Results.overlay))
 	}
@@ -162,7 +169,7 @@ func TestExportOverlayCarriesOpenRoutines(t *testing.T) {
 	}
 	// Drain and re-export: the overlay empties, the slots become final.
 	s.Run()
-	ex2 := ctrl.Export()
+	ex2 := export(ctrl)
 	if len(ex2.Results.overlay) != 0 {
 		t.Fatalf("overlay still has %d entries after drain", len(ex2.Results.overlay))
 	}
@@ -175,8 +182,8 @@ func TestExportOverlayCarriesOpenRoutines(t *testing.T) {
 
 func TestExportUnchangedCommittedIsShared(t *testing.T) {
 	_, _, ctrl := exportHarness(t, EV, 4)
-	a := ctrl.Export()
-	b := ctrl.Export()
+	a := export(ctrl)
+	b := export(ctrl)
 	if len(a.Committed.chunks) > 0 && a.Committed.chunks[0] != b.Committed.chunks[0] {
 		t.Fatal("committed chunk re-copied with no state change in between")
 	}

@@ -27,7 +27,7 @@ type gsvController struct {
 }
 
 type gsvRun struct {
-	res *Result
+	res Result
 	r   *routine.Routine
 	idx int
 
@@ -52,13 +52,17 @@ func (c *gsvController) Model() Model {
 	return GSV
 }
 
-func (c *gsvController) Submit(r *routine.Routine) routine.ID {
-	res, cp := c.assign(r)
-	run := &gsvRun{res: res, r: cp}
-	c.runs[cp.ID] = run
+func (c *gsvController) Submit(r *routine.Routine) routine.ID { return c.submit(r, false) }
+
+func (c *gsvController) SubmitOwned(r *routine.Routine) routine.ID { return c.submit(r, true) }
+
+func (c *gsvController) submit(r *routine.Routine, owned bool) routine.ID {
+	run := new(gsvRun)
+	run.r = c.assign(r, owned, &run.res)
+	c.runs[run.res.ID] = run
 	c.queue = append(c.queue, run)
 	c.startNext()
-	return cp.ID
+	return run.res.ID
 }
 
 // startNext begins the next waiting routine if the home is idle.
@@ -69,7 +73,7 @@ func (c *gsvController) startNext() {
 	run := c.queue[0]
 	c.queue = c.queue[1:]
 	c.cur = run
-	c.markStarted(run.res)
+	c.markStarted(&run.res)
 	c.step(run)
 }
 
@@ -91,9 +95,9 @@ func (c *gsvController) step(run *gsvRun) {
 	}
 	idx := run.idx
 	run.inflight = &cmdRecord{idx: idx, dev: cmd.Device, target: cmd.Target, prior: c.committed[cmd.Device]}
-	c.env.Exec(run.res.ID, cmd, c.opts.hold(cmd), func(err error) {
+	c.env.Exec(run.res.ID, cmd, c.opts.hold(cmd), DoneFunc(func(err error) {
 		c.commandDone(run, idx, err)
-	})
+	}))
 }
 
 func (c *gsvController) commandDone(run *gsvRun, idx int, err error) {
@@ -124,7 +128,7 @@ func (c *gsvController) commandDone(run *gsvRun, idx int, err error) {
 }
 
 func (c *gsvController) commit(run *gsvRun) {
-	c.markCommitted(run.res)
+	c.markCommitted(&run.res)
 	c.applyCommit(run.r)
 	c.serial = append(c.serial, order.RoutineNode(run.res.ID))
 	c.cur = nil
@@ -137,7 +141,7 @@ func (c *gsvController) abort(run *gsvRun, reason string) {
 	if run.res.Status.Finished() {
 		return
 	}
-	c.markAborted(run.res, reason)
+	c.markAborted(&run.res, reason)
 
 	records := append([]cmdRecord(nil), run.executed...)
 	if run.inflight != nil {
@@ -162,7 +166,7 @@ func (c *gsvController) abort(run *gsvRun, reason string) {
 		}
 		c.emit(Event{Time: c.env.Now(), Kind: EvRolledBack, Routine: run.res.ID, Device: rec.dev, State: target})
 		restore := routine.Command{Device: rec.dev, Target: target}
-		c.env.Exec(run.res.ID, restore, c.opts.DefaultShort, func(error) {})
+		c.env.Exec(run.res.ID, restore, c.opts.DefaultShort, ignoreDone)
 	}
 
 	c.cur = nil

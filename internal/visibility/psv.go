@@ -27,7 +27,7 @@ type psvController struct {
 }
 
 type psvRun struct {
-	res *Result
+	res Result
 	r   *routine.Routine
 	idx int
 
@@ -53,20 +53,22 @@ func newPSV(env Env, initial map[device.ID]device.State, opts Options) *psvContr
 
 func (c *psvController) Model() Model { return PSV }
 
-func (c *psvController) Submit(r *routine.Routine) routine.ID {
-	res, cp := c.assign(r)
+func (c *psvController) Submit(r *routine.Routine) routine.ID { return c.submit(r, false) }
+
+func (c *psvController) SubmitOwned(r *routine.Routine) routine.ID { return c.submit(r, true) }
+
+func (c *psvController) submit(r *routine.Routine, owned bool) routine.ID {
 	run := &psvRun{
-		res:           res,
-		r:             cp,
 		firstTouched:  make(map[device.ID]bool),
 		lastTouchDone: make(map[device.ID]bool),
 		suspect:       make(map[device.ID]bool),
 		doomedEarly:   make(map[device.ID]bool),
 	}
-	c.runs[cp.ID] = run
+	run.r = c.assign(r, owned, &run.res)
+	c.runs[run.res.ID] = run
 	c.waitQ = append(c.waitQ, run)
 	c.tryStart()
-	return cp.ID
+	return run.res.ID
 }
 
 // tryStart begins every waiting routine whose devices are all unlocked,
@@ -82,7 +84,7 @@ func (c *psvController) tryStart() {
 				c.locks[d] = run.res.ID
 			}
 			c.waitQ = append(c.waitQ[:i], c.waitQ[i+1:]...)
-			c.markStarted(run.res)
+			c.markStarted(&run.res)
 			c.step(run)
 			started = true
 			break
@@ -129,9 +131,9 @@ func (c *psvController) step(run *psvRun) {
 	}
 	idx := run.idx
 	run.inflight = &cmdRecord{idx: idx, dev: cmd.Device, target: cmd.Target, prior: c.committed[cmd.Device]}
-	c.env.Exec(run.res.ID, cmd, c.opts.hold(cmd), func(err error) {
+	c.env.Exec(run.res.ID, cmd, c.opts.hold(cmd), DoneFunc(func(err error) {
 		c.commandDone(run, idx, err)
-	})
+	}))
 }
 
 func (c *psvController) commandDone(run *psvRun, idx int, err error) {
@@ -188,7 +190,7 @@ func (c *psvController) finish(run *psvRun) {
 		c.abort(run, fmt.Sprintf("finish-point check: %v", bad))
 		return
 	}
-	c.markCommitted(run.res)
+	c.markCommitted(&run.res)
 	c.applyCommit(run.r)
 	c.serial = append(c.serial, order.RoutineNode(run.res.ID))
 	c.unlock(run)
@@ -199,7 +201,7 @@ func (c *psvController) abort(run *psvRun, reason string) {
 	if run.res.Status.Finished() {
 		return
 	}
-	c.markAborted(run.res, reason)
+	c.markAborted(&run.res, reason)
 
 	records := append([]cmdRecord(nil), run.executed...)
 	if run.inflight != nil {
@@ -218,7 +220,7 @@ func (c *psvController) abort(run *psvRun, reason string) {
 			continue
 		}
 		c.emit(Event{Time: c.env.Now(), Kind: EvRolledBack, Routine: run.res.ID, Device: rec.dev, State: rec.prior})
-		c.env.Exec(run.res.ID, routine.Command{Device: rec.dev, Target: rec.prior}, c.opts.DefaultShort, func(error) {})
+		c.env.Exec(run.res.ID, routine.Command{Device: rec.dev, Target: rec.prior}, c.opts.DefaultShort, ignoreDone)
 	}
 
 	c.unlock(run)

@@ -355,6 +355,12 @@ type Controller interface {
 	// Submit registers a routine for execution and returns its assigned ID.
 	// The routine is cloned; the caller's copy is never mutated.
 	Submit(r *routine.Routine) routine.ID
+	// SubmitOwned is Submit for a routine the caller hands over: nobody else
+	// holds it (ParseSpec just built it, the routine bank just copied it),
+	// so the controller keeps it instead of a clone and stamps it in place
+	// (ID, submission time, cached device set). The caller must not touch
+	// the routine afterwards; Result(id).Routine is that same routine.
+	SubmitOwned(r *routine.Routine) routine.ID
 	// NotifyFailure informs the controller that a device failure was detected.
 	NotifyFailure(d device.ID)
 	// NotifyRestart informs the controller that a device restart was detected.
@@ -376,18 +382,22 @@ type Controller interface {
 	// CommittedStates returns the controller's view of the last committed
 	// state of every device it has touched.
 	CommittedStates() map[device.ID]device.State
-	// Export returns an immutable, internally consistent snapshot of the
-	// controller's observable state (results, counts, committed states),
-	// built incrementally from the previous export. It must be called from
-	// the goroutine that owns the controller; the result may be read from
-	// any goroutine. See export.go.
-	Export() *StateExport
+	// ExportInto writes an immutable, internally consistent snapshot of the
+	// controller's observable state (results, counts, committed states) into
+	// out, built incrementally from the previous export. out must be fresh
+	// storage that the caller publishes and never rewrites: the next export
+	// builds on it. It must be called from the goroutine that owns the
+	// controller; the export may be read from any goroutine once published.
+	// See export.go.
+	ExportInto(out *StateExport)
 	// Preload seeds the controller with an already-finished routine history
 	// recovered from durable storage: results keep their original IDs (which
 	// must be dense, ascending and start at 1), statuses and counters, and
 	// new submissions continue the ID sequence after them. Every preloaded
 	// result must be terminal; recovery converts in-flight routines to
 	// Aborted before preloading. Preload must be called before any Submit.
+	// Like SubmitOwned it takes the results' routines over: it stamps them
+	// in place, and the caller must not touch them afterwards.
 	Preload(results []Result)
 }
 
@@ -486,24 +496,28 @@ func (b *base) setCommitted(d device.ID, s device.State) {
 	}
 }
 
-// assign registers a newly submitted routine and returns its Result record.
-// The routine is cloned and stamped with its ID and submission time.
-func (b *base) assign(r *routine.Routine) (*Result, *routine.Routine) {
-	b.nextID++
-	cp := r.Clone()
-	cp.ID = b.nextID
-	cp.Submitted = b.env.Now()
-	res := &Result{
-		ID:        cp.ID,
-		Routine:   cp,
-		Status:    StatusWaiting,
-		Submitted: cp.Submitted,
+// assign registers a newly submitted routine, writing its Result record
+// into res (storage the caller supplies: the run record holds it) and
+// returning the routine the controller keeps. An owned routine is stamped
+// in place with its ID and submission time; any other is cloned first, so
+// the caller's copy is never mutated.
+func (b *base) assign(r *routine.Routine, owned bool, res *Result) *routine.Routine {
+	if !owned {
+		r = r.Clone()
 	}
-	b.results[cp.ID] = res
-	b.submitted = append(b.submitted, cp.ID)
-	b.export.noteOpen(cp.ID)
-	b.emit(Event{Time: cp.Submitted, Kind: EvSubmitted, Routine: cp.ID, Detail: cp.Name})
-	return res, cp
+	b.nextID++
+	r.Stamp(b.nextID, b.env.Now())
+	*res = Result{
+		ID:        r.ID,
+		Routine:   r,
+		Status:    StatusWaiting,
+		Submitted: r.Submitted,
+	}
+	b.results[r.ID] = res
+	b.submitted = append(b.submitted, r.ID)
+	b.export.noteOpen(r.ID)
+	b.emit(Event{Time: r.Submitted, Kind: EvSubmitted, Routine: r.ID, Detail: r.Name})
+	return r
 }
 
 func (b *base) emit(e Event) {
@@ -600,8 +614,9 @@ func (b *base) Result(id routine.ID) (Result, bool) {
 // Preload implements Controller.Preload for every model: recovered routines
 // are terminal, so they never interact with scheduling state — they only
 // seed the result history (write-once export slots included) and the ID
-// sequence. The routine is cloned so the recovered record stays decoupled
-// from later reads.
+// sequence. Recovery builds every routine fresh for this call and keeps
+// none, so Preload takes them over as they are: each is stamped with its ID
+// in place, not cloned.
 func (b *base) Preload(results []Result) {
 	for i := range results {
 		res := results[i]
@@ -612,9 +627,7 @@ func (b *base) Preload(results []Result) {
 			panic(fmt.Sprintf("visibility: Preload out of order: routine %d after %d", res.ID, b.nextID))
 		}
 		if res.Routine != nil {
-			cp := res.Routine.Clone()
-			cp.ID = res.ID
-			res.Routine = cp
+			res.Routine.ID = res.ID
 		}
 		b.nextID = res.ID
 		rec := res

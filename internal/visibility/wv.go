@@ -20,7 +20,7 @@ type wvController struct {
 }
 
 type wvRun struct {
-	res *Result
+	res Result
 	r   *routine.Routine
 	idx int
 }
@@ -34,20 +34,24 @@ func newWV(env Env, initial map[device.ID]device.State, opts Options) *wvControl
 
 func (c *wvController) Model() Model { return WV }
 
-func (c *wvController) Submit(r *routine.Routine) routine.ID {
-	res, cp := c.assign(r)
-	run := &wvRun{res: res, r: cp}
-	c.runs[cp.ID] = run
-	c.markStarted(res)
+func (c *wvController) Submit(r *routine.Routine) routine.ID { return c.submit(r, false) }
+
+func (c *wvController) SubmitOwned(r *routine.Routine) routine.ID { return c.submit(r, true) }
+
+func (c *wvController) submit(r *routine.Routine, owned bool) routine.ID {
+	run := new(wvRun)
+	run.r = c.assign(r, owned, &run.res)
+	c.runs[run.res.ID] = run
+	c.markStarted(&run.res)
 	c.step(run)
-	return cp.ID
+	return run.res.ID
 }
 
 func (c *wvController) step(run *wvRun) {
 	if run.idx >= len(run.r.Commands) {
 		// WV always reports success, regardless of failed commands: there is
 		// no atomicity to enforce.
-		c.markCommitted(run.res)
+		c.markCommitted(&run.res)
 		c.applyCommit(run.r)
 		c.serial = append(c.serial, order.RoutineNode(run.res.ID))
 		return
@@ -61,9 +65,9 @@ func (c *wvController) step(run *wvRun) {
 		return
 	}
 	idx := run.idx
-	c.env.Exec(run.res.ID, cmd, c.opts.hold(cmd), func(err error) {
+	c.env.Exec(run.res.ID, cmd, c.opts.hold(cmd), DoneFunc(func(err error) {
 		c.commandDone(run, idx, err)
-	})
+	}))
 }
 
 func (c *wvController) commandDone(run *wvRun, idx int, err error) {
