@@ -16,11 +16,18 @@
 // an epoch-stamped visited mark instead of allocating a map per query; in
 // steady state AddEdge, CanOrder and HasPath perform no allocation at all.
 // The Node-based API is a thin veneer over the interned representation.
+//
+// A graph whose nodes are all final can be sealed (Graph.Seal): its order
+// moves into a run-length-encoded prefix and the interned graph empties, so
+// the graph holds only the nodes added since — a controller seals whenever
+// no routine is open, and its graph grows with open work, not with history.
 package order
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"safehome/internal/device"
@@ -107,29 +114,53 @@ const freeSeq = -1
 // Internally every node is interned to a dense int32 slot. Removed nodes
 // leave free slots that are recycled, so long-lived graphs under
 // submit/commit churn stay compact. Slots live in fixed-size chunks that are
-// never moved: the graph of a long-lived home keeps every committed routine,
-// and regrowing flat per-slot arrays (tens of kilobytes by a few hundred
-// routines) made the unlucky submission that crossed a capacity boundary
-// several times slower than its neighbours.
+// never moved: regrowing flat per-slot arrays (tens of kilobytes by a few
+// hundred routines) made the unlucky submission that crossed a capacity
+// boundary several times slower than its neighbours.
+//
+// The graph holds the nodes added since the last Seal; everything before is
+// the sealed prefix, kept as runs of consecutive routine IDs, and costs a
+// few bytes per run rather than a slot and its adjacency lists per node.
+// Sealing empties the graph but keeps its chunks, adjacency arrays and ID
+// index for the nodes that come next, so a graph that is sealed at every
+// quiescent point stays the size of its largest burst of open work.
 type Graph struct {
-	byRoutine []int32        // routine ID -> slot+1 (0 = unregistered), IDs below denseRoutines
+	byRoutine []int32        // routine ID-rbase -> slot+1 (0 = unregistered), for IDs in (rbase, rbase+denseRoutines)
+	rbase     routine.ID     // routine IDs up to rbase are sealed
 	index     map[Node]int32 // every other node -> slot
 	chunks    []*slotChunk   // slot i is chunks[i>>chunkShift][i&(chunkSize-1)]
 	n         int32          // slots handed out so far, vacant ones included
 	free      []int32        // recycled slots
 	slab      []int32        // unused tail of the current adjacency slab (see appendEdge)
 	live      int
-	next      int // next insertion sequence
+	next      int // next insertion sequence; Seal keeps counting
+
+	// The sealed prefix: its order as runs, the nodes it holds singly (in
+	// order, referenced by runs) and the set of those nodes.
+	prefix    []sealedRun
+	singles   []Node
+	sealedSet map[Node]struct{}
+	sealedLen int // nodes in the prefix
 
 	// Reusable scratch for traversals; a slot whose visited == epoch was
 	// seen by the current query.
 	epoch  uint32
 	stack  []int32
 	indeg  []int32
-	ready  []int32 // Order's min-heap of in-degree-0 slots, by tie key
+	ready  []int32 // the topological sort's min-heap of in-degree-0 slots, by tie key
+	sorted []int32 // the topological sort's output
 	keys   []int
 	rslots []int32
 	rseqs  []int
+}
+
+// sealedRun is one entry of the sealed prefix: the routines first,
+// first+1, …, first+n-1 in that order, or, when n is 0, the node
+// singles[first] (a failure or restart event, or a routine node that is not
+// a plain dense one).
+type sealedRun struct {
+	first routine.ID
+	n     int
 }
 
 // slot is the graph's record of one interned node.
@@ -171,19 +202,39 @@ func NewGraph() *Graph {
 	}
 }
 
-// dense reports whether n is a plain routine node resolved by routine ID.
-func dense(n Node) bool {
-	return n.Kind == KindRoutine && uint64(n.Routine) < denseRoutines && n.Device == "" && n.Seq == 0
+// plain reports whether n is a routine node as RoutineNode builds it.
+func plain(n Node) bool { return n.Kind == KindRoutine && n.Device == "" && n.Seq == 0 }
+
+// dense reports whether n is a plain routine node resolved by routine ID:
+// an ID at most denseRoutines above the sealed ones. (An ID at or below
+// them is sealed, or never registered.)
+func (g *Graph) dense(n Node) bool {
+	return plain(n) && uint64(n.Routine-g.rbase) < denseRoutines
 }
 
-// lookup returns n's slot, if registered.
+// sealed reports whether n belongs to the sealed prefix. Every plain routine
+// ID up to the highest one sealed counts as sealed, including IDs removed
+// before that seal: callers never bring those back (see Seal).
+func (g *Graph) sealed(n Node) bool {
+	if plain(n) && n.Routine > 0 && n.Routine <= g.rbase {
+		return true
+	}
+	if len(g.sealedSet) == 0 {
+		return false
+	}
+	_, ok := g.sealedSet[n]
+	return ok
+}
+
+// lookup returns n's slot, if registered. Sealed nodes are not registered.
+// (Kept small enough to inline: it runs twice per AddEdge.)
 func (g *Graph) lookup(n Node) (int32, bool) {
-	if dense(n) {
-		if int(n.Routine) >= len(g.byRoutine) {
-			return 0, false
+	if off := uint64(n.Routine - g.rbase); plain(n) && off < denseRoutines {
+		if off < uint64(len(g.byRoutine)) {
+			s := g.byRoutine[off]
+			return s - 1, s != 0
 		}
-		s := g.byRoutine[n.Routine]
-		return s - 1, s != 0
+		return 0, false
 	}
 	i, ok := g.index[n]
 	return i, ok
@@ -191,29 +242,37 @@ func (g *Graph) lookup(n Node) (int32, bool) {
 
 // bind records n's slot.
 func (g *Graph) bind(n Node, slot int32) {
-	if !dense(n) {
+	if !g.dense(n) {
 		g.index[n] = slot
 		return
 	}
-	if int(n.Routine) >= len(g.byRoutine) {
-		g.byRoutine = append(g.byRoutine, make([]int32, int(n.Routine)+1-len(g.byRoutine))...)
+	off := int(n.Routine - g.rbase)
+	if off >= len(g.byRoutine) {
+		g.byRoutine = append(g.byRoutine, make([]int32, off+1-len(g.byRoutine))...)
 	}
-	g.byRoutine[n.Routine] = slot + 1
+	g.byRoutine[off] = slot + 1
 }
 
 // unbind forgets the slot of a registered node.
 func (g *Graph) unbind(n Node) {
-	if dense(n) {
-		g.byRoutine[n.Routine] = 0
+	if g.dense(n) {
+		g.byRoutine[n.Routine-g.rbase] = 0
 	} else {
 		delete(g.index, n)
 	}
 }
 
-// intern returns the slot for n, allocating (or recycling) one if needed.
+// sealedSlot is what intern returns for a node of the sealed prefix.
+const sealedSlot = -1
+
+// intern returns the slot for n, allocating (or recycling) one if needed, or
+// sealedSlot if n is sealed.
 func (g *Graph) intern(n Node) int32 {
 	if i, ok := g.lookup(n); ok {
 		return i
+	}
+	if g.sealed(n) {
+		return sealedSlot
 	}
 	var i int32
 	if len(g.free) > 0 {
@@ -234,28 +293,39 @@ func (g *Graph) intern(n Node) int32 {
 	return i
 }
 
-// AddNode registers a node (idempotent).
+// AddNode registers a node (idempotent; a sealed node stays sealed).
 func (g *Graph) AddNode(n Node) { g.intern(n) }
 
-// Has reports whether the node is registered.
+// Has reports whether the node is registered. A sealed node is not: its
+// place in the order is fixed, and no edge can involve it any more.
 func (g *Graph) Has(n Node) bool {
 	_, ok := g.lookup(n)
 	return ok
 }
 
-// Len returns the number of registered nodes.
+// Len returns the number of registered nodes, the sealed prefix excluded.
 func (g *Graph) Len() int { return g.live }
 
 // AddEdge records that `before` is serialized before `after`. Both nodes are
 // registered if needed. It returns ErrCycle (and leaves the graph unchanged)
 // if the edge would contradict existing constraints; self-edges are also
 // rejected.
+//
+// An edge from a sealed node only registers `after`: the prefix already
+// orders every sealed node ahead of every node added since. An edge into a
+// sealed node is ErrCycle; Seal's precondition rules it out.
 func (g *Graph) AddEdge(before, after Node) error {
 	if before == after {
 		return ErrCycle
 	}
 	bi := g.intern(before)
 	ai := g.intern(after)
+	if ai == sealedSlot {
+		return ErrCycle
+	}
+	if bi == sealedSlot {
+		return nil
+	}
 	b, a := g.at(bi), g.at(ai)
 	for _, s := range b.succ {
 		if s == ai {
@@ -292,7 +362,7 @@ func (g *Graph) appendEdge(list []int32, v int32) []int32 {
 // CanOrder reports whether an edge before→after could be added without
 // contradicting the current constraints (without adding it).
 func (g *Graph) CanOrder(before, after Node) bool {
-	if before == after {
+	if before == after || g.sealed(after) {
 		return false
 	}
 	bi, okB := g.lookup(before)
@@ -314,13 +384,17 @@ func (g *Graph) HasPath(from, to Node) bool {
 	return g.hasPath(fi, ti)
 }
 
-// nextEpoch advances the visited stamp, clearing the array on the (rare)
-// wrap-around so stale stamps can never collide with the current epoch.
+// nextEpoch advances the visited stamp, clearing every slot's stamp on the
+// (rare) wrap-around so stale stamps can never collide with the current
+// epoch — the slots a Seal vacated included, since they are handed out
+// again.
 func (g *Graph) nextEpoch() uint32 {
 	g.epoch++
 	if g.epoch == 0 {
-		for i := int32(0); i < g.n; i++ {
-			g.at(i).visited = 0
+		for _, c := range g.chunks {
+			for i := range c {
+				c[i].visited = 0
+			}
 		}
 		g.epoch = 1
 	}
@@ -475,9 +549,12 @@ func (g *Graph) tieKeys() []int {
 			g.rseqs = append(g.rseqs, sl.seq)
 		}
 	}
-	sort.Ints(g.rseqs)
-	sort.Slice(g.rslots, func(a, b int) bool {
-		return g.at(g.rslots[a]).node.Routine < g.at(g.rslots[b]).node.Routine
+	slices.Sort(g.rseqs)
+	slices.SortFunc(g.rslots, func(a, b int32) int {
+		if x, y := g.at(a).node.Routine, g.at(b).node.Routine; x != y {
+			return cmp.Compare(x, y)
+		}
+		return cmp.Compare(g.at(a).seq, g.at(b).seq)
 	})
 	for k, slot := range g.rslots {
 		g.keys[slot] = g.rseqs[k]
@@ -485,12 +562,34 @@ func (g *Graph) tieKeys() []int {
 	return g.keys
 }
 
-// Order returns a topological order of all registered nodes consistent with
-// the precedence edges. Ties are broken by routine ID (i.e. submission
-// order) for routines and by insertion sequence for failure/restart events
-// (see tieKeys), which yields the minimum-order-mismatch serialization among
-// valid ones for the common case.
+// Order returns a topological order of all nodes — the sealed prefix, then
+// the registered nodes — consistent with the precedence edges. Ties are
+// broken by routine ID (i.e. submission order) for routines and by insertion
+// sequence for failure/restart events (see tieKeys), which yields the
+// minimum-order-mismatch serialization among valid ones for the common case.
+// The result is the only allocation.
 func (g *Graph) Order() []Node {
+	sorted := g.topo()
+	out := make([]Node, 0, g.sealedLen+len(sorted))
+	for _, r := range g.prefix {
+		if r.n == 0 {
+			out = append(out, g.singles[r.first])
+			continue
+		}
+		for id := r.first; id < r.first+routine.ID(r.n); id++ {
+			out = append(out, RoutineNode(id))
+		}
+	}
+	for _, i := range sorted {
+		out = append(out, g.at(i).node)
+	}
+	return out
+}
+
+// topo returns the registered slots in topological order, in reused
+// scratch: Kahn's algorithm, emitting the smallest-keyed ready node at each
+// step.
+func (g *Graph) topo() []int32 {
 	if cap(g.indeg) < int(g.n) {
 		g.indeg = make([]int32, g.n)
 	}
@@ -510,11 +609,11 @@ func (g *Graph) Order() []Node {
 			ready = minheap.Push(ready, i, less)
 		}
 	}
-	out := make([]Node, 0, g.live)
+	out := g.sorted[:0]
 	for len(ready) > 0 {
 		var n int32
 		ready, n = minheap.Pop(ready, less)
-		out = append(out, g.at(n).node)
+		out = append(out, n)
 		for _, s := range g.at(n).succ {
 			g.indeg[s]--
 			if g.indeg[s] == 0 {
@@ -522,12 +621,57 @@ func (g *Graph) Order() []Node {
 			}
 		}
 	}
-	g.ready = ready
+	g.ready, g.sorted = ready, out
 	if len(out) != g.live {
 		// Should be impossible: AddEdge prevents cycles.
 		panic("order: graph contains a cycle")
 	}
 	return out
+}
+
+// Seal moves every registered node into the sealed prefix, in Order, and
+// empties the graph, keeping its slot chunks, adjacency arrays and ID index
+// for the nodes that come next; Order then returns the same nodes as before
+// the seal, and later nodes follow them.
+//
+// The caller guarantees that the registered nodes are final: none of them
+// will gain a predecessor or be removed, and every node added afterwards is
+// new and takes a larger tie key — a plain routine ID above every routine
+// ID the graph has held, or an event not seen before. A controller with no
+// open routine meets this. Under it, the full graph's order is the order at
+// the seal followed by the order of what came after: a sealed node is always
+// ready before any later one and keys below it. So sealed nodes need no
+// slots. An edge from one is implied by the prefix and an edge into one
+// cannot happen (AddEdge).
+func (g *Graph) Seal() {
+	hi := g.rbase
+	for _, i := range g.topo() {
+		n := g.at(i).node
+		if g.dense(n) && n.Routine > 0 {
+			if k := len(g.prefix) - 1; k >= 0 && g.prefix[k].n > 0 && g.prefix[k].first+routine.ID(g.prefix[k].n) == n.Routine {
+				g.prefix[k].n++
+			} else {
+				g.prefix = append(g.prefix, sealedRun{first: n.Routine, n: 1})
+			}
+			hi = max(hi, n.Routine)
+		} else {
+			if g.sealedSet == nil {
+				g.sealedSet = make(map[Node]struct{})
+			}
+			g.sealedSet[n] = struct{}{}
+			g.prefix = append(g.prefix, sealedRun{first: routine.ID(len(g.singles))})
+			g.singles = append(g.singles, n)
+		}
+	}
+	g.sealedLen += g.live
+	for i := int32(0); i < g.n; i++ {
+		sl := g.at(i)
+		sl.succ, sl.pred = sl.succ[:0], sl.pred[:0]
+	}
+	g.n, g.free, g.live = 0, g.free[:0], 0
+	clear(g.index)
+	clear(g.byRoutine)
+	g.rbase = hi
 }
 
 // RoutineOrder returns only the routine IDs from Order, in serialization

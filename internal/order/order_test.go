@@ -2,6 +2,7 @@ package order
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -280,5 +281,89 @@ func TestSparseRoutineIDs(t *testing.T) {
 	}
 	if got := len(g.byRoutine); got > graphSlab {
 		t.Fatalf("sparse IDs grew the ID index to %d entries", got)
+	}
+}
+
+// TestSealFoldsTheOrderIntoThePrefix pins Seal's contract on a small
+// history: the order survives the seal, sealed nodes are no longer
+// registered, an edge from a sealed node registers only its target, an edge
+// into one is refused, and consecutive routines share one run.
+func TestSealFoldsTheOrderIntoThePrefix(t *testing.T) {
+	g := NewGraph()
+	f := FailureNode("window", 0)
+	mustEdge(t, g, RoutineNode(2), RoutineNode(1))
+	mustEdge(t, g, RoutineNode(3), f)
+	before := g.Order()
+	g.Seal()
+	if got := g.Order(); !slices.Equal(got, before) {
+		t.Fatalf("Order after Seal = %v, before %v", got, before)
+	}
+	if g.Len() != 0 || g.Has(RoutineNode(1)) || g.Has(f) {
+		t.Fatalf("after Seal: Len = %d, Has(R1) = %v, Has(F) = %v; want 0, false, false", g.Len(), g.Has(RoutineNode(1)), g.Has(f))
+	}
+
+	// Sources in the prefix: the target is registered, nothing else.
+	re := RestartNode("window", 0)
+	mustEdge(t, g, f, re)
+	mustEdge(t, g, RoutineNode(3), RoutineNode(4))
+	if g.Len() != 2 || !g.Has(re) || !g.Has(RoutineNode(4)) || g.Has(f) {
+		t.Fatalf("edges from sealed nodes: Len = %d, want only Re and R4 registered", g.Len())
+	}
+	// Targets in the prefix: refused, as Seal's precondition promises they
+	// never occur.
+	for _, sealed := range []Node{RoutineNode(1), f} {
+		if err := g.AddEdge(RoutineNode(4), sealed); !errors.Is(err, ErrCycle) {
+			t.Fatalf("AddEdge(R4, %v) into the prefix: err = %v, want ErrCycle", sealed, err)
+		}
+		if g.CanOrder(RoutineNode(4), sealed) {
+			t.Fatalf("CanOrder(R4, %v) = true for a sealed target", sealed)
+		}
+	}
+	g.AddNode(RoutineNode(2)) // a sealed node stays sealed
+	g.Remove(RoutineNode(3))  // and is not removable
+	want := append(before, re, RoutineNode(4))
+	if got := g.Order(); !slices.Equal(got, want) {
+		t.Fatalf("Order = %v, want %v", got, want)
+	}
+
+	// A long sequential history is one run.
+	for id := routine.ID(5); id <= 200; id++ {
+		g.AddNode(RoutineNode(id))
+		g.Seal()
+	}
+	if got := g.RoutineOrder(); len(got) != 200 || got[199] != 200 {
+		t.Fatalf("RoutineOrder after 200 seals: %d routines, last %v", len(got), got[len(got)-1])
+	}
+	// The prefix: R2 R1 R3 F, then Re, then R4 … R200 as one run.
+	if len(g.prefix) != 6 || len(g.chunks) != 1 || len(g.byRoutine) != graphSlab {
+		t.Fatalf("after 200 seals: %d prefix runs, %d chunks, ID index %d; want 6, 1, %d",
+			len(g.prefix), len(g.chunks), len(g.byRoutine), graphSlab)
+	}
+}
+
+// TestOrderAllocatesOnlyItsResult: Order's sort runs in reused scratch (the
+// tie keys' sort included), so its one allocation is the slice it returns;
+// and a warmed graph sealed after every routine, the controllers' steady
+// state, allocates nothing at all.
+func TestOrderAllocatesOnlyItsResult(t *testing.T) {
+	g := buildLayeredGraph(64, 8)
+	mustEdge(t, g, RoutineNode(64), FailureNode("d", 0))
+	mustEdge(t, g, FailureNode("d", 0), RestartNode("d", 0))
+	if got := testing.AllocsPerRun(100, func() { g.Order() }); got != 1 {
+		t.Fatalf("Order allocates %.1f objects, want 1 (its result)", got)
+	}
+	g.Seal()
+	id := routine.ID(65)
+	cycle := func() {
+		mustEdge(t, g, RoutineNode(id-1), RoutineNode(id))
+		mustEdge(t, g, RoutineNode(id), RoutineNode(id+1))
+		g.Seal()
+		id += 2
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Fatalf("an add-and-seal cycle allocates %.1f objects, want 0", got)
 	}
 }

@@ -4,11 +4,14 @@ package order
 // map-of-maps + map-DFS reference implementation (the package's original
 // code, kept verbatim as the oracle) is driven with the same randomized
 // edge/remove sequences as the interned Graph, and both must accept/reject
-// exactly the same edges and emit exactly the same Order(). The same file
-// keeps the original O(n²) KendallTau pair loop as the oracle for the
-// merge-sort inversion count.
+// exactly the same edges and emit exactly the same Order(). The contraction
+// oracle drives the same reference against a Graph that is sealed wherever
+// Seal's precondition holds. The same file keeps the original O(n²)
+// KendallTau pair loop as the oracle for the merge-sort inversion count.
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -228,6 +231,153 @@ func TestGraphMatchesReferenceProperty(t *testing.T) {
 					seq, i, got[i], want[i], got, want)
 			}
 		}
+	}
+}
+
+// --- the contraction oracle -------------------------------------------------
+
+// sealGen generates operations the way an EV controller makes them, so
+// that Seal's precondition can be met: nodes are drawn from a window of
+// routine IDs and event sequence numbers, an edge only ever points into a
+// node that is not finished yet, only unfinished nodes are removed, and a
+// seal retires the whole window — every node drawn afterwards is new and
+// takes a larger tie key. Sealed nodes stay usable as edge sources.
+type sealGen struct {
+	rng      *stats.RNG
+	lo       routine.ID // the window's routine IDs are lo+1 … lo+universe
+	universe int
+	evBase   int // the window's event sequence numbers are evBase … evBase+2
+	finished map[Node]bool
+	sealed   []Node // the nodes of the prefix, in no particular order
+}
+
+func (d *sealGen) window() Node {
+	switch d.rng.Intn(4) {
+	case 0:
+		return FailureNode("dev", d.evBase+d.rng.Intn(3))
+	case 1:
+		return RestartNode("dev", d.evBase+d.rng.Intn(3))
+	default:
+		return RoutineNode(d.lo + routine.ID(d.rng.Intn(d.universe)+1))
+	}
+}
+
+// source draws an edge source: usually a window node, sometimes a sealed one.
+func (d *sealGen) source() Node {
+	if len(d.sealed) > 0 && d.rng.Intn(3) == 0 {
+		return d.sealed[d.rng.Intn(len(d.sealed))]
+	}
+	return d.window()
+}
+
+// live returns the reference's nodes that are not sealed.
+func (d *sealGen) live(ref *refGraph) []Node {
+	sealed := make(map[Node]bool, len(d.sealed))
+	for _, n := range d.sealed {
+		sealed[n] = true
+	}
+	var out []Node
+	for n := range ref.nodes {
+		if !sealed[n] {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// seal seals g if every live node is finished, and then retires the window.
+func (d *sealGen) seal(g *Graph, ref *refGraph) bool {
+	live := d.live(ref)
+	for _, n := range live {
+		if !d.finished[n] {
+			return false
+		}
+	}
+	g.Seal()
+	d.sealed = append(d.sealed, live...)
+	d.lo += routine.ID(d.universe)
+	d.evBase += 3
+	return true
+}
+
+// TestSealMatchesReferenceProperty is the contraction oracle: random
+// operation sequences run against a Graph that is sealed at every point
+// where Seal's precondition holds and against the unsealed reference. Every
+// AddEdge must be accepted or rejected alike, and Order() must be identical
+// after every operation; the graph must hold only the unsealed nodes.
+func TestSealMatchesReferenceProperty(t *testing.T) {
+	const sequences = 400
+	seals := 0
+	for seq := 0; seq < sequences; seq++ {
+		rng := stats.NewRNG(int64(seq) + 7001)
+		g := NewGraph()
+		ref := newRefGraph()
+		d := &sealGen{rng: rng, universe: rng.Intn(8) + 3, finished: make(map[Node]bool)}
+		steps := rng.Intn(60) + 20
+		for i := 0; i < steps; i++ {
+			var op string
+			switch rng.Intn(12) {
+			case 0: // an open routine aborts
+				n := d.window()
+				if d.finished[n] {
+					continue
+				}
+				op = fmt.Sprintf("Remove(%v)", n)
+				g.Remove(n)
+				ref.remove(n)
+			case 1: // bare registration, sealed nodes included
+				n := d.source()
+				op = fmt.Sprintf("AddNode(%v)", n)
+				g.AddNode(n)
+				ref.addNode(n)
+			case 2: // a node's routine finishes
+				n := d.window()
+				if !ref.has(n) {
+					continue
+				}
+				op = fmt.Sprintf("finish(%v)", n)
+				d.finished[n] = true
+			case 3: // quiescence: everything finishes, then the seal
+				for _, n := range d.live(ref) {
+					d.finished[n] = true
+				}
+				op = "quiesce+Seal"
+				if !d.seal(g, ref) {
+					t.Fatalf("seq %d step %d: quiescent graph refused the seal", seq, i)
+				}
+				seals++
+			case 4: // seal only where the precondition already holds
+				op = "Seal?"
+				if d.seal(g, ref) {
+					seals++
+				}
+			default:
+				a, b := d.source(), d.window()
+				if d.finished[b] {
+					continue
+				}
+				op = fmt.Sprintf("AddEdge(%v,%v)", a, b)
+				err := g.AddEdge(a, b)
+				if accepted := ref.addEdge(a, b); (err == nil) != accepted {
+					t.Fatalf("seq %d step %d: %s sealed err=%v, reference accepted=%v", seq, i, op, err, accepted)
+				}
+			}
+			if want := len(d.live(ref)); g.Len() != want {
+				t.Fatalf("seq %d step %d after %s: Len = %d, want the %d unsealed nodes", seq, i, op, g.Len(), want)
+			}
+			got, want := g.Order(), ref.order()
+			if !slices.Equal(got, want) {
+				t.Fatalf("seq %d step %d after %s:\n got: %v\nwant: %v", seq, i, op, got, want)
+			}
+		}
+		for _, n := range d.sealed {
+			if g.Has(n) {
+				t.Fatalf("seq %d: sealed node %v still registered", seq, n)
+			}
+		}
+	}
+	if seals < sequences {
+		t.Fatalf("only %d seals over %d sequences: the oracle barely exercises Seal", seals, sequences)
 	}
 }
 

@@ -65,9 +65,10 @@ func evCycleAllocs(t *testing.T, kind SchedulerKind, commands int) float64 {
 // device set) — and its run: one record holding the routine's Result, its
 // device slots (inline up to four devices) and its completion. SubmitOwned
 // skips the clone's routine and commands. What a controller keeps per
-// routine beyond those (results, export chunks, the precedence graph, which
-// retains committed routines) grows in slabs whose amortized cost
-// AllocsPerRun rounds away.
+// routine beyond those (results, export chunks) grows in slabs whose
+// amortized cost AllocsPerRun rounds away; the precedence graph and the run
+// slots are sealed and emptied each time the burst drains, reusing their
+// storage, so they cost nothing per routine at all.
 const evRoutineAllocs = 4
 
 // TestEVRoutineCycleAllocations is the execution half's companion of

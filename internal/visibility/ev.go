@@ -29,14 +29,18 @@ type evController struct {
 	graph *order.Graph
 	sched evScheduler
 
-	// runs holds the routines submitted to this controller, in submission
-	// order. IDs are dense, so the run of routine id is runs[id-firstID]
-	// (preloaded history occupies the IDs below firstID and has no run). A
-	// finished routine's slot is nil: nothing refers to it any more — its
-	// lock-accesses are gone from every lineage — and its Result lives on
-	// in base.
+	// runs holds the routines submitted since the controller was last
+	// quiescent, in submission order. IDs are dense, so the run of routine
+	// id is runs[id-firstID] (earlier routines, preloaded history included,
+	// have no run). A finished routine's slot is nil: nothing refers to it
+	// any more — its lock-accesses are gone from every lineage — and its
+	// Result lives on in base. When the last open routine finishes, runs
+	// empties and the precedence graph is sealed (sealIfQuiescent).
 	runs    []*evRun
 	firstID routine.ID
+	// unsealed keeps the whole history in the precedence graph: tests set it
+	// to hold the sealing controller to the one that never seals.
+	unsealed bool
 	// waitQ is the scheduler wait queue. Entries are dequeued by clearing
 	// their queued flag (no splicing); the schedulers compact cleared and
 	// finished entries out in a single pass during their scans, so queue
@@ -196,6 +200,12 @@ func (c *evController) SchedulerName() string { return c.sched.kind().String() }
 // Table exposes the lineage table for tests and the hub's inspection API.
 func (c *evController) Table() *lineage.Table { return c.table }
 
+// Footprint reports the per-routine scheduling state the controller keeps:
+// the precedence graph's registered (unsealed) nodes and the run slots.
+// Both cover only the routines opened since the controller was last
+// quiescent.
+func (c *evController) Footprint() (graphNodes, runSlots int) { return c.graph.Len(), len(c.runs) }
+
 func (c *evController) Submit(r *routine.Routine) routine.ID { return c.submit(r, false) }
 
 func (c *evController) SubmitOwned(r *routine.Routine) routine.ID { return c.submit(r, true) }
@@ -246,6 +256,9 @@ type evScheduler interface {
 	onFree()
 	// onRoutineDone is invoked after a routine commits or aborts.
 	onRoutineDone()
+	// rebase is invoked when the controller seals: every routine ID up to
+	// id is finished and will never be placed against again.
+	rebase(id routine.ID)
 }
 
 // placeAtEnd appends Scheduled accesses for every device the routine touches
@@ -265,7 +278,8 @@ func (c *evController) placeAtEnd(run *evRun) {
 		}
 		// Compaction may have emptied the lineage, but the folded baseline
 		// writer still precedes every later access (the node being placed has
-		// no outgoing edges yet, so this cannot cycle).
+		// no outgoing edges yet, so this cannot cycle). A sealed writer is
+		// not in the graph: the sealed prefix already orders it first.
 		if lf := l.LastFolded(); lf != routine.None && lf != run.id && c.graph.Has(order.RoutineNode(lf)) {
 			_ = c.graph.AddEdge(order.RoutineNode(lf), node)
 		}
@@ -469,7 +483,26 @@ func (c *evController) commitRun(run *evRun) {
 		c.onFree(run.devs[i].dev)
 	}
 	c.sched.onRoutineDone()
+	c.sealIfQuiescent()
 	c.checkInvariants("commit")
+}
+
+// sealIfQuiescent seals the controller's scheduling state once no routine
+// is open. Nothing finished can change a scheduling decision any more:
+// every lineage is empty (commit compaction and abort removal took each
+// routine's accesses with it), no graph node can gain a predecessor or be
+// removed, and every later routine gets a larger ID — Graph.Seal's
+// precondition. So the graph folds into its sealed prefix, the run slots
+// empty and the schedulers' ID-indexed scratch sets restart past the sealed
+// IDs: what the controller keeps per routine stops growing with history.
+func (c *evController) sealIfQuiescent() {
+	if c.unsealed || c.PendingCount() != 0 {
+		return
+	}
+	c.graph.Seal()
+	clear(c.runs)
+	c.runs = c.runs[:0]
+	c.sched.rebase(c.nextID)
 }
 
 // doom marks a routine for abort; the abort happens as soon as no command is
@@ -541,6 +574,7 @@ func (c *evController) abortRun(run *evRun) {
 		c.onFree(c.device(d))
 	}
 	c.sched.onRoutineDone()
+	c.sealIfQuiescent()
 	c.checkInvariants("abort")
 }
 

@@ -235,7 +235,7 @@ func (x *exportState) noteCommittedState(d device.ID) int {
 // since the previous call.
 func (b *base) ExportInto(out *StateExport) {
 	x := b.export
-	n := len(b.submitted)
+	n := int(b.nextID)
 
 	*out = StateExport{
 		Routines: n,

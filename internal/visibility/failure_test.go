@@ -321,3 +321,25 @@ func TestMultipleFailuresAbortOnlyAffectedRoutinesUnderEV(t *testing.T) {
 	h.wantStatus(1, StatusCommitted)
 	h.wantStatus(2, StatusAborted)
 }
+
+// TestFailureAfterPreloadSkipsHistory: a failure walks the routines a
+// controller has runs for; recovered (preloaded) history has none, and
+// every model must skip it rather than dereference a missing run.
+func TestFailureAfterPreloadSkipsHistory(t *testing.T) {
+	for _, m := range []Model{GSV, SGSV, PSV, EV, WV} {
+		t.Run(m.String(), func(t *testing.T) {
+			h := newTestHome(t, DefaultOptions(m), homeDevices()...)
+			h.ctrl.Preload([]Result{
+				{ID: 1, Routine: coolingRoutine(), Status: StatusCommitted},
+				{ID: 2, Routine: coolingRoutine(), Status: StatusAborted},
+			})
+			h.submitAt(0, coolingRoutine())
+			h.failAt(150*time.Millisecond, "window")
+			h.restoreAt(300*time.Millisecond, "window")
+			h.run()
+			if res := h.result(3); !res.Status.Finished() {
+				t.Fatalf("routine 3 is %v after the failure and restart", res.Status)
+			}
+		})
+	}
+}

@@ -229,9 +229,9 @@ func (c *psvController) abort(run *psvRun, reason string) {
 
 func (c *psvController) NotifyFailure(d device.ID) {
 	c.failureDetected(d)
-	for _, id := range c.submitted {
-		run := c.runs[id]
-		if run.res.Status != StatusRunning || !run.r.Touches(d) {
+	for id := routine.ID(1); id <= c.nextID; id++ {
+		run, ok := c.runs[id] // preloaded history has no run
+		if !ok || run.res.Status != StatusRunning || !run.r.Touches(d) {
 			continue
 		}
 		switch {

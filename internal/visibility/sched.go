@@ -25,10 +25,12 @@ import (
 // indexed by ID: reset is O(1), and steady-state add/has/membership walks
 // allocate nothing. The members are also kept in insertion order so the set
 // can be iterated deterministically (maps would randomize edge-insertion
-// order).
+// order). The slice starts past base, the last ID the controller sealed
+// (rebase): no ID at or below it is ever a member again.
 type idSet struct {
 	stamp []uint32
 	epoch uint32
+	base  routine.ID
 	ids   []routine.ID
 }
 
@@ -44,21 +46,29 @@ func (s *idSet) reset() {
 	s.ids = s.ids[:0]
 }
 
+// rebase empties the set and moves its slice past base, keeping the array.
+func (s *idSet) rebase(base routine.ID) {
+	s.reset()
+	s.base = base
+}
+
 func (s *idSet) has(id routine.ID) bool {
-	return int(id) < len(s.stamp) && s.stamp[id] == s.epoch
+	i := uint(id - s.base)
+	return i < uint(len(s.stamp)) && s.stamp[i] == s.epoch
 }
 
 // add inserts id, reporting whether it was newly added.
 func (s *idSet) add(id routine.ID) bool {
-	if int(id) >= len(s.stamp) {
+	i := int(id - s.base)
+	if i >= len(s.stamp) {
 		// append's geometric growth: IDs only ever rise, and growing by a
 		// constant would copy the whole array every few submissions.
-		s.stamp = append(s.stamp, make([]uint32, int(id)+1-len(s.stamp))...)
+		s.stamp = append(s.stamp, make([]uint32, i+1-len(s.stamp))...)
 	}
-	if s.stamp[id] == s.epoch {
+	if s.stamp[i] == s.epoch {
 		return false
 	}
-	s.stamp[id] = s.epoch
+	s.stamp[i] = s.epoch
 	s.ids = append(s.ids, id)
 	return true
 }
@@ -67,7 +77,7 @@ func (s *idSet) add(id routine.ID) bool {
 // Timeline search's backtracking step).
 func (s *idSet) truncate(mark int) {
 	for _, id := range s.ids[mark:] {
-		s.stamp[id] = 0
+		s.stamp[id-s.base] = 0
 	}
 	s.ids = s.ids[:mark]
 }
@@ -81,7 +91,8 @@ func (s *idSet) truncate(mark int) {
 // foldedPre adds each touched device's folded baseline writer (the routine
 // whose access commit compaction removed from the lineage) to the pre set:
 // its write is the device's committed state, so any new placement must
-// serialize after it even though the lineage no longer shows it.
+// serialize after it even though the lineage no longer shows it. A sealed
+// writer is skipped: the sealed prefix already orders it first.
 func (c *evController) foldedPre(run *evRun, pre *idSet) {
 	for i := range run.devs {
 		if lf := run.devs[i].dev.lin.LastFolded(); lf != routine.None && lf != run.id && c.graph.Has(order.RoutineNode(lf)) {
@@ -130,8 +141,9 @@ func (s *fcfsScheduler) onSubmit(run *evRun) {
 	s.tryStart()
 }
 
-func (s *fcfsScheduler) onFree()        { s.tryStart() }
-func (s *fcfsScheduler) onRoutineDone() { s.tryStart() }
+func (s *fcfsScheduler) onFree()             { s.tryStart() }
+func (s *fcfsScheduler) onRoutineDone()      { s.tryStart() }
+func (s *fcfsScheduler) rebase(_ routine.ID) {}
 
 // tryStart begins every waiting routine whose devices are all acquirable.
 // Because accesses were appended in arrival order, starting a later routine
@@ -234,6 +246,10 @@ func (s *jitScheduler) enqueue(run *evRun) {
 
 func (s *jitScheduler) onFree()        { s.scan() }
 func (s *jitScheduler) onRoutineDone() { s.scan() }
+func (s *jitScheduler) rebase(id routine.ID) {
+	s.pre.rebase(id)
+	s.post.rebase(id)
+}
 
 func (s *jitScheduler) hasPrioritizedWaiter() bool {
 	for _, run := range s.c.waitQ {
@@ -452,6 +468,10 @@ func (s *tlScheduler) onSubmit(run *evRun) {
 
 func (s *tlScheduler) onFree()        {}
 func (s *tlScheduler) onRoutineDone() {}
+func (s *tlScheduler) rebase(id routine.ID) {
+	s.pre.rebase(id)
+	s.post.rebase(id)
+}
 
 // tlPlacement is the chosen gap for one device of the routine being placed;
 // placement i belongs to the routine's device i.

@@ -434,13 +434,15 @@ type cmdRecord struct {
 
 // base carries the bookkeeping shared by all controllers.
 type base struct {
-	env    Env
-	opts   Options
+	env  Env
+	opts Options
+	// nextID is the last routine ID assigned. IDs are dense from 1 (assign
+	// and Preload see to it), so it also counts the routines submitted or
+	// preloaded, and they are 1 … nextID.
 	nextID routine.ID
 
-	results   map[routine.ID]*Result
-	submitted []routine.ID
-	finished  int // results with a terminal status (PendingCount is O(1))
+	results  map[routine.ID]*Result
+	finished int // results with a terminal status (PendingCount is O(1))
 
 	committed map[device.ID]device.State
 	failed    map[device.ID]bool
@@ -514,7 +516,6 @@ func (b *base) assign(r *routine.Routine, owned bool, res *Result) *routine.Rout
 		Submitted: r.Submitted,
 	}
 	b.results[r.ID] = res
-	b.submitted = append(b.submitted, r.ID)
 	b.export.noteOpen(r.ID)
 	b.emit(Event{Time: r.Submitted, Kind: EvSubmitted, Routine: r.ID, Detail: r.Name})
 	return r
@@ -590,8 +591,8 @@ func (b *base) restartDetected(d device.ID) order.Node {
 // write-once export slots for everything else — a finished, exported outcome
 // is stored exactly once (see export.go).
 func (b *base) Results() []Result {
-	out := make([]Result, 0, len(b.submitted))
-	for _, id := range b.submitted {
+	out := make([]Result, 0, b.nextID)
+	for id := routine.ID(1); id <= b.nextID; id++ {
 		if res, ok := b.results[id]; ok {
 			out = append(out, *res)
 		} else {
@@ -605,7 +606,7 @@ func (b *base) Result(id routine.ID) (Result, bool) {
 	if res, ok := b.results[id]; ok {
 		return *res, true
 	}
-	if id < 1 || int64(id) > int64(len(b.submitted)) {
+	if id < 1 || id > b.nextID {
 		return Result{}, false
 	}
 	return *b.export.slot(id), true
@@ -632,18 +633,17 @@ func (b *base) Preload(results []Result) {
 		b.nextID = res.ID
 		rec := res
 		b.results[res.ID] = &rec
-		b.submitted = append(b.submitted, res.ID)
 		b.finished++
 		b.export.noteOpen(res.ID)
 		b.export.noteFinished(res.ID)
 	}
 }
 
-func (b *base) RoutineCount() int { return len(b.submitted) }
+func (b *base) RoutineCount() int { return int(b.nextID) }
 
 func (b *base) ActiveCount() int { return b.active }
 
-func (b *base) PendingCount() int { return len(b.submitted) - b.finished }
+func (b *base) PendingCount() int { return int(b.nextID) - b.finished }
 
 func (b *base) CommittedStates() map[device.ID]device.State {
 	out := make(map[device.ID]device.State, len(b.committed))
