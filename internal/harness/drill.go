@@ -59,18 +59,19 @@ const (
 	// record the panic error, release the journal) and recovery must see
 	// exactly the crash contract — acked intact, in flight aborted.
 	CrashPanic
-	// CrashMidFreeze kills the process in hibernation's dangerous window:
-	// the freeze's final checkpoint landed (Freeze returned) but the frozen
-	// marker was never published and the slot never unloaded. The directory
-	// then holds journal state with no marker — the next boot must treat
-	// the home as crashed-live and recover it exactly, never claim it
-	// frozen.
+	// CrashMidFreeze kills the process in hibernation's dangerous window: a
+	// home frozen once, woken, with work acknowledged since the wake, dies
+	// in its next freeze before that freeze's final checkpoint lands. The
+	// disk then holds the earlier freeze's summary with acknowledged records
+	// above it — the next boot must find the home not frozen (the summary
+	// is stale) and recover it live and exactly.
 	CrashMidFreeze
-	// CrashPostFreeze kills the process right after a clean hibernation
-	// (final checkpoint and frozen marker both durable). Recovery is the
-	// wake path: the marker must be present and faithful, the waker removes
-	// it before rebuilding, and the woken home must hold every acknowledged
-	// result and state exactly.
+	// CrashPostFreeze kills the process right after a clean hibernation:
+	// the final checkpoint, headed by the frozen summary, is durable.
+	// Recovery is the wake path: the home must read as frozen with a
+	// faithful summary, the woken home must hold every acknowledged result
+	// and state exactly, and — since a wake writes nothing — it must still
+	// read as frozen until it appends.
 	CrashPostFreeze
 )
 
@@ -298,23 +299,27 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 	rep := DrillReport{Point: p.Point, Acked: p.Acked}
 
 	// Phase 1 (all points): commit and acknowledge a batch of short routines.
-	for i := 0; i < p.Acked; i++ {
-		r := drillRoutine(rng, p.Devices, fmt.Sprintf("acked-%03d", i), time.Duration(1+rng.Intn(20))*time.Second)
-		if _, err := rt.Submit(r); err != nil {
-			return rep, fmt.Errorf("harness: drill submit: %w", err)
+	var ackedResults []visibility.Result
+	var ackedStates map[device.ID]device.State
+	ack := func(prefix string) error {
+		for i := 0; i < p.Acked; i++ {
+			r := drillRoutine(rng, p.Devices, fmt.Sprintf("%s-%03d", prefix, i), time.Duration(1+rng.Intn(20))*time.Second)
+			if _, err := rt.Submit(r); err != nil {
+				return fmt.Errorf("harness: drill submit: %w", err)
+			}
 		}
+		err := pumpDry(rt, time.Now().Add(10*time.Second))
+		ackedResults, ackedStates = rt.Results(), rt.CommittedStates()
+		return err
 	}
-	if err := pumpDry(rt, time.Now().Add(10*time.Second)); err != nil {
+	if err := ack("acked"); err != nil {
 		return rep, err
 	}
-	ackedResults := rt.Results()
-	ackedStates := rt.CommittedStates()
 
 	// Phase 2: put the home in the crash-point state.
 	var inFlightIDs []routine.ID
 	var unackedErrs []error
-	switch p.Point {
-	case CrashInFlight:
+	if p.Point == CrashInFlight || p.Point == CrashPanic {
 		rep.InFlight = p.InFlight
 		for i := 0; i < p.InFlight; i++ {
 			r := drillRoutine(rng, p.Devices, fmt.Sprintf("inflight-%02d", i), time.Hour)
@@ -327,19 +332,12 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 		// A small pump starts execution without finishing the hour-long
 		// holds: the crash lands mid-routine, not merely mid-queue.
 		rt.PumpIfDue(time.Now().Add(time.Second))
+	}
+	switch p.Point {
+	case CrashInFlight:
 		crash()
 
 	case CrashPanic:
-		rep.InFlight = p.InFlight
-		for i := 0; i < p.InFlight; i++ {
-			r := drillRoutine(rng, p.Devices, fmt.Sprintf("inflight-%02d", i), time.Hour)
-			rid, err := rt.Submit(r)
-			if err != nil {
-				return rep, fmt.Errorf("harness: drill in-flight submit: %w", err)
-			}
-			inFlightIDs = append(inFlightIDs, rid)
-		}
-		rt.PumpIfDue(time.Now().Add(time.Second))
 		// Die by software fault instead of process kill: the panic lands in
 		// the loop goroutine, whose recovery must poison the home rather
 		// than unwind the process.
@@ -413,22 +411,32 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 			f.Close()
 		}
 
-	case CrashMidFreeze, CrashPostFreeze:
+	case CrashPostFreeze:
 		// Freeze runs the graceful close — lineage compaction, trigger
-		// retirement, final flush and checkpoint — and returns once the
-		// checkpoint is durable. The "crash" is the process dying in the
-		// window after it: before the marker publish (mid-freeze) or after
-		// (post-freeze, where recovery is the wake path).
-		fr, err := rt.Freeze()
-		if err != nil {
+		// retirement, final flush and the checkpoint that carries the
+		// summary — and returns once it is durable; the process dies right
+		// after.
+		if _, err := rt.Freeze(); err != nil {
 			return rep, fmt.Errorf("harness: drill freeze: %w", err)
 		}
-		if p.Point == CrashPostFreeze {
-			if err := runtime.WriteFrozenRecord(fr); err != nil {
-				return rep, fmt.Errorf("harness: drill frozen marker: %w", err)
-			}
-		}
 		w.Abandon()
+
+	case CrashMidFreeze:
+		// Freeze, wake in the same process, acknowledge more work, and die
+		// in the next freeze before its checkpoint lands: on disk that is a
+		// crash of the woken home, the new records above the first freeze's
+		// summary.
+		if _, err := rt.Freeze(); err != nil {
+			return rep, fmt.Errorf("harness: drill freeze: %w", err)
+		}
+		if rt, err = runtime.NewSim(cfg, reg); err != nil {
+			return rep, fmt.Errorf("harness: drill wake: %w", err)
+		}
+		if err := ack("woken"); err != nil {
+			return rep, err
+		}
+		rep.Acked = len(ackedResults)
+		crash()
 
 	default: // CrashPostAck
 		crash()
@@ -452,39 +460,6 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 		}
 	}
 
-	// Freeze points: check the marker discipline before reopening. A crash
-	// before the marker publish must leave no frozen claim (the home is
-	// crashed-live); a crash after must leave a faithful marker, which the
-	// wake path consumes before rebuilding — so a crash mid-wake degrades
-	// to an ordinary live recovery, never a stale frozen claim.
-	switch p.Point {
-	case CrashMidFreeze:
-		if fr, err := runtime.ReadFrozenRecord(p.Dir); err != nil {
-			return rep, fmt.Errorf("harness: drill frozen marker read: %w", err)
-		} else if fr != nil {
-			rep.Violations = append(rep.Violations, Violation{"stale-frozen-marker",
-				"crash before the marker publish left a frozen claim over a live-crashed home"})
-			_ = runtime.RemoveFrozenRecord(p.Dir)
-		}
-	case CrashPostFreeze:
-		fr, err := runtime.ReadFrozenRecord(p.Dir)
-		if err != nil {
-			return rep, fmt.Errorf("harness: drill frozen marker read: %w", err)
-		}
-		if fr == nil {
-			rep.Violations = append(rep.Violations, Violation{"frozen-marker-lost",
-				"clean hibernation left no durable frozen marker"})
-		} else {
-			if fr.Routines != len(ackedResults) {
-				rep.Violations = append(rep.Violations, Violation{"frozen-record-diverged",
-					fmt.Sprintf("frozen record reports %d routines, %d were acknowledged", fr.Routines, len(ackedResults))})
-			}
-			if err := runtime.RemoveFrozenRecord(p.Dir); err != nil {
-				return rep, fmt.Errorf("harness: drill wake marker removal: %w", err)
-			}
-		}
-	}
-
 	// Phase 3: reopen and verify. A restart means a new process image: a
 	// fresh writer (fresh epoch) that recovery tails the old epochs through.
 	// Its Close is deferred before the runtime's so it runs after — homes
@@ -495,6 +470,27 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 	}
 	defer w.Close()
 	cfg.Journal.Writer = w
+
+	// Freeze points: the record on disk must say frozen exactly when the
+	// freeze's checkpoint landed — never over acknowledged work above it.
+	frozenOnDisk := func() *journal.FrozenHome {
+		if head, _ := journal.ReadHead(p.Dir, func(string) *journal.GroupWriter { return w }); head != nil {
+			return head.Frozen
+		}
+		return nil
+	}
+	switch fr := frozenOnDisk(); {
+	case p.Point == CrashMidFreeze && fr != nil:
+		rep.Violations = append(rep.Violations, Violation{"stale-frozen-claim",
+			"the record claims frozen over work acknowledged after the freeze"})
+	case p.Point == CrashPostFreeze && fr == nil:
+		rep.Violations = append(rep.Violations, Violation{"frozen-record-lost",
+			"clean hibernation left no frozen summary in the record"})
+	case p.Point == CrashPostFreeze && fr.Routines != len(ackedResults):
+		rep.Violations = append(rep.Violations, Violation{"frozen-record-diverged",
+			fmt.Sprintf("frozen summary reports %d routines, %d were acknowledged", fr.Routines, len(ackedResults))})
+	}
+
 	begin := time.Now()
 	rec, err := runtime.NewSim(cfg, device.Plugs(p.Devices))
 	rep.RecoveryTime = time.Since(begin)
@@ -627,6 +623,12 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 	if !rec.Durable() {
 		rep.Violations = append(rep.Violations, Violation{"not-durable",
 			fmt.Sprintf("recovered home reports journal error: %v", rec.JournalError())})
+	}
+	// A wake writes nothing: until the woken home appends, a crash would
+	// bring it back cold with the same state.
+	if p.Point == CrashPostFreeze && frozenOnDisk() == nil {
+		rep.Violations = append(rep.Violations, Violation{"wake-thawed-record",
+			"the woken home is not frozen on disk before its first append"})
 	}
 	return rep, nil
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"time"
 
+	"safehome/internal/journal"
 	"safehome/internal/runtime"
 	"safehome/internal/visibility"
 	"safehome/internal/workload"
@@ -18,11 +19,13 @@ import (
 
 // CheckFreezeWake replays an idle spec's submissions into a durable
 // paced-clock home, pumps it dry, freezes it through the hibernation path
-// (final checkpoint + frozen marker), wakes it the way the manager does
-// (consume marker, rebuild from checkpoint + journal tail), and verifies the
-// woken home's history and committed states match the pre-freeze ones
-// exactly. Failure injections are not replayed: the oracle isolates the
-// freeze/wake contract, which the crash drills already test under faults.
+// (the final checkpoint, headed by the frozen summary), wakes it the way
+// the manager does (rebuild from checkpoint + journal tail), and verifies
+// the woken home's history and committed states match the pre-freeze ones
+// exactly — and that the wake wrote nothing: crashed before it appends, the
+// home is still frozen on disk. Failure injections are not replayed: the
+// oracle isolates the freeze/wake contract, which the crash drills already
+// test under faults.
 func CheckFreezeWake(spec workload.Spec, sched visibility.SchedulerKind) ([]Violation, error) {
 	dir, err := os.MkdirTemp("", "safehome-idle-*")
 	if err != nil {
@@ -59,9 +62,6 @@ func CheckFreezeWake(spec workload.Spec, sched visibility.SchedulerKind) ([]Viol
 		home.Close()
 		return nil, fmt.Errorf("harness: idle oracle freeze: %w", err)
 	}
-	if err := runtime.WriteFrozenRecord(fr); err != nil {
-		return nil, fmt.Errorf("harness: idle oracle marker: %w", err)
-	}
 
 	var out []Violation
 	if fr.Routines != len(before) {
@@ -69,24 +69,17 @@ func CheckFreezeWake(spec workload.Spec, sched visibility.SchedulerKind) ([]Viol
 			fmt.Sprintf("frozen record claims %d routines, home acknowledged %d", fr.Routines, len(before))})
 	}
 
-	// The wake path: the marker is consumed before the rebuild so a crash
-	// mid-wake recovers live instead of trusting a stale frozen claim.
-	marker, err := runtime.ReadFrozenRecord(dir)
-	if err != nil {
-		return nil, fmt.Errorf("harness: idle oracle read marker: %w", err)
+	// The home's journal is a private log under dir: no shared writer.
+	frozenOnDisk := func(when string) {
+		if head, err := journal.ReadHead(dir, func(string) *journal.GroupWriter { return nil }); err != nil || head == nil || head.Frozen == nil {
+			out = append(out, Violation{"frozen-record-lost", fmt.Sprintf("%s, the record is not frozen (err %v)", when, err)})
+		}
 	}
-	if marker == nil {
-		out = append(out, Violation{"frozen-marker-lost",
-			"freeze published no frozen record"})
-	}
-	if err := runtime.RemoveFrozenRecord(dir); err != nil {
-		return nil, fmt.Errorf("harness: idle oracle consume marker: %w", err)
-	}
+	frozenOnDisk("after the freeze")
 	woke, err := runtime.NewSim(cfg, spec.Registry())
 	if err != nil {
 		return nil, fmt.Errorf("harness: idle oracle wake: %w", err)
 	}
-	defer woke.Close()
 
 	after := woke.Results()
 	if len(after) != len(before) {
@@ -123,5 +116,7 @@ func CheckFreezeWake(spec workload.Spec, sched visibility.SchedulerKind) ([]Viol
 		out = append(out, Violation{"not-durable",
 			fmt.Sprintf("woken home reports journal error: %v", woke.JournalError())})
 	}
+	woke.Crash()
+	frozenOnDisk("crashed after the wake before an append")
 	return out, nil
 }

@@ -243,6 +243,40 @@ func (b *Batch) Empty() bool {
 		len(b.Bank) == 0 && len(b.TrigArms) == 0 && len(b.TrigCancels) == 0
 }
 
+// FrozenHome is a hibernated home's summary: what its owner keeps resident,
+// beside the home's ID and devices, while the home has no runtime. The
+// earliest scheduled-trigger deadline lets a deadline heap wake it on time,
+// and the counters answer status reads and tip polls without a wake. A
+// freeze publishes it in the head of the home's final checkpoint.
+type FrozenHome struct {
+	Model string `json:"model"`
+	// NextFire is the earliest deadline among the scheduled triggers that
+	// retired into the final checkpoint (zero = none). Recovery re-arms a
+	// past deadline with zero delay, so waking the home at NextFire fires
+	// the trigger on time.
+	NextFire time.Time `json:"next_fire,omitzero"`
+	// Status-without-waking fields, captured at the freeze instant.
+	Routines int       `json:"routines"`
+	Accepted int64     `json:"accepted"`
+	Rejected int64     `json:"rejected"`
+	Created  time.Time `json:"created"`
+	FrozenAt time.Time `json:"frozen_at"`
+	// NextSeq is the home's event cursor at the freeze instant: a poll with
+	// since >= NextSeq has nothing to fetch and is answered from the summary.
+	NextSeq uint64 `json:"next_seq"`
+}
+
+// Head is the first frame of a checkpoint file, checked against its own CRC
+// so a boot can read it alone (ReadHead): which home the directory holds,
+// its devices, and — for a home frozen by this checkpoint — its summary.
+// LSN repeats the image's, which the head must match.
+type Head struct {
+	LSN     uint64        `json:"lsn"`
+	Home    string        `json:"home"`
+	Devices []device.Info `json:"devices"`
+	Frozen  *FrozenHome   `json:"frozen,omitempty"`
+}
+
 // Checkpoint is a full durable image of a home at one instant, derived from
 // the runtime's immutable Snapshot. A recovery loads the newest checkpoint
 // and replays only the journal records with LSN > Checkpoint.LSN; segments
@@ -270,6 +304,9 @@ type Checkpoint struct {
 	// NextTrigger is the highest trigger handle ever issued, so recovered
 	// homes keep handing out fresh handles.
 	NextTrigger int64 `json:"next_trigger,omitempty"`
+	// Head goes in the file's own leading frame, not in the image, which
+	// is what it was before heads existed. Its LSN is the image's.
+	Head Head `json:"-"`
 }
 
 // sealedChunk is the payload of one sealed-chunk object: an immutable,

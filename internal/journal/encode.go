@@ -2,6 +2,7 @@ package journal
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -23,29 +24,51 @@ import (
 // errUnencodable is the value json.Marshal refuses.
 var errUnencodable = errors.New("a time outside years 0..9999 or with a zone offset of a day or more")
 
-// beginFrame resets w to an empty frame: a reserved header the payload is
-// encoded behind.
-func beginFrame(w *jsonenc.Buf) {
-	w.B = append(w.B[:0], make([]byte, frameHeaderLen)...)
-	w.Bad = false
+// beginFrame appends a reserved frame header to w, behind which the
+// payload is encoded, and returns where the frame starts.
+func beginFrame(w *jsonenc.Buf) int {
+	start := len(w.B)
+	w.B = append(w.B, make([]byte, frameHeaderLen)...)
+	return start
 }
 
-// endFrame fills in the header of the frame w holds once its payload (a
+// endFrame fills in the header of the frame at start once its payload (a
 // what) is encoded. It refuses a value json.Marshal would not have encoded,
 // and a payload over maxFramePayload: recovery rejects such a frame as a
 // garbage length, so writing (and acknowledging) one would silently lose it
 // and everything after it on the next restart.
-func endFrame(w *jsonenc.Buf, what string) error {
+func endFrame(w *jsonenc.Buf, start int, what string) error {
 	if w.Bad {
 		return fmt.Errorf("journal: encoding %s: %w", what, errUnencodable)
 	}
-	payload := w.B[frameHeaderLen:]
+	payload := w.B[start+frameHeaderLen:]
 	if len(payload) > maxFramePayload {
 		return fmt.Errorf("journal: %s is %d bytes, over the %d frame limit", what, len(payload), maxFramePayload)
 	}
-	binary.LittleEndian.PutUint32(w.B[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(w.B[4:8], crc32.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint32(w.B[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w.B[start+4:], crc32.Checksum(payload, crcTable))
 	return nil
+}
+
+// checkpointFile encodes ck's checkpoint file: the head frame, then the
+// image frame. The head is small and written once per checkpoint, so
+// json.Marshal encodes it.
+func checkpointFile(ck *Checkpoint) ([]byte, error) {
+	h := ck.Head
+	h.LSN = ck.LSN
+	head, err := json.Marshal(h)
+	if err != nil {
+		return nil, fmt.Errorf("journal: encoding checkpoint head: %w", err)
+	}
+	var w jsonenc.Buf
+	start := beginFrame(&w)
+	w.B = append(w.B, head...)
+	if err := endFrame(&w, start, "checkpoint head"); err != nil {
+		return nil, err
+	}
+	start = beginFrame(&w)
+	encodeCheckpoint(&w, ck)
+	return w.B, endFrame(&w, start, "checkpoint image")
 }
 
 // encodeBatch appends b's payload.

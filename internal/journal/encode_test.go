@@ -41,9 +41,9 @@ func checkEncoder[T any](t testing.TB, v *T, enc func(*jsonenc.Buf, *T)) {
 	t.Helper()
 	want, merr := json.Marshal(v)
 	var w jsonenc.Buf
-	beginFrame(&w)
+	start := beginFrame(&w)
 	enc(&w, v)
-	err := endFrame(&w, "record")
+	err := endFrame(&w, start, "record")
 	if (merr != nil) != (err != nil) {
 		t.Fatalf("%T: encode error %v, json.Marshal error %v (value %+v)", v, err, merr, v)
 	}
@@ -263,10 +263,12 @@ func FuzzRecordEncoders(f *testing.F) {
 }
 
 // fixtureRoots are data directories older builds wrote, committed as upgrade
-// fixtures: a sync-era home directory and a hub-era hub data directory.
+// fixtures: a sync-era home directory, a hub-era hub data directory and a
+// marker-era manager data directory.
 var fixtureRoots = []string{
 	filepath.Join("testdata", "sync-era", "home"),
 	filepath.Join("..", "hub", "testdata", "hub-era", "data"),
+	filepath.Join("..", "manager", "testdata", "marker-era", "data"),
 }
 
 // TestFixtureFramesReencode decodes every frame of the committed fixtures —
@@ -311,8 +313,8 @@ func TestFixtureFramesReencode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if frames != 20 {
-		t.Fatalf("the fixtures hold %d complete frames, want 20", frames)
+	if frames != 43 {
+		t.Fatalf("the fixtures hold %d complete frames, want 43", frames)
 	}
 }
 

@@ -746,19 +746,21 @@ func (w *GroupWriter) tailFor(home string, after uint64) (tail []*Batch, top uin
 	return tail, top, nil
 }
 
-// holds reports whether the log has any record of home above its checkpoint
-// high-water mark: in a previous epoch's tail, a sealed segment, or this
-// writer's active one.
-func (w *GroupWriter) holds(home string) bool {
+// holds reports whether the log has any record of home above lsn and its
+// checkpoint high-water mark: in a previous epoch's tail, a sealed segment,
+// or this writer's active one.
+func (w *GroupWriter) holds(home string, lsn uint64) bool {
 	w.st.mu.Lock()
-	found := len(w.st.tails[home]) > 0
+	lsn = max(lsn, w.st.ckpt[home])
+	tail := w.st.tails[home]
+	found := len(tail) > 0 && tail[len(tail)-1].lsn > lsn
 	for _, s := range w.st.segRecs {
-		found = found || s.homes[home] > w.st.ckpt[home]
+		found = found || s.homes[home] > lsn
 	}
 	w.st.mu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return found || w.segHomes[home] > 0
+	return found || w.segHomes[home] > lsn
 }
 
 // appendHomeBatches scans one segment image this process wrote and appends

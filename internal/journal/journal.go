@@ -8,8 +8,8 @@
 // writer fleet with OpenWriters and hands each journal its writer
 // (Options.Writer); a journal opened without one opens a private one-writer
 // fleet under <dir>/wal and closes it with itself. Checkpoint images and
-// sealed routine chunks stay per home, in the home's own directory (or
-// Options.Store).
+// sealed routine chunks stay per home, in the home's own directory; the
+// checkpoint's head (Head) is the home's durable record.
 //
 // The home runtime appends one Batch record per mailbox drain — accepted
 // submissions, finished routine outcomes, committed device-state changes and
@@ -36,8 +36,11 @@
 package journal
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -153,11 +156,10 @@ type Options struct {
 	// counts. Nil opens a private one-writer fleet under <dir>/wal that the
 	// journal closes (or abandons) with itself.
 	Writer *GroupWriter
-	// Store, when non-nil, is where checkpoint images and sealed routine
-	// chunks live — the cold, write-once artifacts. Nil defaults to a
-	// DirStore rooted at the journal directory (everything local). The log
-	// never routes through the store; only the journal tail must be local.
-	Store SegmentStore
+	// store, when non-nil, is where checkpoint images and sealed routine
+	// chunks live instead of the journal directory: a test hook. A boot
+	// finds a home by the checkpoint in its directory (ReadHead).
+	store segmentStore
 	// OnSync, when non-nil, is called after each data fsync of the private
 	// writer with the synced segment's path and its size at that sync (a
 	// shared Writer calls its own WriterOptions.OnSync). Crash drills use it
@@ -235,7 +237,7 @@ type Journal struct {
 	frame     jsonenc.Buf // reused batch frame: header, then the payload encoded behind it
 	ticket    syncTicket  // reused commit wait: the journal's commits are serial
 
-	store    SegmentStore // checkpoint + sealed-chunk objects (DirStore default)
+	store    segmentStore // checkpoint + sealed-chunk objects (DirStore default)
 	sealed   int          // routines covered by durable sealed chunks
 	sealSize int          // chunk size the sealed prefix was cut at (0 = none yet)
 
@@ -272,6 +274,11 @@ type Recovered struct {
 	// here instead of re-serializing them.
 	Sealed   int
 	SealSize int
+	// Devices is what the checkpoint's head lists and Replayed how many log
+	// records were applied above it: facts about the record, not the state,
+	// which tell an owner whether the record needs rewriting.
+	Devices  []device.Info `json:"-"`
+	Replayed int           `json:"-"`
 }
 
 // NextSeq returns the sequence number the next activity event must get for
@@ -306,7 +313,7 @@ func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 	}
 	j := &Journal{dir: dir, opts: opts, mode: ResolveMode(opts, ModeSync), writer: opts.Writer, home: opts.HomeID}
 	j.ticket.done = make(chan struct{}, 1)
-	j.store = opts.Store
+	j.store = opts.store
 	if j.store == nil {
 		j.store = DirStore{Dir: dir}
 	}
@@ -350,11 +357,11 @@ func (j *Journal) recover() (*Recovered, bool, error) {
 	}
 	found := false
 
-	if buf, err := j.store.Get(checkpointName); err == nil {
-		ck, ok := decodeCheckpointFile(buf)
-		if !ok {
-			return nil, false, fmt.Errorf("journal: checkpoint for %s is corrupt", j.dir)
-		}
+	ck, err := loadCheckpoint(j.store, j.dir)
+	if err != nil {
+		return nil, false, err
+	}
+	if ck != nil {
 		prefix, err := j.loadSealed(ck)
 		if err != nil {
 			return nil, false, err
@@ -365,11 +372,10 @@ func (j *Journal) recover() (*Recovered, bool, error) {
 		}
 		rec.Sealed = ck.Sealed
 		rec.SealSize = ck.SealSize
+		rec.Devices = ck.Head.Devices
 		j.sealed = ck.Sealed
 		j.sealSize = ck.SealSize
 		found = true
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return nil, false, fmt.Errorf("journal: reading checkpoint: %w", err)
 	}
 
 	// The tail is the home's legacy segments (if it was last written before
@@ -395,6 +401,7 @@ func (j *Journal) recover() (*Recovered, bool, error) {
 			break
 		}
 		applyBatch(rec, b)
+		rec.Replayed++
 	}
 
 	if err := validateDense(rec); err != nil {
@@ -427,6 +434,7 @@ func checkpointOf(rec *Recovered) *Checkpoint {
 		Events:      rec.Events,
 		Bank:        rec.Bank,
 		NextTrigger: rec.NextTrigger,
+		Head:        Head{Devices: rec.Devices},
 	}
 	for d, s := range rec.States {
 		ck.States = append(ck.States, StateEntry{Device: d, State: s})
@@ -468,23 +476,80 @@ func SegmentFiles(dir string) []string {
 	return segs
 }
 
-// HasState reports whether a home holds durable runtime state: a checkpoint
-// in dir, records in the log of w (the writer the home's journal would be
-// opened with; nil for a private log), or legacy segments. A directory
-// without any can be treated as a home that never ran.
-func HasState(dir, home string, w *GroupWriter) bool {
-	if _, err := os.Stat(filepath.Join(dir, checkpointName)); err == nil {
+// ReadHead reads only the head of the checkpoint in dir (its first frame,
+// CRC-checked): nil without a checkpoint, no Home for one older than heads.
+// A home is frozen when the head carries a summary and nothing of the home
+// lies above the checkpoint in the log of writerFor(home), the writer its
+// journal would append through (nil: its private log under dir). ReadHead
+// drops the summary of a home that ran after its freeze, so Head.Frozen is
+// set only for a frozen home.
+func ReadHead(dir string, writerFor func(home string) *GroupWriter) (*Head, error) {
+	f, err := os.Open(filepath.Join(dir, checkpointName))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("journal: reading checkpoint head: %w", err)
+	}
+	defer f.Close()
+	frame := make([]byte, frameHeaderLen)
+	_, err = io.ReadFull(f, frame)
+	if size := binary.LittleEndian.Uint32(frame); err == nil && size <= maxFramePayload {
+		frame = append(frame, make([]byte, size)...)
+		_, err = io.ReadFull(f, frame[frameHeaderLen:])
+	}
+	// An image older than heads decodes as a head with no Home.
+	h := new(Head)
+	if clean, _ := scanFrames(frame, func(p []byte) error { return json.Unmarshal(p, h) }); !clean {
+		return nil, fmt.Errorf("journal: checkpoint head in %s is corrupt", dir)
+	}
+	if h.Frozen != nil && holdsAbove(dir, h.Home, h.LSN, writerFor(h.Home)) {
+		h.Frozen = nil
+	}
+	return h, nil
+}
+
+// holdsAbove reports whether anything of home lies above lsn: a legacy
+// segment (only a checkpoint deletes them), or a record in w's log — or,
+// without a writer, in the private log under dir.
+func holdsAbove(dir, home string, lsn uint64, w *GroupWriter) bool {
+	if len(legacySegments(dir)) > 0 {
 		return true
 	}
-	if w != nil && w.holds(home) {
-		return true
+	if w != nil {
+		return w.holds(home, lsn)
 	}
 	for _, seg := range SegmentFiles(dir) {
-		if info, err := os.Stat(seg); err == nil && info.Size() > 0 {
+		buf, _ := os.ReadFile(seg)
+		if tail, _ := appendHomeBatches(nil, buf, home, lsn, nil); len(tail) > 0 {
 			return true
 		}
 	}
 	return false
+}
+
+// PublishHead makes h the head of the checkpoint in dir, keeping its image
+// (an empty one at LSN 0 when dir has none) and taking h.LSN from it; a
+// summary with no event cursor gets the image's. No journal may be open on
+// dir.
+func PublishHead(dir string, h Head) error {
+	store := DirStore{Dir: dir}
+	ck, err := loadCheckpoint(store, dir)
+	if err != nil {
+		return err
+	}
+	if ck == nil {
+		ck = &Checkpoint{}
+	}
+	ck.Head = h
+	if fr := h.Frozen; fr != nil && fr.NextSeq == 0 {
+		fr.NextSeq = (&Recovered{FirstSeq: ck.FirstSeq, Events: ck.Events}).NextSeq()
+	}
+	file, err := checkpointFile(ck)
+	if err == nil {
+		err = store.Put(checkpointName, file)
+	}
+	return err
 }
 
 // MoveHome moves a home's journal artifacts — sealed chunks and legacy
@@ -494,8 +559,12 @@ func HasState(dir, home string, w *GroupWriter) bool {
 // MoveHome again. The log under from/wal is not per-home and stays put.
 func MoveHome(from, to string) error {
 	src, dst := DirStore{Dir: from}, DirStore{Dir: to}
-	names, err := src.List()
-	for _, name := range names {
+	entries, err := os.ReadDir(from)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	for _, e := range entries {
+		name := e.Name()
 		chunk := strings.HasPrefix(name, chunkPrefix) && strings.HasSuffix(name, chunkSuffix)
 		legacy := strings.HasPrefix(name, legacySegPrefix) && strings.HasSuffix(name, segmentSuffix)
 		if err == nil && (chunk || legacy) {
@@ -552,21 +621,34 @@ func (j *Journal) legacyBatches(ckptLSN uint64) ([]*Batch, error) {
 	return out, nil
 }
 
-// decodeCheckpointFile parses a checkpoint image (a single frame).
-func decodeCheckpointFile(buf []byte) (*Checkpoint, bool) {
-	var ck *Checkpoint
-	clean, err := scanFrames(buf, func(payload []byte) error {
-		c, err := DecodeCheckpoint(payload)
-		if err != nil {
-			return err
-		}
-		ck = c
+// loadCheckpoint reads the checkpoint file in store, nil when there is
+// none: the head frame, then the image frame — or, written before heads
+// existed, the image frame alone.
+func loadCheckpoint(store segmentStore, dir string) (*Checkpoint, error) {
+	buf, err := store.Get(checkpointName)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("journal: reading checkpoint: %w", err)
+	}
+	var frames [][]byte
+	clean, _ := scanFrames(buf, func(payload []byte) error {
+		frames = append(frames, payload)
 		return nil
 	})
-	if err != nil || !clean || ck == nil {
-		return nil, false
+	corrupt := fmt.Errorf("journal: checkpoint for %s is corrupt", dir)
+	if !clean || len(frames) == 0 || len(frames) > 2 {
+		return nil, corrupt
 	}
-	return ck, true
+	ck, err := DecodeCheckpoint(frames[len(frames)-1])
+	if err != nil {
+		return nil, corrupt
+	}
+	if len(frames) == 2 && (json.Unmarshal(frames[0], &ck.Head) != nil || ck.Head.LSN != ck.LSN || ck.Head.Home == "") {
+		return nil, corrupt
+	}
+	return ck, nil
 }
 
 // loadSealed fetches and validates the sealed-chunk prefix a checkpoint
@@ -716,9 +798,10 @@ func (j *Journal) Append(b *Batch) error {
 	// The batch is encoded straight into the reused frame; a refusal
 	// degrades the home to memory-only rather than write what recovery
 	// could not read back.
-	beginFrame(&j.frame)
+	j.frame.B, j.frame.Bad = j.frame.B[:0], false
+	start := beginFrame(&j.frame)
 	encodeBatch(&j.frame, b)
-	if err := endFrame(&j.frame, "batch"); err != nil {
+	if err := endFrame(&j.frame, start, "batch"); err != nil {
 		return err
 	}
 	frame := j.frame.B
@@ -760,8 +843,9 @@ func (j *Journal) SinceCheckpoint() int64 { return j.sinceCkpt }
 func (j *Journal) ShouldCheckpoint() bool { return j.sinceCkpt >= j.opts.CheckpointBytes }
 
 // Checkpoint durably writes a full state image (write to a temporary file,
-// fsync, atomic rename) stamped with the journal's current LSN, then lets
-// the log drop the home's records the checkpoint covers. After a successful
+// fsync, atomic rename) stamped with the journal's current LSN and headed
+// by the journal's home and ck's devices and frozen summary, then lets the
+// log drop the home's records the checkpoint covers. After a successful
 // checkpoint, recovery reads the checkpoint plus only the records appended
 // after this call.
 func (j *Journal) Checkpoint(ck *Checkpoint) error {
@@ -787,10 +871,9 @@ func (j *Journal) publishCheckpoint(ck *Checkpoint) error {
 	// checkpoints the image carries only the unsealed routine tail, so
 	// hitting that guard takes a pathological single-drain burst, not
 	// accumulated history.
-	var w jsonenc.Buf
-	beginFrame(&w)
-	encodeCheckpoint(&w, ck)
-	if err := endFrame(&w, "checkpoint image"); err != nil {
+	ck.Head.Home = j.home
+	file, err := checkpointFile(ck)
+	if err != nil {
 		return err
 	}
 
@@ -798,7 +881,7 @@ func (j *Journal) publishCheckpoint(ck *Checkpoint) error {
 	// journal records at or below the checkpoint's LSN are truncated right
 	// after it lands, so an undurable checkpoint would turn the bounded
 	// async window into unbounded loss.
-	if err := j.store.Put(checkpointName, w.B); err != nil {
+	if err := j.store.Put(checkpointName, file); err != nil {
 		return fmt.Errorf("journal: publishing checkpoint: %w", err)
 	}
 	j.opts.Stats.noteCheckpoint()
@@ -850,9 +933,9 @@ func (j *Journal) SealChunk(index int, recs []RoutineRecord) error {
 		}
 	}
 	var w jsonenc.Buf
-	beginFrame(&w)
+	start := beginFrame(&w)
 	encodeChunk(&w, &sealedChunk{Index: index, Routines: recs})
-	if err := endFrame(&w, "sealed chunk"); err != nil {
+	if err := endFrame(&w, start, "sealed chunk"); err != nil {
 		return err
 	}
 	if err := j.store.Put(chunkName(index), w.B); err != nil {

@@ -1,9 +1,11 @@
 package journal
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -517,4 +519,83 @@ func TestInjectErrSurfacesOnEachWritePath(t *testing.T) {
 	check("checkpoint", func() error {
 		return j.Checkpoint(&Checkpoint{LSN: j.LSN(), FirstSeq: 1})
 	})
+}
+
+// TestCheckpointHeadRoundTrip: a checkpoint file is a head frame then the
+// image frame. Open recovers the head's devices beside the image;
+// PublishHead replaces the head and keeps the image byte for byte, filling
+// a summary's missing cursor from it; a head whose LSN disagrees with its
+// image, or a torn head, fails recovery instead of being trusted.
+func TestCheckpointHeadRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	devices := device.Plugs(2).All()
+	j, _, err := Open(dir, Options{HomeID: "h"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(&Batch{Submits: []RoutineRecord{submitRec(1)}, FirstSeq: 4, Events: []EventRecord{{Kind: 1}, {Kind: 2}}}); err != nil {
+		t.Fatal(err)
+	}
+	rec := []RoutineRecord{finishRec(1, visibility.StatusCommitted)}
+	if err := j.Checkpoint(&Checkpoint{Routines: rec, FirstSeq: 4, Events: []EventRecord{{Kind: 1}, {Kind: 2}}, Head: Head{Devices: devices}}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	image := func() []byte {
+		buf, err := os.ReadFile(filepath.Join(dir, checkpointName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frames [][]byte
+		if clean, _ := scanFrames(buf, func(p []byte) error { frames = append(frames, p); return nil }); !clean || len(frames) != 2 {
+			t.Fatalf("checkpoint file holds %d frames (clean %v), want a head and an image", len(frames), clean)
+		}
+		return frames[1]
+	}
+	before := image()
+	if strings.Contains(string(before), `"devices"`) {
+		t.Fatalf("the image repeats the head: %s", before)
+	}
+
+	j, got, err := Open(dir, Options{HomeID: "h"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if got == nil || got.LSN != 1 || len(got.Routines) != 1 || !slices.Equal(got.Devices, devices) || got.Replayed != 0 {
+		t.Fatalf("recovered %+v", got)
+	}
+
+	if err := PublishHead(dir, Head{Home: "h", Devices: devices[:1], Frozen: &FrozenHome{Model: "EV"}}); err != nil {
+		t.Fatal(err)
+	}
+	if after := image(); string(after) != string(before) {
+		t.Fatalf("PublishHead rewrote the image:\n   %s\nwas\n   %s", after, before)
+	}
+	head, err := ReadHead(dir, func(string) *GroupWriter { return nil })
+	if err != nil || head.LSN != 1 || head.Home != "h" || !slices.Equal(head.Devices, devices[:1]) || head.Frozen == nil || head.Frozen.NextSeq != 6 {
+		t.Fatalf("ReadHead after PublishHead = %+v, %v", head, err)
+	}
+
+	// A head that does not match its image, and a torn head.
+	buf, _ := os.ReadFile(filepath.Join(dir, checkpointName))
+	mismatched, _ := json.Marshal(Head{LSN: 7, Home: "h"})
+	for name, file := range map[string][]byte{
+		"mismatched": appendFrame(appendFrame(nil, mismatched), image()),
+		"torn":       buf[:frameHeaderLen+3],
+	} {
+		if err := os.WriteFile(filepath.Join(dir, checkpointName), file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if j, _, err := Open(dir, Options{HomeID: "h"}); err == nil {
+			j.Close()
+			t.Fatalf("%s head: Open recovered", name)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, checkpointName), buf[:frameHeaderLen+3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadHead(dir, nil); err == nil {
+		t.Fatal("ReadHead accepted a torn head")
+	}
 }

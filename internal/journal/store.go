@@ -5,37 +5,21 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 )
 
-// SegmentStore abstracts where a journal's checkpoint artifacts — the tail
-// checkpoint image and the sealed, immutable routine chunks it references —
-// are kept. The default (DirStore) is the home's own data directory, but an
-// owner can plug in an off-box store (object storage, a content-addressed
-// cache) so that only the active journal tail lives on the hub's disk.
-//
-// Contract: Put must publish atomically — a reader (Get) sees either the
-// previous object or the complete new one, never a torn write — and must be
-// durable when it returns, because the caller truncates journal records the
-// object covers immediately afterwards. Get returns an error satisfying
-// errors.Is(err, fs.ErrNotExist) for names never Put. Objects are immutable
-// in practice (a name is only ever re-Put with identical content after a
-// crash re-seal), so aggressive caching is safe.
-//
-// The active write-ahead segments deliberately do NOT route through the
-// store: they are short-lived (rewritten every checkpoint), fsynced on the
-// group-commit hot path, and must stay local for latency. Sealed chunks and
-// checkpoints are the cold, write-once artifacts worth shipping off-box.
-type SegmentStore interface {
+// segmentStore is where a journal keeps its checkpoint image and sealed
+// routine chunks: the home's directory (DirStore), or whatever a test plugs
+// in through Options.store. Put must publish atomically and durably — the
+// caller truncates the log records an object covers right after it — and
+// Get must fail with fs.ErrNotExist for a name never Put.
+type segmentStore interface {
 	Put(name string, data []byte) error
 	Get(name string) ([]byte, error)
-	Delete(name string) error
-	List() ([]string, error)
 }
 
-// DirStore is the default SegmentStore: each object is one file in a local
-// directory, published with the write-tmp, fsync, rename, sync-dir dance so
-// a crash mid-Put leaves either the old object or the new one.
+// DirStore keeps each object in one file of a local directory, published
+// with the write-tmp, fsync, rename, sync-dir dance so a crash mid-Put
+// leaves either the old object or the new one.
 type DirStore struct {
 	Dir string
 }
@@ -118,23 +102,4 @@ func (s DirStore) MoveTo(dst DirStore, name string) error {
 	syncDir(dst.Dir)
 	syncDir(s.Dir)
 	return nil
-}
-
-// List returns every stored object name (tmp leftovers excluded).
-func (s DirStore) List() ([]string, error) {
-	entries, err := os.ReadDir(s.Dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("store: listing %s: %w", s.Dir, err)
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || strings.HasSuffix(e.Name(), ".tmp") {
-			continue
-		}
-		names = append(names, e.Name())
-	}
-	return names, nil
 }

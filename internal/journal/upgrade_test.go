@@ -58,8 +58,8 @@ func TestSyncEraDirectoryUpgrades(t *testing.T) {
 				defer ws[0].Close()
 				opts.Writer = ws[0]
 			}
-			if !HasState(dir, opts.HomeID, opts.Writer) {
-				t.Fatal("HasState is false for a sync-era directory")
+			if h, err := ReadHead(dir, func(string) *GroupWriter { return opts.Writer }); err != nil || h == nil || h.Home != "" || h.LSN != 12 {
+				t.Fatalf("ReadHead of a sync-era directory = %+v, %v; want a head with no home at LSN 12", h, err)
 			}
 			legacy := legacySegments(dir)
 			sizes := make(map[string]int64)
@@ -74,6 +74,10 @@ func TestSyncEraDirectoryUpgrades(t *testing.T) {
 			j, rec, err := Open(dir, opts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// A sync-era checkpoint has no head.
+			if rec.Devices != nil || rec.Replayed != 6 {
+				t.Fatalf("recovered devices %v after replaying %d records; want none after 6", rec.Devices, rec.Replayed)
 			}
 			got, err := json.MarshalIndent(rec, "", " ")
 			if err != nil {
@@ -128,22 +132,39 @@ func TestSyncEraDirectoryUpgrades(t *testing.T) {
 	}
 }
 
-// TestHasStateSeesTheLog: a home that crashed before its first checkpoint
-// has nothing in its own directory under a shared writer — its state is its
-// tail in the log, in this epoch or a dead one.
-func TestHasStateSeesTheLog(t *testing.T) {
+// TestReadHeadSeesTheLog: a home is frozen while its checkpoint carries a
+// summary and nothing of it lies above that checkpoint — in this epoch's
+// active segment, a dead epoch's tail, or a private log. ReadHead reports
+// the summary of a frozen home only.
+func TestReadHeadSeesTheLog(t *testing.T) {
 	root := t.TempDir()
-	wal, dir := filepath.Join(root, "wal"), filepath.Join(root, "a")
+	wal, dirA, dirB := filepath.Join(root, "wal"), filepath.Join(root, "a"), filepath.Join(root, "b")
 	ws, err := OpenWriters(wal, 1, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if HasState(dir, "a", ws[0]) {
-		t.Fatal("HasState is true before the home ever ran")
+	frozen := func(dir string, w *GroupWriter) bool {
+		t.Helper()
+		h, err := ReadHead(dir, func(string) *GroupWriter { return w })
+		if err != nil || h == nil {
+			t.Fatalf("ReadHead(%s) = %v, %v", dir, h, err)
+		}
+		return h.Frozen != nil
 	}
-	j, _ := openGroupJournal(t, dir, "a", ws[0])
-	if HasState(dir, "a", ws[0]) {
-		t.Fatal("HasState is true for a home that appended nothing")
+	if h, err := ReadHead(dirA, func(string) *GroupWriter { return nil }); h != nil || err != nil {
+		t.Fatalf("ReadHead of a directory with no checkpoint = %v, %v", h, err)
+	}
+	for _, home := range []string{"a", "b"} {
+		if err := PublishHead(filepath.Join(root, home), Head{Home: home, Frozen: &FrozenHome{Model: "EV"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !frozen(dirA, ws[0]) || !frozen(dirB, ws[0]) {
+		t.Fatal("a summary with nothing above it is not frozen")
+	}
+	j, _ := openGroupJournal(t, dirA, "a", ws[0])
+	if !frozen(dirA, ws[0]) {
+		t.Fatal("opening the journal thawed the home")
 	}
 	if err := j.Append(&Batch{Submits: []RoutineRecord{submitRec(1)}}); err != nil {
 		t.Fatal(err)
@@ -151,8 +172,8 @@ func TestHasStateSeesTheLog(t *testing.T) {
 	if err := j.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if !HasState(dir, "a", ws[0]) || HasState(dir, "b", ws[0]) {
-		t.Fatal("HasState does not follow the active segment's homes")
+	if frozen(dirA, ws[0]) || !frozen(dirB, ws[0]) {
+		t.Fatal("ReadHead does not follow the active segment's homes")
 	}
 	j.Abandon()
 	ws[0].Abandon()
@@ -162,12 +183,27 @@ func TestHasStateSeesTheLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ws[0].Close()
-	if !HasState(dir, "a", ws[0]) || HasState(dir, "b", ws[0]) {
-		t.Fatal("HasState does not follow the dead epoch's tails")
+	if frozen(dirA, ws[0]) || !frozen(dirB, ws[0]) {
+		t.Fatal("ReadHead does not follow the dead epoch's tails")
+	}
+	// A checkpoint carrying a summary above every record freezes it again.
+	j, rec := openGroupJournal(t, dirA, "a", ws[0])
+	if err := j.Checkpoint(&Checkpoint{Routines: rec.Routines, Head: Head{Frozen: &FrozenHome{Model: "EV"}}}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if !frozen(dirA, ws[0]) {
+		t.Fatal("a checkpoint with a summary above the home's records is not frozen")
 	}
 
-	// A private log is found without a writer.
+	// A private log is read without a writer.
 	solo := filepath.Join(root, "solo")
+	if err := PublishHead(solo, Head{Home: privateHome, Frozen: &FrozenHome{Model: "EV"}}); err != nil {
+		t.Fatal(err)
+	}
+	if !frozen(solo, nil) {
+		t.Fatal("a fresh home with a private log is not frozen")
+	}
 	j, _, err = Open(solo, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -176,8 +212,8 @@ func TestHasStateSeesTheLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	if !HasState(solo, "", nil) || HasState(filepath.Join(root, "nobody"), "", nil) {
-		t.Fatal("HasState does not follow a private log")
+	if frozen(solo, nil) {
+		t.Fatal("ReadHead does not follow a private log")
 	}
 }
 

@@ -5,13 +5,12 @@ import (
 	"fmt"
 	"time"
 
-	"safehome/internal/journal"
 	rt "safehome/internal/runtime"
 )
 
 // This file is the manager half of hibernation (see internal/runtime's
 // freeze.go for the per-home half): the idle freezer that collapses quiet
-// homes to FrozenHome records, the singleflight wake path behind every
+// homes to their frozen summaries, the singleflight wake path behind every
 // touch of a frozen home, and the manager-level deadline heap that fires
 // scheduled triggers of frozen homes on time — the only resident cost a
 // hibernated home with a pending alarm imposes is one 24-byte heap entry.
@@ -23,10 +22,11 @@ const wakeChurnGuard = time.Second
 
 // FreezeHome hibernates one home now, regardless of idleness: the graceful
 // Close drains its mailbox and finishes in-flight work, the final
-// checkpoint lands, and the slot collapses to a FrozenHome record. Returns
-// an error if the home is unknown, unhealthy, bound to devices (its
-// detector must keep watching them), or the manager is memory-only (nothing
-// durable to wake from). Freezing an already frozen home is a no-op.
+// checkpoint lands with the frozen summary in its head, and the slot
+// collapses to that summary. Returns an error if the home is unknown,
+// unhealthy, bound to devices (its detector must keep watching them), or
+// the manager is memory-only (nothing durable to wake from). Freezing an
+// already frozen home is a no-op.
 func (m *Manager) FreezeHome(id HomeID) error {
 	if m.cfg.DataDir == "" {
 		return fmt.Errorf("manager: cannot freeze home %q without a data directory", id)
@@ -214,34 +214,4 @@ func (m *Manager) runWaker() {
 		case <-timer.C:
 		}
 	}
-}
-
-// coldRecord decides whether a home can be registered frozen and returns
-// the record to register it with: the durable frozen marker if one exists
-// (a cleanly hibernated home — stay cold, wake on demand), or a synthetic
-// record for a home that never ran. A home with journal state (in its
-// directory or in the shard's log) but no marker crashed live and must
-// recover live — returns nil.
-func (m *Manager) coldRecord(id HomeID, devices int) (*rt.FrozenHome, error) {
-	dir := m.homeDir(id)
-	fr, err := rt.ReadFrozenRecord(dir)
-	if err != nil {
-		return nil, err
-	}
-	if fr != nil {
-		return fr, nil
-	}
-	if journal.HasState(dir, string(id), m.shardWriter(m.ShardOf(id))) {
-		return nil, nil
-	}
-	now := time.Now()
-	return &rt.FrozenHome{
-		ID:       string(id),
-		DataDir:  dir,
-		Model:    m.cfg.Home.Model.String(),
-		Devices:  devices,
-		Created:  now,
-		FrozenAt: now,
-		NextSeq:  1, // no event yet: the first will be sequence 1
-	}, nil
 }

@@ -156,8 +156,9 @@ func TestStatusNeverWakesFrozenHomes(t *testing.T) {
 
 // TestRecoverHomesKeepsHibernatedHomesCold: a restart over a data dir of
 // cleanly hibernated homes re-registers them frozen — a million-home fleet
-// boots without a million journal recoveries — while a home that crashed
-// live (journal state, no marker) recovers live so its aborts surface.
+// boots without a million journal recoveries — while a home that closed or
+// crashed live (its checkpoint carries no summary) recovers live so its
+// aborts surface.
 func TestRecoverHomesKeepsHibernatedHomesCold(t *testing.T) {
 	dir := t.TempDir()
 	m := hibernatingManager(dir)
@@ -173,8 +174,8 @@ func TestRecoverHomesKeepsHibernatedHomesCold(t *testing.T) {
 	if err := m.FreezeHome("cold"); err != nil {
 		t.Fatal(err)
 	}
-	// "warm" stays live through the manager Close: journal state on disk,
-	// no frozen marker — the crashed-live shape.
+	// "warm" stays live through the manager Close: its final checkpoint
+	// carries no summary — the crashed-live shape.
 	if _, err := m.Submit("warm", durableRoutine(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -201,6 +202,70 @@ func TestRecoverHomesKeepsHibernatedHomesCold(t *testing.T) {
 	}
 	if len(res) != 1 || res[0].Status != visibility.StatusCommitted {
 		t.Fatalf("woke hibernated home with %+v", res)
+	}
+}
+
+// TestWokenHomeStaysFrozenUntilItAppends: a wake writes nothing, so a crash
+// after the wake but before the home's first append brings it back cold
+// with identical state; once it appends, a crash brings it back live.
+func TestWokenHomeStaysFrozenUntilItAppends(t *testing.T) {
+	dir := t.TempDir()
+	m := hibernatingManager(dir)
+	if err := m.AddHome("den", device.Plugs(3).All()...); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := m.Submit("den", durableRoutine(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := m.Results("den")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.FreezeHome("den"); err != nil {
+		t.Fatal(err)
+	}
+	m.Crash()
+
+	for round := 0; round < 2; round++ {
+		m = hibernatingManager(dir)
+		if _, err := m.RecoverHomes(); err != nil {
+			t.Fatal(err)
+		}
+		if hs, _ := m.HomeStatus("den"); hs.Health != rt.HealthFrozen || hs.Routines != 3 {
+			t.Fatalf("round %d: rebooted as %+v, want frozen with 3 routines", round, hs)
+		}
+		got, err := m.Results("den") // wake
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("round %d: woke with %d results, froze with %d", round, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID || got[i].Status != want[i].Status || !got[i].Finished.Equal(want[i].Finished) {
+				t.Fatalf("round %d: result %d woke as %+v, froze as %+v", round, i, got[i], want[i])
+			}
+		}
+		m.Crash()
+	}
+
+	m = hibernatingManager(dir)
+	if _, err := m.RecoverHomes(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Submit("den", durableRoutine(3)); err != nil {
+		t.Fatal(err)
+	}
+	m.Crash()
+	m = hibernatingManager(dir)
+	defer m.Close()
+	if _, err := m.RecoverHomes(); err != nil {
+		t.Fatal(err)
+	}
+	if hs, _ := m.HomeStatus("den"); hs.Health != rt.HealthOK || hs.Routines != 4 {
+		t.Fatalf("a home that appended after its wake rebooted as %+v, want live with 4 routines", hs)
 	}
 }
 
@@ -418,11 +483,13 @@ func TestSubmitOutlastsStaleFreezers(t *testing.T) {
 
 // TestTipPollDoesNotWakeFrozenHome: a poller that has seen everything keeps
 // polling a hibernated home at its cursor. That must be answered from the
-// frozen record — an empty page, the same cursor — without a wake; a poller
-// that is behind still wakes the home and gets its events.
+// frozen summary — an empty page, the same cursor — without a wake, also
+// after a restart; a poller that is behind still wakes the home and gets
+// its events.
 func TestTipPollDoesNotWakeFrozenHome(t *testing.T) {
-	m := New(Config{Shards: 1, DataDir: t.TempDir(), HibernateAfter: time.Hour, EventLog: 64,
-		Home: HomeConfig{Model: visibility.EV}})
+	cfg := Config{Shards: 1, DataDir: t.TempDir(), HibernateAfter: time.Hour, EventLog: 64,
+		Home: HomeConfig{Model: visibility.EV}}
+	m := New(cfg)
 	defer m.Close()
 	if err := m.AddHome("den", device.Plugs(3).All()...); err != nil {
 		t.Fatal(err)
@@ -471,18 +538,20 @@ func TestTipPollDoesNotWakeFrozenHome(t *testing.T) {
 		t.Fatalf("behind-the-tip poll ran %v wakes, want 1", got-wakes)
 	}
 
-	// A marker from before the field existed carries no cursor: wake as ever.
+	// After a restart, the summary in the checkpoint's head answers too.
 	if err := m.FreezeHome("den"); err != nil {
 		t.Fatal(err)
 	}
-	slot, _ := m.slotOf("den")
-	old := *slot.frozen.Load()
-	old.NextSeq = 0
-	slot.frozen.Store(&old)
-	if ev, next, err := m.Events("den", tip); err != nil || len(ev) != 0 || next != tip {
-		t.Fatalf("poll over an old marker: %d events, next %d, err %v", len(ev), next, err)
+	m.Crash()
+	m2 := New(cfg)
+	defer m2.Close()
+	if _, err := m2.RecoverHomes(); err != nil {
+		t.Fatal(err)
 	}
-	if st := m.Status(); st.Frozen != 0 {
-		t.Fatal("an old marker (no next_seq) answered a poll without waking")
+	if ev, next, err := m2.Events("den", tip); err != nil || len(ev) != 0 || next != tip {
+		t.Fatalf("tip poll after a restart: %d events, next %d (want %d), err %v", len(ev), next, tip, err)
+	}
+	if st := m2.Status(); st.Frozen != 1 {
+		t.Fatal("a tip poll after a restart woke the home")
 	}
 }

@@ -45,6 +45,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -152,12 +153,12 @@ type Config struct {
 	// disables per-home event logs — at millions of homes the memory is
 	// better spent elsewhere. Enable it to serve /homes/{id}/events.
 	EventLog int
-	// DataDir enables durability: every home persists its metadata and a
-	// write-ahead journal under <DataDir>/homes/<id>, and RecoverHomes
-	// rediscovers and recovers all of them on the next boot (finished
-	// results, committed states and event cursors come back exactly;
-	// routines in flight at the crash come back Aborted). Empty keeps the
-	// manager memory-only.
+	// DataDir enables durability: every home persists its record (its
+	// checkpoint) and a write-ahead journal under <DataDir>/homes/<id>, and
+	// RecoverHomes rediscovers and recovers all of them on the next boot
+	// (finished results, committed states and event cursors come back
+	// exactly; routines in flight at the crash come back Aborted). Empty
+	// keeps the manager memory-only.
 	DataDir string
 	// Journal tunes every home's write-ahead journal; only meaningful with
 	// DataDir set. Homes share one segment stream per shard under
@@ -171,7 +172,7 @@ type Config struct {
 	// HibernateAfter enables hibernation: a healthy home idle this long —
 	// no admitted mutating operation, empty mailbox, nothing pending or
 	// active, no simulator event imminent — takes a final checkpoint and
-	// collapses to a frozen record of a few hundred bytes; any submit,
+	// collapses to a frozen summary of a few hundred bytes; any submit,
 	// query or due trigger deadline reanimates it from checkpoint + journal
 	// tail. With it set, AddHome registers state-less and cleanly
 	// hibernated homes cold (no runtime until first touch), which is what
@@ -406,39 +407,88 @@ func HomeDir(dataDir string, id HomeID) string {
 	return filepath.Join(dataDir, "homes", url.PathEscape(string(id)))
 }
 
-// homeMeta is the per-home metadata file (home.json) that lets RecoverHomes
-// rebuild the home's registry before replaying its journal.
-type homeMeta struct {
-	ID      HomeID        `json:"id"`
-	Devices []device.Info `json:"devices"`
+// writerFor returns the writer the home's journal appends through (nil when
+// the manager is memory-only or its fleet failed to open).
+func (m *Manager) writerFor(home string) *journal.GroupWriter {
+	return m.shardWriter(m.ShardOf(HomeID(home)))
 }
 
-// persistHomeMeta durably writes the home's metadata next to its journal
-// (journal.DirStore.Put), skipping the write when the content is already
-// current — the recovery path re-adds every home with the devices it just
-// read from this file. Writing before the runtime opens the journal is
-// safe: recovering a home whose runtime was never built just yields an
-// empty home with the right devices.
-func (m *Manager) persistHomeMeta(id HomeID, devices []device.Info) error {
+// openRecord makes the home's checkpoint its durable record (ID, devices,
+// the summary of a frozen home) before its first generation is built, and
+// returns the summary when the home should register cold. Only the add that
+// reserved id calls it, so a home's record has one writer. head is the
+// record's head if the caller has just read it (a boot), nil to read it.
+//
+// A home with no checkpoint gets an empty one headed by a fresh summary: it
+// is frozen until its first append. A re-add with other devices re-heads
+// the checkpoint. An older build's directory (home.json, perhaps
+// frozen.json, a checkpoint with no head) is rewritten once: the record is
+// published first, then the legacy files are deleted, so a rerun after a
+// crash anywhere in between converges.
+func (m *Manager) openRecord(id HomeID, devices []device.Info, head *journal.Head) (*journal.FrozenHome, error) {
 	dir := m.homeDir(id)
 	if dir == "" {
-		return nil
+		return nil, nil
 	}
-	buf, err := json.MarshalIndent(homeMeta{ID: id, Devices: devices}, "", "  ")
+	var err error
+	if head == nil {
+		if head, err = journal.ReadHead(dir, m.writerFor); err != nil {
+			return nil, err
+		}
+	}
+	legacy, err := readLegacy(dir, "home.json", &struct{}{})
 	if err != nil {
-		return fmt.Errorf("manager: encoding home metadata: %w", err)
+		return nil, err
 	}
-	if prev, err := os.ReadFile(filepath.Join(dir, "home.json")); err == nil && string(prev) == string(buf) {
-		return nil // already current (recovery, or an identical re-add)
+	if head == nil || head.Home != string(id) || legacy || !slices.Equal(head.Devices, devices) {
+		now := time.Now()
+		fr := &journal.FrozenHome{Model: m.cfg.Home.Model.String(), Created: now, FrozenAt: now, NextSeq: 1}
+		if head != nil {
+			fr = head.Frozen
+		}
+		var marker journal.FrozenHome
+		if found, err := readLegacy(dir, "frozen.json", &marker); err != nil {
+			return nil, err
+		} else if found {
+			fr = &marker
+		}
+		if err := journal.PublishHead(dir, journal.Head{Home: string(id), Devices: devices, Frozen: fr}); err != nil {
+			return nil, fmt.Errorf("manager: publishing the record of home %q: %w", id, err)
+		}
+		for _, name := range []string{"frozen.json", "home.json"} {
+			if err := (journal.DirStore{Dir: dir}).Delete(name); err != nil {
+				return nil, err
+			}
+		}
+		if head, err = journal.ReadHead(dir, m.writerFor); err != nil {
+			return nil, err
+		}
 	}
-	if err := (journal.DirStore{Dir: dir}).Put("home.json", buf); err != nil {
-		return fmt.Errorf("manager: writing home metadata: %w", err)
+	if !m.hibernating() {
+		return nil, nil
 	}
-	return nil
+	return head.Frozen, nil
+}
+
+// readLegacy decodes the named file an older build wrote in dir (home.json
+// or frozen.json; nothing writes them now) into v and reports whether dir
+// has one.
+func readLegacy(dir, name string, v any) (bool, error) {
+	buf, err := os.ReadFile(filepath.Join(dir, name))
+	if os.IsNotExist(err) {
+		return false, nil
+	}
+	if err == nil {
+		err = json.Unmarshal(buf, v)
+	}
+	if err != nil {
+		return false, fmt.Errorf("manager: reading %s of %s: %w", name, filepath.Base(dir), err)
+	}
+	return true, nil
 }
 
 // AddHome creates a home with the given devices on the home's shard. With a
-// DataDir configured, the home's metadata and journal are persisted under
+// DataDir configured, the home's record and journal are persisted under
 // <DataDir>/homes/<id>; re-adding a home whose directory already holds
 // durable state recovers it.
 func (m *Manager) AddHome(id HomeID, devices ...device.Info) error {
@@ -454,41 +504,7 @@ func (m *Manager) AddHome(id HomeID, devices ...device.Info) error {
 	if len(devices) == 0 {
 		return fmt.Errorf("manager: home %q needs at least one device", id)
 	}
-	sh := m.shards[m.ShardOf(id)]
-	// Refuse duplicates before touching durable metadata: a failed re-add
-	// (e.g. a restart with a different fleet size re-adding recovered homes)
-	// must not rewrite home.json out from under the running home's registry.
-	if sh.has(id) {
-		return fmt.Errorf("%w: %q", ErrDuplicateHome, id)
-	}
-	if err := m.persistHomeMeta(id, devices); err != nil {
-		return err
-	}
-	if m.hibernating() {
-		// Register cold when the home has no journal state (a fresh home: the
-		// first touch builds it) or its directory carries the frozen marker
-		// (a cleanly hibernated home: stay cold, wake on demand). Journal
-		// state with no marker means the home crashed live — fall through
-		// and recover it live so aborts surface and its triggers re-arm now.
-		fr, err := m.coldRecord(id, len(devices))
-		if err != nil {
-			return err
-		}
-		if fr != nil {
-			if err := sh.add(id, devices, fr); err != nil {
-				return err
-			}
-			m.scheduleWake(id, fr.NextFire)
-			return nil
-		}
-	} else if dir := m.homeDir(id); dir != "" {
-		// Hibernation is off: a leftover frozen marker would go stale the
-		// moment the live home journals anything, so retire it now.
-		if err := rt.RemoveFrozenRecord(dir); err != nil {
-			return err
-		}
-	}
-	return sh.add(id, devices, nil)
+	return m.shards[m.ShardOf(id)].add(id, devices, nil)
 }
 
 // RecoverHomes rediscovers every home persisted under the manager's DataDir
@@ -558,26 +574,37 @@ func (m *Manager) RecoverHomes() ([]HomeID, error) {
 }
 
 // recoverHome re-adds the home persisted in dir and returns its ID — or ""
-// when dir holds no home.json or the home is already present.
+// when dir holds no home or the home is already present. The checkpoint's
+// head names the home and its devices; a directory an older build wrote
+// names them in home.json.
 func (m *Manager) recoverHome(dir string) (HomeID, error) {
-	buf, err := os.ReadFile(filepath.Join(dir, "home.json"))
+	head, err := journal.ReadHead(dir, m.writerFor)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return "", nil // not a home directory
+		return "", fmt.Errorf("manager: reading the record of %s: %w", filepath.Base(dir), err)
+	}
+	var id HomeID
+	var devices []device.Info
+	if head != nil && head.Home != "" {
+		id, devices = HomeID(head.Home), head.Devices
+	} else {
+		// An older build's directory: openRecord upgrades it, and reads the
+		// new record, under the reservation.
+		var meta struct {
+			ID      HomeID        `json:"id"`
+			Devices []device.Info `json:"devices"`
 		}
-		return "", fmt.Errorf("manager: reading metadata of %s: %w", filepath.Base(dir), err)
+		if found, err := readLegacy(dir, "home.json", &meta); !found || err != nil {
+			return "", err // no record: not a home directory
+		}
+		id, devices, head = meta.ID, meta.Devices, nil
 	}
-	var meta homeMeta
-	if err := json.Unmarshal(buf, &meta); err != nil {
-		return "", fmt.Errorf("manager: decoding metadata of %s: %w", filepath.Base(dir), err)
-	}
-	if err := m.AddHome(meta.ID, meta.Devices...); err != nil {
+	if err := m.shards[m.ShardOf(id)].add(id, devices, head); err != nil {
 		if errors.Is(err, ErrDuplicateHome) {
 			return "", nil
 		}
-		return "", fmt.Errorf("manager: recovering home %q: %w", meta.ID, err)
+		return "", fmt.Errorf("manager: recovering home %q: %w", id, err)
 	}
-	return meta.ID, nil
+	return id, nil
 }
 
 // AddHomes creates n homes named <prefix>-0 .. <prefix>-(n-1), each with the
@@ -794,7 +821,7 @@ func (m *Manager) eventSource(id HomeID, since uint64) (*rt.HomeRuntime, uint64,
 		return nil, 0, err
 	}
 	if slot.rt.Load() == nil {
-		if fr := slot.frozen.Load(); fr != nil && fr.NextSeq != 0 && since >= fr.NextSeq {
+		if fr := slot.frozen.Load(); fr != nil && since >= fr.NextSeq {
 			return nil, fr.NextSeq, nil
 		}
 	}
@@ -805,7 +832,7 @@ func (m *Manager) eventSource(id HomeID, since uint64) (*rt.HomeRuntime, uint64,
 // HomeStatus summarizes one home. Health is ok, degraded (serving but the
 // journal died — memory-only until restart), restarting (poisoned, being
 // rebuilt by the supervisor), quarantined (restart budget exhausted) or
-// frozen (hibernated: answered from the resident FrozenHome record, never
+// frozen (hibernated: answered from the resident frozen summary, never
 // by waking the home).
 type HomeStatus struct {
 	ID        HomeID        `json:"id"`
@@ -844,7 +871,7 @@ func (m *Manager) statusOf(slot *homeSlot, shard int) HomeStatus {
 			st := HomeStatus{ID: slot.id, Shard: shard, Health: rt.HealthFrozen}
 			if fr != nil {
 				st.Model = fr.Model
-				st.Devices = fr.Devices
+				st.Devices = len(slot.devices)
 				st.Routines = fr.Routines
 				st.Created = fr.Created
 				st.FrozenAt = fr.FrozenAt
@@ -920,7 +947,7 @@ type Status struct {
 	Homes  int `json:"homes"`
 	// Frozen counts the hibernated homes (included in Homes). Their
 	// lifetime mailbox totals still fold into Accepted/Rejected — read
-	// from the resident frozen records, never by waking anyone.
+	// from the resident frozen summaries, never by waking anyone.
 	Frozen      int    `json:"frozen,omitempty"`
 	Clock       string `json:"clock"`
 	Model       string `json:"model"`

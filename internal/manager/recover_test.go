@@ -331,7 +331,7 @@ func TestConcurrentAddHomeReservesTheID(t *testing.T) {
 	}
 }
 
-// TestRecoverHomesStopsAtFirstError: a home directory whose metadata does not
+// TestRecoverHomesStopsAtFirstError: a home directory whose record does not
 // decode fails RecoverHomes; the homes recovered before the failure come back
 // with the error, sorted and serving.
 func TestRecoverHomesStopsAtFirstError(t *testing.T) {
@@ -345,7 +345,7 @@ func TestRecoverHomesStopsAtFirstError(t *testing.T) {
 	if err := os.MkdirAll(bad, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(bad, "home.json"), []byte("{"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(bad, "checkpoint.ckpt"), []byte("torn checkpoint garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -353,7 +353,7 @@ func TestRecoverHomesStopsAtFirstError(t *testing.T) {
 	defer m2.Close()
 	recovered, err := m2.RecoverHomes()
 	if err == nil {
-		t.Fatal("RecoverHomes accepted undecodable metadata")
+		t.Fatal("RecoverHomes accepted an undecodable record")
 	}
 	if !sort.SliceIsSorted(recovered, func(i, j int) bool { return recovered[i] < recovered[j] }) {
 		t.Fatalf("recovered IDs %v are not sorted", recovered)
@@ -403,5 +403,87 @@ func TestManagerWithoutFleetUsesPrivateLogs(t *testing.T) {
 	}
 	if results, err := m2.Results("casa"); err != nil || len(results) != 4 {
 		t.Fatalf("recovered %d results from the private log, err %v; want 4", len(results), err)
+	}
+}
+
+// TestConcurrentAddHomeWithDifferentFleetsRecovers: two AddHome calls for one
+// new ID race with different fleets. Exactly one wins, and only the winner
+// publishes the home's durable record, so after a crash RecoverHomes brings
+// the home back with the winner's fleet — never a torn record, never the
+// loser's devices.
+func TestConcurrentAddHomeWithDifferentFleetsRecovers(t *testing.T) {
+	for trial := 0; trial < 40; trial++ {
+		dir := t.TempDir()
+		m := durableManager(dir)
+		fleets := []int{3, 5}
+		errs := make([]error, len(fleets))
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i, n := range fleets {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs[i] = m.AddHome("h", device.Plugs(n).All()...)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		winner := -1
+		for i, err := range errs {
+			switch {
+			case err == nil && winner < 0:
+				winner = i
+			case err == nil || !errors.Is(err, ErrDuplicateHome):
+				t.Fatalf("trial %d: AddHome results %v, want one success and one ErrDuplicateHome", trial, errs)
+			}
+		}
+		if winner < 0 {
+			t.Fatalf("trial %d: no AddHome succeeded: %v", trial, errs)
+		}
+		m.Crash()
+
+		m2 := durableManager(dir)
+		ids, err := m2.RecoverHomes()
+		if err != nil || len(ids) != 1 {
+			m2.Close()
+			t.Fatalf("trial %d: RecoverHomes = %v, %v", trial, ids, err)
+		}
+		st, err := m2.HomeStatus("h")
+		m2.Close()
+		if err != nil || st.Devices != fleets[winner] {
+			t.Fatalf("trial %d: recovered %d devices (err %v), the winning AddHome had %d", trial, st.Devices, err, fleets[winner])
+		}
+	}
+}
+
+// TestReAddedHomeRecoversItsNewFleet: a home re-added after a crash with a
+// different fleet keeps the new fleet across the next crash, along with the
+// history it recovered.
+func TestReAddedHomeRecoversItsNewFleet(t *testing.T) {
+	dir := t.TempDir()
+	m := durableManager(dir)
+	if err := m.AddHome("h", device.Plugs(3).All()...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Submit("h", durableRoutine(0)); err != nil {
+		t.Fatal(err)
+	}
+	m.Crash()
+
+	m2 := durableManager(dir)
+	if err := m2.AddHome("h", device.Plugs(5).All()...); err != nil {
+		t.Fatal(err)
+	}
+	m2.Crash()
+
+	m3 := durableManager(dir)
+	defer m3.Close()
+	if _, err := m3.RecoverHomes(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := m3.HomeStatus("h")
+	if err != nil || st.Devices != 5 || st.Routines != 1 {
+		t.Fatalf("re-added home recovered as %+v (err %v), want 5 devices and 1 routine", st, err)
 	}
 }

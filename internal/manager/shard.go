@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"safehome/internal/device"
+	"safehome/internal/journal"
 	rt "safehome/internal/runtime"
 	"safehome/internal/stats"
 )
@@ -22,13 +23,13 @@ type homeSlot struct {
 	devices []device.Info
 	rt      *rt.Slot
 
-	// frozen holds the hibernation record while the home has no runtime
+	// frozen holds the home's frozen summary while it has no runtime
 	// (rt.Load() == nil): the few hundred bytes the manager keeps resident
 	// per hibernated home. Transition ordering keeps readers consistent —
 	// freeze stores frozen before clearing the runtime; wake stores the
 	// runtime before clearing frozen — so "runtime first, frozen as
 	// fallback" always finds one.
-	frozen atomic.Pointer[rt.FrozenHome]
+	frozen atomic.Pointer[journal.FrozenHome]
 	// wakeMu is the singleflight guard for freeze/wake transitions: exactly
 	// one goroutine reanimates a frozen home; concurrent wakers (a submit, a
 	// query, the trigger-deadline waker) block and share the result.
@@ -80,23 +81,25 @@ func newShard(m *Manager, index int) *shard {
 	}
 }
 
-// add registers a home on this shard. Without a frozen record it builds the
-// home's first runtime generation now. With one it registers the home cold:
-// just the slot and the record, no runtime — first touch (or a due trigger
-// deadline) wakes it. Cold registration is how a manager holds a million
-// homes without holding a million loops.
+// add registers a home on this shard. A home frozen on disk registers
+// cold: just the slot and the summary, no runtime — first touch (or a due
+// trigger deadline) wakes it. Cold registration is how a manager holds a
+// million homes without holding a million loops. Any other home gets its
+// first runtime generation now.
 //
-// The build (journal recovery: disk reads, a checkpoint) runs with the
-// shard unlocked under a reservation of the ID, and the slot is published
+// The record (Manager.openRecord) and the build (journal recovery: disk
+// reads, a checkpoint) run with the shard unlocked under a reservation of
+// the ID, so two adds never write one record, and the slot is published
 // only once it is built, so lookups on the shard neither wait for it nor
 // see a half-built slot.
-func (s *shard) add(id HomeID, devices []device.Info, fr *rt.FrozenHome) error {
+func (s *shard) add(id HomeID, devices []device.Info, head *journal.Head) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	if s.reservedLocked(id) {
+	_, registered := s.homes[id]
+	if _, adding := s.adding[id]; registered || adding {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrDuplicateHome, id)
 	}
@@ -105,7 +108,12 @@ func (s *shard) add(id HomeID, devices []device.Info, fr *rt.FrozenHome) error {
 	s.mu.Unlock()
 	defer s.building.Done()
 
-	slot, home, err := s.build(id, devices, fr)
+	fr, err := s.m.openRecord(id, devices, head)
+	var slot *homeSlot
+	var home *rt.HomeRuntime
+	if err == nil {
+		slot, home, err = s.build(id, devices, fr)
+	}
 	s.mu.Lock()
 	delete(s.adding, id)
 	if err == nil && s.closed {
@@ -124,12 +132,15 @@ func (s *shard) add(id HomeID, devices []device.Info, fr *rt.FrozenHome) error {
 	}
 	s.homeCount.Inc()
 	s.mu.Unlock()
+	if fr != nil {
+		s.m.scheduleWake(id, fr.NextFire)
+	}
 	return nil
 }
 
-// build makes the slot add publishes: cold with the frozen record, or with
+// build makes the slot add publishes: cold with the frozen summary, or with
 // its first runtime generation built and stored.
-func (s *shard) build(id HomeID, devices []device.Info, fr *rt.FrozenHome) (*homeSlot, *rt.HomeRuntime, error) {
+func (s *shard) build(id HomeID, devices []device.Info, fr *journal.FrozenHome) (*homeSlot, *rt.HomeRuntime, error) {
 	slot := &homeSlot{id: id, devices: append([]device.Info(nil), devices...)}
 	// Each generation the slot builds recovers from the home's journal when
 	// the manager is durable; memory-only homes restart empty but alive. A
@@ -179,24 +190,19 @@ func (s *shard) setLive(slot *homeSlot, live bool) bool {
 	return true
 }
 
-// wake reanimates a hibernated home: remove the frozen marker, rebuild the
-// runtime from checkpoint + journal tail, publish it. wakeMu singleflights
-// concurrent wakers and serializes against an in-flight freeze — a waker
-// arriving mid-freeze blocks, then finds rt nil and reanimates. The marker
-// is removed BEFORE the build so a crash mid-wake leaves journal state with
-// no marker: an ordinary live recovery next boot, never a stale frozen
-// claim over a home that already reanimated.
+// wake reanimates a hibernated home: rebuild the runtime from checkpoint +
+// journal tail, publish it. wakeMu singleflights concurrent wakers and
+// serializes against an in-flight freeze — a waker arriving mid-freeze
+// blocks, then finds rt nil and reanimates. The wake writes nothing: the
+// home stays frozen on disk until its first append puts a record above the
+// checkpoint, so a crash before that brings it back cold with the same
+// state, and a crash after recovers it live.
 func (s *shard) wake(slot *homeSlot) (*rt.HomeRuntime, error) {
 	wakeStart := time.Now()
 	slot.wakeMu.Lock()
 	defer slot.wakeMu.Unlock()
 	if home := slot.rt.Load(); home != nil {
 		return home, nil // another waker (or a failed freeze) got here first
-	}
-	if dir := s.m.homeDir(slot.id); dir != "" {
-		if err := rt.RemoveFrozenRecord(dir); err != nil {
-			return nil, err
-		}
 	}
 	home, err := slot.rt.Build()
 	if err != nil {
@@ -213,8 +219,9 @@ func (s *shard) wake(slot *homeSlot) (*rt.HomeRuntime, error) {
 	return home, nil
 }
 
-// freeze hibernates one home: final checkpoint via the graceful Close,
-// durable frozen marker, then collapse the slot to the FrozenHome record.
+// freeze hibernates one home: the final checkpoint, with the frozen summary
+// in its head, via the graceful Close; then the slot collapses to the
+// summary.
 // Only a healthy home freezes — a degraded journal cannot take the final
 // checkpoint, and a poisoned home belongs to the supervisor. On a freeze
 // error after the Close (which is irrevocable) the slot is rebuilt from
@@ -230,9 +237,6 @@ func (s *shard) freeze(slot *homeSlot) error {
 		return fmt.Errorf("manager: home %q is %s, not freezing", slot.id, h)
 	}
 	fr, err := home.Freeze()
-	if err == nil {
-		err = rt.WriteFrozenRecord(fr)
-	}
 	if err != nil {
 		if !slot.rt.Serving() {
 			// Poisoned mid-freeze: the dying loop already queued the slot for
@@ -262,20 +266,6 @@ func (s *shard) slot(id HomeID) (*homeSlot, bool) {
 	defer s.mu.RUnlock()
 	slot, ok := s.homes[id]
 	return slot, ok
-}
-
-// has reports whether the shard owns the home or is adding it.
-func (s *shard) has(id HomeID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.reservedLocked(id)
-}
-
-// reservedLocked reports whether id is registered or being added.
-func (s *shard) reservedLocked(id HomeID) bool {
-	_, ok := s.homes[id]
-	_, adding := s.adding[id]
-	return ok || adding
 }
 
 // snapshot returns a point-in-time copy of the routing map.

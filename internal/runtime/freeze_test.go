@@ -1,12 +1,15 @@
 package runtime
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"safehome/internal/device"
+	"safehome/internal/journal"
 	"safehome/internal/routine"
 	"safehome/internal/visibility"
 )
@@ -40,28 +43,25 @@ func TestFreezeWakeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Freeze: %v", err)
 	}
-	if fr.ID != "igloo" || fr.Routines != 5 || fr.Devices != 3 || fr.DataDir != dir {
+	if fr.Model != "EV" || fr.Routines != 5 || fr.Accepted != 6 {
 		t.Fatalf("frozen record = %+v", fr)
 	}
 	if !fr.NextFire.IsZero() {
 		t.Fatalf("no triggers were armed but NextFire = %v", fr.NextFire)
 	}
-	if err := WriteFrozenRecord(fr); err != nil {
-		t.Fatal(err)
+	privateLog := func(string) *journal.GroupWriter { return nil }
+	head, err := journal.ReadHead(dir, privateLog)
+	if err != nil || head == nil || head.Frozen == nil {
+		t.Fatalf("the final checkpoint's head = %+v, %v; want it frozen", head, err)
 	}
-	got, err := ReadFrozenRecord(dir)
-	if err != nil || got == nil {
-		t.Fatalf("ReadFrozenRecord: %+v, %v", got, err)
-	}
-	if got.ID != fr.ID || got.Routines != fr.Routines || !got.FrozenAt.Equal(fr.FrozenAt) {
-		t.Fatalf("frozen record round-trip: wrote %+v, read %+v", fr, got)
+	got, _ := json.Marshal(head.Frozen)
+	want, _ := json.Marshal(fr)
+	if head.Home != "igloo" || !reflect.DeepEqual(head.Devices, device.Plugs(3).All()) || !bytes.Equal(got, want) {
+		t.Fatalf("the final checkpoint's head = %+v / %s; froze %s", head, got, want)
 	}
 
-	// Wake: remove the marker first (crash mid-wake must look like a live
-	// crash, not a frozen home), then recover from checkpoint + tail.
-	if err := RemoveFrozenRecord(dir); err != nil {
-		t.Fatal(err)
-	}
+	// Wake: recover from checkpoint + tail. It deletes nothing and writes
+	// nothing, so until the woken home appends it is still frozen on disk.
 	rt2, err := NewSim(cfg, device.Plugs(3))
 	if err != nil {
 		t.Fatalf("wake: %v", err)
@@ -83,8 +83,17 @@ func TestFreezeWakeRoundTrip(t *testing.T) {
 	if _, ok := rt2.Bank().Get("stored"); !ok {
 		t.Fatal("bank definition lost across freeze/wake")
 	}
-	if again, err := ReadFrozenRecord(dir); err != nil || again != nil {
-		t.Fatalf("marker survived the wake: %+v, %v", again, err)
+	if ev, next := rt2.EventsSince(fr.NextSeq); len(ev) != 0 || next != fr.NextSeq {
+		t.Fatalf("a poll at the frozen cursor %d found %d events, next %d", fr.NextSeq, len(ev), next)
+	}
+	if head, err := journal.ReadHead(dir, privateLog); err != nil || head.Frozen == nil {
+		t.Fatalf("the wake thawed the home on disk before it appended: %+v, %v", head, err)
+	}
+	if _, err := rt2.Submit(routine.New("after", routine.Command{Device: "plug-0", Target: device.Off})); err != nil {
+		t.Fatal(err)
+	}
+	if head, err := journal.ReadHead(dir, privateLog); err != nil || head.Frozen != nil {
+		t.Fatalf("the woken home appended but is still frozen on disk: %+v, %v", head, err)
 	}
 }
 

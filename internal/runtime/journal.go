@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"safehome/internal/device"
@@ -215,7 +216,8 @@ func (rt *HomeRuntime) maybeCheckpoint() {
 // checkpointNow derives a durable image from the latest published Snapshot
 // (results including open routines, committed states, the retained event
 // window) and hands it to the journal, which truncates the segments the
-// checkpoint covers.
+// checkpoint covers. Its head lists the home's devices (and carries the
+// frozen summary of a freeze's final checkpoint).
 //
 // The routine history is written incrementally, riding the export spine's
 // write-once chunks: every aligned DefaultSealSize run of terminal results
@@ -258,7 +260,7 @@ func (rt *HomeRuntime) checkpointNow() {
 		}
 		sealed += sealSize
 	}
-	ck := &journal.Checkpoint{}
+	ck := &journal.Checkpoint{Head: journal.Head{Devices: rt.reg.All(), Frozen: rt.frozen}}
 	if sealed > 0 {
 		ck.Sealed, ck.SealSize = sealed, sealSize
 	}
@@ -415,12 +417,17 @@ func (rt *HomeRuntime) recoverFrom(rec *journal.Recovered) {
 	}
 }
 
-// finishRecovery publishes the recovered snapshot and immediately cuts a
-// fresh checkpoint, so the pre-crash segments are truncated and the next
-// recovery replays only what happens from here on. Runs before the loop
-// starts.
-func (rt *HomeRuntime) finishRecovery() {
-	rt.checkpointNow()
+// finishRecovery runs after the recovered snapshot is published, before
+// the loop starts. It cuts a fresh checkpoint, so the pre-crash records are
+// truncated and the next recovery replays only what happens from here on —
+// unless the checkpoint on disk already is the recovered state: nothing was
+// replayed above it, nothing aborted (an abort is journaled), and its head
+// lists the home's devices. Skipping it is what lets a woken home that has
+// not appended yet stay frozen on disk, its summary intact.
+func (rt *HomeRuntime) finishRecovery(rec *journal.Recovered) {
+	if rec.Replayed > 0 || !rt.journalEmpty() || !slices.Equal(rec.Devices, rt.reg.All()) {
+		rt.checkpointNow()
+	}
 	if rt.j != nil {
 		rt.journalReset()
 	}

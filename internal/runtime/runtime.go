@@ -207,6 +207,11 @@ type HomeRuntime struct {
 	crashed atomic.Bool
 	jErr    atomic.Value
 
+	// freezing makes the final checkpoint of Freeze's Close carry the
+	// frozen summary, which the loop leaves in frozen.
+	freezing atomic.Bool
+	frozen   *journal.FrozenHome
+
 	// poisoned is set when a panic killed the loop; panicErr records the
 	// recovered panic value and poisonRec the full forensics record —
 	// message plus goroutine stack — also persisted to DataDir/poison.json
@@ -323,7 +328,7 @@ func (rt *HomeRuntime) run(initial map[device.ID]device.State, rec *journal.Reco
 	}
 	rt.publish(true) // initial snapshot: readers never see a nil pointer
 	if rec != nil {
-		rt.finishRecovery()
+		rt.finishRecovery(rec)
 	}
 	// Publish the first simulator deadline before the loop exists: a
 	// recovered home whose re-armed triggers are its only pending work would
@@ -644,7 +649,12 @@ func (rt *HomeRuntime) shutdown() {
 	// The final snapshot: post-Close reads observe the quiesced state.
 	rt.publish(true)
 	if rt.j != nil {
+		if rt.freezing.Load() {
+			rt.frozen = rt.frozenSummary()
+		}
 		rt.checkpointNow()
+	}
+	if rt.j != nil {
 		_ = rt.j.jrn.Close()
 		rt.j = nil
 	}
