@@ -231,6 +231,21 @@ func truncateUnsynced(dir string, synced map[string]int64) (int64, error) {
 	return lost, nil
 }
 
+// openLog opens the one-writer fleet under dir/wal that a drill's home
+// appends through. A drill plays the process that owns dir in every tier:
+// it abandons the writer at a crash (no final sync: only fsync-covered
+// bytes survive a kill) and opens a fresh one (a fresh epoch) to recover.
+// onSync, when non-nil, is the writer's WriterOptions.OnSync.
+func openLog(dir string, mode journal.Mode, onSync func(string, int64)) (*journal.GroupWriter, error) {
+	wopts := journal.WriterOptionsFor(mode)
+	wopts.OnSync = onSync
+	ws, err := journal.OpenWriters(filepath.Join(dir, "wal"), 1, wopts)
+	if err != nil {
+		return nil, fmt.Errorf("harness: drill writer: %w", err)
+	}
+	return ws[0], nil
+}
+
 // RunDrill executes one kill/recover drill and verifies the durability
 // contract on the recovered home.
 func RunDrill(p DrillParams) (DrillReport, error) {
@@ -251,26 +266,16 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 	// cut the files back to what an OS crash would really have kept.
 	var syncMu sync.Mutex
 	syncedBytes := make(map[string]int64)
+	var onSync func(string, int64)
 	if mode == journal.ModeAsync {
-		jopts.OnSync = func(path string, n int64) {
+		onSync = func(path string, n int64) {
 			syncMu.Lock()
 			syncedBytes[path] = n
 			syncMu.Unlock()
 		}
 	}
 
-	// The drill plays the hub process in every tier: it owns the writer the
-	// runtime attaches to, abandons it at the crash (no final sync: only
-	// fsync-covered bytes survive a kill), and opens a fresh one (fresh
-	// epoch) for recovery.
-	openWriter := func() (*journal.GroupWriter, error) {
-		ws, err := journal.OpenWriters(filepath.Join(p.Dir, "wal"), 1, journal.WriterOptionsFor(jopts, mode))
-		if err != nil {
-			return nil, fmt.Errorf("harness: drill writer: %w", err)
-		}
-		return ws[0], nil
-	}
-	w, err := openWriter()
+	w, err := openLog(p.Dir, mode, onSync)
 	if err != nil {
 		return DrillReport{}, err
 	}
@@ -465,7 +470,7 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 	// Its Close is deferred before the runtime's so it runs after — homes
 	// detach before the writer goes away.
 	rep.TailBytes = journalTailBytes(p.Dir)
-	if w, err = openWriter(); err != nil {
+	if w, err = openLog(p.Dir, mode, onSync); err != nil {
 		return rep, err
 	}
 	defer w.Close()

@@ -276,6 +276,10 @@ func RunJournalFlapDrill(dir string) (JournalFlapReport, error) {
 		return rep, errors.New("harness: journal-flap drill needs a data dir")
 	}
 	var failCommits atomic.Bool
+	w, err := openLog(dir, journal.ModeSync, nil)
+	if err != nil {
+		return rep, err
+	}
 	cfg := runtime.Config{
 		ID:       "journal-flap",
 		Clock:    runtime.ClockPaced,
@@ -283,6 +287,7 @@ func RunJournalFlapDrill(dir string) (JournalFlapReport, error) {
 		EventLog: 256,
 		DataDir:  dir,
 		Journal: journal.Options{
+			Writer: w,
 			TestInjectErr: func(op string) error {
 				if op == "commit" && failCommits.Load() {
 					return errors.New("harness: injected journal fault")
@@ -337,10 +342,16 @@ func RunJournalFlapDrill(dir string) (JournalFlapReport, error) {
 			"degraded home reports no journal error"})
 	}
 	rt.Crash()
+	w.Abandon()
 
 	// Phase 3: restart on the same directory. Pre-degrade work recovers;
 	// post-degrade work was memory-only by contract and is gone.
 	failCommits.Store(false)
+	if w, err = openLog(dir, journal.ModeSync, nil); err != nil {
+		return rep, err
+	}
+	defer w.Close()
+	cfg.Journal.Writer = w
 	rec, err := runtime.NewSim(cfg, device.Plugs(4))
 	if err != nil {
 		return rep, fmt.Errorf("harness: journal-flap recovery: %w", err)

@@ -32,6 +32,11 @@ func CheckFreezeWake(spec workload.Spec, sched visibility.SchedulerKind) ([]Viol
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
+	w, err := openLog(dir, journal.ModeSync, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer w.Close()
 
 	cfg := runtime.Config{
 		ID:        spec.Name,
@@ -39,6 +44,7 @@ func CheckFreezeWake(spec workload.Spec, sched visibility.SchedulerKind) ([]Viol
 		Model:     visibility.EV,
 		Scheduler: sched,
 		DataDir:   dir,
+		Journal:   journal.Options{Writer: w},
 	}
 	home, err := runtime.NewSim(cfg, spec.Registry())
 	if err != nil {
@@ -69,9 +75,10 @@ func CheckFreezeWake(spec workload.Spec, sched visibility.SchedulerKind) ([]Viol
 			fmt.Sprintf("frozen record claims %d routines, home acknowledged %d", fr.Routines, len(before))})
 	}
 
-	// The home's journal is a private log under dir: no shared writer.
+	// The oracle owns dir the way the manager owns its data directory: the
+	// woken home appends through the same writer the frozen one did.
 	frozenOnDisk := func(when string) {
-		if head, err := journal.ReadHead(dir, func(string) *journal.GroupWriter { return nil }); err != nil || head == nil || head.Frozen == nil {
+		if head, err := journal.ReadHead(dir, func(string) *journal.GroupWriter { return w }); err != nil || head == nil || head.Frozen == nil {
 			out = append(out, Violation{"frozen-record-lost", fmt.Sprintf("%s, the record is not frozen (err %v)", when, err)})
 		}
 	}

@@ -123,10 +123,8 @@ func New(cfg Config, reg *device.Registry, actuator device.Actuator) (*Hub, erro
 			Actuator:        func(manager.HomeID, *device.Registry) device.Actuator { return actuator },
 		},
 	})
-	if e := m.Status().DurabilityError; e != "" {
-		m.Crash() // the writer fleet failed to open: refuse, don't run on a fallback log
-		return nil, fmt.Errorf("hub: %s", e)
-	}
+	// AddHome refuses when the manager could not open its writer fleet:
+	// another live owner holds the data directory.
 	if err := m.AddHome(homeID, reg.All()...); err != nil {
 		m.Crash()
 		return nil, fmt.Errorf("hub: %w", err)

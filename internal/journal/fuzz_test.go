@@ -118,7 +118,7 @@ func FuzzRecoverDir(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, seg, ck []byte) {
 		dir := t.TempDir()
-		logDir := filepath.Join(dir, privateWalDir, epochPrefix+"0", writerDirPrefix+"0")
+		logDir := filepath.Join(dir, walDir, epochPrefix+"0", writerDirPrefix+"0")
 		if err := os.MkdirAll(logDir, 0o755); err != nil {
 			t.Skip()
 		}
@@ -133,7 +133,7 @@ func FuzzRecoverDir(f *testing.F) {
 				t.Skip()
 			}
 		}
-		j, _, err := Open(dir, Options{Mode: ModeAsync, AsyncWindowBytes: -1})
+		j, _, err := openOwned(t, dir, Options{Mode: ModeAsync, AsyncWindowBytes: -1}, WriterOptions{})
 		if err == nil {
 			j.Close()
 		}

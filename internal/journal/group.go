@@ -22,8 +22,8 @@ import (
 // the descriptor count: a manager shard with a thousand journaled homes holds
 // one active segment fd, not a thousand.
 //
-// Layout under the wal root (one tree per manager/hub data directory, or per
-// home for a journal opened without a writer):
+// Layout under the wal root (one tree per data directory, opened by the
+// directory's one owner):
 //
 //	wal.lock            flock: one process owns the whole tree
 //	ep<N>/w<i>/log-<seq>.seg
@@ -235,11 +235,11 @@ const (
 
 // OpenWriters opens (creating if needed) the wal tree rooted at root and
 // returns n GroupWriters in a fresh epoch — one per manager shard, or one
-// for a single-home hub or a lone journal. It indexes every previous epoch's
-// records into per-home tails (stopping each writer's stream at the first
-// torn frame) so journals that subsequently Open against these writers
-// recover everything acknowledged before the last shutdown or crash; each
-// Open decodes only its own records above its checkpoint. The
+// for a single-home owner such as a crash drill. It indexes every previous
+// epoch's records into per-home tails (stopping each writer's stream at the
+// first torn frame) so journals that subsequently Open against these
+// writers recover everything acknowledged before the last shutdown or
+// crash; each Open decodes only its own records above its checkpoint. The
 // returned writers share one flock on root/wal.lock; close every one of
 // them (after closing the journals they serve) to release it.
 func OpenWriters(root string, n int, opts WriterOptions) ([]*GroupWriter, error) {

@@ -202,9 +202,7 @@ func TestAsyncWindowBoundsUnflushed(t *testing.T) {
 	count := func(window int64) (syncs int) {
 		var mu sync.Mutex
 		dir := t.TempDir()
-		j, _, err := Open(dir, Options{
-			Mode:             ModeAsync,
-			AsyncWindowBytes: window,
+		j, _, err := openOwned(t, dir, Options{Mode: ModeAsync, AsyncWindowBytes: window}, WriterOptions{
 			OnSync: func(string, int64) {
 				mu.Lock()
 				syncs++
@@ -228,7 +226,7 @@ func TestAsyncWindowBoundsUnflushed(t *testing.T) {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		j2, rec, err := Open(dir, Options{})
+		j2, rec, err := openOwned(t, dir, Options{}, WriterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +253,7 @@ func TestAppendCommitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	j, _, err := Open(t.TempDir(), Options{HomeID: "home-1"})
+	j, _, err := openOwned(t, t.TempDir(), Options{HomeID: "home-1"}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

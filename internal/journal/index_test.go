@@ -32,7 +32,7 @@ func TestBatchPrefixIsCanonical(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		j, _, err := Open(dir, Options{HomeID: c.home})
+		j, _, err := openOwned(t, dir, Options{HomeID: c.home}, WriterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,12 +4,13 @@
 //
 // There is one on-disk layout. Every journal appends through a GroupWriter
 // (group.go): a segmented log that any number of homes share, each frame
-// tagged with its home. The manager (the hub is a one-home manager) opens a
-// writer fleet with OpenWriters and hands each journal its writer
-// (Options.Writer); a journal opened without one opens a private one-writer
-// fleet under <dir>/wal and closes it with itself. Checkpoint images and
-// sealed routine chunks stay per home, in the home's own directory; the
-// checkpoint's head (Head) is the home's durable record.
+// tagged with its home. One owner per data directory — a manager (the hub is
+// a one-home manager), a crash drill or a benchmark — opens the writer fleet
+// with OpenWriters and hands each journal its writer (Options.Writer); the
+// fleet's wal.lock is the single-owner rule, and a journal never opens a log
+// of its own. Checkpoint images and sealed routine chunks stay per home, in
+// the home's own directory; the checkpoint's head (Head) is the home's
+// durable record.
 //
 // The home runtime appends one Batch record per mailbox drain — accepted
 // submissions, finished routine outcomes, committed device-state changes and
@@ -57,8 +58,8 @@ import (
 type Mode int
 
 const (
-	// ModeDefault lets the owner pick: a journal on its own and the hub
-	// resolve it to sync, a multi-home manager to group.
+	// ModeDefault lets the owner pick: Open and the hub resolve it to
+	// sync, a multi-home manager to group.
 	ModeDefault Mode = iota
 	// ModeSync is acknowledged ⇒ on disk with no group-commit window: the
 	// writer starts an fsync as soon as a commit is waiting (see
@@ -114,11 +115,10 @@ func ResolveMode(opts Options, def Mode) Mode {
 }
 
 // WriterOptionsFor derives the options of the writer fleet that serves
-// journals opened with opts at the given tier: the segment size, sync hook
-// and stats carry over, and sync closes the group-commit window. Owners add
-// OnCycle; Open uses it as is for a private writer.
-func WriterOptionsFor(opts Options, mode Mode) WriterOptions {
-	w := WriterOptions{SegmentBytes: opts.SegmentBytes, OnSync: opts.OnSync, Stats: opts.Stats}
+// journals at the given tier: sync closes the group-commit window. Owners
+// add the segment size, hooks and stats they want.
+func WriterOptionsFor(mode Mode) WriterOptions {
+	var w WriterOptions
 	if mode == ModeSync {
 		w.SyncDelay = -1
 	}
@@ -127,10 +127,6 @@ func WriterOptionsFor(opts Options, mode Mode) WriterOptions {
 
 // Options tunes a journal. The zero value uses the defaults.
 type Options struct {
-	// SegmentBytes rotates the private writer's active segment once it
-	// exceeds this size (default 4 MiB). A shared Writer rotates at its own
-	// WriterOptions.SegmentBytes.
-	SegmentBytes int64
 	// CheckpointBytes is how many journal bytes may accumulate since the last
 	// checkpoint before ShouldCheckpoint reports true (default 1 MiB). The
 	// owner decides when to actually cut one (the runtime does it between
@@ -147,30 +143,24 @@ type Options struct {
 	// KiB). Negative means unbounded: no commit ever waits; the writer's
 	// syncer still drains in the background.
 	AsyncWindowBytes int64
-	// HomeID tags this journal's batches in the log; required with a shared
-	// Writer. The home runtime defaults it to the home's configured ID.
+	// HomeID tags this journal's batches in the log; required. The home
+	// runtime defaults it to the home's configured ID.
 	HomeID string
-	// Writer is the GroupWriter this journal appends through. The journal
-	// holds no descriptor and no lock of its own — the writer's wal.lock owns
-	// the whole tree — which is what bounds descriptors at high tenant
-	// counts. Nil opens a private one-writer fleet under <dir>/wal that the
-	// journal closes (or abandons) with itself.
+	// Writer is the GroupWriter this journal appends through; required. Its
+	// owner opened the fleet for the whole data directory (OpenWriters) and
+	// closes it after the journals it serves. The journal holds no descriptor
+	// and no lock of its own — the writer's wal.lock owns the whole tree —
+	// which is what bounds descriptors at high tenant counts.
 	Writer *GroupWriter
 	// store, when non-nil, is where checkpoint images and sealed routine
 	// chunks live instead of the journal directory: a test hook. A boot
 	// finds a home by the checkpoint in its directory (ReadHead).
 	store segmentStore
-	// OnSync, when non-nil, is called after each data fsync of the private
-	// writer with the synced segment's path and its size at that sync (a
-	// shared Writer calls its own WriterOptions.OnSync). Crash drills use it
-	// to compute exactly which acknowledged bytes an OS crash could lose in
-	// async mode. Called with the writer's internal lock held — the hook must
-	// not call back into the journal or writer.
-	OnSync func(path string, syncedBytes int64)
-	// Stats, when non-nil, receives plain atomic counts of appends, fsyncs
-	// and checkpoints. The same Stats is typically shared by every home and
-	// the owner's GroupWriters so the /metrics surface gets fleet totals
-	// without the journal knowing about telemetry.
+	// Stats, when non-nil, receives plain atomic counts of the journal's
+	// appends and checkpoints. The same Stats is typically shared by every
+	// home and the owner's GroupWriters (which count the fsyncs) so the
+	// /metrics surface gets fleet totals without the journal knowing about
+	// telemetry.
 	Stats *Stats
 	// TestInjectErr, when non-nil, is consulted at the start of each write
 	// path — op is "append", "commit" or "checkpoint" — and a non-nil return
@@ -207,11 +197,8 @@ const (
 	chunkPrefix    = "ckchunk-"
 	chunkSuffix    = ".ckpt"
 	segmentSuffix  = ".seg"
-	// privateWalDir is where a journal opened without Options.Writer keeps
-	// its own log, and privateHome the tag its frames carry when the caller
-	// named no HomeID.
-	privateWalDir = "wal"
-	privateHome   = "home"
+	// walDir is where an owner roots its fleet in a data directory.
+	walDir = "wal"
 	// legacySegPrefix names the per-home wal-<lsn>.seg files the sync tier
 	// wrote before every journal appended through a GroupWriter. Open still
 	// reads them; nothing writes them (see legacyBatches).
@@ -242,11 +229,9 @@ type Journal struct {
 	sealSize int          // chunk size the sealed prefix was cut at (0 = none yet)
 
 	// The journal owns no fd of its own: frames carry home and land in the
-	// writer's segments. private marks a writer Open opened itself, which
-	// Close and Abandon take down with the journal. wEnd and wUnflushed are
-	// guarded by writer.mu, not by the loop.
+	// writer's segments. wEnd and wUnflushed are guarded by writer.mu, not by
+	// the loop.
 	writer     *GroupWriter
-	private    bool
 	home       string
 	wEnd       int64 // writer offset just past this journal's last appended byte
 	wUnflushed int64 // async: appended bytes not yet covered by a writer sync
@@ -302,11 +287,14 @@ func (r *Recovered) NextSeq() uint64 {
 //
 // Exactly one process may own a home's journal: a second opener (e.g. a
 // restart racing a hung predecessor) would recover to the same LSN and
-// reuse it. The writer's wal.lock enforces that for the whole tree it
-// serves — a private writer's tree is this one home — and flock is released
-// automatically when the holder dies, so a SIGKILL'd hub never bricks its
-// own restart.
+// reuse it. The writer's wal.lock enforces that for the whole tree its
+// owner serves, so Open requires Options.Writer (and Options.HomeID, which
+// tags the home's frames in it). flock is released automatically when the
+// holder dies, so a SIGKILL'd hub never bricks its own restart.
 func Open(dir string, opts Options) (*Journal, *Recovered, error) {
+	if opts.Writer == nil || opts.HomeID == "" {
+		return nil, nil, errors.New("journal: Open needs the owner's Options.Writer and an Options.HomeID")
+	}
 	opts = opts.normalized()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: creating %s: %w", dir, err)
@@ -316,18 +304,6 @@ func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 	j.store = opts.store
 	if j.store == nil {
 		j.store = DirStore{Dir: dir}
-	}
-	if j.writer == nil {
-		if j.home == "" {
-			j.home = privateHome
-		}
-		ws, err := OpenWriters(filepath.Join(dir, privateWalDir), 1, WriterOptionsFor(opts, j.mode))
-		if err != nil {
-			return nil, nil, err
-		}
-		j.writer, j.private = ws[0], true
-	} else if j.home == "" {
-		return nil, nil, fmt.Errorf("journal: a shared writer requires Options.HomeID")
 	}
 
 	rec, found, err := j.recover()
@@ -463,13 +439,12 @@ func segmentsIn(dir, prefix string) []string {
 func legacySegments(dir string) []string { return segmentsIn(dir, legacySegPrefix) }
 
 // SegmentFiles lists every journal segment file under a data directory in
-// append order: a home's legacy segments, then the log tree under dir/wal
-// (a journal's private log, or the fleet of a hub or manager rooted at dir).
-// Crash drills use it to measure and cut the journal tail without knowing
-// the layout.
+// append order: a home's legacy segments, then the log tree of the fleet
+// rooted at dir/wal. Crash drills use it to measure and cut the journal
+// tail without knowing the layout.
 func SegmentFiles(dir string) []string {
 	segs := legacySegments(dir)
-	streams, _, _ := walStreams(filepath.Join(dir, privateWalDir))
+	streams, _, _ := walStreams(filepath.Join(dir, walDir))
 	for _, stream := range streams {
 		segs = append(segs, stream...)
 	}
@@ -480,9 +455,9 @@ func SegmentFiles(dir string) []string {
 // CRC-checked): nil without a checkpoint, no Home for one older than heads.
 // A home is frozen when the head carries a summary and nothing of the home
 // lies above the checkpoint in the log of writerFor(home), the writer its
-// journal would append through (nil: its private log under dir). ReadHead
-// drops the summary of a home that ran after its freeze, so Head.Frozen is
-// set only for a frozen home.
+// journal would append through (consulted only for a head with a summary).
+// ReadHead drops the summary of a home that ran after its freeze, so
+// Head.Frozen is set only for a frozen home.
 func ReadHead(dir string, writerFor func(home string) *GroupWriter) (*Head, error) {
 	f, err := os.Open(filepath.Join(dir, checkpointName))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -503,29 +478,12 @@ func ReadHead(dir string, writerFor func(home string) *GroupWriter) (*Head, erro
 	if clean, _ := scanFrames(frame, func(p []byte) error { return json.Unmarshal(p, h) }); !clean {
 		return nil, fmt.Errorf("journal: checkpoint head in %s is corrupt", dir)
 	}
-	if h.Frozen != nil && holdsAbove(dir, h.Home, h.LSN, writerFor(h.Home)) {
+	// A legacy segment (only a checkpoint deletes them) or a record in the
+	// log above the checkpoint means the home ran after its freeze.
+	if h.Frozen != nil && (len(legacySegments(dir)) > 0 || writerFor(h.Home).holds(h.Home, h.LSN)) {
 		h.Frozen = nil
 	}
 	return h, nil
-}
-
-// holdsAbove reports whether anything of home lies above lsn: a legacy
-// segment (only a checkpoint deletes them), or a record in w's log — or,
-// without a writer, in the private log under dir.
-func holdsAbove(dir, home string, lsn uint64, w *GroupWriter) bool {
-	if len(legacySegments(dir)) > 0 {
-		return true
-	}
-	if w != nil {
-		return w.holds(home, lsn)
-	}
-	for _, seg := range SegmentFiles(dir) {
-		buf, _ := os.ReadFile(seg)
-		if tail, _ := appendHomeBatches(nil, buf, home, lsn, nil); len(tail) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // PublishHead makes h the head of the checkpoint in dir, keeping its image
@@ -945,34 +903,23 @@ func (j *Journal) SealChunk(index int, recs []RoutineRecord) error {
 }
 
 // Close makes everything appended durable (regardless of tier — a clean
-// close leaves nothing behind the disk) and detaches from the writer,
-// closing it too if it is the journal's own. The journal is unusable
-// afterwards.
+// close leaves nothing behind the disk) and detaches from the writer. The
+// journal is unusable afterwards; the writer stays its owner's.
 func (j *Journal) Close() error {
 	if !j.open {
 		return nil
 	}
 	j.open = false
-	err := j.writer.detach(j, true)
-	if j.private {
-		if cerr := j.writer.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return j.writer.detach(j, true)
 }
 
 // Abandon detaches without syncing — the SIGKILL-equivalent teardown used
 // by crash drills and the poison path: whatever the writer already synced
-// survives, nothing else is flushed. A shared writer keeps running for its
-// other homes; a private one is abandoned with the journal, releasing the
-// directory lock exactly as a killed process's flock would be.
+// survives, nothing else is flushed. The writer keeps running for its
+// other homes; a drill that kills the whole process abandons it too.
 func (j *Journal) Abandon() {
 	if j.open {
 		_ = j.writer.detach(j, false)
 		j.open = false
-	}
-	if j.private {
-		j.writer.Abandon()
 	}
 }

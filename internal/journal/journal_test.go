@@ -32,38 +32,118 @@ func finishRec(id int64, status visibility.RoutineStatus) RoutineRecord {
 	return r
 }
 
-// TestDirectoryLockExcludesSecondOpener: one process (here: one open
-// journal) owns a home's data directory through its private log's wal.lock;
-// a racing second opener must fail fast instead of reusing acknowledged
-// LSNs. Closing (or a crash releasing the flock) frees the directory for the
-// successor.
-func TestDirectoryLockExcludesSecondOpener(t *testing.T) {
+// ownedJournal is a journal with the one-writer fleet under <dir>/wal it
+// appends through, the test playing the owner of dir: Close and Abandon
+// take the fleet down with the journal, as the owner's exit or kill would.
+type ownedJournal struct {
+	*Journal
+	w *GroupWriter
+}
+
+// openLog opens the one-writer fleet under dir/wal with the tier's sync
+// window (unless wopts sets one). Cleanup abandons it if the test did not.
+func openLog(t testing.TB, dir string, mode Mode, wopts WriterOptions) (*GroupWriter, error) {
+	if wopts.SyncDelay == 0 {
+		wopts.SyncDelay = WriterOptionsFor(mode).SyncDelay
+	}
+	ws, err := OpenWriters(filepath.Join(dir, walDir), 1, wopts)
+	if err != nil {
+		return nil, err
+	}
+	t.Cleanup(ws[0].Abandon)
+	return ws[0], nil
+}
+
+// openOwned opens the journal in dir through a fleet of its own (openLog),
+// as home "home" unless opts names one.
+func openOwned(t testing.TB, dir string, opts Options, wopts WriterOptions) (*ownedJournal, *Recovered, error) {
+	w, err := openLog(t, dir, ResolveMode(opts, ModeSync), wopts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if opts.HomeID == "" {
+		opts.HomeID = "home"
+	}
+	opts.Writer = w
+	j, rec, err := Open(dir, opts)
+	if err != nil {
+		w.Abandon()
+		return nil, nil, err
+	}
+	return &ownedJournal{j, w}, rec, nil
+}
+
+func (o *ownedJournal) Close() error {
+	err := o.Journal.Close()
+	if cerr := o.w.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func (o *ownedJournal) Abandon() {
+	o.Journal.Abandon()
+	o.w.Abandon()
+}
+
+// TestOpenNeedsTheOwnersWriter: a journal never opens a log of its own —
+// without a writer or a home ID, Open fails and writes nothing.
+func TestOpenNeedsTheOwnersWriter(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{})
+	w, err := openLog(t, t.TempDir(), ModeSync, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, privateWalDir, walLockName)); err != nil {
-		t.Fatalf("open journal holds no wal.lock: %v", err)
+	for name, opts := range map[string]Options{
+		"no writer":  {HomeID: "h"},
+		"no home ID": {Writer: w},
+	} {
+		if j, _, err := Open(dir, opts); err == nil {
+			j.Close()
+			t.Fatalf("%s: Open succeeded", name)
+		}
 	}
-	if _, _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("second Open of a locked directory succeeded")
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("a refused Open wrote %d entries", len(entries))
 	}
-	j.Close()
-	j2, _, err := Open(dir, Options{})
+}
+
+// TestDirectoryLockExcludesSecondOpener: one process owns a data directory
+// through its fleet's wal.lock; a racing second opener must fail fast
+// instead of reusing acknowledged LSNs. Closing (or a crash releasing the
+// flock) frees the directory for the successor.
+func TestDirectoryLockExcludesSecondOpener(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), walDir)
+	ws, err := OpenWriters(wal, 2, WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(wal, walLockName)); err != nil {
+		t.Fatalf("open fleet holds no wal.lock: %v", err)
+	}
+	if _, err := OpenWriters(wal, 1, WriterOptions{}); err == nil || !strings.Contains(err.Error(), "in use") {
+		t.Fatalf("second OpenWriters of a locked directory: err = %v, want in use", err)
+	}
+	// The lock is the fleet's: it holds until every writer is released.
+	ws[0].Close()
+	if _, err := OpenWriters(wal, 1, WriterOptions{}); err == nil {
+		t.Fatal("OpenWriters succeeded while one writer of the fleet was still open")
+	}
+	ws[1].Close()
+	ws, err = OpenWriters(wal, 1, WriterOptions{})
 	if err != nil {
 		t.Fatalf("reopen after Close: %v", err)
 	}
-	j2.Abandon()
-	j3, _, err := Open(dir, Options{})
+	ws[0].Abandon()
+	ws, err = OpenWriters(wal, 1, WriterOptions{})
 	if err != nil {
 		t.Fatalf("reopen after Abandon: %v", err)
 	}
-	j3.Close()
+	ws[0].Close()
 }
 
 func TestOpenFreshDirRecoversNothing(t *testing.T) {
-	j, rec, err := Open(t.TempDir(), Options{})
+	j, rec, err := openOwned(t, t.TempDir(), Options{}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +155,7 @@ func TestOpenFreshDirRecoversNothing(t *testing.T) {
 
 func TestAppendCommitRecover(t *testing.T) {
 	dir := t.TempDir()
-	j, rec, err := Open(dir, Options{})
+	j, rec, err := openOwned(t, dir, Options{}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +189,7 @@ func TestAppendCommitRecover(t *testing.T) {
 	}
 	j.Close()
 
-	j2, rec, err := Open(dir, Options{})
+	j2, rec, err := openOwned(t, dir, Options{}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +241,7 @@ func newestSegment(t *testing.T, dir string) string {
 
 func TestTornTailIsDropped(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{})
+	j, _, err := openOwned(t, dir, Options{}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +263,7 @@ func TestTornTailIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, rec, err := Open(dir, Options{})
+	_, rec, err := openOwned(t, dir, Options{}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +284,7 @@ func TestTornTailIsDropped(t *testing.T) {
 // the next recovery's sequential scan.
 func TestTornFirstFrameDoesNotSwallowLaterAppends(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{})
+	j, _, err := openOwned(t, dir, Options{}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +306,7 @@ func TestTornFirstFrameDoesNotSwallowLaterAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, rec, err := Open(dir, Options{})
+	j2, rec, err := openOwned(t, dir, Options{}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +323,7 @@ func TestTornFirstFrameDoesNotSwallowLaterAppends(t *testing.T) {
 	j2.Close()
 
 	// ...must survive the next recovery.
-	_, rec2, err := Open(dir, Options{})
+	_, rec2, err := openOwned(t, dir, Options{}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +334,7 @@ func TestTornFirstFrameDoesNotSwallowLaterAppends(t *testing.T) {
 
 func TestCorruptPayloadEndsReplay(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{})
+	j, _, err := openOwned(t, dir, Options{}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +357,7 @@ func TestCorruptPayloadEndsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, rec, err := Open(dir, Options{})
+	_, rec, err := openOwned(t, dir, Options{}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +368,7 @@ func TestCorruptPayloadEndsReplay(t *testing.T) {
 
 func TestCheckpointTruncatesSegments(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{SegmentBytes: 256})
+	j, _, err := openOwned(t, dir, Options{}, WriterOptions{SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +415,7 @@ func TestCheckpointTruncatesSegments(t *testing.T) {
 	}
 	j.Close()
 
-	_, rec, err := Open(dir, Options{})
+	_, rec, err := openOwned(t, dir, Options{}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +437,7 @@ func TestCheckpointTruncatesSegments(t *testing.T) {
 // is scanned on its own.
 func TestCoveredTornSegmentDoesNotMaskLiveRecords(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{})
+	j, _, err := openOwned(t, dir, Options{}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +452,7 @@ func TestCoveredTornSegmentDoesNotMaskLiveRecords(t *testing.T) {
 	j.Abandon()
 	dead := newestSegment(t, dir) // epoch 0's stream
 
-	j, rec, err := Open(dir, Options{})
+	j, rec, err := openOwned(t, dir, Options{}, WriterOptions{})
 	if err != nil || rec == nil || len(rec.Routines) != 3 {
 		t.Fatalf("reopen: %v, recovered %+v", err, rec)
 	}
@@ -398,7 +478,7 @@ func TestCoveredTornSegmentDoesNotMaskLiveRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, rec, err = Open(dir, Options{})
+	_, rec, err = openOwned(t, dir, Options{}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +488,7 @@ func TestCoveredTornSegmentDoesNotMaskLiveRecords(t *testing.T) {
 }
 
 func TestShouldCheckpointThreshold(t *testing.T) {
-	j, _, err := Open(t.TempDir(), Options{CheckpointBytes: 64})
+	j, _, err := openOwned(t, t.TempDir(), Options{CheckpointBytes: 64}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +505,7 @@ func TestShouldCheckpointThreshold(t *testing.T) {
 
 func TestEventWindowGapKeepsNewest(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{})
+	j, _, err := openOwned(t, dir, Options{}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +518,7 @@ func TestEventWindowGapKeepsNewest(t *testing.T) {
 	}
 	j.Close()
 
-	_, rec, err := Open(dir, Options{})
+	_, rec, err := openOwned(t, dir, Options{}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,14 +565,14 @@ func TestResultRoundTrip(t *testing.T) {
 func TestInjectErrSurfacesOnEachWritePath(t *testing.T) {
 	var failOp string
 	planted := errors.New("planted: disk on fire")
-	j, _, err := Open(t.TempDir(), Options{
+	j, _, err := openOwned(t, t.TempDir(), Options{
 		TestInjectErr: func(op string) error {
 			if op == failOp {
 				return planted
 			}
 			return nil
 		},
-	})
+	}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +609,7 @@ func TestInjectErrSurfacesOnEachWritePath(t *testing.T) {
 func TestCheckpointHeadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	devices := device.Plugs(2).All()
-	j, _, err := Open(dir, Options{HomeID: "h"})
+	j, _, err := openOwned(t, dir, Options{HomeID: "h"}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +637,7 @@ func TestCheckpointHeadRoundTrip(t *testing.T) {
 		t.Fatalf("the image repeats the head: %s", before)
 	}
 
-	j, got, err := Open(dir, Options{HomeID: "h"})
+	j, got, err := openOwned(t, dir, Options{HomeID: "h"}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +652,12 @@ func TestCheckpointHeadRoundTrip(t *testing.T) {
 	if after := image(); string(after) != string(before) {
 		t.Fatalf("PublishHead rewrote the image:\n   %s\nwas\n   %s", after, before)
 	}
-	head, err := ReadHead(dir, func(string) *GroupWriter { return nil })
+	w, err := openLog(t, dir, ModeSync, WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := ReadHead(dir, func(string) *GroupWriter { return w })
+	w.Close()
 	if err != nil || head.LSN != 1 || head.Home != "h" || !slices.Equal(head.Devices, devices[:1]) || head.Frozen == nil || head.Frozen.NextSeq != 6 {
 		t.Fatalf("ReadHead after PublishHead = %+v, %v", head, err)
 	}
@@ -587,7 +672,7 @@ func TestCheckpointHeadRoundTrip(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, checkpointName), file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if j, _, err := Open(dir, Options{HomeID: "h"}); err == nil {
+		if j, _, err := openOwned(t, dir, Options{HomeID: "h"}, WriterOptions{}); err == nil {
 			j.Close()
 			t.Fatalf("%s head: Open recovered", name)
 		}

@@ -44,11 +44,11 @@ func sealAll(t *testing.T, j *Journal, n, sealSize int) int {
 func TestSealedChunkCheckpointRecovery(t *testing.T) {
 	dir := t.TempDir()
 	const total, sealSize = 600, 256
-	j, _, err := Open(dir, Options{})
+	j, _, err := openOwned(t, dir, Options{}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed := sealAll(t, j, total, sealSize) // 512 of 600
+	sealed := sealAll(t, j.Journal, total, sealSize) // 512 of 600
 	if sealed != 512 {
 		t.Fatalf("sealed %d, want 512", sealed)
 	}
@@ -71,7 +71,7 @@ func TestSealedChunkCheckpointRecovery(t *testing.T) {
 	}
 	j.Close()
 
-	j2, rec, err := Open(dir, Options{})
+	j2, rec, err := openOwned(t, dir, Options{}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +102,11 @@ func TestSealedChunkCheckpointRecovery(t *testing.T) {
 // break the dense-history invariant and resurrect a truncated past.
 func TestSealedChunkMissingFailsRecovery(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{})
+	j, _, err := openOwned(t, dir, Options{}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed := sealAll(t, j, 256, 256)
+	sealed := sealAll(t, j.Journal, 256, 256)
 	if err := j.Checkpoint(&Checkpoint{Sealed: sealed, SealSize: 256}); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestSealedChunkMissingFailsRecovery(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, chunkName(0))); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(dir, Options{}); err == nil {
+	if _, _, err := openOwned(t, dir, Options{}, WriterOptions{}); err == nil {
 		t.Fatal("recovery with a missing sealed chunk succeeded")
 	} else if !strings.Contains(err.Error(), "sealed chunk 0") {
 		t.Fatalf("unexpected error: %v", err)
@@ -124,7 +124,7 @@ func TestSealedChunkMissingFailsRecovery(t *testing.T) {
 // TestSealChunkRejectsOpenRoutine: sealed chunks are immutable, so a record
 // that could still change (an open routine) must be refused.
 func TestSealChunkRejectsOpenRoutine(t *testing.T) {
-	j, _, err := Open(t.TempDir(), Options{})
+	j, _, err := openOwned(t, t.TempDir(), Options{}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +186,11 @@ func (s *memStore) List() ([]string, error) {
 func TestPluggableStoreHoldsCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	store := newMemStore()
-	j, _, err := Open(dir, Options{store: store})
+	j, _, err := openOwned(t, dir, Options{store: store}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed := sealAll(t, j, 300, 256)
+	sealed := sealAll(t, j.Journal, 300, 256)
 	tail := []RoutineRecord{}
 	for id := int64(sealed + 1); id <= 300; id++ {
 		tail = append(tail, finishRec(id, visibility.StatusCommitted))
@@ -216,7 +216,7 @@ func TestPluggableStoreHoldsCheckpoints(t *testing.T) {
 		t.Fatalf("store holds no sealed chunk: %v", err)
 	}
 
-	j2, rec, err := Open(dir, Options{store: store})
+	j2, rec, err := openOwned(t, dir, Options{store: store}, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

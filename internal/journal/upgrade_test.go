@@ -33,32 +33,28 @@ func copyDir(t *testing.T, src string) string {
 // TestSyncEraDirectoryUpgrades opens a data directory written by the last
 // commit that had a per-home segment layout (testdata/sync-era: checkpoint,
 // one sealed chunk, three non-empty wal-*.seg files, the newest ending in a
-// torn frame; see generate_test.go.txt there). Through a private log and
-// through a shared writer alike it must recover exactly the image that
-// commit recovered (expected.json), take appends, never write a wal-*.seg,
-// and hold none after the next checkpoint.
+// torn frame; see generate_test.go.txt there). Through a fleet rooted in
+// the home's directory and through one shared with other homes alike it must
+// recover exactly the image that commit recovered (expected.json), take
+// appends, never write a wal-*.seg, and hold none after the next checkpoint.
 func TestSyncEraDirectoryUpgrades(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "sync-era", "expected.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shared := range []bool{false, true} {
-		name := "private"
-		if shared {
-			name = "shared"
-		}
+	for _, name := range []string{"fleet-in-home-dir", "shared"} {
 		t.Run(name, func(t *testing.T) {
 			dir := copyDir(t, filepath.Join("testdata", "sync-era", "home"))
-			opts := Options{HomeID: "h"}
-			if shared {
-				ws, err := OpenWriters(filepath.Join(t.TempDir(), "wal"), 1, WriterOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer ws[0].Close()
-				opts.Writer = ws[0]
+			root := dir
+			if name == "shared" {
+				root = t.TempDir()
 			}
-			if h, err := ReadHead(dir, func(string) *GroupWriter { return opts.Writer }); err != nil || h == nil || h.Home != "" || h.LSN != 12 {
+			w, err := openLog(t, root, ModeSync, WriterOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{HomeID: "h", Writer: w}
+			if h, err := ReadHead(dir, func(string) *GroupWriter { return w }); err != nil || h == nil || h.Home != "" || h.LSN != 12 {
 				t.Fatalf("ReadHead of a sync-era directory = %+v, %v; want a head with no home at LSN 12", h, err)
 			}
 			legacy := legacySegments(dir)
@@ -110,13 +106,18 @@ func TestSyncEraDirectoryUpgrades(t *testing.T) {
 				}
 			}
 			j.Abandon()
+			w.Abandon()
 
 			// A crash before the first checkpoint replays legacy segments, then
 			// the log.
+			if opts.Writer, err = openLog(t, root, ModeSync, WriterOptions{}); err != nil {
+				t.Fatal(err)
+			}
 			j, rec, err = Open(dir, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer opts.Writer.Close()
 			defer j.Close()
 			if rec == nil || rec.LSN != 19 || rec.Routines[17].Open() {
 				t.Fatalf("second recovery did not replay legacy segments then the log: %v", rec != nil)
@@ -134,8 +135,8 @@ func TestSyncEraDirectoryUpgrades(t *testing.T) {
 
 // TestReadHeadSeesTheLog: a home is frozen while its checkpoint carries a
 // summary and nothing of it lies above that checkpoint — in this epoch's
-// active segment, a dead epoch's tail, or a private log. ReadHead reports
-// the summary of a frozen home only.
+// active segment or a dead epoch's tail. ReadHead reports the summary of a
+// frozen home only.
 func TestReadHeadSeesTheLog(t *testing.T) {
 	root := t.TempDir()
 	wal, dirA, dirB := filepath.Join(root, "wal"), filepath.Join(root, "a"), filepath.Join(root, "b")
@@ -151,7 +152,7 @@ func TestReadHeadSeesTheLog(t *testing.T) {
 		}
 		return h.Frozen != nil
 	}
-	if h, err := ReadHead(dirA, func(string) *GroupWriter { return nil }); h != nil || err != nil {
+	if h, err := ReadHead(dirA, func(string) *GroupWriter { return ws[0] }); h != nil || err != nil {
 		t.Fatalf("ReadHead of a directory with no checkpoint = %v, %v", h, err)
 	}
 	for _, home := range []string{"a", "b"} {
@@ -195,26 +196,6 @@ func TestReadHeadSeesTheLog(t *testing.T) {
 	if !frozen(dirA, ws[0]) {
 		t.Fatal("a checkpoint with a summary above the home's records is not frozen")
 	}
-
-	// A private log is read without a writer.
-	solo := filepath.Join(root, "solo")
-	if err := PublishHead(solo, Head{Home: privateHome, Frozen: &FrozenHome{Model: "EV"}}); err != nil {
-		t.Fatal(err)
-	}
-	if !frozen(solo, nil) {
-		t.Fatal("a fresh home with a private log is not frozen")
-	}
-	j, _, err = Open(solo, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(&Batch{Submits: []RoutineRecord{submitRec(1)}}); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	if frozen(solo, nil) {
-		t.Fatal("ReadHead does not follow a private log")
-	}
 }
 
 // TestEmptyEpochsAreCollected: an epoch that appended nothing leaves no file
@@ -222,7 +203,7 @@ func TestReadHeadSeesTheLog(t *testing.T) {
 func TestEmptyEpochsAreCollected(t *testing.T) {
 	dir := t.TempDir()
 	for i := 0; i < 5; i++ {
-		j, _, err := Open(dir, Options{})
+		j, _, err := openOwned(t, dir, Options{}, WriterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -257,10 +257,10 @@ type Manager struct {
 	// Durability wiring: every journaled home on shard i appends through
 	// writers[i % len(writers)] — one shared segment stream and one fsync
 	// cycle per writer instead of one per home, with at most min(shards,
-	// GOMAXPROCS) writers. writerErr records a failed fleet open; every home
-	// then opens a private log under its own directory, which a later boot
-	// with a working fleet does not read — Status.DurabilityError is an
-	// operator page, not a steady state.
+	// GOMAXPROCS) writers. The fleet's wal.lock makes the manager the one
+	// owner of its data directory; writerErr records a failed open (another
+	// live owner, an unwritable disk), after which AddHome and RecoverHomes
+	// refuse and nothing is written under homes/.
 	durability journal.Mode
 	writers    []*journal.GroupWriter
 	writerErr  error
@@ -295,10 +295,10 @@ func New(cfg Config) *Manager {
 		// extra streams past the core count only raise the fsync rate without
 		// adding parallelism — fewer, busier writers coalesce more commits per
 		// fsync. Shards then share writers round-robin.
-		wopts := journal.WriterOptionsFor(cfg.Journal, m.durability)
+		wopts := journal.WriterOptionsFor(m.durability)
 		wopts.Stats, wopts.OnCycle = m.tel.jstats, m.tel.onCycle
-		// A failed open keeps New's no-error signature: homes fall back to
-		// private logs and Status surfaces the failure.
+		// A failed open keeps New's no-error signature: the adds refuse with
+		// it and Status surfaces it.
 		m.writers, m.writerErr = journal.OpenWriters(filepath.Join(cfg.DataDir, "wal"), min(cfg.Shards, runtime.GOMAXPROCS(0)), wopts)
 	}
 	m.shards = make([]*shard, cfg.Shards)
@@ -384,7 +384,7 @@ func (m *Manager) runtimeConfig(id HomeID, shard int, onPoison func(error)) rt.C
 }
 
 // shardWriter returns the writer the shard's homes append through (nil when
-// the manager is memory-only or its fleet failed to open).
+// the manager is memory-only).
 func (m *Manager) shardWriter(shard int) *journal.GroupWriter {
 	if len(m.writers) == 0 {
 		return nil
@@ -408,7 +408,7 @@ func HomeDir(dataDir string, id HomeID) string {
 }
 
 // writerFor returns the writer the home's journal appends through (nil when
-// the manager is memory-only or its fleet failed to open).
+// the manager is memory-only).
 func (m *Manager) writerFor(home string) *journal.GroupWriter {
 	return m.shardWriter(m.ShardOf(HomeID(home)))
 }
@@ -490,8 +490,12 @@ func readLegacy(dir, name string, v any) (bool, error) {
 // AddHome creates a home with the given devices on the home's shard. With a
 // DataDir configured, the home's record and journal are persisted under
 // <DataDir>/homes/<id>; re-adding a home whose directory already holds
-// durable state recovers it.
+// durable state recovers it. A manager whose writer fleet failed to open
+// does not own its DataDir and refuses with that error.
 func (m *Manager) AddHome(id HomeID, devices ...device.Info) error {
+	if m.writerErr != nil {
+		return fmt.Errorf("manager: %w", m.writerErr)
+	}
 	if id == "" {
 		return errors.New("manager: empty home ID")
 	}
@@ -514,10 +518,14 @@ func (m *Manager) AddHome(id HomeID, devices ...device.Info) error {
 //
 // Homes recover in parallel, on min(GOMAXPROCS, homes) workers. After the
 // first error no further home is started; the ones in flight finish, and
-// the IDs recovered so far come back with that error.
+// the IDs recovered so far come back with that error. Like AddHome it
+// refuses, reading nothing, when the writer fleet failed to open.
 func (m *Manager) RecoverHomes() ([]HomeID, error) {
 	if m.cfg.DataDir == "" {
 		return nil, nil
+	}
+	if m.writerErr != nil {
+		return nil, fmt.Errorf("manager: %w", m.writerErr)
 	}
 	root := filepath.Join(m.cfg.DataDir, "homes")
 	entries, err := os.ReadDir(root)
@@ -665,6 +673,10 @@ func (m *Manager) runtimeOf(slot *homeSlot) (*rt.HomeRuntime, error) {
 func (m *Manager) slotOf(id HomeID) (*homeSlot, error) {
 	slot, ok := m.shards[m.ShardOf(id)].slot(id)
 	if !ok {
+		if m.writerErr != nil {
+			// Nothing was added: the manager does not own its data directory.
+			return nil, fmt.Errorf("%w: %q: %w", ErrUnknownHome, id, m.writerErr)
+		}
 		return nil, fmt.Errorf("%w: %q", ErrUnknownHome, id)
 	}
 	return slot, nil
@@ -963,7 +975,8 @@ type Status struct {
 	Quarantined int64  `json:"quarantined,omitempty"`
 	// Durability is the resolved journal tier ("sync", "group", "async");
 	// empty when the manager is memory-only. DurabilityError reports that
-	// the writer fleet failed to open and homes fell back to private logs.
+	// the writer fleet failed to open — the manager does not own its data
+	// directory, and AddHome and RecoverHomes refuse with this error.
 	Durability      string    `json:"durability,omitempty"`
 	DurabilityError string    `json:"durability_error,omitempty"`
 	Since           time.Time `json:"since"`

@@ -3,9 +3,13 @@ package manager
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -365,44 +369,113 @@ func TestRecoverHomesStopsAtFirstError(t *testing.T) {
 	}
 }
 
-// TestManagerWithoutFleetUsesPrivateLogs: when the writer fleet cannot open
-// (here: a file squats on <DataDir>/wal) the manager still starts, reports
-// the failure, and every home journals into a private log under its own
-// directory — durable across a restart in the same condition.
-func TestManagerWithoutFleetUsesPrivateLogs(t *testing.T) {
+// filesUnder maps every file under root to its contents.
+func filesUnder(t *testing.T, root string) map[string]string {
+	t.Helper()
+	files := make(map[string]string)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		buf, err := os.ReadFile(path)
+		files[path] = string(buf)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestManagerWithoutFleetRefusesHomes: when the writer fleet cannot open
+// (here: a file squats on <DataDir>/wal) the manager does not own its data
+// directory. It starts and reports the failure, but AddHome and
+// RecoverHomes refuse with it and nothing is written under homes/.
+func TestManagerWithoutFleetRefusesHomes(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "wal"), []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	m := durableManager(dir)
-	if st := m.Status(); st.DurabilityError == "" {
+	defer m.Close()
+	st := m.Status()
+	if st.DurabilityError == "" {
 		t.Fatal("fleet opened over a squatting file")
 	}
-	if err := m.AddHome("casa", device.Plugs(3).All()...); err != nil {
+	if err := m.AddHome("casa", device.Plugs(3).All()...); err == nil || !strings.Contains(err.Error(), st.DurabilityError) {
+		t.Fatalf("AddHome without the fleet: err = %v, want the fleet's %q", err, st.DurabilityError)
+	}
+	if ids, err := m.RecoverHomes(); err == nil || !strings.Contains(err.Error(), st.DurabilityError) || len(ids) != 0 {
+		t.Fatalf("RecoverHomes without the fleet = %v, %v; want the fleet's %q", ids, err, st.DurabilityError)
+	}
+	if entries, err := os.ReadDir(filepath.Join(dir, "homes")); len(entries) != 0 || !os.IsNotExist(err) {
+		t.Fatalf("a manager without its fleet wrote under homes/: %d entries, %v", len(entries), err)
+	}
+}
+
+// TestSecondManagerOnALiveDataDirIsRefused: two managers on one data
+// directory. The first owns it through its fleet's wal.lock; the second's
+// adds, recovery and submits are refused with that lock's error and touch
+// no file, so the first's acknowledged routines all survive and a later
+// boot recovers exactly its history.
+func TestSecondManagerOnALiveDataDirIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	m1 := durableManager(dir)
+	if err := m1.AddHome("casa", device.Plugs(3).All()...); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		if _, err := m.Submit("casa", durableRoutine(i)); err != nil {
-			t.Fatal(err)
+	submit := func(m *Manager, from, to int) error {
+		for i := from; i < to; i++ {
+			if _, err := m.Submit("casa", durableRoutine(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := submit(m1, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	before := filesUnder(t, dir)
+
+	m2 := durableManager(dir)
+	if e := m2.Status().DurabilityError; !strings.Contains(e, "in use") {
+		t.Fatalf("second manager's fleet error = %q, want the wal.lock's in use", e)
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "in use") {
+			t.Fatalf("second manager's %s: err = %v, want the wal.lock's in use", what, err)
 		}
 	}
-	home, err := m.Runtime("casa")
+	_, err := m2.RecoverHomes()
+	refused("RecoverHomes", err)
+	refused("AddHome", m2.AddHome("casa", device.Plugs(3).All()...))
+	refused("Submit", submit(m2, 10, 14))
+	if after := filesUnder(t, dir); !maps.Equal(after, before) {
+		t.Fatalf("the refused manager changed the data directory:\n%v\nwas\n%v", slices.Sorted(maps.Keys(after)), slices.Sorted(maps.Keys(before)))
+	}
+
+	if err := submit(m1, 4, 8); err != nil {
+		t.Fatal(err)
+	}
+	m1.Close()
+	m2.Close()
+
+	m3 := durableManager(dir)
+	defer m3.Close()
+	if ids, err := m3.RecoverHomes(); err != nil || len(ids) != 1 {
+		t.Fatalf("boot after both managers: recovered %v, %v", ids, err)
+	}
+	results, err := m3.Results("casa")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !home.Durable() {
-		t.Fatalf("home is not durable without the fleet: %v", home.JournalError())
+	var names []string
+	for _, r := range results {
+		names = append(names, r.Routine.Name)
 	}
-	home.Crash()
-	m.Close()
-
-	m2 := durableManager(dir)
-	defer m2.Close()
-	if _, err := m2.RecoverHomes(); err != nil {
-		t.Fatal(err)
-	}
-	if results, err := m2.Results("casa"); err != nil || len(results) != 4 {
-		t.Fatalf("recovered %d results from the private log, err %v; want 4", len(results), err)
+	if want := []string{"r-0", "r-1", "r-2", "r-3", "r-4", "r-5", "r-6", "r-7"}; !slices.Equal(names, want) {
+		t.Fatalf("casa recovered %v, want %v", names, want)
 	}
 }
 

@@ -31,8 +31,9 @@ func failingConfig(dir, op string, armed *atomic.Bool) Config {
 // after it does (the failed append never reached the disk).
 func TestJournalDegradeOnAppendError(t *testing.T) {
 	dir := t.TempDir()
+	o := own(t, dir)
 	var armed atomic.Bool
-	rt, err := NewSim(failingConfig(dir, "append", &armed), device.Plugs(8))
+	rt, err := NewSim(o.attach(failingConfig(dir, "append", &armed)), device.Plugs(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,9 +67,10 @@ func TestJournalDegradeOnAppendError(t *testing.T) {
 		t.Fatalf("degraded home serves %d results, want %d", got, durable+3)
 	}
 	rt.Crash()
+	o.restart()
 
 	armed.Store(false)
-	rec, err := NewSim(journaledConfig(dir), device.Plugs(8))
+	rec, err := NewSim(o.attach(journaledConfig(dir)), device.Plugs(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +101,9 @@ func TestJournalDegradeOnAppendError(t *testing.T) {
 // must not.
 func TestJournalDegradeOnCommitError(t *testing.T) {
 	dir := t.TempDir()
+	o := own(t, dir)
 	var armed atomic.Bool
-	rt, err := NewSim(failingConfig(dir, "commit", &armed), device.Plugs(8))
+	rt, err := NewSim(o.attach(failingConfig(dir, "commit", &armed)), device.Plugs(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +124,10 @@ func TestJournalDegradeOnCommitError(t *testing.T) {
 		t.Fatalf("submit after degrade: %v", err)
 	}
 	rt.Crash()
+	o.restart()
 
 	armed.Store(false)
-	rec, err := NewSim(journaledConfig(dir), device.Plugs(8))
+	rec, err := NewSim(o.attach(journaledConfig(dir)), device.Plugs(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +150,13 @@ func TestJournalDegradeOnCommitError(t *testing.T) {
 // — every acknowledged batch before the degrade still recovers.
 func TestJournalDegradeOnCheckpointError(t *testing.T) {
 	dir := t.TempDir()
+	o := own(t, dir)
 	var armed atomic.Bool
 	cfg := failingConfig(dir, "checkpoint", &armed)
 	// Checkpoint after every ~1KiB of journal so the injection point is hit
 	// mid-workload.
 	cfg.Journal.CheckpointBytes = 1 << 10
-	rt, err := NewSim(cfg, device.Plugs(8))
+	rt, err := NewSim(o.attach(cfg), device.Plugs(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,9 +183,10 @@ func TestJournalDegradeOnCheckpointError(t *testing.T) {
 	}
 	ackedBefore := len(rt.Results())
 	rt.Crash()
+	o.restart()
 
 	armed.Store(false)
-	rec, err := NewSim(journaledConfig(dir), device.Plugs(8))
+	rec, err := NewSim(o.attach(journaledConfig(dir)), device.Plugs(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,9 @@ import (
 // frozen record carries the status fields the manager reports without waking.
 func TestFreezeWakeRoundTrip(t *testing.T) {
 	dir := t.TempDir()
+	o := own(t, dir)
 	cfg := Config{ID: "igloo", Model: visibility.EV, DataDir: dir, EventLog: 64}
-	rt, err := NewSim(cfg, device.Plugs(3))
+	rt, err := NewSim(o.attach(cfg), device.Plugs(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +50,7 @@ func TestFreezeWakeRoundTrip(t *testing.T) {
 	if !fr.NextFire.IsZero() {
 		t.Fatalf("no triggers were armed but NextFire = %v", fr.NextFire)
 	}
-	privateLog := func(string) *journal.GroupWriter { return nil }
-	head, err := journal.ReadHead(dir, privateLog)
+	head, err := journal.ReadHead(dir, o.writerFor)
 	if err != nil || head == nil || head.Frozen == nil {
 		t.Fatalf("the final checkpoint's head = %+v, %v; want it frozen", head, err)
 	}
@@ -62,7 +62,7 @@ func TestFreezeWakeRoundTrip(t *testing.T) {
 
 	// Wake: recover from checkpoint + tail. It deletes nothing and writes
 	// nothing, so until the woken home appends it is still frozen on disk.
-	rt2, err := NewSim(cfg, device.Plugs(3))
+	rt2, err := NewSim(o.attach(cfg), device.Plugs(3))
 	if err != nil {
 		t.Fatalf("wake: %v", err)
 	}
@@ -86,13 +86,13 @@ func TestFreezeWakeRoundTrip(t *testing.T) {
 	if ev, next := rt2.EventsSince(fr.NextSeq); len(ev) != 0 || next != fr.NextSeq {
 		t.Fatalf("a poll at the frozen cursor %d found %d events, next %d", fr.NextSeq, len(ev), next)
 	}
-	if head, err := journal.ReadHead(dir, privateLog); err != nil || head.Frozen == nil {
+	if head, err := journal.ReadHead(dir, o.writerFor); err != nil || head.Frozen == nil {
 		t.Fatalf("the wake thawed the home on disk before it appended: %+v, %v", head, err)
 	}
 	if _, err := rt2.Submit(routine.New("after", routine.Command{Device: "plug-0", Target: device.Off})); err != nil {
 		t.Fatal(err)
 	}
-	if head, err := journal.ReadHead(dir, privateLog); err != nil || head.Frozen != nil {
+	if head, err := journal.ReadHead(dir, o.writerFor); err != nil || head.Frozen != nil {
 		t.Fatalf("the woken home appended but is still frozen on disk: %+v, %v", head, err)
 	}
 }
@@ -102,8 +102,9 @@ func TestFreezeWakeRoundTrip(t *testing.T) {
 // manager's deadline heap can wake the home on time; the wake re-arms it.
 func TestFreezeCarriesTriggerDeadline(t *testing.T) {
 	dir := t.TempDir()
+	o := own(t, dir)
 	cfg := Config{ID: "alarm", Model: visibility.EV, DataDir: dir}
-	rt, err := NewSim(cfg, device.Plugs(1))
+	rt, err := NewSim(o.attach(cfg), device.Plugs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestFreezeCarriesTriggerDeadline(t *testing.T) {
 		t.Fatalf("NextFire = %v, want ~%v", fr.NextFire, deadline)
 	}
 
-	rt2, err := NewSim(cfg, device.Plugs(1))
+	rt2, err := NewSim(o.attach(cfg), device.Plugs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +147,7 @@ func TestFreezeCarriesTriggerDeadline(t *testing.T) {
 // routines — exactly the history CompactBefore exists for.
 func TestFreezeCompactsLineage(t *testing.T) {
 	dir := t.TempDir()
+	o := own(t, dir)
 	cfg := Config{
 		ID:             "tidy",
 		Model:          visibility.EV,
@@ -154,7 +156,7 @@ func TestFreezeCompactsLineage(t *testing.T) {
 		HistoryHorizon: -1, // horizon compaction off: only the freeze path may fold
 		MailboxDepth:   256,
 	}
-	rt, err := NewSim(cfg, device.Plugs(2))
+	rt, err := NewSim(o.attach(cfg), device.Plugs(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +194,7 @@ func TestFreezeCompactsLineage(t *testing.T) {
 		t.Fatalf("freeze left %d lineage accesses (pre-freeze %d); the freeze path must compact", frozen, grown)
 	}
 
-	rt2, err := NewSim(cfg, device.Plugs(2))
+	rt2, err := NewSim(o.attach(cfg), device.Plugs(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func (rt *HomeRuntime) openJournal() (*journal.Recovered, error) {
 	}
 	opts := rt.cfg.Journal
 	if opts.HomeID == "" {
-		opts.HomeID = rt.cfg.ID // shared-writer frames must carry the home ID
+		opts.HomeID = rt.cfg.ID // the log's frames carry the home ID
 	}
 	j, rec, err := journal.Open(rt.cfg.DataDir, opts)
 	if err != nil {

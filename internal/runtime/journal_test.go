@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -24,6 +25,53 @@ func journaledConfig(dir string) Config {
 	}
 }
 
+// owner plays the process that owns a data directory, the part a manager or
+// hub plays: it holds the one-writer fleet under dir/wal that the test's
+// runtimes on dir append through.
+type owner struct {
+	t     *testing.T
+	dir   string
+	wopts journal.WriterOptions
+	w     *journal.GroupWriter
+}
+
+// own opens the fleet for dir at the sync tier; cleanup closes it after the
+// test's runtimes.
+func own(t *testing.T, dir string) *owner {
+	return ownWith(t, dir, journal.WriterOptionsFor(journal.ModeSync))
+}
+
+func ownWith(t *testing.T, dir string, wopts journal.WriterOptions) *owner {
+	o := &owner{t: t, dir: dir, wopts: wopts}
+	o.open()
+	t.Cleanup(func() { o.w.Close() })
+	return o
+}
+
+func (o *owner) open() {
+	ws, err := journal.OpenWriters(filepath.Join(o.dir, "wal"), 1, o.wopts)
+	if err != nil {
+		o.t.Fatal(err)
+	}
+	o.w = ws[0]
+}
+
+// restart abandons the fleet, as the owner's kill would (no final sync),
+// and opens the next one: a fresh epoch recovery tails the old one through.
+func (o *owner) restart() {
+	o.w.Abandon()
+	o.open()
+}
+
+// attach makes cfg append through the owner's current writer.
+func (o *owner) attach(cfg Config) Config {
+	cfg.Journal.Writer = o.w
+	return cfg
+}
+
+// writerFor answers journal.ReadHead with the owner's writer.
+func (o *owner) writerFor(string) *journal.GroupWriter { return o.w }
+
 func benchRoutine(name string, seed int64) *routine.Routine {
 	r := routine.New(name)
 	for c := 0; c < 3; c++ {
@@ -43,7 +91,8 @@ func benchRoutine(name string, seed int64) *routine.Routine {
 // submissions must continue the routine-ID sequence.
 func TestKillRecoverLosesNoAcknowledgedOp(t *testing.T) {
 	dir := t.TempDir()
-	rt, err := NewSim(journaledConfig(dir), device.Plugs(8))
+	o := own(t, dir)
+	rt, err := NewSim(o.attach(journaledConfig(dir)), device.Plugs(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +108,9 @@ func TestKillRecoverLosesNoAcknowledgedOp(t *testing.T) {
 	states := rt.CommittedStates()
 	ground := rt.DeviceStates()
 	rt.Crash()
+	o.restart()
 
-	rec, err := NewSim(journaledConfig(dir), device.Plugs(8))
+	rec, err := NewSim(o.attach(journaledConfig(dir)), device.Plugs(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +159,10 @@ func TestKillRecoverLosesNoAcknowledgedOp(t *testing.T) {
 // reason) and roll the home back to its pre-routine committed states.
 func TestKillRecoverAbortsInFlight(t *testing.T) {
 	dir := t.TempDir()
+	o := own(t, dir)
 	cfg := journaledConfig(dir)
 	cfg.Clock = ClockPaced
-	rt, err := NewSim(cfg, device.Plugs(8))
+	rt, err := NewSim(o.attach(cfg), device.Plugs(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +187,9 @@ func TestKillRecoverAbortsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.Crash()
+	o.restart()
 
-	rec, err := NewSim(cfg, device.Plugs(8))
+	rec, err := NewSim(o.attach(cfg), device.Plugs(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +232,8 @@ func TestKillRecoverAbortsInFlight(t *testing.T) {
 // cursor from before the crash fetches exactly the post-crash tail.
 func TestEventCursorsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
-	rt, err := NewSim(journaledConfig(dir), device.Plugs(8))
+	o := own(t, dir)
+	rt, err := NewSim(o.attach(journaledConfig(dir)), device.Plugs(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +245,9 @@ func TestEventCursorsSurviveRestart(t *testing.T) {
 		t.Fatalf("no events before crash (cursor %d)", cursor)
 	}
 	rt.Crash()
+	o.restart()
 
-	rec, err := NewSim(journaledConfig(dir), device.Plugs(8))
+	rec, err := NewSim(o.attach(journaledConfig(dir)), device.Plugs(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +286,8 @@ func TestEventCursorsSurviveRestart(t *testing.T) {
 // reopening replays nothing and aborts nothing.
 func TestCleanCloseThenReopen(t *testing.T) {
 	dir := t.TempDir()
-	rt, err := NewSim(journaledConfig(dir), device.Plugs(8))
+	o := own(t, dir)
+	rt, err := NewSim(o.attach(journaledConfig(dir)), device.Plugs(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,8 +298,9 @@ func TestCleanCloseThenReopen(t *testing.T) {
 	}
 	want := rt.Results()
 	rt.Close()
+	o.restart()
 
-	rec, err := NewSim(journaledConfig(dir), device.Plugs(8))
+	rec, err := NewSim(o.attach(journaledConfig(dir)), device.Plugs(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,9 +325,12 @@ func TestCleanCloseThenReopen(t *testing.T) {
 // exact.
 func TestRecoveryAfterCheckpointTruncation(t *testing.T) {
 	dir := t.TempDir()
+	wopts := journal.WriterOptionsFor(journal.ModeSync)
+	wopts.SegmentBytes = 2048
+	o := ownWith(t, dir, wopts)
 	cfg := journaledConfig(dir)
-	cfg.Journal = journal.Options{SegmentBytes: 2048, CheckpointBytes: 4096}
-	rt, err := NewSim(cfg, device.Plugs(8))
+	cfg.Journal = journal.Options{CheckpointBytes: 4096}
+	rt, err := NewSim(o.attach(cfg), device.Plugs(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,6 +345,7 @@ func TestRecoveryAfterCheckpointTruncation(t *testing.T) {
 	}
 	acked := rt.Results()
 	rt.Crash()
+	o.restart()
 
 	// The workload must have outgrown one segment several times over; the
 	// checkpoints should have kept the directory bounded.
@@ -297,7 +357,7 @@ func TestRecoveryAfterCheckpointTruncation(t *testing.T) {
 		t.Fatalf("checkpointing never truncated: %d files in %s", len(entries), dir)
 	}
 
-	rec, err := NewSim(cfg, device.Plugs(8))
+	rec, err := NewSim(o.attach(cfg), device.Plugs(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +380,8 @@ func TestRecoveryAfterCheckpointTruncation(t *testing.T) {
 // recovered history.
 func TestCrashDuringConcurrentSubmits(t *testing.T) {
 	dir := t.TempDir()
-	rt, err := NewSim(journaledConfig(dir), device.Plugs(8))
+	o := own(t, dir)
+	rt, err := NewSim(o.attach(journaledConfig(dir)), device.Plugs(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,10 +420,11 @@ func TestCrashDuringConcurrentSubmits(t *testing.T) {
 	}
 	time.Sleep(30 * time.Millisecond)
 	rt.Crash()
+	o.restart()
 	close(stop)
 	wg.Wait()
 
-	rec, err := NewSim(journaledConfig(dir), device.Plugs(8))
+	rec, err := NewSim(o.attach(journaledConfig(dir)), device.Plugs(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,6 +437,20 @@ func TestCrashDuringConcurrentSubmits(t *testing.T) {
 		if res := results[rid-1]; !res.Status.Finished() {
 			t.Fatalf("acknowledged routine %d recovered unfinished: %s", rid, res.Status)
 		}
+	}
+}
+
+// TestDataDirWithoutWriterIsRefused: a runtime never opens a log of its
+// own. With a DataDir but no writer from the directory's owner, construction
+// fails and nothing is written.
+func TestDataDirWithoutWriterIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	if rt, err := NewSim(journaledConfig(dir), device.Plugs(2)); err == nil {
+		rt.Close()
+		t.Fatal("a runtime opened its journal without the owner's writer")
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("a refused runtime wrote %d entries under its DataDir", len(entries))
 	}
 }
 
@@ -402,10 +478,11 @@ func TestNoDataDirWritesNothing(t *testing.T) {
 // committed states over the actuator-backed controller.
 func TestLiveRuntimeRecovery(t *testing.T) {
 	dir := t.TempDir()
+	o := own(t, dir)
 	reg := device.Plugs(4)
 	fleet := device.NewFleet(reg)
 	cfg := Config{ID: "live", Model: visibility.EV, EventLog: 64, DataDir: dir, FailureInterval: time.Hour}
-	rt, err := NewLive(cfg, reg, fleet)
+	rt, err := NewLive(o.attach(cfg), reg, fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,8 +502,9 @@ func TestLiveRuntimeRecovery(t *testing.T) {
 	}
 	want := rt.Results()
 	rt.Crash()
+	o.restart()
 
-	rec, err := NewLive(cfg, reg, device.NewFleet(reg))
+	rec, err := NewLive(o.attach(cfg), reg, device.NewFleet(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,10 +524,11 @@ func TestLiveRuntimeRecovery(t *testing.T) {
 // recovery still yields a dense, internally consistent prefix.
 func TestTornRuntimeTailDropsOnlyUnacked(t *testing.T) {
 	dir := t.TempDir()
+	o := own(t, dir)
 	cfg := journaledConfig(dir)
 	// No checkpoints: keep every batch in the tail so the tear hits a batch.
 	cfg.Journal = journal.Options{CheckpointBytes: 1 << 40}
-	rt, err := NewSim(cfg, device.Plugs(8))
+	rt, err := NewSim(o.attach(cfg), device.Plugs(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,8 +539,9 @@ func TestTornRuntimeTailDropsOnlyUnacked(t *testing.T) {
 		}
 	}
 	rt.Crash()
+	o.w.Abandon()
 
-	// Tear bytes off the newest segment.
+	// Tear bytes off the newest segment; the next owner boots over the tear.
 	segs := journal.SegmentFiles(dir)
 	if len(segs) == 0 {
 		t.Fatal("no segments written")
@@ -477,8 +557,9 @@ func TestTornRuntimeTailDropsOnlyUnacked(t *testing.T) {
 	if err := os.WriteFile(path, buf[:len(buf)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	o.open()
 
-	rec, err := NewSim(cfg, device.Plugs(8))
+	rec, err := NewSim(o.attach(cfg), device.Plugs(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,9 @@ import (
 
 func TestBankSurvivesCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
+	o := own(t, dir)
 	cfg := journaledConfig(dir)
-	rt, err := NewSim(cfg, device.Plugs(4))
+	rt, err := NewSim(o.attach(cfg), device.Plugs(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +32,9 @@ func TestBankSurvivesCrashRecovery(t *testing.T) {
 		t.Fatalf("StoreRoutine update: %v", err)
 	}
 	rt.Crash()
+	o.restart()
 
-	rec, err := NewSim(cfg, device.Plugs(4))
+	rec, err := NewSim(o.attach(cfg), device.Plugs(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +55,9 @@ func TestBankSurvivesCrashRecovery(t *testing.T) {
 
 func TestBankSurvivesCleanClose(t *testing.T) {
 	dir := t.TempDir()
+	o := own(t, dir)
 	cfg := journaledConfig(dir)
-	rt, err := NewSim(cfg, device.Plugs(2))
+	rt, err := NewSim(o.attach(cfg), device.Plugs(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +66,7 @@ func TestBankSurvivesCleanClose(t *testing.T) {
 	}
 	rt.Close() // checkpoint path, not tail replay
 
-	rec, err := NewSim(cfg, device.Plugs(2))
+	rec, err := NewSim(o.attach(cfg), device.Plugs(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +78,11 @@ func TestBankSurvivesCleanClose(t *testing.T) {
 
 func TestScheduledTriggerSurvivesCrashAndFires(t *testing.T) {
 	dir := t.TempDir()
+	o := own(t, dir)
 	reg := device.Plugs(2)
 	cfg := Config{ID: "trig", Model: visibility.EV, EventLog: 64, DataDir: dir,
 		FailureInterval: time.Hour, DefaultShort: time.Millisecond}
-	rt, err := NewLive(cfg, reg, device.NewFleet(reg))
+	rt, err := NewLive(o.attach(cfg), reg, device.NewFleet(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +96,9 @@ func TestScheduledTriggerSurvivesCrashAndFires(t *testing.T) {
 		t.Fatalf("ScheduleAfter: %v", err)
 	}
 	rt.Crash()
+	o.restart()
 
-	rec, err := NewLive(cfg, reg, device.NewFleet(reg))
+	rec, err := NewLive(o.attach(cfg), reg, device.NewFleet(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +130,11 @@ func TestScheduledTriggerSurvivesCrashAndFires(t *testing.T) {
 
 func TestFiredTriggerNotRearmedAfterRestart(t *testing.T) {
 	dir := t.TempDir()
+	o := own(t, dir)
 	reg := device.Plugs(2)
 	cfg := Config{ID: "trig2", Model: visibility.EV, EventLog: 64, DataDir: dir,
 		FailureInterval: time.Hour, DefaultShort: time.Millisecond}
-	rt, err := NewLive(cfg, reg, device.NewFleet(reg))
+	rt, err := NewLive(o.attach(cfg), reg, device.NewFleet(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +156,9 @@ func TestFiredTriggerNotRearmedAfterRestart(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	rt.Crash()
+	o.restart()
 
-	rec, err := NewLive(cfg, reg, device.NewFleet(reg))
+	rec, err := NewLive(o.attach(cfg), reg, device.NewFleet(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,8 +77,9 @@ func TestOnPoisonFiresWithPanicError(t *testing.T) {
 
 func TestPoisonedHomeRebuildsFromJournal(t *testing.T) {
 	dir := t.TempDir()
+	o := own(t, dir)
 	cfg := journaledConfig(dir)
-	rt, err := NewSim(cfg, device.Plugs(4))
+	rt, err := NewSim(o.attach(cfg), device.Plugs(4))
 	if err != nil {
 		t.Fatalf("NewSim: %v", err)
 	}
@@ -90,7 +91,7 @@ func TestPoisonedHomeRebuildsFromJournal(t *testing.T) {
 	waitPoisoned(t, rt)
 	rt.Close() // idempotent on a poisoned home
 
-	rec, err := NewSim(cfg, device.Plugs(4))
+	rec, err := NewSim(o.attach(cfg), device.Plugs(4))
 	if err != nil {
 		t.Fatalf("rebuild from journal: %v", err)
 	}
@@ -152,7 +153,8 @@ func TestPoisonAnswersConcurrentMutations(t *testing.T) {
 // reads it back across a process restart; ClearPoisonRecord retires it.
 func TestPoisonForensicsPersistAndClear(t *testing.T) {
 	dir := t.TempDir()
-	rt, err := NewSim(journaledConfig(dir), device.Plugs(4))
+	o := own(t, dir)
+	rt, err := NewSim(o.attach(journaledConfig(dir)), device.Plugs(4))
 	if err != nil {
 		t.Fatalf("NewSim: %v", err)
 	}
@@ -192,7 +194,8 @@ func TestPoisonForensicsPersistAndClear(t *testing.T) {
 // TestNoPoisonRecordWithoutPanic: clean lifecycles leave no forensics.
 func TestNoPoisonRecordWithoutPanic(t *testing.T) {
 	dir := t.TempDir()
-	rt, err := NewSim(journaledConfig(dir), device.Plugs(4))
+	o := own(t, dir)
+	rt, err := NewSim(o.attach(journaledConfig(dir)), device.Plugs(4))
 	if err != nil {
 		t.Fatalf("NewSim: %v", err)
 	}

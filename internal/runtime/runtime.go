@@ -90,9 +90,11 @@ type Config struct {
 	// results, committed states and event cursors come back exactly, while
 	// routines in flight at the crash are aborted with rollback. Empty (the
 	// default) keeps the runtime memory-only with an unchanged hot path.
+	// The journal appends through Journal.Writer, the log of the fleet the
+	// directory's owner opened; construction fails without one.
 	DataDir string
-	// Journal tunes the write-ahead journal (segment rotation, checkpoint
-	// cadence, fsync). Only meaningful with DataDir set.
+	// Journal tunes the write-ahead journal (writer, checkpoint cadence,
+	// tier). Only meaningful with DataDir set.
 	Journal journal.Options
 	// Observer additionally receives every controller event (e.g. the
 	// manager's cross-shard counters). It runs on the loop goroutine.

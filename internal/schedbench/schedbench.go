@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	goruntime "runtime"
 	"sort"
 	"strconv"
@@ -116,11 +117,6 @@ func ManagerThroughputJournaled(shards, homes int, mode journal.Mode) func(b *te
 func managerThroughput(b *testing.B, cfg manager.Config, homes int) {
 	m := manager.New(cfg)
 	defer m.Close()
-	if cfg.DataDir != "" {
-		if st := m.Status(); st.DurabilityError != "" {
-			b.Fatalf("durability degraded to %s: %s", st.Durability, st.DurabilityError)
-		}
-	}
 	if _, err := m.AddHomes("home", homes, 8); err != nil {
 		b.Fatal(err)
 	}
@@ -183,18 +179,25 @@ func RuntimeThroughputJournaled(batch int) func(b *testing.B) {
 }
 
 // RuntimeThroughputTiered is RuntimeThroughputJournaled under an explicit
-// durability tier. The single home appends through its journal's private
-// writer — the commit pipeline without cross-home traffic, where sync and
-// group coincide (a lone home never waits for a window); async shows the
-// ceiling with acknowledgement decoupled from the disk.
+// durability tier. The bench owns the data directory and the single home
+// appends through the one writer of its fleet — the commit pipeline without
+// cross-home traffic, where sync and group coincide (a lone home never waits
+// for a window); async shows the ceiling with acknowledgement decoupled from
+// the disk.
 func RuntimeThroughputTiered(batch int, mode journal.Mode) func(b *testing.B) {
 	return func(b *testing.B) {
+		dir := b.TempDir()
+		ws, err := journal.OpenWriters(filepath.Join(dir, "wal"), 1, journal.WriterOptionsFor(mode))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer ws[0].Close()
 		runtimeThroughput(b, rt.Config{
 			ID:      "bench",
 			Model:   visibility.EV,
 			Batch:   batch,
-			DataDir: b.TempDir(),
-			Journal: journal.Options{Mode: mode},
+			DataDir: dir,
+			Journal: journal.Options{Mode: mode, Writer: ws[0]},
 		})
 	}
 }

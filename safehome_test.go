@@ -1,6 +1,11 @@
 package safehome
 
 import (
+	"io/fs"
+	"maps"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -165,6 +170,60 @@ func TestLiveHomeOverInMemoryFleet(t *testing.T) {
 		if d.Info.ID == "window" && d.State != Closed {
 			t.Errorf("window committed state = %q, want CLOSED", d.State)
 		}
+	}
+}
+
+// TestSecondLiveHomeOnAnOwnedDataDirIsRefused: a data directory has one
+// owner. A live home on the DataDir of a running one fails to build and
+// leaves every file under that directory byte-identical, and the owner
+// keeps serving durably.
+func TestSecondLiveHomeOnAnOwnedDataDirIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Model: EV, DefaultShortCommand: time.Millisecond, DataDir: dir}
+	owner, err := NewLiveHome(cfg, NewFleet(demoDevices()...), demoDevices()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer owner.Close()
+	if _, err := owner.Submit(cooling()); err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.WaitIdle(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	files := func() map[string]string {
+		out := make(map[string]string)
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			buf, err := os.ReadFile(path)
+			out[path] = string(buf)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	before := files()
+
+	second, err := NewLiveHome(cfg, NewFleet(demoDevices()...), demoDevices()...)
+	if err == nil {
+		second.Close()
+		t.Fatal("a second live home opened a data directory another one owns")
+	}
+	if !strings.Contains(err.Error(), "in use") {
+		t.Fatalf("second live home: err = %v, want the directory in use", err)
+	}
+	if after := files(); !maps.Equal(after, before) {
+		t.Fatal("the refused live home changed files under the owner's data directory")
+	}
+	if _, err := owner.Submit(cooling()); err != nil {
+		t.Fatal(err)
+	}
+	if st := owner.Status(); !st.Durable {
+		t.Fatalf("owner lost durability: %+v", st)
 	}
 }
 
