@@ -199,22 +199,24 @@ func pumpDry(rt *runtime.HomeRuntime, deadline time.Time) error {
 }
 
 // journalTailBytes sums the sizes of the journal's segment files.
-func journalTailBytes(dir string) int64 {
+func journalTailBytes(dir string) (int64, error) {
+	segs, err := journal.SegmentFiles(dir)
 	var total int64
-	for _, path := range journal.SegmentFiles(dir) {
+	for _, path := range segs {
 		if info, err := os.Stat(path); err == nil {
 			total += info.Size()
 		}
 	}
-	return total
+	return total, err
 }
 
 // truncateUnsynced simulates the OS view after a machine crash in async
 // mode: every segment keeps exactly the bytes covered by its last fsync
 // (segments never synced keep nothing). Returns how many bytes were cut.
 func truncateUnsynced(dir string, synced map[string]int64) (int64, error) {
+	segs, err := journal.SegmentFiles(dir)
 	var lost int64
-	for _, path := range journal.SegmentFiles(dir) {
+	for _, path := range segs {
 		info, err := os.Stat(path)
 		if err != nil {
 			return lost, err
@@ -228,7 +230,7 @@ func truncateUnsynced(dir string, synced map[string]int64) (int64, error) {
 		}
 		lost += info.Size() - keep
 	}
-	return lost, nil
+	return lost, err
 }
 
 // openLog opens the one-writer fleet under dir/wal that a drill's home
@@ -404,7 +406,11 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 		if err := os.WriteFile(filepath.Join(p.Dir, "checkpoint.tmp"), []byte("torn checkpoint garbage"), 0o644); err != nil {
 			return rep, err
 		}
-		if segs := journal.SegmentFiles(p.Dir); len(segs) > 0 {
+		segs, err := journal.SegmentFiles(p.Dir)
+		if err != nil {
+			return rep, err
+		}
+		if len(segs) > 0 {
 			f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0o644)
 			if err != nil {
 				return rep, err
@@ -469,7 +475,9 @@ func RunDrill(p DrillParams) (DrillReport, error) {
 	// fresh writer (fresh epoch) that recovery tails the old epochs through.
 	// Its Close is deferred before the runtime's so it runs after — homes
 	// detach before the writer goes away.
-	rep.TailBytes = journalTailBytes(p.Dir)
+	if rep.TailBytes, err = journalTailBytes(p.Dir); err != nil {
+		return rep, err
+	}
 	if w, err = openLog(p.Dir, mode, onSync); err != nil {
 		return rep, err
 	}

@@ -65,8 +65,9 @@ type Config struct {
 	// DataDir enables durability: the hub's runtime journals accepted
 	// operations, outcomes, committed states and event sequence numbers here
 	// and recovers them on the next start (routines in flight at a crash come
-	// back Aborted), in the manager's layout for the one home "hub" — an
-	// older hub's layout is upgraded on open. Empty keeps the hub memory-only.
+	// back Aborted), in the manager's layout for the one home "hub" (the
+	// manager converts an older build's directory once, refuses a newer
+	// build's). Empty keeps the hub memory-only.
 	DataDir string
 	// Journal tunes the write-ahead journal; only meaningful with DataDir.
 	// Journal.Mode selects the durability tier: the hub defaults to sync
@@ -100,11 +101,6 @@ func New(cfg Config, reg *device.Registry, actuator device.Actuator) (*Hub, erro
 	if reg == nil || reg.Len() == 0 {
 		return nil, fmt.Errorf("hub: no devices registered")
 	}
-	if cfg.DataDir != "" {
-		if err := upgradeDataDir(cfg.DataDir); err != nil {
-			return nil, fmt.Errorf("hub: upgrading %s: %w", cfg.DataDir, err)
-		}
-	}
 	cfg.Journal.Mode = journal.ResolveMode(cfg.Journal, journal.ModeSync)
 	m := manager.New(manager.Config{
 		Shards:     1,
@@ -131,18 +127,6 @@ func New(cfg Config, reg *device.Registry, actuator device.Actuator) (*Hub, erro
 	}
 	slot, _ := m.Slot(homeID) // just added: the lookup cannot miss
 	return &Hub{m: m, slot: slot}, nil
-}
-
-// upgradeDataDir moves the per-home artifacts an older hub kept at the
-// data-dir root into the home's directory, checkpoint last, by durable
-// renames that a rerun finishes after a crash. The log under <dir>/wal
-// already tags the home's frames "hub" and is read as it is.
-func upgradeDataDir(dir string) error {
-	home := manager.HomeDir(dir, homeID)
-	if err := rt.MovePoisonRecord(dir, home); err != nil {
-		return err
-	}
-	return journal.MoveHome(dir, home)
 }
 
 // Start launches the failure detector's probe loop. A supervised restart

@@ -225,7 +225,7 @@ type Batch struct {
 	LSN uint64 `json:"lsn"`
 	// Home tags the record with its home ID: many homes share one physical
 	// log through a GroupWriter and recovery demultiplexes its segments by
-	// this field. Only legacy per-home segments carry records without it.
+	// this field. Append sets it on every record.
 	Home        string          `json:"home,omitempty"`
 	Submits     []RoutineRecord `json:"submits,omitempty"`
 	Finishes    []RoutineRecord `json:"finishes,omitempty"`
@@ -346,10 +346,10 @@ var (
 // recordIndex reads a batch payload's LSN and home from its canonical prefix
 // without decoding the body — the recovery index's key. ok is false unless
 // the payload starts with that prefix byte for byte and the home is plain
-// printable ASCII with no escape; everything else (legacy frames without a
-// home, HTML-escaped or non-ASCII IDs, anything odd) is for DecodeBatch to
-// read, so a miss costs a decode, never correctness. A hit does not vouch for
-// the body: a payload may repeat a key, which decodeIndexed catches.
+// printable ASCII with no escape; everything else (HTML-escaped or
+// non-ASCII IDs, anything odd) is for DecodeBatch to read, so a miss costs
+// a decode, never correctness. A hit does not vouch for the body: a payload
+// may repeat a key, which decodeIndexed catches.
 func recordIndex(payload []byte) (lsn uint64, home string, ok bool) {
 	rest, found := bytes.CutPrefix(payload, lsnKey)
 	if !found {

@@ -263,10 +263,12 @@ func FuzzRecordEncoders(f *testing.F) {
 }
 
 // fixtureRoots are data directories older builds wrote, committed as upgrade
-// fixtures: a sync-era home directory, a hub-era hub data directory and a
-// marker-era manager data directory.
+// fixtures: a sync-era home directory and the log a later build appended to
+// a copy of it (sync-era-reopened, whose home is that copy), a hub-era hub
+// data directory and a marker-era manager data directory.
 var fixtureRoots = []string{
 	filepath.Join("testdata", "sync-era", "home"),
+	filepath.Join("testdata", "sync-era-reopened", "data", "wal"),
 	filepath.Join("..", "hub", "testdata", "hub-era", "data"),
 	filepath.Join("..", "manager", "testdata", "marker-era", "data"),
 }
@@ -313,8 +315,8 @@ func TestFixtureFramesReencode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if frames != 43 {
-		t.Fatalf("the fixtures hold %d complete frames, want 43", frames)
+	if frames != 44 {
+		t.Fatalf("the fixtures hold %d complete frames, want 44", frames)
 	}
 }
 

@@ -107,8 +107,8 @@ func FuzzRecordIndex(f *testing.F) {
 }
 
 // FuzzRecoverDir feeds arbitrary bytes to a full directory recovery: a log
-// segment, a legacy per-home segment and a checkpoint file of fuzzer-chosen
-// contents must never panic Open, only ever yield (state, nil) or an error.
+// segment and a checkpoint file of fuzzer-chosen contents must never panic
+// Open, only ever yield (state, nil) or an error.
 func FuzzRecoverDir(f *testing.F) {
 	batch, _ := json.Marshal(&Batch{LSN: 1, Submits: []RoutineRecord{submitRec(1)}})
 	ckpt, _ := json.Marshal(&Checkpoint{LSN: 0})
@@ -125,9 +125,6 @@ func FuzzRecoverDir(f *testing.F) {
 		if err := writeFile(logDir, sharedSegPrefix+"00000000"+segmentSuffix, seg); err != nil {
 			t.Skip()
 		}
-		if err := writeFile(dir, legacySegPrefix+"0000000000000001"+segmentSuffix, seg); err != nil {
-			t.Skip()
-		}
 		if len(ck) > 0 {
 			if err := writeFile(dir, checkpointName, ck); err != nil {
 				t.Skip()
@@ -136,6 +133,54 @@ func FuzzRecoverDir(f *testing.F) {
 		j, _, err := openOwned(t, dir, Options{Mode: ModeAsync, AsyncWindowBytes: -1}, WriterOptions{})
 		if err == nil {
 			j.Close()
+		}
+	})
+}
+
+// FuzzUpgradeHome feeds arbitrary bytes to the upgrade of a home directory:
+// a sync-era wal-*.seg file and a checkpoint file (with or without a head)
+// of fuzzer-chosen contents. UpgradeHome must never panic: it either plans a
+// conversion or returns an error, and a converted directory opens at the
+// LSN the conversion folded to.
+func FuzzUpgradeHome(f *testing.F) {
+	batch, _ := json.Marshal(&Batch{LSN: 1, Submits: []RoutineRecord{submitRec(1)}})
+	headless, _ := json.Marshal(&Checkpoint{LSN: 0})
+	headed, _ := checkpointFile(&Checkpoint{Head: Head{Home: "h"}})
+	f.Add(appendFrame(nil, batch), appendFrame(nil, headless))
+	f.Add(appendFrame(nil, batch), headed)
+	f.Add([]byte("not a journal"), []byte("not a checkpoint"))
+	f.Add([]byte{}, []byte{})
+
+	f.Fuzz(func(t *testing.T, seg, ck []byte) {
+		dir := t.TempDir()
+		if err := writeFile(dir, "wal-0000000000000001.seg", seg); err != nil {
+			t.Skip()
+		}
+		if len(ck) > 0 {
+			if err := writeFile(dir, checkpointName, ck); err != nil {
+				t.Skip()
+			}
+		}
+		steps, err := UpgradeHome(dir, "h", FrozenHome{Model: "EV"})
+		if err != nil {
+			return
+		}
+		for _, step := range steps {
+			if err := step(); err != nil {
+				t.Fatalf("upgrade step: %v", err)
+			}
+		}
+		h, err := ReadHead(dir, nil)
+		if err != nil || h == nil {
+			t.Fatalf("converted directory has head %+v, %v", h, err)
+		}
+		j, rec, err := openOwned(t, dir, Options{HomeID: h.Home}, WriterOptions{})
+		if err != nil {
+			t.Fatalf("converted directory does not open: %v", err)
+		}
+		j.Close()
+		if rec == nil || rec.LSN != h.LSN {
+			t.Fatalf("converted directory recovers %+v, head at LSN %d", rec, h.LSN)
 		}
 	})
 }

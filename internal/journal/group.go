@@ -332,7 +332,17 @@ func walStreams(root string) (streams [][]string, next int, err error) {
 		}
 		for _, wi := range writers {
 			dir := filepath.Join(epDir, fmt.Sprintf("%s%d", writerDirPrefix, wi))
-			streams = append(streams, segmentsIn(dir, sharedSegPrefix))
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				return nil, 0, fmt.Errorf("journal: listing %s: %w", dir, err)
+			}
+			var segs []string // sorted by name: zero-padded, so append order
+			for _, e := range entries {
+				if n := e.Name(); !e.IsDir() && strings.HasPrefix(n, sharedSegPrefix) && strings.HasSuffix(n, segmentSuffix) {
+					segs = append(segs, filepath.Join(dir, n))
+				}
+			}
+			streams = append(streams, segs)
 		}
 	}
 	return streams, next, nil

@@ -28,7 +28,11 @@ func TestBatchPrefixIsCanonical(t *testing.T) {
 	} {
 		dir := t.TempDir()
 		if c.after > 0 {
-			if err := (DirStore{Dir: dir}).Put(checkpointName, appendFrame(nil, []byte(`{"lsn":`+strconv.FormatUint(c.after, 10)+`,"first_seq":0}`))); err != nil {
+			file, err := checkpointFile(&Checkpoint{LSN: c.after, Head: Head{Home: c.home}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := (DirStore{Dir: dir}).Put(checkpointName, file); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -44,7 +48,7 @@ func TestBatchPrefixIsCanonical(t *testing.T) {
 		}
 
 		var payloads [][]byte
-		for _, seg := range SegmentFiles(dir) {
+		for _, seg := range segmentFiles(t, dir) {
 			buf, err := os.ReadFile(seg)
 			if err != nil {
 				t.Fatal(err)
@@ -235,7 +239,7 @@ func TestCutBranchIsPruned(t *testing.T) {
 		[]byte(`{"lsn":2,"home":"a","submits":[{"id":2,`),
 		batchPayload(t, "a", 3, 3),
 	)
-	planted := segmentsIn(filepath.Join(wal, epochPrefix+"0", writerDirPrefix+"0"), sharedSegPrefix)
+	planted := segmentFiles(t, root)
 	ws, err := OpenWriters(wal, 1, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -2,15 +2,16 @@
 // write-ahead journal plus checkpointing, giving a home runtime crash
 // recovery without giving up its single-writer design.
 //
-// There is one on-disk layout. Every journal appends through a GroupWriter
-// (group.go): a segmented log that any number of homes share, each frame
-// tagged with its home. One owner per data directory — a manager (the hub is
-// a one-home manager), a crash drill or a benchmark — opens the writer fleet
-// with OpenWriters and hands each journal its writer (Options.Writer); the
-// fleet's wal.lock is the single-owner rule, and a journal never opens a log
-// of its own. Checkpoint images and sealed routine chunks stay per home, in
-// the home's own directory; the checkpoint's head (Head) is the home's
-// durable record.
+// There is one on-disk format at run time (an older directory is converted
+// once, before any journal opens it: UpgradeHome). Every journal appends
+// through a GroupWriter (group.go): a segmented log that any number of homes
+// share, each frame tagged with its home. One owner per data directory — a
+// manager (the hub is a one-home manager), a crash drill or a benchmark —
+// opens the writer fleet with OpenWriters and hands each journal its writer
+// (Options.Writer); the fleet's wal.lock is the single-owner rule, and a
+// journal never opens a log of its own. Checkpoint images and sealed routine
+// chunks stay per home, in the home's own directory; the checkpoint's head
+// (Head) is the home's durable record.
 //
 // The home runtime appends one Batch record per mailbox drain — accepted
 // submissions, finished routine outcomes, committed device-state changes and
@@ -45,8 +46,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"safehome/internal/device"
 	"safehome/internal/jsonenc"
@@ -199,10 +198,6 @@ const (
 	segmentSuffix  = ".seg"
 	// walDir is where an owner roots its fleet in a data directory.
 	walDir = "wal"
-	// legacySegPrefix names the per-home wal-<lsn>.seg files the sync tier
-	// wrote before every journal appended through a GroupWriter. Open still
-	// reads them; nothing writes them (see legacyBatches).
-	legacySegPrefix = "wal-"
 )
 
 // chunkName names the sealed-chunk object with the given index.
@@ -325,62 +320,23 @@ func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 // Mode returns the resolved durability tier the journal runs at.
 func (j *Journal) Mode() Mode { return j.mode }
 
-// recover loads the checkpoint (if any) and replays the journal tail.
+// recover loads the checkpoint (if any) and replays the home's records in
+// the log above it.
 func (j *Journal) recover() (*Recovered, bool, error) {
-	rec := &Recovered{
-		States:   make(map[device.ID]device.State),
-		Triggers: make(map[int64]TriggerRecord),
-	}
-	found := false
-
 	ck, err := loadCheckpoint(j.store, j.dir)
 	if err != nil {
 		return nil, false, err
 	}
-	if ck != nil {
-		prefix, err := j.loadSealed(ck)
-		if err != nil {
-			return nil, false, err
-		}
-		applyCheckpoint(rec, ck)
-		if len(prefix) > 0 {
-			rec.Routines = append(prefix, rec.Routines...)
-		}
-		rec.Sealed = ck.Sealed
-		rec.SealSize = ck.SealSize
-		rec.Devices = ck.Head.Devices
-		j.sealed = ck.Sealed
-		j.sealSize = ck.SealSize
-		found = true
-	}
-
-	// The tail is the home's legacy segments (if it was last written before
-	// the single layout) followed by its records in the log. A home only ever
-	// moves from the former to the latter, so the two concatenate in LSN
-	// order; the contiguity check stops replay at the first gap — a tear in
-	// either means everything past it was never acknowledged.
-	tail, err := j.legacyBatches(rec.LSN)
+	rec, err := j.image(ck)
 	if err != nil {
 		return nil, false, err
 	}
-	logged, top, err := j.writer.tailFor(j.home, rec.LSN)
+	tail, top, err := j.writer.tailFor(j.home, rec.LSN)
 	if err != nil {
 		return nil, false, err
 	}
-	tail = append(tail, logged...)
-	found = found || len(tail) > 0
-	for _, b := range tail {
-		if b.LSN <= rec.LSN {
-			continue // covered by the checkpoint
-		}
-		if b.LSN != rec.LSN+1 {
-			break
-		}
-		applyBatch(rec, b)
-		rec.Replayed++
-	}
-
-	if err := validateDense(rec); err != nil {
+	found := ck != nil || len(tail) > 0
+	if err := replay(rec, tail); err != nil {
 		return nil, false, err
 	}
 	if top > rec.LSN {
@@ -397,6 +353,55 @@ func (j *Journal) recover() (*Recovered, bool, error) {
 		found = true
 	}
 	return rec, found, nil
+}
+
+// image is the state a checkpoint holds (empty at LSN 0 for none), its
+// sealed prefix read back from the chunks it references.
+func (j *Journal) image(ck *Checkpoint) (*Recovered, error) {
+	rec := &Recovered{States: make(map[device.ID]device.State), Triggers: make(map[int64]TriggerRecord)}
+	if ck == nil {
+		return rec, nil
+	}
+	prefix, err := j.loadSealed(ck)
+	if err != nil {
+		return nil, err
+	}
+	rec.LSN, rec.FirstSeq, rec.NextTrigger, rec.Devices = ck.LSN, ck.FirstSeq, ck.NextTrigger, ck.Head.Devices
+	rec.Routines = append(prefix, ck.Routines...)
+	rec.Events = append(rec.Events, ck.Events...)
+	rec.Bank = append(rec.Bank, ck.Bank...)
+	for _, s := range ck.States {
+		rec.States[s.Device] = s.State
+	}
+	for _, t := range ck.Triggers {
+		rec.Triggers[t.Handle] = t
+	}
+	rec.Sealed, rec.SealSize = ck.Sealed, ck.SealSize
+	j.sealed, j.sealSize = ck.Sealed, ck.SealSize
+	return rec, nil
+}
+
+// replay applies the batches that continue rec in LSN order, skipping those
+// it already covers and stopping at the first gap (a tear means everything
+// past it was never acknowledged). Then it checks that the routine history
+// is a dense 1..N prefix, the invariant controller preloading (and O(1)
+// result lookup by ID) depends on: submissions are journaled in assignment
+// order within and across batches, so anything else is corruption.
+func replay(rec *Recovered, tail []*Batch) error {
+	for _, b := range tail {
+		if b.LSN == rec.LSN+1 {
+			applyBatch(rec, b)
+			rec.Replayed++
+		} else if b.LSN > rec.LSN {
+			break
+		}
+	}
+	for i, r := range rec.Routines {
+		if int(r.ID) != i+1 {
+			return fmt.Errorf("journal: recovered routine history is not dense at index %d (id %d)", i, r.ID)
+		}
+	}
+	return nil
 }
 
 // checkpointOf is the checkpoint image of a recovered state.
@@ -421,38 +426,20 @@ func checkpointOf(rec *Recovered) *Checkpoint {
 	return ck
 }
 
-// segmentsIn lists dir's segment files with the given name prefix, sorted by
-// name — which for both zero-padded naming schemes is append order. A
-// missing directory holds none.
-func segmentsIn(dir, prefix string) []string {
-	entries, _ := os.ReadDir(dir)
+// SegmentFiles lists the segment files of the log tree of the fleet rooted
+// at dir/wal in append order. Crash drills use it to measure and cut the
+// journal tail without knowing the layout.
+func SegmentFiles(dir string) ([]string, error) {
+	streams, _, err := walStreams(filepath.Join(dir, walDir))
 	var segs []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasPrefix(e.Name(), prefix) && strings.HasSuffix(e.Name(), segmentSuffix) {
-			segs = append(segs, filepath.Join(dir, e.Name()))
-		}
-	}
-	return segs
-}
-
-// legacySegments lists dir's sync-era wal-<lsn>.seg files in LSN order.
-func legacySegments(dir string) []string { return segmentsIn(dir, legacySegPrefix) }
-
-// SegmentFiles lists every journal segment file under a data directory in
-// append order: a home's legacy segments, then the log tree of the fleet
-// rooted at dir/wal. Crash drills use it to measure and cut the journal
-// tail without knowing the layout.
-func SegmentFiles(dir string) []string {
-	segs := legacySegments(dir)
-	streams, _, _ := walStreams(filepath.Join(dir, walDir))
 	for _, stream := range streams {
 		segs = append(segs, stream...)
 	}
-	return segs
+	return segs, err
 }
 
 // ReadHead reads only the head of the checkpoint in dir (its first frame,
-// CRC-checked): nil without a checkpoint, no Home for one older than heads.
+// CRC-checked): nil without a checkpoint, an error for one with no head.
 // A home is frozen when the head carries a summary and nothing of the home
 // lies above the checkpoint in the log of writerFor(home), the writer its
 // journal would append through (consulted only for a head with a summary).
@@ -473,23 +460,20 @@ func ReadHead(dir string, writerFor func(home string) *GroupWriter) (*Head, erro
 		frame = append(frame, make([]byte, size)...)
 		_, err = io.ReadFull(f, frame[frameHeaderLen:])
 	}
-	// An image older than heads decodes as a head with no Home.
+	// An image with no head decodes as a head with no Home.
 	h := new(Head)
-	if clean, _ := scanFrames(frame, func(p []byte) error { return json.Unmarshal(p, h) }); !clean {
+	if clean, _ := scanFrames(frame, func(p []byte) error { return json.Unmarshal(p, h) }); !clean || h.Home == "" {
 		return nil, fmt.Errorf("journal: checkpoint head in %s is corrupt", dir)
 	}
-	// A legacy segment (only a checkpoint deletes them) or a record in the
-	// log above the checkpoint means the home ran after its freeze.
-	if h.Frozen != nil && (len(legacySegments(dir)) > 0 || writerFor(h.Home).holds(h.Home, h.LSN)) {
+	if h.Frozen != nil && writerFor(h.Home).holds(h.Home, h.LSN) {
 		h.Frozen = nil
 	}
 	return h, nil
 }
 
 // PublishHead makes h the head of the checkpoint in dir, keeping its image
-// (an empty one at LSN 0 when dir has none) and taking h.LSN from it; a
-// summary with no event cursor gets the image's. No journal may be open on
-// dir.
+// (an empty one at LSN 0 when dir has none) and taking h.LSN from it. No
+// journal may be open on dir.
 func PublishHead(dir string, h Head) error {
 	store := DirStore{Dir: dir}
 	ck, err := loadCheckpoint(store, dir)
@@ -500,9 +484,6 @@ func PublishHead(dir string, h Head) error {
 		ck = &Checkpoint{}
 	}
 	ck.Head = h
-	if fr := h.Frozen; fr != nil && fr.NextSeq == 0 {
-		fr.NextSeq = (&Recovered{FirstSeq: ck.FirstSeq, Events: ck.Events}).NextSeq()
-	}
 	file, err := checkpointFile(ck)
 	if err == nil {
 		err = store.Put(checkpointName, file)
@@ -510,79 +491,28 @@ func PublishHead(dir string, h Head) error {
 	return err
 }
 
-// MoveHome moves a home's journal artifacts — sealed chunks and legacy
-// segments, then the checkpoint — from one directory into another, each by
-// a durable rename (DirStore.MoveTo). The checkpoint moves last and missing
-// names are skipped, so a move a crash cut short is finished by calling
-// MoveHome again. The log under from/wal is not per-home and stays put.
-func MoveHome(from, to string) error {
-	src, dst := DirStore{Dir: from}, DirStore{Dir: to}
-	entries, err := os.ReadDir(from)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	for _, e := range entries {
-		name := e.Name()
-		chunk := strings.HasPrefix(name, chunkPrefix) && strings.HasSuffix(name, chunkSuffix)
-		legacy := strings.HasPrefix(name, legacySegPrefix) && strings.HasSuffix(name, segmentSuffix)
-		if err == nil && (chunk || legacy) {
-			err = src.MoveTo(dst, name)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	return src.MoveTo(dst, checkpointName)
-}
-
-// legacyFirstLSN is the first LSN a legacy segment may contain, per its name.
-func legacyFirstLSN(path string) uint64 {
-	hex := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), legacySegPrefix), segmentSuffix)
-	lsn, _ := strconv.ParseUint(hex, 16, 64)
-	return lsn
-}
-
-// legacyBatches reads the batches a sync-era data directory still holds in
-// per-home segment files — the upgrade path: they are replayed once, never
-// appended to, and removed by the next checkpoint.
-func (j *Journal) legacyBatches(ckptLSN uint64) ([]*Batch, error) {
-	segs := legacySegments(j.dir)
-	// Skip segments the checkpoint fully covers: a segment's records end
-	// where the next segment begins, so if the next one starts at or below
-	// LSN+1 nothing in this one is needed. A covered (possibly torn) segment
-	// that survived a failed truncation must not end the scan before the
-	// live ones.
-	for len(segs) > 1 && legacyFirstLSN(segs[1]) <= ckptLSN+1 {
-		segs = segs[1:]
-	}
-	var out []*Batch
-	for _, seg := range segs {
-		buf, err := os.ReadFile(seg)
-		if err != nil {
-			return nil, fmt.Errorf("journal: reading segment %s: %w", seg, err)
-		}
-		clean, err := scanFrames(buf, func(payload []byte) error {
-			b, err := DecodeBatch(payload)
-			if err != nil {
-				return err
-			}
-			out = append(out, b)
-			return nil
-		})
-		if err != nil || !clean {
-			// A torn tail, a corrupt frame, or an undecodable payload behind
-			// a valid CRC: everything from here on was never acknowledged (or
-			// is rot we cannot trust) — stop at the last good record.
-			break
-		}
-	}
-	return out, nil
-}
-
 // loadCheckpoint reads the checkpoint file in store, nil when there is
-// none: the head frame, then the image frame — or, written before heads
-// existed, the image frame alone.
+// none: the head frame, then the image frame.
 func loadCheckpoint(store segmentStore, dir string) (*Checkpoint, error) {
+	frames, err := checkpointFrames(store, dir)
+	if frames == nil || err != nil {
+		return nil, err
+	}
+	corrupt := fmt.Errorf("journal: checkpoint for %s is corrupt", dir)
+	if len(frames) != 2 {
+		return nil, corrupt
+	}
+	ck, err := DecodeCheckpoint(frames[1])
+	if err != nil || json.Unmarshal(frames[0], &ck.Head) != nil || ck.Head.LSN != ck.LSN || ck.Head.Home == "" {
+		return nil, corrupt
+	}
+	return ck, nil
+}
+
+// checkpointFrames returns the frames of the checkpoint file in store: nil
+// when there is none (an empty file holds an empty list), an error unless
+// the file scans cleanly.
+func checkpointFrames(store segmentStore, dir string) ([][]byte, error) {
 	buf, err := store.Get(checkpointName)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
@@ -590,23 +520,14 @@ func loadCheckpoint(store segmentStore, dir string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: reading checkpoint: %w", err)
 	}
-	var frames [][]byte
-	clean, _ := scanFrames(buf, func(payload []byte) error {
+	frames := [][]byte{}
+	if clean, _ := scanFrames(buf, func(payload []byte) error {
 		frames = append(frames, payload)
 		return nil
-	})
-	corrupt := fmt.Errorf("journal: checkpoint for %s is corrupt", dir)
-	if !clean || len(frames) == 0 || len(frames) > 2 {
-		return nil, corrupt
+	}); !clean {
+		return nil, fmt.Errorf("journal: checkpoint for %s is corrupt", dir)
 	}
-	ck, err := DecodeCheckpoint(frames[len(frames)-1])
-	if err != nil {
-		return nil, corrupt
-	}
-	if len(frames) == 2 && (json.Unmarshal(frames[0], &ck.Head) != nil || ck.Head.LSN != ck.LSN || ck.Head.Home == "") {
-		return nil, corrupt
-	}
-	return ck, nil
+	return frames, nil
 }
 
 // loadSealed fetches and validates the sealed-chunk prefix a checkpoint
@@ -646,22 +567,6 @@ func (j *Journal) loadSealed(ck *Checkpoint) ([]RoutineRecord, error) {
 		prefix = append(prefix, chunk.Routines...)
 	}
 	return prefix, nil
-}
-
-func applyCheckpoint(rec *Recovered, ck *Checkpoint) {
-	rec.LSN = ck.LSN
-	rec.Routines = append(rec.Routines[:0], ck.Routines...)
-	for _, s := range ck.States {
-		rec.States[s.Device] = s.State
-	}
-	rec.FirstSeq = ck.FirstSeq
-	rec.Events = append(rec.Events[:0], ck.Events...)
-	rec.Bank = append(rec.Bank[:0], ck.Bank...)
-	clear(rec.Triggers)
-	for _, t := range ck.Triggers {
-		rec.Triggers[t.Handle] = t
-	}
-	rec.NextTrigger = ck.NextTrigger
 }
 
 func applyBatch(rec *Recovered, b *Batch) {
@@ -722,19 +627,6 @@ func upsertBank(rec *Recovered, b BankRecord) {
 		}
 	}
 	rec.Bank = append(rec.Bank, b)
-}
-
-// validateDense checks that the recovered routine history is a dense 1..N
-// prefix — the invariant controller preloading (and O(1) result lookup by
-// ID) depends on. Submissions are journaled in assignment order within and
-// across batches, so anything else is corruption.
-func validateDense(rec *Recovered) error {
-	for i, r := range rec.Routines {
-		if int(r.ID) != i+1 {
-			return fmt.Errorf("journal: recovered routine history is not dense at index %d (id %d)", i, r.ID)
-		}
-	}
-	return nil
 }
 
 // --- appending -------------------------------------------------------------------
@@ -846,14 +738,7 @@ func (j *Journal) publishCheckpoint(ck *Checkpoint) error {
 	j.sealed = ck.Sealed
 	j.sealSize = ck.SealSize
 
-	// Every legacy (sync-era) segment is now covered, and the log can drop
-	// this home's records at or below the checkpoint.
-	if segs := legacySegments(j.dir); len(segs) > 0 {
-		for _, seg := range segs {
-			_ = os.Remove(seg)
-		}
-		syncDir(j.dir)
-	}
+	// The log can drop this home's records at or below the checkpoint.
 	j.writer.checkpointed(j.home, ck.LSN)
 	j.sinceCkpt = 0
 	return nil

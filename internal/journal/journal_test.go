@@ -54,6 +54,16 @@ func openLog(t testing.TB, dir string, mode Mode, wopts WriterOptions) (*GroupWr
 	return ws[0], nil
 }
 
+// segmentFiles is SegmentFiles failing t on a listing error.
+func segmentFiles(t testing.TB, dir string) []string {
+	t.Helper()
+	segs, err := SegmentFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
+}
+
 // openOwned opens the journal in dir through a fleet of its own (openLog),
 // as home "home" unless opts names one.
 func openOwned(t testing.TB, dir string, opts Options, wopts WriterOptions) (*ownedJournal, *Recovered, error) {
@@ -226,7 +236,7 @@ func TestAppendCommitRecover(t *testing.T) {
 // a crash would have torn.
 func newestSegment(t *testing.T, dir string) string {
 	t.Helper()
-	segs := SegmentFiles(dir)
+	segs := segmentFiles(t, dir)
 	for i := len(segs) - 1; i >= 0; i-- {
 		if info, err := os.Stat(segs[i]); err == nil && info.Size() > 0 {
 			if !strings.HasPrefix(filepath.Base(segs[i]), sharedSegPrefix) {
@@ -385,7 +395,7 @@ func TestCheckpointTruncatesSegments(t *testing.T) {
 	if err := j.writer.Err(); err != nil {
 		t.Fatal(err)
 	}
-	before := len(SegmentFiles(dir))
+	before := len(segmentFiles(t, dir))
 	if before < 2 {
 		t.Fatalf("expected multiple segments before checkpoint, got %d", before)
 	}
@@ -398,7 +408,7 @@ func TestCheckpointTruncatesSegments(t *testing.T) {
 	if err := j.Checkpoint(ck); err != nil {
 		t.Fatal(err)
 	}
-	after := len(SegmentFiles(dir))
+	after := len(segmentFiles(t, dir))
 	if after != 1 {
 		t.Fatalf("segments after checkpoint = %d, want 1 (fresh tail)", after)
 	}
@@ -603,9 +613,9 @@ func TestInjectErrSurfacesOnEachWritePath(t *testing.T) {
 
 // TestCheckpointHeadRoundTrip: a checkpoint file is a head frame then the
 // image frame. Open recovers the head's devices beside the image;
-// PublishHead replaces the head and keeps the image byte for byte, filling
-// a summary's missing cursor from it; a head whose LSN disagrees with its
-// image, or a torn head, fails recovery instead of being trusted.
+// PublishHead replaces the head and keeps the image byte for byte; a head
+// whose LSN disagrees with its image, or a torn head, fails recovery instead
+// of being trusted.
 func TestCheckpointHeadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	devices := device.Plugs(2).All()
@@ -646,7 +656,7 @@ func TestCheckpointHeadRoundTrip(t *testing.T) {
 		t.Fatalf("recovered %+v", got)
 	}
 
-	if err := PublishHead(dir, Head{Home: "h", Devices: devices[:1], Frozen: &FrozenHome{Model: "EV"}}); err != nil {
+	if err := PublishHead(dir, Head{Home: "h", Devices: devices[:1], Frozen: &FrozenHome{Model: "EV", NextSeq: 6}}); err != nil {
 		t.Fatal(err)
 	}
 	if after := image(); string(after) != string(before) {

@@ -88,10 +88,23 @@ func (s DirStore) Delete(name string) error {
 }
 
 // MoveTo durably moves the object into dst: rename, then sync both
-// directories. Moving a name that is not here is not an error.
+// directories. A directory it creates for dst is made durable before the
+// rename by a sync of its parent (fsync(2): a new entry needs its own
+// directory's fsync), so a power cut cannot take the moved object with it.
+// Moving a name that is not here is not an error.
 func (s DirStore) MoveTo(dst DirStore, name string) error {
+	var parents []string // of the directories MkdirAll creates
+	for d := dst.Dir; d != filepath.Dir(d); d = filepath.Dir(d) {
+		if _, err := os.Stat(d); err == nil {
+			break
+		}
+		parents = append(parents, filepath.Dir(d))
+	}
 	if err := os.MkdirAll(dst.Dir, 0o755); err != nil {
 		return fmt.Errorf("store: creating %s: %w", dst.Dir, err)
+	}
+	for _, p := range parents {
+		syncDir(p)
 	}
 	if err := os.Rename(filepath.Join(s.Dir, name), filepath.Join(dst.Dir, name)); err != nil {
 		if os.IsNotExist(err) {

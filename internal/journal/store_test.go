@@ -88,7 +88,7 @@ func TestSealedChunkCheckpointRecovery(t *testing.T) {
 	if j2.SealedRoutines() != sealed {
 		t.Fatalf("reopened SealedRoutines = %d, want %d", j2.SealedRoutines(), sealed)
 	}
-	// validateDense already ran; spot-check content at the chunk boundary.
+	// replay's density check already ran; spot-check content at the chunk boundary.
 	if rec.Routines[511].Status != "committed" || rec.Routines[512].ID != 513 {
 		t.Fatalf("chunk boundary records wrong: %+v / %+v", rec.Routines[511], rec.Routines[512])
 	}

@@ -3,133 +3,251 @@ package journal
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-
-	"safehome/internal/visibility"
 )
 
-// copyDir copies the flat directory src into a fresh temp dir.
-func copyDir(t *testing.T, src string) string {
-	t.Helper()
-	dst := t.TempDir()
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		buf, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dst
+// syncEra is an upgrade fixture of this package: a data directory an older
+// build wrote, the home directory in it and the image that build recovered.
+type syncEra struct {
+	name       string // under testdata
+	data, home string // relative to the fixture's directory
+	lsn        uint64 // the LSN expected.json recovers at
+	replayed   int    // log records Open replays above the folded checkpoint
 }
 
-// TestSyncEraDirectoryUpgrades opens a data directory written by the last
-// commit that had a per-home segment layout (testdata/sync-era: checkpoint,
-// one sealed chunk, three non-empty wal-*.seg files, the newest ending in a
-// torn frame; see generate_test.go.txt there). Through a fleet rooted in
-// the home's directory and through one shared with other homes alike it must
-// recover exactly the image that commit recovered (expected.json), take
-// appends, never write a wal-*.seg, and hold none after the next checkpoint.
-func TestSyncEraDirectoryUpgrades(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "sync-era", "expected.json"))
+var syncEras = []syncEra{
+	// A checkpoint at LSN 12 with no head, one sealed chunk and three
+	// non-empty wal-*.seg files up to LSN 18, the newest ending in a torn
+	// frame; see generate_test.go.txt there.
+	{name: "sync-era", data: "home", home: ".", lsn: 18},
+	// The same home after a build with the fleet log reopened it: record 19
+	// lies in data/wal, above the wal-*.seg files.
+	{name: "sync-era-reopened", data: "data", home: "home", lsn: 19, replayed: 1},
+}
+
+// copy copies the fixture's data directory somewhere writable and returns
+// the copy's root and home directory.
+func (f syncEra) copy(t *testing.T) (root, home string) {
+	t.Helper()
+	root = filepath.Join(t.TempDir(), "data")
+	if err := os.CopyFS(root, os.DirFS(filepath.Join("testdata", f.name, f.data))); err != nil {
+		t.Fatal(err)
+	}
+	return root, filepath.Join(root, f.home)
+}
+
+// upgradeSteps plans the upgrade of the home directory dir as home "h".
+func upgradeSteps(t *testing.T, dir string) []func() error {
+	t.Helper()
+	steps, err := UpgradeHome(dir, "h", FrozenHome{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return steps
+}
+
+// upgrade runs the whole upgrade of dir and requires it to leave no file of
+// an older format behind and nothing for a rerun to do.
+func upgrade(t *testing.T, dir string) {
+	t.Helper()
+	for _, step := range upgradeSteps(t, dir) {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if left := legacyNames(t, dir); len(left) != 0 {
+		t.Fatalf("the upgrade left %v", left)
+	}
+	if again := upgradeSteps(t, dir); len(again) != 0 {
+		t.Fatalf("a rerun of a finished upgrade plans %d steps", len(again))
+	}
+}
+
+// legacyNames lists the files of dir only an older build wrote.
+func legacyNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		n := e.Name()
+		if strings.HasPrefix(n, "wal-") || n == "journal.lock" || n == "home.json" || n == "frozen.json" {
+			names = append(names, n)
+		}
+	}
+	return names
+}
+
+// checkSyncEraImage opens the upgraded home directory home through a fleet
+// rooted at root and requires exactly the image the writing build
+// recovered, then an append that continues the home's LSNs.
+func checkSyncEraImage(t *testing.T, f syncEra, root, home string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", f.name, "expected.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := openLog(t, root, ModeSync, WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, rec, err := Open(home, Options{HomeID: "h", Writer: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if rec == nil {
+		t.Fatal("Open recovered nothing from the upgraded directory")
+	}
+	if rec.Replayed != f.replayed {
+		t.Fatalf("Open replayed %d records above the folded checkpoint, want %d", rec.Replayed, f.replayed)
+	}
+	got, err := json.MarshalIndent(rec, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(got, '\n'), want) {
+		t.Fatalf("recovered image differs from the one the writing build recovered:\n%s", got)
+	}
+	b := &Batch{Submits: []RoutineRecord{submitRec(19)}}
+	if err := j.Append(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if b.LSN != f.lsn+1 {
+		t.Fatalf("first LSN after the upgrade = %d, want %d", b.LSN, f.lsn+1)
+	}
+}
+
+// TestSyncEraDirectoryUpgrades: the sync-era home directory converts into
+// one headed checkpoint at LSN 18 (the wal-*.seg records folded in, the
+// files gone), which Open recovers, without replaying anything, into exactly
+// the image the writing build recovered — through a fleet rooted in the
+// home's directory and through one shared with other homes alike.
+func TestSyncEraDirectoryUpgrades(t *testing.T) {
+	f := syncEras[0]
 	for _, name := range []string{"fleet-in-home-dir", "shared"} {
 		t.Run(name, func(t *testing.T) {
-			dir := copyDir(t, filepath.Join("testdata", "sync-era", "home"))
+			_, dir := f.copy(t)
 			root := dir
 			if name == "shared" {
 				root = t.TempDir()
 			}
-			w, err := openLog(t, root, ModeSync, WriterOptions{})
-			if err != nil {
-				t.Fatal(err)
+			upgrade(t, dir)
+			h, err := ReadHead(dir, nil)
+			if err != nil || h == nil || h.Home != "h" || h.LSN != 18 || h.Devices != nil || h.Frozen != nil {
+				t.Fatalf("head of the upgraded directory = %+v, %v; want home h at LSN 18", h, err)
 			}
-			opts := Options{HomeID: "h", Writer: w}
-			if h, err := ReadHead(dir, func(string) *GroupWriter { return w }); err != nil || h == nil || h.Home != "" || h.LSN != 12 {
-				t.Fatalf("ReadHead of a sync-era directory = %+v, %v; want a head with no home at LSN 12", h, err)
-			}
-			legacy := legacySegments(dir)
-			sizes := make(map[string]int64)
-			for _, seg := range legacy {
-				info, err := os.Stat(seg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sizes[seg] = info.Size()
-			}
-
-			j, rec, err := Open(dir, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A sync-era checkpoint has no head.
-			if rec.Devices != nil || rec.Replayed != 6 {
-				t.Fatalf("recovered devices %v after replaying %d records; want none after 6", rec.Devices, rec.Replayed)
-			}
-			got, err := json.MarshalIndent(rec, "", " ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(append(got, '\n'), want) {
-				t.Fatalf("recovered image differs from the one the writing commit recovered:\n%s", got)
-			}
-			if rec.NextSeq() != 36 || rec.LSN != 18 || len(rec.Routines) != 18 || !rec.Routines[17].Open() {
-				t.Fatalf("recovered cursor %d, LSN %d, %d routines", rec.NextSeq(), rec.LSN, len(rec.Routines))
-			}
-
-			// Appends continue the LSN sequence in the log, not in wal-*.seg.
-			b := &Batch{Finishes: []RoutineRecord{finishRec(18, visibility.StatusCommitted)}}
-			if err := j.Append(b); err != nil {
-				t.Fatal(err)
-			}
-			if err := j.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			if b.LSN != 19 {
-				t.Fatalf("post-upgrade LSN = %d, want 19", b.LSN)
-			}
-			if now := legacySegments(dir); len(now) != len(legacy) {
-				t.Fatalf("legacy segments changed: %v -> %v", legacy, now)
-			}
-			for seg, size := range sizes {
-				if info, err := os.Stat(seg); err != nil || info.Size() != size {
-					t.Fatalf("legacy segment %s was written to (err %v)", seg, err)
-				}
-			}
-			j.Abandon()
-			w.Abandon()
-
-			// A crash before the first checkpoint replays legacy segments, then
-			// the log.
-			if opts.Writer, err = openLog(t, root, ModeSync, WriterOptions{}); err != nil {
-				t.Fatal(err)
-			}
-			j, rec, err = Open(dir, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer opts.Writer.Close()
-			defer j.Close()
-			if rec == nil || rec.LSN != 19 || rec.Routines[17].Open() {
-				t.Fatalf("second recovery did not replay legacy segments then the log: %v", rec != nil)
-			}
-			ck := &Checkpoint{Sealed: rec.Sealed, SealSize: rec.SealSize, Routines: rec.Routines[rec.Sealed:], FirstSeq: rec.FirstSeq, Events: rec.Events}
-			if err := j.Checkpoint(ck); err != nil {
-				t.Fatal(err)
-			}
-			if left := legacySegments(dir); len(left) != 0 {
-				t.Fatalf("checkpoint left legacy segments: %v", left)
+			checkSyncEraImage(t, f, root, dir)
+			if left := legacyNames(t, dir); len(left) != 0 {
+				t.Fatalf("Open wrote %v", left)
 			}
 		})
+	}
+}
+
+// TestSyncEraReopenedDirectoryUpgrades: a sync-era home that a build with
+// the fleet log already reopened holds its checkpoint at LSN 12, wal-*.seg
+// records up to 18 and record 19 in the log. The upgrade folds the segments
+// at the checkpoint level, never through the log: Open then replays record
+// 19 on top of LSN 18 and recovers the writing build's image byte for byte.
+// (Open on the unconverted directory would meet checkpoint 12 followed by
+// record 19, and cut 13–19 as a rotten branch.)
+func TestSyncEraReopenedDirectoryUpgrades(t *testing.T) {
+	f := syncEras[1]
+	root, home := f.copy(t)
+	upgrade(t, home)
+	if h, err := ReadHead(home, nil); err != nil || h == nil || h.LSN != 18 {
+		t.Fatalf("head of the upgraded directory = %+v, %v; want LSN 18", h, err)
+	}
+	checkSyncEraImage(t, f, root, home)
+}
+
+// TestUpgradeHomeCrashAtEachStep: an upgrade that a crash stops after any
+// of its durable steps is finished by the next one, and the directory
+// recovers the fixture's image as if it had never stopped.
+func TestUpgradeHomeCrashAtEachStep(t *testing.T) {
+	for _, f := range syncEras {
+		_, home := f.copy(t)
+		n := len(upgradeSteps(t, home))
+		if n != 4 {
+			t.Fatalf("%s: %d upgrade steps, want a publish and three deletes", f.name, n)
+		}
+		for k := 1; k < n; k++ {
+			t.Run(fmt.Sprintf("%s/after-%d", f.name, k), func(t *testing.T) {
+				root, home := f.copy(t)
+				for _, step := range upgradeSteps(t, home)[:k] {
+					if err := step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				upgrade(t, home)
+				checkSyncEraImage(t, f, root, home)
+			})
+		}
+	}
+}
+
+// TestCheckpointWithoutAHeadIsRefused: outside the upgrade, an image with no
+// head frame is a corrupt checkpoint.
+func TestCheckpointWithoutAHeadIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	buf, err := os.ReadFile(filepath.Join("testdata", "sync-era", "home", checkpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFile(dir, checkpointName, buf); err != nil {
+		t.Fatal(err)
+	}
+	if h, err := ReadHead(dir, nil); err == nil {
+		t.Fatalf("ReadHead accepted a checkpoint with no head: %+v", h)
+	}
+	if _, _, err := openOwned(t, dir, Options{HomeID: "h"}, WriterOptions{}); err == nil {
+		t.Fatal("Open accepted a checkpoint with no head")
+	}
+}
+
+// TestOpenIgnoresStrayLegacySegments: Open, a checkpoint and ReadHead
+// neither read nor delete a wal-*.seg file in a current home directory.
+func TestOpenIgnoresStrayLegacySegments(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := openOwned(t, dir, Options{HomeID: "h"}, WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(&Batch{Submits: []RoutineRecord{submitRec(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Checkpoint(&Checkpoint{Routines: []RoutineRecord{submitRec(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	payload, _ := json.Marshal(&Batch{LSN: 2, Submits: []RoutineRecord{submitRec(2)}})
+	stray := "wal-0000000000000002.seg"
+	if err := writeFile(dir, stray, appendFrame(nil, payload)); err != nil {
+		t.Fatal(err)
+	}
+	j, rec, err := openOwned(t, dir, Options{HomeID: "h"}, WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.LSN != 1 || len(rec.Routines) != 1 {
+		t.Fatalf("recovered %d routines at LSN %d; the stray segment was read", len(rec.Routines), rec.LSN)
+	}
+	if err := j.Checkpoint(&Checkpoint{Routines: rec.Routines}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if got, err := os.ReadFile(filepath.Join(dir, stray)); err != nil || !bytes.Equal(got, appendFrame(nil, payload)) {
+		t.Fatalf("the stray segment was changed or deleted (%v)", err)
 	}
 }
 
@@ -209,7 +327,7 @@ func TestEmptyEpochsAreCollected(t *testing.T) {
 		}
 		j.Close()
 	}
-	if segs := SegmentFiles(dir); len(segs) != 1 {
+	if segs := segmentFiles(t, dir); len(segs) != 1 {
 		t.Fatalf("five idle opens left %d segment files: %v", len(segs), segs)
 	}
 }

@@ -37,7 +37,6 @@
 package manager
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -300,6 +299,9 @@ func New(cfg Config) *Manager {
 		// A failed open keeps New's no-error signature: the adds refuse with
 		// it and Status surfaces it.
 		m.writers, m.writerErr = journal.OpenWriters(filepath.Join(cfg.DataDir, "wal"), min(cfg.Shards, runtime.GOMAXPROCS(0)), wopts)
+		if m.writerErr == nil { // under the fleet's lock
+			m.writerErr = m.upgradeDataDir()
+		}
 	}
 	m.shards = make([]*shard, cfg.Shards)
 	for i := range m.shards {
@@ -421,10 +423,7 @@ func (m *Manager) writerFor(home string) *journal.GroupWriter {
 //
 // A home with no checkpoint gets an empty one headed by a fresh summary: it
 // is frozen until its first append. A re-add with other devices re-heads
-// the checkpoint. An older build's directory (home.json, perhaps
-// frozen.json, a checkpoint with no head) is rewritten once: the record is
-// published first, then the legacy files are deleted, so a rerun after a
-// crash anywhere in between converges.
+// the checkpoint.
 func (m *Manager) openRecord(id HomeID, devices []device.Info, head *journal.Head) (*journal.FrozenHome, error) {
 	dir := m.homeDir(id)
 	if dir == "" {
@@ -436,29 +435,13 @@ func (m *Manager) openRecord(id HomeID, devices []device.Info, head *journal.Hea
 			return nil, err
 		}
 	}
-	legacy, err := readLegacy(dir, "home.json", &struct{}{})
-	if err != nil {
-		return nil, err
-	}
-	if head == nil || head.Home != string(id) || legacy || !slices.Equal(head.Devices, devices) {
-		now := time.Now()
-		fr := &journal.FrozenHome{Model: m.cfg.Home.Model.String(), Created: now, FrozenAt: now, NextSeq: 1}
+	if head == nil || head.Home != string(id) || !slices.Equal(head.Devices, devices) {
+		fr := m.freshSummary()
 		if head != nil {
 			fr = head.Frozen
 		}
-		var marker journal.FrozenHome
-		if found, err := readLegacy(dir, "frozen.json", &marker); err != nil {
-			return nil, err
-		} else if found {
-			fr = &marker
-		}
 		if err := journal.PublishHead(dir, journal.Head{Home: string(id), Devices: devices, Frozen: fr}); err != nil {
 			return nil, fmt.Errorf("manager: publishing the record of home %q: %w", id, err)
-		}
-		for _, name := range []string{"frozen.json", "home.json"} {
-			if err := (journal.DirStore{Dir: dir}).Delete(name); err != nil {
-				return nil, err
-			}
 		}
 		if head, err = journal.ReadHead(dir, m.writerFor); err != nil {
 			return nil, err
@@ -470,21 +453,11 @@ func (m *Manager) openRecord(id HomeID, devices []device.Info, head *journal.Hea
 	return head.Frozen, nil
 }
 
-// readLegacy decodes the named file an older build wrote in dir (home.json
-// or frozen.json; nothing writes them now) into v and reports whether dir
-// has one.
-func readLegacy(dir, name string, v any) (bool, error) {
-	buf, err := os.ReadFile(filepath.Join(dir, name))
-	if os.IsNotExist(err) {
-		return false, nil
-	}
-	if err == nil {
-		err = json.Unmarshal(buf, v)
-	}
-	if err != nil {
-		return false, fmt.Errorf("manager: reading %s of %s: %w", name, filepath.Base(dir), err)
-	}
-	return true, nil
+// freshSummary is the summary a home with no state registers cold with: it
+// stays frozen until its first append.
+func (m *Manager) freshSummary() *journal.FrozenHome {
+	now := time.Now()
+	return &journal.FrozenHome{Model: m.cfg.Home.Model.String(), Created: now, FrozenAt: now, NextSeq: 1}
 }
 
 // AddHome creates a home with the given devices on the home's shard. With a
@@ -583,30 +556,17 @@ func (m *Manager) RecoverHomes() ([]HomeID, error) {
 
 // recoverHome re-adds the home persisted in dir and returns its ID — or ""
 // when dir holds no home or the home is already present. The checkpoint's
-// head names the home and its devices; a directory an older build wrote
-// names them in home.json.
+// head names the home and its devices.
 func (m *Manager) recoverHome(dir string) (HomeID, error) {
 	head, err := journal.ReadHead(dir, m.writerFor)
 	if err != nil {
 		return "", fmt.Errorf("manager: reading the record of %s: %w", filepath.Base(dir), err)
 	}
-	var id HomeID
-	var devices []device.Info
-	if head != nil && head.Home != "" {
-		id, devices = HomeID(head.Home), head.Devices
-	} else {
-		// An older build's directory: openRecord upgrades it, and reads the
-		// new record, under the reservation.
-		var meta struct {
-			ID      HomeID        `json:"id"`
-			Devices []device.Info `json:"devices"`
-		}
-		if found, err := readLegacy(dir, "home.json", &meta); !found || err != nil {
-			return "", err // no record: not a home directory
-		}
-		id, devices, head = meta.ID, meta.Devices, nil
+	if head == nil {
+		return "", nil // no record: not a home directory
 	}
-	if err := m.shards[m.ShardOf(id)].add(id, devices, head); err != nil {
+	id := HomeID(head.Home)
+	if err := m.shards[m.ShardOf(id)].add(id, head.Devices, head); err != nil {
 		if errors.Is(err, ErrDuplicateHome) {
 			return "", nil
 		}

@@ -542,9 +542,9 @@ func TestTornRuntimeTailDropsOnlyUnacked(t *testing.T) {
 	o.w.Abandon()
 
 	// Tear bytes off the newest segment; the next owner boots over the tear.
-	segs := journal.SegmentFiles(dir)
-	if len(segs) == 0 {
-		t.Fatal("no segments written")
+	segs, err := journal.SegmentFiles(dir)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments written (%v)", err)
 	}
 	path := segs[len(segs)-1]
 	buf, err := os.ReadFile(path)

@@ -56,12 +56,6 @@ func ClearPoisonRecord(dir string) {
 	_ = journal.DirStore{Dir: dir}.Delete(poisonFileName)
 }
 
-// MovePoisonRecord moves the poison record persisted under from into to (a
-// durable rename; nothing to move is not an error).
-func MovePoisonRecord(from, to string) error {
-	return journal.DirStore{Dir: from}.MoveTo(journal.DirStore{Dir: to}, poisonFileName)
-}
-
 // writePoisonRecord persists rec under dir (journal.DirStore.Put: tmp,
 // fsync, rename, directory fsync). Best-effort: a home dying on a full disk
 // must still finish poisoning.
