@@ -5,6 +5,8 @@
 package harness
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"safehome/internal/congruence"
@@ -73,9 +75,9 @@ func RunWith(spec workload.Spec, opts visibility.Options, seed int64, factory Co
 		ctrl = visibility.New(env, initial, opts)
 	}
 
+	feed := newFeeder(ctrl, spec.Submissions)
 	for _, sub := range spec.Submissions {
-		r := sub.Routine
-		s.Post(sub.At, func() { ctrl.Submit(r) })
+		s.Complete(sub.At, feed, nil)
 	}
 	for _, f := range spec.Failures {
 		f := f
@@ -114,6 +116,35 @@ func RunWith(spec workload.Spec, opts visibility.Options, seed int64, factory Co
 		Elapsed:       s.Now().Sub(start),
 		Events:        events,
 	}
+}
+
+// feeder submits a trial's routines without a closure per submission. The
+// trial posts one feeder event per submission, in spec order, so each event
+// keeps the sequence number a per-submission closure had; the simulator fires
+// them by (instant, sequence), which is the stable order by (max(At, 0),
+// index). The feeder therefore submits, at its k-th event, the k-th
+// submission of that order.
+type feeder struct {
+	ctrl  visibility.Controller
+	subs  []workload.Submission
+	order []int // indexes into subs, in firing order
+	next  int
+}
+
+func newFeeder(ctrl visibility.Controller, subs []workload.Submission) *feeder {
+	order := make([]int, len(subs))
+	for i := range order {
+		order[i] = i
+	}
+	at := func(i int) time.Duration { return max(subs[i].At, 0) }
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(at(a), at(b)) })
+	return &feeder{ctrl: ctrl, subs: subs, order: order}
+}
+
+// CommandDone implements sim.Completion: the next submission is due.
+func (f *feeder) CommandDone(error) {
+	f.ctrl.Submit(f.subs[f.order[f.next]].Routine)
+	f.next++
 }
 
 // Generator produces a (possibly randomized) workload for a trial seed.

@@ -23,9 +23,13 @@ import (
 // concurrent use; in simulation runs everything is single-threaded, and the
 // live hub serializes observers with the controller.
 //
-// Its state is bounded by what is running, not by what has run: a routine's
-// entries are dropped when it commits or aborts, so a recorder can ride a
-// soak of any length.
+// Its per-routine bookkeeping is bounded by what is running: a routine's
+// modified devices are dropped when it commits or aborts, and its record is
+// reused by the next routine to start. Its samples are not: every routine
+// adds two parallelism samples (its start and its finish) and every routine
+// that suffered a temporary incongruence an entry in tempInc, all kept for
+// Finalize. A recorder therefore grows with the routines it has observed;
+// it is sized for one trial, not for an unbounded soak.
 type Recorder struct {
 	// DefaultShort is the assumed duration of zero-duration commands, used to
 	// compute ideal routine run times (must match the controller's option).
@@ -67,9 +71,11 @@ func (r *Recorder) Observe(e visibility.Event) {
 	r.events++
 	switch e.Kind {
 	case visibility.EvStarted:
-		m := &modified{}
+		var m *modified
 		if n := len(r.spare); n > 0 {
 			m, r.spare = r.spare[n-1], r.spare[:n-1]
+		} else {
+			m = &modified{}
 		}
 		r.running[e.Routine] = m
 		r.sampleParallelism()

@@ -208,3 +208,30 @@ func TestLabelNonEV(t *testing.T) {
 		t.Errorf("Label = %q, want GSV", agg.Label())
 	}
 }
+
+// TestRecorderCycleDoesNotAllocate pins the record reuse: once warmed, a
+// routine's start → command → commit costs the recorder nothing, because a
+// finished routine's record serves the next one to start. (The parallelism
+// samples still grow, amortized below one object per cycle.)
+func TestRecorderCycleDoesNotAllocate(t *testing.T) {
+	rec := NewRecorder(100 * time.Millisecond)
+	id := routine.ID(0)
+	cycle := func() {
+		id++
+		rec.Observe(event(visibility.EvStarted, id, "", 0))
+		rec.Observe(event(visibility.EvCommandExecuted, id, "light-1", 0))
+		rec.Observe(event(visibility.EvCommitted, id, "", 0))
+	}
+	for i := 0; i < 1000; i++ {
+		cycle()
+	}
+	got := testing.AllocsPerRun(1000, cycle)
+	t.Logf("%.1f allocs per cycle", got)
+	if got != 0 {
+		t.Fatalf("a warmed start/command/commit cycle costs %v allocs, want 0", got)
+	}
+	if len(rec.running) != 0 || len(rec.modifiers["light-1"]) != 0 || len(rec.spare) != 1 {
+		t.Fatalf("after the cycles: %d running, %d modifiers, %d spare records; want 0, 0, 1",
+			len(rec.running), len(rec.modifiers["light-1"]), len(rec.spare))
+	}
+}

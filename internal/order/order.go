@@ -185,7 +185,8 @@ type slotChunk [chunkSize]slot
 func (g *Graph) at(i int32) *slot { return &g.chunks[i>>chunkShift][i&(chunkSize-1)] }
 
 // graphSlab is the number of routine IDs NewGraph sizes its ID index for,
-// and the number of adjacency lists that share one slab (see appendEdge).
+// and the number of edgeSeed-entry lists an adjacency slab holds (see
+// appendEdge).
 const graphSlab = 64
 
 // denseRoutines bounds the routine IDs resolved through the ID-indexed slice.
@@ -344,17 +345,25 @@ func (g *Graph) AddEdge(before, after Node) error {
 // handful of serialize-before constraints per node) never outgrow it.
 const edgeSeed = 8
 
-// appendEdge appends to an adjacency list. A list's first edgeSeed entries
-// live in a slab shared by graphSlab lists, so a graph that keeps growing
-// (committed routines stay in the order) allocates once per graphSlab lists
-// rather than once per list; a list that outgrows its seed moves to its own
-// array as any slice does, and recycled slots keep whatever they had.
+// appendEdge appends to an adjacency list; every append goes through it. All
+// lists live in the graph's slab: a new list is carved edgeSeed entries, and a
+// full one is carved again at twice its capacity, its entries copied across.
+// A carving is a 3-index slice, so an append can never write into the list
+// carved next to it. Growth is geometric, so the carvings a list has left
+// behind hold fewer entries than its current one: the slab stays within a
+// small constant factor of the live adjacency, and a graph that keeps growing
+// (committed routines stay in the order until a Seal) allocates a slab per
+// several hundred entries rather than an array per list that outgrows its
+// seed. A recycled or sealed slot keeps its list's capacity.
 func (g *Graph) appendEdge(list []int32, v int32) []int32 {
-	if cap(list) == 0 {
-		if len(g.slab) < edgeSeed {
-			g.slab = make([]int32, edgeSeed*graphSlab)
+	if len(list) == cap(list) {
+		n := max(edgeSeed, 2*cap(list))
+		if len(g.slab) < n {
+			g.slab = make([]int32, max(n, edgeSeed*graphSlab))
 		}
-		list, g.slab = g.slab[:0:edgeSeed], g.slab[edgeSeed:]
+		grown := g.slab[:len(list):n]
+		copy(grown, list)
+		list, g.slab = grown, g.slab[n:]
 	}
 	return append(list, v)
 }

@@ -349,7 +349,9 @@ func TestOrderAllocatesOnlyItsResult(t *testing.T) {
 	g := buildLayeredGraph(64, 8)
 	mustEdge(t, g, RoutineNode(64), FailureNode("d", 0))
 	mustEdge(t, g, FailureNode("d", 0), RestartNode("d", 0))
-	if got := testing.AllocsPerRun(100, func() { g.Order() }); got != 1 {
+	got := testing.AllocsPerRun(100, func() { g.Order() })
+	t.Logf("Order: %.1f allocs", got)
+	if got != 1 {
 		t.Fatalf("Order allocates %.1f objects, want 1 (its result)", got)
 	}
 	g.Seal()
@@ -363,7 +365,84 @@ func TestOrderAllocatesOnlyItsResult(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		cycle()
 	}
-	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+	got = testing.AllocsPerRun(100, cycle)
+	t.Logf("add-and-seal cycle: %.1f allocs", got)
+	if got != 0 {
 		t.Fatalf("an add-and-seal cycle allocates %.1f objects, want 0", got)
+	}
+}
+
+// TestWideFanInGrowsInsideTheSlab: a graph that never seals, like
+// paper_trace's (committed routines stay in the order while the home is
+// busy), with 40 edges into every node but the first 40 and out of every
+// node but the last 40, grows its adjacency lists far past edgeSeed. The
+// lists regrow inside the graph's slab, so the edges cost a slab now and
+// then, not an array per list each time it doubles.
+func TestWideFanInGrowsInsideTheSlab(t *testing.T) {
+	const nodes, fan = 400, 40
+	addNodes := func() *Graph {
+		g := NewGraph()
+		for id := routine.ID(1); id <= nodes; id++ {
+			g.AddNode(RoutineNode(id))
+		}
+		return g
+	}
+	edges := 0
+	build := func() {
+		g := addNodes()
+		edges = 0
+		for id := routine.ID(fan + 1); id <= nodes; id++ {
+			for from := id - fan; from < id; from++ {
+				if err := g.AddEdge(RoutineNode(from), RoutineNode(id)); err != nil {
+					t.Fatal(err)
+				}
+				edges++
+			}
+		}
+	}
+	base := testing.AllocsPerRun(5, func() { addNodes() })
+	per := (testing.AllocsPerRun(5, build) - base) / float64(edges)
+	t.Logf("%d edges: %.4f allocs per AddEdge", edges, per)
+	if per >= 0.05 {
+		t.Fatalf("AddEdge costs %.4f allocs amortized over %d edges, want < 0.05", per, edges)
+	}
+}
+
+// TestGrowingListLeavesItsNeighbourIntact fills a list, carves a second one
+// right behind it in the slab, and keeps appending to both: each carving is
+// capped at its own length, so neither list's growth can write into the
+// other, and a list's capacity doubles each time it is full.
+func TestGrowingListLeavesItsNeighbourIntact(t *testing.T) {
+	g := NewGraph()
+	var a, b []int32
+	for v := int32(0); v < edgeSeed; v++ {
+		a = g.appendEdge(a, v)
+	}
+	next := &g.slab[0]
+	b = g.appendEdge(b, -1)
+	if cap(a) != edgeSeed || &b[0] != next {
+		t.Fatalf("a full seed list has capacity %d (want %d), and the next list is carved elsewhere", cap(a), edgeSeed)
+	}
+	for v := int32(edgeSeed); v < 5*edgeSeed; v++ {
+		a = g.appendEdge(a, v)
+		if len(b) < 3*edgeSeed {
+			b = g.appendEdge(b, -v)
+		}
+	}
+	for i, v := range a {
+		if v != int32(i) {
+			t.Fatalf("a[%d] = %d after the neighbour grew, want %d", i, v, i)
+		}
+	}
+	if b[0] != -1 {
+		t.Fatalf("b[0] = %d after a grew past it, want -1", b[0])
+	}
+	for i, v := range b[1:] {
+		if want := -int32(edgeSeed + i); v != want {
+			t.Fatalf("b[%d] = %d, want %d", i+1, v, want)
+		}
+	}
+	if cap(a) != 8*edgeSeed || cap(b) != 4*edgeSeed {
+		t.Fatalf("capacities %d and %d, want %d and %d (doubling from the seed)", cap(a), cap(b), 8*edgeSeed, 4*edgeSeed)
 	}
 }

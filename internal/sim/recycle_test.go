@@ -169,7 +169,64 @@ func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 		s.Run()
 	}
 	run() // warm the free list and the queue's backing array
-	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+	allocs := testing.AllocsPerRun(20, run)
+	t.Logf("%.1f allocs per 72 events", allocs)
+	if allocs != 0 {
 		t.Fatalf("a warmed simulator allocates %.1f objects per 72 events", allocs)
+	}
+}
+
+// TestBurstAllocatesSlabs: a trial posts all its submissions before the
+// first event fires, so the free list is empty and every event is new. They
+// come out of slabs that double up to maxSlab events: a burst of N costs
+// the slabs plus the regrowth of the queue and the free list, not an object
+// per event.
+func TestBurstAllocatesSlabs(t *testing.T) {
+	const n = 1000
+	tick := func() {}
+	burst := func() {
+		s := NewAtEpoch()
+		for i := 0; i < n; i++ {
+			s.Post(time.Duration(i%7)*time.Millisecond, tick)
+		}
+	}
+	// Slabs of 1, 1, 2, … 64 events hold the first 128, then one per 64; the
+	// queue and the free list regrow about log2(n) times each; NewAtEpoch
+	// is one more.
+	budget := float64(8 + (n-128+maxSlab-1)/maxSlab + 2*10 + 1)
+	got := testing.AllocsPerRun(5, burst)
+	t.Logf("a burst of %d posts: %.0f allocs (budget %.0f)", n, got, budget)
+	if got > budget {
+		t.Fatalf("a burst of %d posts costs %.0f allocs, want at most %.0f", n, got, budget)
+	}
+}
+
+// TestStaleCancelOnSlabEvent takes cancel handles on a burst of events, most
+// of which share slabs, lets them fire, refills the slots from the free list
+// and pulls the stale handles: none of the new events may be canceled, and a
+// handle pulled before its event fires still cancels it.
+func TestStaleCancelOnSlabEvent(t *testing.T) {
+	const n = 8 // slabs of 1, 1, 2 and 4 events
+	s := NewAtEpoch()
+	var stale []func()
+	for i := 0; i < n; i++ {
+		stale = append(stale, s.After(time.Second, func() {}))
+	}
+	if len(s.free) != 0 {
+		t.Fatalf("%d events left %d spare, want the slabs used up", n, len(s.free))
+	}
+	pulled := s.After(2*time.Second, func() { t.Error("a canceled slab event ran") })
+	pulled()
+	s.Run()
+
+	ran := 0
+	for i := 0; i < n; i++ {
+		s.Post(time.Second, func() { ran++ })
+	}
+	for _, cancel := range stale {
+		cancel()
+	}
+	if got := s.Run(); got != n || ran != n {
+		t.Fatalf("ran %d of %d events after stale cancels", ran, n)
 	}
 }

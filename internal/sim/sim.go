@@ -55,7 +55,8 @@ type Sim struct {
 	now   time.Time
 	queue []*event // minheap under before
 	// free holds fired and discarded events for reuse, so a steady stream of
-	// schedule/fire cycles allocates nothing. A cancel handle outliving its
+	// schedule/fire cycles allocates nothing, and the unused events of the
+	// newest slab (see schedule). A cancel handle outliving its
 	// event stays harmless: it is bound to the event's seq, which changes
 	// when the slot is reused.
 	free      []*event
@@ -133,18 +134,32 @@ func (s *Sim) Complete(d time.Duration, done Completion, err error) {
 	ev.done, ev.err = done, err
 }
 
+// maxSlab caps the events allocated at once (80 B each).
+const maxSlab = 64
+
 // schedule queues a blank event at t (clamped to now), reusing a fired one
 // when available. The caller fills in the callback.
+//
+// When the free list is empty, every event allocated so far is queued, and
+// a slab of as many new events again (one at first, maxSlab at most) is
+// allocated: one is used and the rest go to the free list. A trial posts all
+// its submissions before the first event fires, so the free list cannot
+// serve such a burst; slabs make a burst of N cost about N/maxSlab
+// allocations, while a home that never has more than two events pending
+// allocates exactly those two.
 func (s *Sim) schedule(t time.Time) *event {
 	if t.Before(s.now) {
 		t = s.now
 	}
-	var ev *event
-	if n := len(s.free); n > 0 {
-		ev, s.free = s.free[n-1], s.free[:n-1]
-	} else {
-		ev = new(event)
+	if len(s.free) == 0 {
+		slab := make([]event, min(max(len(s.queue), 1), maxSlab))
+		for i := len(slab) - 1; i >= 0; i-- {
+			s.free = append(s.free, &slab[i])
+		}
 	}
+	n := len(s.free)
+	ev := s.free[n-1]
+	s.free = s.free[:n-1]
 	s.seq++
 	*ev = event{at: t, seq: s.seq}
 	s.queue = minheap.Push(s.queue, ev, before)
