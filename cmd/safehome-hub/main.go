@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"slices"
 	"time"
 
 	"safehome/internal/device"
@@ -66,6 +67,18 @@ func main() {
 		hibernate      = flag.Duration("hibernate-after", 0, "multi-tenant mode with -data: freeze homes idle this long to a final checkpoint and release their runtime; any API touch reanimates them and scheduled triggers still fire on time (0 disables)")
 	)
 	flag.Parse()
+	// A set flag the chosen mode ignores is refused: manager mode runs
+	// simulated per-home fleets, so the single home's device wiring does not
+	// apply, and a single home has no shards, event-log cap or hibernation.
+	ignored, mode := []string{"shards", "eventlog", "hibernate-after"}, "multi-tenant mode (-homes)"
+	if *homes > 0 {
+		ignored, mode = []string{"devices", "fleet", "probe"}, "single-home mode"
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(ignored, f.Name) {
+			log.Fatalf("safehome-hub: -%s applies to %s only", f.Name, mode)
+		}
+	})
 
 	model, err := visibility.ParseModel(*modelName)
 	if err != nil {
@@ -84,19 +97,11 @@ func main() {
 	}
 
 	if *homes > 0 {
-		// Manager mode runs simulated per-home fleets on live clocks; the
-		// single-home device wiring does not apply.
-		if *devices != "" || *useFleet {
-			log.Fatal("safehome-hub: -devices/-fleet apply to single-home mode only; -homes manages in-process simulated fleets")
-		}
 		if *hibernate > 0 && *dataDir == "" {
 			log.Fatal("safehome-hub: -hibernate-after needs -data: a frozen home is its final checkpoint")
 		}
 		serveManager(*listen, *homes, *shards, *plugs, *mailbox, *batch, *eventLog, *dataDir, jopts, *hibernate, model, sched)
 		return
-	}
-	if *hibernate > 0 {
-		log.Fatal("safehome-hub: -hibernate-after applies to multi-tenant mode (-homes) only")
 	}
 
 	reg := device.Plugs(*plugs)
@@ -143,11 +148,7 @@ func serveManager(listen string, homes, shards, plugs, mailbox, batch, eventLog 
 		DataDir:        dataDir,
 		Journal:        jopts,
 		HibernateAfter: hibernate,
-		Home: manager.HomeConfig{
-			Model:      model,
-			ExplicitWV: model == visibility.WV,
-			Scheduler:  sched,
-		},
+		Home:           manager.HomeConfig{Model: model, Scheduler: sched},
 	})
 	// A durable manager rediscovers every persisted home before creating the
 	// startup fleet; homes that already exist on disk are recovered, not

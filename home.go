@@ -21,7 +21,8 @@ type Config struct {
 	// Scheduler is the EV scheduling policy (default: Timeline).
 	Scheduler SchedulerKind
 	// DisablePreLease / DisablePostLease turn off lock leasing (EV only);
-	// both enabled by default.
+	// both enabled by default. Simulated homes only: NewLiveHome refuses
+	// either.
 	DisablePreLease  bool
 	DisablePostLease bool
 	// DefaultShortCommand is the assumed exclusive-hold duration of commands
@@ -57,7 +58,8 @@ type Config struct {
 	// ~256 KiB of acknowledged work, but never reorders it). Unknown values
 	// fail NewLiveHome.
 	Durability string
-	// Observer, if set, receives every controller event.
+	// Observer, if set, receives every controller event. Simulated homes
+	// only: NewLiveHome refuses it.
 	Observer Observer
 }
 
@@ -212,6 +214,14 @@ var (
 func NewLiveHome(cfg Config, actuator Actuator, devices ...DeviceInfo) (*LiveHome, error) {
 	if actuator == nil {
 		return nil, errors.New("safehome: live home needs an actuator")
+	}
+	switch {
+	case cfg.DisablePreLease:
+		return nil, errors.New("safehome: DisablePreLease applies to simulated homes only")
+	case cfg.DisablePostLease:
+		return nil, errors.New("safehome: DisablePostLease applies to simulated homes only")
+	case cfg.Observer != nil:
+		return nil, errors.New("safehome: Observer applies to simulated homes only")
 	}
 	var jopts journal.Options
 	if cfg.Durability != "" {

@@ -136,7 +136,7 @@ func TestManagerEventsSinceCursor(t *testing.T) {
 }
 
 func TestManagerWithoutEventLogServesEmptyEvents(t *testing.T) {
-	m := manager.New(manager.Config{Shards: 1})
+	m := manager.New(manager.Config{Shards: 1, Home: manager.HomeConfig{Model: visibility.EV}})
 	t.Cleanup(m.Close)
 	if err := m.AddHome("apt-1", device.Plugs(1).All()...); err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ func newSupervisedHub(t *testing.T, sup rt.SupervisorConfig) *Hub {
 	t.Helper()
 	reg := testRegistry()
 	h, err := New(Config{Model: visibility.EV, DefaultShort: 5 * time.Millisecond,
-		FailureInterval: time.Hour, Supervisor: sup}, reg, device.NewFleet(reg))
+		FailureInterval: time.Hour, supervisor: sup}, reg, device.NewFleet(reg))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestUnsupervisedPoisonIsReported(t *testing.T) {
 		{
 			name: "manager",
 			srv: func(t *testing.T) (http.Handler, *rt.HomeRuntime) {
-				m := manager.New(manager.Config{Shards: 1, Supervisor: off})
+				m := manager.New(manager.Config{Shards: 1, Supervisor: off, Home: manager.HomeConfig{Model: visibility.EV}})
 				t.Cleanup(m.Close)
 				if err := m.AddHome("h", device.Plugs(2).All()...); err != nil {
 					t.Fatal(err)
@@ -194,7 +194,7 @@ func TestUnsupervisedPoisonIsReported(t *testing.T) {
 }
 
 func TestManagerHealthEndpoints(t *testing.T) {
-	m := manager.New(manager.Config{Shards: 2})
+	m := manager.New(manager.Config{Shards: 2, Home: manager.HomeConfig{Model: visibility.EV}})
 	t.Cleanup(m.Close)
 	if err := m.AddHome("home-1", device.Plugs(2).All()...); err != nil {
 		t.Fatal(err)

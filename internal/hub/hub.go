@@ -50,7 +50,7 @@ var (
 // Config configures a hub.
 type Config struct {
 	// Model is the visibility model to enforce. The zero value is WV (the
-	// status-quo model), as for the root safehome.Config.
+	// status-quo model), as in every layer.
 	Model visibility.Model
 	// Scheduler is the EV scheduling policy (default Timeline).
 	Scheduler visibility.SchedulerKind
@@ -75,10 +75,10 @@ type Config struct {
 	// coalescing buys nothing); group opens the window; async acknowledges
 	// ahead of the disk behind Journal.AsyncWindowBytes.
 	Journal journal.Options
-	// Supervisor tunes panic recovery as for manager.Config.Supervisor; set
-	// Supervisor.Disable to quarantine the hub on its first poison instead of
-	// restarting it.
-	Supervisor rt.SupervisorConfig
+
+	// supervisor tunes panic recovery as for manager.Config.Supervisor
+	// (tests shorten the backoff; the zero value restarts with defaults).
+	supervisor rt.SupervisorConfig
 }
 
 // homeID names the hub's one home: its runtime, its journal frames and its
@@ -109,10 +109,9 @@ func New(cfg Config, reg *device.Registry, actuator device.Actuator) (*Hub, erro
 		EventLog:   1024,
 		DataDir:    cfg.DataDir,
 		Journal:    cfg.Journal,
-		Supervisor: cfg.Supervisor,
+		Supervisor: cfg.supervisor,
 		Home: manager.HomeConfig{
 			Model:           cfg.Model,
-			ExplicitWV:      true, // the zero Model is WV here, not the manager's EV
 			Scheduler:       cfg.Scheduler,
 			DefaultShort:    cfg.DefaultShort,
 			FailureInterval: cfg.FailureInterval,

@@ -160,7 +160,7 @@ func TestRestartedHubKeepsDetecting(t *testing.T) {
 	reg := testRegistry()
 	fleet := device.NewFleet(reg)
 	h, err := New(Config{Model: visibility.EV, DefaultShort: 5 * time.Millisecond, FailureInterval: probe,
-		Supervisor: rt.SupervisorConfig{Backoff: time.Millisecond, BackoffCap: time.Millisecond}}, reg, fleet)
+		supervisor: rt.SupervisorConfig{Backoff: time.Millisecond, BackoffCap: time.Millisecond}}, reg, fleet)
 	if err != nil {
 		t.Fatal(err)
 	}

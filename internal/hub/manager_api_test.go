@@ -9,11 +9,12 @@ import (
 	"testing"
 
 	"safehome/internal/manager"
+	"safehome/internal/visibility"
 )
 
 func managerServer(t *testing.T) (*manager.Manager, *httptest.Server) {
 	t.Helper()
-	m := manager.New(manager.Config{Shards: 4})
+	m := manager.New(manager.Config{Shards: 4, Home: manager.HomeConfig{Model: visibility.EV}})
 	srv := httptest.NewServer(ManagerHandler(m, 2))
 	t.Cleanup(func() {
 		srv.Close()

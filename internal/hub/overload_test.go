@@ -102,7 +102,7 @@ func TestHubHTTPSurfaces429UnderOverload(t *testing.T) {
 
 func TestManagerHTTPSurfaces429UnderOverload(t *testing.T) {
 	const depth = 4
-	m := manager.New(manager.Config{Shards: 2, QueueDepth: depth})
+	m := manager.New(manager.Config{Shards: 2, QueueDepth: depth, Home: manager.HomeConfig{Model: visibility.EV}})
 	srv := httptest.NewServer(ManagerHandler(m, 2))
 	t.Cleanup(func() {
 		srv.Close()

@@ -262,7 +262,7 @@ func TestSupervisionFamiliesAreOneSet(t *testing.T) {
 		"safehome_supervision_restarts_total counter",
 	}
 	h := newSupervisedHub(t, rt.SupervisorConfig{Backoff: time.Millisecond, BackoffCap: time.Millisecond})
-	m := manager.New(manager.Config{Shards: 1, Supervisor: rt.SupervisorConfig{MaxRestarts: -1}})
+	m := manager.New(manager.Config{Shards: 1, Supervisor: rt.SupervisorConfig{Disable: true}})
 	t.Cleanup(m.Close)
 	if err := m.AddHome("apt-1", device.Plugs(2).All()...); err != nil {
 		t.Fatal(err)
@@ -271,8 +271,8 @@ func TestSupervisionFamiliesAreOneSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The hub restarts its poisoned home; the manager, with no restart
-	// budget, quarantines its one.
+	// The hub restarts its poisoned home; the manager, with supervision
+	// disabled, quarantines its one.
 	h.Runtime().PostTimer(func() { panic("test: hub fault") })
 	home.PostTimer(func() { panic("test: manager fault") })
 	want := map[string]map[string]float64{

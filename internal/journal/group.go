@@ -60,9 +60,9 @@ type WriterOptions struct {
 	// internal lock held — the hook must not call back into the writer or
 	// any attached journal.
 	OnSync func(path string, syncedBytes int64)
-	// Stats, when non-nil, receives the writer's fsync count. Usually the
-	// same Stats the attached journals carry, so appends and syncs land in
-	// one fleet-wide total.
+	// Stats, when non-nil, receives the writer's fsync count and the
+	// appends and checkpoints of every journal attached to it, so the fleet's
+	// totals land in one place without the journal knowing about telemetry.
 	Stats *Stats
 	// OnCycle, when non-nil, is called after each sync cycle with the bytes
 	// that cycle made durable and the number of commit tickets it released —

@@ -155,12 +155,6 @@ type Options struct {
 	// chunks live instead of the journal directory: a test hook. A boot
 	// finds a home by the checkpoint in its directory (ReadHead).
 	store segmentStore
-	// Stats, when non-nil, receives plain atomic counts of the journal's
-	// appends and checkpoints. The same Stats is typically shared by every
-	// home and the owner's GroupWriters (which count the fsyncs) so the
-	// /metrics surface gets fleet totals without the journal knowing about
-	// telemetry.
-	Stats *Stats
 	// TestInjectErr, when non-nil, is consulted at the start of each write
 	// path — op is "append", "commit" or "checkpoint" — and a non-nil return
 	// is surfaced as that operation's error without touching the disk. It
@@ -227,6 +221,7 @@ type Journal struct {
 	// writer's segments. wEnd and wUnflushed are guarded by writer.mu, not by
 	// the loop.
 	writer     *GroupWriter
+	stats      *Stats // the writer's (WriterOptions.Stats): appends and checkpoints count beside its fsyncs
 	home       string
 	wEnd       int64 // writer offset just past this journal's last appended byte
 	wUnflushed int64 // async: appended bytes not yet covered by a writer sync
@@ -294,7 +289,7 @@ func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: creating %s: %w", dir, err)
 	}
-	j := &Journal{dir: dir, opts: opts, mode: ResolveMode(opts, ModeSync), writer: opts.Writer, home: opts.HomeID}
+	j := &Journal{dir: dir, opts: opts, mode: ResolveMode(opts, ModeSync), writer: opts.Writer, stats: opts.Writer.sopts.Stats, home: opts.HomeID}
 	j.ticket.done = make(chan struct{}, 1)
 	j.store = opts.store
 	if j.store == nil {
@@ -660,7 +655,7 @@ func (j *Journal) Append(b *Batch) error {
 	}
 	j.lsn = b.LSN
 	j.sinceCkpt += int64(len(frame))
-	j.opts.Stats.noteAppend(int64(len(frame)))
+	j.stats.noteAppend(int64(len(frame)))
 	return nil
 }
 
@@ -734,7 +729,7 @@ func (j *Journal) publishCheckpoint(ck *Checkpoint) error {
 	if err := j.store.Put(checkpointName, file); err != nil {
 		return fmt.Errorf("journal: publishing checkpoint: %w", err)
 	}
-	j.opts.Stats.noteCheckpoint()
+	j.stats.noteCheckpoint()
 	j.sealed = ck.Sealed
 	j.sealSize = ck.SealSize
 

@@ -10,9 +10,9 @@ import (
 // scanned and decoded. It exists so the /metrics
 // surface can read journal activity without the journal importing the
 // telemetry package (the journal stays owner-agnostic) and without any
-// callback on the append path — one shared Stats is typically passed to
-// every home's Options and to the shard GroupWriters' WriterOptions, giving
-// fleet-wide totals for free.
+// callback on the append path — one Stats passed to the owner's
+// WriterOptions counts every writer and every journal attached to one,
+// giving fleet-wide totals for free.
 //
 // All fields are safe for concurrent use; nil *Stats disables recording.
 type Stats struct {

@@ -10,6 +10,7 @@ import (
 	"safehome/internal/device"
 	"safehome/internal/journal"
 	rt "safehome/internal/runtime"
+	"safehome/internal/visibility"
 )
 
 // countDataDirFDs counts this process's open file descriptors that resolve
@@ -55,6 +56,7 @@ func TestJournalFDsScaleWithShardsNotHomes(t *testing.T) {
 				DataDir:    dir,
 				Journal:    journal.Options{Mode: mode},
 				Supervisor: rt.SupervisorConfig{Disable: true},
+				Home:       HomeConfig{Model: visibility.EV},
 			})
 			defer m.Close()
 			if st := m.Status(); st.DurabilityError != "" || st.Durability != mode.String() {

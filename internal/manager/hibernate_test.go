@@ -277,7 +277,7 @@ func TestFrozenTriggerFiresOnTime(t *testing.T) {
 		Shards:         1,
 		DataDir:        t.TempDir(),
 		Clock:          ClockLive,
-		PumpInterval:   5 * time.Millisecond,
+		pumpInterval:   5 * time.Millisecond,
 		HibernateAfter: time.Hour, // automatic sweep stays out of the way
 		Home:           HomeConfig{Model: visibility.EV},
 	})
@@ -338,7 +338,7 @@ func TestIdleSweepFreezesUnderLiveClock(t *testing.T) {
 		Shards:         1,
 		DataDir:        t.TempDir(),
 		Clock:          ClockLive,
-		PumpInterval:   5 * time.Millisecond,
+		pumpInterval:   5 * time.Millisecond,
 		HibernateAfter: 50 * time.Millisecond,
 		Home:           HomeConfig{Model: visibility.EV},
 	})

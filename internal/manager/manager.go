@@ -112,18 +112,13 @@ var (
 // HomeConfig selects the visibility model and tuning knobs applied to every
 // home the manager creates.
 type HomeConfig struct {
-	// Model is the visibility model (default EV; zero value WV is remapped —
-	// a multi-tenant deployment that wants WV must say so via ExplicitWV).
+	// Model is the visibility model. The zero value is WV (the status-quo
+	// model), as in every layer; most deployments want EV.
 	Model visibility.Model
-	// ExplicitWV keeps Model = WV instead of defaulting it to EV.
-	ExplicitWV bool
 	// Scheduler is the EV scheduling policy (default Timeline).
 	Scheduler visibility.SchedulerKind
 	// DefaultShort is the assumed hold of zero-duration commands.
 	DefaultShort time.Duration
-	// ActuationLatency adds a fixed per-command latency, modelling
-	// device/network round trips.
-	ActuationLatency time.Duration
 	// Actuator binds every home to devices: a bound home runs on the wall
 	// clock over the actuator this returns for it (called once per home), its
 	// failure detector probing from Start on, and never hibernates. Nil (the
@@ -146,8 +141,6 @@ type Config struct {
 	Batch int
 	// Clock selects virtual or live time (default ClockVirtual).
 	Clock Clock
-	// PumpInterval is the live-clock advance period (default 10 ms).
-	PumpInterval time.Duration
 	// EventLog caps each home's in-memory activity log; 0 (the default)
 	// disables per-home event logs — at millions of homes the memory is
 	// better spent elsewhere. Enable it to serve /homes/{id}/events.
@@ -183,12 +176,16 @@ type Config struct {
 	// Supervisor tunes panic recovery: a home whose loop panics is poisoned,
 	// torn down, and restarted by its shard's supervisor (from its journal
 	// when durable, empty otherwise) with capped exponential backoff, then
-	// quarantined after MaxRestarts consecutive failures. The zero value
+	// quarantined after five consecutive failures. The zero value
 	// enables supervision with defaults; set Supervisor.Disable to quarantine
 	// a home on its first poison instead of restarting it.
 	Supervisor rt.SupervisorConfig
 	// Home configures every home the manager creates.
 	Home HomeConfig
+
+	// pumpInterval is the live-clock advance period (default 10 ms); tests
+	// shorten it.
+	pumpInterval time.Duration
 }
 
 func (c Config) normalized() Config {
@@ -201,11 +198,8 @@ func (c Config) normalized() Config {
 	if c.Batch < 1 {
 		c.Batch = rt.DefaultBatch
 	}
-	if c.PumpInterval <= 0 {
-		c.PumpInterval = 10 * time.Millisecond
-	}
-	if c.Home.Model == visibility.WV && !c.Home.ExplicitWV {
-		c.Home.Model = visibility.EV
+	if c.pumpInterval <= 0 {
+		c.pumpInterval = 10 * time.Millisecond
 	}
 	if c.Home.Actuator != nil {
 		c.Clock = ClockLive // wall-clock homes, with no simulator to pump
@@ -354,21 +348,19 @@ func (m *Manager) runtimeConfig(id HomeID, shard int, onPoison func(error)) rt.C
 	jopts := m.cfg.Journal
 	jopts.Mode = m.durability
 	jopts.HomeID = string(id)
-	jopts.Stats = m.tel.jstats
 	jopts.Writer = m.shardWriter(shard)
 	return rt.Config{
-		ID:               string(id),
-		Clock:            clock,
-		Model:            m.cfg.Home.Model,
-		Scheduler:        m.cfg.Home.Scheduler,
-		DefaultShort:     m.cfg.Home.DefaultShort,
-		ActuationLatency: m.cfg.Home.ActuationLatency,
-		FailureInterval:  m.cfg.Home.FailureInterval,
-		MailboxDepth:     m.cfg.QueueDepth,
-		Batch:            m.cfg.Batch,
-		EventLog:         m.cfg.EventLog,
-		DataDir:          m.homeDir(id),
-		Journal:          jopts,
+		ID:              string(id),
+		Clock:           clock,
+		Model:           m.cfg.Home.Model,
+		Scheduler:       m.cfg.Home.Scheduler,
+		DefaultShort:    m.cfg.Home.DefaultShort,
+		FailureInterval: m.cfg.Home.FailureInterval,
+		MailboxDepth:    m.cfg.QueueDepth,
+		Batch:           m.cfg.Batch,
+		EventLog:        m.cfg.EventLog,
+		DataDir:         m.homeDir(id),
+		Journal:         jopts,
 		Observer: func(e visibility.Event) {
 			switch e.Kind {
 			case visibility.EvSubmitted:

@@ -25,7 +25,7 @@ func plugRoutine(name string, target device.State, plugs ...int) *routine.Routin
 }
 
 func TestShardRoutingDeterministic(t *testing.T) {
-	m := New(Config{Shards: 4})
+	m := New(Config{Shards: 4, Home: HomeConfig{Model: visibility.EV}})
 	defer m.Close()
 
 	seen := make(map[int]int)
@@ -52,7 +52,7 @@ func TestShardRoutingDeterministic(t *testing.T) {
 }
 
 func TestShardRoutingMatchesPlacement(t *testing.T) {
-	m := New(Config{Shards: 8})
+	m := New(Config{Shards: 8, Home: HomeConfig{Model: visibility.EV}})
 	defer m.Close()
 	ids, err := m.AddHomes("home", 32, 2)
 	if err != nil {
@@ -69,7 +69,7 @@ func TestShardRoutingMatchesPlacement(t *testing.T) {
 }
 
 func TestConcurrentSubmitsToDistinctHomesDoNotInterleave(t *testing.T) {
-	m := New(Config{Shards: 4})
+	m := New(Config{Shards: 4, Home: HomeConfig{Model: visibility.EV}})
 	defer m.Close()
 
 	const homes = 16
@@ -133,7 +133,7 @@ func TestConcurrentSubmitsToDistinctHomesDoNotInterleave(t *testing.T) {
 func TestGracefulShutdownDrainsInFlightRoutines(t *testing.T) {
 	// Live clock: submissions return before their routines finish, so Close
 	// must drain them.
-	m := New(Config{Shards: 4, Clock: ClockLive, PumpInterval: time.Millisecond})
+	m := New(Config{Shards: 4, Clock: ClockLive, pumpInterval: time.Millisecond, Home: HomeConfig{Model: visibility.EV}})
 	if _, err := m.AddHomes("home", 8, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestGracefulShutdownDrainsInFlightRoutines(t *testing.T) {
 }
 
 func TestUnknownAndDuplicateHomes(t *testing.T) {
-	m := New(Config{Shards: 2})
+	m := New(Config{Shards: 2, Home: HomeConfig{Model: visibility.EV}})
 	defer m.Close()
 
 	if _, err := m.Submit("ghost", plugRoutine("r", device.On, 0)); !errors.Is(err, ErrUnknownHome) {
@@ -262,7 +262,7 @@ func TestFailureInjectionPerHome(t *testing.T) {
 }
 
 func TestSubmitSpec(t *testing.T) {
-	m := New(Config{Shards: 1})
+	m := New(Config{Shards: 1, Home: HomeConfig{Model: visibility.EV}})
 	defer m.Close()
 	if err := m.AddHome("h", device.Plugs(1).All()...); err != nil {
 		t.Fatal(err)
@@ -292,7 +292,7 @@ func TestLiveClockPumperAdvancesOnlyBusyHomes(t *testing.T) {
 	// Serving mode: the shard pumper must advance a home with due simulator
 	// work in real time, while idle homes are skipped (no pump op is ever
 	// queued for them — observable as an untouched simulator clock).
-	m := New(Config{Shards: 2, Clock: ClockLive, PumpInterval: time.Millisecond})
+	m := New(Config{Shards: 2, Clock: ClockLive, pumpInterval: time.Millisecond, Home: HomeConfig{Model: visibility.EV}})
 	defer m.Close()
 	if _, err := m.AddHomes("home", 2, 2); err != nil {
 		t.Fatal(err)

@@ -286,7 +286,7 @@ func (s *shard) snapshot() map[HomeID]*homeSlot {
 // homes are not even visited: the scan walks the live map, not the fleet.
 func (s *shard) runPump() {
 	defer s.m.wg.Done()
-	ticker := time.NewTicker(s.m.cfg.PumpInterval)
+	ticker := time.NewTicker(s.m.cfg.pumpInterval)
 	defer ticker.Stop()
 	for {
 		select {

@@ -29,7 +29,11 @@ func panicHome(t *testing.T, m *Manager, id HomeID) {
 // waitRestarted waits until the home has completed at least one supervised
 // restart and serves healthy again. Polling for HealthOK alone would race:
 // the home starts out ok, so the poll could win before the poison lands.
-func waitRestarted(t *testing.T, m *Manager, id HomeID) {
+func waitRestarted(t *testing.T, m *Manager, id HomeID) { waitRestarts(t, m, id, 1) }
+
+// waitRestarts waits until the home has completed n supervised restarts and
+// serves healthy again.
+func waitRestarts(t *testing.T, m *Manager, id HomeID, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -37,11 +41,11 @@ func waitRestarted(t *testing.T, m *Manager, id HomeID) {
 		if err != nil {
 			t.Fatalf("HomeStatus(%s): %v", id, err)
 		}
-		if st.Restarts >= 1 && st.Health == rt.HealthOK {
+		if st.Restarts >= n && st.Health == rt.HealthOK {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("home %s never restarted: health=%s restarts=%d", id, st.Health, st.Restarts)
+			t.Fatalf("home %s never reached %d restarts: health=%s restarts=%d", id, n, st.Health, st.Restarts)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -66,7 +70,7 @@ func waitHealth(t *testing.T, m *Manager, id HomeID, want rt.HomeHealth) {
 }
 
 func TestPanickedHomeRestartsFromJournal(t *testing.T) {
-	m := New(Config{Shards: 1, DataDir: t.TempDir(), Supervisor: fastSupervisor()})
+	m := New(Config{Shards: 1, DataDir: t.TempDir(), Supervisor: fastSupervisor(), Home: HomeConfig{Model: visibility.EV}})
 	defer m.Close()
 	ids, err := m.AddHomes("h", 2, 4)
 	if err != nil {
@@ -116,7 +120,7 @@ func TestPanickedHomeRestartsFromJournal(t *testing.T) {
 }
 
 func TestMemoryOnlyHomeRestartsEmptyButAlive(t *testing.T) {
-	m := New(Config{Shards: 1, Supervisor: fastSupervisor()}) // no DataDir
+	m := New(Config{Shards: 1, Supervisor: fastSupervisor(), Home: HomeConfig{Model: visibility.EV}}) // no DataDir
 	defer m.Close()
 	ids, err := m.AddHomes("h", 1, 4)
 	if err != nil {
@@ -181,17 +185,21 @@ func TestRestartingHomeRejectsUntilServing(t *testing.T) {
 	waitRestarted(t, m, ids[0])
 }
 
+// TestQuarantineAfterRestartBudget spends the restart budget: five
+// consecutive poisons (each within the healthy window of the last) are
+// restarted, the sixth quarantines the home.
 func TestQuarantineAfterRestartBudget(t *testing.T) {
-	m := New(Config{Shards: 1, Supervisor: rt.SupervisorConfig{
-		MaxRestarts: -1, // quarantine on the first poison
-		Backoff:     time.Millisecond,
-	}})
+	m := New(Config{Shards: 1, Supervisor: rt.SupervisorConfig{Backoff: time.Millisecond, BackoffCap: time.Millisecond}})
 	defer m.Close()
 	ids, err := m.AddHomes("h", 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := ids[0]
+	for n := 1; n <= 5; n++ {
+		panicHome(t, m, id)
+		waitRestarts(t, m, id, int64(n))
+	}
 	panicHome(t, m, id)
 	waitHealth(t, m, id, rt.HealthQuarantined)
 
@@ -206,8 +214,8 @@ func TestQuarantineAfterRestartBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("HomeStatus on quarantined home: %v", err)
 	}
-	if st.Health != rt.HealthQuarantined {
-		t.Errorf("health = %s, want quarantined", st.Health)
+	if st.Health != rt.HealthQuarantined || st.Restarts != 5 {
+		t.Errorf("health = %s after %d restarts, want quarantined after 5", st.Health, st.Restarts)
 	}
 	status := m.Status()
 	if status.Quarantined != 1 {
@@ -286,7 +294,7 @@ func TestPoisonForensicsSurfaceAndClear(t *testing.T) {
 	// A fresh manager over the same data sees the record before any restart
 	// (the forensics survive the process), and a clean supervised restart
 	// clears it.
-	m2 := New(Config{Shards: 1, DataDir: dir, Supervisor: fastSupervisor()})
+	m2 := New(Config{Shards: 1, DataDir: dir, Supervisor: fastSupervisor(), Home: HomeConfig{Model: visibility.EV}})
 	defer m2.Close()
 	if recovered, err := m2.RecoverHomes(); err != nil || len(recovered) != 1 {
 		t.Fatalf("RecoverHomes = %v, %v; want the victim back", recovered, err)

@@ -189,7 +189,7 @@ func upgradeSteps(t *testing.T, copyFixture func(*testing.T) string) int {
 	t.Helper()
 	var n int
 	stopUpgradeAfter(t, -1, &n)
-	m := New(Config{Shards: 1, DataDir: copyFixture(t)})
+	m := New(Config{Shards: 1, DataDir: copyFixture(t), Home: HomeConfig{Model: visibility.EV}})
 	m.Crash()
 	afterUpgradeStep = nil
 	if m.writerErr != nil {
@@ -274,7 +274,7 @@ func durableFiles(t *testing.T, dir string) map[string]string {
 // from.
 func TestHubEraUpgradeCrashAtEachStep(t *testing.T) {
 	boot := func(dir string) {
-		m := New(Config{Shards: 1, DataDir: dir})
+		m := New(Config{Shards: 1, DataDir: dir, Home: HomeConfig{Model: visibility.EV}})
 		m.Crash()
 		if m.writerErr != nil {
 			t.Fatal(m.writerErr)
@@ -297,7 +297,7 @@ func TestHubEraUpgradeCrashAtEachStep(t *testing.T) {
 			dir := hubEraCopy(t)
 			var ran int
 			stopUpgradeAfter(t, k, &ran)
-			m := New(Config{Shards: 1, DataDir: dir})
+			m := New(Config{Shards: 1, DataDir: dir, Home: HomeConfig{Model: visibility.EV}})
 			m.Crash()
 			if m.writerErr == nil || ran != k {
 				t.Fatalf("the upgrade stopped after step %d, want %d (%v)", ran, k, m.writerErr)
@@ -316,7 +316,7 @@ func TestHubEraUpgradeCrashAtEachStep(t *testing.T) {
 // generation, and no file of it changes.
 func TestNewerFormatGenerationIsRefused(t *testing.T) {
 	dir := t.TempDir()
-	m := New(Config{Shards: 2, DataDir: dir})
+	m := New(Config{Shards: 2, DataDir: dir, Home: HomeConfig{Model: visibility.EV}})
 	for _, id := range []HomeID{"a", "b"} {
 		if err := m.AddHome(id, device.Plugs(2).All()...); err != nil {
 			t.Fatal(err)
@@ -331,7 +331,7 @@ func TestNewerFormatGenerationIsRefused(t *testing.T) {
 	}
 	before := allFiles(t, dir)
 
-	m = New(Config{Shards: 2, DataDir: dir})
+	m = New(Config{Shards: 2, DataDir: dir, Home: HomeConfig{Model: visibility.EV}})
 	defer m.Crash()
 	if err := m.AddHome("c", device.Plugs(2).All()...); err == nil || !strings.Contains(err.Error(), "generation 2") {
 		t.Fatalf("AddHome on a newer data directory: %v", err)
@@ -378,7 +378,7 @@ func allFiles(t *testing.T, dir string) map[string]string {
 // recovers the image it had.
 func TestStrayLegacyFilesAreIgnored(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Shards: 1, DataDir: dir}
+	cfg := Config{Shards: 1, DataDir: dir, Home: HomeConfig{Model: visibility.EV}}
 	m := New(cfg)
 	if err := m.AddHome("casa", device.Plugs(2).All()...); err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ func dataLineageLen(t *testing.T, rt *HomeRuntime) int {
 // TestLoopCompactsHistoryOnHorizon drives a paced-clock home with the
 // gate-pattern workload (touch plug-0 briefly, hold plug-1 for minutes):
 // without horizon compaction plug-0's lineage grows with every queued
-// routine; with a short HistoryHorizon the loop folds the released history
+// routine; with a short history horizon the loop folds the released history
 // and the lineage stays bounded by the live window.
 func TestLoopCompactsHistoryOnHorizon(t *testing.T) {
 	run := func(horizon time.Duration) int {
@@ -40,7 +40,7 @@ func TestLoopCompactsHistoryOnHorizon(t *testing.T) {
 			ID:             "compact",
 			Model:          visibility.EV,
 			Clock:          ClockPaced,
-			HistoryHorizon: horizon,
+			historyHorizon: horizon,
 			MailboxDepth:   256,
 		}, device.Plugs(2))
 		if err != nil {

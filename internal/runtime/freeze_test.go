@@ -153,7 +153,7 @@ func TestFreezeCompactsLineage(t *testing.T) {
 		Model:          visibility.EV,
 		Clock:          ClockPaced,
 		DataDir:        dir,
-		HistoryHorizon: -1, // horizon compaction off: only the freeze path may fold
+		historyHorizon: -1, // horizon compaction off: only the freeze path may fold
 		MailboxDepth:   256,
 	}
 	rt, err := NewSim(o.attach(cfg), device.Plugs(2))

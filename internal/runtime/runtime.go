@@ -65,8 +65,6 @@ type Config struct {
 	Scheduler visibility.SchedulerKind
 	// DefaultShort is the assumed hold of zero-duration commands.
 	DefaultShort time.Duration
-	// ActuationLatency adds a fixed per-command latency (simulated clocks).
-	ActuationLatency time.Duration
 	// FailureInterval is the failure detector's probe period (wall clock).
 	FailureInterval time.Duration
 	// EventLog caps the in-memory activity log; 0 disables the log (the
@@ -76,12 +74,6 @@ type Config struct {
 	MailboxDepth int
 	// Batch is the maximum operations drained per loop wakeup (default 32).
 	Batch int
-	// HistoryHorizon bounds how long an EV home retains released lock-access
-	// history: once per horizon the loop folds fully released accesses older
-	// than it into the committed states (lineage.Table.CompactBefore), so
-	// long-lived homes don't grow their per-device gap scans with history.
-	// 0 means DefaultHistoryHorizon; negative disables compaction.
-	HistoryHorizon time.Duration
 	// DataDir enables durability: accepted mutating operations, routine
 	// outcomes, committed device states and sequenced activity events are
 	// group-committed to a write-ahead journal in this directory (one fsync
@@ -115,6 +107,13 @@ type Config struct {
 	// loop goroutine. One LoopMetrics is shared by every home of a manager;
 	// nil disables recording with one nil check on the hot path.
 	Metrics *LoopMetrics
+
+	// historyHorizon bounds how long an EV home retains released lock-access
+	// history: once per horizon the loop folds fully released accesses older
+	// than it into the committed states (lineage.Table.CompactBefore), so
+	// long-lived homes don't grow their per-device gap scans with history.
+	// 0 means defaultHorizon; negative disables compaction (tests).
+	historyHorizon time.Duration
 }
 
 const (
@@ -122,11 +121,11 @@ const (
 	DefaultMailboxDepth = 128
 	// DefaultBatch is the default maximum ops drained per loop wakeup.
 	DefaultBatch = 32
-	// DefaultHistoryHorizon is the default lock-access history retention on
-	// the home's clock (see Config.HistoryHorizon). An hour is far beyond any
-	// live routine's span, so folding history that old never changes what a
+	// defaultHorizon is the lock-access history retention on the home's
+	// clock (see Config.historyHorizon). An hour is far beyond any live
+	// routine's span, so folding history that old never changes what a
 	// rollback would restore in practice.
-	DefaultHistoryHorizon = time.Hour
+	defaultHorizon = time.Hour
 )
 
 func (c Config) normalized() Config {
@@ -139,8 +138,8 @@ func (c Config) normalized() Config {
 	if c.FailureInterval <= 0 {
 		c.FailureInterval = failure.DefaultInterval
 	}
-	if c.HistoryHorizon == 0 {
-		c.HistoryHorizon = DefaultHistoryHorizon
+	if c.historyHorizon == 0 {
+		c.historyHorizon = defaultHorizon
 	}
 	return c
 }
@@ -266,9 +265,7 @@ func NewSim(cfg Config, reg *device.Registry) (*HomeRuntime, error) {
 			_ = rt.fleet.ForceState(d, s) // devices gone from the registry are skipped
 		}
 	}
-	env := visibility.NewSimEnv(rt.simc, rt.fleet)
-	env.ActuationLatency = rt.cfg.ActuationLatency
-	rt.env = env
+	rt.env = visibility.NewSimEnv(rt.simc, rt.fleet)
 	return rt.run(rt.fleet.Snapshot(), rec), nil
 }
 
@@ -750,7 +747,7 @@ func (rt *HomeRuntime) apply(o *op) (result, *reply) {
 	case opCompactNow:
 		// The freeze path's history bound: fold every fully released
 		// lock-access entry into the committed states regardless of the
-		// HistoryHorizon cadence, so the final checkpoint (and the frozen
+		// history-horizon cadence, so the final checkpoint (and the frozen
 		// record behind it) never carries stale lineage.
 		if rt.compacter != nil {
 			now := rt.env.Now()
@@ -815,20 +812,20 @@ type historyCompacter interface {
 	CompactBefore(t time.Time) int
 }
 
-// compactHistory runs on the loop goroutine once per HistoryHorizon of home
+// compactHistory runs on the loop goroutine once per history horizon of home
 // time: it folds lock-access history older than the horizon into the
 // committed states, so a long-lived home's per-device gap scans are bounded
 // by the live window instead of growing with history.
 func (rt *HomeRuntime) compactHistory() {
-	if rt.cfg.HistoryHorizon <= 0 || rt.compacter == nil {
+	if rt.cfg.historyHorizon <= 0 || rt.compacter == nil {
 		return
 	}
 	now := rt.env.Now()
-	if !rt.lastCompact.IsZero() && now.Sub(rt.lastCompact) < rt.cfg.HistoryHorizon {
+	if !rt.lastCompact.IsZero() && now.Sub(rt.lastCompact) < rt.cfg.historyHorizon {
 		return
 	}
 	rt.lastCompact = now
-	if rt.compacter.CompactBefore(now.Add(-rt.cfg.HistoryHorizon)) > 0 {
+	if rt.compacter.CompactBefore(now.Add(-rt.cfg.historyHorizon)) > 0 {
 		rt.snapDirty = true
 	}
 }

@@ -39,34 +39,28 @@ const (
 	HealthFrozen HomeHealth = "frozen"
 )
 
-// Supervisor restart-policy defaults.
+// Supervisor restart policy.
 const (
-	// DefaultMaxRestarts is the consecutive-failure budget before quarantine.
-	DefaultMaxRestarts = 5
 	// DefaultRestartBackoff is the base of the exponential restart backoff.
 	DefaultRestartBackoff = 50 * time.Millisecond
 	// DefaultRestartBackoffCap caps the exponential restart backoff.
 	DefaultRestartBackoffCap = 5 * time.Second
-	// DefaultHealthyWindow is how long a home must stay up after a restart
-	// for its consecutive-failure count to reset.
-	DefaultHealthyWindow = time.Minute
+	// restartBudget quarantines a home after this many consecutive failures:
+	// poisons within healthyWindow of the previous one, or rebuilds that
+	// errored.
+	restartBudget = 5
+	// healthyWindow is how long a home must stay up after a restart for its
+	// consecutive-failure count to reset.
+	healthyWindow = time.Minute
 )
 
 // SupervisorConfig tunes the automatic restart of poisoned homes.
 type SupervisorConfig struct {
-	// MaxRestarts quarantines a home after this many consecutive failures —
-	// poisons within HealthyWindow of the previous one, or rebuilds that
-	// errored. 0 means DefaultMaxRestarts; negative quarantines on the first
-	// poison.
-	MaxRestarts int
 	// Backoff is the base of the capped, jittered exponential delay before
 	// each restart attempt (0 = DefaultRestartBackoff).
 	Backoff time.Duration
 	// BackoffCap bounds the exponential delay (0 = DefaultRestartBackoffCap).
 	BackoffCap time.Duration
-	// HealthyWindow resets the consecutive-failure count once a restarted
-	// home stays up this long (0 = DefaultHealthyWindow).
-	HealthyWindow time.Duration
 	// Disable turns automatic restarts off: a poisoned home is quarantined at
 	// once and stays down. The poison is still noticed and reported.
 	Disable bool
@@ -74,17 +68,11 @@ type SupervisorConfig struct {
 
 // Normalized fills defaults into zero fields.
 func (c SupervisorConfig) Normalized() SupervisorConfig {
-	if c.MaxRestarts == 0 {
-		c.MaxRestarts = DefaultMaxRestarts
-	}
 	if c.Backoff <= 0 {
 		c.Backoff = DefaultRestartBackoff
 	}
 	if c.BackoffCap <= 0 {
 		c.BackoffCap = DefaultRestartBackoffCap
-	}
-	if c.HealthyWindow <= 0 {
-		c.HealthyWindow = DefaultHealthyWindow
 	}
 	return c
 }
@@ -161,13 +149,13 @@ func (s *Supervisor) LastError() error {
 // the home is serving again.
 func (s *Supervisor) Restart(stop <-chan struct{}, rebuild func() error) bool {
 	now := time.Now()
-	if !s.lastPoison.IsZero() && now.Sub(s.lastPoison) > s.cfg.HealthyWindow {
+	if !s.lastPoison.IsZero() && now.Sub(s.lastPoison) > healthyWindow {
 		s.consecutive = 0 // stayed up long enough: forgive earlier failures
 	}
 	s.lastPoison = now
 	for {
 		s.consecutive++
-		if s.consecutive > s.cfg.MaxRestarts {
+		if s.consecutive > restartBudget {
 			s.state.Store(supQuarantined)
 			return false
 		}

@@ -229,7 +229,7 @@ func (c *evController) Serialization() []order.Node { return c.graph.Order() }
 // CompactBefore folds released lock-access history whose estimated hold
 // ended before t into the committed states (lineage.Table.CompactBefore) and
 // keeps the controller's committed-state view in sync. The home runtime
-// calls this on its HistoryHorizon cadence so per-device gap scans stay
+// calls this on its history-horizon cadence so per-device gap scans stay
 // bounded under sustained load. It returns the number of accesses folded.
 func (c *evController) CompactBefore(t time.Time) int {
 	n := c.table.CompactBefore(t)

@@ -11,6 +11,7 @@ import (
 
 	"safehome/internal/device"
 	"safehome/internal/hub"
+	"safehome/internal/manager"
 )
 
 func demoDevices() []DeviceInfo {
@@ -110,9 +111,9 @@ func TestSimulatedHomeObserver(t *testing.T) {
 	}
 }
 
-// TestZeroConfigRunsWV pins the model default of both single-home entry
-// points: a zero Config runs WV (visibility.WV is the zero Model), not the
-// manager's EV default — the hub's one-home manager must be told so.
+// TestZeroConfigRunsWV pins the model default of every entry point: a zero
+// Config runs WV (visibility.WV is the zero Model) in the hub, the root live
+// home and the multi-tenant manager alike.
 func TestZeroConfigRunsWV(t *testing.T) {
 	reg := device.Plugs(2)
 	h, err := hub.New(hub.Config{}, reg, device.NewFleet(reg))
@@ -131,6 +132,40 @@ func TestZeroConfigRunsWV(t *testing.T) {
 	defer home.Close()
 	if got := home.Status().Model; got != "WV" {
 		t.Errorf("NewLiveHome(Config{}) runs model %q, want WV", got)
+	}
+
+	m := manager.New(manager.Config{})
+	defer m.Close()
+	if err := m.AddHome("h", reg.All()...); err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.HomeStatus("h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Model != "WV" {
+		t.Errorf("manager.New(Config{}) runs model %q, want WV", st.Model)
+	}
+}
+
+// TestLiveHomeRefusesSimulatedOnlyFields: the lease switches and the
+// observer reach simulated homes only, so a live home refuses them by name
+// instead of running with its leases on and the observer never called.
+func TestLiveHomeRefusesSimulatedOnlyFields(t *testing.T) {
+	for field, cfg := range map[string]Config{
+		"DisablePreLease":  {Model: EV, DisablePreLease: true},
+		"DisablePostLease": {Model: EV, DisablePostLease: true},
+		"Observer":         {Model: EV, Observer: func(Event) {}},
+	} {
+		home, err := NewLiveHome(cfg, NewFleet(Plugs(2)...), Plugs(2)...)
+		if err == nil {
+			home.Close()
+			t.Errorf("NewLiveHome with %s succeeded", field)
+			continue
+		}
+		if !strings.Contains(err.Error(), field) {
+			t.Errorf("NewLiveHome with %s: error %q does not name the field", field, err)
+		}
 	}
 }
 
