@@ -28,8 +28,9 @@ type Config struct {
 	// DefaultShortCommand is the assumed exclusive-hold duration of commands
 	// with no explicit duration (default 100 ms, the paper's τ_timeout).
 	DefaultShortCommand time.Duration
-	// ActuationLatency adds a fixed per-command latency in simulated homes,
-	// modelling device/network round trips.
+	// ActuationLatency adds a fixed per-command latency, modelling
+	// device/network round trips. Simulated homes only: NewLiveHome
+	// refuses it.
 	ActuationLatency time.Duration
 	// FailureDetectionInterval is the probe period of a live home's failure
 	// detector (default 1 s).
@@ -222,6 +223,8 @@ func NewLiveHome(cfg Config, actuator Actuator, devices ...DeviceInfo) (*LiveHom
 		return nil, errors.New("safehome: DisablePostLease applies to simulated homes only")
 	case cfg.Observer != nil:
 		return nil, errors.New("safehome: Observer applies to simulated homes only")
+	case cfg.ActuationLatency != 0:
+		return nil, errors.New("safehome: ActuationLatency applies to simulated homes only")
 	}
 	var jopts journal.Options
 	if cfg.Durability != "" {

@@ -116,7 +116,7 @@ func TestFeederMatchesClosurePerSubmission(t *testing.T) {
 
 // TestTrialAllocsPerRoutine holds paper_trace's trial to its allocation
 // budget: a generated 400-routine / 40-device home under EV, metrics and
-// oracles included, in at most 9.5 heap objects per routine.
+// oracles included, in at most 8.0 heap objects per routine.
 func TestTrialAllocsPerRoutine(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not asserted under the race detector")
@@ -126,7 +126,7 @@ func TestTrialAllocsPerRoutine(t *testing.T) {
 	opts := visibility.DefaultOptions(visibility.EV)
 	per := testing.AllocsPerRun(5, func() { Run(spec, opts, 1) }) / routines
 	t.Logf("%.2f allocs per routine", per)
-	if per > 9.5 {
-		t.Fatalf("a trial costs %.2f allocs per routine, want at most 9.5", per)
+	if per > 8.0 {
+		t.Fatalf("a trial costs %.2f allocs per routine, want at most 8.0", per)
 	}
 }

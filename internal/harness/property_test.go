@@ -14,7 +14,7 @@ import (
 // behind its back, long after all routine activity: the end state can no
 // longer be explained by any serial order of the committed routines.
 func rogueWriteFactory(env *visibility.SimEnv, initial map[device.ID]device.State, opts visibility.Options) visibility.Controller {
-	env.Sim.After(1000*time.Hour, func() { _ = env.Fleet.Apply("plug-00", device.State("rogue")) })
+	env.Sim.Post(1000*time.Hour, func() { _ = env.Fleet.Apply("plug-00", device.State("rogue")) })
 	return visibility.New(env, initial, opts)
 }
 

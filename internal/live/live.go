@@ -24,6 +24,7 @@ import (
 
 	"safehome/internal/device"
 	"safehome/internal/routine"
+	"safehome/internal/timer"
 )
 
 // Completion receives the outcome of one command handed to Env.Exec. It is
@@ -164,6 +165,21 @@ type Env struct {
 	shortCircuits atomic.Int64 // commands failed fast on an open breaker
 }
 
+// liveTimer is one armed timer: its callback and the Slot a TimerHandle
+// reaches, whose Runtime is the timer's own runtime timer.
+type liveTimer struct {
+	timer.Slot
+	t timer.Timer
+}
+
+// fire runs in the poster's context. The cancel mark catches a timer
+// cancelled after its runtime timer expired but before this delivery ran.
+func (lt *liveTimer) fire() {
+	if !lt.Canceled {
+		lt.t.Fire()
+	}
+}
+
 // New builds a live environment with default actuation options.
 func New(poster Poster, actuator device.Actuator) *Env {
 	return NewWithOptions(poster, actuator, Options{})
@@ -183,10 +199,13 @@ func NewWithOptions(poster Poster, actuator device.Actuator, opts Options) *Env 
 // Now implements visibility.Env.
 func (e *Env) Now() time.Time { return time.Now() }
 
-// After implements visibility.Env.
-func (e *Env) After(d time.Duration, fn func()) (cancel func()) {
-	timer := time.AfterFunc(d, func() { e.poster.PostTimer(fn) })
-	return func() { timer.Stop() }
+// After implements visibility.Env: t gets its own runtime timer, whose
+// expiry posts t's firing through the poster; cancelling the handle stops
+// it. Call it from the poster's context only.
+func (e *Env) After(d time.Duration, t timer.Timer) timer.Handle {
+	lt := &liveTimer{t: t}
+	lt.Runtime = time.AfterFunc(d, func() { e.poster.PostTimer(lt.fire) })
+	return lt.Handle()
 }
 
 // Exec implements visibility.Env: the device is actuated immediately, the

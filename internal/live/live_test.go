@@ -6,6 +6,7 @@ import (
 
 	"safehome/internal/device"
 	"safehome/internal/routine"
+	"safehome/internal/timer"
 	"safehome/internal/visibility"
 )
 
@@ -123,8 +124,10 @@ func TestAfterAndCancel(t *testing.T) {
 	defer p.close()
 	env := New(p, newFleet("a"))
 
+	// After and Cancel belong to the poster's context, like every other
+	// controller call.
 	fired := make(chan struct{}, 1)
-	env.After(20*time.Millisecond, func() { fired <- struct{}{} })
+	p.run(func() { env.After(20*time.Millisecond, timer.Func(func() { fired <- struct{}{} })) })
 	select {
 	case <-fired:
 	case <-time.After(2 * time.Second):
@@ -132,8 +135,10 @@ func TestAfterAndCancel(t *testing.T) {
 	}
 
 	cancelled := make(chan struct{}, 1)
-	cancel := env.After(50*time.Millisecond, func() { cancelled <- struct{}{} })
-	cancel()
+	p.run(func() {
+		h := env.After(50*time.Millisecond, timer.Func(func() { cancelled <- struct{}{} }))
+		h.Cancel()
+	})
 	select {
 	case <-cancelled:
 		t.Fatal("cancelled timer still fired")

@@ -412,7 +412,7 @@ func (rt *HomeRuntime) recoverFrom(rec *journal.Recovered) {
 			NextFire: nf,
 			Fired:    tr.Fired,
 		}}
-		t.cancel = rt.armTrigger(handle, delay)
+		t.timer = rt.armTrigger(handle, delay)
 		rt.triggers[handle] = t
 	}
 }

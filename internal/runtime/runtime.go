@@ -690,7 +690,7 @@ func (rt *HomeRuntime) apply(o *op) (result, *reply) {
 	case opSubmitAfter:
 		rt.snapDirty = true
 		r := o.r
-		rt.env.After(o.delay, func() { rt.ctrl.Submit(r) })
+		rt.env.After(o.delay, visibility.TimerFunc(func() { rt.ctrl.Submit(r) }))
 		rt.pumpVirtual()
 		return result{}, o.reply
 	case opFailDevice:

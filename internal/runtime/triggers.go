@@ -3,6 +3,8 @@ package runtime
 import (
 	"fmt"
 	"time"
+
+	"safehome/internal/visibility"
 )
 
 // Triggers are the automation half of the routine dispatcher (Fig 11): a
@@ -33,8 +35,8 @@ type ScheduledTrigger struct {
 }
 
 type trigger struct {
-	spec   ScheduledTrigger
-	cancel func()
+	spec  ScheduledTrigger
+	timer visibility.TimerHandle
 }
 
 // ScheduleAfter dispatches the named stored routine once, after the delay.
@@ -126,7 +128,7 @@ func (rt *HomeRuntime) scheduleTrigger(name string, delay, interval time.Duratio
 		Interval: interval,
 		NextFire: rt.env.Now().Add(delay),
 	}}
-	tr.cancel = rt.armTrigger(handle, delay)
+	tr.timer = rt.armTrigger(handle, delay)
 	rt.triggers[handle] = tr
 	if rt.j != nil {
 		rt.noteTriggerArm(tr.spec)
@@ -138,8 +140,8 @@ func (rt *HomeRuntime) scheduleTrigger(name string, delay, interval time.Duratio
 // clock the live env's timer posts the callback into the mailbox; on a
 // simulated clock it fires inline during a pump — either way fireTrigger
 // runs in the loop's serialized context.
-func (rt *HomeRuntime) armTrigger(handle TriggerHandle, delay time.Duration) (cancel func()) {
-	return rt.env.After(delay, func() { rt.fireTrigger(handle) })
+func (rt *HomeRuntime) armTrigger(handle TriggerHandle, delay time.Duration) visibility.TimerHandle {
+	return rt.env.After(delay, visibility.TimerFunc(func() { rt.fireTrigger(handle) }))
 }
 
 // fireTrigger runs on the loop goroutine: dispatch the stored routine,
@@ -164,7 +166,7 @@ func (rt *HomeRuntime) fireTrigger(handle TriggerHandle) {
 	}
 	if tr.spec.Interval > 0 {
 		tr.spec.NextFire = rt.env.Now().Add(tr.spec.Interval)
-		tr.cancel = rt.armTrigger(handle, tr.spec.Interval)
+		tr.timer = rt.armTrigger(handle, tr.spec.Interval)
 		if rt.j != nil {
 			rt.noteTriggerArm(tr.spec)
 		}
@@ -179,7 +181,7 @@ func (rt *HomeRuntime) fireTrigger(handle TriggerHandle) {
 // cancelTrigger runs on the loop goroutine.
 func (rt *HomeRuntime) cancelTrigger(handle TriggerHandle) {
 	if tr, ok := rt.triggers[handle]; ok {
-		tr.cancel()
+		tr.timer.Cancel()
 		delete(rt.triggers, handle)
 		if rt.j != nil {
 			rt.noteTriggerCancel(handle)
@@ -194,7 +196,7 @@ func (rt *HomeRuntime) cancelTrigger(handle TriggerHandle) {
 func (rt *HomeRuntime) stopAllTriggers() {
 	rt.triggersStopped = true
 	for handle, tr := range rt.triggers {
-		tr.cancel()
+		tr.timer.Cancel()
 		delete(rt.triggers, handle)
 		// Retirement is not a cancellation: a journaled home keeps the spec
 		// so the final checkpoint re-arms it on the next start.

@@ -1,15 +1,17 @@
 package sim
 
 // Tests for the typed, recycled event path: fired events are reused, a
-// completion is an event field rather than a closure, and none of that is
-// observable — FIFO order, Processed counts and cancellation behave as they
-// did when every schedule call built a fresh event.
+// completion or a timer is an event field rather than a closure, and none of
+// that is observable — FIFO order, Processed counts and cancellation behave
+// as they did when every schedule call built a fresh event.
 
 import (
 	"errors"
 	"fmt"
 	"testing"
 	"time"
+
+	"safehome/internal/timer"
 )
 
 // doneFunc adapts a func to Completion, as visibility.DoneFunc does.
@@ -17,13 +19,13 @@ type doneFunc func(error)
 
 func (f doneFunc) CommandDone(err error) { f(err) }
 
-// TestStaleCancelCannotHitReusedSlot takes a cancel handle, lets its event
+// TestStaleCancelCannotHitReusedSlot takes a timer handle, lets its event
 // fire (which recycles the slot), schedules new events until one reuses that
-// slot, and then pulls the stale handle: nothing may be canceled.
+// slot, and then cancels through the stale handle: nothing may be canceled.
 func TestStaleCancelCannotHitReusedSlot(t *testing.T) {
 	s := NewAtEpoch()
 	fired := 0
-	stale := s.After(time.Second, func() { fired++ })
+	stale := s.Arm(time.Second, timer.Func(func() { fired++ }))
 	s.Run()
 	if fired != 1 || len(s.free) != 1 {
 		t.Fatalf("fired=%d free=%d after the first event, want 1 and 1", fired, len(s.free))
@@ -31,14 +33,14 @@ func TestStaleCancelCannotHitReusedSlot(t *testing.T) {
 	slot := s.free[0]
 
 	ran := map[string]bool{}
-	s.After(time.Second, func() { ran["closure"] = true })
+	s.Arm(time.Second, timer.Func(func() { ran["timer"] = true }))
 	if len(s.free) != 0 || s.queue[0] != slot {
 		t.Fatal("the second event did not reuse the first one's slot")
 	}
-	stale()
+	stale.Cancel()
 	s.Post(time.Second, func() { ran["post"] = true })
 	s.Complete(time.Second, doneFunc(func(error) { ran["completion"] = true }), nil)
-	stale()
+	stale.Cancel()
 	if got := s.Pending(); got != 3 {
 		t.Fatalf("Pending = %d after stale cancels, want 3", got)
 	}
@@ -49,16 +51,16 @@ func TestStaleCancelCannotHitReusedSlot(t *testing.T) {
 
 // TestCancelFromOwnCallbackIsHarmless covers the controller's idiom of
 // clearing every timer of a routine from inside one of those timers: the
-// handle is pulled after its event fired and was recycled, possibly after
+// handle is cancelled after its event fired and was recycled, possibly after
 // the callback already scheduled a successor into the same slot.
 func TestCancelFromOwnCallbackIsHarmless(t *testing.T) {
 	s := NewAtEpoch()
-	var cancel func()
+	var h timer.Handle
 	successor := false
-	cancel = s.After(time.Second, func() {
+	h = s.Arm(time.Second, timer.Func(func() {
 		s.Post(time.Second, func() { successor = true }) // reuses the firing event's slot
-		cancel()
-	})
+		h.Cancel()
+	}))
 	if n := s.Run(); n != 2 || !successor {
 		t.Fatalf("ran %d events, successor=%v; the self-cancel hit the successor", n, successor)
 	}
@@ -68,10 +70,10 @@ func TestCancelBeforeFireStillCancels(t *testing.T) {
 	s := NewAtEpoch()
 	var order []string
 	s.Post(time.Second, func() { order = append(order, "a") })
-	cancel := s.After(2*time.Second, func() { order = append(order, "canceled") })
+	h := s.Arm(2*time.Second, timer.Func(func() { order = append(order, "canceled") }))
 	s.Complete(3*time.Second, doneFunc(func(error) { order = append(order, "c") }), nil)
-	cancel()
-	cancel() // idempotent
+	h.Cancel()
+	h.Cancel() // idempotent
 	if n := s.Run(); n != 2 || fmt.Sprint(order) != "[a c]" {
 		t.Fatalf("ran %d events in order %v, want 2 in [a c]", n, order)
 	}
@@ -80,9 +82,17 @@ func TestCancelBeforeFireStillCancels(t *testing.T) {
 	}
 }
 
-// TestSameInstantFIFOAcrossKindsAndReuse schedules closures, posts and
-// completions for one instant, some into recycled slots, and expects them in
-// scheduling order.
+// recordTimer is a typed timer: a long-lived record that is its own Timer.
+type recordTimer struct {
+	got *[]int
+	i   int
+}
+
+func (r *recordTimer) Fire() { *r.got = append(*r.got, r.i) }
+
+// TestSameInstantFIFOAcrossKindsAndReuse schedules typed timers, func
+// timers, posts and completions for one instant, some into recycled slots,
+// and expects them in scheduling (seq) order.
 func TestSameInstantFIFOAcrossKindsAndReuse(t *testing.T) {
 	s := NewAtEpoch()
 	// Fire a first batch so the free list is populated in a scrambled order.
@@ -93,12 +103,14 @@ func TestSameInstantFIFOAcrossKindsAndReuse(t *testing.T) {
 
 	var got []int
 	at := s.Now().Add(time.Second)
-	for i := 0; i < 24; i++ {
+	for i := 0; i < 32; i++ {
 		i := i
-		switch i % 3 {
+		switch i % 4 {
 		case 0:
-			s.At(at, func() { got = append(got, i) })
+			s.Arm(at.Sub(s.Now()), &recordTimer{got: &got, i: i})
 		case 1:
+			s.Arm(at.Sub(s.Now()), timer.Func(func() { got = append(got, i) }))
+		case 2:
 			s.Post(at.Sub(s.Now()), func() { got = append(got, i) })
 		default:
 			s.Complete(at.Sub(s.Now()), doneFunc(func(error) { got = append(got, i) }), nil)
@@ -110,8 +122,8 @@ func TestSameInstantFIFOAcrossKindsAndReuse(t *testing.T) {
 			t.Fatalf("same-instant events ran as %v, want scheduling order", got)
 		}
 	}
-	if len(got) != 24 || s.Processed() != 32 {
-		t.Fatalf("ran %d of 24, Processed = %d, want 32", len(got), s.Processed())
+	if len(got) != 32 || s.Processed() != 40 {
+		t.Fatalf("ran %d of 32, Processed = %d, want 40", len(got), s.Processed())
 	}
 }
 
@@ -136,6 +148,7 @@ func TestNilCompletionAndPostPanic(t *testing.T) {
 	for name, schedule := range map[string]func(*Sim){
 		"Complete": func(s *Sim) { s.Complete(time.Second, nil, nil) },
 		"Post":     func(s *Sim) { s.Post(time.Second, nil) },
+		"Arm":      func(s *Sim) { s.Arm(time.Second, nil) },
 	} {
 		func() {
 			defer func() {
@@ -201,30 +214,30 @@ func TestBurstAllocatesSlabs(t *testing.T) {
 	}
 }
 
-// TestStaleCancelOnSlabEvent takes cancel handles on a burst of events, most
+// TestStaleCancelOnSlabEvent takes timer handles on a burst of events, most
 // of which share slabs, lets them fire, refills the slots from the free list
-// and pulls the stale handles: none of the new events may be canceled, and a
-// handle pulled before its event fires still cancels it.
+// and cancels through the stale handles: none of the new events may be
+// canceled, and a handle cancelled before its event fires still cancels it.
 func TestStaleCancelOnSlabEvent(t *testing.T) {
 	const n = 8 // slabs of 1, 1, 2 and 4 events
 	s := NewAtEpoch()
-	var stale []func()
+	var stale []timer.Handle
 	for i := 0; i < n; i++ {
-		stale = append(stale, s.After(time.Second, func() {}))
+		stale = append(stale, s.Arm(time.Second, timer.Func(func() {})))
 	}
 	if len(s.free) != 0 {
 		t.Fatalf("%d events left %d spare, want the slabs used up", n, len(s.free))
 	}
-	pulled := s.After(2*time.Second, func() { t.Error("a canceled slab event ran") })
-	pulled()
+	pulled := s.Arm(2*time.Second, timer.Func(func() { t.Error("a canceled slab event ran") }))
+	pulled.Cancel()
 	s.Run()
 
 	ran := 0
 	for i := 0; i < n; i++ {
 		s.Post(time.Second, func() { ran++ })
 	}
-	for _, cancel := range stale {
-		cancel()
+	for _, h := range stale {
+		h.Cancel()
 	}
 	if got := s.Run(); got != n || ran != n {
 		t.Fatalf("ran %d of %d events after stale cancels", ran, n)

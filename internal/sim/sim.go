@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"safehome/internal/minheap"
+	"safehome/internal/timer"
 )
 
 // Epoch is the conventional start-of-run instant used by simulations and
@@ -26,25 +27,26 @@ var Epoch = time.Date(2021, 4, 26, 8, 0, 0, 0, time.UTC)
 // live.Completion) passes through unconverted.
 type Completion = interface{ CommandDone(error) }
 
-// event is a scheduled callback. It is either a plain callback (fn) or a
-// typed completion (done invoked with err): a command completion carries its
-// target and outcome as fields, so scheduling one builds no closure.
+// event is a scheduled callback. It is either a timer (a Post callback is a
+// timer.Func) or a typed completion (done invoked with err): a command
+// completion carries its target and outcome as fields, so scheduling one
+// builds no closure. The embedded Slot holds the seq — the tie-breaker,
+// FIFO among events at the same instant — and the cancel mark.
 type event struct {
-	at       time.Time
-	seq      uint64 // tie-breaker: FIFO among events at the same instant
-	fn       func()
-	done     Completion
-	err      error
-	canceled bool
+	at time.Time
+	timer.Slot
+	t    timer.Timer
+	done Completion
+	err  error
 }
 
-// before orders events by timestamp, then FIFO by scheduling sequence. seq
+// before orders events by timestamp, then FIFO by scheduling sequence. Seq
 // is unique, so the order is total and the heap's pop order is deterministic.
 func before(a, b *event) bool {
 	if c := a.at.Compare(b.at); c != 0 {
 		return c < 0
 	}
-	return a.seq < b.seq
+	return a.Seq < b.Seq
 }
 
 // Sim is a discrete-event simulator with a virtual clock.
@@ -56,9 +58,9 @@ type Sim struct {
 	queue []*event // minheap under before
 	// free holds fired and discarded events for reuse, so a steady stream of
 	// schedule/fire cycles allocates nothing, and the unused events of the
-	// newest slab (see schedule). A cancel handle outliving its
-	// event stays harmless: it is bound to the event's seq, which changes
-	// when the slot is reused.
+	// newest slab (see schedule). A Handle outliving its event stays
+	// harmless: it is bound to the event's seq, which changes when the slot
+	// is reused.
 	free      []*event
 	seq       uint64
 	processed int
@@ -80,7 +82,7 @@ func (s *Sim) Now() time.Time { return s.now }
 func (s *Sim) Pending() int {
 	n := 0
 	for _, ev := range s.queue {
-		if !ev.canceled {
+		if !ev.Canceled {
 			n++
 		}
 	}
@@ -90,36 +92,25 @@ func (s *Sim) Pending() int {
 // Processed reports how many events have been executed so far.
 func (s *Sim) Processed() int { return s.processed }
 
-// After schedules fn to run d after the current virtual time and returns a
-// cancellation function. Negative delays are treated as zero (the event
-// fires "now", after already-queued events for this instant). Callers that
-// never cancel should use Post, which builds no handle.
-func (s *Sim) After(d time.Duration, fn func()) (cancel func()) {
-	return s.At(s.now.Add(max(d, 0)), fn)
+// Arm schedules t.Fire to run d after the current virtual time and returns
+// its handle. Negative delays are treated as zero (the timer fires "now",
+// after already-queued events for this instant). The timer rides in the
+// event itself, so a long-lived t arms without allocating.
+func (s *Sim) Arm(d time.Duration, t timer.Timer) timer.Handle {
+	if t == nil {
+		panic("sim: Arm called with a nil timer")
+	}
+	ev := s.schedule(s.now.Add(max(d, 0)))
+	ev.t = t
+	return ev.Handle()
 }
 
-// At schedules fn to run at virtual time t and returns a cancellation
-// function. Scheduling in the past is clamped to the current time.
-func (s *Sim) At(t time.Time, fn func()) (cancel func()) {
-	if fn == nil {
-		panic("sim: At called with nil callback")
-	}
-	ev := s.schedule(t)
-	ev.fn = fn
-	seq := ev.seq
-	return func() {
-		if ev.seq == seq { // else the event fired and its slot was reused
-			ev.canceled = true
-		}
-	}
-}
-
-// Post is After without a cancellation handle: fire-and-forget.
+// Post is Arm for a plain callback, without a handle: fire-and-forget.
 func (s *Sim) Post(d time.Duration, fn func()) {
 	if fn == nil {
 		panic("sim: Post called with nil callback")
 	}
-	s.schedule(s.now.Add(max(d, 0))).fn = fn
+	s.schedule(s.now.Add(max(d, 0))).t = timer.Func(fn)
 }
 
 // Complete schedules done.CommandDone(err) to run d after the current
@@ -134,7 +125,7 @@ func (s *Sim) Complete(d time.Duration, done Completion, err error) {
 	ev.done, ev.err = done, err
 }
 
-// maxSlab caps the events allocated at once (80 B each).
+// maxSlab caps the events allocated at once (96 B each).
 const maxSlab = 64
 
 // schedule queues a blank event at t (clamped to now), reusing a fired one
@@ -161,7 +152,7 @@ func (s *Sim) schedule(t time.Time) *event {
 	ev := s.free[n-1]
 	s.free = s.free[:n-1]
 	s.seq++
-	*ev = event{at: t, seq: s.seq}
+	*ev = event{at: t, Slot: timer.Slot{Seq: s.seq}}
 	s.queue = minheap.Push(s.queue, ev, before)
 	return ev
 }
@@ -174,7 +165,7 @@ func (s *Sim) pop() (ev *event) {
 
 // recycle returns a popped event to the free list, dropping its references.
 func (s *Sim) recycle(ev *event) {
-	ev.fn, ev.done, ev.err = nil, nil, nil
+	ev.t, ev.done, ev.err = nil, nil, nil
 	s.free = append(s.free, ev)
 }
 
@@ -185,7 +176,7 @@ func (s *Sim) recycle(ev *event) {
 // a live-clock pumper) needs it.
 func (s *Sim) NextEventAt() (time.Time, bool) {
 	for len(s.queue) > 0 {
-		if s.queue[0].canceled {
+		if s.queue[0].Canceled {
 			s.recycle(s.pop())
 			continue
 		}
@@ -203,7 +194,7 @@ func (s *Sim) Step() bool {
 		// Recycle before the callback runs, so whatever it schedules can
 		// already reuse the slot.
 		s.recycle(ev)
-		if fired.canceled {
+		if fired.Canceled {
 			continue
 		}
 		if fired.at.After(s.now) {
@@ -213,7 +204,7 @@ func (s *Sim) Step() bool {
 		if fired.done != nil {
 			fired.done.CommandDone(fired.err)
 		} else {
-			fired.fn()
+			fired.t.Fire()
 		}
 		return true
 	}
@@ -240,7 +231,7 @@ func (s *Sim) RunUntil(horizon time.Time) int {
 	count := 0
 	for len(s.queue) > 0 {
 		next := s.queue[0]
-		if next.canceled {
+		if next.Canceled {
 			s.recycle(s.pop())
 			continue
 		}
@@ -261,7 +252,7 @@ func (s *Sim) RunUntil(horizon time.Time) int {
 func (s *Sim) Advance(d time.Duration) {
 	target := s.now.Add(d)
 	for _, ev := range s.queue {
-		if !ev.canceled && ev.at.Before(target) {
+		if !ev.Canceled && ev.at.Before(target) {
 			panic(fmt.Sprintf("sim: Advance(%v) would skip event scheduled at %v", d, ev.at))
 		}
 	}

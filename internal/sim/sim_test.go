@@ -5,14 +5,16 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"safehome/internal/timer"
 )
 
 func TestRunOrdersByTimestamp(t *testing.T) {
 	s := NewAtEpoch()
 	var order []int
-	s.After(30*time.Millisecond, func() { order = append(order, 3) })
-	s.After(10*time.Millisecond, func() { order = append(order, 1) })
-	s.After(20*time.Millisecond, func() { order = append(order, 2) })
+	s.Post(30*time.Millisecond, func() { order = append(order, 3) })
+	s.Post(10*time.Millisecond, func() { order = append(order, 1) })
+	s.Post(20*time.Millisecond, func() { order = append(order, 2) })
 	n := s.Run()
 	if n != 3 {
 		t.Fatalf("expected 3 events, got %d", n)
@@ -33,7 +35,7 @@ func TestFIFOAtSameInstant(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.After(time.Second, func() { order = append(order, i) })
+		s.Post(time.Second, func() { order = append(order, i) })
 	}
 	s.Run()
 	if !sort.IntsAreSorted(order) {
@@ -48,10 +50,10 @@ func TestCallbackSchedulesMore(t *testing.T) {
 	tick = func() {
 		count++
 		if count < 5 {
-			s.After(time.Minute, tick)
+			s.Post(time.Minute, tick)
 		}
 	}
-	s.After(0, tick)
+	s.Post(0, tick)
 	s.Run()
 	if count != 5 {
 		t.Fatalf("expected 5 ticks, got %d", count)
@@ -64,8 +66,8 @@ func TestCallbackSchedulesMore(t *testing.T) {
 func TestCancel(t *testing.T) {
 	s := NewAtEpoch()
 	ran := false
-	cancel := s.After(time.Second, func() { ran = true })
-	cancel()
+	h := s.Arm(time.Second, timer.Func(func() { ran = true }))
+	h.Cancel()
 	s.Run()
 	if ran {
 		t.Fatal("canceled event still ran")
@@ -80,7 +82,7 @@ func TestRunUntilHorizon(t *testing.T) {
 	var fired []time.Duration
 	for _, d := range []time.Duration{time.Second, 2 * time.Second, 3 * time.Second} {
 		d := d
-		s.After(d, func() { fired = append(fired, d) })
+		s.Post(d, func() { fired = append(fired, d) })
 	}
 	n := s.RunUntil(Epoch.Add(2 * time.Second))
 	if n != 2 || len(fired) != 2 {
@@ -98,8 +100,8 @@ func TestRunUntilHorizon(t *testing.T) {
 func TestNegativeAndPastSchedules(t *testing.T) {
 	s := NewAtEpoch()
 	ran := 0
-	s.After(-time.Hour, func() { ran++ })
-	s.At(Epoch.Add(-time.Hour), func() { ran++ })
+	s.Post(-time.Hour, func() { ran++ })
+	s.Arm(-time.Hour, timer.Func(func() { ran++ }))
 	s.Run()
 	if ran != 2 {
 		t.Fatalf("past-scheduled events should run immediately, ran=%d", ran)
@@ -115,13 +117,13 @@ func TestNilCallbackPanics(t *testing.T) {
 			t.Fatal("expected panic on nil callback")
 		}
 	}()
-	NewAtEpoch().After(time.Second, nil)
+	NewAtEpoch().Arm(time.Second, nil)
 }
 
 func TestReentrantRunPanics(t *testing.T) {
 	s := NewAtEpoch()
 	panicked := false
-	s.After(0, func() {
+	s.Post(0, func() {
 		defer func() {
 			if recover() != nil {
 				panicked = true
@@ -141,7 +143,7 @@ func TestAdvance(t *testing.T) {
 	if got := s.Elapsed(Epoch); got != time.Hour {
 		t.Fatalf("Advance moved clock by %v", got)
 	}
-	s.After(time.Second, func() {})
+	s.Post(time.Second, func() {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected Advance over a pending event to panic")
@@ -153,7 +155,7 @@ func TestAdvance(t *testing.T) {
 func TestProcessedCount(t *testing.T) {
 	s := NewAtEpoch()
 	for i := 0; i < 7; i++ {
-		s.After(time.Duration(i)*time.Millisecond, func() {})
+		s.Post(time.Duration(i)*time.Millisecond, func() {})
 	}
 	s.Run()
 	if s.Processed() != 7 {
@@ -174,7 +176,7 @@ func TestRunOrderProperty(t *testing.T) {
 			if d > max {
 				max = d
 			}
-			s.After(d, func() { seen = append(seen, d) })
+			s.Post(d, func() { seen = append(seen, d) })
 		}
 		n := s.Run()
 		if n != len(raw) {
@@ -200,13 +202,13 @@ func TestNextEventAt(t *testing.T) {
 	if _, ok := s.NextEventAt(); ok {
 		t.Fatal("NextEventAt on an empty queue reported an event")
 	}
-	cancelNear := s.After(5*time.Millisecond, func() {})
-	s.After(20*time.Millisecond, func() {})
+	near := s.Arm(5*time.Millisecond, timer.Func(func() {}))
+	s.Post(20*time.Millisecond, func() {})
 	if at, ok := s.NextEventAt(); !ok || !at.Equal(Epoch.Add(5*time.Millisecond)) {
 		t.Fatalf("NextEventAt = %v, %v; want epoch+5ms", at, ok)
 	}
 	// Canceling the head lazily discards it: the next live event surfaces.
-	cancelNear()
+	near.Cancel()
 	if at, ok := s.NextEventAt(); !ok || !at.Equal(Epoch.Add(20*time.Millisecond)) {
 		t.Fatalf("NextEventAt after cancel = %v, %v; want epoch+20ms", at, ok)
 	}

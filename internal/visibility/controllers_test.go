@@ -237,7 +237,7 @@ func TestActiveCountTracksConcurrency(t *testing.T) {
 	h := newTestHome(t, DefaultOptions(EV), homeDevices()...)
 	h.submitAt(0, dishwashRoutine(10*time.Minute))
 	h.submitAt(0, dryerRoutine(10*time.Minute))
-	h.sim.After(time.Minute, func() {
+	h.sim.Post(time.Minute, func() {
 		if got := h.ctrl.ActiveCount(); got != 2 {
 			t.Errorf("ActiveCount after 1m = %d, want 2", got)
 		}

@@ -10,18 +10,20 @@ import (
 	"safehome/internal/device"
 	"safehome/internal/routine"
 	"safehome/internal/sim"
+	"safehome/internal/timer"
 )
 
 // Env is the execution environment a controller runs against.
 //
 // Exec and After deliver their callbacks in the same serialized context that
-// invokes the controller's entry points; a controller never needs its own
-// locking.
+// invokes the controller's entry points, and After and a handle's Cancel
+// are called only from it; a controller never needs its own locking.
 type Env interface {
 	// Now returns the current (virtual or wall-clock) time.
 	Now() time.Time
-	// After schedules fn to run after d and returns a cancellation func.
-	After(d time.Duration, fn func()) (cancel func())
+	// After arms t to fire after d and returns its handle, whose Cancel
+	// stops the timer if it has not fired yet.
+	After(d time.Duration, t Timer) TimerHandle
 	// Exec asynchronously executes one command: it drives the device to
 	// cmd.Target and keeps it busy for hold, then calls done.CommandDone.
 	// done receives a non-nil error if the device was unreachable or unknown
@@ -45,6 +47,19 @@ type DoneFunc func(error)
 
 // CommandDone implements Completion.
 func (f DoneFunc) CommandDone(err error) { f(err) }
+
+// Timer is what Env.After arms: a long-lived record can be its own timer,
+// as EV's run slot is its pre-lease revocation timer and the run its JiT
+// TTL, so arming one builds no closure. The type is timer.Timer, shared by
+// both environments.
+type Timer = timer.Timer
+
+// TimerHandle names an armed timer; its Cancel stops it. It carries the
+// timer's slot and generation, so a stale handle cancels nothing.
+type TimerHandle = timer.Handle
+
+// TimerFunc adapts a func to Timer, as DoneFunc does for Completion.
+type TimerFunc = timer.Func
 
 // ignoreDone is the completion of fire-and-forget rollback commands.
 var ignoreDone = DoneFunc(func(error) {})
@@ -74,8 +89,8 @@ func NewSimEnv(s *sim.Sim, fleet *device.Fleet) *SimEnv {
 // Now implements Env.
 func (e *SimEnv) Now() time.Time { return e.Sim.Now() }
 
-// After implements Env.
-func (e *SimEnv) After(d time.Duration, fn func()) (cancel func()) { return e.Sim.After(d, fn) }
+// After implements Env: the timer rides in a simulator event.
+func (e *SimEnv) After(d time.Duration, t Timer) TimerHandle { return e.Sim.Arm(d, t) }
 
 // Exec implements Env. The device's state changes at the moment the command
 // is issued (a plug switches on immediately); the command's completion — and

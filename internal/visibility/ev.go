@@ -21,7 +21,9 @@ import (
 // to evDevice records once at submission, keeps its per-device execution
 // state in a slice parallel to its cached Devices(), and is itself the
 // completion the environment calls back: a run is one heap object holding
-// its Result, its device slots and its completion.
+// its Result, its device slots and its completion. Its timers are typed
+// too — a device slot is its pre-lease revocation timer, the run its JiT
+// TTL — so arming one builds no closure either.
 type evController struct {
 	base
 
@@ -71,44 +73,49 @@ type evRun struct {
 	r   *routine.Routine
 	id  routine.ID
 
-	placed  bool // accesses are in the lineage table
-	running bool // released to execute (scheduler decision)
-	done    bool
-	queued  bool // live entry in the controller's wait queue
+	placed      bool // accesses are in the lineage table
+	running     bool // released to execute (scheduler decision)
+	done        bool
+	queued      bool // live entry in the controller's wait queue
+	inflight    bool // Commands[idx] is executing
+	doomed      bool
+	prioritized bool // JiT: the TTL expired while the run waited
 
-	idx      int  // next command to execute (the one in flight, while inflight)
-	inflight bool // Commands[idx] is executing
+	idx int // next command to execute (the one in flight, while inflight)
 
 	// devs is the per-device state, parallel to r.Devices(). inline backs
 	// it for routines that touch at most len(inline) devices.
 	devs   []runDev
 	inline [4]runDev
 
-	doomed     bool
 	doomReason string
 
-	prioritized bool
-	ttlCancel   func()
+	// ttl is JiT's starvation timer, armed while the run waits (the run is
+	// the Timer: Fire).
+	ttl TimerHandle
 }
 
-// runDev is one routine's execution state on one device it touches.
+// runDev is one routine's execution state on one device it touches. It is
+// also the device's pre-lease revocation Timer (Fire).
 type runDev struct {
 	dev  *evDevice
-	last int // index of the routine's last command on the device
+	run  *evRun
+	last int32 // index of the routine's last command on the device
 
-	firstTouched  bool // a command of the routine took effect on the device
-	lastTouchDone bool // the routine's last command on the device is over
 	// executed counts the commands that took effect on the device and
 	// lastExec is the index of the latest — what an abort rolls back, and in
 	// which order.
-	executed int
-	lastExec int
+	executed int32
+	lastExec int32
+
+	firstTouched  bool // a command of the routine took effect on the device
+	lastTouchDone bool // the routine's last command on the device is over
 
 	// preLeasedFrom is the routine this run was pre-leased the lock from (the
-	// lease source, routine.None if not pre-leased); cancelLease stops the
-	// armed revocation timer.
+	// lease source, routine.None if not pre-leased); lease is the armed
+	// revocation timer.
 	preLeasedFrom routine.ID
-	cancelLease   func()
+	lease         TimerHandle
 }
 
 // newRun registers a submitted routine (see base.assign for owned) and
@@ -125,9 +132,10 @@ func (c *evController) newRun(r *routine.Routine, owned bool) *evRun {
 	}
 	for i, d := range devs {
 		run.devs[i].dev = c.device(d)
+		run.devs[i].run = run
 	}
 	for i := range run.r.Commands {
-		run.on(run.r.Commands[i].Device).last = i
+		run.on(run.r.Commands[i].Device).last = int32(i)
 	}
 	return run
 }
@@ -303,10 +311,8 @@ func (c *evController) startRun(run *evRun) {
 		return
 	}
 	run.running = true
-	if run.ttlCancel != nil {
-		run.ttlCancel()
-		run.ttlCancel = nil
-	}
+	run.ttl.Cancel()
+	run.ttl = TimerHandle{}
 	c.advance(run)
 }
 
@@ -341,7 +347,7 @@ func (c *evController) advance(run *evRun) {
 		if rd.preLeasedFrom != routine.None {
 			// The lease clock starts ticking when the destination actually
 			// begins using the device.
-			c.armPreLeaseRevocation(run, rd)
+			c.armPreLeaseRevocation(rd)
 		}
 	}
 	if run.res.Started.IsZero() {
@@ -386,7 +392,7 @@ func (c *evController) onCommandDone(run *evRun, err error) {
 		run.res.Executed++
 		rd.firstTouched = true
 		rd.executed++
-		rd.lastExec = run.idx
+		rd.lastExec = int32(run.idx)
 		if err := rd.dev.lin.SetTarget(run.id, cmd.Target); err == nil {
 			c.emit(Event{Time: c.env.Now(), Kind: EvCommandExecuted, Routine: run.id, Device: d, State: cmd.Target})
 		}
@@ -400,14 +406,12 @@ func (c *evController) onCommandDone(run *evRun, err error) {
 // afterCommand handles last-touch bookkeeping and post-leasing once
 // Commands[idx], a command on rd's device, is over.
 func (c *evController) afterCommand(run *evRun, rd *runDev) {
-	if run.idx != rd.last {
+	if run.idx != int(rd.last) {
 		return
 	}
 	rd.lastTouchDone = true
-	if rd.cancelLease != nil {
-		rd.cancelLease()
-		rd.cancelLease = nil
-	}
+	rd.lease.Cancel()
+	rd.lease = TimerHandle{}
 	if c.opts.PostLease && c.canPostLease(run, rd) {
 		c.releaseAccess(run, rd.dev)
 	}
@@ -543,7 +547,7 @@ func (c *evController) abortRun(run *evRun) {
 			modified = append(modified, rd)
 		}
 	}
-	slices.SortFunc(modified, func(a, b *runDev) int { return b.lastExec - a.lastExec })
+	slices.SortFunc(modified, func(a, b *runDev) int { return int(b.lastExec - a.lastExec) })
 
 	for _, rd := range modified {
 		l := rd.dev.lin
@@ -553,7 +557,7 @@ func (c *evController) abortRun(run *evRun) {
 			continue
 		}
 		target := l.RollbackTarget(run.id)
-		run.res.RolledBack += rd.executed
+		run.res.RolledBack += int(rd.executed)
 		if target == device.StateUnknown || c.failed[l.Device] {
 			continue
 		}
@@ -600,15 +604,12 @@ func (c *evController) removeFromWaitQ(run *evRun) {
 }
 
 func (c *evController) cancelTimers(run *evRun) {
-	if run.ttlCancel != nil {
-		run.ttlCancel()
-		run.ttlCancel = nil
-	}
+	run.ttl.Cancel()
+	run.ttl = TimerHandle{}
 	for i := range run.devs {
-		if rd := &run.devs[i]; rd.cancelLease != nil {
-			rd.cancelLease()
-			rd.cancelLease = nil
-		}
+		rd := &run.devs[i]
+		rd.lease.Cancel()
+		rd.lease = TimerHandle{}
 	}
 }
 
@@ -618,33 +619,43 @@ func (c *evController) cancelTimers(run *evRun) {
 // another routine is blocked waiting for the device, the lease is revoked and
 // the destination aborts (§4.1). When nobody is waiting the lease is simply
 // extended for another interval — revocation exists to prevent starvation,
-// not to punish slow routines that block no one.
-func (c *evController) armPreLeaseRevocation(run *evRun, rd *runDev) {
-	d := rd.dev.lin.Device
-	timeout := time.Duration(float64(run.r.SpanEstimate(d, c.opts.DefaultShort)) * c.opts.LeaseLeniency)
+// not to punish slow routines that block no one. The device slot is the
+// timer (runDev.Fire).
+func (c *evController) armPreLeaseRevocation(rd *runDev) {
+	rd.lease = c.env.After(c.leaseTimeout(rd), rd)
+}
+
+// leaseTimeout is one revocation interval for the run's pre-lease of rd's
+// device.
+func (c *evController) leaseTimeout(rd *runDev) time.Duration {
+	timeout := time.Duration(float64(rd.run.r.SpanEstimate(rd.dev.lin.Device, c.opts.DefaultShort)) * c.opts.LeaseLeniency)
 	if timeout <= 0 {
 		timeout = c.opts.DefaultShort
 	}
-	var fire func()
-	fire = func() {
-		if run.done {
-			return
-		}
-		st, ok := rd.dev.lin.Status(run.id)
-		if !ok || st == lineage.Released {
-			return
-		}
-		if len(rd.dev.waiters) == 0 {
-			// No routine is blocked on the device: extend the lease.
-			rd.cancelLease = c.env.After(timeout, fire)
-			return
-		}
-		c.doom(run, fmt.Sprintf("pre-lease of %s from R%d revoked after %v", d, rd.preLeasedFrom, timeout))
-		if !run.inflight {
-			c.abortRun(run)
-		}
+	return timeout
+}
+
+// Fire implements Timer: a pre-lease revocation interval ran out.
+func (rd *runDev) Fire() {
+	run := rd.run
+	c := run.c
+	if run.done {
+		return
 	}
-	rd.cancelLease = c.env.After(timeout, fire)
+	st, ok := rd.dev.lin.Status(run.id)
+	if !ok || st == lineage.Released {
+		return
+	}
+	timeout := c.leaseTimeout(rd)
+	if len(rd.dev.waiters) == 0 {
+		// No routine is blocked on the device: extend the lease.
+		rd.lease = c.env.After(timeout, rd)
+		return
+	}
+	c.doom(run, fmt.Sprintf("pre-lease of %s from R%d revoked after %v", rd.dev.lin.Device, rd.preLeasedFrom, timeout))
+	if !run.inflight {
+		c.abortRun(run)
+	}
 }
 
 // --- failure / restart serialization (§3) -----------------------------------

@@ -115,7 +115,7 @@ func runGoldenTrace(spec workload.Spec, opts visibility.Options, seed int64) gol
 
 	for _, sub := range spec.Submissions {
 		r := sub.Routine
-		s.After(sub.At, func() {
+		s.Post(sub.At, func() {
 			ctrl.Submit(r)
 			// Snapshot the lineage table right after the placement decision:
 			// this pins down gap choices, lease insertions and append
@@ -126,7 +126,7 @@ func runGoldenTrace(spec workload.Spec, opts visibility.Options, seed int64) gol
 	}
 	for _, f := range spec.Failures {
 		f := f
-		s.After(f.At, func() {
+		s.Post(f.At, func() {
 			if f.Restart {
 				_ = fleet.Restore(f.Device)
 				ctrl.NotifyRestart(f.Device)

@@ -60,7 +60,7 @@ func homeDevices() []device.Info {
 func (h *testHome) submitAt(d time.Duration, r *routine.Routine) {
 	h.t.Helper()
 	h.submits = append(h.submits, r)
-	h.sim.After(d, func() { h.ctrl.Submit(r) })
+	h.sim.Post(d, func() { h.ctrl.Submit(r) })
 }
 
 // failAt injects a fail-stop failure of dev at virtual offset d: the fleet
@@ -68,7 +68,7 @@ func (h *testHome) submitAt(d time.Duration, r *routine.Routine) {
 // would).
 func (h *testHome) failAt(d time.Duration, dev device.ID) {
 	h.t.Helper()
-	h.sim.After(d, func() {
+	h.sim.Post(d, func() {
 		if err := h.fleet.Fail(dev); err != nil {
 			h.t.Fatalf("fail %s: %v", dev, err)
 		}
@@ -79,7 +79,7 @@ func (h *testHome) failAt(d time.Duration, dev device.ID) {
 // restoreAt injects a device restart at virtual offset d.
 func (h *testHome) restoreAt(d time.Duration, dev device.ID) {
 	h.t.Helper()
-	h.sim.After(d, func() {
+	h.sim.Post(d, func() {
 		if err := h.fleet.Restore(dev); err != nil {
 			h.t.Fatalf("restore %s: %v", dev, err)
 		}

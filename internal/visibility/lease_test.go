@@ -182,7 +182,7 @@ func TestAccessStatusLifecycle(t *testing.T) {
 	ev := h.ctrl.(*evController)
 
 	h.submitAt(0, dishwashRoutine(10*time.Minute))
-	h.sim.After(time.Minute, func() {
+	h.sim.Post(time.Minute, func() {
 		st, ok := ev.Table().Status("dishwasher", 1)
 		if !ok || st != lineage.Acquired {
 			t.Errorf("mid-run dishwasher access status = %v (%v), want Acquired", st, ok)

@@ -234,14 +234,17 @@ func (s *jitScheduler) onSubmit(run *evRun) {
 
 func (s *jitScheduler) enqueue(run *evRun) {
 	s.c.enqueueWait(run)
-	ttl := s.c.opts.JiTTTL
-	run.ttlCancel = s.c.env.After(ttl, func() {
-		if run.done || run.running {
-			return
-		}
-		run.prioritized = true
-		s.scan()
-	})
+	run.ttl = s.c.env.After(s.c.opts.JiTTTL, run)
+}
+
+// Fire implements Timer: the run's JiT TTL ran out while it still waits, so
+// it is prioritized. Only the JiT scheduler arms the TTL.
+func (run *evRun) Fire() {
+	if run.done || run.running {
+		return
+	}
+	run.prioritized = true
+	run.c.sched.(*jitScheduler).scan()
 }
 
 func (s *jitScheduler) onFree()        { s.scan() }

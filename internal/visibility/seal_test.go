@@ -33,7 +33,7 @@ func TestRestartAfterSealedFailure(t *testing.T) {
 		evOf(h).unsealed = unsealed
 		h.submitAt(0, coolingRoutine())
 		h.failAt(150*time.Millisecond, "window") // after window's last touch (~100ms)
-		h.sim.After(250*time.Millisecond, func() {
+		h.sim.Post(250*time.Millisecond, func() {
 			// R1 committed at ~200ms: sealed, unless the oracle.
 			if nodes, runs := evOf(h).Footprint(); !unsealed && (nodes != 0 || runs != 0) {
 				t.Errorf("quiescent controller kept %d graph nodes and %d run slots", nodes, runs)
@@ -81,7 +81,7 @@ func TestFailureVisitsOnlyOpenRuns(t *testing.T) {
 	}
 	open := time.Duration(history) * time.Second
 	h.submitAt(open, dishwashRoutine(time.Minute))
-	h.sim.After(open+time.Second, func() {
+	h.sim.Post(open+time.Second, func() {
 		if nodes, runs := evOf(h).Footprint(); nodes != 1 || runs != 1 {
 			t.Errorf("with one routine open after %d finished: %d graph nodes, %d run slots; want 1 and 1",
 				history, nodes, runs)
@@ -139,9 +139,10 @@ func sealWorkload(t *testing.T, opts Options, devs []device.Info, seed int64, un
 	rng := stats.NewRNG(seed)
 	h := newTestHome(t, opts, devs...)
 	evOf(h).unsealed = unsealed
-	// The lineage-table invariant checker rejects some schedules with
-	// conditional commands (two Acquired accesses on one device), with or
-	// without sealing; the oracle here is the unsealed controller.
+	// The lineage-table invariant checker rejects some TL schedules in
+	// which a routine names one device twice (two Acquired accesses on one
+	// device), with or without sealing; the oracle here is the unsealed
+	// controller.
 	evOf(h).opts.CheckInvariants = false
 	at := time.Duration(0)
 	for burst := 0; burst < 15; burst++ {

@@ -148,14 +148,16 @@ func TestZeroConfigRunsWV(t *testing.T) {
 	}
 }
 
-// TestLiveHomeRefusesSimulatedOnlyFields: the lease switches and the
-// observer reach simulated homes only, so a live home refuses them by name
-// instead of running with its leases on and the observer never called.
+// TestLiveHomeRefusesSimulatedOnlyFields: the lease switches, the observer
+// and the modelled actuation latency reach simulated homes only, so a live
+// home refuses them by name instead of running with its leases on, the
+// observer never called and no latency added.
 func TestLiveHomeRefusesSimulatedOnlyFields(t *testing.T) {
 	for field, cfg := range map[string]Config{
 		"DisablePreLease":  {Model: EV, DisablePreLease: true},
 		"DisablePostLease": {Model: EV, DisablePostLease: true},
 		"Observer":         {Model: EV, Observer: func(Event) {}},
+		"ActuationLatency": {Model: EV, ActuationLatency: 20 * time.Millisecond},
 	} {
 		home, err := NewLiveHome(cfg, NewFleet(Plugs(2)...), Plugs(2)...)
 		if err == nil {
