@@ -18,11 +18,13 @@
 //	safehome-cli events
 //	safehome-cli events -cursor /tmp/cursor -follow
 //
-// Against a multi-home manager (safehome-hub -homes N), -home ID scopes the
-// home-level commands to /homes/{id}/...:
+// Against a multi-home manager (safehome-hub -homes N), -home ID scopes
+// every command to /homes/{id}/..., the routine bank included:
 //
 //	safehome-cli -home home-1 status
 //	safehome-cli -home home-1 submit routine.json
+//	safehome-cli -home home-1 store routine.json
+//	safehome-cli -home home-1 trigger evening-routine
 //	safehome-cli -home home-1 events -follow
 package main
 
@@ -34,6 +36,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"strings"
@@ -70,17 +73,15 @@ func main() {
 	case "submit":
 		err = cli.postFile(args[1:], cli.path("/routines"))
 	case "store":
-		err = cli.singleHomeOnly("store", func() error { return cli.postFile(args[1:], "/api/bank") })
+		err = cli.postFile(args[1:], cli.path("/bank"))
 	case "bank":
-		err = cli.singleHomeOnly("bank", func() error { return cli.printJSON("GET", "/api/bank", nil) })
+		err = cli.printJSON("GET", cli.path("/bank"), nil)
 	case "trigger":
 		if len(args) < 2 {
 			err = fmt.Errorf("usage: safehome-cli trigger <name>")
 			break
 		}
-		err = cli.singleHomeOnly("trigger", func() error {
-			return cli.printJSON("POST", "/api/bank/"+args[1]+"/trigger", nil)
-		})
+		err = cli.printJSON("POST", cli.path("/bank/"+url.PathEscape(args[1])+"/trigger"), nil)
 	case "events":
 		err = cli.eventsCmd(args[1:])
 	default:
@@ -97,8 +98,8 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: safehome-cli [-hub URL] [-home ID] <command>
 
 -home ID targets one home of a multi-home manager (safehome-hub -homes N):
-status, devices, routines, routine, submit and events then hit
-/homes/{id}/... instead of the single hub's /api/... namespace.
+every command then hits /homes/{id}/... instead of the single hub's
+/api/... namespace.
 
 commands:
   status              hub summary
@@ -229,15 +230,6 @@ func (c *client) path(suffix string) string {
 		return "/homes/" + c.home + suffix
 	}
 	return "/api" + suffix
-}
-
-// singleHomeOnly rejects commands (routine bank, triggers) that only the
-// single-hub API serves when the caller targeted a manager home.
-func (c *client) singleHomeOnly(cmd string, run func() error) error {
-	if c.home != "" {
-		return fmt.Errorf("%s is not available per home; the routine bank lives on the single hub API (drop -home)", cmd)
-	}
-	return run()
 }
 
 func (c *client) postFile(args []string, path string) error {

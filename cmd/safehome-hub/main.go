@@ -9,7 +9,8 @@
 // With -homes N the binary instead runs the multi-tenant HomeManager: N
 // independent simulated homes partitioned across -shards worker shards, each
 // with its own visibility controller and fleet, served through the
-// home-scoped API (`/homes/{id}/...`).
+// home-scoped API (`/homes/{id}/...`): the per-home routes, routine bank and
+// triggers included, that the single-home hub serves under `/api/...`.
 //
 // Every home — single or multi-tenant — runs behind a bounded typed-op
 // mailbox (-mailbox depth, -batch drain size); when a home's mailbox is
@@ -117,21 +118,21 @@ func main() {
 		log.Fatal("safehome-hub: either -devices or -fleet is required")
 	}
 
-	h, err := hub.New(hub.Config{Model: model, Scheduler: sched, FailureInterval: *probe,
+	m, err := hub.New(hub.Config{Model: model, Scheduler: sched, FailureInterval: *probe,
 		MailboxDepth: *mailbox, Batch: *batch, DataDir: *dataDir, Journal: jopts}, reg, actuator)
 	if err != nil {
 		log.Fatalf("safehome-hub: %v", err)
 	}
-	h.Start()
-	defer h.Close()
+	m.Start()
+	defer m.Close()
 
 	if *dataDir != "" {
-		st := h.Status()
+		st, _ := hub.StatusOf(m, hub.Home)
 		log.Printf("durable hub: data dir %s durability=%s (recovered %d routines)", *dataDir, st.Durability, st.Routines)
 	}
 	fmt.Printf("SafeHome hub: model=%s scheduler=%s devices=%d\n", model, sched, reg.Len())
 	fmt.Printf("HTTP API on http://%s/api/status\n", *listen)
-	log.Fatal(http.ListenAndServe(*listen, h.Handler()))
+	log.Fatal(http.ListenAndServe(*listen, hub.HomeHandler(m, hub.Home)))
 }
 
 // serveManager runs the multi-tenant HomeManager: homes home-0..home-(N-1)

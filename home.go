@@ -9,6 +9,8 @@ import (
 	"safehome/internal/device"
 	"safehome/internal/hub"
 	"safehome/internal/journal"
+	"safehome/internal/manager"
+	rt "safehome/internal/runtime"
 	"safehome/internal/sim"
 	"safehome/internal/visibility"
 )
@@ -199,7 +201,11 @@ type HubStatus = hub.Status
 // the mailbox, and already reflect every mutation acknowledged to any
 // caller.
 type LiveHome struct {
-	hub *hub.Hub
+	// m is a one-home manager (hub.New); mutations go through it, reads
+	// through the home's slot, so they answer from the last generation while
+	// a supervised restart is in progress.
+	m    *manager.Manager
+	slot *rt.Slot
 }
 
 // Admission-control errors returned by a live home's mutating calls.
@@ -234,7 +240,7 @@ func NewLiveHome(cfg Config, actuator Actuator, devices ...DeviceInfo) (*LiveHom
 		}
 		jopts.Mode = mode
 	}
-	h, err := hub.New(hub.Config{
+	m, err := hub.New(hub.Config{
 		Model:           cfg.Model,
 		Scheduler:       cfg.Scheduler,
 		DefaultShort:    cfg.DefaultShortCommand,
@@ -247,14 +253,15 @@ func NewLiveHome(cfg Config, actuator Actuator, devices ...DeviceInfo) (*LiveHom
 	if err != nil {
 		return nil, err
 	}
-	return &LiveHome{hub: h}, nil
+	slot, _ := m.Slot(hub.Home) // New just added it: the lookup cannot miss
+	return &LiveHome{m: m, slot: slot}, nil
 }
 
 // Start launches background activity (the failure detector).
-func (h *LiveHome) Start() { h.hub.Start() }
+func (h *LiveHome) Start() { h.m.Start() }
 
 // Close stops background activity and waits for in-flight commands.
-func (h *LiveHome) Close() { h.hub.Close() }
+func (h *LiveHome) Close() { h.m.Close() }
 
 // Crash kills the home without draining — no shutdown checkpoint, no waiting
 // for in-flight routines; operations parked in the mailbox are answered
@@ -262,16 +269,16 @@ func (h *LiveHome) Close() { h.hub.Close() }
 // home running with Config.DataDir recovers all acknowledged work exactly
 // when a new home reopens the same directory, and whatever was in flight at
 // the crash comes back Aborted with rollback.
-func (h *LiveHome) Crash() { h.hub.Crash() }
+func (h *LiveHome) Crash() { h.m.Crash() }
 
 // Submit submits a routine for immediate execution.
-func (h *LiveHome) Submit(r *Routine) (RoutineID, error) { return h.hub.SubmitRoutine(r) }
+func (h *LiveHome) Submit(r *Routine) (RoutineID, error) { return h.m.Submit(hub.Home, r) }
 
 // Store saves a routine definition in the routine bank.
-func (h *LiveHome) Store(r *Routine) error { return h.hub.StoreRoutine(r) }
+func (h *LiveHome) Store(r *Routine) error { return h.m.StoreRoutine(hub.Home, r) }
 
 // Trigger dispatches a stored routine by name.
-func (h *LiveHome) Trigger(name string) (RoutineID, error) { return h.hub.Trigger(name) }
+func (h *LiveHome) Trigger(name string) (RoutineID, error) { return h.m.Trigger(hub.Home, name) }
 
 // TriggerHandle identifies a scheduled automation trigger.
 type TriggerHandle = hub.TriggerHandle
@@ -282,54 +289,60 @@ type ScheduledTrigger = hub.ScheduledTrigger
 // ScheduleAfter dispatches a stored routine once after the delay (e.g. the
 // paper's timed trash-night routine).
 func (h *LiveHome) ScheduleAfter(name string, delay time.Duration) (TriggerHandle, error) {
-	return h.hub.ScheduleAfter(name, delay)
+	return h.m.ScheduleAfter(hub.Home, name, delay)
 }
 
 // ScheduleEvery dispatches a stored routine repeatedly at the given interval.
 func (h *LiveHome) ScheduleEvery(name string, interval time.Duration) (TriggerHandle, error) {
-	return h.hub.ScheduleEvery(name, interval)
+	return h.m.ScheduleEvery(hub.Home, name, interval)
 }
 
 // CancelTrigger stops a scheduled trigger; it is not an error if the handle
 // is unknown or already fired. It returns ErrOverloaded when the home's
 // mailbox is full.
-func (h *LiveHome) CancelTrigger(t TriggerHandle) error { return h.hub.CancelTrigger(t) }
+func (h *LiveHome) CancelTrigger(t TriggerHandle) error { return h.m.CancelTrigger(hub.Home, t) }
 
 // Triggers lists active scheduled triggers.
-func (h *LiveHome) Triggers() []ScheduledTrigger { return h.hub.Triggers() }
+func (h *LiveHome) Triggers() []ScheduledTrigger { return h.slot.Load().Triggers() }
 
 // Results returns per-routine outcomes in submission order.
-func (h *LiveHome) Results() []Result { return h.hub.Results() }
+func (h *LiveHome) Results() []Result { return h.slot.Load().Results() }
 
 // Result returns one routine's outcome.
-func (h *LiveHome) Result(id RoutineID) (Result, bool) { return h.hub.Result(id) }
+func (h *LiveHome) Result(id RoutineID) (Result, bool) { return h.slot.Load().Result(id) }
 
 // Devices reports every device's committed state and liveness.
-func (h *LiveHome) Devices() []DeviceStatus { return h.hub.Devices() }
+func (h *LiveHome) Devices() []DeviceStatus {
+	devices, _ := hub.DevicesOf(h.m, hub.Home) // the home is never removed
+	return devices
+}
 
 // Status summarizes the home.
-func (h *LiveHome) Status() HubStatus { return h.hub.Status() }
+func (h *LiveHome) Status() HubStatus {
+	st, _ := hub.StatusOf(h.m, hub.Home) // the home is never removed
+	return st
+}
 
 // Events returns the recent controller activity log.
-func (h *LiveHome) Events() []Event { return h.hub.Events() }
+func (h *LiveHome) Events() []Event { return h.slot.Load().Events() }
 
 // EventsSince returns the retained events with sequence number >= since and
 // the cursor to pass on the next call, so pollers fetch only the tail
 // (mirrors the HTTP API's /api/events?since=N).
 func (h *LiveHome) EventsSince(since uint64) ([]Event, uint64) {
-	return h.hub.EventsSince(since)
+	return h.slot.Load().EventsSince(since)
 }
 
 // HTTPHandler returns the hub's HTTP API (see internal/hub for the routes).
-func (h *LiveHome) HTTPHandler() http.Handler { return h.hub.Handler() }
+func (h *LiveHome) HTTPHandler() http.Handler { return hub.HomeHandler(h.m, hub.Home) }
 
 // WaitIdle blocks until every submitted routine has finished or the timeout
 // elapses.
 func (h *LiveHome) WaitIdle(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for h.hub.PendingCount() > 0 {
+	for h.slot.Load().PendingCount() > 0 {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("safehome: %d routines still pending after %v", h.hub.PendingCount(), timeout)
+			return fmt.Errorf("safehome: %d routines still pending after %v", h.slot.Load().PendingCount(), timeout)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -6,6 +6,7 @@ import (
 	"net/url"
 	"testing"
 
+	"safehome/internal/device"
 	"safehome/internal/manager"
 	"safehome/internal/visibility"
 )
@@ -38,30 +39,44 @@ const (
 )
 
 // TestHotReadRoutesDoNotAllocate is the read path's counterpart of
-// TestMeteredSubmitDoesNotAllocate.
+// TestMeteredSubmitDoesNotAllocate, on both shapes: /homes/{id} through
+// ManagerHandler and the fixed home's /api alias through HomeHandler (whose
+// /api/status, /api/devices and unpaged /api/events are reflective views,
+// not hot routes).
 func TestHotReadRoutesDoNotAllocate(t *testing.T) {
+	// home-0 and a home named Home, as the single hub names its one, with 8
+	// routines run in each.
 	m := manager.New(manager.Config{Shards: 1, Clock: manager.ClockVirtual, EventLog: 256,
 		Home: manager.HomeConfig{Model: visibility.EV}})
 	defer m.Close()
 	if _, err := m.AddHomes("home", 1, 3); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
-		if _, err := m.SubmitSpec("home-0", []byte(wireSpec)); err != nil {
-			t.Fatal(err)
+	if err := m.AddHome(Home, device.Plugs(3).All()...); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []manager.HomeID{"home-0", Home} {
+		for i := 0; i < 8; i++ {
+			if _, err := m.SubmitSpec(id, []byte(wireSpec)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	h := ManagerHandler(m, 3)
+	h, alias := ManagerHandler(m, 3), HomeHandler(m, Home)
 
 	for _, tc := range []struct {
-		name, path, query string
-		budget            float64
-		minBody           int
+		name        string
+		h           http.Handler
+		path, query string
+		budget      float64
+		minBody     int
 	}{
-		{"status", "/homes/home-0/status", "", statusRouteAllocs, 150},
-		{"result", "/homes/home-0/routines/5", "", resultRouteAllocs, 150},
-		{"events page", "/homes/home-0/events", "since=9", eventsRouteAllocs, 1500},
-		{"events tip", "/homes/home-0/events", "since=999", eventsRouteAllocs, 20},
+		{"status", h, "/homes/home-0/status", "", statusRouteAllocs, 150},
+		{"result", h, "/homes/home-0/routines/5", "", resultRouteAllocs, 150},
+		{"events page", h, "/homes/home-0/events", "since=9", eventsRouteAllocs, 1500},
+		{"events tip", h, "/homes/home-0/events", "since=999", eventsRouteAllocs, 20},
+		{"alias result", alias, "/api/routines/5", "", resultRouteAllocs, 150},
+		{"alias events page", alias, "/api/events", "since=9", eventsRouteAllocs, 1500},
 	} {
 		w := &discardWriter{hdr: http.Header{}}
 		u := &url.URL{Path: tc.path, RawQuery: tc.query}
@@ -70,11 +85,12 @@ func TestHotReadRoutesDoNotAllocate(t *testing.T) {
 		allocs := testing.AllocsPerRun(200, func() {
 			clear(w.hdr)
 			w.status, w.n = 0, 0
-			h.ServeHTTP(w, req)
+			tc.h.ServeHTTP(w, req)
 		})
 		if w.status != http.StatusOK || w.n < tc.minBody {
 			t.Errorf("%s: status %d with %d body bytes, want 200 and at least %d", tc.name, w.status, w.n, tc.minBody)
 		}
+		t.Logf("%s, GET %s: %.1f allocs per request", tc.name, tc.path, allocs)
 		if raceEnabled {
 			continue // the race detector makes sync.Pool drop buffers at random
 		}
@@ -101,6 +117,8 @@ type rewindBody struct{ bytes.Reader }
 
 func (*rewindBody) Close() error { return nil }
 
+// TestSubmitRouteAllocs holds POST /homes/{id}/routines and the fixed
+// home's POST /api/routines to submitRouteAllocs.
 func TestSubmitRouteAllocs(t *testing.T) {
 	m := manager.New(manager.Config{Shards: 1, Clock: manager.ClockVirtual, EventLog: 256,
 		Home: manager.HomeConfig{Model: visibility.EV}})
@@ -108,30 +126,40 @@ func TestSubmitRouteAllocs(t *testing.T) {
 	if _, err := m.AddHomes("home", 1, 3); err != nil {
 		t.Fatal(err)
 	}
-	h := ManagerHandler(m, 3)
+	if err := m.AddHome(Home, device.Plugs(3).All()...); err != nil {
+		t.Fatal(err)
+	}
 	spec := []byte(`{"routine_name":"bench-00042","user":"user-03","commands":[` +
 		`{"device":"plug-2","action":"ON","duration_ms":180000,"priority":"must"},` +
 		`{"device":"plug-0","action":"OFF","duration_ms":60000,"priority":"must"},` +
 		`{"device":"plug-1","action":"ON","duration_ms":300000,"priority":"must"}]}`)
-	body := &rewindBody{}
-	w := &discardWriter{hdr: http.Header{}}
-	req := &http.Request{Method: http.MethodPost, URL: &url.URL{Path: "/homes/home-0/routines"},
-		Header: http.Header{}, Host: "test", Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		Body: body, ContentLength: int64(len(spec))}
-	allocs := testing.AllocsPerRun(500, func() {
-		clear(w.hdr)
-		w.status, w.n = 0, 0
-		body.Reset(spec)
-		h.ServeHTTP(w, req)
-	})
-	if w.status != http.StatusAccepted {
-		t.Fatalf("status %d, want 202", w.status)
-	}
-	t.Logf("POST /homes/{id}/routines: %.1f allocs per request", allocs)
-	if raceEnabled {
-		return // the race detector makes sync.Pool drop buffers at random
-	}
-	if allocs > submitRouteAllocs {
-		t.Errorf("POST /homes/{id}/routines: %.1f allocs per request, budget %d", allocs, submitRouteAllocs)
+	for _, tc := range []struct {
+		h    http.Handler
+		path string
+	}{
+		{ManagerHandler(m, 3), "/homes/home-0/routines"},
+		{HomeHandler(m, Home), "/api/routines"},
+	} {
+		body := &rewindBody{}
+		w := &discardWriter{hdr: http.Header{}}
+		req := &http.Request{Method: http.MethodPost, URL: &url.URL{Path: tc.path},
+			Header: http.Header{}, Host: "test", Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+			Body: body, ContentLength: int64(len(spec))}
+		allocs := testing.AllocsPerRun(500, func() {
+			clear(w.hdr)
+			w.status, w.n = 0, 0
+			body.Reset(spec)
+			tc.h.ServeHTTP(w, req)
+		})
+		if w.status != http.StatusAccepted {
+			t.Fatalf("POST %s: status %d, want 202", tc.path, w.status)
+		}
+		t.Logf("POST %s: %.1f allocs per request", tc.path, allocs)
+		if raceEnabled {
+			continue // the race detector makes sync.Pool drop buffers at random
+		}
+		if allocs > submitRouteAllocs {
+			t.Errorf("POST %s: %.1f allocs per request, budget %d", tc.path, allocs, submitRouteAllocs)
+		}
 	}
 }

@@ -22,7 +22,7 @@ func TestPostBodyLimits(t *testing.T) {
 	if _, err := m.AddHomes("home", 1, 3); err != nil {
 		t.Fatal(err)
 	}
-	h, _ := newTestHub(t)
+	hub, _ := newTestHub(t)
 	hubSpec := `{"routine_name":"cooling","commands":[{"device":"window","action":"CLOSED"},{"device":"ac","action":"ON"}]}`
 
 	for _, route := range []struct {
@@ -33,8 +33,8 @@ func TestPostBodyLimits(t *testing.T) {
 		ok      int
 	}{
 		{"manager submit", ManagerHandler(m, 3), "/homes/home-0/routines", wireSpec, http.StatusAccepted},
-		{"hub submit", h.Handler(), "/api/routines", hubSpec, http.StatusAccepted},
-		{"hub store", h.Handler(), "/api/bank", hubSpec, http.StatusCreated},
+		{"hub submit", HomeHandler(hub, Home), "/api/routines", hubSpec, http.StatusAccepted},
+		{"hub store", HomeHandler(hub, Home), "/api/bank", hubSpec, http.StatusCreated},
 	} {
 		post := func(body io.Reader, length int64) *httptest.ResponseRecorder {
 			req := httptest.NewRequest(http.MethodPost, route.path, body)

@@ -5,19 +5,20 @@ import (
 	"time"
 
 	"safehome/internal/device"
+	"safehome/internal/manager"
 	"safehome/internal/visibility"
 )
 
 // newDurableHub builds a hub journaling into dir over a fresh fleet.
-func newDurableHub(t *testing.T, dir string) *Hub {
+func newDurableHub(t *testing.T, dir string) *manager.Manager {
 	t.Helper()
 	reg := testRegistry()
-	h, err := New(Config{Model: visibility.EV, DefaultShort: 5 * time.Millisecond,
+	m, err := New(Config{Model: visibility.EV, DefaultShort: 5 * time.Millisecond,
 		FailureInterval: time.Hour, DataDir: dir}, reg, device.NewFleet(reg))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	return h
+	return m
 }
 
 // TestHubRecoversAcrossRestart drives the whole single-home stack: a durable
@@ -25,26 +26,30 @@ func newDurableHub(t *testing.T, dir string) *Hub {
 // recovered results, committed states and event cursors.
 func TestHubRecoversAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	h := newDurableHub(t, dir)
-	if !h.Status().Durable {
-		t.Fatal("durable hub reports Durable=false")
+	m := newDurableHub(t, dir)
+	if st, err := StatusOf(m, Home); err != nil || !st.Durable {
+		t.Fatalf("durable hub reports Durable=false (err %v)", err)
 	}
-	if _, err := h.SubmitRoutine(coolingRoutine()); err != nil {
+	if _, err := m.Submit(Home, coolingRoutine()); err != nil {
 		t.Fatal(err)
 	}
-	waitIdle(t, h)
-	_, cursor := h.EventsSince(0)
-	h.Close()
+	waitIdle(t, m)
+	_, cursor := gen(t, m).EventsSince(0)
+	m.Close()
 
-	h2 := newDurableHub(t, dir)
-	defer h2.Close()
-	results := h2.Results()
-	if len(results) != 1 || results[0].Status != visibility.StatusCommitted {
-		t.Fatalf("recovered results = %+v", results)
+	m2 := newDurableHub(t, dir)
+	defer m2.Close()
+	results, err := m2.Results(Home)
+	if err != nil || len(results) != 1 || results[0].Status != visibility.StatusCommitted {
+		t.Fatalf("recovered results = %+v, %v", results, err)
 	}
 	// Committed states survive into the device view.
+	devices, err := DevicesOf(m2, Home)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var window, ac device.State
-	for _, d := range h2.Devices() {
+	for _, d := range devices {
 		switch d.Info.ID {
 		case "window":
 			window = d.State
@@ -56,15 +61,15 @@ func TestHubRecoversAcrossRestart(t *testing.T) {
 		t.Fatalf("recovered device view: window=%s ac=%s", window, ac)
 	}
 	// A pre-restart cursor keeps working and stays monotonic.
-	_, cursor2 := h2.EventsSince(cursor)
+	_, cursor2 := gen(t, m2).EventsSince(cursor)
 	if cursor2 < cursor {
 		t.Fatalf("event cursor went backwards: %d -> %d", cursor, cursor2)
 	}
-	if _, err := h2.SubmitRoutine(coolingRoutine()); err != nil {
+	if _, err := m2.Submit(Home, coolingRoutine()); err != nil {
 		t.Fatal(err)
 	}
-	waitIdle(t, h2)
-	tail, cursor3 := h2.EventsSince(cursor2)
+	waitIdle(t, m2)
+	tail, cursor3 := gen(t, m2).EventsSince(cursor2)
 	if len(tail) == 0 || cursor3 <= cursor2 {
 		t.Fatalf("post-restart events not visible past the old cursor (%d events, cursor %d)", len(tail), cursor3)
 	}

@@ -38,14 +38,14 @@ func getPage(t *testing.T, url string) eventsPageJSON {
 }
 
 func TestHubEventsSinceCursor(t *testing.T) {
-	h, _ := newTestHub(t)
-	srv := httptest.NewServer(h.Handler())
+	m, _ := newTestHub(t)
+	srv := httptest.NewServer(HomeHandler(m, Home))
 	defer srv.Close()
 
-	if _, err := h.SubmitRoutine(coolingRoutine()); err != nil {
+	if _, err := m.Submit(Home, coolingRoutine()); err != nil {
 		t.Fatal(err)
 	}
-	waitIdle(t, h)
+	waitIdle(t, m)
 
 	first := getPage(t, srv.URL+"/api/events?since=0")
 	if len(first.Events) == 0 || first.Next == 0 {
@@ -67,10 +67,10 @@ func TestHubEventsSinceCursor(t *testing.T) {
 	}
 
 	// New activity: the poller sees only the tail.
-	if _, err := h.SubmitRoutine(coolingRoutine()); err != nil {
+	if _, err := m.Submit(Home, coolingRoutine()); err != nil {
 		t.Fatal(err)
 	}
-	waitIdle(t, h)
+	waitIdle(t, m)
 	tail := getPage(t, fmt.Sprintf("%s/api/events?since=%d", srv.URL, first.Next))
 	if len(tail.Events) == 0 {
 		t.Fatal("tail poll after new submit returned nothing")

@@ -15,16 +15,16 @@ import (
 	"safehome/internal/visibility"
 )
 
-func newSupervisedHub(t *testing.T, sup rt.SupervisorConfig) *Hub {
+func newSupervisedHub(t *testing.T, sup rt.SupervisorConfig) *manager.Manager {
 	t.Helper()
 	reg := testRegistry()
-	h, err := New(Config{Model: visibility.EV, DefaultShort: 5 * time.Millisecond,
+	m, err := New(Config{Model: visibility.EV, DefaultShort: 5 * time.Millisecond,
 		FailureInterval: time.Hour, supervisor: sup}, reg, device.NewFleet(reg))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	t.Cleanup(h.Close)
-	return h
+	t.Cleanup(m.Close)
+	return m
 }
 
 func get(t *testing.T, srv http.Handler, path string) *httptest.ResponseRecorder {
@@ -35,8 +35,8 @@ func get(t *testing.T, srv http.Handler, path string) *httptest.ResponseRecorder
 }
 
 func TestHealthzAndReadyzWhenServing(t *testing.T) {
-	h := newSupervisedHub(t, rt.SupervisorConfig{})
-	srv := h.Handler()
+	m := newSupervisedHub(t, rt.SupervisorConfig{})
+	srv := HomeHandler(m, Home)
 
 	if rec := get(t, srv, "/healthz"); rec.Code != http.StatusOK {
 		t.Errorf("GET /healthz = %d, want 200", rec.Code)
@@ -57,11 +57,11 @@ func TestHealthzAndReadyzWhenServing(t *testing.T) {
 }
 
 func TestReadyz503WhileRestartingThenRecovers(t *testing.T) {
-	h := newSupervisedHub(t, rt.SupervisorConfig{
+	m := newSupervisedHub(t, rt.SupervisorConfig{
 		Backoff: 300 * time.Millisecond, BackoffCap: 300 * time.Millisecond})
-	srv := h.Handler()
+	srv := HomeHandler(m, Home)
 
-	h.Runtime().PostTimer(func() { panic("test: injected fault") })
+	gen(t, m).PostTimer(func() { panic("test: injected fault") })
 
 	// The restart backoff holds the hub unready long enough to observe.
 	deadline := time.Now().Add(5 * time.Second)
@@ -93,14 +93,14 @@ func TestReadyz503WhileRestartingThenRecovers(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	st := h.Status()
-	if st.Health != rt.HealthOK || st.Poisons < 1 || st.Restarts < 1 {
-		t.Errorf("post-recovery status health=%s poisons=%d restarts=%d, want ok/>=1/>=1",
-			st.Health, st.Poisons, st.Restarts)
+	st, err := StatusOf(m, Home)
+	if err != nil || st.Health != rt.HealthOK || st.Poisons < 1 || st.Restarts < 1 {
+		t.Errorf("post-recovery status health=%s poisons=%d restarts=%d (err %v), want ok/>=1/>=1",
+			st.Health, st.Poisons, st.Restarts, err)
 	}
 	// The restarted hub serves mutations again.
-	if _, err := h.SubmitRoutine(coolingRoutine()); err != nil {
-		t.Errorf("SubmitRoutine after supervised restart: %v", err)
+	if _, err := m.Submit(Home, coolingRoutine()); err != nil {
+		t.Errorf("Submit after supervised restart: %v", err)
 	}
 }
 
@@ -120,8 +120,8 @@ func TestUnsupervisedPoisonIsReported(t *testing.T) {
 		{
 			name: "hub",
 			srv: func(t *testing.T) (http.Handler, *rt.HomeRuntime) {
-				h := newSupervisedHub(t, off)
-				return h.Handler(), h.Runtime()
+				m := newSupervisedHub(t, off)
+				return HomeHandler(m, Home), gen(t, m)
 			},
 			statusPath: "/api/status", submitPath: "/api/routines",
 			spec:  `{"routine_name":"r","commands":[{"device":"light","action":"ON"}]}`,

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"safehome/internal/device"
+	"safehome/internal/manager"
 	"safehome/internal/routine"
 	rt "safehome/internal/runtime"
 	"safehome/internal/visibility"
@@ -23,23 +24,34 @@ func testRegistry() *device.Registry {
 	)
 }
 
-func newTestHub(t *testing.T) (*Hub, *device.Fleet) {
+func newTestHub(t *testing.T) (*manager.Manager, *device.Fleet) {
 	t.Helper()
 	reg := testRegistry()
 	fleet := device.NewFleet(reg)
-	h, err := New(Config{Model: visibility.EV, DefaultShort: 5 * time.Millisecond,
+	m, err := New(Config{Model: visibility.EV, DefaultShort: 5 * time.Millisecond,
 		FailureInterval: 20 * time.Millisecond}, reg, fleet)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	t.Cleanup(h.Close)
-	return h, fleet
+	t.Cleanup(m.Close)
+	return m, fleet
 }
 
-func waitIdle(t *testing.T, h *Hub) {
+// gen is the runtime generation the hub's home currently holds: the one its
+// single-home reads answer from, also while it restarts.
+func gen(t *testing.T, m *manager.Manager) *rt.HomeRuntime {
+	t.Helper()
+	slot, err := m.Slot(Home)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slot.Load()
+}
+
+func waitIdle(t *testing.T, m *manager.Manager) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for h.PendingCount() > 0 {
+	for gen(t, m).PendingCount() > 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("hub did not drain in time")
 		}
@@ -63,22 +75,26 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestSubmitAndResults(t *testing.T) {
-	h, fleet := newTestHub(t)
-	id, err := h.SubmitRoutine(coolingRoutine())
+	m, fleet := newTestHub(t)
+	id, err := m.Submit(Home, coolingRoutine())
 	if err != nil {
-		t.Fatalf("SubmitRoutine: %v", err)
+		t.Fatalf("Submit: %v", err)
 	}
-	waitIdle(t, h)
+	waitIdle(t, m)
 
-	res, ok := h.Result(id)
-	if !ok || res.Status != visibility.StatusCommitted {
-		t.Fatalf("result = %+v, %v; want committed", res, ok)
+	res, ok, err := m.Result(Home, id)
+	if err != nil || !ok || res.Status != visibility.StatusCommitted {
+		t.Fatalf("result = %+v, %v, %v; want committed", res, ok, err)
 	}
 	if st, _ := fleet.Status("window"); st != device.Closed {
 		t.Errorf("window = %q, want CLOSED", st)
 	}
+	devices, err := DevicesOf(m, Home)
+	if err != nil {
+		t.Fatal(err)
+	}
 	found := false
-	for _, d := range h.Devices() {
+	for _, d := range devices {
 		if d.Info.ID == "ac" {
 			found = true
 			if d.State != device.On || !d.Up {
@@ -87,52 +103,52 @@ func TestSubmitAndResults(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Error("Devices() missing ac")
+		t.Error("DevicesOf missing ac")
 	}
-	if got := h.Status(); got.Routines != 1 || got.Pending != 0 || got.Model != "EV" {
-		t.Errorf("Status = %+v", got)
+	if got, err := StatusOf(m, Home); err != nil || got.Routines != 1 || got.Pending != 0 || got.Model != "EV" {
+		t.Errorf("StatusOf = %+v, %v", got, err)
 	}
-	if len(h.Events()) == 0 {
+	if len(gen(t, m).Events()) == 0 {
 		t.Error("expected recorded events")
 	}
 }
 
 func TestSubmitRejectsUnknownDevice(t *testing.T) {
-	h, _ := newTestHub(t)
-	_, err := h.SubmitRoutine(routine.New("bad", routine.Command{Device: "ghost", Target: device.On}))
+	m, _ := newTestHub(t)
+	_, err := m.Submit(Home, routine.New("bad", routine.Command{Device: "ghost", Target: device.On}))
 	if err == nil {
 		t.Fatal("submitting a routine with an unknown device should fail")
 	}
 }
 
 func TestBankStoreAndTrigger(t *testing.T) {
-	h, _ := newTestHub(t)
-	if err := h.StoreRoutine(coolingRoutine()); err != nil {
+	m, _ := newTestHub(t)
+	if err := m.StoreRoutine(Home, coolingRoutine()); err != nil {
 		t.Fatalf("StoreRoutine: %v", err)
 	}
-	if names := h.StoredRoutines(); len(names) != 1 || names[0] != "cooling" {
-		t.Fatalf("StoredRoutines = %v", names)
+	if names, err := m.StoredRoutines(Home); err != nil || len(names) != 1 || names[0] != "cooling" {
+		t.Fatalf("StoredRoutines = %v, %v", names, err)
 	}
-	id, err := h.Trigger("cooling")
+	id, err := m.Trigger(Home, "cooling")
 	if err != nil || id == routine.None {
 		t.Fatalf("Trigger: %v (id %d)", err, id)
 	}
-	if _, err := h.Trigger("missing"); err == nil {
+	if _, err := m.Trigger(Home, "missing"); err == nil {
 		t.Error("triggering a missing routine should fail")
 	}
-	waitIdle(t, h)
+	waitIdle(t, m)
 }
 
 func TestFailureDetectorIntegration(t *testing.T) {
-	h, fleet := newTestHub(t)
-	h.Start()
-	defer h.Close()
+	m, fleet := newTestHub(t)
+	m.Start()
+	defer m.Close()
 
 	if err := fleet.Fail("ac"); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for h.Detector().Up("ac") {
+	for gen(t, m).Detector().Up("ac") {
 		if time.Now().After(deadline) {
 			t.Fatal("detector never noticed the AC failure")
 		}
@@ -141,12 +157,12 @@ func TestFailureDetectorIntegration(t *testing.T) {
 
 	// A routine whose must command needs the dead AC aborts; the window close
 	// is rolled back.
-	id, err := h.SubmitRoutine(coolingRoutine())
+	id, err := m.Submit(Home, coolingRoutine())
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitIdle(t, h)
-	res, _ := h.Result(id)
+	waitIdle(t, m)
+	res, _, _ := m.Result(Home, id)
 	if res.Status != visibility.StatusAborted {
 		t.Fatalf("routine status = %v, want aborted (reason %q)", res.Status, res.AbortReason)
 	}
@@ -159,18 +175,22 @@ func TestRestartedHubKeepsDetecting(t *testing.T) {
 	const probe = 20 * time.Millisecond
 	reg := testRegistry()
 	fleet := device.NewFleet(reg)
-	h, err := New(Config{Model: visibility.EV, DefaultShort: 5 * time.Millisecond, FailureInterval: probe,
+	m, err := New(Config{Model: visibility.EV, DefaultShort: 5 * time.Millisecond, FailureInterval: probe,
 		supervisor: rt.SupervisorConfig{Backoff: time.Millisecond, BackoffCap: time.Millisecond}}, reg, fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(h.Close)
-	h.Start()
+	t.Cleanup(m.Close)
+	m.Start()
+	slot, err := m.Slot(Home)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	first := h.Runtime()
+	first := slot.Load()
 	first.PostTimer(func() { panic("test: loop fault") })
 	deadline := time.Now().Add(5 * time.Second)
-	for h.Runtime() == first || !h.Serving() {
+	for slot.Load() == first || !slot.Serving() {
 		if time.Now().After(deadline) {
 			t.Fatal("hub was not restarted")
 		}
@@ -181,18 +201,18 @@ func TestRestartedHubKeepsDetecting(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline = time.Now().Add(50 * probe)
-	for h.Detector().Up("ac") {
+	for slot.Load().Detector().Up("ac") {
 		if time.Now().After(deadline) {
 			t.Fatal("the restarted hub's detector never noticed the AC failure")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	id, err := h.SubmitRoutine(coolingRoutine())
+	id, err := m.Submit(Home, coolingRoutine())
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitIdle(t, h)
-	if res, _ := h.Result(id); res.Status != visibility.StatusAborted {
+	waitIdle(t, m)
+	if res, _, _ := m.Result(Home, id); res.Status != visibility.StatusAborted {
 		t.Fatalf("routine status = %v, want aborted (reason %q)", res.Status, res.AbortReason)
 	}
 }
@@ -200,8 +220,8 @@ func TestRestartedHubKeepsDetecting(t *testing.T) {
 // --- HTTP API ------------------------------------------------------------------
 
 func TestHTTPAPIEndToEnd(t *testing.T) {
-	h, _ := newTestHub(t)
-	srv := httptest.NewServer(h.Handler())
+	m, _ := newTestHub(t)
+	srv := httptest.NewServer(HomeHandler(m, Home))
 	defer srv.Close()
 
 	get := func(path string, into any) *http.Response {
@@ -261,7 +281,7 @@ func TestHTTPAPIEndToEnd(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	waitIdle(t, h)
+	waitIdle(t, m)
 
 	var results []map[string]any
 	get("/api/routines", &results)

@@ -135,3 +135,19 @@ func TestManagerHandlerHomesListing(t *testing.T) {
 		}
 	}
 }
+
+// TestPutHomeBoundsPlugs: a ?plugs= count above maxPlugs is refused before
+// any device is built, and no home is created.
+func TestPutHomeBoundsPlugs(t *testing.T) {
+	_, srv := managerServer(t)
+	code, body := doReq(t, http.MethodPut, fmt.Sprintf("%s/homes/big?plugs=%d", srv.URL, maxPlugs+1), "")
+	if code != http.StatusBadRequest {
+		t.Fatalf("PUT plugs=%d = %d %v, want 400", maxPlugs+1, code, body)
+	}
+	if code, _ := doReq(t, http.MethodGet, srv.URL+"/homes/big/status", ""); code != http.StatusNotFound {
+		t.Errorf("GET /homes/big/status after the refused PUT = %d, want 404", code)
+	}
+	if code, _ := doReq(t, http.MethodPut, fmt.Sprintf("%s/homes/big?plugs=%d", srv.URL, maxPlugs), ""); code != http.StatusCreated {
+		t.Errorf("PUT plugs=%d = %d, want 201", maxPlugs, code)
+	}
+}

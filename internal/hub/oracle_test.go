@@ -24,42 +24,46 @@ import (
 // oracleWriteJSON. Only the view builders (resultJSON, eventsJSON) are
 // shared with the live code.
 
-// oracleHubHandler is Hub.Handler as it was.
-func oracleHubHandler(h *Hub) http.Handler {
+// oracleHubHandler is the single hub's handler as it was, over the home
+// hub.New builds.
+func oracleHubHandler(m *manager.Manager) http.Handler {
+	slot, _ := m.Slot(Home)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		oracleWriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		health := h.Health()
-		if h.Serving() {
+		health := slot.Health()
+		if slot.Serving() {
 			oracleWriteJSON(w, http.StatusOK, map[string]string{"status": string(health)})
 			return
 		}
 		oracleWriteError(w, http.StatusServiceUnavailable, fmt.Errorf("hub %s", health))
 	})
-	mux.Handle("GET /metrics", h.Telemetry().Handler())
+	mux.Handle("GET /metrics", m.Telemetry().Handler())
 	mux.HandleFunc("GET /api/status", func(w http.ResponseWriter, r *http.Request) {
-		oracleWriteJSON(w, http.StatusOK, h.Status())
+		st, _ := StatusOf(m, Home)
+		oracleWriteJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("GET /api/devices", func(w http.ResponseWriter, r *http.Request) {
-		oracleWriteJSON(w, http.StatusOK, h.Devices())
+		devices, _ := DevicesOf(m, Home)
+		oracleWriteJSON(w, http.StatusOK, devices)
 	})
 	mux.HandleFunc("GET /api/routines", func(w http.ResponseWriter, r *http.Request) {
-		oracleWriteJSON(w, http.StatusOK, resultsJSON(h.Results()))
+		oracleWriteJSON(w, http.StatusOK, resultsJSON(slot.Load().Results()))
 	})
-	mux.HandleFunc("GET /api/routines/{id}", func(w http.ResponseWriter, r *http.Request) { oracleHandleGetRoutine(h, w, r) })
-	mux.HandleFunc("POST /api/routines", func(w http.ResponseWriter, r *http.Request) { oracleHandleSubmit(h, w, r) })
+	mux.HandleFunc("GET /api/routines/{id}", func(w http.ResponseWriter, r *http.Request) { oracleHandleGetRoutine(m, w, r) })
+	mux.HandleFunc("POST /api/routines", func(w http.ResponseWriter, r *http.Request) { oracleHandleSubmit(m, w, r) })
 	mux.HandleFunc("GET /api/bank", func(w http.ResponseWriter, r *http.Request) {
-		oracleWriteJSON(w, http.StatusOK, h.StoredRoutines())
+		oracleWriteJSON(w, http.StatusOK, slot.Load().Bank().Names())
 	})
-	mux.HandleFunc("POST /api/bank", func(w http.ResponseWriter, r *http.Request) { oracleHandleStore(h, w, r) })
-	mux.HandleFunc("POST /api/bank/{name}/trigger", func(w http.ResponseWriter, r *http.Request) { oracleHandleTrigger(h, w, r) })
-	mux.HandleFunc("POST /api/bank/{name}/schedule", func(w http.ResponseWriter, r *http.Request) { oracleHandleSchedule(h, w, r) })
+	mux.HandleFunc("POST /api/bank", func(w http.ResponseWriter, r *http.Request) { oracleHandleStore(m, w, r) })
+	mux.HandleFunc("POST /api/bank/{name}/trigger", func(w http.ResponseWriter, r *http.Request) { oracleHandleTrigger(m, w, r) })
+	mux.HandleFunc("POST /api/bank/{name}/schedule", func(w http.ResponseWriter, r *http.Request) { oracleHandleSchedule(m, w, r) })
 	mux.HandleFunc("GET /api/triggers", func(w http.ResponseWriter, r *http.Request) {
-		oracleWriteJSON(w, http.StatusOK, h.Triggers())
+		oracleWriteJSON(w, http.StatusOK, slot.Load().Triggers())
 	})
-	mux.HandleFunc("DELETE /api/triggers/{handle}", func(w http.ResponseWriter, r *http.Request) { oracleHandleCancelTrigger(h, w, r) })
+	mux.HandleFunc("DELETE /api/triggers/{handle}", func(w http.ResponseWriter, r *http.Request) { oracleHandleCancelTrigger(m, w, r) })
 	mux.HandleFunc("GET /api/events", func(w http.ResponseWriter, r *http.Request) {
 		since, ok, err := oracleSinceCursor(r)
 		if err != nil {
@@ -67,10 +71,10 @@ func oracleHubHandler(h *Hub) http.Handler {
 			return
 		}
 		if !ok {
-			oracleWriteJSON(w, http.StatusOK, eventsJSON(h.Events()))
+			oracleWriteJSON(w, http.StatusOK, eventsJSON(slot.Load().Events()))
 			return
 		}
-		ev, next := h.EventsSince(since)
+		ev, next := slot.Load().EventsSince(since)
 		oracleWriteJSON(w, http.StatusOK, oracleEventsPage(ev, next))
 	})
 	return mux
@@ -94,7 +98,7 @@ func oracleSinceCursor(r *http.Request) (since uint64, ok bool, err error) {
 // handleSchedule creates an automation trigger for a stored routine. The
 // delay (one-shot) or interval (recurring) is given as a Go duration string
 // in the `after` or `every` query parameter.
-func oracleHandleSchedule(h *Hub, w http.ResponseWriter, r *http.Request) {
+func oracleHandleSchedule(m *manager.Manager, w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var (
 		handle TriggerHandle
@@ -105,13 +109,13 @@ func oracleHandleSchedule(h *Hub, w http.ResponseWriter, r *http.Request) {
 		var interval time.Duration
 		interval, err = time.ParseDuration(r.URL.Query().Get("every"))
 		if err == nil {
-			handle, err = h.ScheduleEvery(name, interval)
+			handle, err = m.ScheduleEvery(Home, name, interval)
 		}
 	case r.URL.Query().Get("after") != "":
 		var delay time.Duration
 		delay, err = time.ParseDuration(r.URL.Query().Get("after"))
 		if err == nil {
-			handle, err = h.ScheduleAfter(name, delay)
+			handle, err = m.ScheduleAfter(Home, name, delay)
 		}
 	default:
 		err = fmt.Errorf("either ?after=<duration> or ?every=<duration> is required")
@@ -123,26 +127,26 @@ func oracleHandleSchedule(h *Hub, w http.ResponseWriter, r *http.Request) {
 	oracleWriteJSON(w, http.StatusCreated, map[string]any{"handle": handle})
 }
 
-func oracleHandleCancelTrigger(h *Hub, w http.ResponseWriter, r *http.Request) {
+func oracleHandleCancelTrigger(m *manager.Manager, w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseInt(r.PathValue("handle"), 10, 64)
 	if err != nil {
 		oracleWriteError(w, http.StatusBadRequest, fmt.Errorf("bad trigger handle: %w", err))
 		return
 	}
-	if err := h.CancelTrigger(TriggerHandle(id)); err != nil {
+	if err := m.CancelTrigger(Home, TriggerHandle(id)); err != nil {
 		oracleWriteHubError(w, http.StatusBadRequest, err)
 		return
 	}
 	oracleWriteJSON(w, http.StatusOK, map[string]string{"cancelled": r.PathValue("handle")})
 }
 
-func oracleHandleSubmit(h *Hub, w http.ResponseWriter, r *http.Request) {
+func oracleHandleSubmit(m *manager.Manager, w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		oracleWriteError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 		return
 	}
-	id, err := h.SubmitSpec(body)
+	id, err := m.SubmitSpec(Home, body)
 	if err != nil {
 		oracleWriteHubError(w, http.StatusBadRequest, err)
 		return
@@ -150,13 +154,14 @@ func oracleHandleSubmit(h *Hub, w http.ResponseWriter, r *http.Request) {
 	oracleWriteJSON(w, http.StatusAccepted, map[string]any{"id": id})
 }
 
-func oracleHandleGetRoutine(h *Hub, w http.ResponseWriter, r *http.Request) {
+func oracleHandleGetRoutine(m *manager.Manager, w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
 		oracleWriteError(w, http.StatusBadRequest, fmt.Errorf("bad routine id: %w", err))
 		return
 	}
-	res, ok := h.Result(routine.ID(id))
+	slot, _ := m.Slot(Home)
+	res, ok := slot.Load().Result(routine.ID(id))
 	if !ok {
 		oracleWriteError(w, http.StatusNotFound, fmt.Errorf("no routine %d", id))
 		return
@@ -164,7 +169,7 @@ func oracleHandleGetRoutine(h *Hub, w http.ResponseWriter, r *http.Request) {
 	oracleWriteJSON(w, http.StatusOK, resultJSON(&res))
 }
 
-func oracleHandleStore(h *Hub, w http.ResponseWriter, r *http.Request) {
+func oracleHandleStore(m *manager.Manager, w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		oracleWriteError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
@@ -175,15 +180,15 @@ func oracleHandleStore(h *Hub, w http.ResponseWriter, r *http.Request) {
 		oracleWriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := h.StoreRoutine(def); err != nil {
+	if err := m.StoreRoutine(Home, def); err != nil {
 		oracleWriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	oracleWriteJSON(w, http.StatusCreated, map[string]string{"stored": def.Name})
 }
 
-func oracleHandleTrigger(h *Hub, w http.ResponseWriter, r *http.Request) {
-	id, err := h.Trigger(r.PathValue("name"))
+func oracleHandleTrigger(m *manager.Manager, w http.ResponseWriter, r *http.Request) {
+	id, err := m.Trigger(Home, r.PathValue("name"))
 	if err != nil {
 		oracleWriteHubError(w, http.StatusNotFound, err)
 		return

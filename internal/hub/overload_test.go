@@ -51,21 +51,21 @@ func TestHubHTTPSurfaces429UnderOverload(t *testing.T) {
 	const depth = 4
 	reg := testRegistry()
 	fleet := device.NewFleet(reg)
-	h, err := New(Config{Model: visibility.EV, DefaultShort: time.Millisecond,
+	m, err := New(Config{Model: visibility.EV, DefaultShort: time.Millisecond,
 		MailboxDepth: depth}, reg, fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(h.Close)
-	srv := httptest.NewServer(h.Handler())
+	t.Cleanup(m.Close)
+	srv := httptest.NewServer(HomeHandler(m, Home))
 	defer srv.Close()
 
 	spec, err := routine.MarshalSpec(coolingRoutine())
 	if err != nil {
 		t.Fatal(err)
 	}
-	resume, wg := wedge(t, h.Runtime(), depth, func() error {
-		_, err := h.SubmitRoutine(coolingRoutine())
+	resume, wg := wedge(t, gen(t, m), depth, func() error {
+		_, err := m.Submit(Home, coolingRoutine())
 		return err
 	})
 
@@ -79,11 +79,11 @@ func TestHubHTTPSurfaces429UnderOverload(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("POST /api/routines under overload = %d, want 429", resp.StatusCode)
 	}
-	if mb := h.Runtime().Mailbox(); mb.Rejected < 1 {
+	if mb := gen(t, m).Mailbox(); mb.Rejected < 1 {
 		t.Errorf("rejected counter = %d, want >= 1", mb.Rejected)
 	}
-	if _, err := h.SubmitRoutine(coolingRoutine()); !errors.Is(err, ErrOverloaded) {
-		t.Errorf("SubmitRoutine under overload = %v, want ErrOverloaded", err)
+	if _, err := m.Submit(Home, coolingRoutine()); !errors.Is(err, ErrOverloaded) {
+		t.Errorf("Submit under overload = %v, want ErrOverloaded", err)
 	}
 
 	// Drained, the same request is accepted again.
@@ -97,7 +97,7 @@ func TestHubHTTPSurfaces429UnderOverload(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Errorf("POST /api/routines after drain = %d, want 202", resp.StatusCode)
 	}
-	waitIdle(t, h)
+	waitIdle(t, m)
 }
 
 func TestManagerHTTPSurfaces429UnderOverload(t *testing.T) {

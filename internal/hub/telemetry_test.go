@@ -45,15 +45,15 @@ func scrape(t *testing.T, srv http.Handler) map[string]*telemetry.Family {
 // mode: after real traffic the hub's /metrics page must parse, lint clean,
 // and carry the in-loop stage histograms and breaker families.
 func TestHubMetricsExpositionLints(t *testing.T) {
-	h, _ := newTestHub(t)
+	m, _ := newTestHub(t)
 	for i := 0; i < 5; i++ {
-		if _, err := h.SubmitRoutine(coolingRoutine()); err != nil {
-			t.Fatalf("SubmitRoutine: %v", err)
+		if _, err := m.Submit(Home, coolingRoutine()); err != nil {
+			t.Fatalf("Submit: %v", err)
 		}
 	}
-	waitIdle(t, h)
+	waitIdle(t, m)
 
-	fams := scrape(t, h.Handler())
+	fams := scrape(t, HomeHandler(m, Home))
 	stage, ok := fams["safehome_routine_stage_seconds"]
 	if !ok {
 		t.Fatal("no safehome_routine_stage_seconds family")
@@ -241,10 +241,10 @@ func TestJournalFamiliesAreOneSet(t *testing.T) {
 		"safehome_journal_group_cycle_commits histogram 1 2 4 8 16 32 64 128 256 512 +Inf",
 		"safehome_journal_scanned_records_total counter",
 	}
-	h, _ := newTestHub(t)
+	hub, _ := newTestHub(t)
 	m := manager.New(manager.Config{Shards: 2, Home: manager.HomeConfig{Model: visibility.EV}})
 	t.Cleanup(m.Close)
-	for surface, srv := range map[string]http.Handler{"hub": h.Handler(), "manager": ManagerHandler(m, 2)} {
+	for surface, srv := range map[string]http.Handler{"hub": HomeHandler(hub, Home), "manager": ManagerHandler(m, 2)} {
 		if got := familiesWithPrefix(scrape(t, srv), "safehome_journal_"); !slices.Equal(got, frozen) {
 			t.Errorf("%s journal families:\n%s\nwant:\n%s", surface, strings.Join(got, "\n"), strings.Join(frozen, "\n"))
 		}
@@ -261,7 +261,7 @@ func TestSupervisionFamiliesAreOneSet(t *testing.T) {
 		"safehome_supervision_quarantines_total counter",
 		"safehome_supervision_restarts_total counter",
 	}
-	h := newSupervisedHub(t, rt.SupervisorConfig{Backoff: time.Millisecond, BackoffCap: time.Millisecond})
+	hub := newSupervisedHub(t, rt.SupervisorConfig{Backoff: time.Millisecond, BackoffCap: time.Millisecond})
 	m := manager.New(manager.Config{Shards: 1, Supervisor: rt.SupervisorConfig{Disable: true}})
 	t.Cleanup(m.Close)
 	if err := m.AddHome("apt-1", device.Plugs(2).All()...); err != nil {
@@ -273,13 +273,13 @@ func TestSupervisionFamiliesAreOneSet(t *testing.T) {
 	}
 	// The hub restarts its poisoned home; the manager, with supervision
 	// disabled, quarantines its one.
-	h.Runtime().PostTimer(func() { panic("test: hub fault") })
+	gen(t, hub).PostTimer(func() { panic("test: hub fault") })
 	home.PostTimer(func() { panic("test: manager fault") })
 	want := map[string]map[string]float64{
 		"hub":     {"safehome_supervision_poisons_total": 1, "safehome_supervision_restarts_total": 1, "safehome_supervision_quarantines_total": 0},
 		"manager": {"safehome_supervision_poisons_total": 1, "safehome_supervision_restarts_total": 0, "safehome_supervision_quarantines_total": 1},
 	}
-	for surface, srv := range map[string]http.Handler{"hub": h.Handler(), "manager": ManagerHandler(m, 2)} {
+	for surface, srv := range map[string]http.Handler{"hub": HomeHandler(hub, Home), "manager": ManagerHandler(m, 2)} {
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			fams := scrape(t, srv)

@@ -14,35 +14,35 @@ import (
 )
 
 func TestScheduleAfterFiresOnce(t *testing.T) {
-	h, _ := newTestHub(t)
-	if err := h.StoreRoutine(coolingRoutine()); err != nil {
+	m, _ := newTestHub(t)
+	if err := m.StoreRoutine(Home, coolingRoutine()); err != nil {
 		t.Fatal(err)
 	}
-	handle, err := h.ScheduleAfter("cooling", 10*time.Millisecond)
+	handle, err := m.ScheduleAfter(Home, "cooling", 10*time.Millisecond)
 	if err != nil {
 		t.Fatalf("ScheduleAfter: %v", err)
 	}
-	if len(h.Triggers()) != 1 {
-		t.Fatalf("Triggers = %v, want 1 active", h.Triggers())
+	if trigs, err := m.Triggers(Home); err != nil || len(trigs) != 1 {
+		t.Fatalf("Triggers = %v, %v; want 1 active", trigs, err)
 	}
 
 	deadline := time.Now().Add(3 * time.Second)
-	for len(h.Results()) == 0 {
+	for len(gen(t, m).Results()) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("scheduled trigger never fired")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	waitIdle(t, h)
-	res := h.Results()[0]
+	waitIdle(t, m)
+	res := gen(t, m).Results()[0]
 	if res.Status != visibility.StatusCommitted {
 		t.Fatalf("triggered routine = %v (%s)", res.Status, res.AbortReason)
 	}
 	// One-shot triggers disappear once fired.
 	deadline = time.Now().Add(time.Second)
-	for len(h.Triggers()) != 0 {
+	for len(gen(t, m).Triggers()) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("one-shot trigger still active: %v", h.Triggers())
+			t.Fatalf("one-shot trigger still active: %v", gen(t, m).Triggers())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -50,53 +50,53 @@ func TestScheduleAfterFiresOnce(t *testing.T) {
 }
 
 func TestScheduleEveryRepeats(t *testing.T) {
-	h, _ := newTestHub(t)
-	if err := h.StoreRoutine(coolingRoutine()); err != nil {
+	m, _ := newTestHub(t)
+	if err := m.StoreRoutine(Home, coolingRoutine()); err != nil {
 		t.Fatal(err)
 	}
-	handle, err := h.ScheduleEvery("cooling", 15*time.Millisecond)
+	handle, err := m.ScheduleEvery(Home, "cooling", 15*time.Millisecond)
 	if err != nil {
 		t.Fatalf("ScheduleEvery: %v", err)
 	}
 
 	deadline := time.Now().Add(3 * time.Second)
-	for len(h.Results()) < 2 {
+	for len(gen(t, m).Results()) < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("recurring trigger fired %d times, want >= 2", len(h.Results()))
+			t.Fatalf("recurring trigger fired %d times, want >= 2", len(gen(t, m).Results()))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	h.CancelTrigger(handle)
-	fired := len(h.Results())
+	m.CancelTrigger(Home, handle)
+	fired := len(gen(t, m).Results())
 	time.Sleep(60 * time.Millisecond)
-	if extra := len(h.Results()) - fired; extra > 1 {
+	if extra := len(gen(t, m).Results()) - fired; extra > 1 {
 		t.Errorf("trigger kept firing after cancellation (%d extra submissions)", extra)
 	}
-	if len(h.Triggers()) != 0 {
-		t.Errorf("Triggers after cancel = %v, want none", h.Triggers())
+	if trigs := gen(t, m).Triggers(); len(trigs) != 0 {
+		t.Errorf("Triggers after cancel = %v, want none", trigs)
 	}
-	waitIdle(t, h)
+	waitIdle(t, m)
 }
 
 func TestScheduleValidation(t *testing.T) {
-	h, _ := newTestHub(t)
-	if _, err := h.ScheduleAfter("missing", time.Millisecond); err == nil {
+	m, _ := newTestHub(t)
+	if _, err := m.ScheduleAfter(Home, "missing", time.Millisecond); err == nil {
 		t.Error("scheduling an unknown routine should fail")
 	}
-	if err := h.StoreRoutine(coolingRoutine()); err != nil {
+	if err := m.StoreRoutine(Home, coolingRoutine()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.ScheduleEvery("cooling", 0); err == nil {
+	if _, err := m.ScheduleEvery(Home, "cooling", 0); err == nil {
 		t.Error("a non-positive interval should be rejected")
 	}
 }
 
 func TestTriggerHTTPEndpoints(t *testing.T) {
-	h, _ := newTestHub(t)
-	if err := h.StoreRoutine(coolingRoutine()); err != nil {
+	m, _ := newTestHub(t)
+	if err := m.StoreRoutine(Home, coolingRoutine()); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(h.Handler())
+	srv := httptest.NewServer(HomeHandler(m, Home))
 	defer srv.Close()
 
 	resp, err := http.Post(srv.URL+"/api/bank/cooling/schedule?every=50ms", "application/json", nil)
@@ -130,8 +130,8 @@ func TestTriggerHTTPEndpoints(t *testing.T) {
 		t.Fatalf("cancel: %v %v", resp.StatusCode, err)
 	}
 	resp.Body.Close()
-	if len(h.Triggers()) != 0 {
-		t.Fatalf("triggers after cancel = %v", h.Triggers())
+	if trigs := gen(t, m).Triggers(); len(trigs) != 0 {
+		t.Fatalf("triggers after cancel = %v", trigs)
 	}
 
 	// Bad requests.
@@ -145,27 +145,27 @@ func TestTriggerHTTPEndpoints(t *testing.T) {
 		t.Errorf("schedule unknown routine = %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
-	waitIdle(t, h)
+	waitIdle(t, m)
 }
 
 func TestCloseCancelsTriggers(t *testing.T) {
 	reg := testRegistry()
-	h, err := New(Config{Model: visibility.EV, DefaultShort: time.Millisecond}, reg, device.NewFleet(reg))
+	m, err := New(Config{Model: visibility.EV, DefaultShort: time.Millisecond}, reg, device.NewFleet(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.StoreRoutine(coolingRoutine()); err != nil {
+	if err := m.StoreRoutine(Home, coolingRoutine()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.ScheduleEvery("cooling", 10*time.Millisecond); err != nil {
+	if _, err := m.ScheduleEvery(Home, "cooling", 10*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	h.Close()
-	if len(h.Triggers()) != 0 {
-		t.Errorf("triggers after Close = %v, want none", h.Triggers())
+	m.Close()
+	if trigs, err := m.Triggers(Home); err != nil || len(trigs) != 0 {
+		t.Errorf("triggers after Close = %v, %v; want none", trigs, err)
 	}
-	if _, err := h.ScheduleAfter("cooling", time.Millisecond); !errors.Is(err, ErrClosed) {
+	if _, err := m.ScheduleAfter(Home, "cooling", time.Millisecond); !errors.Is(err, ErrClosed) {
 		t.Errorf("scheduling after Close = %v, want ErrClosed", err)
 	}
-	h.Close() // idempotent
+	m.Close() // idempotent
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"safehome/internal/device"
+	"safehome/internal/manager"
 	"safehome/internal/routine"
 	"safehome/internal/visibility"
 )
@@ -31,15 +32,15 @@ func hubEraCopy(t *testing.T) string {
 }
 
 // openHubEra opens a hub on dir with the fixture's configuration.
-func openHubEra(t *testing.T, dir string) *Hub {
+func openHubEra(t *testing.T, dir string) *manager.Manager {
 	t.Helper()
 	reg := device.Plugs(3)
-	h, err := New(Config{Model: visibility.EV, DefaultShort: time.Millisecond, FailureInterval: time.Hour, DataDir: dir},
+	m, err := New(Config{Model: visibility.EV, DefaultShort: time.Millisecond, FailureInterval: time.Hour, DataDir: dir},
 		reg, device.NewFleet(reg))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	return h
+	return m
 }
 
 // hubEraImage is what a hub recovers from the fixture: results, the
@@ -56,42 +57,52 @@ type hubEraImage struct {
 	LastPoison string                     `json:"last_poison"`
 }
 
-func hubEraImageOf(h *Hub) hubEraImage {
-	img := hubEraImage{Results: resultsJSON(h.Results()), States: map[device.ID]device.State{}}
+func hubEraImageOf(t *testing.T, m *manager.Manager) hubEraImage {
+	t.Helper()
+	home := gen(t, m)
+	img := hubEraImage{Results: resultsJSON(home.Results()), States: map[device.ID]device.State{}}
 	for i := range img.Results {
 		r := &img.Results[i]
 		r.Submitted, r.Started, r.Finished = r.Submitted.UTC(), r.Started.UTC(), r.Finished.UTC()
 	}
-	for _, d := range h.Devices() {
+	devices, err := DevicesOf(m, Home)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range devices {
 		img.States[d.Info.ID] = d.State
 	}
-	img.Next = h.Runtime().RangeEventsSince(0, func(seq uint64, e *visibility.Event) {
+	img.Next = home.RangeEventsSince(0, func(seq uint64, e *visibility.Event) {
 		v := eventJSON(seq, e)
 		v.Time = v.Time.UTC()
 		img.Events = append(img.Events, v)
 	})
-	img.Bank = h.StoredRoutines()
+	img.Bank = home.Bank().Names()
 	sort.Strings(img.Bank)
-	for _, tr := range h.Triggers() {
+	for _, tr := range home.Triggers() {
 		tr.NextFire = tr.NextFire.UTC()
 		img.Triggers = append(img.Triggers, tr)
 	}
 	sort.Slice(img.Triggers, func(i, j int) bool { return img.Triggers[i].Handle < img.Triggers[j].Handle })
-	if p := h.Status().LastPoison; p != nil {
+	st, err := StatusOf(m, Home)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := st.LastPoison; p != nil {
 		img.LastPoison = p.Message
 	}
 	return img
 }
 
-// checkHubEraImage requires h to serve exactly the image the hub-era build
+// checkHubEraImage requires m to serve exactly the image the hub-era build
 // recovered from the fixture.
-func checkHubEraImage(t *testing.T, h *Hub) {
+func checkHubEraImage(t *testing.T, m *manager.Manager) {
 	t.Helper()
 	want, err := os.ReadFile(filepath.Join("testdata", "hub-era", "expected.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := json.MarshalIndent(hubEraImageOf(h), "", "  ")
+	got, err := json.MarshalIndent(hubEraImageOf(t, m), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +125,8 @@ func checkHubEraImage(t *testing.T, h *Hub) {
 // the home's log, and a second crash and reopen recovers it.
 func TestHubEraDirectoryUpgrades(t *testing.T) {
 	dir := hubEraCopy(t)
-	h := openHubEra(t, dir)
-	checkHubEraImage(t, h)
+	m := openHubEra(t, dir)
+	checkHubEraImage(t, m)
 	for _, name := range []string{"checkpoint.ckpt", "ckchunk-00000000.ckpt", "poison.json"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
 			t.Errorf("%s is still at the data-dir root (stat: %v)", name, err)
@@ -125,23 +136,23 @@ func TestHubEraDirectoryUpgrades(t *testing.T) {
 		}
 	}
 
-	id, err := h.SubmitRoutine(routine.New("after-upgrade", routine.Command{Device: "plug-0", Target: device.On}))
+	id, err := m.Submit(Home, routine.New("after-upgrade", routine.Command{Device: "plug-0", Target: device.On}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitIdle(t, h)
-	h.Crash()
+	waitIdle(t, m)
+	m.Crash()
 
 	for round := 0; round < 2; round++ {
-		h = openHubEra(t, dir)
-		results := h.Results()
-		if len(results) != 306 || id != 306 {
-			t.Fatalf("round %d: %d results, new routine id %d; want 306 and 306", round, len(results), id)
+		m = openHubEra(t, dir)
+		results, err := m.Results(Home)
+		if err != nil || len(results) != 306 || id != 306 {
+			t.Fatalf("round %d: %d results (err %v), new routine id %d; want 306 and 306", round, len(results), err, id)
 		}
-		if res, ok := h.Result(id); !ok || res.Status != visibility.StatusCommitted {
-			t.Fatalf("round %d: routine appended after the upgrade = %+v, %v; want committed", round, res, ok)
+		if res, ok, err := m.Result(Home, id); err != nil || !ok || res.Status != visibility.StatusCommitted {
+			t.Fatalf("round %d: routine appended after the upgrade = %+v, %v, %v; want committed", round, res, ok, err)
 		}
-		h.Crash()
+		m.Crash()
 	}
 }
 
@@ -158,9 +169,9 @@ func TestHalfMovedHubEraDirectoryUpgrades(t *testing.T) {
 	if err := os.Rename(filepath.Join(dir, chunk), filepath.Join(home, chunk)); err != nil {
 		t.Fatal(err)
 	}
-	h := openHubEra(t, dir)
-	defer h.Crash()
-	checkHubEraImage(t, h)
+	m := openHubEra(t, dir)
+	defer m.Crash()
+	checkHubEraImage(t, m)
 	if _, err := os.Stat(filepath.Join(home, "checkpoint.ckpt")); err != nil {
 		t.Errorf("checkpoint did not move under homes/hub: %v", err)
 	}

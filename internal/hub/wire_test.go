@@ -244,8 +244,9 @@ func hubScript() []wireStep {
 		{method: http.MethodPost, target: "/api/bank", body: `[]`},
 		{method: http.MethodPost, target: "/api/bank/cooling%3C1%3E/trigger", mutates: true},
 		{method: http.MethodPost, target: "/api/bank/nope/trigger"},
-		// (One trigger at a time: the listing's order is a map's.)
+		// Two triggers armed at once: the listing comes out in handle order.
 		{method: http.MethodPost, target: "/api/bank/cooling%3C1%3E/schedule?after=1h", mutates: true},
+		{method: http.MethodPost, target: "/api/bank/cooling%3C1%3E/schedule?after=3h", mutates: true},
 		get("/api/triggers"),
 		{method: http.MethodDelete, target: "/api/triggers/1", mutates: true},
 		{method: http.MethodPost, target: "/api/bank/cooling%3C1%3E/schedule?every=2h", mutates: true},
@@ -285,7 +286,7 @@ func TestHubHandlerWireContract(t *testing.T) {
 	liveH, _ := newTestHub(t)
 	twinH, _ := newTestHub(t)
 	tw := &wireTwins{
-		live:    liveH.Handler(),
+		live:    HomeHandler(liveH, Home),
 		liveOld: oracleHubHandler(liveH),
 		twinOld: oracleHubHandler(twinH),
 		// The hub runs on the wall clock: let a submission finish on both
@@ -293,8 +294,8 @@ func TestHubHandlerWireContract(t *testing.T) {
 		settleFn: func() { waitIdle(t, liveH); waitIdle(t, twinH) },
 	}
 	tw.replay(t, hubScript())
-	if got := len(liveH.Results()); got != 3 {
-		t.Fatalf("hub ran %d routines through the script, want 3", got)
+	if res, err := liveH.Results(Home); err != nil || len(res) != 3 {
+		t.Fatalf("hub ran %d routines through the script (err %v), want 3", len(res), err)
 	}
 
 	// 503: a closed hub refuses mutations with Retry-After, still reads.
@@ -305,6 +306,9 @@ func TestHubHandlerWireContract(t *testing.T) {
 		{method: http.MethodGet, target: "/api/routines/1"},
 		{method: http.MethodGet, target: "/api/events?since=1"},
 		{method: http.MethodGet, target: "/api/status"},
+		{method: http.MethodPost, target: "/api/bank", body: `{"routine_name":"late","commands":[{"device":"ac","action":"ON"}]}`},
+		{method: http.MethodPost, target: "/api/bank/cooling%3C1%3E/schedule?after=1h"},
+		{method: http.MethodDelete, target: "/api/triggers/2"},
 	})
 }
 

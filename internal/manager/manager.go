@@ -707,6 +707,74 @@ func (m *Manager) RestoreDevice(id HomeID, dev device.ID) error {
 	return m.mutate(id, func(home *rt.HomeRuntime) error { return home.RestoreDevice(dev) })
 }
 
+// StoreRoutine saves a routine definition in the home's routine bank (Fig
+// 11). On a durable home the definition is journaled, so it survives
+// restarts.
+func (m *Manager) StoreRoutine(id HomeID, r *routine.Routine) error {
+	return m.mutate(id, func(home *rt.HomeRuntime) error { return home.StoreRoutine(r) })
+}
+
+// StoredRoutines lists the names in the home's routine bank.
+func (m *Manager) StoredRoutines(id HomeID) ([]string, error) {
+	home, err := m.Runtime(id)
+	if err != nil {
+		return nil, err
+	}
+	return home.Bank().Names(), nil
+}
+
+// Trigger dispatches the home's stored routine by name: the routine
+// dispatcher of Fig 11, invoked by a user rather than a timer.
+func (m *Manager) Trigger(id HomeID, name string) (rid routine.ID, err error) {
+	err = m.mutate(id, func(home *rt.HomeRuntime) (err error) {
+		r, ok := home.Bank().Get(name)
+		if !ok {
+			// Prefixed with the home, as the single hub's error always read
+			// ("hub: no stored routine named …").
+			return fmt.Errorf("%s: no stored routine named %q", id, name)
+		}
+		rid, err = home.SubmitOwned(r) // Get returned a copy nobody else holds
+		return err
+	})
+	return rid, err
+}
+
+// ScheduleAfter dispatches the home's stored routine once, after the delay
+// on the home's clock. On a durable home the trigger is journaled: a pending
+// one re-arms with its remaining delay after a restart.
+func (m *Manager) ScheduleAfter(id HomeID, name string, delay time.Duration) (handle rt.TriggerHandle, err error) {
+	err = m.mutate(id, func(home *rt.HomeRuntime) (err error) {
+		handle, err = home.ScheduleAfter(name, delay)
+		return err
+	})
+	return handle, err
+}
+
+// ScheduleEvery dispatches the home's stored routine at the interval,
+// starting one interval from now. A virtual-clock home refuses it.
+func (m *Manager) ScheduleEvery(id HomeID, name string, interval time.Duration) (handle rt.TriggerHandle, err error) {
+	err = m.mutate(id, func(home *rt.HomeRuntime) (err error) {
+		handle, err = home.ScheduleEvery(name, interval)
+		return err
+	})
+	return handle, err
+}
+
+// CancelTrigger stops one of the home's scheduled triggers; an unknown or
+// already fired handle is not an error.
+func (m *Manager) CancelTrigger(id HomeID, handle rt.TriggerHandle) error {
+	return m.mutate(id, func(home *rt.HomeRuntime) error { return home.CancelTrigger(handle) })
+}
+
+// Triggers lists the home's active scheduled triggers in handle order.
+func (m *Manager) Triggers(id HomeID) ([]rt.ScheduledTrigger, error) {
+	home, err := m.Runtime(id)
+	if err != nil {
+		return nil, err
+	}
+	return home.Triggers(), nil
+}
+
 // Results returns the home's per-routine outcomes in submission order.
 func (m *Manager) Results(id HomeID) ([]visibility.Result, error) {
 	home, err := m.Runtime(id)
@@ -723,18 +791,6 @@ func (m *Manager) Result(id HomeID, rid routine.ID) (visibility.Result, bool, er
 		return visibility.Result{}, false, err
 	}
 	res, ok := home.Result(rid)
-	return res, ok, nil
-}
-
-// ResultRef is Result by pointer, for readers that only encode the record:
-// it points into the home's immutable snapshot, so the caller must not write
-// through it.
-func (m *Manager) ResultRef(id HomeID, rid routine.ID) (*visibility.Result, bool, error) {
-	home, err := m.Runtime(id)
-	if err != nil {
-		return nil, false, err
-	}
-	res, ok := home.ResultRef(rid)
 	return res, ok, nil
 }
 

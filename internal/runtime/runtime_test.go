@@ -369,3 +369,33 @@ func TestSuspendAfterCloseFails(t *testing.T) {
 		t.Errorf("Suspend after Close = %v, want ErrClosed", err)
 	}
 }
+
+// TestTriggersListInHandleOrder: the trigger table is a map, but the
+// listing (GET /api/triggers, GET /homes/{id}/triggers) comes out in
+// ascending handle order, so two reads of one table are the same bytes.
+func TestTriggersListInHandleOrder(t *testing.T) {
+	reg := device.Plugs(1)
+	home, err := NewLive(Config{Model: visibility.EV}, reg, device.NewFleet(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer home.Close()
+	if err := home.Bank().Store(plugRoutine("later", device.On, 0)); err != nil {
+		t.Fatal(err)
+	}
+	const n = 16
+	for i := 0; i < n; i++ {
+		if _, err := home.ScheduleAfter("later", time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	listed := home.Triggers()
+	if len(listed) != n {
+		t.Fatalf("listed %d triggers, want %d", len(listed), n)
+	}
+	for i, tr := range listed {
+		if tr.Handle != TriggerHandle(i+1) {
+			t.Fatalf("trigger %d of the listing has handle %d, want %d (listing %+v)", i, tr.Handle, i+1, listed)
+		}
+	}
+}

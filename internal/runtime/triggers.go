@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"safehome/internal/visibility"
@@ -98,11 +100,14 @@ func (rt *HomeRuntime) Triggers() []ScheduledTrigger {
 }
 
 // listTriggers runs on the loop goroutine, or inline once the loop has exited.
+// The table is a map; the listing is sorted by handle, so it reads the same
+// every time.
 func (rt *HomeRuntime) listTriggers() []ScheduledTrigger {
 	out := make([]ScheduledTrigger, 0, len(rt.triggers))
 	for _, tr := range rt.triggers {
 		out = append(out, tr.spec)
 	}
+	slices.SortFunc(out, func(a, b ScheduledTrigger) int { return cmp.Compare(a.Handle, b.Handle) })
 	return out
 }
 
